@@ -739,7 +739,7 @@ pub fn table4_power() -> Table {
 /// The task grid the cycle-vs-analytic experiment sweeps: a compute-bound
 /// block (moderate parallelism, high keep ratios) and a memory-bound block
 /// (high token parallelism, aggressive pruning → KV streaming dominates).
-/// Public because the CI regression gate (`check_regression`) re-checks the
+/// Public because the harness's `cycle_sim_fidelity` gate re-checks the
 /// same grid against a hard tolerance.
 pub fn cycle_sim_tasks() -> Vec<AttentionTask> {
     let mut tasks = Vec::new();
@@ -1362,8 +1362,8 @@ fn fleet_trace(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) -> Requ
 
 /// The fleet configuration of the experiments: paper-default nodes, a
 /// single-layer `Bc = 64` deployment point matched to `fleet_trace`'s
-/// request shape, and the fleet defaults (calendar event queue, 64Ki-cycle
-/// epochs, default fabric).
+/// request shape, and the fleet defaults (64Ki-cycle epochs, default
+/// fabric).
 pub fn fleet_config(nodes: usize, instances_per_node: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(HwConfig::paper_default(), nodes, instances_per_node);
     cfg.serve.op = OperatingPoint::single(0.25, 64);

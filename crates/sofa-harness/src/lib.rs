@@ -14,12 +14,12 @@
 //! harness list [--markdown] [--specs DIR]
 //! ```
 //!
-//! `harness run` keeps the regression-gate exit-code contract the old
-//! `check_regression` binary established: `0` all predicates passed, `1` a
-//! gate tripped (a genuine regression), `2` an artifact was missing,
-//! unwritable or unparseable (an infrastructure problem — fix the
-//! pipeline, not the code). Adding a scenario or a gate is a spec-file
-//! diff, not a new binary + golden wiring + CI step + gate clause.
+//! `harness run` follows the regression-gate exit-code contract: `0` all
+//! predicates passed, `1` a gate tripped (a genuine regression), `2` an
+//! artifact was missing, unwritable or unparseable (an infrastructure
+//! problem — fix the pipeline, not the code). Adding a scenario or a gate
+//! is a spec-file diff, not a new binary + golden wiring + CI step + gate
+//! clause.
 
 pub mod catalog;
 pub mod golden;

@@ -555,6 +555,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_repeated_predicates_key() {
+        // A second "predicates" list must not silently replace the first
+        // and drop its gates.
+        let err = parse_spec(
+            r#"{"name": "d", "about": "d", "experiment": "e",
+                "predicates": [{"kind": "tolerance", "metric": "m", "max": 1}],
+                "predicates": []}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("duplicate key \"predicates\""), "{err}");
+    }
+
+    #[test]
     fn rejects_mismatched_dominance_axes() {
         let err = parse_spec(
             r#"{"name": "d", "about": "d", "experiment": "e",

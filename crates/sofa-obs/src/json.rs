@@ -19,7 +19,7 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object (sorted map; duplicate keys keep the last value).
+    /// An object (sorted map; a repeated key is a parse error).
     Obj(BTreeMap<String, Json>),
 }
 
@@ -62,14 +62,24 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the limit keeps hostile input from overflowing the stack;
+/// the repo's own documents nest a handful of levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `text` as one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, of a
+/// repeated object key, or of arrays/objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -82,6 +92,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -119,8 +131,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -128,6 +140,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -141,6 +164,9 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return self.err(&format!("duplicate key {key:?}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -299,6 +325,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn rejects_duplicate_keys() {
+        let err = parse("{\"a\":1,\"b\":{\"c\":2,\"c\":3}}").unwrap_err();
+        assert!(err.contains("duplicate key \"c\""), "{err}");
+        // The same key in sibling objects is fine.
+        assert!(parse("[{\"a\":1},{\"a\":2}]").is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{{\"a\":{at_limit}}}");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

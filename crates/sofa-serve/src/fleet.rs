@@ -39,9 +39,7 @@ use sofa_core::cache::{CacheStats, ShapeKey};
 use sofa_model::trace::{RequestClass, RequestTrace};
 use sofa_obs::{MetricsRegistry, QuantileSketch, TraceRecorder};
 use sofa_sim::tracks::{PID_FABRIC, PID_FLEET_ROUTER};
-use sofa_sim::{
-    CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport, PipelineJob, QueueKind,
-};
+use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport, PipelineJob};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::ops::Range;
@@ -80,15 +78,10 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet of `nodes` × `instances_per_node` instances of `hw` with the
     /// single-node serving defaults, the default fabric, a 64Ki-cycle
-    /// epoch, a 64-request admission window, no disaggregation — and the
-    /// calendar event queue, which keeps per-node event handling O(1) at
-    /// fleet event counts (it pops in exactly the heap's order, so this is
-    /// timing-neutral).
+    /// epoch, a 64-request admission window and no disaggregation.
     pub fn new(hw: sofa_hw::config::HwConfig, nodes: usize, instances_per_node: usize) -> Self {
-        let mut serve = ServeConfig::new(hw, instances_per_node);
-        serve.sim.queue_kind = QueueKind::Calendar;
         FleetConfig {
-            serve,
+            serve: ServeConfig::new(hw, instances_per_node),
             nodes,
             fabric: FabricParams::default(),
             epoch_cycles: 1 << 16,

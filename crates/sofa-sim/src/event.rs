@@ -7,36 +7,12 @@
 //! layout — the property the multi-instance simulation depends on, where
 //! several instances routinely schedule events at the same cycle.
 //!
-//! The queue is generic over the event payload so the single-pipeline
-//! simulator ([`EventKind`]) and the multi-instance simulator
-//! (`crate::multi`) share one implementation.
+//! The queue is generic over the event payload. It is the crate's one event
+//! core: [`crate::MultiPipelineSim`] schedules through it, and both
+//! [`crate::CycleSim`] and the fleet's nodes run on `MultiPipelineSim`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// What happened at an event's timestamp (single-pipeline simulation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A pipeline stage finished processing one tile.
-    StageDone {
-        /// Stage index (0 = predict … 3 = formal).
-        stage: usize,
-        /// Tile index.
-        tile: usize,
-    },
-    /// The DRAM channel finished streaming the current request's burst train
-    /// and can issue the next queued request.
-    DramFree,
-    /// A DRAM request's data has fully arrived at its requester.
-    DramDone {
-        /// Stage the request belonged to.
-        stage: usize,
-        /// Tile the request belonged to.
-        tile: usize,
-        /// Whether the request was a write (writes complete silently).
-        write: bool,
-    },
-}
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Scheduled<K> {
@@ -74,7 +50,7 @@ impl<K> PartialOrd for Scheduled<K> {
 
 /// Min-heap of future events with FIFO tie-breaking on equal timestamps.
 #[derive(Debug)]
-pub struct EventQueue<K = EventKind> {
+pub struct EventQueue<K> {
     heap: BinaryHeap<Scheduled<K>>,
     next_seq: u64,
 }
@@ -126,61 +102,6 @@ impl<K> EventQueue<K> {
     }
 }
 
-/// Which event-queue implementation a simulation schedules through.
-///
-/// Both implementations produce the **same pop order** (earliest timestamp
-/// first, FIFO among ties) — the choice is purely a data-structure trade:
-/// the binary heap is compact and branch-cheap for the small queues of
-/// single-task runs, the calendar queue ([`crate::calendar::CalendarQueue`])
-/// scans in near-constant time when millions of events cluster around the
-/// simulation cursor, as fleet-scale serving runs do. The differential
-/// proptest in `tests/property_tests.rs` enforces the equivalence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Binary min-heap ([`EventQueue`]) — the default.
-    #[default]
-    Heap,
-    /// Calendar queue / time wheel ([`crate::calendar::CalendarQueue`]).
-    Calendar,
-}
-
-/// An event queue of either [`QueueKind`], dispatching the common API.
-#[derive(Debug)]
-pub(crate) enum SimQueue<K> {
-    Heap(EventQueue<K>),
-    Calendar(crate::calendar::CalendarQueue<K>),
-}
-
-impl<K> SimQueue<K> {
-    pub(crate) fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => SimQueue::Heap(EventQueue::new()),
-            QueueKind::Calendar => SimQueue::Calendar(crate::calendar::CalendarQueue::new()),
-        }
-    }
-
-    pub(crate) fn push(&mut self, time: u64, kind: K) {
-        match self {
-            SimQueue::Heap(q) => q.push(time, kind),
-            SimQueue::Calendar(q) => q.push(time, kind),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(u64, K)> {
-        match self {
-            SimQueue::Heap(q) => q.pop(),
-            SimQueue::Calendar(q) => q.pop(),
-        }
-    }
-
-    pub(crate) fn peek_time(&self) -> Option<u64> {
-        match self {
-            SimQueue::Heap(q) => q.peek_time(),
-            SimQueue::Calendar(q) => q.peek_time(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,13 +109,13 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(30, EventKind::DramFree);
-        q.push(10, EventKind::StageDone { stage: 0, tile: 0 });
-        q.push(20, EventKind::StageDone { stage: 1, tile: 0 });
+        q.push(30, 'c');
+        q.push(10, 'a');
+        q.push(20, 'b');
         assert_eq!(q.peek_time(), Some(10));
-        assert_eq!(q.pop().unwrap().0, 10);
-        assert_eq!(q.pop().unwrap().0, 20);
-        assert_eq!(q.pop().unwrap().0, 30);
+        assert_eq!(q.pop(), Some((10, 'a')));
+        assert_eq!(q.pop(), Some((20, 'b')));
+        assert_eq!(q.pop(), Some((30, 'c')));
         assert!(q.pop().is_none());
         assert_eq!(q.peek_time(), None);
     }
@@ -202,13 +123,11 @@ mod tests {
     #[test]
     fn ties_break_in_insertion_order() {
         let mut q = EventQueue::new();
-        for stage in 0..4 {
-            q.push(5, EventKind::StageDone { stage, tile: 9 });
+        for stage in 0..4usize {
+            q.push(5, (stage, 9usize));
         }
         for stage in 0..4 {
-            let (t, kind) = q.pop().unwrap();
-            assert_eq!(t, 5);
-            assert_eq!(kind, EventKind::StageDone { stage, tile: 9 });
+            assert_eq!(q.pop(), Some((5, (stage, 9))));
         }
     }
 
@@ -233,8 +152,7 @@ mod tests {
 
     #[test]
     fn generic_payloads_are_supported() {
-        // The multi-instance simulator uses its own event enum; the queue
-        // must order payloads it knows nothing about.
+        // The queue orders payloads it knows nothing about.
         let mut q: EventQueue<(usize, &str)> = EventQueue::new();
         q.push(2, (1, "b"));
         q.push(1, (0, "a"));
@@ -250,7 +168,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        q.push(1, EventKind::DramFree);
+        q.push(1, ());
         assert!(!q.is_empty());
         assert_eq!(q.len(), 1);
         let _ = q.pop();

@@ -7,20 +7,23 @@
 //! load imbalance from the Distributed Cluster Effect. This crate simulates
 //! the four-stage pipeline tile by tile instead:
 //!
-//! * [`event`] — deterministic time-ordered event queue.
+//! * [`event`] — the deterministic time-ordered event queue (a binary heap
+//!   with FIFO ties), the crate's one event core.
 //! * [`pingpong`] — double-buffered SRAM banks with fill/drain occupancy.
 //! * [`dram`] — shared DRAM channel: per-port queues, round-robin
 //!   arbitration, bandwidth-limited transfers, per-burst latency.
-//! * [`sim`] — [`CycleSim`]: the event loop driving per-tile work descriptors
-//!   (from `sofa_hw::descriptor`) through the four stages.
-//! * [`multi`] — [`MultiPipelineSim`]: several pipeline instances, each with
-//!   its own ping-pong buffer pool, sharing one DRAM channel; request streams
-//!   are submitted reactively so a serving scheduler (`sofa-serve`) can feed
-//!   admission decisions back into simulated time.
+//! * [`multi`] — [`MultiPipelineSim`]: the pipeline engine. Several
+//!   instances, each with its own ping-pong buffer pool, share one DRAM
+//!   channel; request streams are submitted reactively so a serving
+//!   scheduler (`sofa-serve`) can feed admission decisions back into
+//!   simulated time.
+//! * [`sim`] — [`CycleSim`]: lowers one task into per-tile work descriptors
+//!   (from `sofa_hw::descriptor`) and replays them on a one-instance
+//!   [`MultiPipelineSim`].
 //! * [`report`] — [`CycleReport`]: per-stage busy/stall accounting, DRAM and
 //!   buffer statistics, a stage-by-stage timeline, and the
 //!   [`CycleComparison`] cross-check against the analytic `SimReport`.
-//! * [`tracks`] — the trace track layout both simulators use when recording
+//! * [`tracks`] — the trace track layout the simulators use when recording
 //!   into a `sofa_obs::TraceRecorder` (per-stage busy/stall spans, DRAM
 //!   queue-depth and ping-pong occupancy counters, in simulated cycles).
 //!
@@ -45,7 +48,6 @@
 //! assert!(cmp.analytic_cycles > 0.0);
 //! ```
 
-pub mod calendar;
 pub mod dram;
 pub mod event;
 pub mod fleet;
@@ -55,9 +57,7 @@ pub mod report;
 pub mod sim;
 pub mod tracks;
 
-pub use calendar::CalendarQueue;
 pub use dram::calibrate_dram_command_cycles;
-pub use event::QueueKind;
 pub use fleet::{
     Fabric, FabricParams, FabricReport, FleetCompletion, FleetSim, FleetSimReport, NodeSim,
 };

@@ -23,10 +23,10 @@
 //! two runs over the same submissions are bit-identical.
 
 use crate::dram::{DramChannel, DramRequest};
-use crate::event::SimQueue;
+use crate::event::EventQueue;
 use crate::pingpong::PingPongBuffer;
-use crate::report::{DramActivity, StageActivity};
-use crate::sim::{read_bytes, PipelineJob, SimParams, STAGES};
+use crate::report::{DramActivity, StageActivity, TimelineEntry};
+use crate::sim::{PipelineJob, SimParams, STAGES};
 use crate::tracks::{announce_pipeline, bank_track, PID_SHARED_DRAM, TID_BANK_BASE};
 use sofa_hw::config::HwConfig;
 use sofa_hw::descriptor::TileWork;
@@ -61,6 +61,16 @@ struct TileSlot {
     last: bool,
     work: TileWork,
     cycles: [u64; STAGES],
+}
+
+/// Which stage a DRAM read feeds, per tile.
+fn read_bytes(work: &TileWork, stage: usize) -> u64 {
+    match stage {
+        0 => work.pred_read_bytes,
+        2 => work.kv_read_bytes,
+        3 => work.extra_formal_read_bytes,
+        _ => 0,
+    }
 }
 
 /// Tiles a drained prefix must reach before the stream storage is
@@ -217,7 +227,7 @@ pub struct MultiReport {
 pub struct MultiPipelineSim {
     params: SimParams,
     instances: Vec<Instance>,
-    queue: SimQueue<MultiEvent>,
+    queue: EventQueue<MultiEvent>,
     dram: DramChannel,
     end_time: u64,
     requests_completed: Vec<usize>,
@@ -226,6 +236,9 @@ pub struct MultiPipelineSim {
     pid_base: u64,
     /// Trace pid of the shared DRAM channel.
     dram_pid: u64,
+    /// Every stage start in start order, when recording is on (`None` by
+    /// default). `CycleSim` turns it on to build `CycleReport::timeline`.
+    pub(crate) timeline: Option<Vec<TimelineEntry>>,
 }
 
 impl MultiPipelineSim {
@@ -243,7 +256,7 @@ impl MultiPipelineSim {
             instances: (0..instances)
                 .map(|_| Instance::new(params.buffer_depth))
                 .collect(),
-            queue: SimQueue::new(params.queue_kind),
+            queue: EventQueue::new(),
             dram: DramChannel::with_timing(
                 instances * STAGES,
                 bytes_per_cycle,
@@ -256,6 +269,7 @@ impl MultiPipelineSim {
             obs: TraceRecorder::disabled(),
             pid_base: 0,
             dram_pid: PID_SHARED_DRAM,
+            timeline: None,
         }
     }
 
@@ -668,6 +682,14 @@ impl MultiPipelineSim {
                 ],
             );
         }
+        if let Some(timeline) = &mut self.timeline {
+            timeline.push(TimelineEntry {
+                stage,
+                tile,
+                start: now,
+                end,
+            });
+        }
         self.queue.push(
             end,
             MultiEvent::StageDone {
@@ -695,9 +717,8 @@ mod tests {
 
     #[test]
     fn one_instance_matches_the_single_pipeline_engine() {
-        // With one instance and one job submitted at time zero the multi
-        // simulator must reproduce CycleSim exactly: same event structure,
-        // same buffers, same arbitration.
+        // CycleSim is one instance with one job submitted at time zero; its
+        // report must carry the multi simulator's accounting unchanged.
         let sim = CycleSim::new(HwConfig::small());
         let single = sim.run(&small_task());
         let mut multi = MultiPipelineSim::new(sim.accel.config(), 1, sim.params);

@@ -20,20 +20,21 @@
 //! analytic `SimReport` (same engine throughput models, same traffic); on
 //! memory-bound configurations it diverges upward and attributes the gap to
 //! per-stage DRAM stalls — the behaviour [`CycleSim::validate`] checks.
+//!
+//! `CycleSim` has no event loop of its own. It lowers a task into a
+//! [`PipelineJob`], submits that job at cycle 0 to a one-instance
+//! [`MultiPipelineSim`] and maps the resulting report onto a
+//! [`CycleReport`], so single-task replay and serving run on the same
+//! pipeline engine.
 
-use crate::dram::{DramChannel, DramRequest};
-use crate::event::{EventKind, QueueKind, SimQueue};
-use crate::pingpong::PingPongBuffer;
-use crate::report::{
-    BufferActivity, CycleComparison, CycleReport, DramActivity, StageActivity, TimelineEntry,
-};
-use crate::tracks::{announce_pipeline, bank_track, PID_SINGLE, TID_BANK_BASE, TID_DRAM_QUEUE};
+use crate::multi::MultiPipelineSim;
+use crate::report::{BufferActivity, CycleComparison, CycleReport};
 use sofa_core::tiling::TileSelectionStats;
 use sofa_hw::accel::{AttentionTask, SofaAccelerator, StageCycles};
 use sofa_hw::config::HwConfig;
 use sofa_hw::descriptor::TileWork;
 use sofa_hw::engines::{DlzsWork, KvGenWork, SortWork, SuFaWork};
-use sofa_obs::{ArgValue, TraceRecorder};
+use sofa_obs::TraceRecorder;
 
 pub(crate) const STAGES: usize = 4;
 
@@ -59,11 +60,6 @@ pub struct SimParams {
     /// classic bandwidth-only channel; the hardware-aware DSE evaluator sets
     /// it so fine tilings pay for their extra requests.
     pub dram_command_cycles: u64,
-    /// Event-queue implementation the simulation schedules through. Both
-    /// kinds pop in the identical order (earliest first, FIFO ties), so
-    /// this is a pure performance knob: [`QueueKind::Heap`] (default) for
-    /// small runs, [`QueueKind::Calendar`] for fleet-scale event volumes.
-    pub queue_kind: QueueKind,
 }
 
 impl SimParams {
@@ -93,7 +89,6 @@ impl Default for SimParams {
             min_tile_cycles: 1,
             dram_age_threshold: u64::MAX,
             dram_command_cycles: 0,
-            queue_kind: QueueKind::Heap,
         }
     }
 }
@@ -147,10 +142,11 @@ impl CycleSim {
     }
 
     /// [`CycleSim::run_with_stats`] with a trace sink: per-stage busy/stall
-    /// spans, the DRAM queue-depth counter and the ping-pong bank-occupancy
-    /// counters are recorded into `obs` in simulated cycles (see
-    /// [`crate::tracks`] for the track layout). A disabled recorder costs a
-    /// branch per record point and the report is bit-identical either way.
+    /// spans and the ping-pong bank-occupancy counters of instance 0, and
+    /// the DRAM queue-depth counter of the channel process, are recorded
+    /// into `obs` in simulated cycles (the multi-instance layout of
+    /// [`crate::tracks`]). A disabled recorder costs a branch per record
+    /// point and the report is bit-identical either way.
     /// Use a fresh recorder per run — every run restarts simulated time at
     /// cycle zero, so appending two runs to one buffer would violate the
     /// per-track timestamp monotonicity the trace checker enforces.
@@ -160,8 +156,7 @@ impl CycleSim {
         stats: Option<&TileSelectionStats>,
         obs: &mut TraceRecorder,
     ) -> CycleReport {
-        let PipelineJob { work, cycles } = self.job(task, stats);
-        Engine::new(self, &work, cycles, obs).run()
+        self.run_job_traced(&self.job(task, stats), obs)
     }
 
     /// Replays an already-lowered [`PipelineJob`] (see [`CycleSim::job`]).
@@ -174,7 +169,31 @@ impl CycleSim {
 
     /// [`CycleSim::run_job`] with a trace sink (see [`CycleSim::run_traced`]).
     pub fn run_job_traced(&self, job: &PipelineJob, obs: &mut TraceRecorder) -> CycleReport {
-        Engine::new(self, &job.work, job.cycles.clone(), obs).run()
+        let mut multi = MultiPipelineSim::new(self.accel.config(), 1, self.params);
+        multi.timeline = Some(Vec::with_capacity(job.num_tiles() * STAGES));
+        if obs.is_enabled() {
+            multi.enable_tracing();
+        }
+        if job.num_tiles() > 0 {
+            multi.submit(0, 0, job, 0);
+        }
+        multi.run_to_idle();
+        obs.absorb(multi.take_trace());
+        let report = multi.report();
+        let inst = &report.instances[0];
+        CycleReport {
+            total_cycles: report.total_cycles,
+            stages: inst.stages,
+            dram: report.dram,
+            buffers: inst
+                .buffer_occupancy
+                .map(|average_occupancy| BufferActivity {
+                    average_occupancy,
+                    capacity: self.params.buffer_depth,
+                }),
+            timeline: multi.timeline.take().unwrap_or_default(),
+            num_tiles: job.num_tiles(),
+        }
     }
 
     /// Lowers `task` into a replayable [`PipelineJob`]: the per-tile work
@@ -316,330 +335,6 @@ impl PipelineJob {
             .map(|w| w.total_dram_bytes())
             .max()
             .unwrap_or(0)
-    }
-}
-
-/// Which stage a DRAM read feeds, per tile.
-pub(crate) fn read_bytes(work: &TileWork, stage: usize) -> u64 {
-    match stage {
-        0 => work.pred_read_bytes,
-        2 => work.kv_read_bytes,
-        3 => work.extra_formal_read_bytes,
-        _ => 0,
-    }
-}
-
-/// Run state of one simulation.
-struct Engine<'a> {
-    sim: &'a CycleSim,
-    work: &'a [TileWork],
-    cycles: Vec<[u64; STAGES]>,
-    n: usize,
-    queue: SimQueue<EventKind>,
-    dram: DramChannel,
-    buffers: Vec<PingPongBuffer>,
-    busy: [bool; STAGES],
-    next_tile: [usize; STAGES],
-    idle_since: [u64; STAGES],
-    read_done: Vec<Vec<Option<u64>>>,
-    acts: [StageActivity; STAGES],
-    timeline: Vec<TimelineEntry>,
-    end_time: u64,
-    obs: &'a mut TraceRecorder,
-}
-
-impl<'a> Engine<'a> {
-    fn new(
-        sim: &'a CycleSim,
-        work: &'a [TileWork],
-        cycles: Vec<[u64; STAGES]>,
-        obs: &'a mut TraceRecorder,
-    ) -> Self {
-        let cfg = sim.accel.config();
-        let bytes_per_cycle = cfg.dram_bandwidth_bps / cfg.freq_hz;
-        let n = work.len();
-        let mut read_done = vec![vec![None; n]; STAGES];
-        // The sorting stage never touches DRAM.
-        read_done[1] = vec![Some(0); n];
-        Engine {
-            sim,
-            work,
-            cycles,
-            n,
-            queue: SimQueue::new(sim.params.queue_kind),
-            dram: DramChannel::with_timing(
-                STAGES,
-                bytes_per_cycle,
-                sim.params.burst_latency,
-                sim.params.dram_age_threshold,
-                sim.params.dram_command_cycles,
-            ),
-            buffers: (0..STAGES - 1)
-                .map(|_| PingPongBuffer::new(sim.params.buffer_depth))
-                .collect(),
-            busy: [false; STAGES],
-            next_tile: [0; STAGES],
-            idle_since: [0; STAGES],
-            read_done,
-            acts: [StageActivity::default(); STAGES],
-            timeline: Vec::new(),
-            end_time: 0,
-            obs,
-        }
-    }
-
-    /// Samples the DRAM queue-depth counter track.
-    fn sample_dram(&mut self, now: u64) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        self.obs.counter(
-            PID_SINGLE,
-            TID_DRAM_QUEUE,
-            "dram.queue_depth",
-            now,
-            &[("requests", self.dram.queued_requests() as f64)],
-        );
-    }
-
-    /// Samples the ping-pong occupancy counter of stage boundary `b`.
-    fn sample_bank(&mut self, b: usize, now: u64) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        self.obs.counter(
-            PID_SINGLE,
-            TID_BANK_BASE + b as u64,
-            &bank_track(b),
-            now,
-            &[("occupied", self.buffers[b].occupancy() as f64)],
-        );
-    }
-
-    fn prefetch_depth(&self) -> usize {
-        // Depth 0 would never prime a read and the run would silently be
-        // empty; clamp to fetch-on-demand.
-        self.sim.params.prefetch_depth.max(1)
-    }
-
-    fn run(mut self) -> CycleReport {
-        announce_pipeline(self.obs, PID_SINGLE, "pipeline");
-        if self.obs.is_enabled() {
-            self.obs.thread_name(PID_SINGLE, TID_DRAM_QUEUE, "dram");
-        }
-        // Prime the prediction stage's double-buffered fetch unit.
-        for t in 0..self.prefetch_depth().min(self.n) {
-            self.issue_read(0, t, 0);
-        }
-        self.try_start_all(0);
-
-        while let Some((now, kind)) = self.queue.pop() {
-            self.end_time = self.end_time.max(now);
-            match kind {
-                EventKind::StageDone { stage, tile } => self.on_stage_done(stage, tile, now),
-                EventKind::DramFree => {
-                    self.dram.release();
-                    self.pump_dram(now);
-                }
-                EventKind::DramDone { stage, tile, write } => {
-                    if !write {
-                        self.read_done[stage][tile] = Some(now);
-                        self.try_start_all(now);
-                    }
-                }
-            }
-        }
-
-        let buffers = [0, 1, 2].map(|i| BufferActivity {
-            average_occupancy: self.buffers[i].average_occupancy(self.end_time),
-            capacity: self.sim.params.buffer_depth,
-        });
-        CycleReport {
-            total_cycles: self.end_time,
-            stages: self.acts,
-            dram: DramActivity {
-                bytes_read: self.dram.bytes_read(),
-                bytes_written: self.dram.bytes_written(),
-                busy_cycles: self.dram.busy_cycles(),
-            },
-            buffers,
-            timeline: self.timeline,
-            num_tiles: self.n,
-        }
-    }
-
-    fn on_stage_done(&mut self, stage: usize, tile: usize, now: u64) {
-        self.busy[stage] = false;
-        self.idle_since[stage] = now;
-        if stage > 0 {
-            // Drained the upstream bank: the producer may refill it.
-            self.buffers[stage - 1].release(tile, now);
-            self.sample_bank(stage - 1, now);
-        }
-        if stage < STAGES - 1 {
-            self.buffers[stage].mark_ready(tile, now);
-        }
-        match stage {
-            0 => {
-                // Keep the key-stream prefetcher `prefetch_depth` tiles ahead.
-                let ahead = tile + self.prefetch_depth();
-                if ahead < self.n {
-                    self.issue_read(0, ahead, now);
-                }
-            }
-            // The sorted selection exists now: the tile's KV fetch can go out
-            // (on-demand generation / RASS-deduplicated fetch).
-            1 => self.issue_read(2, tile, now),
-            // Without RASS, the formal stage refetches shared vectors.
-            2 => self.issue_read(3, tile, now),
-            3 => {
-                let bytes = self.work[tile].write_bytes;
-                if bytes > 0 {
-                    self.dram.enqueue(
-                        DramRequest {
-                            port: 3,
-                            stage: 3,
-                            tile,
-                            bytes,
-                            write: true,
-                        },
-                        now,
-                    );
-                    self.pump_dram(now);
-                }
-            }
-            _ => unreachable!(),
-        }
-        self.try_start_all(now);
-    }
-
-    fn issue_read(&mut self, stage: usize, tile: usize, now: u64) {
-        let bytes = read_bytes(&self.work[tile], stage);
-        if bytes == 0 {
-            self.read_done[stage][tile] = Some(now);
-            return;
-        }
-        self.dram.enqueue(
-            DramRequest {
-                port: stage,
-                stage,
-                tile,
-                bytes,
-                write: false,
-            },
-            now,
-        );
-        self.pump_dram(now);
-    }
-
-    fn pump_dram(&mut self, now: u64) {
-        if let Some(issued) = self.dram.try_issue(now) {
-            self.queue.push(issued.free_at, EventKind::DramFree);
-            self.queue.push(
-                issued.done_at,
-                EventKind::DramDone {
-                    stage: issued.request.stage,
-                    tile: issued.request.tile,
-                    write: issued.request.write,
-                },
-            );
-        }
-        self.sample_dram(now);
-    }
-
-    fn try_start_all(&mut self, now: u64) {
-        // A start can unblock nothing mid-cycle (banks free on *completion*),
-        // so one pass over the stages suffices per event.
-        for s in 0..STAGES {
-            self.try_start(s, now);
-        }
-    }
-
-    fn try_start(&mut self, stage: usize, now: u64) {
-        if self.busy[stage] {
-            return;
-        }
-        let tile = self.next_tile[stage];
-        if tile >= self.n {
-            return;
-        }
-        // Input bank ready? (The prediction stage reads the raw key stream.)
-        let input_at = if stage == 0 {
-            0
-        } else {
-            match self.buffers[stage - 1].ready_time(tile) {
-                Some(t) => t,
-                None => return,
-            }
-        };
-        // Operand data arrived from DRAM?
-        let read_at = match self.read_done[stage][tile] {
-            Some(t) => t,
-            None => return,
-        };
-        // Downstream bank free to fill?
-        let out_at = if stage == STAGES - 1 {
-            0
-        } else {
-            if !self.buffers[stage].has_free_slot() {
-                return;
-            }
-            self.buffers[stage].last_release_time()
-        };
-
-        // Attribute the idle gap to the constraint that resolved last.
-        let waited = now - self.idle_since[stage];
-        let mut stall_name = "";
-        if waited > 0 {
-            if read_at >= input_at && read_at >= out_at {
-                self.acts[stage].stall_dram += waited;
-                stall_name = "stall:dram";
-            } else if input_at >= out_at {
-                self.acts[stage].stall_input += waited;
-                stall_name = "stall:input";
-            } else {
-                self.acts[stage].stall_output += waited;
-                stall_name = "stall:output";
-            }
-        }
-
-        let dur = self.cycles[tile][stage];
-        let end = now + dur;
-        self.busy[stage] = true;
-        self.next_tile[stage] = tile + 1;
-        self.acts[stage].busy += dur;
-        self.acts[stage].tiles += 1;
-        if stage < STAGES - 1 {
-            self.buffers[stage].reserve(tile, now);
-            self.sample_bank(stage, now);
-        }
-        if self.obs.is_enabled() {
-            if waited > 0 {
-                self.obs.complete(
-                    PID_SINGLE,
-                    stage as u64,
-                    stall_name,
-                    self.idle_since[stage],
-                    waited,
-                    &[],
-                );
-            }
-            self.obs.complete(
-                PID_SINGLE,
-                stage as u64,
-                &format!("tile{tile}"),
-                now,
-                dur,
-                &[("tile", ArgValue::U64(tile as u64))],
-            );
-        }
-        self.timeline.push(TimelineEntry {
-            stage,
-            tile,
-            start: now,
-            end,
-        });
-        self.queue.push(end, EventKind::StageDone { stage, tile });
     }
 }
 

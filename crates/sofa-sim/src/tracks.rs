@@ -3,23 +3,19 @@
 //! Chrome trace events address tracks by `(pid, tid)`. The simulators map
 //! simulated entities onto that space deterministically:
 //!
-//! * **pid** — one per pipeline instance: [`PID_SINGLE`] (= instance 0) for
-//!   [`crate::CycleSim`], instance index for [`crate::MultiPipelineSim`].
-//!   The shared DRAM channel of a multi-instance run is its own process,
-//!   [`PID_SHARED_DRAM`]; higher layers (the serving scheduler) start at
-//!   [`PID_SERVE_BASE`].
+//! * **pid** — one per pipeline instance: the instance index of a
+//!   [`crate::MultiPipelineSim`] (a [`crate::CycleSim`] run is instance 0).
+//!   The shared DRAM channel is its own process, [`PID_SHARED_DRAM`];
+//!   higher layers (the serving scheduler) start at [`PID_SERVE_BASE`].
 //! * **tid** — within a pipeline process: tids `0..=3` carry the per-stage
-//!   busy/stall spans (in [`crate::report::STAGE_NAMES`] order),
-//!   [`TID_DRAM_QUEUE`] the channel queue-depth counter (single-instance
-//!   runs only), and [`TID_BANK_BASE`]`+b` the ping-pong occupancy counter
-//!   of stage boundary `b` (0–2).
+//!   busy/stall spans (in [`crate::report::STAGE_NAMES`] order) and
+//!   [`TID_BANK_BASE`]`+b` the ping-pong occupancy counter of stage
+//!   boundary `b` (0–2).
 
 use crate::report::STAGE_NAMES;
 use crate::sim::STAGES;
 use sofa_obs::TraceRecorder;
 
-/// Process id of a single-pipeline (`CycleSim`) trace.
-pub const PID_SINGLE: u64 = 0;
 /// Process id of the shared DRAM channel in a multi-instance trace.
 pub const PID_SHARED_DRAM: u64 = 99;
 /// First process id available to layers above the simulator (serving).
@@ -43,8 +39,6 @@ pub const PID_NODE_DRAM: u64 = PID_NODE_STRIDE - 1;
 pub fn node_pid_base(node: usize) -> u64 {
     PID_FLEET_BASE + node as u64 * PID_NODE_STRIDE
 }
-/// Track id of the DRAM queue-depth counter within a pipeline process.
-pub const TID_DRAM_QUEUE: u64 = 4;
 /// First track id of the three ping-pong bank-occupancy counters.
 pub const TID_BANK_BASE: u64 = 5;
 

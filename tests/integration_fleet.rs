@@ -2,14 +2,13 @@
 //! traces (`sofa-model`) sharded across nodes by the fleet router
 //! (`sofa-serve::fleet`) onto the hierarchical node/fabric simulation
 //! (`sofa-sim::fleet`), with differentials against the single-node
-//! scheduler, the calendar/heap event cores, and the per-request
-//! descriptors (`sofa-hw`).
+//! scheduler and the per-request descriptors (`sofa-hw`).
 
 use sofa_hw::accel::AttentionTask;
 use sofa_hw::config::HwConfig;
 use sofa_model::trace::{RequestTrace, TraceConfig};
 use sofa_serve::{FleetConfig, FleetServeSim, OpRouter, ServeSim};
-use sofa_sim::{CycleSim, QueueKind};
+use sofa_sim::CycleSim;
 
 fn trace(n: usize, rate: f64, seed: u64) -> RequestTrace {
     let mut tc = TraceConfig::new(n, rate, seed);
@@ -48,20 +47,6 @@ fn single_instance_fleet_tracks_the_single_node_scheduler() {
         single.p95(),
         100.0 * drift,
     );
-}
-
-/// The calendar queue is a drop-in replacement for the binary heap: the
-/// full serving simulation — every timestamp, every placement decision,
-/// every per-instance counter — is identical under both event cores.
-#[test]
-fn calendar_event_core_is_timing_neutral_for_serving() {
-    let trace = trace(32, 200.0, 13);
-    let mut cfg = sofa_serve::ServeConfig::new(HwConfig::paper_default(), 2);
-    cfg.sim.queue_kind = QueueKind::Heap;
-    let heap = ServeSim::new(cfg.clone()).run(&trace);
-    cfg.sim.queue_kind = QueueKind::Calendar;
-    let calendar = ServeSim::new(cfg).run(&trace);
-    assert_eq!(heap, calendar);
 }
 
 /// Fleet-wide DRAM conservation: with trace-native lowering and nothing

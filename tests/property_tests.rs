@@ -261,48 +261,64 @@ proptest! {
         prop_assert_eq!(report.dram.bytes_read, single.dram.bytes_read);
         prop_assert_eq!(report.dram.bytes_written, single.dram.bytes_written);
         prop_assert_eq!(report.dram.busy_cycles, single.dram.busy_cycles);
+        // The wrapper's report mapping: tiles and mean bank occupancy.
+        let inst = &report.instances[0];
+        prop_assert_eq!(inst.tiles, single.num_tiles);
+        for (b, &occupancy) in single.buffers.iter().zip(inst.buffer_occupancy.iter()) {
+            prop_assert_eq!(b.average_occupancy, occupancy);
+            prop_assert_eq!(b.capacity, sim.params.buffer_depth);
+        }
         prop_assert_eq!(done.len(), 1);
         prop_assert_eq!(done[0].1.request, 0);
     }
 
-    // ---------------- event-queue differentials ----------------
-
     #[test]
-    fn calendar_queue_pops_in_the_same_order_as_the_heap(
-        ops in prop::collection::vec(
-            // (time, payload, pop_after): interleave pushes with pops so the
-            // calendar's cursor moves forward before later (possibly *earlier*)
-            // pushes arrive — the regime where bucket pull-back must not
-            // reorder anything.
-            (0u64..5_000, 0u32..1_000, prop::bool::ANY),
-            1..200,
-        ),
-        width in 1u64..512,
+    fn cyclesim_timeline_covers_every_stage_tile_in_dataflow_order(
+        queries in 1usize..24,
+        seq_tiles in 1usize..12,
+        keep_pct in 5u32..100,
+        tile_pow in 4u32..7,
     ) {
-        use sofa_sim::event::EventQueue;
-        use sofa_sim::CalendarQueue;
+        use sofa_hw::accel::AttentionTask;
+        use sofa_hw::config::HwConfig;
+        use sofa_sim::CycleSim;
 
-        let mut heap = EventQueue::<u32>::new();
-        let mut calendar = CalendarQueue::<u32>::with_width(width);
-        for &(time, payload, pop_after) in &ops {
-            heap.push(time, payload);
-            calendar.push(time, payload);
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-            if pop_after {
-                // Ties must break identically (insertion order via the
-                // internal sequence number), so compare payloads too.
-                prop_assert_eq!(calendar.pop(), heap.pop());
+        let bc = 1usize << tile_pow;
+        let task = AttentionTask::new(
+            queries,
+            seq_tiles * bc,
+            128,
+            2,
+            keep_pct as f64 / 100.0,
+            bc,
+        );
+        let r = CycleSim::new(HwConfig::small()).run(&task);
+        prop_assert_eq!(r.num_tiles, seq_tiles);
+        // Exactly one entry per (stage, tile).
+        let mut at = vec![[None; 4]; r.num_tiles];
+        for e in &r.timeline {
+            prop_assert!(e.end >= e.start && e.end <= r.total_cycles);
+            prop_assert!(at[e.tile][e.stage].replace(*e).is_none(), "duplicate {:?}", e);
+        }
+        prop_assert_eq!(r.timeline.len(), 4 * r.num_tiles);
+        let entry = |stage: usize, tile: usize| at[tile][stage].expect("every entry present");
+        for tile in 0..r.num_tiles {
+            for stage in 0..4 {
+                // Dataflow: a tile enters a stage after leaving the previous
+                // one, and each stage processes tiles in order.
+                if stage > 0 {
+                    prop_assert!(entry(stage, tile).start >= entry(stage - 1, tile).end);
+                }
+                if tile > 0 {
+                    prop_assert!(entry(stage, tile).start >= entry(stage, tile - 1).end);
+                }
             }
         }
-        loop {
-            let (c, h) = (calendar.pop(), heap.pop());
-            prop_assert_eq!(c, h);
-            if h.is_none() {
-                break;
-            }
+        for (stage, act) in r.stages.iter().enumerate() {
+            let busy: u64 = r.timeline.iter().filter(|e| e.stage == stage).map(|e| e.end - e.start).sum();
+            prop_assert_eq!(busy, act.busy);
+            prop_assert!(act.busy + act.total_stall() <= r.total_cycles);
         }
-        prop_assert!(calendar.is_empty());
     }
 
     // ---------------- serving invariants ----------------
