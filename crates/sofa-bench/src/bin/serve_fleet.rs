@@ -10,45 +10,95 @@
 //!   uses this to push a million requests through 64 simulated instances
 //!   and byte-compares the artifact across `SOFA_THREADS` settings (the
 //!   fleet simulation is bit-identical at any thread count).
+//!
+//! A malformed, unknown or ignored flag (a scale flag without `--requests`)
+//! and a scale that fails validation exit with code 2 and a one-line
+//! message, before anything runs.
 
+use sofa_bench::experiments::{serve_fleet_scaled, validate_fleet_scale};
 use sofa_bench::report::print_and_write;
+use std::process::ExitCode;
 
-fn main() {
-    let mut requests: Option<usize> = None;
-    let mut nodes = 8usize;
-    let mut instances_per_node = 8usize;
-    let mut rate = 1500.0f64;
-    let mut disaggregate = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        };
-        match a.as_str() {
-            "--requests" => requests = Some(value("--requests").parse().expect("--requests")),
-            "--nodes" => nodes = value("--nodes").parse().expect("--nodes"),
-            "--instances-per-node" => {
-                instances_per_node = value("--instances-per-node")
-                    .parse()
-                    .expect("--instances-per-node");
-            }
-            "--rate" => rate = value("--rate").parse().expect("--rate"),
-            "--disaggregate" => disaggregate = true,
+/// One run at explicit scale.
+struct Scale {
+    requests: usize,
+    rate: f64,
+    nodes: usize,
+    instances_per_node: usize,
+    disaggregate: bool,
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
+}
+
+/// Parses the command line: `None` runs the pinned grid, `Some` one
+/// validated run at explicit scale.
+fn parse(args: &[String]) -> Result<Option<Scale>, String> {
+    let mut requests = None;
+    let mut scale = Scale {
+        requests: 0,
+        rate: 1500.0,
+        nodes: 8,
+        instances_per_node: 8,
+        disaggregate: false,
+    };
+    let mut scale_flag = None;
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+        match flag.as_str() {
+            "--requests" => requests = Some(number(flag, value()?)?),
+            "--nodes" => scale.nodes = number(flag, value()?)?,
+            "--instances-per-node" => scale.instances_per_node = number(flag, value()?)?,
+            "--rate" => scale.rate = number(flag, value()?)?,
+            "--disaggregate" => scale.disaggregate = true,
+            // Consumed again by print_and_write.
             "--json" => {
-                let _ = value("--json"); // consumed again by print_and_write
+                value()?;
+                continue;
             }
-            other => panic!("unknown argument {other:?}"),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+        if flag != "--requests" {
+            scale_flag = Some(flag);
         }
     }
-    match requests {
-        Some(n) => print_and_write(&[sofa_bench::experiments::serve_fleet_scaled(
-            n,
-            rate,
-            nodes,
-            instances_per_node,
-            disaggregate,
+    let Some(requests) = requests else {
+        return match scale_flag {
+            Some(flag) => Err(format!("{flag} only applies together with --requests")),
+            None => Ok(None),
+        };
+    };
+    scale.requests = requests;
+    validate_fleet_scale(
+        scale.requests,
+        scale.rate,
+        scale.nodes,
+        scale.instances_per_node,
+        scale.disaggregate,
+    )?;
+    Ok(Some(scale))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args) {
+        Ok(Some(s)) => print_and_write(&[serve_fleet_scaled(
+            s.requests,
+            s.rate,
+            s.nodes,
+            s.instances_per_node,
+            s.disaggregate,
         )]),
-        None => sofa_bench::registry::run_bin("serve_fleet"),
+        Ok(None) => sofa_bench::registry::run_bin("serve_fleet"),
+        Err(e) => {
+            eprintln!("serve_fleet: {e}");
+            return ExitCode::from(2);
+        }
     }
+    ExitCode::SUCCESS
 }

@@ -1351,13 +1351,17 @@ pub fn serve_adaptive_table(study: &AdaptiveServeStudy, decode_op: &OperatingPoi
 /// at `Bc = 64` — 8 context tiles per request) so million-request traces
 /// stay tractable in the CI smoke job.
 fn fleet_trace(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) -> RequestTrace {
+    RequestTrace::generate(&fleet_trace_config(num_requests, arrivals_per_mcycle, seed))
+}
+
+fn fleet_trace_config(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) -> TraceConfig {
     let mut tc = TraceConfig::new(num_requests, arrivals_per_mcycle, seed);
     tc.seq_len = 512;
     tc.hidden = 512;
     tc.heads = 8;
     tc.prefill_queries = 32;
     tc.keep_ratio = 0.25;
-    RequestTrace::generate(&tc)
+    tc
 }
 
 /// The fleet configuration of the experiments: paper-default nodes, a
@@ -1439,8 +1443,7 @@ pub fn serve_fleet_scaled(
 ) -> Table {
     let mut t = Table::new("Fleet  Sharded serving at scale", &FLEET_HEADERS);
     let trace = fleet_trace(requests, rate, 31);
-    let mut cfg = fleet_config(nodes, instances_per_node);
-    cfg.disaggregate = disaggregate;
+    let cfg = scaled_fleet_config(nodes, instances_per_node, disaggregate);
     let report = FleetServeSim::new(cfg).run(&trace, OpRouter::TraceNative);
     let label = format!(
         "{requests}req {nodes}x{instances_per_node}{}",
@@ -1448,6 +1451,29 @@ pub fn serve_fleet_scaled(
     );
     t.add_row(fleet_row(&label, &report));
     t
+}
+
+fn scaled_fleet_config(nodes: usize, instances_per_node: usize, disaggregate: bool) -> FleetConfig {
+    let mut cfg = fleet_config(nodes, instances_per_node);
+    cfg.disaggregate = disaggregate;
+    cfg
+}
+
+/// Checks the scale of a [`serve_fleet_scaled`] run without running it: the
+/// request trace's and the fleet's configurations must both validate.
+///
+/// # Errors
+///
+/// Returns a message naming the offending parameter.
+pub fn validate_fleet_scale(
+    requests: usize,
+    rate: f64,
+    nodes: usize,
+    instances_per_node: usize,
+    disaggregate: bool,
+) -> Result<(), String> {
+    fleet_trace_config(requests, rate, 31).validate()?;
+    scaled_fleet_config(nodes, instances_per_node, disaggregate).validate()
 }
 
 /// The 1-node × 1-instance consistency pair behind CI regression gate 6:

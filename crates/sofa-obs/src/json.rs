@@ -62,6 +62,54 @@ impl Json {
     }
 }
 
+/// Why [`parse`] rejected a document, and where.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the fault (the first byte of a bad number).
+    pub at: usize,
+    /// What is wrong there.
+    pub kind: JsonErrorKind,
+}
+
+/// The classes of [`JsonError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// Malformed syntax outside numbers; the message names what was
+    /// expected.
+    Syntax(String),
+    /// A number outside the RFC 8259 grammar
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — e.g. `01`,
+    /// `1.`, `-`, `1e` or `-.5`.
+    InvalidNumber,
+    /// A well-formed number whose value overflows `f64` (e.g. `1e999`).
+    NumberOutOfRange,
+    /// An object repeats a key.
+    DuplicateKey(String),
+    /// Arrays/objects nest deeper than 128 levels.
+    TooDeep,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.kind {
+            JsonErrorKind::Syntax(what) => write!(f, "{what}")?,
+            JsonErrorKind::InvalidNumber => write!(f, "invalid number")?,
+            JsonErrorKind::NumberOutOfRange => write!(f, "number out of range")?,
+            JsonErrorKind::DuplicateKey(key) => write!(f, "duplicate key {key:?}")?,
+            JsonErrorKind::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH} levels")?,
+        }
+        write!(f, " at byte {}", self.at)
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once
 /// per level, so the limit keeps hostile input from overflowing the stack;
 /// the repo's own documents nest a handful of levels deep.
@@ -71,9 +119,10 @@ const MAX_DEPTH: usize = 128;
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error, of a
-/// repeated object key, or of arrays/objects nested more than 128 deep.
-pub fn parse(text: &str) -> Result<Json, String> {
+/// Returns a [`JsonError`] at the first syntax error, number outside the
+/// RFC 8259 grammar or the finite `f64` range, repeated object key, or
+/// array/object nested more than 128 deep.
+pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut p = Parser {
         bytes,
@@ -84,7 +133,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let v = p.value()?;
     p.skip_ws();
     if p.pos != bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return p.err("trailing data");
     }
     Ok(v)
 }
@@ -97,8 +146,12 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("{what} at byte {}", self.pos))
+    fn err<T>(&self, what: &str) -> Result<T, JsonError> {
+        self.fail(JsonErrorKind::Syntax(what.to_string()))
+    }
+
+    fn fail<T>(&self, kind: JsonErrorKind) -> Result<T, JsonError> {
+        Err(JsonError { at: self.pos, kind })
     }
 
     fn peek(&self) -> Option<u8> {
@@ -111,7 +164,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -120,7 +173,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -129,7 +182,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
@@ -143,9 +196,12 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses one array or object with `parse`, one level deeper.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
         if self.depth == MAX_DEPTH {
-            return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+            return self.fail(JsonErrorKind::TooDeep);
         }
         self.depth += 1;
         let v = parse(self);
@@ -153,7 +209,7 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -165,7 +221,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             if map.contains_key(&key) {
-                return self.err(&format!("duplicate key {key:?}"));
+                return self.fail(JsonErrorKind::DuplicateKey(key));
             }
             self.skip_ws();
             self.expect(b':')?;
@@ -184,7 +240,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut arr = Vec::new();
         self.skip_ws();
@@ -207,7 +263,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -219,7 +275,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape".to_string())?;
+                    let Some(esc) = self.peek() else {
+                        return self.err("unterminated escape");
+                    };
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -231,15 +289,14 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            let Some(hex) = self.bytes.get(self.pos..self.pos + 4) else {
+                                return self.err("truncated \\u escape");
+                            };
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return self.err("bad \\u escape");
+                            }
+                            let hex = std::str::from_utf8(hex).expect("ascii hex digits");
+                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                             self.pos += 4;
                             // Surrogate pairs are not produced by this repo's
                             // writers; map lone surrogates to the replacement
@@ -265,18 +322,42 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+    /// Advances over a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos - from
+    }
+
+    /// One number in the RFC 8259 grammar, finite as an `f64`.
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        let invalid = Err(JsonError {
+            at: start,
+            kind: JsonErrorKind::InvalidNumber,
+        });
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        // Integer part: a lone zero, or digits without a leading zero.
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return invalid;
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return invalid,
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return invalid;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -284,14 +365,22 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return invalid;
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number at byte {start}"))
+        let n: f64 = text
+            .parse()
+            .expect("the RFC 8259 grammar is a subset of Rust's");
+        if n.is_finite() {
+            Ok(Json::Num(n))
+        } else {
+            Err(JsonError {
+                at: start,
+                kind: JsonErrorKind::NumberOutOfRange,
+            })
+        }
     }
 }
 
@@ -329,7 +418,9 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_keys() {
-        let err = parse("{\"a\":1,\"b\":{\"c\":2,\"c\":3}}").unwrap_err();
+        let err = parse("{\"a\":1,\"b\":{\"c\":2,\"c\":3}}")
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("duplicate key \"c\""), "{err}");
         // The same key in sibling objects is fine.
         assert!(parse("[{\"a\":1},{\"a\":2}]").is_ok());
@@ -338,12 +429,51 @@ mod tests {
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let deep = "[".repeat(200_000);
-        let err = parse(&deep).unwrap_err();
+        let err = parse(&deep).unwrap_err().to_string();
         assert!(err.contains("nesting deeper than"), "{err}");
         let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse(&at_limit).is_ok());
         let over = format!("{{\"a\":{at_limit}}}");
         assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, n) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-0.5", -0.5),
+            ("1.25e2", 125.0),
+            ("1E+2", 100.0),
+            ("2e-1", 0.2),
+            ("1e-999", 0.0),
+        ] {
+            assert_eq!(parse(text), Ok(Json::Num(n)), "{text:?}");
+        }
+        for bad in ["01", "-01", "1.", "-", "1e", "1e+", "-.5", "1.e3", "[00]"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::InvalidNumber, "{bad:?}: {err}");
+            assert_eq!(err.at, usize::from(bad.starts_with('[')), "{bad:?}");
+        }
+        // A leading '.' or '+' does not even start a number.
+        for bad in [".5", "+1"] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1, 2e400]"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::NumberOutOfRange, "{bad:?}: {err}");
+        }
+        assert_eq!(
+            parse("{\"a\": 1e999}").unwrap_err().to_string(),
+            "number out of range at byte 6"
+        );
+        // The largest finite double still parses.
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Json::Num(f64::MAX)));
     }
 
     #[test]
@@ -363,5 +493,26 @@ mod tests {
         );
         let h = v.get("histograms").unwrap().get("h").unwrap();
         assert_eq!(h.get("count").unwrap().as_num(), Some(1.0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary input never panics the parser: strings drawn from the
+        /// JSON token alphabet reach deep into every production, and raw
+        /// bytes cover everything else.
+        #[test]
+        fn arbitrary_input_is_an_error_or_a_value_never_a_panic(
+            tokens in proptest::collection::vec(0usize..24, 0..64),
+            raw in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            const ALPHABET: &[&str] = &[
+                "{", "}", "[", "]", "\"", ":", ",", " ", "0", "1", "9", "-", "+", ".", "e",
+                "E", "\\", "u", "00e9", "true", "null", "f", "é", "\u{1}",
+            ];
+            let text: String = tokens.iter().map(|&t| ALPHABET[t]).collect();
+            let _ = parse(&text);
+            let _ = parse(&String::from_utf8_lossy(&raw));
+        }
     }
 }

@@ -23,6 +23,15 @@
 //! turns, which under multi-instance sharing turns into tail-latency
 //! outliers for whole requests.
 //!
+//! The aged pick reads one flat array, `head_at`: the enqueue stamp of each
+//! port's queue head (`u64::MAX` while the port is empty). It relies on one
+//! invariant, asserted in [`DramChannel::enqueue`]: **per-port enqueue stamps
+//! never decrease**, because requests arrive in simulated-time order. Each
+//! queue's head is therefore its oldest entry, the longest-waiting head is
+//! the minimum stamp in `head_at` (lowest port on ties), and if that head has
+//! not reached the threshold no other has — one pass over the array decides
+//! the issue, with no per-port queue touched.
+//!
 //! This is the contention the analytic model's `max(compute, memory)` folds
 //! away — and the reason the cycle simulator can report *which* stage was
 //! starved.
@@ -105,16 +114,14 @@ pub struct DramChannel {
     /// (`u64::MAX` disables aging).
     age_threshold: u64,
     queues: Vec<VecDeque<(DramRequest, u64)>>,
+    /// Enqueue stamp of each port's queue head, `u64::MAX` while the queue
+    /// is empty — the aged pick scans this instead of the queue fronts.
+    head_at: Vec<u64>,
     /// One bit per port, set while the port's queue is non-empty — the
     /// round-robin pick reads these words instead of touching every queue.
     nonempty: Vec<u64>,
     /// Requests waiting across all port queues (excluding the in-flight one).
     queued: usize,
-    /// Lower bound on the oldest queued request's enqueue stamp
-    /// (`u64::MAX` when provably nothing is queued). Lets [`Self::try_issue`]
-    /// skip the aging scan while no head can have reached the threshold;
-    /// tightened back to the exact minimum whenever a scan comes up empty.
-    oldest_pending: u64,
     next_port: usize,
     busy: bool,
     busy_cycles: u64,
@@ -174,9 +181,9 @@ impl DramChannel {
             command_cycles,
             age_threshold,
             queues: (0..ports).map(|_| VecDeque::new()).collect(),
+            head_at: vec![u64::MAX; ports],
             nonempty: vec![0; ports.div_ceil(64)],
             queued: 0,
-            oldest_pending: u64::MAX,
             next_port: 0,
             busy: false,
             busy_cycles: 0,
@@ -193,48 +200,39 @@ impl DramChannel {
     ///
     /// # Panics
     ///
-    /// Panics if the request's port does not exist.
+    /// Panics if the request's port does not exist, or if `now` precedes the
+    /// stamp of a request already queued on the port (per-port stamps must
+    /// be nondecreasing for the aged pick to find the oldest request).
     pub fn enqueue(&mut self, req: DramRequest, now: u64) {
         assert!(req.port < self.queues.len(), "no such DRAM port");
-        self.queues[req.port].push_back((req, now));
+        let queue = &mut self.queues[req.port];
+        match queue.back() {
+            Some(&(_, last)) => assert!(last <= now, "DRAM enqueue stamps went backwards"),
+            None => self.head_at[req.port] = now,
+        }
+        queue.push_back((req, now));
         self.nonempty[req.port / 64] |= 1 << (req.port % 64);
         self.queued += 1;
-        self.oldest_pending = self.oldest_pending.min(now);
     }
 
-    /// The port an aged request would be served from: the head request with
-    /// the longest wait among those at or beyond the threshold, ties broken
-    /// by port index so arbitration stays deterministic.
-    ///
-    /// Per-port enqueue stamps are nondecreasing (requests arrive in
-    /// simulated-time order), so each queue's head is its oldest entry and
-    /// the global oldest pending request is the minimum over heads. The
-    /// `oldest_pending` lower bound therefore proves, without touching the
-    /// queues, that no head can have aged yet; a scan that finds nothing
-    /// aged tightens the bound back to the exact head minimum.
-    fn aged_port(&mut self, now: u64) -> Option<usize> {
-        if self.age_threshold == u64::MAX
-            || now.saturating_sub(self.oldest_pending) < self.age_threshold
-        {
+    /// The port an aged request would be served from: the head with the
+    /// longest wait, if it is at or beyond the threshold, ties broken by
+    /// port index so arbitration stays deterministic. Heads are each port's
+    /// oldest entry (stamps are nondecreasing per port), so the minimum of
+    /// `head_at` is the oldest pending request.
+    fn aged_port(&self, now: u64) -> Option<usize> {
+        if self.age_threshold == u64::MAX {
             return None;
         }
-        let picked = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter_map(|(p, q)| q.front().map(|&(_, at)| (p, now.saturating_sub(at))))
-            .filter(|&(_, wait)| wait >= self.age_threshold)
-            .max_by_key(|&(p, wait)| (wait, std::cmp::Reverse(p)))
-            .map(|(p, _)| p);
-        if picked.is_none() {
-            self.oldest_pending = self
-                .queues
-                .iter()
-                .filter_map(|q| q.front().map(|&(_, at)| at))
-                .min()
-                .unwrap_or(u64::MAX);
+        let mut port = 0;
+        let mut oldest = u64::MAX;
+        for (p, &at) in self.head_at.iter().enumerate() {
+            if at < oldest {
+                oldest = at;
+                port = p;
+            }
         }
-        picked
+        (oldest != u64::MAX && now.saturating_sub(oldest) >= self.age_threshold).then_some(port)
     }
 
     /// First port with queued work in cyclic order starting at `start`,
@@ -278,9 +276,14 @@ impl DramChannel {
             self.next_nonempty(self.next_port)
         };
         let port = pick?;
-        let (req, enqueued_at) = self.queues[port].pop_front().expect("picked port has work");
-        if self.queues[port].is_empty() {
-            self.nonempty[port / 64] &= !(1 << (port % 64));
+        let queue = &mut self.queues[port];
+        let (req, enqueued_at) = queue.pop_front().expect("picked port has work");
+        match queue.front() {
+            Some(&(_, at)) => self.head_at[port] = at,
+            None => {
+                self.head_at[port] = u64::MAX;
+                self.nonempty[port / 64] &= !(1 << (port % 64));
+            }
         }
         self.queued -= 1;
         self.next_port = (port + 1) % ports;
@@ -496,6 +499,156 @@ mod tests {
         let issued = ch.try_issue(7).unwrap();
         assert_eq!(issued.free_at, 7);
         assert_eq!(issued.done_at, 12);
+    }
+
+    /// The arbiter as it was before the flat `head_at` array, kept as the
+    /// differential reference: the aged pick scans every port's queue front
+    /// for the longest wait at or beyond the threshold, and round-robin
+    /// probes ports one by one in cyclic order.
+    struct ReferenceChannel {
+        bytes_per_cycle: f64,
+        burst_latency: u64,
+        command_cycles: u64,
+        age_threshold: u64,
+        queues: Vec<VecDeque<(DramRequest, u64)>>,
+        next_port: usize,
+        busy: bool,
+        aged_issues: u64,
+        queue_wait_cycles: u64,
+        issued_requests: u64,
+    }
+
+    impl ReferenceChannel {
+        fn new(ports: usize, bytes_per_cycle: f64, burst_latency: u64, age: u64, cmd: u64) -> Self {
+            ReferenceChannel {
+                bytes_per_cycle,
+                burst_latency,
+                command_cycles: cmd,
+                age_threshold: age,
+                queues: (0..ports).map(|_| VecDeque::new()).collect(),
+                next_port: 0,
+                busy: false,
+                aged_issues: 0,
+                queue_wait_cycles: 0,
+                issued_requests: 0,
+            }
+        }
+
+        fn try_issue(&mut self, now: u64) -> Option<Issued> {
+            if self.busy {
+                return None;
+            }
+            let ports = self.queues.len();
+            let aged = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter_map(|(p, q)| q.front().map(|&(_, at)| (p, now.saturating_sub(at))))
+                .filter(|&(_, wait)| wait >= self.age_threshold)
+                .max_by_key(|&(p, wait)| (wait, std::cmp::Reverse(p)))
+                .map(|(p, _)| p);
+            let port = match aged {
+                Some(p) => {
+                    self.aged_issues += 1;
+                    p
+                }
+                None => (0..ports)
+                    .map(|k| (self.next_port + k) % ports)
+                    .find(|&p| !self.queues[p].is_empty())?,
+            };
+            let (req, enqueued_at) = self.queues[port].pop_front().unwrap();
+            self.next_port = (port + 1) % ports;
+            let transfer =
+                self.command_cycles + (req.bytes as f64 / self.bytes_per_cycle).ceil() as u64;
+            self.busy = true;
+            self.queue_wait_cycles += now - enqueued_at;
+            self.issued_requests += 1;
+            Some(Issued {
+                request: req,
+                free_at: now + transfer,
+                done_at: now + transfer + self.burst_latency,
+            })
+        }
+
+        fn mean_queue_wait(&self) -> f64 {
+            if self.issued_requests == 0 {
+                return 0.0;
+            }
+            self.queue_wait_cycles as f64 / self.issued_requests as f64
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random enqueue / issue / release sequences: the flat head-stamp
+        /// arbiter issues exactly what the queue-front scan issues, on port
+        /// counts that cross the `nonempty` word boundaries, with aging on
+        /// every cycle, at the serving threshold and off.
+        #[test]
+        fn flat_arbitration_matches_the_queue_front_scan(
+            shape in (0usize..5, 0usize..3, 1u64..48),
+            ops in proptest::collection::vec((0u8..4, 0usize..1 << 20, 0u64..4096, 0usize..7), 1..600),
+        ) {
+            let ports = [1, 8, 32, 65, 130][shape.0];
+            let age = [1, 256, u64::MAX][shape.1];
+            let cmd = shape.2;
+            let mut flat = DramChannel::with_timing(ports, 8.0, 40, age, cmd);
+            let mut reference = ReferenceChannel::new(ports, 8.0, 40, age, cmd);
+            let (mut now, mut free_at, mut tile) = (0u64, None, 0usize);
+            let (mut issued_flat, mut issued_ref) = (Vec::new(), Vec::new());
+            for (kind, pick, bytes, dt) in ops {
+                match kind {
+                    // Enqueue on a random port (half the draws).
+                    0 | 1 => {
+                        let r = DramRequest {
+                            port: pick % ports,
+                            stage: pick % 4,
+                            tile,
+                            bytes,
+                            write: pick & 16 != 0,
+                        };
+                        tile += 1;
+                        flat.enqueue(r, now);
+                        reference.queues[r.port].push_back((r, now));
+                    }
+                    2 => {
+                        let (a, b) = (flat.try_issue(now), reference.try_issue(now));
+                        proptest::prop_assert_eq!(a, b);
+                        if let Some(i) = a {
+                            free_at = Some(i.free_at);
+                            issued_flat.push(i);
+                        }
+                        issued_ref.extend(b);
+                    }
+                    // Advance the clock in steps that land waits exactly on
+                    // both finite thresholds; release the channel once it
+                    // frees.
+                    _ => {
+                        now += [0, 1, 1, 2, 64, 128, 256][dt];
+                        if free_at.is_some_and(|f| f <= now) {
+                            free_at = None;
+                            flat.release();
+                            reference.busy = false;
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(issued_flat, issued_ref);
+            proptest::prop_assert_eq!(flat.aged_issues(), reference.aged_issues);
+            proptest::prop_assert_eq!(
+                flat.mean_queue_wait().to_bits(),
+                reference.mean_queue_wait().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "went backwards")]
+    fn decreasing_port_stamps_are_rejected() {
+        let mut ch = DramChannel::with_aging(2, 1.0, 0, 10);
+        ch.enqueue(req(0, 0, 1), 20);
+        ch.enqueue(req(0, 1, 1), 19);
     }
 
     #[test]

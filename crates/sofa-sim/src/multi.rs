@@ -32,44 +32,58 @@ use sofa_hw::config::HwConfig;
 use sofa_hw::descriptor::TileWork;
 use sofa_obs::{ArgValue, TraceRecorder};
 
-/// Events of the multi-instance simulation.
+/// Events of the multi-instance simulation. Instance and stage indices are
+/// narrowed (the instance count is checked to fit `u32` in
+/// [`MultiPipelineSim::new`]) so an event is 16 bytes and a queue entry 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MultiEvent {
     /// `stage` of `instance` finished its tile at local index `tile`.
     StageDone {
-        instance: usize,
-        stage: usize,
+        instance: u32,
+        stage: u8,
         tile: usize,
     },
     /// The shared channel can issue the next request.
     DramFree,
     /// A DRAM request's data arrived at its requester.
     DramDone {
-        instance: usize,
-        stage: usize,
+        instance: u32,
+        stage: u8,
         tile: usize,
         write: bool,
     },
 }
 
-/// One tile of one request in an instance's stream.
+/// One tile of one request in an instance's stream: only the fields the
+/// event core reads, not the whole [`TileWork`] descriptor.
 #[derive(Debug, Clone, Copy)]
 struct TileSlot {
     /// Request the tile belongs to.
     request: u64,
     /// Whether this is the request's final tile (its completion marker).
     last: bool,
-    work: TileWork,
+    /// DRAM bytes each stage reads for the tile (the sorting stage reads
+    /// none).
+    read_bytes: [u64; STAGES],
+    /// Output bytes the formal stage writes back.
+    write_bytes: u64,
     cycles: [u64; STAGES],
 }
 
-/// Which stage a DRAM read feeds, per tile.
-fn read_bytes(work: &TileWork, stage: usize) -> u64 {
-    match stage {
-        0 => work.pred_read_bytes,
-        2 => work.kv_read_bytes,
-        3 => work.extra_formal_read_bytes,
-        _ => 0,
+impl TileSlot {
+    fn new(request: u64, last: bool, work: &TileWork, cycles: [u64; STAGES]) -> Self {
+        TileSlot {
+            request,
+            last,
+            read_bytes: [
+                work.pred_read_bytes,
+                0,
+                work.kv_read_bytes,
+                work.extra_formal_read_bytes,
+            ],
+            write_bytes: work.write_bytes,
+            cycles,
+        }
     }
 }
 
@@ -247,9 +261,10 @@ impl MultiPipelineSim {
     ///
     /// # Panics
     ///
-    /// Panics if `instances` is zero.
+    /// Panics if `instances` is zero or does not fit in `u32`.
     pub fn new(cfg: &HwConfig, instances: usize, params: SimParams) -> Self {
         assert!(instances > 0, "need at least one instance");
+        u32::try_from(instances).expect("instance count must fit in u32");
         let bytes_per_cycle = cfg.dram_bandwidth_bps / cfg.freq_hz;
         MultiPipelineSim {
             params,
@@ -369,13 +384,9 @@ impl MultiPipelineSim {
         let ins = &mut self.instances[inst];
         ins.tiles.reserve(n);
         ins.read_done.reserve(n);
-        for (i, (&work, &cycles)) in job.work.iter().zip(job.cycles.iter()).enumerate() {
-            ins.tiles.push(TileSlot {
-                request,
-                last: i + 1 == n,
-                work,
-                cycles,
-            });
+        for (i, (work, &cycles)) in job.work.iter().zip(job.cycles.iter()).enumerate() {
+            ins.tiles
+                .push(TileSlot::new(request, i + 1 == n, work, cycles));
             // The sorting stage never reads DRAM; everything else resolves
             // its operand fetch per tile.
             ins.read_done
@@ -407,7 +418,7 @@ impl MultiPipelineSim {
                 instance,
                 stage,
                 tile,
-            } => self.on_stage_done(instance, stage, tile, now),
+            } => self.on_stage_done(instance as usize, usize::from(stage), tile, now),
             MultiEvent::DramFree => {
                 self.dram.release();
                 self.pump_dram(now);
@@ -420,6 +431,7 @@ impl MultiPipelineSim {
                 write,
             } => {
                 if !write {
+                    let (instance, stage) = (instance as usize, usize::from(stage));
                     self.instances[instance].set_read_done(stage, tile, now);
                     // Operand arrival only relaxes the receiving stage's
                     // read constraint — the other stages cannot newly start.
@@ -488,7 +500,7 @@ impl MultiPipelineSim {
     }
 
     fn issue_read(&mut self, inst: usize, stage: usize, tile: usize, now: u64) {
-        let bytes = read_bytes(&self.instances[inst].slot(tile).work, stage);
+        let bytes = self.instances[inst].slot(tile).read_bytes[stage];
         if bytes == 0 {
             self.instances[inst].set_read_done(stage, tile, now);
             return;
@@ -512,8 +524,8 @@ impl MultiPipelineSim {
             self.queue.push(
                 issued.done_at,
                 MultiEvent::DramDone {
-                    instance: issued.request.port / STAGES,
-                    stage: issued.request.stage,
+                    instance: (issued.request.port / STAGES) as u32,
+                    stage: issued.request.stage as u8,
                     tile: issued.request.tile,
                     write: issued.request.write,
                 },
@@ -552,13 +564,13 @@ impl MultiPipelineSim {
             2 => self.issue_read(inst, 3, tile, now),
             3 => {
                 let slot = *self.instances[inst].slot(tile);
-                if slot.work.write_bytes > 0 {
+                if slot.write_bytes > 0 {
                     self.dram.enqueue(
                         DramRequest {
                             port: inst * STAGES + 3,
                             stage: 3,
                             tile,
-                            bytes: slot.work.write_bytes,
+                            bytes: slot.write_bytes,
                             write: true,
                         },
                         now,
@@ -693,8 +705,8 @@ impl MultiPipelineSim {
         self.queue.push(
             end,
             MultiEvent::StageDone {
-                instance: inst,
-                stage,
+                instance: inst as u32,
+                stage: stage as u8,
                 tile,
             },
         );
@@ -886,6 +898,16 @@ mod tests {
         // Repeat runs export byte-identical traces.
         let again = run(true).2;
         assert_eq!(trace_on.to_chrome_json(), again.to_chrome_json());
+    }
+
+    #[test]
+    fn event_core_records_stay_slim() {
+        use crate::event::Scheduled;
+        use std::mem::size_of;
+        assert_eq!(size_of::<MultiEvent>(), 16);
+        assert_eq!(size_of::<Scheduled<MultiEvent>>(), 32);
+        assert_eq!(size_of::<TileSlot>(), 88);
+        assert!(size_of::<TileSlot>() < size_of::<TileWork>());
     }
 
     #[test]
