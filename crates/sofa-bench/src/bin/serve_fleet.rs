@@ -17,10 +17,12 @@
 
 use sofa_bench::experiments::{serve_fleet_scaled, validate_fleet_scale};
 use sofa_bench::report::print_and_write;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// One run at explicit scale.
 struct Scale {
+    json: Option<PathBuf>,
     requests: usize,
     rate: f64,
     nodes: usize,
@@ -40,6 +42,7 @@ where
 fn parse(args: &[String]) -> Result<Option<Scale>, String> {
     let mut requests = None;
     let mut scale = Scale {
+        json: None,
         requests: 0,
         rate: 1500.0,
         nodes: 8,
@@ -56,9 +59,10 @@ fn parse(args: &[String]) -> Result<Option<Scale>, String> {
             "--instances-per-node" => scale.instances_per_node = number(flag, value()?)?,
             "--rate" => scale.rate = number(flag, value()?)?,
             "--disaggregate" => scale.disaggregate = true,
-            // Consumed again by print_and_write.
             "--json" => {
-                value()?;
+                if scale.json.replace(PathBuf::from(value()?)).is_some() {
+                    return Err("--json given twice".to_string());
+                }
                 continue;
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -87,13 +91,17 @@ fn parse(args: &[String]) -> Result<Option<Scale>, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse(&args) {
-        Ok(Some(s)) => print_and_write(&[serve_fleet_scaled(
-            s.requests,
-            s.rate,
-            s.nodes,
-            s.instances_per_node,
-            s.disaggregate,
-        )]),
+        Ok(Some(s)) => print_and_write(
+            &[serve_fleet_scaled(
+                s.requests,
+                s.rate,
+                s.nodes,
+                s.instances_per_node,
+                s.disaggregate,
+            )],
+            s.json.as_deref(),
+        ),
+        // The pinned grid parses its `--json` again in `run_bin`.
         Ok(None) => sofa_bench::registry::run_bin("serve_fleet"),
         Err(e) => {
             eprintln!("serve_fleet: {e}");

@@ -1040,8 +1040,15 @@ pub fn dse_pareto_report() -> dse::DseReport {
 /// search. The CI regression gate calls this twice to verify the search is
 /// deterministic — a check the cache would make vacuous.
 pub fn dse_pareto_report_fresh() -> dse::DseReport {
+    dse_pareto_search().0
+}
+
+/// The fresh pinned search together with the evaluator that ran it, for
+/// callers that read its counters.
+fn dse_pareto_search() -> (dse::DseReport, dse::HwAwareEvaluator) {
     let evaluator = dse::HwAwareEvaluator::new(dse::EvalConfig::quick(0xD5E), 4);
-    dse::hardware_aware_search(&evaluator, &dse::DseSearchConfig::quick(0xD5E))
+    let report = dse::hardware_aware_search(&evaluator, &dse::DseSearchConfig::quick(0xD5E));
+    (report, evaluator)
 }
 
 /// Experiment — the hardware-aware DSE Pareto front: every non-dominated
@@ -1657,12 +1664,14 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
 }
 
 /// Experiment — wall time of one fresh hardware-aware DSE search (the
-/// `dse_pareto_fresh` workload) plus its candidate-dedup counters. The
-/// search's guided proposals are mostly distinct, so `evals_saved` is small
-/// by design — the gate only requires the dedup to be live (> 0 on this
-/// pinned seed) and the wall time to stay under a generous budget.
+/// `dse_pareto_fresh` workload) plus its candidate-dedup and stage-1
+/// counters. The search's guided proposals are mostly distinct, so
+/// `evals_saved` is small by design — the gate only requires the dedup to be
+/// live (> 0 on this pinned seed) and the wall time to stay under budget.
+/// `predictions` counts the search's per-layer DLZS predictions, which the
+/// gate pins to exactly `layers` (one per layer, however many candidates).
 pub fn perf_dse() -> crate::ExperimentOutput {
-    let (wall, report) = best_wall_seconds(1, dse_pareto_report_fresh);
+    let (wall, (report, evaluator)) = best_wall_seconds(1, dse_pareto_search);
     let proposals = report.evaluations + report.evals_saved;
     let mut t = Table::new(
         "Perf  Fresh DSE search wall time + candidate-dedup rate",
@@ -1689,6 +1698,8 @@ pub fn perf_dse() -> crate::ExperimentOutput {
     crate::ExperimentOutput::of_tables(vec![t])
         .with_scalar("evaluations", report.evaluations as f64)
         .with_scalar("evals_saved", report.evals_saved as f64)
+        .with_scalar("predictions", evaluator.predictions() as f64)
+        .with_scalar("layers", evaluator.layers() as f64)
         .with_scalar("wall_seconds", wall)
 }
 

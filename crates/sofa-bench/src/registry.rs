@@ -12,7 +12,7 @@
 //! lets a spec file express a regression gate declaratively.
 
 use crate::experiments;
-use crate::report::{print_and_write, Table};
+use crate::report::{parse_path_flags, print_and_write, usage_error, Table};
 use sofa_hw::config::HwConfig;
 use sofa_sim::CycleSim;
 use std::collections::BTreeMap;
@@ -529,20 +529,24 @@ pub fn find(name: &str) -> Option<ExperimentEntry> {
     registry().into_iter().find(|e| e.name == name)
 }
 
-/// The shared `main` of every thin experiment binary: looks `name` up,
-/// runs it, prints its summary text (if any) and tables, and honours the
-/// `--json <path>` artifact convention.
+/// The shared `main` of every thin experiment binary: parses the command
+/// line (only `--json <path>` is accepted; anything else exits 2 with one
+/// `<name>: …` line before the experiment runs), then looks `name` up, runs
+/// it, prints its summary text (if any) and tables, and writes the JSON
+/// artifact.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not registered — a bin/registry mismatch is a bug.
 pub fn run_bin(name: &str) {
     let entry = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [json] = parse_path_flags(&args, ["--json"]).unwrap_or_else(|e| usage_error(name, &e));
     let out = (entry.run)();
     if let Some(summary) = out.texts.get("summary") {
         print!("{summary}");
     }
-    print_and_write(&out.tables);
+    print_and_write(&out.tables, json.as_deref());
 }
 
 #[cfg(test)]

@@ -137,36 +137,48 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     )
 }
 
-/// If the process arguments contain `--json <path>`, writes `tables` there
-/// (creating parent directories) and returns the path. Every experiment
-/// binary calls this after printing, so CI can collect artifacts without
-/// parsing stdout.
+/// Parses a binary's command line, which may hold only `--flag <path>` pairs
+/// for the flags in `flags`, each at most once. Returns one optional path per
+/// flag, in `flags`' order. Binaries call this before running anything, so a
+/// bad command line costs nothing and writes nothing.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--json` is given without a path or the file cannot be written.
-pub fn write_json_artifact_from_args(tables: &[Table]) -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            let path =
-                std::path::PathBuf::from(args.next().expect("--json requires an output path"));
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create artifact directory");
-                }
-            }
-            std::fs::write(&path, tables_to_json(tables)).expect("write JSON artifact");
-            return Some(path);
+/// An unknown argument, a flag without a path, or a repeated flag, described
+/// in one line.
+pub fn parse_path_flags<const N: usize>(
+    args: &[String],
+    flags: [&str; N],
+) -> Result<[Option<std::path::PathBuf>; N], String> {
+    let mut paths = std::array::from_fn(|_| None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let Some(slot) = flags.iter().position(|f| f == arg) else {
+            return Err(format!(
+                "unknown argument {arg:?} (expected {})",
+                flags.join(" / ")
+            ));
+        };
+        let path = it
+            .next()
+            .ok_or_else(|| format!("{arg} requires an output path"))?;
+        if paths[slot].replace(path.into()).is_some() {
+            return Err(format!("{arg} given twice"));
         }
     }
-    None
+    Ok(paths)
+}
+
+/// Reports a bad command line as one `<bin>: <message>` line on stderr and
+/// exits with code 2, the usage-error code of the harness exit contract.
+pub fn usage_error(bin: &str, message: &str) -> ! {
+    eprintln!("{bin}: {message}");
+    std::process::exit(2)
 }
 
 /// Writes `text` to `path`, creating parent directories, and echoes the
-/// path on stderr — the same artifact convention as
-/// [`write_json_artifact_from_args`], for binaries whose artifacts are not
-/// tables (the `serve_trace` trace and metrics files).
+/// path on stderr — the artifact convention of every experiment binary
+/// (the `--json` tables and the `serve_trace` trace and metrics files).
 ///
 /// # Panics
 ///
@@ -182,22 +194,19 @@ pub fn write_text_artifact(path: &std::path::Path, text: &str) {
 }
 
 /// The tail every experiment binary shares: prints `tables` to stdout
-/// (blank-line separated) and, when the process arguments contain
-/// `--json <path>`, also writes them there via
-/// [`write_json_artifact_from_args`], echoing the path on stderr so CI
-/// logs show where the artifact landed.
+/// (blank-line separated) and, given a `--json` path, also writes them there
+/// as one JSON array ([`tables_to_json`], [`write_text_artifact`]).
 ///
 /// # Panics
 ///
-/// Panics if `--json` is given without a path or the file cannot be
-/// written.
-pub fn print_and_write(tables: &[Table]) {
+/// Panics if the artifact cannot be written.
+pub fn print_and_write(tables: &[Table], json: Option<&std::path::Path>) {
     for t in tables {
         t.print();
         println!();
     }
-    if let Some(path) = write_json_artifact_from_args(tables) {
-        eprintln!("wrote {}", path.display());
+    if let Some(path) = json {
+        write_text_artifact(path, &tables_to_json(tables));
     }
 }
 

@@ -13,6 +13,14 @@
 //! Each stage can be swapped for its baseline (4-bit multiply prediction,
 //! whole-row sorting, FlashAttention-2) so the ablation of paper Fig. 17 falls
 //! out of a single configurable pipeline.
+//!
+//! Stage 1 reads only the workload and the prediction scheme — never the
+//! keep ratio or tile size — so it is exposed on its own:
+//! [`SofaPipeline::predict`] returns a [`Prediction`] and
+//! [`SofaPipeline::run_predicted`] runs stages 2–4 on it.
+//! [`SofaPipeline::run`] is exactly the two in sequence; a caller that scores
+//! many `(keep, Bc)` points on one workload (the hardware-aware DSE) predicts
+//! once and reuses the prediction, with bit-identical results.
 
 use crate::dlzs::{predict_scores_int4, predict_scores_vanilla_lz, DlzsPredictor, PredictionStats};
 use crate::flash::{FlashConfig, FlashVersion};
@@ -198,6 +206,18 @@ impl PipelineResult {
     }
 }
 
+/// The output of stage 1 (pre-compute): the predicted score matrix `Â`,
+/// shape `(queries, seq_len)`, and the cost of predicting it. It depends only
+/// on the workload and the [`PredictionScheme`], so one prediction serves
+/// every keep ratio and tile size ([`SofaPipeline::run_predicted`]).
+#[derive(Debug, Clone)]
+pub struct Prediction {
+    /// The predicted attention scores.
+    pub scores: Matrix,
+    /// Operation/traffic statistics of the prediction.
+    pub stats: PredictionStats,
+}
+
 /// Reusable per-run scratch buffers (the on-demand K/V matrices), so a
 /// batched run allocates once per worker instead of once per workload.
 /// Reuse never changes results: the buffers are reshaped and zeroed before
@@ -351,25 +371,37 @@ impl SofaPipeline {
         w: &AttentionWorkload,
         scratch: &mut RunScratch,
     ) -> PipelineResult {
-        let s = w.seq_len();
-        let k = resolve_k(s, self.cfg.keep_ratio);
+        self.run_predicted(w, &self.predict(w), scratch)
+    }
 
-        // Stage 1: prediction.
-        let mut prediction = PredictionStats::default();
-        let predicted_scores = match self.cfg.prediction {
+    /// Stage 1 alone: predicts `w`'s attention scores with this pipeline's
+    /// [`PredictionScheme`]. The keep ratio and tile size play no part.
+    pub fn predict(&self, w: &AttentionWorkload) -> Prediction {
+        let mut stats = PredictionStats::default();
+        let scores = match self.cfg.prediction {
             PredictionScheme::Dlzs => {
-                let predictor = DlzsPredictor::prepare(&w.wk);
-                let (scores, stats) = predictor.predict(&w.x, &w.q);
-                prediction = stats;
+                let (scores, dlzs) = DlzsPredictor::prepare(&w.wk).predict(&w.x, &w.q);
+                stats = dlzs;
                 scores
             }
-            PredictionScheme::Int4Multiply => {
-                predict_scores_int4(&w.x, &w.wk, &w.q, &mut prediction)
-            }
-            PredictionScheme::VanillaLz => {
-                predict_scores_vanilla_lz(&w.x, &w.wk, &w.q, &mut prediction)
-            }
+            PredictionScheme::Int4Multiply => predict_scores_int4(&w.x, &w.wk, &w.q, &mut stats),
+            PredictionScheme::VanillaLz => predict_scores_vanilla_lz(&w.x, &w.wk, &w.q, &mut stats),
         };
+        Prediction { scores, stats }
+    }
+
+    /// Stages 2–4 on an existing stage-1 `prediction` of `w` (from
+    /// [`SofaPipeline::predict`] under the same prediction scheme). Together
+    /// the two calls are [`SofaPipeline::run_with_scratch`], bit for bit.
+    pub fn run_predicted(
+        &self,
+        w: &AttentionWorkload,
+        prediction: &Prediction,
+        scratch: &mut RunScratch,
+    ) -> PipelineResult {
+        let s = w.seq_len();
+        let k = resolve_k(s, self.cfg.keep_ratio);
+        let predicted_scores = &prediction.scores;
 
         // Stage 2: top-k sorting.
         let (mask, sorting_ops) = match self.cfg.sorting {
@@ -380,11 +412,11 @@ impl SofaPipeline {
                     self.cfg.radius_frac,
                     self.cfg.refine_iters,
                 );
-                sads_topk(&predicted_scores, k, &sads)
+                sads_topk(predicted_scores, k, &sads)
             }
             SortingScheme::FullSort => {
                 let mut ops = OpCounts::new();
-                let mask = topk_exact(&predicted_scores, k, &mut ops);
+                let mask = topk_exact(predicted_scores, k, &mut ops);
                 (mask, ops)
             }
         };
@@ -417,7 +449,7 @@ impl SofaPipeline {
         PipelineResult {
             output,
             mask,
-            prediction,
+            prediction: prediction.stats,
             sorting_ops,
             kv_generation_ops,
             formal_ops,
@@ -430,6 +462,12 @@ impl SofaPipeline {
 /// Generates only the needed K/V rows (`K_i = x_i·W_k`, `V_i = x_i·W_v`)
 /// into `scratch`'s reset buffers, leaving unneeded rows zero. Counts one
 /// multiply and one add per MAC.
+///
+/// Each output row accumulates `x_i · W[i]` over the weight rows `i` in
+/// ascending order, streaming `W_k`/`W_v` row-major. Every element is still
+/// the sum `0.0 + x_0·w_0j + x_1·w_1j + …` in that order, so the bits equal a
+/// column-at-a-time dot product. `needed` holds distinct rows (as
+/// [`TopKMask::union_of_keys`] returns them).
 fn generate_kv_on_demand(
     w: &AttentionWorkload,
     needed: &[usize],
@@ -441,16 +479,16 @@ fn generate_kv_on_demand(
     scratch.keys.reset_zeros(w.seq_len(), d);
     scratch.values.reset_zeros(w.seq_len(), d);
     for &row in needed {
-        let xrow = w.x.row(row);
-        for j in 0..d {
-            let mut ka = 0.0f32;
-            let mut va = 0.0f32;
-            for (i, &x) in xrow.iter().enumerate() {
-                ka += x * w.wk.get(i, j);
-                va += x * w.wv.get(i, j);
+        let (keys, values) = (scratch.keys.row_mut(row), scratch.values.row_mut(row));
+        for (i, &x) in w.x.row(row).iter().enumerate() {
+            for ((k, v), (&wk, &wv)) in keys
+                .iter_mut()
+                .zip(values.iter_mut())
+                .zip(w.wk.row(i).iter().zip(w.wv.row(i)))
+            {
+                *k += x * wk;
+                *v += x * wv;
             }
-            scratch.keys.set(row, j, ka);
-            scratch.values.set(row, j, va);
         }
         ops.record(OpKind::Mul, 2 * (n * d) as u64);
         ops.record(OpKind::Add, 2 * (n * d) as u64);
@@ -703,6 +741,135 @@ mod tests {
         // Same prediction + sorting configuration ⇒ same mask ⇒ same output.
         let cos = mean_row_cosine(&a.output, &b.output);
         assert!(cos > 0.999, "formal stages disagree: {cos}");
+    }
+
+    /// The column-at-a-time K/V loop the row-major kernel replaced: one dot
+    /// product per output element through `Matrix::get`.
+    fn reference_kv(
+        w: &AttentionWorkload,
+        needed: &[usize],
+        ops: &mut OpCounts,
+    ) -> (Matrix, Matrix) {
+        let d = w.wk.cols();
+        let n = w.x.cols();
+        let mut keys = Matrix::zeros(w.seq_len(), d);
+        let mut values = Matrix::zeros(w.seq_len(), d);
+        for &row in needed {
+            let xrow = w.x.row(row);
+            for j in 0..d {
+                let mut ka = 0.0f32;
+                let mut va = 0.0f32;
+                for (i, &x) in xrow.iter().enumerate() {
+                    ka += x * w.wk.get(i, j);
+                    va += x * w.wv.get(i, j);
+                }
+                keys.set(row, j, ka);
+                values.set(row, j, va);
+            }
+            ops.record(OpKind::Mul, 2 * (n * d) as u64);
+            ops.record(OpKind::Add, 2 * (n * d) as u64);
+        }
+        (keys, values)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The row-major K/V kernel produces the reference loop's exact bits
+        /// and op counts on random shapes (widths of 1 and odd sizes
+        /// included) and random needed-row sets: empty, every row, sparse.
+        #[test]
+        fn row_major_kv_matches_the_column_loop_bit_for_bit(
+            shape in (1usize..40, 1usize..20, 1usize..20, 0u64..1000),
+            mode in 0usize..3,
+            picks in proptest::collection::vec(proptest::bool::ANY, 40),
+        ) {
+            let (seq_len, input_dim, head_dim, seed) = shape;
+            let w = AttentionWorkload::generate(
+                &ScoreDistribution::bert_like(),
+                2,
+                seq_len,
+                input_dim,
+                head_dim,
+                seed,
+            );
+            let needed: Vec<usize> = match mode {
+                0 => Vec::new(),
+                1 => (0..seq_len).collect(),
+                _ => (0..seq_len).filter(|&i| picks[i]).collect(),
+            };
+            let mut ref_ops = OpCounts::new();
+            let (keys, values) = reference_kv(&w, &needed, &mut ref_ops);
+            let mut ops = OpCounts::new();
+            // A dirty, differently shaped scratch must not leak into the run.
+            let mut scratch = RunScratch::new();
+            scratch.keys = Matrix::from_fn(3, 5, |i, j| (i + j) as f32);
+            scratch.values = Matrix::from_fn(7, 2, |i, j| (i * j) as f32 - 1.0);
+            generate_kv_on_demand(&w, &needed, &mut ops, &mut scratch);
+            proptest::prop_assert_eq!(scratch.keys.shape(), keys.shape());
+            proptest::prop_assert_eq!(scratch.values.shape(), values.shape());
+            proptest::prop_assert_eq!(bits(&scratch.keys), bits(&keys));
+            proptest::prop_assert_eq!(bits(&scratch.values), bits(&values));
+            proptest::prop_assert_eq!(ops, ref_ops);
+        }
+    }
+
+    #[test]
+    fn run_is_predict_then_run_predicted_for_every_scheme() {
+        let w = workload();
+        let mut scratch = RunScratch::new();
+        for prediction in [
+            PredictionScheme::Dlzs,
+            PredictionScheme::Int4Multiply,
+            PredictionScheme::VanillaLz,
+        ] {
+            for sorting in [SortingScheme::Sads, SortingScheme::FullSort] {
+                for formal in [
+                    FormalScheme::SuFa(SuFaOrder::Descending),
+                    FormalScheme::Flash(FlashVersion::V2),
+                ] {
+                    let pipeline = SofaPipeline::new(
+                        PipelineConfig::new(0.25, 16)
+                            .unwrap()
+                            .with_prediction(prediction)
+                            .with_sorting(sorting)
+                            .with_formal(formal),
+                    );
+                    let whole = pipeline.run(&w);
+                    let split = pipeline.run_predicted(&w, &pipeline.predict(&w), &mut scratch);
+                    let case = format!("{prediction:?} {sorting:?} {formal:?}");
+                    assert_eq!(bits(&split.output), bits(&whole.output), "{case}");
+                    assert_eq!(split.mask, whole.mask, "{case}");
+                    assert_eq!(split.prediction, whole.prediction, "{case}");
+                    assert_eq!(split.sorting_ops, whole.sorting_ops, "{case}");
+                    assert_eq!(split.kv_generation_ops, whole.kv_generation_ops, "{case}");
+                    assert_eq!(split.formal_ops, whole.formal_ops, "{case}");
+                    assert_eq!(split.sufa_stats, whole.sufa_stats, "{case}");
+                    assert_eq!(split.keys_generated, whole.keys_generated, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_prediction_serves_every_keep_ratio_and_tile() {
+        // Stage 1 ignores (keep, Bc): a prediction made at one point reproduces
+        // full runs at others.
+        let w = workload();
+        let shared = SofaPipeline::new(PipelineConfig::new(0.5, 32).unwrap()).predict(&w);
+        let mut scratch = RunScratch::new();
+        for (keep, bc) in [(0.1, 4), (0.25, 16), (0.9, 64)] {
+            let pipeline = SofaPipeline::new(PipelineConfig::new(keep, bc).unwrap());
+            let whole = pipeline.run(&w);
+            let split = pipeline.run_predicted(&w, &shared, &mut scratch);
+            assert_eq!(bits(&split.output), bits(&whole.output), "({keep}, {bc})");
+            assert_eq!(split.mask, whole.mask, "({keep}, {bc})");
+            assert_eq!(split.total_ops(), whole.total_ops(), "({keep}, {bc})");
+        }
     }
 
     #[test]

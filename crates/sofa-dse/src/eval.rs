@@ -3,8 +3,12 @@
 //! [`HwAwareEvaluator`] scores one [`DseCandidate`] as a [`MetricVector`]
 //! by lowering it through the real stack, per layer:
 //!
-//! 1. `SofaPipeline::run` at `(keep_ratio, tile_sizes[layer])` on that
-//!    layer's pinned workload — measured proxy loss and measured op counts;
+//! 1. `SofaPipeline::run_predicted` at `(keep_ratio, tile_sizes[layer])` on
+//!    that layer's pinned workload and its stage-1 DLZS prediction —
+//!    measured proxy loss and measured op counts. The prediction reads
+//!    neither the keep ratio nor the tile size, so an [`EvalSession`]
+//!    computes it once per layer (`SofaPipeline::predict`) and every
+//!    candidate the session scores reuses it;
 //! 2. `PipelineResult::tile_selection_stats` — the run's real per-tile
 //!    selection counts (Distributed Cluster Effect imbalance included);
 //! 3. `SofaAccelerator::tile_descriptors` → `CycleSim::run_with_stats` —
@@ -19,19 +23,22 @@
 //!    `Bc·log₂Bc` and the ping-pong banks linearly with the largest resident
 //!    tile.
 //!
-//! Losses are averaged across layers; cycles and energy are summed. All
-//! inputs are pinned at construction, so evaluation is a pure function of
-//! the candidate — which is what lets [`HwAwareEvaluator::evaluate_batch`]
-//! fan out over `sofa-par` with bit-identical results at any `SOFA_THREADS`.
+//! Losses are averaged across layers; cycles and energy are summed. The
+//! workloads and dense references are pinned at construction; the stage-1
+//! predictions live only as long as one session — one `evaluate`, one
+//! `evaluate_batch` or one `hardware_aware_search` — so no evaluator state
+//! carries over between calls. Evaluation is a pure function of the
+//! candidate, which is what lets [`EvalSession::evaluate_batch`] fan out over
+//! `sofa-par` with bit-identical results at any `SOFA_THREADS`.
 
 use crate::space::{DseCandidate, DseSpace};
 use sofa_core::accuracy::proxy_loss;
-use sofa_core::pipeline::{PipelineConfig, SofaPipeline};
+use sofa_core::pipeline::{PipelineConfig, Prediction, RunScratch, SofaPipeline};
 use sofa_hw::accel::AttentionTask;
 use sofa_hw::area::{AreaModel, Module};
 use sofa_hw::config::HwConfig;
 use sofa_hw::energy::{compute_energy_j, DRAM_ACTIVATION_PJ};
-use sofa_model::{AttentionWorkload, ScoreDistribution};
+use sofa_model::{AttentionWorkload, OperatingPoint, ScoreDistribution};
 use sofa_sim::CycleSim;
 use sofa_tensor::Matrix;
 
@@ -167,7 +174,8 @@ impl EvalConfig {
 
 /// The hardware-in-the-loop evaluator. Construction generates (and pins) one
 /// workload + dense reference per layer; evaluation is then a pure function
-/// of the candidate.
+/// of the candidate. Candidates are scored through an [`EvalSession`]
+/// ([`HwAwareEvaluator::session`]), which predicts each layer once.
 #[derive(Debug)]
 pub struct HwAwareEvaluator {
     cfg: EvalConfig,
@@ -176,6 +184,8 @@ pub struct HwAwareEvaluator {
     /// so the totals are identical at any `SOFA_THREADS` even though the
     /// evaluations fan out.
     layer_evals: std::sync::atomic::AtomicU64,
+    /// Per-layer stage-1 predictions run so far (one per layer per session).
+    predictions: std::sync::atomic::AtomicU64,
     /// Evaluations whose cycle simulation agreed with the analytic model
     /// within [`FIDELITY_TOLERANCE`] — the surrogate-vs-sim fidelity signal.
     fidelity_hits: std::sync::atomic::AtomicU64,
@@ -208,6 +218,7 @@ impl HwAwareEvaluator {
             cfg,
             layers,
             layer_evals: std::sync::atomic::AtomicU64::new(0),
+            predictions: std::sync::atomic::AtomicU64::new(0),
             fidelity_hits: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -220,6 +231,12 @@ impl HwAwareEvaluator {
     /// Per-layer cycle simulations this evaluator has run.
     pub fn layer_evals(&self) -> u64 {
         self.layer_evals.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Per-layer stage-1 predictions this evaluator has run: `layers()` per
+    /// session, independent of how many candidates the session scores.
+    pub fn predictions(&self) -> u64 {
+        self.predictions.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// How many of those agreed with the analytic model within
@@ -258,50 +275,56 @@ impl HwAwareEvaluator {
         DseSpace::paper_space(self.layers.len(), self.cfg.seq_len)
     }
 
-    /// Scores one candidate (see the module docs for the lowering chain).
+    /// Opens an evaluation session: runs each layer's stage-1 prediction
+    /// once (fanned out over layers) for every candidate the session scores.
+    pub fn session(&self) -> EvalSession<'_> {
+        // Stage 1 reads only the prediction scheme, which
+        // `PipelineConfig::for_layer` fixes to DLZS for every candidate, so
+        // the paper default's pipeline predicts what any candidate's would.
+        let op = OperatingPoint::paper_default(self.layers.len());
+        let predictions = sofa_par::par_map_index(self.layers.len(), |i| {
+            self.predictions
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            SofaPipeline::new(PipelineConfig::for_layer(&op, i)).predict(&self.layers[i].0)
+        });
+        EvalSession {
+            evaluator: self,
+            predictions,
+        }
+    }
+
+    /// Scores one candidate (see the module docs for the lowering chain) in a
+    /// session of its own.
     ///
     /// # Panics
     ///
     /// Panics if the candidate's layer count differs from the evaluator's.
     pub fn evaluate(&self, c: &DseCandidate) -> CandidateEval {
-        assert_eq!(
-            c.tile_sizes.len(),
-            self.layers.len(),
-            "candidate layer count mismatch"
-        );
-        // Layers are independent; nested invocations (e.g. from
-        // `evaluate_batch`) degrade to sequential without changing results.
-        let per_layer = sofa_par::par_map_index(self.layers.len(), |i| self.evaluate_layer(i, c));
-        let loss = per_layer.iter().map(|l| l.0).sum::<f64>() / per_layer.len() as f64;
-        let cycles = per_layer.iter().map(|l| l.1).sum::<u64>();
-        let energy_pj = per_layer.iter().map(|l| l.2).sum::<f64>();
-        CandidateEval {
-            candidate: c.clone(),
-            metrics: MetricVector {
-                loss,
-                cycles,
-                energy_pj,
-                area_mm2: candidate_area_mm2(c),
-            },
-        }
+        self.session().evaluate(c)
     }
 
-    /// Scores a batch of candidates, fanning out across cores
-    /// (`sofa_par::par_map`). Bit-identical to calling
-    /// [`HwAwareEvaluator::evaluate`] per candidate, at any `SOFA_THREADS` —
-    /// the differential property test in `tests/property_tests.rs` enforces
-    /// this.
+    /// Scores a batch of candidates in one session (see
+    /// [`EvalSession::evaluate_batch`]).
     pub fn evaluate_batch(&self, candidates: &[DseCandidate]) -> Vec<CandidateEval> {
-        sofa_par::par_map(candidates, |c| self.evaluate(c))
+        self.session().evaluate_batch(candidates)
     }
 
     /// One layer's `(loss, cycles, energy_pj)` at the candidate's operating
-    /// point.
-    fn evaluate_layer(&self, layer: usize, c: &DseCandidate) -> (f64, u64, f64) {
+    /// point, from that layer's stage-1 `prediction`.
+    fn evaluate_layer(
+        &self,
+        layer: usize,
+        c: &DseCandidate,
+        prediction: &Prediction,
+    ) -> (f64, u64, f64) {
         let (workload, dense) = &self.layers[layer];
         let op = c.operating_point();
         let bc = op.tile(layer);
-        let result = SofaPipeline::new(PipelineConfig::for_layer(&op, layer)).run(workload);
+        let result = SofaPipeline::new(PipelineConfig::for_layer(&op, layer)).run_predicted(
+            workload,
+            prediction,
+            &mut RunScratch::new(),
+        );
         let loss = proxy_loss(&result.output, dense);
 
         // Lower the measured selection into the hardware models: the task
@@ -347,6 +370,56 @@ impl HwAwareEvaluator {
             analytic.energy.sram_j + analytic.energy.interface_j + analytic.energy.dram_j;
         let energy_pj = (compute_j + memory_j) * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
         (loss, report.total_cycles, energy_pj)
+    }
+}
+
+/// One search's view of an [`HwAwareEvaluator`]: the per-layer stage-1
+/// predictions, computed once when the session opens and shared by every
+/// candidate it scores. Dropping the session drops them.
+#[derive(Debug)]
+pub struct EvalSession<'a> {
+    evaluator: &'a HwAwareEvaluator,
+    predictions: Vec<Prediction>,
+}
+
+impl EvalSession<'_> {
+    /// Scores one candidate (see the module docs for the lowering chain).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the candidate's layer count differs from the evaluator's.
+    pub fn evaluate(&self, c: &DseCandidate) -> CandidateEval {
+        assert_eq!(
+            c.tile_sizes.len(),
+            self.predictions.len(),
+            "candidate layer count mismatch"
+        );
+        // Layers are independent; nested invocations (e.g. from
+        // `evaluate_batch`) degrade to sequential without changing results.
+        let per_layer = sofa_par::par_map_index(self.predictions.len(), |i| {
+            self.evaluator.evaluate_layer(i, c, &self.predictions[i])
+        });
+        let loss = per_layer.iter().map(|l| l.0).sum::<f64>() / per_layer.len() as f64;
+        let cycles = per_layer.iter().map(|l| l.1).sum::<u64>();
+        let energy_pj = per_layer.iter().map(|l| l.2).sum::<f64>();
+        CandidateEval {
+            candidate: c.clone(),
+            metrics: MetricVector {
+                loss,
+                cycles,
+                energy_pj,
+                area_mm2: candidate_area_mm2(c),
+            },
+        }
+    }
+
+    /// Scores a batch of candidates, fanning out across cores
+    /// (`sofa_par::par_map`). Bit-identical to calling
+    /// [`EvalSession::evaluate`] (or [`HwAwareEvaluator::evaluate`]) per
+    /// candidate, at any `SOFA_THREADS` — the differential property test in
+    /// `tests/property_tests.rs` enforces this.
+    pub fn evaluate_batch(&self, candidates: &[DseCandidate]) -> Vec<CandidateEval> {
+        sofa_par::par_map(candidates, |c| self.evaluate(c))
     }
 }
 

@@ -9,11 +9,12 @@
 //!
 //! ```text
 //! (tile sizes, keep ratio)
-//!   → SofaPipeline::run (per layer)          measured proxy loss + op counts
-//!   → PipelineResult::tile_selection_stats   real per-tile selection counts
-//!   → SofaAccelerator::tile_descriptors      per-tile work + DRAM traffic
-//!   → CycleSim::run_with_stats               end-to-end cycles
-//!   → sofa_hw energy / area models           energy (pJ) and area (mm²)
+//!   → SofaPipeline::predict (once per layer)  stage-1 DLZS scores, per search
+//!   → SofaPipeline::run_predicted (per layer) measured proxy loss + op counts
+//!   → PipelineResult::tile_selection_stats    real per-tile selection counts
+//!   → SofaAccelerator::tile_descriptors       per-tile work + DRAM traffic
+//!   → CycleSim::run_with_stats                end-to-end cycles
+//!   → sofa_hw energy / area models            energy (pJ) and area (mm²)
 //! ```
 //!
 //! — so each candidate is scored as a `(loss, cycles, energy_pj, area_mm2)`
@@ -26,7 +27,8 @@
 //! * [`search`] — the proxy-objective Bayesian/random search (the paper's
 //!   Algorithm 1, kept for the ablation experiment).
 //! * [`eval`] — [`HwAwareEvaluator`]: the candidate-to-metric-vector lowering
-//!   described above, batch-parallel via `sofa-par` and bit-identical at any
+//!   described above, scored through an [`EvalSession`] that predicts each
+//!   layer once, batch-parallel via `sofa-par` and bit-identical at any
 //!   `SOFA_THREADS`.
 //! * [`pareto`] — non-dominated filtering with deterministic dedup and
 //!   ordering.
@@ -53,7 +55,7 @@ pub mod search;
 pub mod space;
 pub mod surrogate;
 
-pub use eval::{CandidateEval, EvalConfig, HwAwareEvaluator, MetricVector};
+pub use eval::{CandidateEval, EvalConfig, EvalSession, HwAwareEvaluator, MetricVector};
 pub use pareto::{pareto_front, ParetoFront};
 pub use report::{hardware_aware_search, DseReport, DseSearchConfig, ScalarWeights};
 pub use search::{bayesian_optimize, random_search, DseConfig, DseResult};

@@ -15,11 +15,14 @@
 //!    evaluated, plus the balanced-scalar winner as the single tuned
 //!    recommendation.
 //!
-//! Every phase is a pure function of the evaluator's pinned inputs and the
-//! search seed, so the whole report is bit-identical at any `SOFA_THREADS` —
-//! the property the CI regression gate re-checks by running the search twice.
+//! All three phases score candidates through one [`EvalSession`], so the
+//! search runs each layer's stage-1 DLZS prediction once, however many
+//! candidates it lowers. Every phase is a pure function of the evaluator's
+//! pinned inputs and the search seed, so the whole report is bit-identical
+//! at any `SOFA_THREADS` — the property the CI regression gate re-checks by
+//! running the search twice.
 
-use crate::eval::{CandidateEval, HwAwareEvaluator, MetricVector};
+use crate::eval::{CandidateEval, EvalSession, HwAwareEvaluator, MetricVector};
 use crate::pareto::ParetoFront;
 use crate::space::{DseCandidate, DseSpace};
 use crate::surrogate::propose_next;
@@ -219,7 +222,8 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
     assert!(budget > 0, "search budget must be positive");
 
     let space = evaluator.space();
-    let paper_default = evaluator.evaluate(&space.paper_default_candidate());
+    let session = evaluator.session();
+    let paper_default = session.evaluate(&space.paper_default_candidate());
     let reference = paper_default.metrics;
 
     // The dedup memo: evaluation is a pure function of the candidate's
@@ -260,7 +264,7 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
             fresh.push(c.clone());
         }
     }
-    let fresh_evals = evaluator.evaluate_batch(&fresh);
+    let fresh_evals = session.evaluate_batch(&fresh);
     for e in &fresh_evals {
         memo.insert_computed(candidate_key(&e.candidate), e.metrics);
     }
@@ -280,7 +284,7 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
     let profile_indices: Vec<usize> = (0..cfg.profiles.len()).collect();
     let profile_runs: Vec<(Vec<CandidateEval>, u64)> = sofa_par::par_map(&profile_indices, |&p| {
         run_profile(
-            evaluator,
+            &session,
             &space,
             cfg,
             &cfg.profiles[p],
@@ -358,7 +362,7 @@ fn candidate_key(c: &DseCandidate) -> CandidateKey {
 /// profiles) or its own proposal history instead of re-lowering.
 #[allow(clippy::too_many_arguments)]
 fn run_profile(
-    evaluator: &HwAwareEvaluator,
+    session: &EvalSession<'_>,
     space: &DseSpace,
     cfg: &DseSearchConfig,
     weights: &ScalarWeights,
@@ -386,7 +390,7 @@ fn run_profile(
                 candidate: c,
             };
         }
-        let e = evaluator.evaluate(&c);
+        let e = session.evaluate(&c);
         local.insert_computed(key, e.metrics);
         e
     };
@@ -462,6 +466,28 @@ mod tests {
             let t = sofa_par::with_threads(threads, || smoke_report(17));
             assert_eq!(t, one, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_search_predicts_each_layer_once() {
+        // Stage 1 runs once per layer per search (and per batch), however
+        // many candidates are lowered.
+        let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(29), 2);
+        assert_eq!(evaluator.predictions(), 0, "construction predicts nothing");
+        let r = hardware_aware_search(&evaluator, &DseSearchConfig::smoke(29));
+        assert!(r.evaluations > 1);
+        assert_eq!(evaluator.predictions(), 2);
+        assert!(evaluator.layer_evals() > evaluator.predictions());
+
+        let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(29), 2);
+        let candidates: Vec<DseCandidate> = [0.1, 0.2, 0.3, 0.4, 0.5]
+            .iter()
+            .map(|&keep| DseCandidate::uniform(keep, 8, 2))
+            .collect();
+        let batch = evaluator.evaluate_batch(&candidates);
+        assert_eq!(batch.len(), candidates.len());
+        assert_eq!(evaluator.predictions(), evaluator.layers() as u64);
+        assert_eq!(evaluator.layer_evals(), 2 * candidates.len() as u64);
     }
 
     #[test]

@@ -403,6 +403,15 @@ proptest! {
                 evaluator.evaluate_batch(&candidates)
             });
             prop_assert_eq!(&batch, &reference, "threads={}", threads);
+            // One session scoring every candidate (its stage-1 predictions
+            // shared), one at a time and as a batch.
+            let (one_by_one, batch) = sofa_par::with_threads(threads, || {
+                let session = evaluator.session();
+                let one_by_one: Vec<_> = candidates.iter().map(|c| session.evaluate(c)).collect();
+                (one_by_one, session.evaluate_batch(&candidates))
+            });
+            prop_assert_eq!(&one_by_one, &reference, "session, threads={}", threads);
+            prop_assert_eq!(&batch, &reference, "session batch, threads={}", threads);
         }
     }
 
