@@ -983,6 +983,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid fleet config")]
+    fn zero_buffer_depth_rejected() {
+        let mut cfg = small_cfg(1, 1);
+        cfg.serve.sim.buffer_depth = 0;
+        FleetServeSim::new(cfg);
+    }
+
+    #[test]
     fn prefill_nodes_is_total_on_unvalidatable_configs() {
         // Regression: `clamp(1, nodes - 1)` panicked (min > max) for a
         // single-node disaggregated config inspected before validate(), and

@@ -352,6 +352,7 @@ impl ServeConfig {
     ///
     /// Returns a message naming the offending parameter.
     pub fn validate(&self) -> Result<(), String> {
+        self.sim.validate()?;
         if self.instances == 0 {
             return Err("instances must be positive".into());
         }
@@ -1952,6 +1953,22 @@ mod tests {
         bad.target_latency_cycles = 0;
         let _ = ServeSim::new(small_cfg(1))
             .run_with(&small_trace(2, 50.0, 1), OpRouter::Feedback(&front, &bad));
+    }
+
+    #[test]
+    fn zero_buffer_depth_is_rejected_by_validate() {
+        let mut cfg = small_cfg(1);
+        cfg.sim.buffer_depth = 0;
+        let err = cfg.validate().expect_err("zero banks must not validate");
+        assert!(err.contains("buffer_depth"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serve config")]
+    fn zero_buffer_depth_fails_at_construction() {
+        let mut cfg = small_cfg(1);
+        cfg.sim.buffer_depth = 0;
+        let _ = ServeSim::new(cfg);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! load imbalance from the Distributed Cluster Effect. This crate simulates
 //! the four-stage pipeline tile by tile instead:
 //!
-//! * [`event`] — the deterministic time-ordered event queue (a binary heap
-//!   with FIFO ties), the crate's one event core.
+//! * [`event`] — the deterministic time-ordered event queue (a sorted
+//!   pending window with FIFO ties), the crate's one event core.
 //! * [`pingpong`] — double-buffered SRAM banks with fill/drain occupancy.
 //! * [`dram`] — shared DRAM channel: per-port queues, round-robin
 //!   arbitration, bandwidth-limited transfers, per-burst latency.

@@ -87,6 +87,10 @@ impl TileSlot {
     }
 }
 
+/// `read_done` stamp of an operand fetch that has not arrived yet (a flat
+/// sentinel keeps a row at 32 bytes; `Option<u64>` would double it).
+const NOT_ARRIVED: u64 = u64::MAX;
+
 /// Tiles a drained prefix must reach before the stream storage is
 /// compacted (amortises the `drain` shift).
 const COMPACT_THRESHOLD: usize = 1024;
@@ -113,10 +117,11 @@ struct Instance {
     next_tile: [usize; STAGES],
     idle_since: [u64; STAGES],
     /// `read_done[tile - base][stage]`: when the stage's operand fetch for
-    /// the tile arrived. One row per tile (not one column per stage) so a
-    /// tile's submit is a single push and `try_start`'s lookup stays on the
-    /// row the `tiles` access just touched.
-    read_done: Vec<[Option<u64>; STAGES]>,
+    /// the tile arrived, [`NOT_ARRIVED`] until then. One row per tile (not
+    /// one column per stage) so a tile's submit is a single push and
+    /// `try_start`'s lookup stays on the row the `tiles` access just
+    /// touched.
+    read_done: Vec<[u64; STAGES]>,
     /// Tiles whose stage-0 key-stream read has been issued (prefetch window).
     pred_issued: usize,
     acts: [StageActivity; STAGES],
@@ -151,12 +156,12 @@ impl Instance {
     }
 
     fn read_done_at(&self, stage: usize, tile: usize) -> Option<u64> {
-        self.read_done[tile - self.base][stage]
+        let at = self.read_done[tile - self.base][stage];
+        (at != NOT_ARRIVED).then_some(at)
     }
 
     fn set_read_done(&mut self, stage: usize, tile: usize, now: u64) {
-        let i = tile - self.base;
-        self.read_done[i][stage] = Some(now);
+        self.read_done[tile - self.base][stage] = now;
     }
 
     /// Drops retired tiles from the front of the stream storage. A tile is
@@ -389,8 +394,9 @@ impl MultiPipelineSim {
                 .push(TileSlot::new(request, i + 1 == n, work, cycles));
             // The sorting stage never reads DRAM; everything else resolves
             // its operand fetch per tile.
-            ins.read_done
-                .push(std::array::from_fn(|s| (s == 1).then_some(now)));
+            ins.read_done.push(std::array::from_fn(
+                |s| if s == 1 { now } else { NOT_ARRIVED },
+            ));
         }
         // A stage that had drained its stream was idle for lack of work, not
         // stalled on a resource — restart its idle clock at the submission.
@@ -904,10 +910,70 @@ mod tests {
     fn event_core_records_stay_slim() {
         use crate::event::Scheduled;
         use std::mem::size_of;
+        fn row_size<T>(_: &[T]) -> usize {
+            size_of::<T>()
+        }
         assert_eq!(size_of::<MultiEvent>(), 16);
-        assert_eq!(size_of::<Scheduled<MultiEvent>>(), 32);
+        assert_eq!(size_of::<Scheduled<MultiEvent>>(), 24);
         assert_eq!(size_of::<TileSlot>(), 88);
         assert!(size_of::<TileSlot>() < size_of::<TileWork>());
+        assert_eq!(row_size(&Instance::new(2).read_done), 32);
+    }
+
+    #[test]
+    fn event_count_and_report_are_pinned() {
+        // A fixed 8-instance node at the serving timing (calibrated command
+        // cycles, aging at 4× the burst latency), two staggered requests per
+        // instance. Events and accounting are deterministic, so any change
+        // to the events per request or to the timing fails here on any host.
+        let sim = CycleSim::new(HwConfig::small());
+        let job = small_job(&sim);
+        let mut params = sim.params;
+        params.dram_age_threshold = 4 * params.burst_latency;
+        let params = params.with_dram_command_calibration(sim.accel.config());
+        let mut m = MultiPipelineSim::new(sim.accel.config(), 8, params);
+        let mut steps = 0u64;
+        for r in 0..16u64 {
+            let arrival = r * 500;
+            while m.next_event_time().is_some_and(|t| t <= arrival) {
+                m.step();
+                steps += 1;
+            }
+            m.submit((r % 8) as usize, r, &job, arrival);
+        }
+        while m.step().is_some() {
+            steps += 1;
+        }
+        assert_eq!(steps, 2080, "events for 16 requests");
+        let report = m.report();
+        assert_eq!(report.total_cycles, 179_126);
+        assert_eq!(
+            report.dram,
+            DramActivity {
+                bytes_read: 9_486_336,
+                bytes_written: 131_072,
+                busy_cycles: 177_872,
+            }
+        );
+        assert_eq!(report.dram_aged_issues, 519);
+        assert_eq!(report.dram_mean_queue_wait, 8998.515151515152);
+        let stalls: Vec<u64> = report
+            .instances
+            .iter()
+            .map(|i| i.stages.iter().map(|s| s.total_stall()).sum())
+            .collect();
+        assert_eq!(
+            stalls,
+            [576_105, 582_041, 590_465, 603_831, 606_977, 612_848, 617_119, 621_703]
+        );
+        for ins in &report.instances {
+            let busy: u64 = ins.stages.iter().map(|s| s.busy).sum();
+            assert_eq!((ins.requests, busy), (2, 66_144));
+        }
+        assert_eq!(
+            report.instances[0].buffer_occupancy,
+            [0.1848977814499291, 1.7200629724328127, 0.18436184585152351]
+        );
     }
 
     #[test]

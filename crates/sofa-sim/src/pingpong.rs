@@ -7,6 +7,11 @@
 //! when the consumer finishes draining it. The producer therefore stalls
 //! whenever both banks are occupied — exactly the back-pressure mechanism
 //! whose occupancy this module tracks.
+//!
+//! Producers reserve and consumers release tiles in stream order, so the
+//! resident banks always hold consecutive tiles: the oldest (next to drain)
+//! first and the one being filled last. Every operation therefore touches
+//! only one end of the window, and asserts that its tile is there.
 
 /// Lifecycle of one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +34,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct PingPongBuffer {
     capacity: usize,
+    /// Resident banks in stream order, oldest first.
     slots: Vec<Slot>,
     /// Last time the occupancy changed, for the occupancy integral.
     last_change: u64,
@@ -90,22 +96,23 @@ impl PingPongBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `tile` was never reserved.
+    /// Panics if `tile` is not the bank being filled (the newest resident).
     pub fn mark_ready(&mut self, tile: usize, now: u64) {
         let slot = self
             .slots
-            .iter_mut()
-            .find(|s| s.tile == tile && s.state == SlotState::Filling)
+            .last_mut()
+            .filter(|s| s.tile == tile && s.state == SlotState::Filling)
             .expect("mark_ready on unreserved tile");
         slot.state = SlotState::Ready;
         slot.ready_at = now;
     }
 
-    /// When `tile` became ready for the consumer (`None` if not yet ready).
+    /// When `tile` became ready for the consumer (`None` unless it is the
+    /// oldest resident and ready).
     pub fn ready_time(&self, tile: usize) -> Option<u64> {
         self.slots
-            .iter()
-            .find(|s| s.tile == tile && s.state == SlotState::Ready)
+            .first()
+            .filter(|s| s.tile == tile && s.state == SlotState::Ready)
             .map(|s| s.ready_at)
     }
 
@@ -113,15 +120,16 @@ impl PingPongBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `tile` is not resident and ready.
+    /// Panics if `tile` is not the oldest resident or not ready.
     pub fn release(&mut self, tile: usize, now: u64) {
-        let idx = self
-            .slots
-            .iter()
-            .position(|s| s.tile == tile && s.state == SlotState::Ready)
-            .expect("release of a tile that is not resident");
+        assert!(
+            self.slots
+                .first()
+                .is_some_and(|s| s.tile == tile && s.state == SlotState::Ready),
+            "release of a tile that is not resident"
+        );
         self.advance(now);
-        self.slots.remove(idx);
+        self.slots.remove(0);
         self.last_release = now;
     }
 
@@ -143,6 +151,132 @@ impl PingPongBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The buffer before the FIFO window: every operation searched the
+    /// resident banks for its tile. Kept as the reference.
+    struct SearchBuffer {
+        capacity: usize,
+        slots: Vec<Slot>,
+        last_change: u64,
+        occupancy_integral: u64,
+        last_release: u64,
+    }
+
+    impl SearchBuffer {
+        fn new(capacity: usize) -> Self {
+            SearchBuffer {
+                capacity,
+                slots: Vec::new(),
+                last_change: 0,
+                occupancy_integral: 0,
+                last_release: 0,
+            }
+        }
+
+        fn advance(&mut self, now: u64) {
+            self.occupancy_integral += self.slots.len() as u64 * (now - self.last_change);
+            self.last_change = now;
+        }
+
+        fn has_free_slot(&self) -> bool {
+            self.slots.len() < self.capacity
+        }
+
+        fn reserve(&mut self, tile: usize, now: u64) {
+            assert!(self.has_free_slot());
+            self.advance(now);
+            self.slots.push(Slot {
+                tile,
+                state: SlotState::Filling,
+                ready_at: u64::MAX,
+            });
+        }
+
+        fn mark_ready(&mut self, tile: usize, now: u64) {
+            let slot = self
+                .slots
+                .iter_mut()
+                .find(|s| s.tile == tile && s.state == SlotState::Filling)
+                .expect("reserved");
+            slot.state = SlotState::Ready;
+            slot.ready_at = now;
+        }
+
+        fn ready_time(&self, tile: usize) -> Option<u64> {
+            self.slots
+                .iter()
+                .find(|s| s.tile == tile && s.state == SlotState::Ready)
+                .map(|s| s.ready_at)
+        }
+
+        fn release(&mut self, tile: usize, now: u64) {
+            let idx = self
+                .slots
+                .iter()
+                .position(|s| s.tile == tile && s.state == SlotState::Ready)
+                .expect("resident");
+            self.advance(now);
+            self.slots.remove(idx);
+            self.last_release = now;
+        }
+
+        fn average_occupancy(&self, now: u64) -> f64 {
+            if now == 0 {
+                return self.slots.len() as f64;
+            }
+            let integral =
+                self.occupancy_integral + self.slots.len() as u64 * (now - self.last_change);
+            integral as f64 / now as f64
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random producer/consumer lifecycles in stream order (the only
+        /// order the pipeline uses): the window answers every query exactly
+        /// as the search-based buffer does, at depths 1 to 4.
+        #[test]
+        fn fifo_window_matches_the_search(
+            depth in 1usize..5,
+            ops in proptest::collection::vec((0u8..4, 0u64..4), 1..300),
+        ) {
+            let mut window = PingPongBuffer::new(depth);
+            let mut reference = SearchBuffer::new(depth);
+            // Next tile to reserve, the tile being filled, next to release.
+            let (mut now, mut next, mut filling, mut oldest) = (0u64, 0usize, None, 0usize);
+            for (op, dt) in ops {
+                now += [0, 1, 7, 300][dt as usize];
+                match op {
+                    0 if filling.is_none() && window.has_free_slot() => {
+                        window.reserve(next, now);
+                        reference.reserve(next, now);
+                        filling = Some(next);
+                        next += 1;
+                    }
+                    1 => {
+                        if let Some(tile) = filling.take() {
+                            window.mark_ready(tile, now);
+                            reference.mark_ready(tile, now);
+                        }
+                    }
+                    2 if window.ready_time(oldest).is_some() => {
+                        window.release(oldest, now);
+                        reference.release(oldest, now);
+                        oldest += 1;
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(window.ready_time(oldest), reference.ready_time(oldest));
+                proptest::prop_assert_eq!(window.has_free_slot(), reference.has_free_slot());
+                proptest::prop_assert_eq!(window.last_release_time(), reference.last_release);
+                proptest::prop_assert_eq!(
+                    window.average_occupancy(now).to_bits(),
+                    reference.average_occupancy(now).to_bits()
+                );
+            }
+        }
+    }
 
     #[test]
     fn fill_drain_lifecycle() {
@@ -191,6 +325,28 @@ mod tests {
         let mut b = PingPongBuffer::new(1);
         b.reserve(0, 0);
         b.reserve(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not resident")]
+    fn releasing_a_tile_behind_the_oldest_panics() {
+        let mut b = PingPongBuffer::new(2);
+        b.reserve(0, 0);
+        b.mark_ready(0, 1);
+        b.reserve(1, 1);
+        b.mark_ready(1, 2);
+        b.release(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreserved tile")]
+    fn marking_a_tile_other_than_the_filling_one_panics() {
+        // Tile 0 is resident and still filling, but the producer has moved
+        // on to tile 1: only the newest bank can complete.
+        let mut b = PingPongBuffer::new(2);
+        b.reserve(0, 0);
+        b.reserve(1, 1);
+        b.mark_ready(0, 2);
     }
 
     #[test]

@@ -78,6 +78,18 @@ impl SimParams {
             crate::dram::calibrate_dram_command_cycles(self.burst_latency, bytes_per_cycle);
         self
     }
+
+    /// Validates the parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.buffer_depth == 0 {
+            return Err("buffer_depth must be positive".into());
+        }
+        Ok(())
+    }
 }
 
 impl Default for SimParams {
