@@ -45,8 +45,13 @@ impl PredictionStats {
 /// The DLZS predictor with pre-converted `W_k` codes.
 #[derive(Debug, Clone)]
 pub struct DlzsPredictor {
-    /// Leading-zero codes of the quantised `W_k`, shape `(input_dim, head_dim)`.
-    wk_codes: Vec<LzCode>,
+    /// Each leading-zero code of the quantised `W_k` as the signed shift it
+    /// applies, `approx_mul_dlzs(1, code) = ±2^(e−1)` (0 for a zero code),
+    /// row-major with shape `(input_dim, head_dim)`.
+    wk_shifts: Vec<i64>,
+    /// Nonzero codes per `W_k` row: the shift-add lanes a nonzero token
+    /// value drives through that row.
+    row_lanes: Vec<u64>,
     input_dim: usize,
     head_dim: usize,
     /// Scale of the quantised weights (kept to report a consistently scaled K̂).
@@ -59,13 +64,20 @@ impl DlzsPredictor {
     /// format and store").
     pub fn prepare(wk: &Matrix) -> Self {
         let q = Quantized::from_matrix(8, wk);
-        let codes = q
+        let wk_shifts: Vec<i64> = q
             .codes()
             .iter()
-            .map(|&c| encode(c, 8))
-            .collect::<Vec<LzCode>>();
+            .map(|&c| approx_mul_dlzs(1, encode(c, 8)))
+            .collect();
+        let row_lanes = (0..wk.rows())
+            .map(|n| {
+                let shifts = &wk_shifts[n * wk.cols()..(n + 1) * wk.cols()];
+                shifts.iter().filter(|&&m| m != 0).count() as u64
+            })
+            .collect();
         DlzsPredictor {
-            wk_codes: codes,
+            wk_shifts,
+            row_lanes,
             input_dim: wk.rows(),
             head_dim: wk.cols(),
             wk_scale: q.params.scale,
@@ -85,7 +97,7 @@ impl DlzsPredictor {
     /// Bytes of DRAM the pre-converted weights occupy (4-bit exponent + sign
     /// packed into 5 bits per weight, as in the paper's storage analysis).
     pub fn weight_storage_bytes(&self) -> u64 {
-        packed_bytes(self.wk_codes.len(), LzCode::storage_bits(8)) as u64
+        packed_bytes(self.input_dim * self.head_dim, LzCode::storage_bits(8)) as u64
     }
 
     /// Phase 1.1 — predicts `K̂ = X · W_k` with shift-add only.
@@ -101,35 +113,37 @@ impl DlzsPredictor {
         assert_eq!(x.cols(), self.input_dim, "token width mismatch");
         let xq = Quantized::from_matrix(8, x);
         let out_scale = xq.params.scale * self.wk_scale;
-        // Token rows are independent: fan out across cores, tally one
-        // OpCounts per row and sum them in row order afterwards, so both
-        // K̂ and the counters are bit-identical to the sequential loop.
+        // Each nonzero token value shifts one whole `W_k` row into the
+        // accumulators (the zero-eliminator drops zero tokens and zero codes,
+        // which shift to 0). Integer sums do not depend on order, so K̂ equals
+        // the per-element dot product. Token rows are independent: fan out
+        // across cores and merge in row order (bit-identical at any thread
+        // count).
         let rows = sofa_par::par_map_index(x.rows(), |i| {
-            let xrow = xq.row(i);
-            let mut ops = OpCounts::new();
-            let mut vals = vec![0.0f32; self.head_dim];
-            for (j, slot) in vals.iter_mut().enumerate() {
-                let mut acc: i64 = 0;
-                for (n, &xv) in xrow.iter().enumerate() {
-                    let code = self.wk_codes[n * self.head_dim + j];
-                    if xv == 0 || code.is_zero() {
-                        // The zero-eliminator removes these lanes in hardware.
-                        continue;
-                    }
-                    acc += approx_mul_dlzs(xv, code);
-                    ops.record(OpKind::Shift, 1);
-                    ops.record(OpKind::Add, 1);
+            let mut acc = vec![0i64; self.head_dim];
+            let mut lanes = 0;
+            for (n, &xv) in xq.row(i).iter().enumerate() {
+                if xv == 0 {
+                    continue;
                 }
-                // Truncated to 16 bits in hardware before the next phase.
-                let acc = acc.clamp(i16::MIN as i64, i16::MAX as i64);
-                *slot = acc as f32 * out_scale;
+                lanes += self.row_lanes[n];
+                let xv = i64::from(xv);
+                let shifts = &self.wk_shifts[n * self.head_dim..(n + 1) * self.head_dim];
+                for (a, &m) in acc.iter_mut().zip(shifts) {
+                    *a += xv * m;
+                }
             }
-            (vals, ops)
+            // Truncated to 16 bits in hardware before the next phase.
+            let vals: Vec<f32> = acc
+                .iter()
+                .map(|&a| a.clamp(i16::MIN as i64, i16::MAX as i64) as f32 * out_scale)
+                .collect();
+            (vals, lanes)
         });
         let mut out = Matrix::zeros(x.rows(), self.head_dim);
-        for (i, (vals, ops)) in rows.into_iter().enumerate() {
+        for (i, (vals, lanes)) in rows.into_iter().enumerate() {
             out.row_mut(i).copy_from_slice(&vals);
-            stats.ops += ops;
+            record_shift_adds(&mut stats.ops, lanes);
         }
         stats.weight_bytes += self.weight_storage_bytes();
         stats.activation_bytes += (x.rows() * x.cols()) as u64; // 8-bit tokens
@@ -154,36 +168,50 @@ impl DlzsPredictor {
         let qq = Quantized::from_matrix(16, q);
         let kq = Quantized::from_matrix(16, k_hat);
         let out_scale = qq.params.scale * kq.params.scale;
-        // Convert Q once per element (configurable 16-bit LZE).
-        let q_codes: Vec<LzCode> = qq.codes().iter().map(|&c| encode(c, 16)).collect();
-        stats.ops.record(OpKind::LzEncode, q_codes.len() as u64);
+        // Convert Q once per element (configurable 16-bit LZE), kept as the
+        // signed shift each code applies.
+        let q_shifts: Vec<i64> = qq
+            .codes()
+            .iter()
+            .map(|&c| approx_mul_dlzs(1, encode(c, 16)))
+            .collect();
+        stats.ops.record(OpKind::LzEncode, q_shifts.len() as u64);
+        // Nonzero K̂ values per head-dimension column: a nonzero query code
+        // in column `d` drives that many shift-add lanes.
+        let mut col_lanes = vec![0u64; q.cols()];
+        for j in 0..kq.rows() {
+            for (lanes, &kv) in col_lanes.iter_mut().zip(kq.row(j)) {
+                *lanes += u64::from(kv != 0);
+            }
+        }
 
         // Query rows are independent — same fan-out/ordered-merge scheme as
         // the key-prediction phase (bit-identical at any thread count).
         let rows = sofa_par::par_map_index(q.rows(), |i| {
-            let qrow = &q_codes[i * q.cols()..(i + 1) * q.cols()];
-            let mut ops = OpCounts::new();
-            let mut vals = vec![0.0f32; k_hat.rows()];
-            for (j, slot) in vals.iter_mut().enumerate() {
-                let krow = kq.row(j);
-                let mut acc: i64 = 0;
-                for (d, &code) in qrow.iter().enumerate() {
-                    let kv = krow[d];
-                    if kv == 0 || code.is_zero() {
-                        continue;
-                    }
-                    acc += approx_mul_dlzs(kv, code);
-                    ops.record(OpKind::Shift, 1);
-                    ops.record(OpKind::Add, 1);
-                }
-                *slot = acc as f32 * out_scale;
-            }
-            (vals, ops)
+            let shifts = &q_shifts[i * q.cols()..(i + 1) * q.cols()];
+            let lanes = shifts
+                .iter()
+                .zip(&col_lanes)
+                .filter(|&(&m, _)| m != 0)
+                .map(|(_, &n)| n)
+                .sum();
+            let vals: Vec<f32> = (0..kq.rows())
+                .map(|j| {
+                    let acc: i64 = kq
+                        .row(j)
+                        .iter()
+                        .zip(shifts)
+                        .map(|(&kv, &m)| i64::from(kv) * m)
+                        .sum();
+                    acc as f32 * out_scale
+                })
+                .collect();
+            (vals, lanes)
         });
         let mut out = Matrix::zeros(q.rows(), k_hat.rows());
-        for (i, (vals, ops)) in rows.into_iter().enumerate() {
+        for (i, (vals, lanes)) in rows.into_iter().enumerate() {
             out.row_mut(i).copy_from_slice(&vals);
-            stats.ops += ops;
+            record_shift_adds(&mut stats.ops, lanes);
         }
         stats.activation_bytes += (q.rows() * q.cols() * 2) as u64; // 16-bit Q
         out
@@ -197,6 +225,12 @@ impl DlzsPredictor {
         let scores = self.predict_scores(q, &k_hat, &mut stats);
         (scores, stats)
     }
+}
+
+/// Counts one shift and one add per active lane.
+fn record_shift_adds(ops: &mut OpCounts, lanes: u64) {
+    ops.record(OpKind::Shift, lanes);
+    ops.record(OpKind::Add, lanes);
 }
 
 /// Baseline: 4-bit integer multiplication prediction of `Q·Kᵀ` (what prior
@@ -418,6 +452,116 @@ mod tests {
         let p = DlzsPredictor::prepare(&wk);
         let mut s = PredictionStats::default();
         let _ = p.predict_keys(&Matrix::zeros(3, 9), &mut s);
+    }
+
+    /// The per-element DLZS loops the row-major kernels replaced: one
+    /// `approx_mul_dlzs` and one shift/add tally per nonzero lane, K̂
+    /// column-strided over the codes.
+    fn reference_predict(wk: &Matrix, x: &Matrix, q: &Matrix) -> (Matrix, Matrix, PredictionStats) {
+        let mut stats = PredictionStats::default();
+        let wq = Quantized::from_matrix(8, wk);
+        let wk_codes: Vec<LzCode> = wq.codes().iter().map(|&c| encode(c, 8)).collect();
+        let (input_dim, head_dim) = (wk.rows(), wk.cols());
+        let xq = Quantized::from_matrix(8, x);
+        let out_scale = xq.params.scale * wq.params.scale;
+        let mut k_hat = Matrix::zeros(x.rows(), head_dim);
+        for i in 0..x.rows() {
+            for j in 0..head_dim {
+                let mut acc: i64 = 0;
+                for n in 0..input_dim {
+                    let (xv, code) = (xq.code(i, n), wk_codes[n * head_dim + j]);
+                    if xv == 0 || code.is_zero() {
+                        continue;
+                    }
+                    acc += approx_mul_dlzs(xv, code);
+                    stats.ops.record(OpKind::Shift, 1);
+                    stats.ops.record(OpKind::Add, 1);
+                }
+                let acc = acc.clamp(i16::MIN as i64, i16::MAX as i64);
+                k_hat.set(i, j, acc as f32 * out_scale);
+            }
+        }
+        stats.weight_bytes += packed_bytes(wk_codes.len(), LzCode::storage_bits(8)) as u64;
+        stats.activation_bytes += (x.rows() * x.cols()) as u64;
+
+        let qq = Quantized::from_matrix(16, q);
+        let kq = Quantized::from_matrix(16, &k_hat);
+        let out_scale = qq.params.scale * kq.params.scale;
+        let q_codes: Vec<LzCode> = qq.codes().iter().map(|&c| encode(c, 16)).collect();
+        stats.ops.record(OpKind::LzEncode, q_codes.len() as u64);
+        let mut scores = Matrix::zeros(q.rows(), k_hat.rows());
+        for i in 0..q.rows() {
+            for j in 0..k_hat.rows() {
+                let mut acc: i64 = 0;
+                for d in 0..q.cols() {
+                    let (kv, code) = (kq.code(j, d), q_codes[i * q.cols() + d]);
+                    if kv == 0 || code.is_zero() {
+                        continue;
+                    }
+                    acc += approx_mul_dlzs(kv, code);
+                    stats.ops.record(OpKind::Shift, 1);
+                    stats.ops.record(OpKind::Add, 1);
+                }
+                scores.set(i, j, acc as f32 * out_scale);
+            }
+        }
+        stats.activation_bytes += (q.rows() * q.cols() * 2) as u64;
+        (k_hat, scores, stats)
+    }
+
+    /// A `rows × cols` matrix in `[-1, 1)` where each entry is zero with
+    /// probability `zero_frac`, drawn from a splitmix64 stream.
+    fn sparse_matrix(rows: usize, cols: usize, zero_frac: f64, seed: u64) -> Matrix {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        Matrix::from_fn(rows, cols, |_, _| {
+            let (keep, v) = (next() >= zero_frac, next());
+            if keep {
+                (2.0 * v - 1.0) as f32
+            } else {
+                0.0
+            }
+        })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The row-major kernels reproduce the per-element loops' K̂ and Â
+        /// bits and every `PredictionStats` field, on random shapes with
+        /// dense to all-zero tokens, weights and queries.
+        #[test]
+        fn row_major_dlzs_matches_the_element_loops(
+            shape in (1usize..6, 1usize..48, 1usize..40, 1usize..24),
+            zeros in (0usize..5, 0usize..5, 0usize..5),
+            seed in 0u64..1_000_000,
+        ) {
+            let (queries, seq_len, input_dim, head_dim) = shape;
+            // Zero fractions 0, 0.5, 0.9, 0.99 and 1 per operand.
+            let frac = |z: usize| [0.0, 0.5, 0.9, 0.99, 1.0][z];
+            let x = sparse_matrix(seq_len, input_dim, frac(zeros.0), seed);
+            let wk = sparse_matrix(input_dim, head_dim, frac(zeros.1), seed ^ 0xA5);
+            let q = sparse_matrix(queries, head_dim, frac(zeros.2), seed ^ 0x5A);
+            let (ref_k, ref_scores, ref_stats) = reference_predict(&wk, &x, &q);
+            let predictor = DlzsPredictor::prepare(&wk);
+            let mut stats = PredictionStats::default();
+            let k_hat = predictor.predict_keys(&x, &mut stats);
+            let scores = predictor.predict_scores(&q, &k_hat, &mut stats);
+            proptest::prop_assert_eq!(bits(&k_hat), bits(&ref_k));
+            proptest::prop_assert_eq!(bits(&scores), bits(&ref_scores));
+            proptest::prop_assert_eq!(stats, ref_stats);
+            proptest::prop_assert_eq!(predictor.predict(&x, &q), (scores, stats));
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!    tokens and the pre-converted `W_k` (no multiplications).
 //! 2. **Top-k** — SADS picks the vital Q-K pairs per tile.
 //! 3. **On-demand KV generation** — only the keys/values some query actually
-//!    selected are projected (`K_i = x_i·W_k`, `V_i = x_i·W_v`).
+//!    selected are generated (`K_i = x_i·W_k`, `V_i = x_i·W_v`) and counted.
 //! 4. **Formal compute** — SU-FA consumes the sorted mask and produces the
 //!    attention output without re-deriving the softmax maximum.
 //!
@@ -14,10 +14,13 @@
 //! whole-row sorting, FlashAttention-2) so the ablation of paper Fig. 17 falls
 //! out of a single configurable pipeline.
 //!
-//! Stage 1 reads only the workload and the prediction scheme — never the
-//! keep ratio or tile size — so it is exposed on its own:
-//! [`SofaPipeline::predict`] returns a [`Prediction`] and
-//! [`SofaPipeline::run_predicted`] runs stages 2–4 on it.
+//! Stage 1 and the K/V projections of stage 3 read only the workload and the
+//! prediction scheme — never the keep ratio or tile size — so they are
+//! exposed on their own: [`SofaPipeline::predict`] returns a [`Prediction`]
+//! holding `Â` and every projected K/V row, and
+//! [`SofaPipeline::run_predicted`] runs stages 2–4 on it. Stage 3 still
+//! counts only the rows the mask needs, because the modelled hardware
+//! generates them on demand; stage 4 reads only those rows.
 //! [`SofaPipeline::run`] is exactly the two in sequence; a caller that scores
 //! many `(keep, Bc)` points on one workload (the hardware-aware DSE) predicts
 //! once and reuses the prediction, with bit-identical results.
@@ -206,42 +209,21 @@ impl PipelineResult {
     }
 }
 
-/// The output of stage 1 (pre-compute): the predicted score matrix `Â`,
-/// shape `(queries, seq_len)`, and the cost of predicting it. It depends only
-/// on the workload and the [`PredictionScheme`], so one prediction serves
-/// every keep ratio and tile size ([`SofaPipeline::run_predicted`]).
+/// The candidate-independent half of a run: stage 1's predicted score
+/// matrix `Â`, shape `(queries, seq_len)`, with the cost of predicting it,
+/// and the K/V projection of every token row. It depends only on the
+/// workload and the [`PredictionScheme`], so one prediction serves every
+/// keep ratio and tile size ([`SofaPipeline::run_predicted`]).
 #[derive(Debug, Clone)]
 pub struct Prediction {
     /// The predicted attention scores.
     pub scores: Matrix,
     /// Operation/traffic statistics of the prediction.
     pub stats: PredictionStats,
-}
-
-/// Reusable per-run scratch buffers (the on-demand K/V matrices), so a
-/// batched run allocates once per worker instead of once per workload.
-/// Reuse never changes results: the buffers are reshaped and zeroed before
-/// every run, exactly matching a fresh [`Matrix::zeros`].
-#[derive(Debug)]
-pub struct RunScratch {
-    keys: Matrix,
-    values: Matrix,
-}
-
-impl RunScratch {
-    /// Creates empty scratch; buffers grow to the largest workload they see.
-    pub fn new() -> Self {
-        RunScratch {
-            keys: Matrix::zeros(0, 0),
-            values: Matrix::zeros(0, 0),
-        }
-    }
-}
-
-impl Default for RunScratch {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// `K = X·W_k` for every token row, shape `(seq_len, head_dim)`.
+    pub keys: Matrix,
+    /// `V = X·W_v` for every token row, shape `(seq_len, head_dim)`.
+    pub values: Matrix,
 }
 
 /// The configurable SOFA pipeline.
@@ -292,11 +274,10 @@ impl SofaPipeline {
     /// statistics instead, trading mask fidelity for sweep speed.)
     ///
     /// Workloads are independent, so the batch fans out across CPU cores
-    /// (`sofa_par::par_chunks`, worker count from `SOFA_THREADS`), with one
-    /// reusable [`RunScratch`] per worker instead of fresh allocations per
-    /// workload. Results are bit-identical to calling [`SofaPipeline::run`]
-    /// per workload, at any thread count — the differential property test
-    /// in `tests/property_tests.rs` enforces this.
+    /// (`sofa_par::par_map_index`, worker count from `SOFA_THREADS`).
+    /// Results are bit-identical to calling [`SofaPipeline::run`] per
+    /// workload, at any thread count — the differential property test in
+    /// `tests/property_tests.rs` enforces this.
     ///
     /// # Panics
     ///
@@ -338,44 +319,26 @@ impl SofaPipeline {
     }
 
     /// Shared fan-out of `run_batch`/`run_layers`: workload `i` runs at
-    /// layer `layer_of(i)` of `op`, one scratch per worker.
+    /// layer `layer_of(i)` of `op`.
     fn run_mapped(
         &self,
         op: &OperatingPoint,
         workloads: &[AttentionWorkload],
         layer_of: impl Fn(usize) -> usize + Sync,
     ) -> Vec<PipelineResult> {
-        sofa_par::par_chunks(workloads, |start, chunk| {
-            let mut scratch = RunScratch::new();
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(offset, w)| {
-                    self.at_layer(op, layer_of(start + offset))
-                        .run_with_scratch(w, &mut scratch)
-                })
-                .collect()
+        sofa_par::par_map_index(workloads.len(), |i| {
+            self.at_layer(op, layer_of(i)).run(&workloads[i])
         })
     }
 
     /// Runs the full pipeline on one workload.
     pub fn run(&self, w: &AttentionWorkload) -> PipelineResult {
-        self.run_with_scratch(w, &mut RunScratch::new())
+        self.run_predicted(w, &self.predict(w))
     }
 
-    /// Runs the full pipeline on one workload, reusing `scratch`'s buffers
-    /// for the on-demand K/V matrices. Output is identical to
-    /// [`SofaPipeline::run`]; only the allocation behaviour differs.
-    pub fn run_with_scratch(
-        &self,
-        w: &AttentionWorkload,
-        scratch: &mut RunScratch,
-    ) -> PipelineResult {
-        self.run_predicted(w, &self.predict(w), scratch)
-    }
-
-    /// Stage 1 alone: predicts `w`'s attention scores with this pipeline's
-    /// [`PredictionScheme`]. The keep ratio and tile size play no part.
+    /// The candidate-independent half: predicts `w`'s attention scores with
+    /// this pipeline's [`PredictionScheme`] (stage 1) and projects every K/V
+    /// row. The keep ratio and tile size play no part.
     pub fn predict(&self, w: &AttentionWorkload) -> Prediction {
         let mut stats = PredictionStats::default();
         let scores = match self.cfg.prediction {
@@ -387,18 +350,19 @@ impl SofaPipeline {
             PredictionScheme::Int4Multiply => predict_scores_int4(&w.x, &w.wk, &w.q, &mut stats),
             PredictionScheme::VanillaLz => predict_scores_vanilla_lz(&w.x, &w.wk, &w.q, &mut stats),
         };
-        Prediction { scores, stats }
+        let (keys, values) = project_kv(w);
+        Prediction {
+            scores,
+            stats,
+            keys,
+            values,
+        }
     }
 
-    /// Stages 2–4 on an existing stage-1 `prediction` of `w` (from
+    /// Stages 2–4 on an existing `prediction` of `w` (from
     /// [`SofaPipeline::predict`] under the same prediction scheme). Together
-    /// the two calls are [`SofaPipeline::run_with_scratch`], bit for bit.
-    pub fn run_predicted(
-        &self,
-        w: &AttentionWorkload,
-        prediction: &Prediction,
-        scratch: &mut RunScratch,
-    ) -> PipelineResult {
+    /// the two calls are [`SofaPipeline::run`], bit for bit.
+    pub fn run_predicted(&self, w: &AttentionWorkload, prediction: &Prediction) -> PipelineResult {
         let s = w.seq_len();
         let k = resolve_k(s, self.cfg.keep_ratio);
         let predicted_scores = &prediction.scores;
@@ -422,10 +386,11 @@ impl SofaPipeline {
         };
 
         // Stage 3: on-demand KV generation — only the keys any query needs.
-        let needed = mask.union_of_keys();
-        let mut kv_generation_ops = OpCounts::new();
-        generate_kv_on_demand(w, &needed, &mut kv_generation_ops, scratch);
-        let (keys, values) = (&scratch.keys, &scratch.values);
+        // The rows were projected with the prediction; the hardware would
+        // generate exactly the needed ones, and stage 4 reads only those.
+        let keys_generated = mask.union_of_keys().len();
+        let kv_generation_ops = kv_generation_ops(w, keys_generated);
+        let (keys, values) = (&prediction.keys, &prediction.values);
 
         // Stage 4: formal compute.
         let mut formal_ops = OpCounts::new();
@@ -454,45 +419,45 @@ impl SofaPipeline {
             kv_generation_ops,
             formal_ops,
             sufa_stats,
-            keys_generated: needed.len(),
+            keys_generated,
         }
     }
 }
 
-/// Generates only the needed K/V rows (`K_i = x_i·W_k`, `V_i = x_i·W_v`)
-/// into `scratch`'s reset buffers, leaving unneeded rows zero. Counts one
-/// multiply and one add per MAC.
+/// Projects every token row into `K = X·W_k` and `V = X·W_v`.
 ///
 /// Each output row accumulates `x_i · W[i]` over the weight rows `i` in
-/// ascending order, streaming `W_k`/`W_v` row-major. Every element is still
-/// the sum `0.0 + x_0·w_0j + x_1·w_1j + …` in that order, so the bits equal a
-/// column-at-a-time dot product. `needed` holds distinct rows (as
-/// [`TopKMask::union_of_keys`] returns them).
-fn generate_kv_on_demand(
-    w: &AttentionWorkload,
-    needed: &[usize],
-    ops: &mut OpCounts,
-    scratch: &mut RunScratch,
-) {
+/// ascending order into a zeroed row, streaming `W_k`/`W_v` row-major. Every
+/// element is the sum `0.0 + x_0·w_0j + x_1·w_1j + …` in that order, so the
+/// bits equal a column-at-a-time dot product.
+fn project_kv(w: &AttentionWorkload) -> (Matrix, Matrix) {
     let d = w.wk.cols();
-    let n = w.x.cols();
-    scratch.keys.reset_zeros(w.seq_len(), d);
-    scratch.values.reset_zeros(w.seq_len(), d);
-    for &row in needed {
-        let (keys, values) = (scratch.keys.row_mut(row), scratch.values.row_mut(row));
+    let mut keys = Matrix::zeros(w.seq_len(), d);
+    let mut values = Matrix::zeros(w.seq_len(), d);
+    for row in 0..w.seq_len() {
+        let (k_row, v_row) = (keys.row_mut(row), values.row_mut(row));
         for (i, &x) in w.x.row(row).iter().enumerate() {
-            for ((k, v), (&wk, &wv)) in keys
+            for ((k, v), (&wk, &wv)) in k_row
                 .iter_mut()
-                .zip(values.iter_mut())
+                .zip(v_row.iter_mut())
                 .zip(w.wk.row(i).iter().zip(w.wv.row(i)))
             {
                 *k += x * wk;
                 *v += x * wv;
             }
         }
-        ops.record(OpKind::Mul, 2 * (n * d) as u64);
-        ops.record(OpKind::Add, 2 * (n * d) as u64);
     }
+    (keys, values)
+}
+
+/// Operation counts of generating `rows` K/V rows on demand: one multiply
+/// and one add per MAC of both projections.
+fn kv_generation_ops(w: &AttentionWorkload, rows: usize) -> OpCounts {
+    let macs = 2 * (rows * w.x.cols() * w.wk.cols()) as u64;
+    let mut ops = OpCounts::new();
+    ops.record(OpKind::Mul, macs);
+    ops.record(OpKind::Add, macs);
+    ops
 }
 
 /// Baseline formal compute: per query row, gather the selected keys/values and
@@ -604,24 +569,6 @@ mod tests {
         // silently turn a request batch into per-layer lowering.
         let pipeline = SofaPipeline::new(PipelineConfig::new(0.25, 16).unwrap());
         let _ = pipeline.run_batch(&OperatingPoint::paper_default(2), &[workload(), workload()]);
-    }
-
-    #[test]
-    fn scratch_reuse_across_shapes_changes_nothing() {
-        // One scratch serving a large → small → large sequence must produce
-        // the same bits as fresh per-run allocation, including after the
-        // buffers shrink and regrow.
-        let big = workload();
-        let small = AttentionWorkload::generate(&ScoreDistribution::gpt_like(), 4, 64, 32, 16, 5);
-        let pipeline = SofaPipeline::new(PipelineConfig::new(0.25, 16).unwrap());
-        let mut scratch = RunScratch::new();
-        let b1 = pipeline.run_with_scratch(&big, &mut scratch);
-        let s1 = pipeline.run_with_scratch(&small, &mut scratch);
-        let b2 = pipeline.run_with_scratch(&big, &mut scratch);
-        assert_eq!(b1.output, pipeline.run(&big).output);
-        assert_eq!(s1.output, pipeline.run(&small).output);
-        assert_eq!(b1.output, b2.output);
-        assert_eq!(b1.mask, b2.mask);
     }
 
     #[test]
@@ -743,8 +690,9 @@ mod tests {
         assert!(cos > 0.999, "formal stages disagree: {cos}");
     }
 
-    /// The column-at-a-time K/V loop the row-major kernel replaced: one dot
-    /// product per output element through `Matrix::get`.
+    /// The column-at-a-time on-demand K/V loop: one dot product per output
+    /// element through `Matrix::get`, for the `needed` rows only, into zeroed
+    /// matrices.
     fn reference_kv(
         w: &AttentionWorkload,
         needed: &[usize],
@@ -772,6 +720,66 @@ mod tests {
         (keys, values)
     }
 
+    /// Stages 2–4 as an on-demand run computes them: top-k on the predicted
+    /// scores, then only the needed K/V rows generated by the column loop
+    /// (every other row left zero), then the formal stage on those buffers.
+    fn reference_on_demand_run(
+        cfg: &PipelineConfig,
+        w: &AttentionWorkload,
+        scores: &Matrix,
+    ) -> (
+        Matrix,
+        TopKMask,
+        OpCounts,
+        OpCounts,
+        OpCounts,
+        SuFaStats,
+        usize,
+    ) {
+        let s = w.seq_len();
+        let k = resolve_k(s, cfg.keep_ratio);
+        let (mask, sorting_ops) = match cfg.sorting {
+            SortingScheme::Sads => sads_topk(
+                scores,
+                k,
+                &SadsConfig::from_tile_size(s, cfg.tile_size, cfg.radius_frac, cfg.refine_iters),
+            ),
+            SortingScheme::FullSort => {
+                let mut ops = OpCounts::new();
+                (topk_exact(scores, k, &mut ops), ops)
+            }
+        };
+        let needed = mask.union_of_keys();
+        let mut kv_ops = OpCounts::new();
+        let (keys, values) = reference_kv(w, &needed, &mut kv_ops);
+        let mut formal_ops = OpCounts::new();
+        let (output, sufa) = match cfg.formal {
+            FormalScheme::SuFa(order) => {
+                sorted_updating_attention(&w.q, &keys, &values, &mask, order, &mut formal_ops)
+            }
+            FormalScheme::Flash(version) => (
+                flash_over_mask(
+                    &w.q,
+                    &keys,
+                    &values,
+                    &mask,
+                    &FlashConfig::new(cfg.tile_size, version),
+                    &mut formal_ops,
+                ),
+                SuFaStats::default(),
+            ),
+        };
+        (
+            output,
+            mask,
+            sorting_ops,
+            kv_ops,
+            formal_ops,
+            sufa,
+            needed.len(),
+        )
+    }
+
     fn bits(m: &Matrix) -> Vec<u32> {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
@@ -779,14 +787,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// The row-major K/V kernel produces the reference loop's exact bits
-        /// and op counts on random shapes (widths of 1 and odd sizes
-        /// included) and random needed-row sets: empty, every row, sparse.
+        /// The projected K/V rows carry the column loop's exact bits, and
+        /// `run_predicted` counts stage 3 exactly as generating the mask's
+        /// key union on demand would, on random shapes (widths of 1 and odd
+        /// sizes included) and keep ratios from a single key to every key.
         #[test]
         fn row_major_kv_matches_the_column_loop_bit_for_bit(
             shape in (1usize..40, 1usize..20, 1usize..20, 0u64..1000),
-            mode in 0usize..3,
-            picks in proptest::collection::vec(proptest::bool::ANY, 40),
+            keep in 0.01f64..1.0,
+            bc in 1usize..48,
         ) {
             let (seq_len, input_dim, head_dim, seed) = shape;
             let w = AttentionWorkload::generate(
@@ -797,31 +806,65 @@ mod tests {
                 head_dim,
                 seed,
             );
-            let needed: Vec<usize> = match mode {
-                0 => Vec::new(),
-                1 => (0..seq_len).collect(),
-                _ => (0..seq_len).filter(|&i| picks[i]).collect(),
-            };
+            let pipeline = SofaPipeline::new(PipelineConfig::new(keep, bc).unwrap());
+            let prediction = pipeline.predict(&w);
+            let all: Vec<usize> = (0..seq_len).collect();
+            let (keys, values) = reference_kv(&w, &all, &mut OpCounts::new());
+            proptest::prop_assert_eq!(bits(&prediction.keys), bits(&keys));
+            proptest::prop_assert_eq!(bits(&prediction.values), bits(&values));
+
+            let result = pipeline.run_predicted(&w, &prediction);
+            let needed = result.mask.union_of_keys();
             let mut ref_ops = OpCounts::new();
-            let (keys, values) = reference_kv(&w, &needed, &mut ref_ops);
-            let mut ops = OpCounts::new();
-            // A dirty, differently shaped scratch must not leak into the run.
-            let mut scratch = RunScratch::new();
-            scratch.keys = Matrix::from_fn(3, 5, |i, j| (i + j) as f32);
-            scratch.values = Matrix::from_fn(7, 2, |i, j| (i * j) as f32 - 1.0);
-            generate_kv_on_demand(&w, &needed, &mut ops, &mut scratch);
-            proptest::prop_assert_eq!(scratch.keys.shape(), keys.shape());
-            proptest::prop_assert_eq!(scratch.values.shape(), values.shape());
-            proptest::prop_assert_eq!(bits(&scratch.keys), bits(&keys));
-            proptest::prop_assert_eq!(bits(&scratch.values), bits(&values));
-            proptest::prop_assert_eq!(ops, ref_ops);
+            let _ = reference_kv(&w, &needed, &mut ref_ops);
+            proptest::prop_assert_eq!(result.kv_generation_ops, ref_ops);
+            proptest::prop_assert_eq!(result.keys_generated, needed.len());
+        }
+
+        /// One prediction, reused across a keep × Bc grid, reproduces an
+        /// on-demand run bit for bit: the rows outside each mask are
+        /// projected too, and no formal stage may read them.
+        #[test]
+        fn a_shared_prediction_matches_on_demand_runs_bit_for_bit(
+            shape in (1usize..6, 1usize..96, 1usize..24, 1usize..20),
+            seed in 0u64..1000,
+            flash in proptest::bool::ANY,
+        ) {
+            let (queries, seq_len, input_dim, head_dim) = shape;
+            let w = AttentionWorkload::generate(
+                &ScoreDistribution::gpt_like(),
+                queries,
+                seq_len,
+                input_dim,
+                head_dim,
+                seed,
+            );
+            let shared = SofaPipeline::new(PipelineConfig::new(0.5, 16).unwrap()).predict(&w);
+            for keep in [0.01, 0.05, 0.25, 0.6, 1.0] {
+                for bc in [1, 2, 5, 16, 28, 64] {
+                    let mut cfg = PipelineConfig::new(keep, bc).unwrap();
+                    if flash {
+                        cfg = cfg.with_formal(FormalScheme::Flash(FlashVersion::V2));
+                    }
+                    let got = SofaPipeline::new(cfg).run_predicted(&w, &shared);
+                    let (output, mask, sorting, kv, formal, sufa, keys) =
+                        reference_on_demand_run(&cfg, &w, &shared.scores);
+                    proptest::prop_assert_eq!(bits(&got.output), bits(&output));
+                    proptest::prop_assert_eq!(&got.mask, &mask);
+                    proptest::prop_assert_eq!(got.prediction, shared.stats);
+                    proptest::prop_assert_eq!(got.sorting_ops, sorting);
+                    proptest::prop_assert_eq!(got.kv_generation_ops, kv);
+                    proptest::prop_assert_eq!(got.formal_ops, formal);
+                    proptest::prop_assert_eq!(got.sufa_stats, sufa);
+                    proptest::prop_assert_eq!(got.keys_generated, keys);
+                }
+            }
         }
     }
 
     #[test]
     fn run_is_predict_then_run_predicted_for_every_scheme() {
         let w = workload();
-        let mut scratch = RunScratch::new();
         for prediction in [
             PredictionScheme::Dlzs,
             PredictionScheme::Int4Multiply,
@@ -840,7 +883,7 @@ mod tests {
                             .with_formal(formal),
                     );
                     let whole = pipeline.run(&w);
-                    let split = pipeline.run_predicted(&w, &pipeline.predict(&w), &mut scratch);
+                    let split = pipeline.run_predicted(&w, &pipeline.predict(&w));
                     let case = format!("{prediction:?} {sorting:?} {formal:?}");
                     assert_eq!(bits(&split.output), bits(&whole.output), "{case}");
                     assert_eq!(split.mask, whole.mask, "{case}");
@@ -861,11 +904,10 @@ mod tests {
         // full runs at others.
         let w = workload();
         let shared = SofaPipeline::new(PipelineConfig::new(0.5, 32).unwrap()).predict(&w);
-        let mut scratch = RunScratch::new();
         for (keep, bc) in [(0.1, 4), (0.25, 16), (0.9, 64)] {
             let pipeline = SofaPipeline::new(PipelineConfig::new(keep, bc).unwrap());
             let whole = pipeline.run(&w);
-            let split = pipeline.run_predicted(&w, &shared, &mut scratch);
+            let split = pipeline.run_predicted(&w, &shared);
             assert_eq!(bits(&split.output), bits(&whole.output), "({keep}, {bc})");
             assert_eq!(split.mask, whole.mask, "({keep}, {bc})");
             assert_eq!(split.total_ops(), whole.total_ops(), "({keep}, {bc})");

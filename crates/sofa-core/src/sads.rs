@@ -105,8 +105,13 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
     let base = k / n;
     let extra = k % n;
 
+    // Comparisons are tallied locally and recorded once.
+    let mut cmp = 0u64;
     let mut selected: Vec<usize> = Vec::with_capacity(k + n);
     let mut excluded_candidates: Vec<usize> = Vec::new();
+    // One candidate buffer and one heap, reused by every segment.
+    let mut candidates: Vec<usize> = Vec::with_capacity(seg_len);
+    let mut heap: Vec<usize> = Vec::new();
 
     for seg in 0..n {
         let lo = seg * seg_len;
@@ -115,12 +120,12 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
         }
         let hi = ((seg + 1) * seg_len).min(s);
         let quota = base + usize::from(seg < extra);
+        let values = &row[lo..hi];
 
         // Segment max / min with one comparison per element.
         let mut seg_max = f32::NEG_INFINITY;
         let mut seg_min = f32::INFINITY;
-        for &v in &row[lo..hi] {
-            ops.record(OpKind::Cmp, 1);
+        for &v in values {
             if v > seg_max {
                 seg_max = v;
             }
@@ -128,49 +133,44 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
                 seg_min = v;
             }
         }
+        cmp += (hi - lo) as u64;
         let range = (seg_max - seg_min).max(f32::EPSILON);
         let threshold = seg_max - range * cfg.radius_frac as f32;
 
-        // Clipping: gather in-radius candidates (one comparison each).
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut clipped: Vec<usize> = Vec::new();
-        for (off, &v) in row[lo..hi].iter().enumerate() {
-            ops.record(OpKind::Cmp, 1);
+        // Clipping: in-radius values become candidates, the rest go straight
+        // to the excluded pool (one comparison each).
+        candidates.clear();
+        let clipped_from = excluded_candidates.len();
+        for (off, &v) in values.iter().enumerate() {
             if v >= threshold {
                 candidates.push(lo + off);
             } else {
-                clipped.push(lo + off);
+                excluded_candidates.push(lo + off);
             }
         }
+        cmp += (hi - lo) as u64;
         // Adaptive clipping (Threshold-Updating unit): if the radius would
         // starve the quota, the threshold falls back to the low bound and the
         // clipped values re-enter the candidate pool.
         if candidates.len() < quota {
-            candidates.append(&mut clipped);
+            candidates.extend(excluded_candidates.drain(clipped_from..));
         }
-        excluded_candidates.extend_from_slice(&clipped);
 
         // Local selection of the quota largest candidates. The streaming
         // bitonic cores keep a small sorted working set and merge 12 new
         // values per round; a bounded min-heap has the same comparison
         // profile (one compare per streamed value plus log(quota) on the rare
-        // replacements).
-        let (kept, spilled) = select_top_q(row, &candidates, quota, ops);
-        // Candidates beyond the quota remain available for the exchange step.
-        excluded_candidates.extend_from_slice(&spilled);
-        selected.extend_from_slice(&kept);
+        // replacements). Candidates beyond the quota remain available for
+        // the exchange step.
+        cmp += select_top_q(row, &candidates, quota, &mut heap, &mut excluded_candidates);
+        selected.extend_from_slice(&heap);
     }
 
     // If short trailing segments could not meet their quota, top the selection
     // up from the best excluded candidates so exactly k entries are returned.
     while selected.len() < k && !excluded_candidates.is_empty() {
-        let mut best = 0;
-        for i in 1..excluded_candidates.len() {
-            ops.record(OpKind::Cmp, 1);
-            if row[excluded_candidates[i]] > row[excluded_candidates[best]] {
-                best = i;
-            }
-        }
+        let best = argbest(row, &excluded_candidates, |a, b| a > b);
+        cmp += excluded_candidates.len() as u64 - 1;
         selected.push(excluded_candidates.swap_remove(best));
     }
 
@@ -180,21 +180,10 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
             break;
         }
         // Find min of selected and max of excluded.
-        let mut min_sel = 0;
-        for i in 1..selected.len() {
-            ops.record(OpKind::Cmp, 1);
-            if row[selected[i]] < row[selected[min_sel]] {
-                min_sel = i;
-            }
-        }
-        let mut max_exc = 0;
-        for i in 1..excluded_candidates.len() {
-            ops.record(OpKind::Cmp, 1);
-            if row[excluded_candidates[i]] > row[excluded_candidates[max_exc]] {
-                max_exc = i;
-            }
-        }
-        ops.record(OpKind::Cmp, 1);
+        let min_sel = argbest(row, &selected, |a, b| a < b);
+        let max_exc = argbest(row, &excluded_candidates, |a, b| a > b);
+        // Two linear scans plus the exchange test below.
+        cmp += (selected.len() + excluded_candidates.len() - 1) as u64;
         if row[excluded_candidates[max_exc]] > row[selected[min_sel]] {
             std::mem::swap(&mut selected[min_sel], &mut excluded_candidates[max_exc]);
         } else {
@@ -212,84 +201,93 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
             .partial_cmp(&row[a])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    ops.record(OpKind::Cmp, cmp_counter.get());
+    ops.record(OpKind::Cmp, cmp + cmp_counter.get());
     selected.truncate(k);
     selected
 }
 
+/// Position in `indices` of the entry whose value `beats` every other (the
+/// first one on ties): a linear scan of `indices.len() − 1` comparisons.
+fn argbest(row: &[f32], indices: &[usize], beats: impl Fn(f32, f32) -> bool) -> usize {
+    let mut best = 0;
+    for (i, &idx) in indices.iter().enumerate().skip(1) {
+        if beats(row[idx], row[indices[best]]) {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Streaming selection of the `quota` largest candidate indices using a
-/// bounded min-heap; returns `(kept, spilled)` and counts comparisons.
+/// bounded min-heap: leaves the kept indices in `heap` (in heap order),
+/// appends the spilled ones to `spill` in stream order and returns the
+/// comparisons made.
 fn select_top_q(
     row: &[f32],
     candidates: &[usize],
     quota: usize,
-    ops: &mut OpCounts,
-) -> (Vec<usize>, Vec<usize>) {
+    heap: &mut Vec<usize>,
+    spill: &mut Vec<usize>,
+) -> u64 {
+    heap.clear();
     if quota == 0 {
-        return (Vec::new(), candidates.to_vec());
+        spill.extend_from_slice(candidates);
+        return 0;
     }
     if candidates.len() <= quota {
-        return (candidates.to_vec(), Vec::new());
+        heap.extend_from_slice(candidates);
+        return 0;
     }
     // `heap` is a min-heap over the kept indices (by value).
-    let mut heap: Vec<usize> = Vec::with_capacity(quota);
-    let mut spilled: Vec<usize> = Vec::new();
-
-    let sift_up = |heap: &mut Vec<usize>, ops: &mut OpCounts, mut i: usize| {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            ops.record(OpKind::Cmp, 1);
-            if row[heap[i]] < row[heap[parent]] {
-                heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    };
-    let sift_down = |heap: &mut Vec<usize>, ops: &mut OpCounts| {
-        let n = heap.len();
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n {
-                ops.record(OpKind::Cmp, 1);
-                if row[heap[l]] < row[heap[smallest]] {
-                    smallest = l;
-                }
-            }
-            if r < n {
-                ops.record(OpKind::Cmp, 1);
-                if row[heap[r]] < row[heap[smallest]] {
-                    smallest = r;
-                }
-            }
-            if smallest == i {
-                break;
-            }
-            heap.swap(i, smallest);
-            i = smallest;
-        }
-    };
-
+    let mut cmp = 0u64;
     for &c in candidates {
         if heap.len() < quota {
             heap.push(c);
-            let i = heap.len() - 1;
-            sift_up(&mut heap, ops, i);
+            // Sift up.
+            let mut i = heap.len() - 1;
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                cmp += 1;
+                if row[heap[i]] < row[heap[parent]] {
+                    heap.swap(i, parent);
+                    i = parent;
+                } else {
+                    break;
+                }
+            }
         } else {
-            ops.record(OpKind::Cmp, 1);
+            cmp += 1;
             if row[c] > row[heap[0]] {
-                let evicted = std::mem::replace(&mut heap[0], c);
-                spilled.push(evicted);
-                sift_down(&mut heap, ops);
+                spill.push(std::mem::replace(&mut heap[0], c));
+                // Sift down.
+                let mut i = 0;
+                loop {
+                    let (l, r) = (2 * i + 1, 2 * i + 2);
+                    let mut smallest = i;
+                    if l < quota {
+                        cmp += 1;
+                        if row[heap[l]] < row[heap[smallest]] {
+                            smallest = l;
+                        }
+                    }
+                    if r < quota {
+                        cmp += 1;
+                        if row[heap[r]] < row[heap[smallest]] {
+                            smallest = r;
+                        }
+                    }
+                    if smallest == i {
+                        break;
+                    }
+                    heap.swap(i, smallest);
+                    i = smallest;
+                }
             } else {
-                spilled.push(c);
+                spill.push(c);
             }
         }
     }
-    (heap, spilled)
+    cmp
 }
 
 /// Runs SADS over every row of a predicted score matrix.
@@ -456,6 +454,202 @@ mod tests {
             r4 >= r0,
             "refinement should not reduce recall ({r4} vs {r0})"
         );
+    }
+
+    /// The allocating SADS row kernel the buffer-reusing one replaced: fresh
+    /// candidate/clipped/kept/spilled vectors per segment and one
+    /// `ops.record` per comparison.
+    fn reference_topk_row(
+        row: &[f32],
+        k: usize,
+        cfg: &SadsConfig,
+        ops: &mut OpCounts,
+    ) -> Vec<usize> {
+        let s = row.len();
+        if s == 0 || k == 0 {
+            return Vec::new();
+        }
+        let k = k.min(s);
+        let n = cfg.segments.min(s);
+        let seg_len = s.div_ceil(n);
+        let (base, extra) = (k / n, k % n);
+        let mut selected: Vec<usize> = Vec::new();
+        let mut excluded_candidates: Vec<usize> = Vec::new();
+        for seg in 0..n {
+            let lo = seg * seg_len;
+            if lo >= s {
+                break;
+            }
+            let hi = ((seg + 1) * seg_len).min(s);
+            let quota = base + usize::from(seg < extra);
+            let mut seg_max = f32::NEG_INFINITY;
+            let mut seg_min = f32::INFINITY;
+            for &v in &row[lo..hi] {
+                ops.record(OpKind::Cmp, 1);
+                if v > seg_max {
+                    seg_max = v;
+                }
+                if v < seg_min {
+                    seg_min = v;
+                }
+            }
+            let range = (seg_max - seg_min).max(f32::EPSILON);
+            let threshold = seg_max - range * cfg.radius_frac as f32;
+            let mut candidates: Vec<usize> = Vec::new();
+            let mut clipped: Vec<usize> = Vec::new();
+            for (off, &v) in row[lo..hi].iter().enumerate() {
+                ops.record(OpKind::Cmp, 1);
+                if v >= threshold {
+                    candidates.push(lo + off);
+                } else {
+                    clipped.push(lo + off);
+                }
+            }
+            if candidates.len() < quota {
+                candidates.append(&mut clipped);
+            }
+            excluded_candidates.extend_from_slice(&clipped);
+            let (kept, spilled) = reference_select_top_q(row, &candidates, quota, ops);
+            excluded_candidates.extend_from_slice(&spilled);
+            selected.extend_from_slice(&kept);
+        }
+        while selected.len() < k && !excluded_candidates.is_empty() {
+            let mut best = 0;
+            for i in 1..excluded_candidates.len() {
+                ops.record(OpKind::Cmp, 1);
+                if row[excluded_candidates[i]] > row[excluded_candidates[best]] {
+                    best = i;
+                }
+            }
+            selected.push(excluded_candidates.swap_remove(best));
+        }
+        for _ in 0..cfg.refine_iters {
+            if selected.is_empty() || excluded_candidates.is_empty() {
+                break;
+            }
+            let mut min_sel = 0;
+            for i in 1..selected.len() {
+                ops.record(OpKind::Cmp, 1);
+                if row[selected[i]] < row[selected[min_sel]] {
+                    min_sel = i;
+                }
+            }
+            let mut max_exc = 0;
+            for i in 1..excluded_candidates.len() {
+                ops.record(OpKind::Cmp, 1);
+                if row[excluded_candidates[i]] > row[excluded_candidates[max_exc]] {
+                    max_exc = i;
+                }
+            }
+            ops.record(OpKind::Cmp, 1);
+            if row[excluded_candidates[max_exc]] > row[selected[min_sel]] {
+                std::mem::swap(&mut selected[min_sel], &mut excluded_candidates[max_exc]);
+            } else {
+                break;
+            }
+        }
+        selected.sort_by(|&a, &b| {
+            ops.record(OpKind::Cmp, 1);
+            row[b]
+                .partial_cmp(&row[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        selected.truncate(k);
+        selected
+    }
+
+    fn reference_select_top_q(
+        row: &[f32],
+        candidates: &[usize],
+        quota: usize,
+        ops: &mut OpCounts,
+    ) -> (Vec<usize>, Vec<usize>) {
+        if quota == 0 {
+            return (Vec::new(), candidates.to_vec());
+        }
+        if candidates.len() <= quota {
+            return (candidates.to_vec(), Vec::new());
+        }
+        let mut heap: Vec<usize> = Vec::new();
+        let mut spilled: Vec<usize> = Vec::new();
+        for &c in candidates {
+            if heap.len() < quota {
+                heap.push(c);
+                let mut i = heap.len() - 1;
+                while i > 0 {
+                    let parent = (i - 1) / 2;
+                    ops.record(OpKind::Cmp, 1);
+                    if row[heap[i]] < row[heap[parent]] {
+                        heap.swap(i, parent);
+                        i = parent;
+                    } else {
+                        break;
+                    }
+                }
+            } else {
+                ops.record(OpKind::Cmp, 1);
+                if row[c] > row[heap[0]] {
+                    spilled.push(std::mem::replace(&mut heap[0], c));
+                    let mut i = 0;
+                    loop {
+                        let (l, r) = (2 * i + 1, 2 * i + 2);
+                        let mut smallest = i;
+                        if l < heap.len() {
+                            ops.record(OpKind::Cmp, 1);
+                            if row[heap[l]] < row[heap[smallest]] {
+                                smallest = l;
+                            }
+                        }
+                        if r < heap.len() {
+                            ops.record(OpKind::Cmp, 1);
+                            if row[heap[r]] < row[heap[smallest]] {
+                                smallest = r;
+                            }
+                        }
+                        if smallest == i {
+                            break;
+                        }
+                        heap.swap(i, smallest);
+                        i = smallest;
+                    }
+                } else {
+                    spilled.push(c);
+                }
+            }
+        }
+        (heap, spilled)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The buffer-reusing kernel returns the allocating kernel's exact
+        /// selection and comparison count for every segment count `1..=S`,
+        /// radius, 0–4 exchange iterations, `k` below and above the segment
+        /// count, and rows of distinct values, heavy ties, two levels or one
+        /// constant.
+        #[test]
+        fn buffer_reusing_sads_matches_the_allocating_kernel(
+            shape in (1usize..96, 1usize..96, 0usize..97, 0usize..5),
+            radius in 0.01f64..1.0,
+            kind in 0usize..4,
+            values in proptest::collection::vec(-4.0f32..4.0, 96),
+        ) {
+            let (s, segments, k, refine_iters) = shape;
+            let segments = segments.min(s);
+            let row: Vec<f32> = match kind {
+                0 => values[..s].to_vec(),
+                1 => values[..s].iter().map(|v| v.round()).collect(),
+                2 => values[..s].iter().map(|&v| f32::from(v > 0.0)).collect(),
+                _ => vec![values[0]; s],
+            };
+            let cfg = SadsConfig::new(segments, radius, refine_iters).unwrap();
+            let (mut ops, mut ref_ops) = (OpCounts::new(), OpCounts::new());
+            let got = sads_topk_row(&row, k, &cfg, &mut ops);
+            let want = reference_topk_row(&row, k, &cfg, &mut ref_ops);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(ops, ref_ops);
+        }
     }
 
     #[test]

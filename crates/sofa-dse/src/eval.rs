@@ -4,11 +4,12 @@
 //! by lowering it through the real stack, per layer:
 //!
 //! 1. `SofaPipeline::run_predicted` at `(keep_ratio, tile_sizes[layer])` on
-//!    that layer's pinned workload and its stage-1 DLZS prediction —
-//!    measured proxy loss and measured op counts. The prediction reads
-//!    neither the keep ratio nor the tile size, so an [`EvalSession`]
-//!    computes it once per layer (`SofaPipeline::predict`) and every
-//!    candidate the session scores reuses it;
+//!    that layer's pinned workload and its prediction (stage-1 DLZS scores
+//!    plus the projected K/V rows) — measured proxy loss and measured op
+//!    counts. The prediction reads neither the keep ratio nor the tile size,
+//!    so an [`EvalSession`] computes it once per layer
+//!    (`SofaPipeline::predict`) and every candidate the session scores
+//!    reuses it;
 //! 2. `PipelineResult::tile_selection_stats` — the run's real per-tile
 //!    selection counts (Distributed Cluster Effect imbalance included);
 //! 3. `SofaAccelerator::tile_descriptors` → `CycleSim::run_with_stats` —
@@ -24,7 +25,7 @@
 //!    tile.
 //!
 //! Losses are averaged across layers; cycles and energy are summed. The
-//! workloads and dense references are pinned at construction; the stage-1
+//! workloads and dense references are pinned at construction; the
 //! predictions live only as long as one session — one `evaluate`, one
 //! `evaluate_batch` or one `hardware_aware_search` — so no evaluator state
 //! carries over between calls. Evaluation is a pure function of the
@@ -33,7 +34,7 @@
 
 use crate::space::{DseCandidate, DseSpace};
 use sofa_core::accuracy::proxy_loss;
-use sofa_core::pipeline::{PipelineConfig, Prediction, RunScratch, SofaPipeline};
+use sofa_core::pipeline::{PipelineConfig, Prediction, SofaPipeline};
 use sofa_hw::accel::AttentionTask;
 use sofa_hw::area::{AreaModel, Module};
 use sofa_hw::config::HwConfig;
@@ -170,6 +171,27 @@ impl EvalConfig {
             seed,
         }
     }
+
+    /// Checks that every workload dimension is positive and that the
+    /// hardware configuration is consistent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("queries", self.queries),
+            ("seq_len", self.seq_len),
+            ("input_dim", self.input_dim),
+            ("head_dim", self.head_dim),
+            ("heads", self.heads),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be positive"));
+            }
+        }
+        self.hw.validate()
+    }
 }
 
 /// The hardware-in-the-loop evaluator. Construction generates (and pins) one
@@ -184,7 +206,7 @@ pub struct HwAwareEvaluator {
     /// so the totals are identical at any `SOFA_THREADS` even though the
     /// evaluations fan out.
     layer_evals: std::sync::atomic::AtomicU64,
-    /// Per-layer stage-1 predictions run so far (one per layer per session).
+    /// Per-layer predictions run so far (one per layer per session).
     predictions: std::sync::atomic::AtomicU64,
     /// Evaluations whose cycle simulation agreed with the analytic model
     /// within [`FIDELITY_TOLERANCE`] — the surrogate-vs-sim fidelity signal.
@@ -199,8 +221,10 @@ impl HwAwareEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if `layers == 0`.
+    /// Panics if `cfg` does not validate ([`EvalConfig::validate`]) or
+    /// `layers == 0`, before any workload is generated.
     pub fn new(cfg: EvalConfig, layers: usize) -> Self {
+        cfg.validate().expect("invalid eval config");
         assert!(layers > 0, "at least one layer is required");
         let layers = sofa_par::par_map_index(layers, |i| {
             let w = AttentionWorkload::generate(
@@ -233,8 +257,9 @@ impl HwAwareEvaluator {
         self.layer_evals.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Per-layer stage-1 predictions this evaluator has run: `layers()` per
-    /// session, independent of how many candidates the session scores.
+    /// Per-layer predictions (stage 1 plus the K/V projections) this
+    /// evaluator has run: `layers()` per session, independent of how many
+    /// candidates the session scores.
     pub fn predictions(&self) -> u64 {
         self.predictions.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -275,8 +300,9 @@ impl HwAwareEvaluator {
         DseSpace::paper_space(self.layers.len(), self.cfg.seq_len)
     }
 
-    /// Opens an evaluation session: runs each layer's stage-1 prediction
-    /// once (fanned out over layers) for every candidate the session scores.
+    /// Opens an evaluation session: runs each layer's prediction (stage 1
+    /// and the K/V projections) once, fanned out over layers, for every
+    /// candidate the session scores.
     pub fn session(&self) -> EvalSession<'_> {
         // Stage 1 reads only the prediction scheme, which
         // `PipelineConfig::for_layer` fixes to DLZS for every candidate, so
@@ -310,7 +336,7 @@ impl HwAwareEvaluator {
     }
 
     /// One layer's `(loss, cycles, energy_pj)` at the candidate's operating
-    /// point, from that layer's stage-1 `prediction`.
+    /// point, from that layer's `prediction`.
     fn evaluate_layer(
         &self,
         layer: usize,
@@ -320,11 +346,8 @@ impl HwAwareEvaluator {
         let (workload, dense) = &self.layers[layer];
         let op = c.operating_point();
         let bc = op.tile(layer);
-        let result = SofaPipeline::new(PipelineConfig::for_layer(&op, layer)).run_predicted(
-            workload,
-            prediction,
-            &mut RunScratch::new(),
-        );
+        let result = SofaPipeline::new(PipelineConfig::for_layer(&op, layer))
+            .run_predicted(workload, prediction);
         let loss = proxy_loss(&result.output, dense);
 
         // Lower the measured selection into the hardware models: the task
@@ -373,9 +396,10 @@ impl HwAwareEvaluator {
     }
 }
 
-/// One search's view of an [`HwAwareEvaluator`]: the per-layer stage-1
-/// predictions, computed once when the session opens and shared by every
-/// candidate it scores. Dropping the session drops them.
+/// One search's view of an [`HwAwareEvaluator`]: the per-layer predictions
+/// (stage-1 scores and projected K/V rows), computed once when the session
+/// opens and shared by every candidate it scores. Dropping the session drops
+/// them.
 #[derive(Debug)]
 pub struct EvalSession<'a> {
     evaluator: &'a HwAwareEvaluator,
@@ -449,6 +473,7 @@ pub fn candidate_area_mm2(c: &DseCandidate) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sofa_core::OpCounts;
 
     fn uniform(keep: f64, bc: usize, layers: usize) -> DseCandidate {
         DseCandidate::uniform(keep, bc, layers)
@@ -551,5 +576,126 @@ mod tests {
     fn wrong_layer_count_panics() {
         let eval = HwAwareEvaluator::new(EvalConfig::tiny(1), 2);
         let _ = eval.evaluate(&uniform(0.25, 16, 3));
+    }
+
+    #[test]
+    fn pinned_layer_work_counters_are_exact() {
+        // Layer 0 of the pinned DSE workload at the paper default — the
+        // layer the benchmark's kernel probe runs. Work counters do not
+        // depend on the host, so any change to what a kernel counts fails
+        // here on every machine.
+        let cfg = EvalConfig::quick(0xD5E);
+        let w = AttentionWorkload::generate(
+            &cfg.distribution,
+            cfg.queries,
+            cfg.seq_len,
+            cfg.input_dim,
+            cfg.head_dim,
+            cfg.seed,
+        );
+        let op = OperatingPoint::paper_default(1);
+        let r = SofaPipeline::new(PipelineConfig::for_layer(&op, 0)).run(&w);
+        let ops = |mul, add, exp, cmp, shift, div, lz_encode| OpCounts {
+            mul,
+            add,
+            exp,
+            cmp,
+            shift,
+            div,
+            lz_encode,
+        };
+        assert_eq!(r.prediction.ops, ops(0, 1_301_156, 0, 0, 1_301_156, 0, 512));
+        assert_eq!(r.sorting_ops, ops(0, 0, 0, 55_170, 0, 0, 0));
+        assert_eq!(
+            r.kv_generation_ops,
+            ops(2_064_384, 2_064_384, 0, 0, 0, 0, 0)
+        );
+        assert_eq!(r.formal_ops, ops(131_534, 133_104, 2_062, 2_032, 0, 512, 0));
+        assert_eq!(r.keys_generated, 504);
+        assert_eq!(r.total_ops().total_ops(), 7_056_006);
+    }
+
+    #[test]
+    fn quick_and_tiny_configs_validate() {
+        assert_eq!(EvalConfig::quick(1).validate(), Ok(()));
+        assert_eq!(EvalConfig::tiny(1).validate(), Ok(()));
+    }
+
+    #[test]
+    fn invalid_hardware_fails_validation() {
+        let mut cfg = EvalConfig::tiny(1);
+        cfg.hw.freq_hz = 0.0;
+        assert_eq!(
+            cfg.validate(),
+            Err("frequency must be positive".to_string())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "queries must be positive")]
+    fn zero_queries_are_rejected_before_generation() {
+        let _ = HwAwareEvaluator::new(
+            EvalConfig {
+                queries: 0,
+                ..EvalConfig::tiny(1)
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "seq_len must be positive")]
+    fn zero_seq_len_is_rejected_before_generation() {
+        let _ = HwAwareEvaluator::new(
+            EvalConfig {
+                seq_len: 0,
+                ..EvalConfig::tiny(1)
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "input_dim must be positive")]
+    fn zero_input_dim_is_rejected_before_generation() {
+        let _ = HwAwareEvaluator::new(
+            EvalConfig {
+                input_dim: 0,
+                ..EvalConfig::tiny(1)
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "head_dim must be positive")]
+    fn zero_head_dim_is_rejected_before_generation() {
+        let _ = HwAwareEvaluator::new(
+            EvalConfig {
+                head_dim: 0,
+                ..EvalConfig::tiny(1)
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "heads must be positive")]
+    fn zero_heads_are_rejected_before_generation() {
+        // Generation accepts this config; only the first evaluation's
+        // lowering used to trip over it.
+        let _ = HwAwareEvaluator::new(
+            EvalConfig {
+                heads: 0,
+                ..EvalConfig::tiny(1)
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one layer")]
+    fn zero_layers_are_rejected() {
+        let _ = HwAwareEvaluator::new(EvalConfig::tiny(1), 0);
     }
 }

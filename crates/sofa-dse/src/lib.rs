@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! (tile sizes, keep ratio)
-//!   → SofaPipeline::predict (once per layer)  stage-1 DLZS scores, per search
+//!   → SofaPipeline::predict (once per layer)  DLZS scores + K/V rows, per search
 //!   → SofaPipeline::run_predicted (per layer) measured proxy loss + op counts
 //!   → PipelineResult::tile_selection_stats    real per-tile selection counts
 //!   → SofaAccelerator::tile_descriptors       per-tile work + DRAM traffic

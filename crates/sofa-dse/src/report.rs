@@ -16,8 +16,8 @@
 //!    recommendation.
 //!
 //! All three phases score candidates through one [`EvalSession`], so the
-//! search runs each layer's stage-1 DLZS prediction once, however many
-//! candidates it lowers. Every phase is a pure function of the evaluator's
+//! search runs each layer's DLZS prediction and K/V projection once,
+//! however many candidates it lowers. Every phase is a pure function of the evaluator's
 //! pinned inputs and the search seed, so the whole report is bit-identical
 //! at any `SOFA_THREADS` — the property the CI regression gate re-checks by
 //! running the search twice.

@@ -150,9 +150,10 @@ pub fn experiments_markdown(specs: &[Spec]) -> String {
 
     out.push_str(
         "\n## Benchmarks\n\n\
-         `cargo bench` runs the criterion-shim microbenchmarks in\n\
-         `benches/` (kernel-level: sparse GEMM, top-k, FlashAttention\n\
-         tiles). They are not gated — the gates above track end-to-end\n\
+         The repository benchmark (`benchmark/`, workloads declared in\n\
+         `BENCHMARK.json`) times each workload end to end and, with\n\
+         `--trace 1`, layer by layer — the DLZS, SADS and SU-FA kernels\n\
+         included. It is not gated here: the gates above track end-to-end\n\
          metrics, which is what the paper claims are about.\n",
     );
     out

@@ -41,9 +41,7 @@ impl Matrix {
     }
 
     /// Reshapes this matrix in place to `rows × cols` with every entry reset
-    /// to zero, reusing the existing allocation when it is large enough —
-    /// the scratch-buffer primitive batched pipeline runs use to avoid one
-    /// allocation per workload.
+    /// to zero, reusing the existing allocation when it is large enough.
     ///
     /// # Panics
     ///
