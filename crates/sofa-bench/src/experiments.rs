@@ -1636,7 +1636,7 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 ///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits);
-/// the wall budget is generous and advisory.
+/// the wall budget gates at about 3× the measured time.
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
     let cfg = fleet_config(8, 8);

@@ -506,7 +506,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ExperimentEntry {
             name: "perf_fleet_mega",
             bin: None,
-            about: "1M-request fleet wall time + per-node lowering-cache hit rate (hit-rate floor gates; wall budget advisory)",
+            about: "1M-request fleet wall time + per-node lowering-cache hit rate (hit-rate floor and wall budget gate)",
             paper: false,
             in_all: false,
             main_thread: true,

@@ -130,6 +130,9 @@ impl FleetConfig {
         if self.admit_window == 0 {
             return Err("admit_window must be positive".into());
         }
+        if self.fabric.bytes_per_cycle == 0 {
+            return Err("fabric.bytes_per_cycle must be positive".into());
+        }
         if self.disaggregate {
             if self.nodes < 2 {
                 return Err("disaggregation needs at least two nodes".into());
@@ -570,10 +573,21 @@ impl FleetServeSim {
             state.inflight_reqs[slot] == 0 || state.inflight_bytes[slot] + fp <= budget
         };
         match self.cfg.serve.instance_energy_budget_pj {
-            None => nodes
-                .flat_map(|n| (0..ipn).map(move |i| (n, i)))
-                .filter(|&(n, i)| fits(n * ipn + i))
-                .min_by_key(|&(n, i)| (state.inflight_bytes[n * ipn + i], n, i)),
+            None => {
+                // Slots in `(n, i)` order; a strict `<` keeps the first
+                // minimum, and nothing books fewer than 0 bytes.
+                let mut best: Option<(usize, usize, u64)> = None;
+                for slot in nodes.start * ipn..nodes.end * ipn {
+                    let booked = state.inflight_bytes[slot];
+                    if fits(slot) && best.is_none_or(|(_, _, b)| booked < b) {
+                        best = Some((slot / ipn, slot % ipn, booked));
+                        if booked == 0 {
+                            break;
+                        }
+                    }
+                }
+                best.map(|(n, i, _)| (n, i))
+            }
             Some(eb) => nodes
                 .flat_map(|n| (0..ipn).map(move |i| (n, i)))
                 .filter(|&(n, i)| {
@@ -988,6 +1002,137 @@ mod tests {
         let mut cfg = small_cfg(1, 1);
         cfg.serve.sim.buffer_depth = 0;
         FleetServeSim::new(cfg);
+    }
+
+    #[test]
+    fn zero_fabric_bandwidth_is_rejected_by_validate() {
+        // Regression: validate() accepted it and the run then panicked in
+        // `Fabric::new`.
+        let mut cfg = small_cfg(2, 1);
+        cfg.fabric.bytes_per_cycle = 0;
+        let err = cfg
+            .validate()
+            .expect_err("zero fabric bandwidth must not validate");
+        assert!(err.contains("fabric.bytes_per_cycle"), "{err}");
+        cfg.fabric.bytes_per_cycle = 1;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    /// A router state with the given per-slot bookings and nothing else.
+    fn booked_state(bytes: Vec<u64>, reqs: Vec<usize>, nodes: usize) -> RouterState {
+        RouterState {
+            waiting: VecDeque::new(),
+            inflight_energy: vec![0.0; bytes.len()],
+            peak: vec![0; bytes.len()],
+            inflight_bytes: bytes,
+            inflight_reqs: reqs,
+            arrival: Vec::new(),
+            requests_per_node: vec![0; nodes],
+            latency: QuantileSketch::new(),
+            queueing: QuantileSketch::new(),
+            served: 0,
+            energy_pj: 0.0,
+        }
+    }
+
+    /// The unbudgeted placement as an iterator chain over every slot: the
+    /// least-booked fitting slot, first in `(n, i)` order on ties.
+    fn place_by_scan(
+        cfg: &FleetConfig,
+        nodes: Range<usize>,
+        fp: u64,
+        state: &RouterState,
+    ) -> Option<(usize, usize)> {
+        let ipn = cfg.serve.instances;
+        let budget = cfg.serve.budget_bytes();
+        nodes
+            .flat_map(|n| (0..ipn).map(move |i| (n, i)))
+            .filter(|&(n, i)| {
+                let slot = n * ipn + i;
+                state.inflight_reqs[slot] == 0 || state.inflight_bytes[slot] + fp <= budget
+            })
+            .min_by_key(|&(n, i)| (state.inflight_bytes[n * ipn + i], n, i))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The early-exit placement loop picks exactly what the full scan
+        /// picks, over random bookings that mix idle slots, booked slots at
+        /// zero bytes, slots at and past the budget edge, and pools from
+        /// empty to fleet-wide.
+        #[test]
+        fn early_exit_place_matches_the_full_scan(
+            shape in (1usize..5, 1usize..5, 0usize..5),
+            pool in (0usize..5, 0usize..5),
+            slots in proptest::collection::vec((0usize..6, 0usize..3), 16),
+        ) {
+            let (nodes, ipn) = (shape.0, shape.1);
+            let sim = FleetServeSim::new(small_cfg(nodes, ipn));
+            let budget = sim.cfg.serve.budget_bytes();
+            let fp = [0, 1, budget / 2, budget, budget + 1][shape.2];
+            let sizes = [0, 1, budget / 2, budget - fp.min(budget), budget, 3 * budget];
+            let (bytes, reqs) = slots[..nodes * ipn]
+                .iter()
+                .map(|&(b, r)| (sizes[b], r))
+                .unzip();
+            let state = booked_state(bytes, reqs, nodes);
+            let (a, b) = (pool.0.min(nodes), pool.1.min(nodes));
+            let range = a.min(b)..a.max(b);
+            proptest::prop_assert_eq!(
+                sim.place(range.clone(), fp, 0.0, &state),
+                place_by_scan(&sim.cfg, range, fp, &state)
+            );
+        }
+    }
+
+    /// The event core's work per request is a pinned constant: one request
+    /// of the `fleet_mega` shape (S=512, 512-wide, 8 heads, 32 queries,
+    /// keep 0.25, `Bc` = 64 — eight tiles) costs 32 `StageDone` events (8
+    /// tiles × 4 stages), 17 `DramFree` events (one per DRAM request: 8
+    /// key-stream and 8 K/V reads plus 1 writeback) and 17 `DramDone`
+    /// events, 66 in all, however the requests interleave on the node.
+    #[test]
+    fn fleet_mega_requests_cost_exactly_66_events_each() {
+        let mut cfg = FleetConfig::new(HwConfig::paper_default(), 8, 8);
+        cfg.serve.op = sofa_model::OperatingPoint::single(0.25, 64);
+        let mut csim = CycleSim::new(cfg.serve.hw);
+        csim.params = cfg.serve.sim;
+        let task = sofa_hw::accel::AttentionTask::at_layer(32, 512, 512, 8, &cfg.serve.op, 0);
+        let job = csim.job(&task, None);
+        assert_eq!(job.work.len(), 8);
+        let count = |f: fn(&sofa_hw::descriptor::TileWork) -> u64| {
+            job.work.iter().filter(|w| f(w) > 0).count()
+        };
+        assert_eq!(count(|w| w.pred_read_bytes), 8);
+        assert_eq!(count(|w| w.kv_read_bytes), 8);
+        assert_eq!(count(|w| w.extra_formal_read_bytes), 0, "RASS: no refetch");
+        assert_eq!(count(|w| w.write_bytes), 1);
+        let mut sim =
+            sofa_sim::MultiPipelineSim::new(&cfg.serve.hw, cfg.serve.instances, cfg.serve.sim);
+        // Bursts, idle gaps and same-cycle arrivals on a contended channel.
+        let requests = 96u64;
+        let (mut steps, mut at) = (0u64, 0u64);
+        for r in 0..requests {
+            at += [0, 0, 700, 0, 20_000, 150][r as usize % 6];
+            while sim.next_event_time().is_some_and(|t| t <= at) {
+                sim.step();
+                steps += 1;
+            }
+            let inst = (0..sim.num_instances())
+                .min_by_key(|&i| sim.pending_tiles(i))
+                .expect("the node has instances");
+            sim.submit(inst, r, &job, at);
+        }
+        while sim.step().is_some() {
+            steps += 1;
+        }
+        let report = sim.report();
+        assert_eq!(
+            report.instances.iter().map(|i| i.requests).sum::<usize>(),
+            requests as usize
+        );
+        assert_eq!(steps, 66 * requests);
     }
 
     #[test]

@@ -23,14 +23,27 @@
 //! turns, which under multi-instance sharing turns into tail-latency
 //! outliers for whole requests.
 //!
-//! The aged pick reads one flat array, `head_at`: the enqueue stamp of each
-//! port's queue head (`u64::MAX` while the port is empty). It relies on one
-//! invariant, asserted in [`DramChannel::enqueue`]: **per-port enqueue stamps
-//! never decrease**, because requests arrive in simulated-time order. Each
-//! queue's head is therefore its oldest entry, the longest-waiting head is
-//! the minimum stamp in `head_at` (lowest port on ties), and if that head has
-//! not reached the threshold no other has — one pass over the array decides
-//! the issue, with no per-port queue touched.
+//! The aged pick reads an ordered index instead of the port queues:
+//! `order` holds one `(stamp, port, ordinal)` entry per queued request,
+//! sorted by `(stamp, port)`, and an entry is live while its per-port
+//! ordinal has not been issued yet (`ordinal >= issued[port]`). Per-port
+//! enqueue stamps never decrease (asserted in [`DramChannel::enqueue`]),
+//! because requests arrive in simulated-time order, so each port's oldest
+//! live entry is its queue head. The pick drops dead entries off the front;
+//! the front is then the oldest pending request, lowest port on equal
+//! stamps — the same choice as a scan of every queue front, in O(1)
+//! amortised per issue. Enqueues arrive in time order and almost always
+//! append; an entry that sorts before the back (a lower port at the same
+//! cycle, or a stamp older than the back, which the per-port contract
+//! allows across ports) is inserted at its place. The index is kept only
+//! while aging is on — without aging it would never be read nor drained —
+//! and is cleared whenever the queues drain.
+//!
+//! Two smaller savings on the issue path: port queues hold a 32-byte
+//! `Queued` entry (the port is the queue index, the stage a `u8`), and each
+//! stage remembers its last `(bytes, cycles)` transfer time, since a
+//! stage's tiles of one request shape repeat the same transfer size, so a
+//! hit skips the float division.
 //!
 //! This is the contention the analytic model's `max(compute, memory)` folds
 //! away — and the reason the cycle simulator can report *which* stage was
@@ -98,6 +111,21 @@ pub struct Issued {
     pub done_at: u64,
 }
 
+/// A request waiting in its port queue: the public [`DramRequest`] without
+/// its port (the queue index) and with the stage narrowed to a byte, plus
+/// its enqueue stamp — 32 bytes instead of 48.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    tile: usize,
+    bytes: u64,
+    at: u64,
+    stage: u8,
+    write: bool,
+}
+
+/// Transfer-time memo slots, one per pipeline stage (`stage % STAGE_SLOTS`).
+const STAGE_SLOTS: usize = 4;
+
 /// The shared channel: per-port queues, round-robin pick with optional
 /// priority aging, busy bookkeeping.
 #[derive(Debug)]
@@ -113,10 +141,19 @@ pub struct DramChannel {
     /// Queueing delay beyond which a request overrides round-robin
     /// (`u64::MAX` disables aging).
     age_threshold: u64,
-    queues: Vec<VecDeque<(DramRequest, u64)>>,
-    /// Enqueue stamp of each port's queue head, `u64::MAX` while the queue
-    /// is empty — the aged pick scans this instead of the queue fronts.
-    head_at: Vec<u64>,
+    queues: Vec<VecDeque<Queued>>,
+    /// Aging index: `(stamp, port, ordinal)` of every queued request in
+    /// nondecreasing `(stamp, port)` order, plus dead entries (already
+    /// issued) not yet dropped off the front. Empty while aging is off.
+    order: VecDeque<(u64, u32, u64)>,
+    /// Requests ever enqueued on each port — the next entry's ordinal.
+    enqueued: Vec<u64>,
+    /// Requests ever issued from each port: an `order` entry is live while
+    /// its ordinal is at least this.
+    issued: Vec<u64>,
+    /// Last `(bytes, channel cycles)` issued per stage slot — a hit skips
+    /// the float division of the transfer time.
+    transfer_memo: [(u64, u64); STAGE_SLOTS],
     /// One bit per port, set while the port's queue is non-empty — the
     /// round-robin pick reads these words instead of touching every queue.
     nonempty: Vec<u64>,
@@ -165,7 +202,8 @@ impl DramChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes_per_cycle` is not positive or `ports` is zero.
+    /// Panics if `bytes_per_cycle` is not positive, `ports` is zero or
+    /// `ports` does not fit in `u32`.
     pub fn with_timing(
         ports: usize,
         bytes_per_cycle: f64,
@@ -175,13 +213,18 @@ impl DramChannel {
     ) -> Self {
         assert!(bytes_per_cycle > 0.0, "bandwidth must be positive");
         assert!(ports > 0, "need at least one port");
+        u32::try_from(ports).expect("DRAM port count must fit in u32");
         DramChannel {
             bytes_per_cycle,
             burst_latency,
             command_cycles,
             age_threshold,
             queues: (0..ports).map(|_| VecDeque::new()).collect(),
-            head_at: vec![u64::MAX; ports],
+            order: VecDeque::new(),
+            enqueued: vec![0; ports],
+            issued: vec![0; ports],
+            // Zero bytes transfer in zero cycles, so the empty slot is exact.
+            transfer_memo: [(0, command_cycles); STAGE_SLOTS],
             nonempty: vec![0; ports.div_ceil(64)],
             queued: 0,
             next_port: 0,
@@ -195,44 +238,65 @@ impl DramChannel {
         }
     }
 
+    fn aging(&self) -> bool {
+        self.age_threshold != u64::MAX
+    }
+
     /// Queues a request on its port, stamping the enqueue time for aging and
     /// queueing-delay accounting.
     ///
     /// # Panics
     ///
-    /// Panics if the request's port does not exist, or if `now` precedes the
-    /// stamp of a request already queued on the port (per-port stamps must
-    /// be nondecreasing for the aged pick to find the oldest request).
+    /// Panics if the request's port does not exist, its stage does not fit
+    /// in a byte, or `now` precedes the stamp of a request already queued on
+    /// the port (per-port stamps must be nondecreasing for the aged pick to
+    /// find the oldest request).
     pub fn enqueue(&mut self, req: DramRequest, now: u64) {
         assert!(req.port < self.queues.len(), "no such DRAM port");
+        let stage = u8::try_from(req.stage).expect("DRAM stage must fit in u8");
         let queue = &mut self.queues[req.port];
-        match queue.back() {
-            Some(&(_, last)) => assert!(last <= now, "DRAM enqueue stamps went backwards"),
-            None => self.head_at[req.port] = now,
+        if let Some(last) = queue.back() {
+            assert!(last.at <= now, "DRAM enqueue stamps went backwards");
         }
-        queue.push_back((req, now));
+        queue.push_back(Queued {
+            tile: req.tile,
+            bytes: req.bytes,
+            at: now,
+            stage,
+            write: req.write,
+        });
+        if self.aging() {
+            let key = (now, req.port as u32);
+            let entry = (now, key.1, self.enqueued[req.port]);
+            if self.order.back().is_none_or(|&(at, p, _)| (at, p) <= key) {
+                self.order.push_back(entry);
+            } else {
+                let at = self.order.partition_point(|&(at, p, _)| (at, p) <= key);
+                self.order.insert(at, entry);
+            }
+        }
+        self.enqueued[req.port] += 1;
         self.nonempty[req.port / 64] |= 1 << (req.port % 64);
         self.queued += 1;
     }
 
-    /// The port an aged request would be served from: the head with the
-    /// longest wait, if it is at or beyond the threshold, ties broken by
-    /// port index so arbitration stays deterministic. Heads are each port's
-    /// oldest entry (stamps are nondecreasing per port), so the minimum of
-    /// `head_at` is the oldest pending request.
-    fn aged_port(&self, now: u64) -> Option<usize> {
-        if self.age_threshold == u64::MAX {
+    /// The port an aged request would be served from: the queue head with
+    /// the longest wait, if it is at or beyond the threshold, ties broken
+    /// by the lowest port so arbitration stays deterministic. Drops issued
+    /// entries off the front of `order` first; the front is then the live
+    /// entry with the least `(stamp, port)`, which is that port's head.
+    fn aged_port(&mut self, now: u64) -> Option<usize> {
+        if !self.aging() {
             return None;
         }
-        let mut port = 0;
-        let mut oldest = u64::MAX;
-        for (p, &at) in self.head_at.iter().enumerate() {
-            if at < oldest {
-                oldest = at;
-                port = p;
+        while let Some(&(_, port, ordinal)) = self.order.front() {
+            if ordinal >= self.issued[port as usize] {
+                break;
             }
+            self.order.pop_front();
         }
-        (oldest != u64::MAX && now.saturating_sub(oldest) >= self.age_threshold).then_some(port)
+        let &(oldest, port, _) = self.order.front()?;
+        (now.saturating_sub(oldest) >= self.age_threshold).then_some(port as usize)
     }
 
     /// First port with queued work in cyclic order starting at `start`,
@@ -259,6 +323,17 @@ impl DramChannel {
         None
     }
 
+    /// Channel cycles a `bytes`-byte transfer of `stage` occupies, from the
+    /// stage's memo slot when it last moved the same size.
+    fn transfer_cycles(&mut self, stage: u8, bytes: u64) -> u64 {
+        let slot = &mut self.transfer_memo[usize::from(stage) % STAGE_SLOTS];
+        if slot.0 != bytes {
+            let cycles = self.command_cycles + (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
+            *slot = (bytes, cycles);
+        }
+        slot.1
+    }
+
     /// If the channel is idle and work is queued, issues the next request
     /// (aged request first, else round-robin over ports) and returns its
     /// timing. The caller is responsible for scheduling the returned
@@ -277,29 +352,35 @@ impl DramChannel {
         };
         let port = pick?;
         let queue = &mut self.queues[port];
-        let (req, enqueued_at) = queue.pop_front().expect("picked port has work");
-        match queue.front() {
-            Some(&(_, at)) => self.head_at[port] = at,
-            None => {
-                self.head_at[port] = u64::MAX;
-                self.nonempty[port / 64] &= !(1 << (port % 64));
-            }
+        let q = queue.pop_front().expect("picked port has work");
+        if queue.is_empty() {
+            self.nonempty[port / 64] &= !(1 << (port % 64));
         }
+        self.issued[port] += 1;
         self.queued -= 1;
+        if self.queued == 0 {
+            // Every index entry is dead once nothing is queued.
+            self.order.clear();
+        }
         self.next_port = (port + 1) % ports;
-        let transfer =
-            self.command_cycles + (req.bytes as f64 / self.bytes_per_cycle).ceil() as u64;
+        let transfer = self.transfer_cycles(q.stage, q.bytes);
         self.busy = true;
         self.busy_cycles += transfer;
-        self.queue_wait_cycles += now.saturating_sub(enqueued_at);
+        self.queue_wait_cycles += now.saturating_sub(q.at);
         self.issued_requests += 1;
-        if req.write {
-            self.bytes_written += req.bytes;
+        if q.write {
+            self.bytes_written += q.bytes;
         } else {
-            self.bytes_read += req.bytes;
+            self.bytes_read += q.bytes;
         }
         Some(Issued {
-            request: req,
+            request: DramRequest {
+                port,
+                stage: usize::from(q.stage),
+                tile: q.tile,
+                bytes: q.bytes,
+                write: q.write,
+            },
             free_at: now + transfer,
             done_at: now + transfer + self.burst_latency,
         })
@@ -501,10 +582,10 @@ mod tests {
         assert_eq!(issued.done_at, 12);
     }
 
-    /// The arbiter as it was before the flat `head_at` array, kept as the
-    /// differential reference: the aged pick scans every port's queue front
-    /// for the longest wait at or beyond the threshold, and round-robin
-    /// probes ports one by one in cyclic order.
+    /// The arbiter as it was before the aging index and the non-empty
+    /// bitmask, kept as the differential reference: the aged pick scans
+    /// every port's queue front for the longest wait at or beyond the
+    /// threshold, and round-robin probes ports one by one in cyclic order.
     struct ReferenceChannel {
         bytes_per_cycle: f64,
         burst_latency: u64,
@@ -581,10 +662,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// Random enqueue / issue / release sequences: the flat head-stamp
-        /// arbiter issues exactly what the queue-front scan issues, on port
-        /// counts that cross the `nonempty` word boundaries, with aging on
-        /// every cycle, at the serving threshold and off.
+        /// Random enqueue / issue / release sequences: the indexed arbiter
+        /// issues exactly what the queue-front scan issues, on port counts
+        /// that cross the `nonempty` word boundaries, with aging on every
+        /// cycle, at the serving threshold and off. Half the enqueues are
+        /// backdated, so stamps go backwards across ports (never within a
+        /// port) and the index must insert them in `(stamp, port)` order.
         #[test]
         fn flat_arbitration_matches_the_queue_front_scan(
             shape in (0usize..5, 0usize..3, 1u64..48),
@@ -596,6 +679,7 @@ mod tests {
             let mut flat = DramChannel::with_timing(ports, 8.0, 40, age, cmd);
             let mut reference = ReferenceChannel::new(ports, 8.0, 40, age, cmd);
             let (mut now, mut free_at, mut tile) = (0u64, None, 0usize);
+            let mut last_stamp = vec![0u64; ports];
             let (mut issued_flat, mut issued_ref) = (Vec::new(), Vec::new());
             for (kind, pick, bytes, dt) in ops {
                 match kind {
@@ -609,8 +693,11 @@ mod tests {
                             write: pick & 16 != 0,
                         };
                         tile += 1;
-                        flat.enqueue(r, now);
-                        reference.queues[r.port].push_back((r, now));
+                        let back = [0, 0, 1, 2, 64, 128, 256][dt];
+                        let stamp = now.saturating_sub(back).max(last_stamp[r.port]);
+                        last_stamp[r.port] = stamp;
+                        flat.enqueue(r, stamp);
+                        reference.queues[r.port].push_back((r, stamp));
                     }
                     2 => {
                         let (a, b) = (flat.try_issue(now), reference.try_issue(now));
@@ -633,7 +720,23 @@ mod tests {
                         }
                     }
                 }
+                if age == u64::MAX {
+                    proptest::prop_assert!(flat.order.is_empty(), "index filled without aging");
+                }
             }
+            // Drain both: the tails still agree and the index empties.
+            loop {
+                flat.release();
+                reference.busy = false;
+                let (a, b) = (flat.try_issue(now), reference.try_issue(now));
+                proptest::prop_assert_eq!(a, b);
+                let Some(i) = a else { break };
+                issued_flat.push(i);
+                issued_ref.extend(b);
+                now = i.free_at;
+            }
+            proptest::prop_assert!(!flat.is_active());
+            proptest::prop_assert!(flat.order.is_empty(), "index not drained");
             proptest::prop_assert_eq!(issued_flat, issued_ref);
             proptest::prop_assert_eq!(flat.aged_issues(), reference.aged_issues);
             proptest::prop_assert_eq!(
@@ -649,6 +752,59 @@ mod tests {
         let mut ch = DramChannel::with_aging(2, 1.0, 0, 10);
         ch.enqueue(req(0, 0, 1), 20);
         ch.enqueue(req(0, 1, 1), 19);
+    }
+
+    #[test]
+    fn aging_index_drains_with_the_queues_and_stays_empty_without_aging() {
+        let mut aged = DramChannel::with_aging(4, 1.0, 0, 1);
+        let mut plain = DramChannel::new(4, 1.0, 0);
+        for ch in [&mut aged, &mut plain] {
+            for (port, at) in [(3, 5), (1, 0), (2, 5), (1, 6), (0, 2)] {
+                ch.enqueue(req(port, 0, 1), at);
+            }
+        }
+        assert_eq!(aged.order.len(), 5);
+        assert!(plain.order.is_empty());
+        let mut now = 10;
+        // Oldest first (port 1 at 0, port 0 at 2), then equal stamps by
+        // port (2 before 3 at 5), then port 1's second request.
+        let mut order = Vec::new();
+        while let Some(issued) = aged.try_issue(now) {
+            order.push(issued.request.port);
+            now = issued.free_at;
+            aged.release();
+            assert!(plain.try_issue(now).is_some());
+            plain.release();
+            assert!(plain.order.is_empty());
+        }
+        assert_eq!(order, vec![1, 0, 2, 3, 1]);
+        assert_eq!(aged.aged_issues(), 5);
+        assert!(!aged.is_active() && !plain.is_active());
+        assert!(aged.order.is_empty(), "drained channel keeps index entries");
+    }
+
+    #[test]
+    fn queued_entries_stay_slim() {
+        assert_eq!(std::mem::size_of::<Queued>(), 32);
+        assert_eq!(std::mem::size_of::<(u64, u32, u64)>(), 24);
+    }
+
+    #[test]
+    fn transfer_memo_is_per_stage_and_exact() {
+        let mut ch = DramChannel::with_timing(8, 3.0, 0, u64::MAX, 7);
+        // Repeated, alternating and zero sizes on stages sharing and not
+        // sharing a memo slot: every issue equals the direct expression.
+        for (k, (port, bytes)) in [(0, 10), (0, 10), (1, 11), (0, 10), (4, 0), (5, 11), (4, 9)]
+            .into_iter()
+            .enumerate()
+        {
+            ch.enqueue(req(port, k, bytes), 0);
+            let issued = ch.try_issue(0).unwrap();
+            ch.release();
+            let expect = 7 + (bytes as f64 / 3.0).ceil() as u64;
+            assert_eq!(issued.free_at, expect, "{bytes} B on stage {}", port % 4);
+            assert_eq!(issued.request, req(port, k, bytes));
+        }
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!
 //! The queue is a **sorted pending window**: a `Vec` kept in descending time
 //! order, so the next event is the last element and `pop` is `Vec::pop`. A
-//! push counts, from that end, the events that fire no later than the new
-//! one and inserts in front of them — behind every later event and ahead of
-//! every equal-time one, which keeps ties FIFO without a sequence stamp.
-//! Both the scan and the insert's shift touch only those earlier events.
+//! push lands in front of the events that fire no later than the new one —
+//! behind every later event and ahead of every equal-time one, which keeps
+//! ties FIFO without a sequence stamp. It appends, then walks down from
+//! that end copying each such event one slot up and writes the new event
+//! into the hole (payloads are `Copy`), so the scan and the shift are one
+//! pass that touches only those earlier events, with no `memmove` call.
 //!
 //! That fits the simulator's pending sets, which are tiny: at most one
 //! `StageDone` per stage of each instance plus the in-flight DRAM work, and
@@ -58,17 +60,23 @@ impl<K> EventQueue<K> {
     }
 
     /// Schedules `kind` to fire at `time`.
-    pub fn push(&mut self, time: u64, kind: K) {
+    pub fn push(&mut self, time: u64, kind: K)
+    where
+        K: Copy,
+    {
         // In front of every equal-time event, so equal times pop oldest push
-        // first; scanning from the earliest end costs no more than the shift.
-        let earlier = self
-            .pending
-            .iter()
-            .rev()
-            .take_while(|s| s.time <= time)
-            .count();
-        let at = self.pending.len() - earlier;
-        self.pending.insert(at, Scheduled { time, kind });
+        // first. Append, copy each event that fires no later one slot up
+        // (from the earliest end, so the scan is the shift), then write the
+        // new event into the hole.
+        let new = Scheduled { time, kind };
+        self.pending.push(new);
+        let pending = self.pending.as_mut_slice();
+        let mut at = pending.len() - 1;
+        while at > 0 && pending[at - 1].time <= time {
+            pending[at] = pending[at - 1];
+            at -= 1;
+        }
+        pending[at] = new;
     }
 
     /// Pops the earliest event, returning `(time, kind)`. Among events with

@@ -222,27 +222,21 @@ impl NodeSim {
     pub fn run_until(&mut self, until: u64) -> &[(u64, Completion)] {
         self.done.clear();
         loop {
-            let ev = self.sim.next_event_time().filter(|&e| e < until);
-            let sub = self
-                .pending
-                .front()
-                .map(|p| p.deliver_at)
-                .filter(|&s| s < until);
-            let step_event = match (ev, sub) {
-                (Some(e), Some(s)) => e <= s,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if step_event {
+            // One bound per delivery: events up to and including the next
+            // delivery's cycle run first, then the delivery enters.
+            let next = self.pending.front().filter(|p| p.deliver_at < until);
+            let bound = next.map_or(until, |p| p.deliver_at + 1);
+            while self.sim.next_event_time().is_some_and(|e| e < bound) {
                 let step = self.sim.step().expect("event was pending");
                 if let Some(c) = step.completed {
                     self.done.push((step.time, c));
                 }
-            } else {
-                let p = self.pending.pop_front().expect("delivery was pending");
-                self.sim.submit(p.inst, p.request, &p.job, p.deliver_at);
             }
+            if next.is_none() {
+                break;
+            }
+            let p = self.pending.pop_front().expect("delivery was pending");
+            self.sim.submit(p.inst, p.request, &p.job, p.deliver_at);
         }
         &self.done
     }
