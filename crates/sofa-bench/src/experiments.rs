@@ -1556,7 +1556,7 @@ pub fn serve_trace_observed() -> (
 }
 
 // ---------------------------------------------------------------------------
-// Wall-time perf trajectory (BENCH_perf)
+// Wall-time perf experiments
 // ---------------------------------------------------------------------------
 
 /// Best-of-`runs` wall seconds of `f`, with the last run's result.

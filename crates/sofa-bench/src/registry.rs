@@ -489,7 +489,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
             false,
             || dse_output_from(&experiments::dse_pareto_report_fresh()),
         ),
-        // The wall-time perf trajectory (BENCH_perf): hit rates are hard
+        // The wall-time perf experiments: hit rates are hard
         // gates, wall seconds are host-dependent and only budgeted. Like
         // par_scaling these must run on the main thread — inside a parallel
         // region sofa-par degrades to sequential and the timings would

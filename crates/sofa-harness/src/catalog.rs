@@ -41,11 +41,7 @@ fn predicate_summary(pred: &Predicate) -> String {
         Predicate::WallTimeBudget {
             metric,
             budget_seconds,
-            advisory,
-        } => format!(
-            "`wall_time_budget({metric} <= {budget_seconds}s{})`",
-            if *advisory { ", advisory" } else { "" }
-        ),
+        } => format!("`wall_time_budget({metric} <= {budget_seconds}s)`"),
     }
 }
 

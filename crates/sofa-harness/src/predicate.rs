@@ -85,8 +85,7 @@ pub fn evaluate(pred: &Predicate, ctx: &EvalContext) -> Verdict {
         Predicate::WallTimeBudget {
             metric,
             budget_seconds,
-            advisory,
-        } => wall_time_budget(ctx.output, metric, *budget_seconds, *advisory),
+        } => wall_time_budget(ctx.output, metric, *budget_seconds),
         Predicate::CountEquality { left, right } => {
             let (l, r) = match (ctx.output.scalar(left), ctx.output.scalar(right)) {
                 (Some(l), Some(r)) => (l, r),
@@ -215,10 +214,9 @@ fn non_empty(out: &ExperimentOutput, metric: Option<&str>) -> Verdict {
 }
 
 /// Wall-clock budgets exist to catch order-of-magnitude perf regressions,
-/// not to snapshot host-dependent timings — budgets in specs should be
-/// generous, and `advisory` turns an overrun into a passing note for
-/// scenarios where even that could flake on a loaded CI machine.
-fn wall_time_budget(out: &ExperimentOutput, metric: &str, budget: f64, advisory: bool) -> Verdict {
+/// not to snapshot host-dependent timings — budgets in specs should be a
+/// small multiple of the measured value.
+fn wall_time_budget(out: &ExperimentOutput, metric: &str, budget: f64) -> Verdict {
     let Some(v) = out.scalar(metric) else {
         return Verdict::ArtifactError(format!(
             "wall_time_budget references scalar metric {metric:?}, \
@@ -227,10 +225,6 @@ fn wall_time_budget(out: &ExperimentOutput, metric: &str, budget: f64, advisory:
     };
     if v <= budget {
         Verdict::Pass(format!("{metric} {v:.2}s within {budget}s budget"))
-    } else if advisory {
-        Verdict::Pass(format!(
-            "{metric} {v:.2}s over {budget}s budget (advisory — not gating)"
-        ))
     } else {
         Verdict::GateFail(format!("{metric} {v:.2}s exceeds {budget}s budget"))
     }
@@ -489,26 +483,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_time_budget_gates_unless_advisory() {
+    fn wall_time_budget_gates_overruns() {
         let out = out_with(&[("wall_seconds", sofa_bench::MetricValue::Scalar(12.5))]);
-        let pred = |budget: f64, advisory: bool| Predicate::WallTimeBudget {
+        let pred = |budget: f64| Predicate::WallTimeBudget {
             metric: "wall_seconds".into(),
             budget_seconds: budget,
-            advisory,
         };
-        assert!(matches!(eval(&pred(60.0, false), &out), Verdict::Pass(_)));
-        // Over budget: gating fails, advisory passes with a note.
-        assert!(matches!(
-            eval(&pred(10.0, false), &out),
-            Verdict::GateFail(_)
-        ));
-        match eval(&pred(10.0, true), &out) {
-            Verdict::Pass(msg) => assert!(msg.contains("advisory"), "{msg}"),
-            other => panic!("advisory overrun must pass, got {other:?}"),
-        }
+        assert!(matches!(eval(&pred(60.0), &out), Verdict::Pass(_)));
+        assert!(matches!(eval(&pred(10.0), &out), Verdict::GateFail(_)));
         // A missing or non-scalar metric is an artifact problem.
         assert!(matches!(
-            eval(&pred(60.0, false), &ExperimentOutput::default()),
+            eval(&pred(60.0), &ExperimentOutput::default()),
             Verdict::ArtifactError(_)
         ));
         let series = out_with(&[(
@@ -516,7 +501,7 @@ mod tests {
             sofa_bench::MetricValue::Series(vec![1.0, 2.0]),
         )]);
         assert!(matches!(
-            eval(&pred(60.0, false), &series),
+            eval(&pred(60.0), &series),
             Verdict::ArtifactError(_)
         ));
     }

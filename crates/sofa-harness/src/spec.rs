@@ -113,17 +113,13 @@ pub enum Predicate {
     /// A wall-clock scalar stays under a budget. Budgets protect the perf
     /// trajectory from order-of-magnitude regressions, so they should be
     /// generous — wall time is host-dependent and must never be held to the
-    /// byte-identity standard of the other gates. With `advisory` the
-    /// predicate reports an overrun but still passes (for scenarios where
-    /// even a generous budget could flake on a loaded CI machine).
+    /// byte-identity standard of the other gates.
     WallTimeBudget {
         /// Scalar metric holding the measured seconds (default
         /// `wall_seconds`, the perf experiments' convention).
         metric: String,
         /// Upper bound in seconds.
         budget_seconds: f64,
-        /// Report overruns without failing the gate.
-        advisory: bool,
     },
 }
 
@@ -410,7 +406,7 @@ fn predicate_from_json(v: &Json, index: usize) -> Result<Predicate, String> {
             })
         }
         "wall_time_budget" => {
-            let o = obj(v, &what, &["kind", "metric", "budget_seconds", "advisory"])?;
+            let o = obj(v, &what, &["kind", "metric", "budget_seconds"])?;
             let metric = match o.get("metric") {
                 None => "wall_seconds".to_string(),
                 Some(m) => m
@@ -422,15 +418,9 @@ fn predicate_from_json(v: &Json, index: usize) -> Result<Predicate, String> {
             if budget_seconds <= 0.0 || budget_seconds.is_nan() {
                 return Err(format!("{what}: budget_seconds must be positive"));
             }
-            let advisory = match o.get("advisory") {
-                None => false,
-                Some(Json::Bool(b)) => *b,
-                Some(_) => return Err(format!("{what} field \"advisory\" must be a boolean")),
-            };
             Ok(Predicate::WallTimeBudget {
                 metric,
                 budget_seconds,
-                advisory,
             })
         }
         other => Err(format!("{what} has unknown kind {other:?}")),
@@ -595,7 +585,7 @@ mod tests {
                 "predicates": [
                   {"kind": "wall_time_budget", "budget_seconds": 60},
                   {"kind": "wall_time_budget", "metric": "fleet_wall",
-                   "budget_seconds": 300, "advisory": true}
+                   "budget_seconds": 300}
                 ]}"#,
         )
         .unwrap();
@@ -604,7 +594,6 @@ mod tests {
             Predicate::WallTimeBudget {
                 metric: "wall_seconds".into(),
                 budget_seconds: 60.0,
-                advisory: false,
             }
         );
         assert_eq!(
@@ -612,7 +601,6 @@ mod tests {
             Predicate::WallTimeBudget {
                 metric: "fleet_wall".into(),
                 budget_seconds: 300.0,
-                advisory: true,
             }
         );
         for bad in [
@@ -620,6 +608,7 @@ mod tests {
             r#"{"kind": "wall_time_budget", "budget_seconds": 0}"#,
             r#"{"kind": "wall_time_budget", "budget_seconds": -5}"#,
             r#"{"kind": "wall_time_budget", "budget_seconds": 60, "advisory": "yes"}"#,
+            r#"{"kind": "wall_time_budget", "budget_seconds": 60, "advisory": true}"#,
         ] {
             let err = parse_spec(&format!(
                 r#"{{"name": "d", "about": "d", "experiment": "e", "predicates": [{bad}]}}"#

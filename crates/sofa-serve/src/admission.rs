@@ -1,0 +1,562 @@
+//! The admission core shared by [`ServeSim`](crate::ServeSim) and
+//! [`FleetServeSim`](crate::FleetServeSim): the deduplicated lowering pass
+//! ([`lower_trace`]) and the lowering functions, the per-instance
+//! [`Bookings`], the aged smallest-first [`pick`] and the least-booked,
+//! energy-headroom [`Bookings::place`] — Tailors-style overbooking of the
+//! sparsity-reduced `T×k` footprint. Each simulator keeps its own clock and
+//! loop: event-exact for the single node, epoch boundaries for the fleet.
+
+use crate::scheduler::{AdmitPolicy, OpRouter, RetryPolicy, ServeConfig};
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
+use std::sync::Arc;
+
+use sofa_core::cache::{LoweringCache, ShapeKey};
+use sofa_hw::accel::AttentionTask;
+use sofa_hw::energy::DRAM_ACTIVATION_PJ;
+use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
+use sofa_model::OperatingPoint;
+use sofa_sim::{CycleSim, PipelineJob};
+
+/// Waiting request ids, in arrival order.
+pub(crate) type WaitQueue = VecDeque<usize>;
+
+/// One request lowered and waiting for (or past) admission.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    pub(crate) class: RequestClass,
+    /// Effective arrival: the spec's arrival cycle, or the re-arrival time
+    /// once a shed request's retry is admitted (latency is measured from
+    /// the client's live submission).
+    pub(crate) arrival: u64,
+    /// The original spec, kept so the adaptive controller can re-lower the
+    /// request at a different operating point mid-run.
+    pub(crate) spec: RequestSpec,
+    /// The operating point the current lowering used.
+    pub(crate) op: OperatingPoint,
+    /// The lowered tile stream, shared with every other request that lowered
+    /// to the same `(shape, operating point)` key when the cache is on.
+    pub(crate) job: Arc<PipelineJob>,
+    /// Bytes admission control books for the request (the worst layer).
+    pub(crate) footprint: u64,
+    /// Projected energy of the whole request (all layers) in picojoules.
+    pub(crate) energy_pj: f64,
+    /// Whether any mechanism (energy budget, decay, feedback, retry)
+    /// re-routed this request away from its first-pick point.
+    pub(crate) rerouted: bool,
+    /// `false` when the request exceeded the energy budget even at the
+    /// leanest point and was shed instead of admitted (a retry that fits
+    /// the budget flips it back to `true`).
+    pub(crate) admit: bool,
+    /// Whether the decay threshold re-lowered this request while it waited.
+    pub(crate) decayed: bool,
+    /// Decay was evaluated (possibly rejected); guards repeated re-lowering.
+    pub(crate) decay_checked: bool,
+    /// Client re-submissions so far (0 for first-attempt requests).
+    pub(crate) retries: u32,
+    /// Pressure level of the lowering currently in `job` (feedback router).
+    pub(crate) level: u8,
+}
+
+impl Lowered {
+    /// `spec` lowered at `op`, admitted, not re-routed.
+    pub(crate) fn new(spec: &RequestSpec, op: OperatingPoint, lowering: PointLowering) -> Self {
+        Lowered {
+            class: spec.class,
+            arrival: spec.arrival_cycle,
+            spec: *spec,
+            op,
+            job: lowering.job,
+            footprint: lowering.footprint,
+            energy_pj: lowering.energy_pj,
+            rerouted: false,
+            admit: true,
+            decayed: false,
+            decay_checked: false,
+            retries: 0,
+            level: 0,
+        }
+    }
+
+    /// This lowering, shared by `spec` (a request of the same cache key).
+    pub(crate) fn for_request(&self, spec: &RequestSpec) -> Self {
+        Lowered {
+            class: spec.class,
+            arrival: spec.arrival_cycle,
+            spec: *spec,
+            ..self.clone()
+        }
+    }
+
+    /// The lowering itself, as the cache stores it.
+    fn point(&self) -> PointLowering {
+        PointLowering {
+            job: Arc::clone(&self.job),
+            footprint: self.footprint,
+            energy_pj: self.energy_pj,
+        }
+    }
+
+    /// Switches the request to `lowering` at `op` and marks it re-routed.
+    pub(crate) fn reroute(&mut self, op: OperatingPoint, lowering: PointLowering) {
+        self.job = lowering.job;
+        self.footprint = lowering.footprint;
+        self.energy_pj = lowering.energy_pj;
+        self.op = op;
+        self.rerouted = true;
+    }
+}
+
+/// One request lowered at one operating point (pre-budget). Cloning shares
+/// the lowered job, so this is the value type of the lowering cache.
+#[derive(Clone)]
+pub(crate) struct PointLowering {
+    pub(crate) job: Arc<PipelineJob>,
+    pub(crate) footprint: u64,
+    pub(crate) energy_pj: f64,
+}
+
+/// The `(request shape, operating point)`-keyed memo for [`lower_at`]
+/// results, shared by batch lowering and every adaptive re-lowering path
+/// (decay, feedback, retry). Accessed serially only, so hit/miss statistics
+/// are deterministic at any `SOFA_THREADS`.
+pub(crate) type LowerCache = LoweringCache<ShapeKey, PointLowering>;
+
+/// Lowers one request at `op`: one pipeline job per layer, concatenated
+/// into a single tile stream, plus the admission footprint and the
+/// projected energy.
+///
+/// The footprint is the state an instance pins for the life of an
+/// in-flight layer (tiles merely stream through the ping-pong banks):
+/// the query block and the output accumulator (`T×H` 16-bit values
+/// each) plus per-selected-key metadata — index and predicted score,
+/// 4 B per kept Q-K pair. Layers run back to back, so admission books
+/// the worst layer. Worst-case sizing must budget for a dense selection
+/// (every key kept); the *measured* footprint books only the `T×k`
+/// pairs the prediction stage actually keeps — the capacity overbooking
+/// reclaims.
+///
+/// The energy projection follows the DSE evaluator's model: the
+/// analytic compute/SRAM/interface/DRAM energy of each layer's task
+/// plus [`DRAM_ACTIVATION_PJ`] per DRAM request the lowered job issues.
+pub(crate) fn lower_at(
+    cfg: &ServeConfig,
+    csim: &CycleSim,
+    spec: &RequestSpec,
+    op: &OperatingPoint,
+) -> PointLowering {
+    let t = spec.queries as u64;
+    let h = spec.hidden as u64;
+    let mut combined = PipelineJob {
+        work: Vec::new(),
+        cycles: Vec::new(),
+    };
+    let mut footprint = 0u64;
+    let mut energy_pj = 0.0f64;
+    for layer in 0..op.layers() {
+        let task = AttentionTask::at_layer(
+            spec.queries,
+            spec.seq_len,
+            spec.hidden,
+            spec.heads,
+            op,
+            layer,
+        );
+        let job = csim.job(&task, None);
+        let requests = job.dram_requests();
+        let analytic = csim.accel.simulate(&task);
+        energy_pj += analytic.energy.total_j() * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
+        let kept_pairs = if cfg.predicted_footprint {
+            task.k() as u64
+        } else {
+            spec.seq_len as u64
+        };
+        footprint = footprint.max(t * h * 2 + t * h * 2 + t * kept_pairs * 4);
+        combined.work.extend(job.work);
+        combined.cycles.extend(job.cycles);
+    }
+    PointLowering {
+        job: Arc::new(combined),
+        footprint,
+        energy_pj,
+    }
+}
+
+/// [`lower_at`] through the lowering cache. Serial-path entry point for
+/// the adaptive re-lowering mechanisms; [`lower_trace`] seeds the same
+/// cache via its dedup pass instead.
+pub(crate) fn lower_at_cached(
+    cfg: &ServeConfig,
+    cache: &mut LowerCache,
+    csim: &CycleSim,
+    spec: &RequestSpec,
+    op: &OperatingPoint,
+) -> PointLowering {
+    cache
+        .get_or_insert_with(ShapeKey::new(spec, op), || lower_at(cfg, csim, spec, op))
+        .clone()
+}
+
+/// Lowers one request through `router`, applying the energy budget:
+/// over-budget requests are re-routed to the router's leanest point, and
+/// shed when they exceed the budget even there.
+pub(crate) fn lower_routed(
+    cfg: &ServeConfig,
+    csim: &CycleSim,
+    spec: &RequestSpec,
+    router: &OpRouter,
+) -> Lowered {
+    let mut op = router.pick(&cfg.op, spec);
+    let mut lowering = lower_at(cfg, csim, spec, &op);
+    let mut rerouted = false;
+    if cfg.over_energy_budget(lowering.energy_pj) {
+        if let Some(lean) = router.leaner().filter(|lean| *lean != op) {
+            lowering = lower_at(cfg, csim, spec, &lean);
+            op = lean;
+            rerouted = true;
+        }
+    }
+    let admit = !cfg.over_energy_budget(lowering.energy_pj);
+    Lowered {
+        rerouted,
+        admit,
+        ..Lowered::new(spec, op, lowering)
+    }
+}
+
+/// Lowers every request of `trace` through `router`, once per distinct
+/// `(request shape, routed operating point)` key.
+///
+/// Lowering a request (routing, descriptor generation, per-tile cycle
+/// apportioning, energy projection) is a pure function of that key. A
+/// serial dedup pass elects one representative per distinct key; only the
+/// representatives fan out across cores (in index order, so the result is
+/// oblivious to the thread count), and every other request shares its
+/// representative's lowering. With the cache off every request is its own
+/// representative — the classic full fan-out. The representatives'
+/// final-point lowerings seed `cache`, which accounts one miss per
+/// representative and one hit per request that shared one.
+///
+/// Returns the representatives' lowerings and, per request, the index of
+/// its representative among them.
+pub(crate) fn lower_trace(
+    cfg: &ServeConfig,
+    csim: &CycleSim,
+    trace: &RequestTrace,
+    router: &OpRouter,
+    cache: &mut LowerCache,
+) -> (Vec<Lowered>, Vec<usize>) {
+    let mut seen: HashMap<ShapeKey, usize> = HashMap::new();
+    let mut rep_of = Vec::with_capacity(trace.requests.len());
+    let mut reps: Vec<usize> = Vec::new();
+    for (i, spec) in trace.requests.iter().enumerate() {
+        let rep = if cache.enabled() {
+            let op = router.pick(&cfg.op, spec);
+            *seen.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
+                reps.push(i);
+                reps.len() - 1
+            })
+        } else {
+            reps.push(i);
+            reps.len() - 1
+        };
+        rep_of.push(rep);
+    }
+    let table: Vec<Lowered> = sofa_par::par_map_index(reps.len(), |k| {
+        lower_routed(cfg, csim, &trace.requests[reps[k]], router)
+    });
+    for low in &table {
+        cache.insert_computed(ShapeKey::new(&low.spec, &low.op), low.point());
+    }
+    cache.record_shared_hits((trace.requests.len() - reps.len()) as u64);
+    (table, rep_of)
+}
+
+/// The leaner lowering of retry `attempt`: the router's leanest point (or
+/// the deployment point when the router has none) with its keep ratio
+/// shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored at 1% keep.
+pub(crate) fn retry_lowering(
+    cfg: &ServeConfig,
+    cache: &mut LowerCache,
+    csim: &CycleSim,
+    router: &OpRouter,
+    spec: &RequestSpec,
+    policy: &RetryPolicy,
+    attempt: u32,
+) -> (OperatingPoint, PointLowering) {
+    let base = router.leaner().unwrap_or_else(|| cfg.op.clone());
+    let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
+    let op = base.with_uniform_keep(keep);
+    // The attempt-shrunk keep is part of the cache key, so repeat attempts
+    // at the same shrink level hit instead of re-running the full pipeline
+    // lowering.
+    let lowering = lower_at_cached(cfg, cache, csim, spec, &op);
+    (op, lowering)
+}
+
+/// Position in `waiting` of the next request to try, among its first
+/// `window` entries: the oldest request if it has waited past the aging
+/// threshold, else the policy's pick. `arrival` and `footprint` read a
+/// request's effective arrival and booked bytes.
+///
+/// The oldest is found by scanning every arrival in the window — pushes
+/// happen in arrival order today, but requeue paths (retry re-arrivals,
+/// adaptive re-routes) must not be able to starve an aged request by
+/// perturbing the head of the queue. The window bounds the scan cost on
+/// million-request backlogs.
+///
+/// # Panics
+///
+/// Panics if `waiting` is empty or `window` is 0.
+pub(crate) fn pick(
+    cfg: &ServeConfig,
+    now: u64,
+    waiting: &WaitQueue,
+    window: usize,
+    arrival: impl Fn(usize) -> u64,
+    footprint: impl Fn(usize) -> u64,
+) -> usize {
+    let oldest = first_min(waiting, window, &arrival);
+    if now.saturating_sub(arrival(waiting[oldest])) >= cfg.aging_threshold {
+        return oldest;
+    }
+    match cfg.policy {
+        AdmitPolicy::Fifo => oldest,
+        AdmitPolicy::SmallestFirst => first_min(waiting, window, footprint),
+    }
+}
+
+/// Position of the first request with the least `(key, id)` among the
+/// first `window` entries of `waiting`.
+fn first_min(waiting: &WaitQueue, window: usize, key: impl Fn(usize) -> u64) -> usize {
+    waiting
+        .iter()
+        .take(window)
+        .enumerate()
+        .min_by_key(|&(_, &req)| (key(req), req))
+        .map(|(pos, _)| pos)
+        .expect("waiting is non-empty")
+}
+
+/// In-flight bookings per instance slot: the footprint bytes, request count
+/// and projected energy of the admitted-but-uncompleted requests, and the
+/// peak booked bytes.
+#[derive(Debug)]
+pub(crate) struct Bookings {
+    pub(crate) bytes: Vec<u64>,
+    pub(crate) reqs: Vec<usize>,
+    pub(crate) energy: Vec<f64>,
+    pub(crate) peak: Vec<u64>,
+}
+
+impl Bookings {
+    /// `slots` idle instance slots.
+    pub(crate) fn new(slots: usize) -> Self {
+        Bookings {
+            bytes: vec![0; slots],
+            reqs: vec![0; slots],
+            energy: vec![0.0; slots],
+            peak: vec![0; slots],
+        }
+    }
+
+    /// Books one admitted request on `slot`.
+    pub(crate) fn book(&mut self, slot: usize, bytes: u64, energy_pj: f64) {
+        self.bytes[slot] += bytes;
+        self.reqs[slot] += 1;
+        self.energy[slot] += energy_pj;
+        self.peak[slot] = self.peak[slot].max(self.bytes[slot]);
+    }
+
+    /// Releases one completed request from `slot`.
+    pub(crate) fn release(&mut self, slot: usize, bytes: u64, energy_pj: f64) {
+        self.bytes[slot] -= bytes;
+        self.reqs[slot] -= 1;
+        self.energy[slot] -= energy_pj;
+    }
+
+    /// Checks that every booking was released: each slot is back to 0
+    /// bytes and 0 requests. Energy is left out — it is an `f64` sum and
+    /// need not return to exactly 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first slot with bytes or requests still booked.
+    pub(crate) fn assert_drained(&self) {
+        for (slot, (&bytes, &reqs)) in self.bytes.iter().zip(&self.reqs).enumerate() {
+            assert!(
+                bytes == 0 && reqs == 0,
+                "slot {slot} still books {bytes} B in {reqs} requests after the run"
+            );
+        }
+    }
+
+    /// The slot in `slots` the next request lands on: among slots that fit
+    /// `fp` more bytes within `budget` (or are idle, so one oversized
+    /// request always makes progress), the least-booked one, first in slot
+    /// order on ties. With a per-instance `energy_budget`, slots without
+    /// headroom for `energy_pj` are skipped too (unless idle) and
+    /// booked-bytes ties break toward the most energy headroom.
+    pub(crate) fn place(
+        &self,
+        slots: Range<usize>,
+        fp: u64,
+        energy_pj: f64,
+        budget: u64,
+        energy_budget: Option<f64>,
+    ) -> Option<usize> {
+        let fits = |slot: usize| self.reqs[slot] == 0 || self.bytes[slot] + fp <= budget;
+        match energy_budget {
+            None => {
+                // A strict `<` keeps the first minimum, and nothing books
+                // fewer than 0 bytes.
+                let mut best: Option<(usize, u64)> = None;
+                for slot in slots {
+                    let booked = self.bytes[slot];
+                    if fits(slot) && best.is_none_or(|(_, b)| booked < b) {
+                        best = Some((slot, booked));
+                        if booked == 0 {
+                            break;
+                        }
+                    }
+                }
+                best.map(|(slot, _)| slot)
+            }
+            Some(eb) => slots
+                .filter(|&slot| {
+                    fits(slot) && (self.reqs[slot] == 0 || self.energy[slot] + energy_pj <= eb)
+                })
+                .min_by(|&a, &b| {
+                    self.bytes[a]
+                        .cmp(&self.bytes[b])
+                        .then_with(|| self.energy[a].total_cmp(&self.energy[b]))
+                        .then_with(|| a.cmp(&b))
+                }),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sofa_hw::config::HwConfig;
+    use std::cmp::Ordering;
+
+    /// The placement as one iterator chain over the whole range: among
+    /// idle slots and slots with byte (and, when budgeted, energy) headroom,
+    /// the least-booked, ties toward the least booked energy when budgeted,
+    /// then the first slot.
+    fn place_by_scan(
+        b: &Bookings,
+        slots: Range<usize>,
+        fp: u64,
+        energy_pj: f64,
+        budget: u64,
+        energy_budget: Option<f64>,
+    ) -> Option<usize> {
+        slots
+            .filter(|&s| {
+                b.reqs[s] == 0
+                    || (b.bytes[s] + fp <= budget
+                        && energy_budget.is_none_or(|eb| b.energy[s] + energy_pj <= eb))
+            })
+            .min_by(|&x, &y| {
+                let energy = match energy_budget {
+                    Some(_) => b.energy[x].total_cmp(&b.energy[y]),
+                    None => Ordering::Equal,
+                };
+                b.bytes[x].cmp(&b.bytes[y]).then(energy).then(x.cmp(&y))
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The shared placement picks exactly what the full scan picks, over
+        /// random bookings that mix idle slots, booked slots at zero bytes,
+        /// slots at and past the byte budget edge, in-flight energy at,
+        /// below and above the energy budget, and slot ranges from empty
+        /// node pools to the single node's whole `0..instances`.
+        #[test]
+        fn early_exit_place_matches_the_full_scan(
+            shape in (1usize..5, 1usize..5, 0usize..5, 0usize..5),
+            range in (0usize..6, 0usize..5, 0usize..2),
+            slots in proptest::collection::vec((0usize..6, 0usize..3, 0usize..5), 16),
+        ) {
+            let (nodes, ipn) = (shape.0, shape.1);
+            let instances = nodes * ipn;
+            let budget = ServeConfig::new(HwConfig::small(), ipn).budget_bytes();
+            let fp = [0, 1, budget / 2, budget, budget + 1][shape.2];
+            let eb: f64 = 1.0e6;
+            let energy_pj = [0.0, 1.0, eb / 2.0, eb, 2.0 * eb][shape.3];
+            let energy_budget = [None, Some(eb)][range.2];
+            let sizes = [0, 1, budget / 2, budget - fp.min(budget), budget, 3 * budget];
+            // In-flight energy that lands exactly at, below and above the
+            // budget once `energy_pj` is added.
+            let edge = (eb - energy_pj).max(0.0);
+            let energies = [0.0, edge, edge / 2.0, edge + 1.0, 3.0 * eb];
+            let mut b = Bookings::new(instances);
+            for (s, &(bytes, reqs, energy)) in slots[..instances].iter().enumerate() {
+                b.bytes[s] = sizes[bytes];
+                b.reqs[s] = reqs;
+                b.energy[s] = energies[energy];
+            }
+            let slots = if range.0 == 5 {
+                0..instances
+            } else {
+                let (x, y) = (range.0.min(nodes), range.1.min(nodes));
+                x.min(y) * ipn..x.max(y) * ipn
+            };
+            proptest::prop_assert_eq!(
+                b.place(slots.clone(), fp, energy_pj, budget, energy_budget),
+                place_by_scan(&b, slots, fp, energy_pj, budget, energy_budget)
+            );
+        }
+    }
+
+    #[test]
+    fn bookings_drain_when_every_request_is_released() {
+        let mut b = Bookings::new(3);
+        b.book(0, 100, 0.1);
+        b.book(0, 50, 0.2);
+        b.book(2, 7, 3.0);
+        assert_eq!(b.peak, [150, 0, 7]);
+        b.release(0, 100, 0.1);
+        b.book(2, 0, 0.0);
+        b.release(2, 7, 3.0);
+        b.release(0, 50, 0.2);
+        b.release(2, 0, 0.0);
+        assert_eq!(b.peak, [150, 0, 7]);
+        // The energy sum need not return to exactly 0, so the check
+        // leaves it out.
+        assert_ne!(b.energy[0], 0.0);
+        b.assert_drained();
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 1 still books 0 B in 1 requests")]
+    fn bookings_drain_check_catches_a_missing_release() {
+        let mut b = Bookings::new(2);
+        b.book(0, 100, 1.0);
+        b.book(1, 0, 0.0);
+        b.release(0, 100, 1.0);
+        b.assert_drained();
+    }
+
+    #[test]
+    fn pick_scans_only_the_window() {
+        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+        cfg.aging_threshold = 100_000;
+        // (arrival, footprint) of requests 0..3; the smallest is last.
+        let reqs = [(10, 300), (20, 200), (30, 100)];
+        let waiting = WaitQueue::from([0, 1, 2]);
+        let pick_in = |cfg: &ServeConfig, window| {
+            pick(cfg, 50, &waiting, window, |r| reqs[r].0, |r| reqs[r].1)
+        };
+        assert_eq!(pick_in(&cfg, 3), 2);
+        assert_eq!(pick_in(&cfg, 2), 1);
+        assert_eq!(pick_in(&cfg, 1), 0);
+        cfg.policy = AdmitPolicy::Fifo;
+        assert_eq!(pick_in(&cfg, 3), 0);
+    }
+}

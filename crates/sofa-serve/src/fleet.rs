@@ -1,15 +1,15 @@
 //! Fleet-scale sharded serving: cross-node placement over `sofa-sim`'s
 //! node/fabric hierarchy.
 //!
-//! [`ServeSim`] schedules one node — `N` instances behind one shared DRAM
-//! channel. [`FleetServeSim`] scales that out: requests are routed across
-//! [`FleetConfig::nodes`] nodes (each a full [`sofa_sim::NodeSim`] with a
-//! private DRAM channel), reaching their node through an inter-node
-//! [`Fabric`] whose per-node ingress links add serialization and latency to
-//! every placement. Placement is least-booked across the whole fleet, with
-//! optional **prefill/decode disaggregation**: prefills pin to one node
-//! pool, decodes to the other, spilling over only when their pool has no
-//! capacity at all.
+//! [`ServeSim`](crate::ServeSim) schedules one node — `N` instances
+//! behind one shared DRAM channel. [`FleetServeSim`] scales that out:
+//! requests are routed across [`FleetConfig::nodes`] nodes (each a full
+//! [`sofa_sim::NodeSim`] with a private DRAM channel), reaching their node
+//! through an inter-node [`Fabric`] whose per-node ingress links add
+//! serialization and latency to every placement. Placement is least-booked
+//! across the whole fleet, with optional **prefill/decode
+//! disaggregation**: prefills pin to one node pool, decodes to the other,
+//! spilling over only when their pool has no capacity at all.
 //!
 //! **Epoch-synchronized.** The router interacts with the simulation only at
 //! multiples of [`FleetConfig::epoch_cycles`]: each epoch, every node's
@@ -33,15 +33,16 @@
 //! counters stamped at boundary cycles) is byte-identical at any
 //! `SOFA_THREADS` and across repeated runs.
 
+use crate::admission::{self, Bookings, LowerCache, Lowered, WaitQueue};
 use crate::report::ServeReport;
-use crate::scheduler::{AdmitPolicy, LowerCache, OpRouter, PointLowering, ServeConfig, ServeSim};
-use sofa_core::cache::{CacheStats, ShapeKey};
+use crate::scheduler::{OpRouter, ServeConfig};
+use sofa_core::cache::CacheStats;
 use sofa_model::trace::{RequestClass, RequestTrace};
 use sofa_obs::{MetricsRegistry, QuantileSketch, TraceRecorder};
 use sofa_sim::tracks::{PID_FABRIC, PID_FLEET_ROUTER};
-use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport, PipelineJob};
+use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -143,18 +144,6 @@ impl FleetConfig {
         }
         Ok(())
     }
-}
-
-/// One distinct request shape, lowered once and shared by every request of
-/// that shape.
-#[derive(Debug)]
-struct Shape {
-    job: Arc<PipelineJob>,
-    footprint: u64,
-    energy_pj: f64,
-    rerouted: bool,
-    admit: bool,
-    class: RequestClass,
 }
 
 /// Aggregated outcome of serving one trace across the fleet. Per-request
@@ -362,16 +351,9 @@ impl FleetReport {
 /// Mutable routing state of one fleet run.
 struct RouterState {
     /// Waiting (admitted-eligible) request indices, in arrival order.
-    waiting: VecDeque<usize>,
-    /// Booked bytes per instance slot (`node * instances_per_node + inst`).
-    inflight_bytes: Vec<u64>,
-    /// Admitted-but-incomplete requests per instance slot.
-    inflight_reqs: Vec<usize>,
-    /// Booked (admitted-but-incomplete) energy per instance slot, for the
-    /// per-instance energy budget.
-    inflight_energy: Vec<f64>,
-    /// Peak booked bytes per instance slot.
-    peak: Vec<u64>,
+    waiting: WaitQueue,
+    /// Bookings per instance slot (`node * instances_per_node + inst`).
+    bookings: Bookings,
     /// Effective arrival cycle per request: the spec's arrival, or the
     /// re-arrival time once a shed request's retry is admitted.
     arrival: Vec<u64>,
@@ -453,157 +435,16 @@ impl FleetServeSim {
         report
     }
 
-    /// Lowers the trace shape-memoized: one [`ServeSim`] lowering per
-    /// *distinct* `(request shape, routed operating point)` key (in
-    /// parallel, first-occurrence order), an index into the shape table per
-    /// request. The keys and results seed `cache`, so retry re-lowerings
-    /// share work with the batch; with the cache off every request lowers
-    /// independently (the cache-differential baseline).
-    fn lower_shapes(
-        &self,
-        trace: &RequestTrace,
-        router: OpRouter,
-        cache: &mut LowerCache,
-    ) -> (Vec<Shape>, Vec<usize>) {
-        let mut csim = CycleSim::new(self.cfg.serve.hw);
-        csim.params = self.cfg.serve.sim;
-        let lowerer = ServeSim::new(self.cfg.serve.clone());
-        let mut table: HashMap<ShapeKey, usize> = HashMap::new();
-        let mut shape_of = Vec::with_capacity(trace.requests.len());
-        let mut reps: Vec<usize> = Vec::new();
-        for (i, spec) in trace.requests.iter().enumerate() {
-            if cache.enabled() {
-                let op = router.pick(&self.cfg.serve.op, spec);
-                let idx = *table.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
-                    reps.push(i);
-                    reps.len() - 1
-                });
-                shape_of.push(idx);
-            } else {
-                reps.push(i);
-                shape_of.push(reps.len() - 1);
-            }
-        }
-        let rep_lowered = sofa_par::par_map_index(reps.len(), |k| {
-            lowerer.lower_routed(&csim, &trace.requests[reps[k]], &router)
-        });
-        cache.record_shared_hits((trace.requests.len() - reps.len()) as u64);
-        let shapes = rep_lowered
-            .into_iter()
-            .map(|low| {
-                cache.insert_computed(
-                    ShapeKey::new(&low.spec, &low.op),
-                    PointLowering {
-                        job: Arc::clone(&low.job),
-                        footprint: low.footprint,
-                        energy_pj: low.energy_pj,
-                    },
-                );
-                Shape {
-                    job: low.job,
-                    footprint: low.footprint,
-                    energy_pj: low.energy_pj,
-                    rerouted: low.rerouted,
-                    admit: low.admit,
-                    class: low.class,
-                }
-            })
-            .collect();
-        (shapes, shape_of)
-    }
-
-    /// The node pool `class` placements try first.
+    /// The instance slots of the node pool `class` placements try first.
     fn pool(&self, class: RequestClass) -> Range<usize> {
+        let total = self.cfg.total_instances();
         if !self.cfg.disaggregate {
-            return 0..self.cfg.nodes;
+            return 0..total;
         }
-        let p = self.cfg.prefill_nodes();
+        let p = self.cfg.prefill_nodes() * self.cfg.serve.instances;
         match class {
             RequestClass::Prefill => 0..p,
-            RequestClass::Decode => p..self.cfg.nodes,
-        }
-    }
-
-    /// Position in `waiting` of the next request to try: the oldest starved
-    /// request if one aged past the threshold, else the policy's pick over
-    /// the first [`FleetConfig::admit_window`] waiters. The oldest is found
-    /// by scanning the window's arrivals — pushes happen in arrival order
-    /// today (retry re-arrivals merge time-ordered at ingestion), but aging
-    /// must not silently starve if that invariant ever changes, and the
-    /// window bounds the scan cost on million-request backlogs.
-    fn pick(
-        &self,
-        now: u64,
-        waiting: &VecDeque<usize>,
-        arrival: &[u64],
-        shapes: &[Shape],
-        shape_of: &[usize],
-    ) -> usize {
-        let window = waiting.len().min(self.cfg.admit_window);
-        let oldest = (0..window)
-            .min_by_key(|&p| (arrival[waiting[p]], waiting[p]))
-            .expect("waiting is non-empty");
-        let oldest_wait = now.saturating_sub(arrival[waiting[oldest]]);
-        if oldest_wait >= self.cfg.serve.aging_threshold {
-            return oldest;
-        }
-        match self.cfg.serve.policy {
-            AdmitPolicy::Fifo => oldest,
-            AdmitPolicy::SmallestFirst => (0..window)
-                .min_by_key(|&p| (shapes[shape_of[waiting[p]]].footprint, waiting[p]))
-                .expect("waiting is non-empty"),
-        }
-    }
-
-    /// Least-booked instance slot in `nodes` that fits `fp` more bytes (or
-    /// is completely idle, so oversized requests always make progress).
-    /// With [`ServeConfig::instance_energy_budget_pj`], slots without
-    /// energy headroom for `energy_pj` are skipped too, and booked-bytes
-    /// ties break toward the most energy headroom.
-    fn place(
-        &self,
-        nodes: Range<usize>,
-        fp: u64,
-        energy_pj: f64,
-        state: &RouterState,
-    ) -> Option<(usize, usize)> {
-        let ipn = self.cfg.serve.instances;
-        let budget = self.cfg.serve.budget_bytes();
-        let fits = |slot: usize| {
-            state.inflight_reqs[slot] == 0 || state.inflight_bytes[slot] + fp <= budget
-        };
-        match self.cfg.serve.instance_energy_budget_pj {
-            None => {
-                // Slots in `(n, i)` order; a strict `<` keeps the first
-                // minimum, and nothing books fewer than 0 bytes.
-                let mut best: Option<(usize, usize, u64)> = None;
-                for slot in nodes.start * ipn..nodes.end * ipn {
-                    let booked = state.inflight_bytes[slot];
-                    if fits(slot) && best.is_none_or(|(_, _, b)| booked < b) {
-                        best = Some((slot / ipn, slot % ipn, booked));
-                        if booked == 0 {
-                            break;
-                        }
-                    }
-                }
-                best.map(|(n, i, _)| (n, i))
-            }
-            Some(eb) => nodes
-                .flat_map(|n| (0..ipn).map(move |i| (n, i)))
-                .filter(|&(n, i)| {
-                    let slot = n * ipn + i;
-                    fits(slot)
-                        && (state.inflight_reqs[slot] == 0
-                            || state.inflight_energy[slot] + energy_pj <= eb)
-                })
-                .min_by(|&(an, ai), &(bn, bi)| {
-                    let a = an * ipn + ai;
-                    let b = bn * ipn + bi;
-                    state.inflight_bytes[a]
-                        .cmp(&state.inflight_bytes[b])
-                        .then_with(|| state.inflight_energy[a].total_cmp(&state.inflight_energy[b]))
-                        .then_with(|| a.cmp(&b))
-                }),
+            RequestClass::Decode => p..total,
         }
     }
 
@@ -616,43 +457,53 @@ impl FleetServeSim {
     fn try_admit(
         &self,
         now: u64,
-        shapes: &[Shape],
+        shapes: &[Lowered],
         shape_of: &[usize],
         state: &mut RouterState,
         fabric: &mut Fabric,
         fleet: &mut FleetSim,
         obs: &mut TraceRecorder,
     ) {
-        let ipn = self.cfg.serve.instances;
+        let s = &self.cfg.serve;
+        let ipn = s.instances;
+        let budget = s.budget_bytes();
+        let energy_budget = s.instance_energy_budget_pj;
         while !state.waiting.is_empty() {
-            let pos = self.pick(now, &state.waiting, &state.arrival, shapes, shape_of);
+            let pos = admission::pick(
+                s,
+                now,
+                &state.waiting,
+                self.cfg.admit_window,
+                |r| state.arrival[r],
+                |r| shapes[shape_of[r]].footprint,
+            );
             let req = state.waiting[pos];
             let shape = &shapes[shape_of[req]];
-            let fp = shape.footprint;
-            let target = self
-                .place(self.pool(shape.class), fp, shape.energy_pj, state)
-                .or_else(|| {
-                    self.cfg
-                        .disaggregate
-                        .then(|| self.place(0..self.cfg.nodes, fp, shape.energy_pj, state))
-                        .flatten()
-                });
-            let Some((node, inst)) = target else {
+            let (fp, energy_pj) = (shape.footprint, shape.energy_pj);
+            let place = |slots| {
+                state
+                    .bookings
+                    .place(slots, fp, energy_pj, budget, energy_budget)
+            };
+            let target = place(self.pool(shape.class)).or_else(|| {
+                self.cfg
+                    .disaggregate
+                    .then(|| place(0..self.cfg.total_instances()))
+                    .flatten()
+            });
+            let Some(slot) = target else {
                 // The candidate fits nowhere; the next boundary retries.
                 // Stopping (not skipping to a smaller request) keeps the
                 // aged head from being overtaken forever.
                 return;
             };
             state.waiting.remove(pos);
+            let (node, inst) = (slot / ipn, slot % ipn);
             let delivery = fabric.transfer(node, fp, now);
             fleet.submit(node, inst, req as u64, Arc::clone(&shape.job), delivery);
-            let slot = node * ipn + inst;
-            state.inflight_bytes[slot] += fp;
-            state.inflight_reqs[slot] += 1;
-            state.inflight_energy[slot] += shape.energy_pj;
-            state.peak[slot] = state.peak[slot].max(state.inflight_bytes[slot]);
+            state.bookings.book(slot, fp, energy_pj);
             state.requests_per_node[node] += 1;
-            state.energy_pj += shape.energy_pj;
+            state.energy_pj += energy_pj;
             state.queueing.record(now - state.arrival[req]);
             if obs.is_enabled() {
                 obs.counter(
@@ -676,14 +527,15 @@ impl FleetServeSim {
         assert!(!trace.is_empty(), "cannot serve an empty trace");
         let s = &self.cfg.serve;
         let ipn = s.instances;
+        let mut csim = CycleSim::new(s.hw);
+        csim.params = s.sim;
         let mut cache = LowerCache::new(s.lowering_cache);
-        let (mut shapes, mut shape_of) = self.lower_shapes(trace, router, &mut cache);
+        // One lowering per distinct shape, shared by every request of it.
+        let (mut shapes, mut shape_of) =
+            admission::lower_trace(s, &csim, trace, &router, &mut cache);
         // Retry re-lowering happens serially, on demand, memoized per
         // (original shape, attempt) — the retried shapes append to the same
         // table and `shape_of` is repointed on a successful re-admission.
-        let mut retry_csim = CycleSim::new(s.hw);
-        retry_csim.params = s.sim;
-        let retry_lowerer = ServeSim::new(s.clone());
         let mut retry_table: HashMap<(usize, u32), usize> = HashMap::new();
         let mut attempts: HashMap<usize, u32> = HashMap::new();
         // Shed requests awaiting their client backoff: (re-arrival, id).
@@ -702,11 +554,8 @@ impl FleetServeSim {
         }
 
         let mut state = RouterState {
-            waiting: VecDeque::new(),
-            inflight_bytes: vec![0; self.cfg.total_instances()],
-            inflight_reqs: vec![0; self.cfg.total_instances()],
-            inflight_energy: vec![0.0; self.cfg.total_instances()],
-            peak: vec![0; self.cfg.total_instances()],
+            waiting: WaitQueue::new(),
+            bookings: Bookings::new(self.cfg.total_instances()),
             arrival: trace.requests.iter().map(|r| r.arrival_cycle).collect(),
             requests_per_node: vec![0; self.cfg.nodes],
             latency: QuantileSketch::new(),
@@ -740,10 +589,18 @@ impl FleetServeSim {
             let boundary = (next / epoch + 1) * epoch;
             for c in fleet.run_until(boundary) {
                 let req = c.request as usize;
+                let shape = &shapes[shape_of[req]];
                 let slot = c.node * ipn + c.instance;
-                state.inflight_bytes[slot] -= shapes[shape_of[req]].footprint;
-                state.inflight_reqs[slot] -= 1;
-                state.inflight_energy[slot] -= shapes[shape_of[req]].energy_pj;
+                state
+                    .bookings
+                    .release(slot, shape.footprint, shape.energy_pj);
+                match shape.class {
+                    RequestClass::Prefill => prefills += 1,
+                    RequestClass::Decode => decodes += 1,
+                }
+                if shape.rerouted {
+                    rerouted += 1;
+                }
                 state.latency.record(c.time - state.arrival[req]);
                 state.served += 1;
             }
@@ -770,26 +627,20 @@ impl FleetServeSim {
                     let attempt = attempts.get(&req).copied().unwrap_or(0) + 1;
                     let key = (shape_of[req], attempt);
                     let idx = *retry_table.entry(key).or_insert_with(|| {
-                        let (_, lowering) = retry_lowerer.retry_lowering(
+                        let (op, lowering) = admission::retry_lowering(
+                            s,
                             &mut cache,
-                            &retry_csim,
+                            &csim,
                             &router,
                             &specs[req],
                             &policy,
                             attempt,
                         );
-                        let admit = !self
-                            .cfg
-                            .serve
-                            .energy_budget_pj_per_req
-                            .is_some_and(|b| lowering.energy_pj > b);
-                        shapes.push(Shape {
-                            job: lowering.job,
-                            footprint: lowering.footprint,
-                            energy_pj: lowering.energy_pj,
+                        let admit = !s.over_energy_budget(lowering.energy_pj);
+                        shapes.push(Lowered {
                             rerouted: true,
                             admit,
-                            class: specs[req].class,
+                            ..Lowered::new(&specs[req], op, lowering)
                         });
                         shapes.len() - 1
                     });
@@ -797,11 +648,6 @@ impl FleetServeSim {
                         shape_of[req] = idx;
                         state.arrival[req] = t;
                         retried += 1;
-                        rerouted += 1;
-                        match shapes[idx].class {
-                            RequestClass::Prefill => prefills += 1,
-                            RequestClass::Decode => decodes += 1,
-                        }
                         state.waiting.push_back(req);
                     } else if attempt < policy.max_retries {
                         attempts.insert(req, attempt);
@@ -810,16 +656,8 @@ impl FleetServeSim {
                         shed += 1;
                     }
                 } else {
-                    let shape = &shapes[shape_of[next_arrival]];
-                    if shape.admit {
+                    if shapes[shape_of[next_arrival]].admit {
                         state.waiting.push_back(next_arrival);
-                        if shape.rerouted {
-                            rerouted += 1;
-                        }
-                        match shape.class {
-                            RequestClass::Prefill => prefills += 1,
-                            RequestClass::Decode => decodes += 1,
-                        }
                     } else if let Some(policy) = &self.cfg.serve.retry {
                         retryq.push(Reverse((
                             specs[next_arrival].arrival_cycle + policy.backoff_cycles,
@@ -850,7 +688,13 @@ impl FleetServeSim {
                 );
             }
         }
-        debug_assert!(state.waiting.is_empty(), "all eligible requests admitted");
+        assert!(state.waiting.is_empty(), "all eligible requests admitted");
+        assert_eq!(
+            state.served + shed,
+            specs.len() as u64,
+            "served + shed == offered"
+        );
+        state.bookings.assert_drained();
         *cache_stats = cache.stats();
         obs.absorb(fleet.take_trace());
 
@@ -861,9 +705,7 @@ impl FleetServeSim {
             .map(|n| n.total_cycles)
             .max()
             .unwrap_or(0);
-        let peak_inflight_bytes = (0..self.cfg.nodes)
-            .map(|n| (0..ipn).map(|i| state.peak[n * ipn + i]).max().unwrap_or(0))
-            .collect();
+        let node_peaks = state.bookings.peak.chunks(ipn);
         FleetReport {
             served: state.served,
             shed,
@@ -878,7 +720,9 @@ impl FleetServeSim {
             fabric: fabric.report(),
             energy_pj: state.energy_pj,
             requests_per_node: state.requests_per_node,
-            peak_inflight_bytes,
+            peak_inflight_bytes: node_peaks
+                .map(|n| n.iter().copied().max().unwrap_or(0))
+                .collect(),
             budget_bytes: s.budget_bytes(),
         }
     }
@@ -896,6 +740,7 @@ pub fn p95_drift(fleet: &FleetReport, single: &ServeReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServeSim;
     use sofa_hw::config::HwConfig;
     use sofa_model::trace::TraceConfig;
 
@@ -970,6 +815,21 @@ mod tests {
     }
 
     #[test]
+    fn single_node_and_one_node_fleet_share_the_lowering_pass() {
+        let trace = small_trace(24, 100.0);
+        for cache in [true, false] {
+            let mut cfg = small_cfg(1, 2);
+            cfg.serve.lowering_cache = cache;
+            let (_, single) = ServeSim::new(cfg.serve.clone())
+                .run_with_cache_stats(&trace, OpRouter::TraceNative);
+            let (_, fleet) =
+                FleetServeSim::new(cfg).run_with_cache_stats(&trace, OpRouter::TraceNative);
+            assert_eq!(single, fleet, "cache {cache}");
+            assert_eq!(single.hits + single.misses, 24);
+        }
+    }
+
+    #[test]
     fn traced_run_matches_untraced_and_validates() {
         let trace = small_trace(10, 100.0);
         let sim = FleetServeSim::new(small_cfg(2, 1));
@@ -1016,74 +876,6 @@ mod tests {
         assert!(err.contains("fabric.bytes_per_cycle"), "{err}");
         cfg.fabric.bytes_per_cycle = 1;
         assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    /// A router state with the given per-slot bookings and nothing else.
-    fn booked_state(bytes: Vec<u64>, reqs: Vec<usize>, nodes: usize) -> RouterState {
-        RouterState {
-            waiting: VecDeque::new(),
-            inflight_energy: vec![0.0; bytes.len()],
-            peak: vec![0; bytes.len()],
-            inflight_bytes: bytes,
-            inflight_reqs: reqs,
-            arrival: Vec::new(),
-            requests_per_node: vec![0; nodes],
-            latency: QuantileSketch::new(),
-            queueing: QuantileSketch::new(),
-            served: 0,
-            energy_pj: 0.0,
-        }
-    }
-
-    /// The unbudgeted placement as an iterator chain over every slot: the
-    /// least-booked fitting slot, first in `(n, i)` order on ties.
-    fn place_by_scan(
-        cfg: &FleetConfig,
-        nodes: Range<usize>,
-        fp: u64,
-        state: &RouterState,
-    ) -> Option<(usize, usize)> {
-        let ipn = cfg.serve.instances;
-        let budget = cfg.serve.budget_bytes();
-        nodes
-            .flat_map(|n| (0..ipn).map(move |i| (n, i)))
-            .filter(|&(n, i)| {
-                let slot = n * ipn + i;
-                state.inflight_reqs[slot] == 0 || state.inflight_bytes[slot] + fp <= budget
-            })
-            .min_by_key(|&(n, i)| (state.inflight_bytes[n * ipn + i], n, i))
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
-
-        /// The early-exit placement loop picks exactly what the full scan
-        /// picks, over random bookings that mix idle slots, booked slots at
-        /// zero bytes, slots at and past the budget edge, and pools from
-        /// empty to fleet-wide.
-        #[test]
-        fn early_exit_place_matches_the_full_scan(
-            shape in (1usize..5, 1usize..5, 0usize..5),
-            pool in (0usize..5, 0usize..5),
-            slots in proptest::collection::vec((0usize..6, 0usize..3), 16),
-        ) {
-            let (nodes, ipn) = (shape.0, shape.1);
-            let sim = FleetServeSim::new(small_cfg(nodes, ipn));
-            let budget = sim.cfg.serve.budget_bytes();
-            let fp = [0, 1, budget / 2, budget, budget + 1][shape.2];
-            let sizes = [0, 1, budget / 2, budget - fp.min(budget), budget, 3 * budget];
-            let (bytes, reqs) = slots[..nodes * ipn]
-                .iter()
-                .map(|&(b, r)| (sizes[b], r))
-                .unzip();
-            let state = booked_state(bytes, reqs, nodes);
-            let (a, b) = (pool.0.min(nodes), pool.1.min(nodes));
-            let range = a.min(b)..a.max(b);
-            proptest::prop_assert_eq!(
-                sim.place(range.clone(), fp, 0.0, &state),
-                place_by_scan(&sim.cfg, range, fp, &state)
-            );
-        }
     }
 
     /// The event core's work per request is a pinned constant: one request

@@ -1,7 +1,7 @@
 //! The continuous-batching admission scheduler.
 //!
 //! [`ServeSim`] multiplexes a [`RequestTrace`] onto `N` simulated SOFA
-//! instances. Requests are lowered once into [`PipelineJob`]s; admission then
+//! instances. Requests are lowered once into pipeline jobs; admission then
 //! interleaves with the cycle-level simulation — a request admitted at cycle
 //! `t` has its tiles enter the instance's stream at `t`, and the completion
 //! events the simulation produces feed the next admission decision. This is
@@ -63,21 +63,19 @@
 //!   orders candidate instances by in-flight energy headroom as well as
 //!   booked bytes, so load balance trades against thermal/energy headroom.
 
+use crate::admission::{self, Bookings, LowerCache, Lowered, WaitQueue};
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
 
-use sofa_core::cache::{CacheStats, LoweringCache, ShapeKey};
+use sofa_core::cache::CacheStats;
 use sofa_dse::ParetoFront;
-use sofa_hw::accel::AttentionTask;
 use sofa_hw::config::HwConfig;
-use sofa_hw::energy::DRAM_ACTIVATION_PJ;
 use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
 use sofa_model::OperatingPoint;
 use sofa_obs::{ArgValue, MetricsRegistry, TraceRecorder};
 use sofa_sim::tracks::PID_SERVE_BASE;
-use sofa_sim::{CycleSim, MultiPipelineSim, PipelineJob, SimParams};
+use sofa_sim::{CycleSim, MultiPipelineSim, SimParams};
 
 /// Process id of the per-request lifecycle tracks (tid = request id).
 pub const PID_REQUESTS: u64 = PID_SERVE_BASE;
@@ -233,7 +231,7 @@ impl OpRouter<'_> {
 
     /// The leaner point an over-budget request is re-routed to, when the
     /// router has one (only front-backed routing does).
-    fn leaner(&self) -> Option<OperatingPoint> {
+    pub(crate) fn leaner(&self) -> Option<OperatingPoint> {
         match self {
             OpRouter::Pareto(front) | OpRouter::Feedback(front, _) => Some(front.leanest_energy()),
             _ => None,
@@ -341,6 +339,11 @@ impl ServeConfig {
         }
     }
 
+    /// Whether `energy_pj` breaks the per-request energy budget.
+    pub(crate) fn over_energy_budget(&self, energy_pj: f64) -> bool {
+        self.energy_budget_pj_per_req.is_some_and(|b| energy_pj > b)
+    }
+
     /// The effective per-instance budget in bytes.
     pub fn budget_bytes(&self) -> u64 {
         (self.admit_buffer_bytes as f64 * self.overbook).round() as u64
@@ -387,43 +390,6 @@ impl ServeConfig {
     }
 }
 
-/// One request lowered and waiting for (or past) admission.
-#[derive(Debug)]
-pub(crate) struct Lowered {
-    pub(crate) class: RequestClass,
-    /// Effective arrival: the spec's arrival cycle, or the re-arrival time
-    /// once a shed request's retry is admitted (latency is measured from
-    /// the client's live submission).
-    pub(crate) arrival: u64,
-    /// The original spec, kept so the adaptive controller can re-lower the
-    /// request at a different operating point mid-run.
-    pub(crate) spec: RequestSpec,
-    /// The operating point the current lowering used.
-    pub(crate) op: OperatingPoint,
-    /// The lowered tile stream, shared with every other request that lowered
-    /// to the same `(shape, operating point)` key when the cache is on.
-    pub(crate) job: Arc<PipelineJob>,
-    /// Bytes admission control books for the request (the worst layer).
-    pub(crate) footprint: u64,
-    /// Projected energy of the whole request (all layers) in picojoules.
-    pub(crate) energy_pj: f64,
-    /// Whether any mechanism (energy budget, decay, feedback, retry)
-    /// re-routed this request away from its first-pick point.
-    pub(crate) rerouted: bool,
-    /// `false` when the request exceeded the energy budget even at the
-    /// leanest point and was shed instead of admitted (a retry that fits
-    /// the budget flips it back to `true`).
-    pub(crate) admit: bool,
-    /// Whether the decay threshold re-lowered this request while it waited.
-    pub(crate) decayed: bool,
-    /// Decay was evaluated (possibly rejected); guards repeated re-lowering.
-    pub(crate) decay_checked: bool,
-    /// Client re-submissions so far (0 for first-attempt requests).
-    pub(crate) retries: u32,
-    /// Pressure level of the lowering currently in `job` (feedback router).
-    pub(crate) level: u8,
-}
-
 /// The continuous-batching serving simulator.
 #[derive(Debug)]
 pub struct ServeSim {
@@ -444,116 +410,6 @@ impl ServeSim {
     /// The configuration in use.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// Lowers one request at `op`: one pipeline job per layer, concatenated
-    /// into a single tile stream, plus the admission footprint and the
-    /// projected energy.
-    ///
-    /// The footprint is the state an instance pins for the life of an
-    /// in-flight layer (tiles merely stream through the ping-pong banks):
-    /// the query block and the output accumulator (`T×H` 16-bit values
-    /// each) plus per-selected-key metadata — index and predicted score,
-    /// 4 B per kept Q-K pair. Layers run back to back, so admission books
-    /// the worst layer. Worst-case sizing must budget for a dense selection
-    /// (every key kept); the *measured* footprint books only the `T×k`
-    /// pairs the prediction stage actually keeps — the capacity overbooking
-    /// reclaims.
-    ///
-    /// The energy projection follows the DSE evaluator's model: the
-    /// analytic compute/SRAM/interface/DRAM energy of each layer's task
-    /// plus [`DRAM_ACTIVATION_PJ`] per DRAM request the lowered job issues.
-    fn lower_at(&self, csim: &CycleSim, spec: &RequestSpec, op: &OperatingPoint) -> PointLowering {
-        let t = spec.queries as u64;
-        let h = spec.hidden as u64;
-        let mut combined = PipelineJob {
-            work: Vec::new(),
-            cycles: Vec::new(),
-        };
-        let mut footprint = 0u64;
-        let mut energy_pj = 0.0f64;
-        for layer in 0..op.layers() {
-            let task = AttentionTask::at_layer(
-                spec.queries,
-                spec.seq_len,
-                spec.hidden,
-                spec.heads,
-                op,
-                layer,
-            );
-            let job = csim.job(&task, None);
-            let requests = job.dram_requests();
-            let analytic = csim.accel.simulate(&task);
-            energy_pj += analytic.energy.total_j() * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
-            let kept_pairs = if self.cfg.predicted_footprint {
-                task.k() as u64
-            } else {
-                spec.seq_len as u64
-            };
-            footprint = footprint.max(t * h * 2 + t * h * 2 + t * kept_pairs * 4);
-            combined.work.extend(job.work);
-            combined.cycles.extend(job.cycles);
-        }
-        PointLowering {
-            job: Arc::new(combined),
-            footprint,
-            energy_pj,
-        }
-    }
-
-    /// [`ServeSim::lower_at`] through the lowering cache. Serial-path entry
-    /// point for the adaptive re-lowering mechanisms; the batch path seeds
-    /// the same cache via its dedup pass instead.
-    fn lower_at_cached(
-        &self,
-        cache: &mut LowerCache,
-        csim: &CycleSim,
-        spec: &RequestSpec,
-        op: &OperatingPoint,
-    ) -> PointLowering {
-        cache
-            .get_or_insert_with(ShapeKey::new(spec, op), || self.lower_at(csim, spec, op))
-            .clone()
-    }
-
-    /// Lowers one request through `router`, applying the energy budget:
-    /// over-budget requests are re-routed to the router's leanest point,
-    /// and shed when they exceed the budget even there.
-    pub(crate) fn lower_routed(
-        &self,
-        csim: &CycleSim,
-        spec: &RequestSpec,
-        router: &OpRouter,
-    ) -> Lowered {
-        let mut op = router.pick(&self.cfg.op, spec);
-        let mut lowering = self.lower_at(csim, spec, &op);
-        let mut rerouted = false;
-        let mut admit = true;
-        if let Some(budget) = self.cfg.energy_budget_pj_per_req {
-            if lowering.energy_pj > budget {
-                if let Some(lean) = router.leaner().filter(|lean| *lean != op) {
-                    lowering = self.lower_at(csim, spec, &lean);
-                    op = lean;
-                    rerouted = true;
-                }
-                admit = lowering.energy_pj <= budget;
-            }
-        }
-        Lowered {
-            class: spec.class,
-            arrival: spec.arrival_cycle,
-            spec: *spec,
-            op,
-            job: lowering.job,
-            footprint: lowering.footprint,
-            energy_pj: lowering.energy_pj,
-            rerouted,
-            admit,
-            decayed: false,
-            decay_checked: false,
-            retries: 0,
-            level: 0,
-        }
     }
 
     /// Serves `trace` with every request lowered at the trace's native keep
@@ -649,69 +505,11 @@ impl ServeSim {
         }
         let mut csim = CycleSim::new(self.cfg.hw);
         csim.params = self.cfg.sim;
-        // Lowering a request (routing, descriptor generation, per-tile cycle
-        // apportioning, energy projection) is a pure function of
-        // `(request shape, operating point)`. A serial dedup pass elects one
-        // representative per distinct key; only the representatives fan out
-        // across cores (in index order, so the result is oblivious to the
-        // thread count), and every other request shares its representative's
-        // lowering. With the cache off every request is its own
-        // representative — the classic full fan-out.
-        let cache_on = self.cfg.lowering_cache;
-        let mut rep_of: Vec<usize> = Vec::with_capacity(trace.requests.len());
-        let mut reps: Vec<usize> = Vec::new();
-        {
-            let mut seen: HashMap<ShapeKey, usize> = HashMap::new();
-            for spec in &trace.requests {
-                if cache_on {
-                    let op = router.pick(&self.cfg.op, spec);
-                    let rep = *seen.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
-                        reps.push(rep_of.len());
-                        reps.len() - 1
-                    });
-                    rep_of.push(rep);
-                } else {
-                    reps.push(rep_of.len());
-                    rep_of.push(reps.len() - 1);
-                }
-            }
-        }
-        let rep_lowered: Vec<Lowered> = sofa_par::par_map_index(reps.len(), |k| {
-            self.lower_routed(&csim, &trace.requests[reps[k]], &router)
-        });
-        // Seed the event-loop cache with each representative's final-point
-        // lowering and account the dedup pass: one miss per representative,
-        // one hit per request that shared one.
-        let mut cache = LowerCache::new(cache_on);
-        for rep in &rep_lowered {
-            cache.insert_computed(
-                ShapeKey::new(&rep.spec, &rep.op),
-                PointLowering {
-                    job: Arc::clone(&rep.job),
-                    footprint: rep.footprint,
-                    energy_pj: rep.energy_pj,
-                },
-            );
-        }
-        cache.record_shared_hits((trace.requests.len() - reps.len()) as u64);
+        let mut cache = LowerCache::new(self.cfg.lowering_cache);
+        let (table, rep_of) = admission::lower_trace(&self.cfg, &csim, trace, &router, &mut cache);
         let mut lowered = Vec::with_capacity(trace.requests.len());
         for (i, spec) in trace.requests.iter().enumerate() {
-            let rep = &rep_lowered[rep_of[i]];
-            let req = Lowered {
-                class: spec.class,
-                arrival: spec.arrival_cycle,
-                spec: *spec,
-                op: rep.op.clone(),
-                job: Arc::clone(&rep.job),
-                footprint: rep.footprint,
-                energy_pj: rep.energy_pj,
-                rerouted: rep.rerouted,
-                admit: rep.admit,
-                decayed: false,
-                decay_checked: false,
-                retries: 0,
-                level: 0,
-            };
+            let req = table[rep_of[i]].for_request(spec);
             if obs.is_enabled() {
                 let tid = i as u64;
                 obs.instant(
@@ -759,10 +557,6 @@ impl ServeSim {
         let mut next_arrival = 0usize;
         // Shed requests awaiting their client backoff: (re-arrival, id).
         let mut retryq: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let ctx = RouteCtx {
-            csim: &csim,
-            router: &router,
-        };
 
         loop {
             let event = msim.next_event_time();
@@ -791,78 +585,40 @@ impl ServeSim {
                     let policy = self.cfg.retry.expect("retries require a policy");
                     let attempt = lowered[req].retries + 1;
                     let spec = lowered[req].spec;
-                    let (op, lowering) =
-                        self.retry_lowering(&mut cache, &csim, &router, &spec, &policy, attempt);
+                    let (op, lowering) = admission::retry_lowering(
+                        &self.cfg, &mut cache, &csim, &router, &spec, &policy, attempt,
+                    );
                     lowered[req].retries = attempt;
-                    lowered[req].energy_pj = lowering.energy_pj;
-                    let over = self
-                        .cfg
-                        .energy_budget_pj_per_req
-                        .is_some_and(|b| lowering.energy_pj > b);
-                    if !over {
+                    let energy_pj = lowering.energy_pj;
+                    if !self.cfg.over_energy_budget(energy_pj) {
                         let lw = &mut lowered[req];
-                        lw.job = lowering.job;
-                        lw.footprint = lowering.footprint;
-                        lw.op = op;
+                        lw.reroute(op, lowering);
                         lw.arrival = now;
-                        lw.rerouted = true;
                         lw.admit = true;
                         state.retried += 1;
-                        state.events.push(AdaptiveEvent {
-                            req,
-                            ts: now,
-                            kind: AdaptiveKind::Retry(attempt),
-                        });
-                        state.waiting.push(req);
-                        if obs.is_enabled() {
-                            obs.counter(
-                                PID_SCHEDULER,
-                                0,
-                                "serve.wait_queue",
-                                now,
-                                &[("waiting", state.waiting.len() as f64)],
-                            );
-                        }
+                        state.note(req, now, AdaptiveKind::Retry(attempt));
+                        state.waiting.push_back(req);
+                        sample_waiting(obs, now, &state.waiting);
                     } else if attempt < policy.max_retries {
-                        state.events.push(AdaptiveEvent {
-                            req,
-                            ts: now,
-                            kind: AdaptiveKind::RetryShed(attempt),
-                        });
+                        state.note(req, now, AdaptiveKind::RetryShed(attempt));
                         retryq.push(Reverse((now + policy.backoff_cycles, req)));
                     } else {
-                        state.events.push(AdaptiveEvent {
-                            req,
-                            ts: now,
-                            kind: AdaptiveKind::Shed(lowering.energy_pj),
-                        });
+                        state.note(req, now, AdaptiveKind::Shed(energy_pj));
                         shed.push(ShedRecord {
                             id: req as u64,
                             class: lowered[req].class,
                             arrival: lowered[req].spec.arrival_cycle,
-                            energy_pj: lowering.energy_pj,
+                            energy_pj,
                             retries: attempt,
                         });
                     }
                 } else {
                     let req = &lowered[next_arrival];
                     if req.admit {
-                        state.waiting.push(next_arrival);
-                        if obs.is_enabled() {
-                            obs.counter(
-                                PID_SCHEDULER,
-                                0,
-                                "serve.wait_queue",
-                                now,
-                                &[("waiting", state.waiting.len() as f64)],
-                            );
-                        }
+                        state.waiting.push_back(next_arrival);
+                        sample_waiting(obs, now, &state.waiting);
                     } else if let Some(policy) = &self.cfg.retry {
-                        state.events.push(AdaptiveEvent {
-                            req: next_arrival,
-                            ts: now,
-                            kind: AdaptiveKind::RetryShed(0),
-                        });
+                        state.note(next_arrival, now, AdaptiveKind::RetryShed(0));
                         retryq.push(Reverse((now + policy.backoff_cycles, next_arrival)));
                     } else {
                         shed.push(ShedRecord {
@@ -877,7 +633,8 @@ impl ServeSim {
                 }
                 self.try_admit(
                     now,
-                    &ctx,
+                    &csim,
+                    &router,
                     &mut cache,
                     &mut lowered,
                     &mut state,
@@ -889,9 +646,11 @@ impl ServeSim {
                 if let Some(done) = step.completed {
                     let idx = done.request as usize;
                     state.completed_at[idx] = step.time;
-                    state.inflight_bytes[done.instance] -= lowered[idx].footprint;
-                    state.inflight_reqs[done.instance] -= 1;
-                    state.inflight_energy[done.instance] -= lowered[idx].energy_pj;
+                    state.bookings.release(
+                        done.instance,
+                        lowered[idx].footprint,
+                        lowered[idx].energy_pj,
+                    );
                     if let OpRouter::Feedback(_, fb) = &router {
                         let latency = (step.time - lowered[idx].arrival) as f64;
                         state.observe_completion(
@@ -910,18 +669,11 @@ impl ServeSim {
                             );
                         }
                     }
-                    if obs.is_enabled() {
-                        obs.counter(
-                            done.instance as u64,
-                            TID_SERVE_INFLIGHT,
-                            "serve.inflight_bytes",
-                            step.time,
-                            &[("bytes", state.inflight_bytes[done.instance] as f64)],
-                        );
-                    }
+                    sample_booked(obs, step.time, done.instance, &state.bookings);
                     self.try_admit(
                         step.time,
-                        &ctx,
+                        &csim,
+                        &router,
                         &mut cache,
                         &mut lowered,
                         &mut state,
@@ -1005,6 +757,7 @@ impl ServeSim {
                 }
             })
             .collect();
+        state.bookings.assert_drained();
         *cache_stats = cache.stats();
         let multi = msim.report();
         obs.absorb(msim.take_trace());
@@ -1015,33 +768,11 @@ impl ServeSim {
             total_cycles: multi.total_cycles,
             multi,
             budget_bytes: self.cfg.budget_bytes(),
-            peak_inflight_bytes: state.peak_inflight,
+            peak_inflight_bytes: state.bookings.peak,
             energy_pj_per_instance: state.energy_pj,
             retried: state.retried,
             latency,
         }
-    }
-
-    /// The leaner lowering of retry `attempt`: the router's leanest point
-    /// (or the deployment point when the router has none) with its keep
-    /// ratio shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored at 1% keep.
-    pub(crate) fn retry_lowering(
-        &self,
-        cache: &mut LowerCache,
-        csim: &CycleSim,
-        router: &OpRouter,
-        spec: &RequestSpec,
-        policy: &RetryPolicy,
-        attempt: u32,
-    ) -> (OperatingPoint, PointLowering) {
-        let base = router.leaner().unwrap_or_else(|| self.cfg.op.clone());
-        let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
-        let op = base.with_uniform_keep(keep);
-        // The attempt-shrunk keep is part of the cache key, so repeat
-        // attempts at the same shrink level hit instead of re-running the
-        // full pipeline lowering.
-        let lowering = self.lower_at_cached(cache, csim, spec, &op);
-        (op, lowering)
     }
 
     /// Re-lowers every waiting request that has waited past the decay
@@ -1051,7 +782,8 @@ impl ServeSim {
     fn decay_waiting(
         &self,
         now: u64,
-        ctx: &RouteCtx,
+        csim: &CycleSim,
+        router: &OpRouter,
         cache: &mut LowerCache,
         lowered: &mut [Lowered],
         state: &mut AdmissionState,
@@ -1065,32 +797,20 @@ impl ServeSim {
                 continue;
             }
             lowered[req].decay_checked = true;
-            let Some(target) = ctx.router.decay_target(lowered[req].class) else {
+            let Some(target) = router.decay_target(lowered[req].class) else {
                 continue;
             };
             if target == lowered[req].op {
                 continue;
             }
-            let lowering = self.lower_at_cached(cache, ctx.csim, &lowered[req].spec, &target);
-            if self
-                .cfg
-                .energy_budget_pj_per_req
-                .is_some_and(|b| lowering.energy_pj > b)
-            {
+            let lowering =
+                admission::lower_at_cached(&self.cfg, cache, csim, &lowered[req].spec, &target);
+            if self.cfg.over_energy_budget(lowering.energy_pj) {
                 continue;
             }
-            let lw = &mut lowered[req];
-            lw.job = lowering.job;
-            lw.footprint = lowering.footprint;
-            lw.energy_pj = lowering.energy_pj;
-            lw.op = target;
-            lw.decayed = true;
-            lw.rerouted = true;
-            state.events.push(AdaptiveEvent {
-                req,
-                ts: now,
-                kind: AdaptiveKind::Decay,
-            });
+            lowered[req].reroute(target, lowering);
+            lowered[req].decayed = true;
+            state.note(req, now, AdaptiveKind::Decay);
         }
     }
 
@@ -1098,16 +818,18 @@ impl ServeSim {
     /// since it was last lowered (feedback router only). Decayed requests
     /// are already at the lean end and are left alone; with an energy
     /// budget, a re-lowering that would break the budget is rejected.
+    #[allow(clippy::too_many_arguments)] // the event loop's full mutable state
     fn feedback_relower(
         &self,
         now: u64,
-        ctx: &RouteCtx,
+        csim: &CycleSim,
+        router: &OpRouter,
         cache: &mut LowerCache,
         req: usize,
         lowered: &mut [Lowered],
         state: &mut AdmissionState,
     ) {
-        let OpRouter::Feedback(front, fb) = ctx.router else {
+        let OpRouter::Feedback(front, fb) = router else {
             return;
         };
         if lowered[req].decayed {
@@ -1122,85 +844,19 @@ impl ServeSim {
             lowered[req].level = level;
             return;
         }
-        let lowering = self.lower_at_cached(cache, ctx.csim, &lowered[req].spec, &target);
+        let lowering =
+            admission::lower_at_cached(&self.cfg, cache, csim, &lowered[req].spec, &target);
         lowered[req].level = level;
-        if self
-            .cfg
-            .energy_budget_pj_per_req
-            .is_some_and(|b| lowering.energy_pj > b)
-        {
+        if self.cfg.over_energy_budget(lowering.energy_pj) {
             return;
         }
-        let lw = &mut lowered[req];
-        lw.job = lowering.job;
-        lw.footprint = lowering.footprint;
-        lw.energy_pj = lowering.energy_pj;
-        lw.op = target;
-        lw.rerouted = true;
-        state.events.push(AdaptiveEvent {
-            req,
-            ts: now,
-            kind: AdaptiveKind::Feedback(level),
-        });
-    }
-
-    /// The instance the next request lands on: among instances that fit the
-    /// byte budget (or are idle, so one oversized request always makes
-    /// progress), the least-booked one. With a per-instance energy budget,
-    /// instances without energy headroom are skipped too and booked-bytes
-    /// ties break toward the most energy headroom.
-    fn place(&self, fp: u64, energy_pj: f64, budget: u64, state: &AdmissionState) -> Option<usize> {
-        let fits = |i: usize| state.inflight_reqs[i] == 0 || state.inflight_bytes[i] + fp <= budget;
-        match self.cfg.instance_energy_budget_pj {
-            None => (0..state.inflight_bytes.len())
-                .filter(|&i| fits(i))
-                .min_by_key(|&i| (state.inflight_bytes[i], i)),
-            Some(eb) => (0..state.inflight_bytes.len())
-                .filter(|&i| {
-                    fits(i)
-                        && (state.inflight_reqs[i] == 0
-                            || state.inflight_energy[i] + energy_pj <= eb)
-                })
-                .min_by(|&a, &b| {
-                    state.inflight_bytes[a]
-                        .cmp(&state.inflight_bytes[b])
-                        .then_with(|| state.inflight_energy[a].total_cmp(&state.inflight_energy[b]))
-                        .then_with(|| a.cmp(&b))
-                }),
-        }
-    }
-
-    /// Position in `waiting` of the next request to try: the oldest starved
-    /// request if any has waited past the aging threshold, else the policy's
-    /// pick. The oldest is found by scanning every entry's arrival — pushes
-    /// happen in arrival order today, but requeue paths (retry re-arrivals,
-    /// adaptive re-routes) must not be able to starve an aged request by
-    /// perturbing the head of the list.
-    fn pick(&self, now: u64, waiting: &[usize], lowered: &[Lowered]) -> usize {
-        let oldest = waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &req)| (lowered[req].arrival, req))
-            .map(|(pos, _)| pos)
-            .expect("waiting is non-empty");
-        let oldest_wait = now.saturating_sub(lowered[waiting[oldest]].arrival);
-        if oldest_wait >= self.cfg.aging_threshold {
-            return oldest;
-        }
-        match self.cfg.policy {
-            AdmitPolicy::Fifo => oldest,
-            AdmitPolicy::SmallestFirst => waiting
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &req)| (lowered[req].footprint, req))
-                .map(|(pos, _)| pos)
-                .expect("waiting is non-empty"),
-        }
+        lowered[req].reroute(target, lowering);
+        state.note(req, now, AdaptiveKind::Feedback(level));
     }
 
     /// Admits as many waiting requests as fit. Decay re-lowers over-waited
     /// requests first; the picked request is feedback-re-lowered against the
-    /// current pressure level; then [`ServeSim::place`] chooses the
+    /// current pressure level; then [`Bookings::place`] chooses the
     /// instance. An instance fits a request when the booked footprints stay
     /// within the (overbooked) budget — or when it is completely idle, so a
     /// single oversized request can always make progress.
@@ -1208,21 +864,33 @@ impl ServeSim {
     fn try_admit(
         &self,
         now: u64,
-        ctx: &RouteCtx,
+        csim: &CycleSim,
+        router: &OpRouter,
         cache: &mut LowerCache,
         lowered: &mut [Lowered],
         state: &mut AdmissionState,
         msim: &mut MultiPipelineSim,
         obs: &mut TraceRecorder,
     ) {
-        self.decay_waiting(now, ctx, cache, lowered, state);
+        self.decay_waiting(now, csim, router, cache, lowered, state);
         let budget = self.cfg.budget_bytes();
+        let energy_budget = self.cfg.instance_energy_budget_pj;
         while !state.waiting.is_empty() {
-            let pos = self.pick(now, &state.waiting, lowered);
+            let pos = admission::pick(
+                &self.cfg,
+                now,
+                &state.waiting,
+                state.waiting.len(),
+                |r| lowered[r].arrival,
+                |r| lowered[r].footprint,
+            );
             let req = state.waiting[pos];
-            self.feedback_relower(now, ctx, cache, req, lowered, state);
-            let fp = lowered[req].footprint;
-            let target = self.place(fp, lowered[req].energy_pj, budget, state);
+            self.feedback_relower(now, csim, router, cache, req, lowered, state);
+            let (fp, energy_pj) = (lowered[req].footprint, lowered[req].energy_pj);
+            let instances = 0..self.cfg.instances;
+            let target = state
+                .bookings
+                .place(instances, fp, energy_pj, budget, energy_budget);
             let Some(inst) = target else {
                 // Nothing fits the candidate now; completions will retry.
                 // Stopping (rather than skipping to a smaller request) is
@@ -1232,28 +900,13 @@ impl ServeSim {
             };
             state.waiting.remove(pos);
             msim.submit(inst, req as u64, &lowered[req].job, now);
-            state.inflight_bytes[inst] += fp;
-            state.inflight_reqs[inst] += 1;
-            state.inflight_energy[inst] += lowered[req].energy_pj;
-            state.peak_inflight[inst] = state.peak_inflight[inst].max(state.inflight_bytes[inst]);
-            state.energy_pj[inst] += lowered[req].energy_pj;
+            state.bookings.book(inst, fp, energy_pj);
+            state.energy_pj[inst] += energy_pj;
             state.placed_on[req] = inst;
             state.admitted_at[req] = now;
+            sample_waiting(obs, now, &state.waiting);
+            sample_booked(obs, now, inst, &state.bookings);
             if obs.is_enabled() {
-                obs.counter(
-                    PID_SCHEDULER,
-                    0,
-                    "serve.wait_queue",
-                    now,
-                    &[("waiting", state.waiting.len() as f64)],
-                );
-                obs.counter(
-                    inst as u64,
-                    TID_SERVE_INFLIGHT,
-                    "serve.inflight_bytes",
-                    now,
-                    &[("bytes", state.inflight_bytes[inst] as f64)],
-                );
                 obs.counter(
                     inst as u64,
                     TID_SERVE_ENERGY,
@@ -1264,28 +917,6 @@ impl ServeSim {
             }
         }
     }
-}
-
-/// One request lowered at one operating point (pre-budget). Cloning shares
-/// the lowered job, so this is the value type of the lowering cache.
-#[derive(Clone)]
-pub(crate) struct PointLowering {
-    pub(crate) job: Arc<PipelineJob>,
-    pub(crate) footprint: u64,
-    pub(crate) energy_pj: f64,
-}
-
-/// The `(request shape, operating point)`-keyed memo for
-/// [`ServeSim::lower_at`] results, shared by batch lowering and every
-/// adaptive re-lowering path (decay, feedback, retry). Accessed serially
-/// only, so hit/miss statistics are deterministic at any `SOFA_THREADS`.
-pub(crate) type LowerCache = LoweringCache<ShapeKey, PointLowering>;
-
-/// Immutable routing context threaded through the serial event loop: the
-/// cycle simulator the adaptive controller re-lowers with, and the router.
-struct RouteCtx<'a, 'b> {
-    csim: &'a CycleSim,
-    router: &'a OpRouter<'b>,
 }
 
 /// One adaptive-controller action. Buffered during the serial loop and
@@ -1316,58 +947,49 @@ struct AdaptiveEvent {
 
 /// Emits one buffered adaptive instant on a request's lifecycle track.
 fn adaptive_instant(obs: &mut TraceRecorder, tid: u64, ts: u64, kind: AdaptiveKind) {
-    match kind {
-        AdaptiveKind::Decay => obs.instant(
-            PID_REQUESTS,
-            tid,
-            "decay",
-            ts,
-            &[("to", ArgValue::Str("leanest"))],
-        ),
-        AdaptiveKind::Feedback(level) => obs.instant(
-            PID_REQUESTS,
-            tid,
-            "feedback",
-            ts,
-            &[("pressure", ArgValue::U64(level as u64))],
-        ),
-        AdaptiveKind::RetryShed(attempt) => obs.instant(
-            PID_REQUESTS,
-            tid,
-            "shed-retry",
-            ts,
-            &[("attempt", ArgValue::U64(attempt as u64))],
-        ),
-        AdaptiveKind::Retry(attempt) => obs.instant(
-            PID_REQUESTS,
-            tid,
-            "retry",
-            ts,
-            &[("attempt", ArgValue::U64(attempt as u64))],
-        ),
-        AdaptiveKind::Shed(energy_pj) => obs.instant(
-            PID_REQUESTS,
-            tid,
-            "shed",
-            ts,
-            &[("energy_pj", ArgValue::F64(energy_pj))],
-        ),
-    }
+    let (name, arg) = match kind {
+        AdaptiveKind::Decay => ("decay", ("to", ArgValue::Str("leanest"))),
+        AdaptiveKind::Feedback(level) => ("feedback", ("pressure", ArgValue::U64(level as u64))),
+        AdaptiveKind::RetryShed(attempt) => {
+            ("shed-retry", ("attempt", ArgValue::U64(attempt as u64)))
+        }
+        AdaptiveKind::Retry(attempt) => ("retry", ("attempt", ArgValue::U64(attempt as u64))),
+        AdaptiveKind::Shed(energy_pj) => ("shed", ("energy_pj", ArgValue::F64(energy_pj))),
+    };
+    obs.instant(PID_REQUESTS, tid, name, ts, &[arg]);
+}
+
+/// Samples instance `inst`'s booked bytes on its counter track.
+fn sample_booked(obs: &mut TraceRecorder, now: u64, inst: usize, bookings: &Bookings) {
+    let bytes = bookings.bytes[inst] as f64;
+    obs.counter(
+        inst as u64,
+        TID_SERVE_INFLIGHT,
+        "serve.inflight_bytes",
+        now,
+        &[("bytes", bytes)],
+    );
+}
+
+/// Samples the wait-queue depth on the scheduler's counter track.
+fn sample_waiting(obs: &mut TraceRecorder, now: u64, waiting: &WaitQueue) {
+    let depth = waiting.len() as f64;
+    obs.counter(
+        PID_SCHEDULER,
+        0,
+        "serve.wait_queue",
+        now,
+        &[("waiting", depth)],
+    );
 }
 
 /// Mutable scheduling state of one [`ServeSim::run_with`]: the wait queue
-/// (in arrival order), per-instance booked bytes / request counts / admitted
-/// energy, and the per-request placement/lifecycle slots filled in as the
-/// run progresses.
+/// (in arrival order), per-instance bookings and admitted energy, and the
+/// per-request placement/lifecycle slots filled in as the run progresses.
 #[derive(Debug)]
 struct AdmissionState {
-    waiting: Vec<usize>,
-    inflight_bytes: Vec<u64>,
-    inflight_reqs: Vec<usize>,
-    /// Booked (admitted-but-uncompleted) energy per instance, for the
-    /// per-instance energy budget and the feedback loop.
-    inflight_energy: Vec<f64>,
-    peak_inflight: Vec<u64>,
+    waiting: WaitQueue,
+    bookings: Bookings,
     energy_pj: Vec<f64>,
     placed_on: Vec<usize>,
     admitted_at: Vec<u64>,
@@ -1387,11 +1009,8 @@ struct AdmissionState {
 impl AdmissionState {
     fn new(instances: usize, requests: usize) -> Self {
         AdmissionState {
-            waiting: Vec::new(),
-            inflight_bytes: vec![0; instances],
-            inflight_reqs: vec![0; instances],
-            inflight_energy: vec![0.0; instances],
-            peak_inflight: vec![0; instances],
+            waiting: WaitQueue::new(),
+            bookings: Bookings::new(instances),
             energy_pj: vec![0.0; instances],
             placed_on: vec![usize::MAX; requests],
             admitted_at: vec![u64::MAX; requests],
@@ -1403,6 +1022,11 @@ impl AdmissionState {
             ewma_queue: 0.0,
             fb_samples: 0,
         }
+    }
+
+    /// Buffers one adaptive action for post-run trace emission.
+    fn note(&mut self, req: usize, ts: u64, kind: AdaptiveKind) {
+        self.events.push(AdaptiveEvent { req, ts, kind });
     }
 
     /// Folds one completion into the feedback EWMAs (`ewma ← α·sample +
@@ -1457,6 +1081,7 @@ impl AdmissionState {
 mod tests {
     use super::*;
     use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
+    use sofa_hw::accel::AttentionTask;
     use sofa_model::trace::TraceConfig;
 
     fn small_cfg(instances: usize) -> ServeConfig {
@@ -1758,47 +1383,20 @@ mod tests {
         // the head let SmallestFirst starve the true oldest forever.
         let mut cfg = small_cfg(1);
         cfg.aging_threshold = 100_000;
-        let sim = ServeSim::new(cfg);
-        let mk = |arrival: u64, footprint: u64| Lowered {
-            class: RequestClass::Decode,
-            arrival,
-            spec: RequestSpec {
-                id: 0,
-                arrival_cycle: arrival,
-                class: RequestClass::Decode,
-                queries: 1,
-                seq_len: 64,
-                hidden: 64,
-                heads: 2,
-                keep_ratio: 0.25,
-            },
-            op: OperatingPoint::single(0.25, 64),
-            job: Arc::new(PipelineJob {
-                work: Vec::new(),
-                cycles: Vec::new(),
-            }),
-            footprint,
-            energy_pj: 1.0,
-            rerouted: false,
-            admit: true,
-            decayed: false,
-            decay_checked: false,
-            retries: 0,
-            level: 0,
+        // Requests 0 and 1 as (arrival, footprint); the head of the queue
+        // is a fresh, small request SmallestFirst loves, behind it the true
+        // oldest, large enough to lose every footprint comparison.
+        let waiting = WaitQueue::from([0, 1]);
+        let pick = |now: u64, reqs: [(u64, u64); 2]| {
+            admission::pick(&cfg, now, &waiting, 2, |r| reqs[r].0, |r| reqs[r].1)
         };
-        // Head of the waiting list: a fresh, small request SmallestFirst
-        // loves. Behind it: the true oldest, large enough to lose every
-        // footprint comparison.
-        let lowered = vec![mk(500_000, 8), mk(0, 1_000)];
-        let waiting = vec![0usize, 1];
         assert_eq!(
-            sim.pick(550_000, &waiting, &lowered),
+            pick(550_000, [(500_000, 8), (0, 1_000)]),
             1,
             "the starved request must be aged even when it is not the head"
         );
         // Below the threshold the policy pick still wins.
-        let fresh = vec![mk(40_000, 8), mk(0, 1_000)];
-        assert_eq!(sim.pick(50_000, &waiting, &fresh), 0);
+        assert_eq!(pick(50_000, [(40_000, 8), (0, 1_000)]), 0);
     }
 
     #[test]
