@@ -29,6 +29,19 @@ fn bad_flags_exit_2_with_one_line() {
             "arrivals_per_mcycle",
         ),
         (&["--requests", "10", "--rate", "-1"], "arrivals_per_mcycle"),
+        (
+            &[
+                "--requests",
+                "10",
+                "--nodes",
+                "1",
+                "--instances-per-node",
+                "1",
+                "--rate",
+                "1e-300",
+            ],
+            "arrivals_per_mcycle",
+        ),
         (&["--requests", "0"], "num_requests"),
         (
             &["--requests", "10", "--instances-per-node", "0"],

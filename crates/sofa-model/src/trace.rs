@@ -58,6 +58,10 @@ pub struct RequestSpec {
     pub keep_ratio: f64,
 }
 
+/// Longest mean arrival span [`TraceConfig::validate`] accepts: 2^53
+/// cycles, the range in which `f64` holds every integer cycle exactly.
+const MAX_MEAN_SPAN_CYCLES: f64 = (1u64 << 53) as f64;
+
 /// Parameters of a synthetic serving trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
@@ -132,6 +136,17 @@ impl TraceConfig {
         }
         if self.arrivals_per_mcycle <= 0.0 || self.arrivals_per_mcycle.is_nan() {
             return Err("arrivals_per_mcycle must be positive".into());
+        }
+        // Past 2^53 cycles arrival times lose integer precision, and the
+        // slowest rates saturate them at `u64::MAX`, where the serving
+        // drivers' cycle arithmetic overflows.
+        let span = self.num_requests as f64 * 1.0e6 / self.arrivals_per_mcycle;
+        if span > MAX_MEAN_SPAN_CYCLES {
+            return Err(format!(
+                "arrivals_per_mcycle {:e} spreads {} requests over a mean span of \
+                 {span:.3e} cycles, past the 2^53-cycle limit",
+                self.arrivals_per_mcycle, self.num_requests
+            ));
         }
         if !(0.0..=1.0).contains(&self.decode_fraction) {
             return Err("decode_fraction must be in [0, 1]".into());
@@ -360,6 +375,21 @@ mod tests {
         assert!((cfg.keep_ratio - bert.keep_ratio(0.01)).abs() < 1e-12);
         let trace = RequestTrace::generate(&cfg);
         assert!(trace.requests.iter().all(|r| r.seq_len == 384));
+    }
+
+    #[test]
+    fn a_rate_too_slow_for_the_cycle_range_is_rejected() {
+        // 10 requests at 1e-300 per Mcycle would saturate every arrival at
+        // `u64::MAX`.
+        let err = TraceConfig::new(10, 1e-300, 0)
+            .validate()
+            .expect_err("a 1e306-cycle span must not validate");
+        assert!(err.contains("arrivals_per_mcycle"), "{err}");
+        // The limit is on the mean span: num_requests × 1e6 / rate ≤ 2^53.
+        let edge = 10.0 * 1.0e6 / MAX_MEAN_SPAN_CYCLES;
+        assert_eq!(TraceConfig::new(10, edge * 1.001, 0).validate(), Ok(()));
+        assert!(TraceConfig::new(10, edge / 2.0, 0).validate().is_err());
+        assert!(TraceConfig::new(20, edge, 0).validate().is_err());
     }
 
     #[test]

@@ -1,93 +1,55 @@
 //! The admission core shared by [`ServeSim`](crate::ServeSim) and
 //! [`FleetServeSim`](crate::FleetServeSim): the deduplicated lowering pass
-//! ([`lower_trace`]) and the lowering functions, the per-instance
-//! [`Bookings`], the aged smallest-first [`pick`] and the least-booked,
-//! energy-headroom [`Bookings::place`] — Tailors-style overbooking of the
-//! sparsity-reduced `T×k` footprint. Each simulator keeps its own clock and
-//! loop: event-exact for the single node, epoch boundaries for the fleet.
+//! ([`lower_trace`]) and the lowering functions; the [`RequestTable`] of
+//! distinct lowerings with each request's current one and effective
+//! arrival; the [`Intake`] of original arrivals and retry re-arrivals; the
+//! per-instance [`Bookings`], the aged smallest-first [`pick`] and the
+//! least-booked, energy-headroom [`Bookings::place`] — Tailors-style
+//! overbooking of the sparsity-reduced `T×k` footprint.
+//!
+//! Each simulator keeps its own clock, loop, completions and tracing. The
+//! single node is event-exact: it takes one external event strictly before
+//! its next simulation event. The fleet steps in epochs: it takes every
+//! external event below its next boundary.
 
-use crate::scheduler::{AdmitPolicy, OpRouter, RetryPolicy, ServeConfig};
-use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
+use crate::scheduler::{AdmitPolicy, OpRouter, ServeConfig};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::ops::{Index, Range};
 use std::sync::Arc;
 
 use sofa_core::cache::{LoweringCache, ShapeKey};
 use sofa_hw::accel::AttentionTask;
 use sofa_hw::energy::DRAM_ACTIVATION_PJ;
-use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
+use sofa_model::trace::{RequestSpec, RequestTrace};
 use sofa_model::OperatingPoint;
 use sofa_sim::{CycleSim, PipelineJob};
 
 /// Waiting request ids, in arrival order.
 pub(crate) type WaitQueue = VecDeque<usize>;
 
-/// One request lowered and waiting for (or past) admission.
-#[derive(Debug, Clone)]
+/// One lowering as admission books it, shared by every request whose
+/// current lowering it is.
+#[derive(Debug)]
 pub(crate) struct Lowered {
-    pub(crate) class: RequestClass,
-    /// Effective arrival: the spec's arrival cycle, or the re-arrival time
-    /// once a shed request's retry is admitted (latency is measured from
-    /// the client's live submission).
-    pub(crate) arrival: u64,
-    /// The original spec, kept so the adaptive controller can re-lower the
-    /// request at a different operating point mid-run.
-    pub(crate) spec: RequestSpec,
-    /// The operating point the current lowering used.
+    /// The operating point of this lowering.
     pub(crate) op: OperatingPoint,
-    /// The lowered tile stream, shared with every other request that lowered
-    /// to the same `(shape, operating point)` key when the cache is on.
+    /// The lowered tile stream, shared with every other lowering of the
+    /// same `(shape, operating point)` key when the cache is on.
     pub(crate) job: Arc<PipelineJob>,
     /// Bytes admission control books for the request (the worst layer).
     pub(crate) footprint: u64,
     /// Projected energy of the whole request (all layers) in picojoules.
     pub(crate) energy_pj: f64,
     /// Whether any mechanism (energy budget, decay, feedback, retry)
-    /// re-routed this request away from its first-pick point.
+    /// re-routed the request away from its first-pick point.
     pub(crate) rerouted: bool,
     /// `false` when the request exceeded the energy budget even at the
-    /// leanest point and was shed instead of admitted (a retry that fits
-    /// the budget flips it back to `true`).
+    /// leanest point and is shed (or retried) instead of admitted.
     pub(crate) admit: bool,
-    /// Whether the decay threshold re-lowered this request while it waited.
-    pub(crate) decayed: bool,
-    /// Decay was evaluated (possibly rejected); guards repeated re-lowering.
-    pub(crate) decay_checked: bool,
-    /// Client re-submissions so far (0 for first-attempt requests).
-    pub(crate) retries: u32,
-    /// Pressure level of the lowering currently in `job` (feedback router).
-    pub(crate) level: u8,
 }
 
 impl Lowered {
-    /// `spec` lowered at `op`, admitted, not re-routed.
-    pub(crate) fn new(spec: &RequestSpec, op: OperatingPoint, lowering: PointLowering) -> Self {
-        Lowered {
-            class: spec.class,
-            arrival: spec.arrival_cycle,
-            spec: *spec,
-            op,
-            job: lowering.job,
-            footprint: lowering.footprint,
-            energy_pj: lowering.energy_pj,
-            rerouted: false,
-            admit: true,
-            decayed: false,
-            decay_checked: false,
-            retries: 0,
-            level: 0,
-        }
-    }
-
-    /// This lowering, shared by `spec` (a request of the same cache key).
-    pub(crate) fn for_request(&self, spec: &RequestSpec) -> Self {
-        Lowered {
-            class: spec.class,
-            arrival: spec.arrival_cycle,
-            spec: *spec,
-            ..self.clone()
-        }
-    }
-
     /// The lowering itself, as the cache stores it.
     fn point(&self) -> PointLowering {
         PointLowering {
@@ -96,14 +58,54 @@ impl Lowered {
             energy_pj: self.energy_pj,
         }
     }
+}
 
-    /// Switches the request to `lowering` at `op` and marks it re-routed.
-    pub(crate) fn reroute(&mut self, op: OperatingPoint, lowering: PointLowering) {
-        self.job = lowering.job;
-        self.footprint = lowering.footprint;
-        self.energy_pj = lowering.energy_pj;
-        self.op = op;
-        self.rerouted = true;
+/// Every request of one run with its current lowering and effective
+/// arrival. Lowerings are stored once: [`lower_trace`]'s representatives
+/// first, then one entry per retry, decay or feedback re-lowering. A
+/// request costs a `u32` index and a `u64` arrival, 12 B.
+#[derive(Debug)]
+pub(crate) struct RequestTable<'t> {
+    /// The trace's requests, in arrival order.
+    pub(crate) specs: &'t [RequestSpec],
+    lowerings: Vec<Lowered>,
+    /// Per request, the position of its current lowering in `lowerings`
+    /// (`u32` keeps a million-request fleet run 4 MB smaller).
+    index: Vec<u32>,
+    /// Effective arrival per request: the spec's arrival cycle, or the
+    /// re-arrival time once a shed request's retry is admitted (latency is
+    /// measured from the client's live submission).
+    pub(crate) arrival: Vec<u64>,
+}
+
+impl RequestTable<'_> {
+    /// Moves `req` to `lowering` at `op`, marked re-routed. Callers
+    /// re-lower only within the energy budget, so the request is admitted.
+    pub(crate) fn reroute(&mut self, req: usize, op: OperatingPoint, lowering: PointLowering) {
+        self.lowerings.push(Lowered {
+            op,
+            job: lowering.job,
+            footprint: lowering.footprint,
+            energy_pj: lowering.energy_pj,
+            rerouted: true,
+            admit: true,
+        });
+        self.index[req] = lowering_index(self.lowerings.len() - 1);
+    }
+}
+
+/// `i` as a [`RequestTable`] index: no trace that fits in memory reaches
+/// 2^32 lowerings.
+fn lowering_index(i: usize) -> u32 {
+    u32::try_from(i).expect("a run holds fewer than 2^32 lowerings")
+}
+
+impl Index<usize> for RequestTable<'_> {
+    type Output = Lowered;
+
+    /// Request `req`'s current lowering.
+    fn index(&self, req: usize) -> &Lowered {
+        &self.lowerings[self.index[req] as usize]
     }
 }
 
@@ -216,11 +218,13 @@ pub(crate) fn lower_routed(
             rerouted = true;
         }
     }
-    let admit = !cfg.over_energy_budget(lowering.energy_pj);
     Lowered {
+        op,
+        job: lowering.job,
+        footprint: lowering.footprint,
+        energy_pj: lowering.energy_pj,
         rerouted,
-        admit,
-        ..Lowered::new(spec, op, lowering)
+        admit: !cfg.over_energy_budget(lowering.energy_pj),
     }
 }
 
@@ -237,19 +241,20 @@ pub(crate) fn lower_routed(
 /// final-point lowerings seed `cache`, which accounts one miss per
 /// representative and one hit per request that shared one.
 ///
-/// Returns the representatives' lowerings and, per request, the index of
-/// its representative among them.
-pub(crate) fn lower_trace(
+/// Returns the table of the whole trace: the representatives' lowerings,
+/// each request pointing at its representative's, at its spec's arrival.
+pub(crate) fn lower_trace<'t>(
     cfg: &ServeConfig,
     csim: &CycleSim,
-    trace: &RequestTrace,
+    trace: &'t RequestTrace,
     router: &OpRouter,
     cache: &mut LowerCache,
-) -> (Vec<Lowered>, Vec<usize>) {
+) -> RequestTable<'t> {
+    let specs = &trace.requests;
     let mut seen: HashMap<ShapeKey, usize> = HashMap::new();
-    let mut rep_of = Vec::with_capacity(trace.requests.len());
+    let mut index = Vec::with_capacity(specs.len());
     let mut reps: Vec<usize> = Vec::new();
-    for (i, spec) in trace.requests.iter().enumerate() {
+    for (i, spec) in specs.iter().enumerate() {
         let rep = if cache.enabled() {
             let op = router.pick(&cfg.op, spec);
             *seen.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
@@ -260,38 +265,155 @@ pub(crate) fn lower_trace(
             reps.push(i);
             reps.len() - 1
         };
-        rep_of.push(rep);
+        index.push(lowering_index(rep));
     }
-    let table: Vec<Lowered> = sofa_par::par_map_index(reps.len(), |k| {
-        lower_routed(cfg, csim, &trace.requests[reps[k]], router)
+    let lowerings: Vec<Lowered> = sofa_par::par_map_index(reps.len(), |k| {
+        lower_routed(cfg, csim, &specs[reps[k]], router)
     });
-    for low in &table {
-        cache.insert_computed(ShapeKey::new(&low.spec, &low.op), low.point());
+    for (low, &rep) in lowerings.iter().zip(&reps) {
+        cache.insert_computed(ShapeKey::new(&specs[rep], &low.op), low.point());
     }
-    cache.record_shared_hits((trace.requests.len() - reps.len()) as u64);
-    (table, rep_of)
+    cache.record_shared_hits((specs.len() - reps.len()) as u64);
+    RequestTable {
+        specs,
+        lowerings,
+        index,
+        arrival: specs.iter().map(|r| r.arrival_cycle).collect(),
+    }
 }
 
-/// The leaner lowering of retry `attempt`: the router's leanest point (or
-/// the deployment point when the router has none) with its keep ratio
-/// shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored at 1% keep.
-pub(crate) fn retry_lowering(
-    cfg: &ServeConfig,
-    cache: &mut LowerCache,
-    csim: &CycleSim,
-    router: &OpRouter,
-    spec: &RequestSpec,
-    policy: &RetryPolicy,
-    attempt: u32,
-) -> (OperatingPoint, PointLowering) {
-    let base = router.leaner().unwrap_or_else(|| cfg.op.clone());
-    let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
-    let op = base.with_uniform_keep(keep);
-    // The attempt-shrunk keep is part of the cache key, so repeat attempts
-    // at the same shrink level hit instead of re-running the full pipeline
-    // lowering.
-    let lowering = lower_at_cached(cfg, cache, csim, spec, &op);
-    (op, lowering)
+/// What one external event — an original arrival or a retry re-arrival —
+/// did to its request. `attempt` is 0 for the original submission.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Arrival {
+    /// The request joins the wait queue.
+    Queued { req: usize, attempt: u32 },
+    /// Over the energy budget: the client re-submits after its backoff.
+    BackedOff { req: usize, attempt: u32 },
+    /// Over the energy budget with no retry left: shed at `energy_pj`.
+    Shed {
+        req: usize,
+        attempt: u32,
+        energy_pj: f64,
+    },
+}
+
+/// The arrival side of admission: the cursor over the trace's original
+/// arrivals, the retry heap of shed requests awaiting their client backoff
+/// ([`ServeConfig::retry`]) and each retried request's attempt count.
+#[derive(Debug, Default)]
+pub(crate) struct Intake {
+    /// The next original arrival.
+    next: usize,
+    /// Shed requests awaiting their client backoff: (re-arrival, id).
+    retries: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Attempts so far of every request that re-arrived at least once.
+    attempts: HashMap<usize, u32>,
+}
+
+impl Intake {
+    /// Client re-submissions of `req` so far.
+    pub(crate) fn attempts(&self, req: usize) -> u32 {
+        self.attempts.get(&req).copied().unwrap_or(0)
+    }
+
+    /// Cycle of the next external event, if any is left.
+    #[inline]
+    pub(crate) fn next_time(&self, table: &RequestTable) -> Option<u64> {
+        self.peek(table).map(|(t, _)| t)
+    }
+
+    /// The next external event's cycle and whether it is a retry
+    /// re-arrival. Original arrivals go first on ties: the retried client
+    /// re-submits just behind the fresh traffic.
+    #[inline]
+    fn peek(&self, table: &RequestTable) -> Option<(u64, bool)> {
+        let arrival = table.specs.get(self.next).map(|r| r.arrival_cycle);
+        let retry = self.retries.peek().map(|&Reverse((t, _))| t);
+        match (arrival, retry) {
+            (Some(a), Some(r)) if r < a => Some((r, true)),
+            (Some(a), _) => Some((a, false)),
+            (None, r) => r.map(|r| (r, true)),
+        }
+    }
+
+    /// Takes the next external event strictly before `bound` (any event
+    /// when `bound` is `None`) and returns its cycle and outcome. Inlined:
+    /// the single node asks once per simulation event, and almost always
+    /// gets `None`.
+    #[inline]
+    pub(crate) fn pop_before(
+        &mut self,
+        bound: Option<u64>,
+        cfg: &ServeConfig,
+        cache: &mut LowerCache,
+        csim: &CycleSim,
+        router: &OpRouter,
+        table: &mut RequestTable,
+    ) -> Option<(u64, Arrival)> {
+        let now = self.next_time(table)?;
+        if bound.is_some_and(|b| now >= b) {
+            return None;
+        }
+        Some(self.take(cfg, cache, csim, router, table))
+    }
+
+    /// Takes the next external event. An original arrival queues if its
+    /// lowering is admitted. A retry re-arrival is re-lowered through the
+    /// cache at its attempt's leaner keep; if that fits the energy budget,
+    /// `table` switches the request to it at the re-arrival cycle. A request
+    /// that does not fit backs off while [`ServeConfig::retry`] leaves it an
+    /// attempt, and is shed otherwise.
+    fn take(
+        &mut self,
+        cfg: &ServeConfig,
+        cache: &mut LowerCache,
+        csim: &CycleSim,
+        router: &OpRouter,
+        table: &mut RequestTable,
+    ) -> (u64, Arrival) {
+        let (now, is_retry) = self.peek(table).expect("an external event is pending");
+        let (req, attempt, energy_pj) = if is_retry {
+            let Reverse((_, req)) = self.retries.pop().expect("a retry was peeked");
+            let attempt = self.attempts(req) + 1;
+            self.attempts.insert(req, attempt);
+            let policy = cfg.retry.expect("retries require a policy");
+            // The router's leanest point (or the deployment point when it
+            // has none) with its keep shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored
+            // at 1%. The shrunk keep is part of the cache key, so repeat
+            // attempts at the same level hit.
+            let base = router.leaner().unwrap_or_else(|| cfg.op.clone());
+            let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
+            let op = base.with_uniform_keep(keep);
+            let lowering = lower_at_cached(cfg, cache, csim, &table.specs[req], &op);
+            if !cfg.over_energy_budget(lowering.energy_pj) {
+                table.reroute(req, op, lowering);
+                table.arrival[req] = now;
+                return (now, Arrival::Queued { req, attempt });
+            }
+            (req, attempt, lowering.energy_pj)
+        } else {
+            let req = self.next;
+            self.next += 1;
+            if table[req].admit {
+                return (now, Arrival::Queued { req, attempt: 0 });
+            }
+            (req, 0, table[req].energy_pj)
+        };
+        let arrival = match cfg.retry {
+            Some(policy) if attempt < policy.max_retries => {
+                self.retries
+                    .push(Reverse((now + policy.backoff_cycles, req)));
+                Arrival::BackedOff { req, attempt }
+            }
+            _ => Arrival::Shed {
+                req,
+                attempt,
+                energy_pj,
+            },
+        };
+        (now, arrival)
+    }
 }
 
 /// Position in `waiting` of the next request to try, among its first
@@ -439,7 +561,9 @@ impl Bookings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::RetryPolicy;
     use sofa_hw::config::HwConfig;
+    use sofa_model::trace::TraceConfig;
     use std::cmp::Ordering;
 
     /// The placement as one iterator chain over the whole range: among
@@ -541,6 +665,45 @@ mod tests {
         b.book(1, 0, 0.0);
         b.release(0, 100, 1.0);
         b.assert_drained();
+    }
+
+    #[test]
+    fn intake_takes_originals_first_on_ties_and_stops_before_the_bound() {
+        let mut tc = TraceConfig::new(2, 100.0, 7);
+        tc.seq_len = 256;
+        tc.hidden = 256;
+        tc.heads = 4;
+        let trace = RequestTrace::generate(&tc);
+        let [a0, a1] = [0, 1].map(|i| trace.requests[i].arrival_cycle);
+        assert!(a0 < a1);
+        // No lowering fits this budget, and request 0's retry re-arrives on
+        // the cycle request 1 arrives.
+        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+        cfg.energy_budget_pj_per_req = Some(1.0);
+        cfg.retry = Some(RetryPolicy {
+            backoff_cycles: a1 - a0,
+            max_retries: 1,
+            keep_factor: 0.5,
+        });
+        let csim = CycleSim::new(cfg.hw);
+        let mut cache = LowerCache::new(true);
+        let router = OpRouter::TraceNative;
+        let mut table = lower_trace(&cfg, &csim, &trace, &router, &mut cache);
+        let mut intake = Intake::default();
+        let mut pop =
+            |bound| intake.pop_before(bound, &cfg, &mut cache, &csim, &router, &mut table);
+        assert_eq!(pop(Some(a0)), None, "the bound is strict");
+        let backed_off = |req| Arrival::BackedOff { req, attempt: 0 };
+        assert_eq!(pop(Some(a0 + 1)), Some((a0, backed_off(0))));
+        assert_eq!(pop(None), Some((a1, backed_off(1))), "originals first");
+        let shed = |popped| match popped {
+            Some((t, Arrival::Shed { req, attempt, .. })) => (t, req, attempt),
+            other => panic!("expected a final shed, got {other:?}"),
+        };
+        assert_eq!(shed(pop(None)), (a1, 0, 1));
+        assert_eq!(shed(pop(None)), (2 * a1 - a0, 1, 1));
+        assert_eq!(pop(None), None);
+        assert_eq!((intake.attempts(0), intake.attempts(1)), (1, 1));
     }
 
     #[test]

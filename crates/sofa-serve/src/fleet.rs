@@ -33,7 +33,7 @@
 //! counters stamped at boundary cycles) is byte-identical at any
 //! `SOFA_THREADS` and across repeated runs.
 
-use crate::admission::{self, Bookings, LowerCache, Lowered, WaitQueue};
+use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
 use crate::report::ServeReport;
 use crate::scheduler::{OpRouter, ServeConfig};
 use sofa_core::cache::CacheStats;
@@ -41,8 +41,6 @@ use sofa_model::trace::{RequestClass, RequestTrace};
 use sofa_obs::{MetricsRegistry, QuantileSketch, TraceRecorder};
 use sofa_sim::tracks::{PID_FABRIC, PID_FLEET_ROUTER};
 use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -51,7 +49,8 @@ use std::sync::Arc;
 pub struct FleetConfig {
     /// Per-node serving parameters; [`ServeConfig::instances`] is the
     /// instance count *per node*. The admission knobs (budget, overbooking,
-    /// policy, aging, energy budget) apply fleet-wide.
+    /// policy, aging, energy budget, retry) apply fleet-wide; the fleet does
+    /// not decay, so [`ServeConfig::decay_threshold`] must be `None`.
     pub serve: ServeConfig,
     /// Number of nodes, each with [`ServeConfig::instances`] instances and
     /// a private DRAM channel.
@@ -124,6 +123,9 @@ impl FleetConfig {
         self.serve.validate()?;
         if self.nodes == 0 {
             return Err("nodes must be positive".into());
+        }
+        if self.serve.decay_threshold.is_some() {
+            return Err("serve.decay_threshold is not supported by the fleet".into());
         }
         if self.epoch_cycles == 0 {
             return Err("epoch_cycles must be positive".into());
@@ -354,9 +356,6 @@ struct RouterState {
     waiting: WaitQueue,
     /// Bookings per instance slot (`node * instances_per_node + inst`).
     bookings: Bookings,
-    /// Effective arrival cycle per request: the spec's arrival, or the
-    /// re-arrival time once a shed request's retry is admitted.
-    arrival: Vec<u64>,
     requests_per_node: Vec<u64>,
     latency: QuantileSketch,
     queueing: QuantileSketch,
@@ -386,7 +385,9 @@ impl FleetServeSim {
         &self.cfg
     }
 
-    /// Serves `trace` across the fleet under `router`.
+    /// Serves `trace` across the fleet under `router`. The fleet has no
+    /// feedback loop: [`OpRouter::Feedback`] routes as [`OpRouter::Pareto`]
+    /// over the same front.
     ///
     /// # Panics
     ///
@@ -453,12 +454,10 @@ impl FleetServeSim {
     /// with energy headroom in the class pool, spilling fleet-wide when the
     /// pool is full), book the fabric transfer, and hand the job to the
     /// node at its delivery cycle.
-    #[allow(clippy::too_many_arguments)]
     fn try_admit(
         &self,
         now: u64,
-        shapes: &[Lowered],
-        shape_of: &[usize],
+        table: &RequestTable,
         state: &mut RouterState,
         fabric: &mut Fabric,
         fleet: &mut FleetSim,
@@ -474,18 +473,18 @@ impl FleetServeSim {
                 now,
                 &state.waiting,
                 self.cfg.admit_window,
-                |r| state.arrival[r],
-                |r| shapes[shape_of[r]].footprint,
+                |r| table.arrival[r],
+                |r| table[r].footprint,
             );
             let req = state.waiting[pos];
-            let shape = &shapes[shape_of[req]];
-            let (fp, energy_pj) = (shape.footprint, shape.energy_pj);
+            let low = &table[req];
+            let (fp, energy_pj) = (low.footprint, low.energy_pj);
             let place = |slots| {
                 state
                     .bookings
                     .place(slots, fp, energy_pj, budget, energy_budget)
             };
-            let target = place(self.pool(shape.class)).or_else(|| {
+            let target = place(self.pool(table.specs[req].class)).or_else(|| {
                 self.cfg
                     .disaggregate
                     .then(|| place(0..self.cfg.total_instances()))
@@ -500,11 +499,11 @@ impl FleetServeSim {
             state.waiting.remove(pos);
             let (node, inst) = (slot / ipn, slot % ipn);
             let delivery = fabric.transfer(node, fp, now);
-            fleet.submit(node, inst, req as u64, Arc::clone(&shape.job), delivery);
+            fleet.submit(node, inst, req as u64, Arc::clone(&low.job), delivery);
             state.bookings.book(slot, fp, energy_pj);
             state.requests_per_node[node] += 1;
             state.energy_pj += energy_pj;
-            state.queueing.record(now - state.arrival[req]);
+            state.queueing.record(now - table.arrival[req]);
             if obs.is_enabled() {
                 obs.counter(
                     PID_FABRIC,
@@ -531,15 +530,8 @@ impl FleetServeSim {
         csim.params = s.sim;
         let mut cache = LowerCache::new(s.lowering_cache);
         // One lowering per distinct shape, shared by every request of it.
-        let (mut shapes, mut shape_of) =
-            admission::lower_trace(s, &csim, trace, &router, &mut cache);
-        // Retry re-lowering happens serially, on demand, memoized per
-        // (original shape, attempt) — the retried shapes append to the same
-        // table and `shape_of` is repointed on a successful re-admission.
-        let mut retry_table: HashMap<(usize, u32), usize> = HashMap::new();
-        let mut attempts: HashMap<usize, u32> = HashMap::new();
-        // Shed requests awaiting their client backoff: (re-arrival, id).
-        let mut retryq: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut table = admission::lower_trace(s, &csim, trace, &router, &mut cache);
+        let mut intake = Intake::default();
 
         let mut fleet = FleetSim::new(&s.hw, self.cfg.nodes, ipn, s.sim);
         let mut fabric = Fabric::new(self.cfg.fabric, self.cfg.nodes);
@@ -556,7 +548,6 @@ impl FleetServeSim {
         let mut state = RouterState {
             waiting: WaitQueue::new(),
             bookings: Bookings::new(self.cfg.total_instances()),
-            arrival: trace.requests.iter().map(|r| r.arrival_cycle).collect(),
             requests_per_node: vec![0; self.cfg.nodes],
             latency: QuantileSketch::new(),
             queueing: QuantileSketch::new(),
@@ -568,116 +559,46 @@ impl FleetServeSim {
         let mut retried = 0u64;
         let mut prefills = 0u64;
         let mut decodes = 0u64;
-        let mut next_arrival = 0usize;
         let epoch = self.cfg.epoch_cycles;
-        let specs = &trace.requests;
 
         loop {
-            let fleet_next = fleet.next_activity();
-            let arr_next = specs.get(next_arrival).map(|r| r.arrival_cycle);
-            let retry_next = retryq.peek().map(|Reverse((t, _))| *t);
-            let next = match [fleet_next, arr_next, retry_next]
-                .into_iter()
-                .flatten()
-                .min()
-            {
-                Some(t) => t,
-                None => break,
+            let next = [fleet.next_activity(), intake.next_time(&table)];
+            let Some(next) = next.into_iter().flatten().min() else {
+                break;
             };
             // The first boundary strictly past the next pending activity —
             // idle stretches collapse into one epoch step.
             let boundary = (next / epoch + 1) * epoch;
             for c in fleet.run_until(boundary) {
                 let req = c.request as usize;
-                let shape = &shapes[shape_of[req]];
+                let low = &table[req];
                 let slot = c.node * ipn + c.instance;
-                state
-                    .bookings
-                    .release(slot, shape.footprint, shape.energy_pj);
-                match shape.class {
+                state.bookings.release(slot, low.footprint, low.energy_pj);
+                match table.specs[req].class {
                     RequestClass::Prefill => prefills += 1,
                     RequestClass::Decode => decodes += 1,
                 }
-                if shape.rerouted {
+                if low.rerouted {
                     rerouted += 1;
                 }
-                state.latency.record(c.time - state.arrival[req]);
+                state.latency.record(c.time - table.arrival[req]);
                 state.served += 1;
             }
             // Ingest originals and retry re-arrivals below the boundary in
-            // time order (originals first on ties), so the wait queue stays
-            // arrival-ordered.
-            loop {
-                let arr = (next_arrival < specs.len())
-                    .then(|| specs[next_arrival].arrival_cycle)
-                    .filter(|&t| t < boundary);
-                let rtr = retryq
-                    .peek()
-                    .map(|Reverse((t, _))| *t)
-                    .filter(|&t| t < boundary);
-                let take_retry = match (arr, rtr) {
-                    (None, None) => break,
-                    (Some(a), Some(r)) => r < a,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                };
-                if take_retry {
-                    let Reverse((t, req)) = retryq.pop().expect("retry was pending");
-                    let policy = self.cfg.serve.retry.expect("retries require a policy");
-                    let attempt = attempts.get(&req).copied().unwrap_or(0) + 1;
-                    let key = (shape_of[req], attempt);
-                    let idx = *retry_table.entry(key).or_insert_with(|| {
-                        let (op, lowering) = admission::retry_lowering(
-                            s,
-                            &mut cache,
-                            &csim,
-                            &router,
-                            &specs[req],
-                            &policy,
-                            attempt,
-                        );
-                        let admit = !s.over_energy_budget(lowering.energy_pj);
-                        shapes.push(Lowered {
-                            rerouted: true,
-                            admit,
-                            ..Lowered::new(&specs[req], op, lowering)
-                        });
-                        shapes.len() - 1
-                    });
-                    if shapes[idx].admit {
-                        shape_of[req] = idx;
-                        state.arrival[req] = t;
-                        retried += 1;
+            // time order, so the wait queue stays arrival-ordered.
+            while let Some((_, arrival)) =
+                intake.pop_before(Some(boundary), s, &mut cache, &csim, &router, &mut table)
+            {
+                match arrival {
+                    Arrival::Queued { req, attempt } => {
+                        retried += u64::from(attempt > 0);
                         state.waiting.push_back(req);
-                    } else if attempt < policy.max_retries {
-                        attempts.insert(req, attempt);
-                        retryq.push(Reverse((t + policy.backoff_cycles, req)));
-                    } else {
-                        shed += 1;
                     }
-                } else {
-                    if shapes[shape_of[next_arrival]].admit {
-                        state.waiting.push_back(next_arrival);
-                    } else if let Some(policy) = &self.cfg.serve.retry {
-                        retryq.push(Reverse((
-                            specs[next_arrival].arrival_cycle + policy.backoff_cycles,
-                            next_arrival,
-                        )));
-                    } else {
-                        shed += 1;
-                    }
-                    next_arrival += 1;
+                    Arrival::BackedOff { .. } => {}
+                    Arrival::Shed { .. } => shed += 1,
                 }
             }
-            self.try_admit(
-                boundary,
-                &shapes,
-                &shape_of,
-                &mut state,
-                &mut fabric,
-                &mut fleet,
-                obs,
-            );
+            self.try_admit(boundary, &table, &mut state, &mut fabric, &mut fleet, obs);
             if obs.is_enabled() {
                 obs.counter(
                     PID_FLEET_ROUTER,
@@ -691,7 +612,7 @@ impl FleetServeSim {
         assert!(state.waiting.is_empty(), "all eligible requests admitted");
         assert_eq!(
             state.served + shed,
-            specs.len() as u64,
+            trace.len() as u64,
             "served + shed == offered"
         );
         state.bookings.assert_drained();
@@ -830,6 +751,34 @@ mod tests {
     }
 
     #[test]
+    fn single_node_and_one_node_fleet_agree_on_retries() {
+        // The budget sheds prefills on first submission and the retries
+        // re-lower them at shrinking keeps. Which attempt fits depends only
+        // on the lowerings, not on admission timing, so both drivers shed,
+        // retry and reroute the same requests through the same cache
+        // lookups.
+        let trace = small_trace(40, 150.0);
+        for ipn in [1, 2] {
+            let mut cfg = small_cfg(1, ipn);
+            cfg.serve.energy_budget_pj_per_req = Some(4.0e6);
+            cfg.serve.retry = Some(crate::RetryPolicy {
+                backoff_cycles: 20_000,
+                max_retries: 2,
+                keep_factor: 0.5,
+            });
+            let (single, single_stats) = ServeSim::new(cfg.serve.clone())
+                .run_with_cache_stats(&trace, OpRouter::TraceNative);
+            let (fleet, fleet_stats) =
+                FleetServeSim::new(cfg).run_with_cache_stats(&trace, OpRouter::TraceNative);
+            assert!(fleet.shed > 0 && fleet.retried > 0, "{ipn} per node");
+            assert_eq!(fleet.shed, single.shed.len() as u64, "{ipn} per node");
+            assert_eq!(fleet.retried, single.retried, "{ipn} per node");
+            assert_eq!(fleet.rerouted, single.rerouted_requests() as u64);
+            assert_eq!(fleet_stats, single_stats, "{ipn} per node");
+        }
+    }
+
+    #[test]
     fn traced_run_matches_untraced_and_validates() {
         let trace = small_trace(10, 100.0);
         let sim = FleetServeSim::new(small_cfg(2, 1));
@@ -862,6 +811,16 @@ mod tests {
         let mut cfg = small_cfg(1, 1);
         cfg.serve.sim.buffer_depth = 0;
         FleetServeSim::new(cfg);
+    }
+
+    #[test]
+    fn decay_threshold_is_rejected_by_validate() {
+        // Regression: the fleet never read it, so a decaying config ran as
+        // if it did not decay.
+        let mut cfg = small_cfg(1, 1);
+        cfg.serve.decay_threshold = Some(10_000);
+        let err = cfg.validate().expect_err("the fleet cannot decay");
+        assert!(err.contains("serve.decay_threshold"), "{err}");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! instances that share a DRAM channel (`sofa_sim::multi`), under a
 //! continuous-batching admission scheduler.
 //!
-//! * `admission` (crate-private) — the admission core both simulators share: the
-//!   deduplicated lowering pass, per-instance bookings, the aged
-//!   smallest-first pick and the least-booked, energy-headroom placement.
+//! * `admission` (crate-private) — the admission core both simulators
+//!   share: the deduplicated lowering pass, the request table, the
+//!   arrival/retry intake, per-instance bookings, the aged smallest-first
+//!   pick and the least-booked, energy-headroom placement.
 //! * [`scheduler`] — [`ServeSim`]: routes each request to an
 //!   `OperatingPoint` ([`OpRouter`]: trace-native, fixed, or per-class
 //!   Pareto routing through a DSE front), lowers it layer by layer into a

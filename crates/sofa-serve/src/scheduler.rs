@@ -63,10 +63,8 @@
 //!   orders candidate instances by in-flight energy headroom as well as
 //!   booked bytes, so load balance trades against thermal/energy headroom.
 
-use crate::admission::{self, Bookings, LowerCache, Lowered, WaitQueue};
+use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use sofa_core::cache::CacheStats;
 use sofa_dse::ParetoFront;
@@ -506,182 +504,123 @@ impl ServeSim {
         let mut csim = CycleSim::new(self.cfg.hw);
         csim.params = self.cfg.sim;
         let mut cache = LowerCache::new(self.cfg.lowering_cache);
-        let (table, rep_of) = admission::lower_trace(&self.cfg, &csim, trace, &router, &mut cache);
-        let mut lowered = Vec::with_capacity(trace.requests.len());
-        for (i, spec) in trace.requests.iter().enumerate() {
-            let req = table[rep_of[i]].for_request(spec);
-            if obs.is_enabled() {
-                let tid = i as u64;
+        let mut table = admission::lower_trace(&self.cfg, &csim, trace, &router, &mut cache);
+        if obs.is_enabled() {
+            for (i, spec) in trace.requests.iter().enumerate() {
+                let (tid, low, at) = (i as u64, &table[i], spec.arrival_cycle);
                 obs.instant(
                     PID_REQUESTS,
                     tid,
                     "lowered",
-                    req.arrival,
+                    at,
                     &[
-                        ("class", ArgValue::Str(class_name(req.class))),
-                        ("footprint_bytes", ArgValue::U64(req.footprint)),
-                        ("energy_pj", ArgValue::F64(req.energy_pj)),
+                        ("class", ArgValue::Str(class_name(spec.class))),
+                        ("footprint_bytes", ArgValue::U64(low.footprint)),
+                        ("energy_pj", ArgValue::F64(low.energy_pj)),
                     ],
                 );
-                if req.rerouted {
+                if low.rerouted {
                     obs.instant(
                         PID_REQUESTS,
                         tid,
                         "reroute",
-                        req.arrival,
+                        at,
                         &[("to", ArgValue::Str("energy-leanest"))],
                     );
                 }
                 // With a retry policy a first-attempt shed is not final:
                 // the serial loop buffers shed-retry/retry/shed instants
                 // and they are emitted post-run instead.
-                if !req.admit && self.cfg.retry.is_none() {
+                if !low.admit && self.cfg.retry.is_none() {
                     obs.instant(
                         PID_REQUESTS,
                         tid,
                         "shed",
-                        req.arrival,
-                        &[("energy_pj", ArgValue::F64(req.energy_pj))],
+                        at,
+                        &[("energy_pj", ArgValue::F64(low.energy_pj))],
                     );
                 }
             }
-            lowered.push(req);
         }
 
         let mut msim = MultiPipelineSim::new(&self.cfg.hw, n, self.cfg.sim);
         if obs.is_enabled() {
             msim.enable_tracing();
         }
-        let mut state = AdmissionState::new(n, lowered.len());
+        let mut state = AdmissionState::new(n, trace.len());
         let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut next_arrival = 0usize;
-        // Shed requests awaiting their client backoff: (re-arrival, id).
-        let mut retryq: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut intake = Intake::default();
 
         loop {
+            // Completions at the same cycle free capacity before any
+            // admission decision, so simulation events win ties.
             let event = msim.next_event_time();
-            let arrival = (next_arrival < lowered.len()).then(|| lowered[next_arrival].arrival);
-            let retry = retryq.peek().map(|Reverse((t, _))| *t);
-            // Original arrivals run before retry re-arrivals on ties (the
-            // retried client re-submits just behind the fresh traffic), and
-            // completions at the same cycle free capacity before any
-            // admission decision, so simulation events run first overall.
-            let external = match (arrival, retry) {
-                (Some(a), Some(r)) if r < a => Some((r, true)),
-                (Some(a), _) => Some((a, false)),
-                (None, Some(r)) => Some((r, true)),
-                (None, None) => None,
-            };
-            let external_first = match (event, external) {
-                (None, None) => break,
-                (Some(e), Some((x, _))) => x < e,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-            };
-            if external_first {
-                let (now, is_retry) = external.expect("external_first implies an arrival");
-                if is_retry {
-                    let Reverse((_, req)) = retryq.pop().expect("retry was pending");
-                    let policy = self.cfg.retry.expect("retries require a policy");
-                    let attempt = lowered[req].retries + 1;
-                    let spec = lowered[req].spec;
-                    let (op, lowering) = admission::retry_lowering(
-                        &self.cfg, &mut cache, &csim, &router, &spec, &policy, attempt,
-                    );
-                    lowered[req].retries = attempt;
-                    let energy_pj = lowering.energy_pj;
-                    if !self.cfg.over_energy_budget(energy_pj) {
-                        let lw = &mut lowered[req];
-                        lw.reroute(op, lowering);
-                        lw.arrival = now;
-                        lw.admit = true;
-                        state.retried += 1;
-                        state.note(req, now, AdaptiveKind::Retry(attempt));
+            let popped =
+                intake.pop_before(event, &self.cfg, &mut cache, &csim, &router, &mut table);
+            let now = if let Some((now, arrival)) = popped {
+                match arrival {
+                    Arrival::Queued { req, attempt } => {
+                        if attempt > 0 {
+                            state.retried += 1;
+                            state.note(req, now, AdaptiveKind::Retry(attempt));
+                        }
                         state.waiting.push_back(req);
                         sample_waiting(obs, now, &state.waiting);
-                    } else if attempt < policy.max_retries {
+                    }
+                    Arrival::BackedOff { req, attempt } => {
                         state.note(req, now, AdaptiveKind::RetryShed(attempt));
-                        retryq.push(Reverse((now + policy.backoff_cycles, req)));
-                    } else {
-                        state.note(req, now, AdaptiveKind::Shed(energy_pj));
+                    }
+                    Arrival::Shed {
+                        req,
+                        attempt,
+                        energy_pj,
+                    } => {
+                        if attempt > 0 {
+                            state.note(req, now, AdaptiveKind::Shed(energy_pj));
+                        }
+                        let spec = &trace.requests[req];
                         shed.push(ShedRecord {
                             id: req as u64,
-                            class: lowered[req].class,
-                            arrival: lowered[req].spec.arrival_cycle,
+                            class: spec.class,
+                            arrival: spec.arrival_cycle,
                             energy_pj,
                             retries: attempt,
                         });
                     }
-                } else {
-                    let req = &lowered[next_arrival];
-                    if req.admit {
-                        state.waiting.push_back(next_arrival);
-                        sample_waiting(obs, now, &state.waiting);
-                    } else if let Some(policy) = &self.cfg.retry {
-                        state.note(next_arrival, now, AdaptiveKind::RetryShed(0));
-                        retryq.push(Reverse((now + policy.backoff_cycles, next_arrival)));
-                    } else {
-                        shed.push(ShedRecord {
-                            id: next_arrival as u64,
-                            class: req.class,
-                            arrival: req.arrival,
-                            energy_pj: req.energy_pj,
-                            retries: 0,
-                        });
-                    }
-                    next_arrival += 1;
                 }
-                self.try_admit(
-                    now,
-                    &csim,
-                    &router,
-                    &mut cache,
-                    &mut lowered,
-                    &mut state,
-                    &mut msim,
-                    obs,
-                );
-            } else {
+                now
+            } else if event.is_some() {
                 let step = msim.step().expect("event was pending");
-                if let Some(done) = step.completed {
-                    let idx = done.request as usize;
-                    state.completed_at[idx] = step.time;
-                    state.bookings.release(
-                        done.instance,
-                        lowered[idx].footprint,
-                        lowered[idx].energy_pj,
-                    );
-                    if let OpRouter::Feedback(_, fb) = &router {
-                        let latency = (step.time - lowered[idx].arrival) as f64;
-                        state.observe_completion(
-                            fb,
-                            done.instance,
-                            latency,
-                            lowered[idx].energy_pj,
+                let Some(done) = step.completed else {
+                    continue;
+                };
+                let idx = done.request as usize;
+                let low = &table[idx];
+                state.completed_at[idx] = step.time;
+                state
+                    .bookings
+                    .release(done.instance, low.footprint, low.energy_pj);
+                if let OpRouter::Feedback(_, fb) = &router {
+                    let latency = (step.time - table.arrival[idx]) as f64;
+                    state.observe_completion(fb, done.instance, latency, low.energy_pj);
+                    if obs.is_enabled() {
+                        obs.counter(
+                            PID_SCHEDULER,
+                            1,
+                            "serve.pressure",
+                            step.time,
+                            &[("level", state.pressure(fb) as f64)],
                         );
-                        if obs.is_enabled() {
-                            obs.counter(
-                                PID_SCHEDULER,
-                                1,
-                                "serve.pressure",
-                                step.time,
-                                &[("level", state.pressure(fb) as f64)],
-                            );
-                        }
                     }
-                    sample_booked(obs, step.time, done.instance, &state.bookings);
-                    self.try_admit(
-                        step.time,
-                        &csim,
-                        &router,
-                        &mut cache,
-                        &mut lowered,
-                        &mut state,
-                        &mut msim,
-                        obs,
-                    );
                 }
-            }
+                sample_booked(obs, step.time, done.instance, &state.bookings);
+                step.time
+            } else {
+                break;
+            };
+            self.try_admit(
+                now, &csim, &router, &mut cache, &mut table, &mut state, &mut msim, obs,
+            );
         }
 
         if obs.is_enabled() {
@@ -691,14 +630,14 @@ impl ServeSim {
             // adaptive instants buffered during the loop (decay, feedback,
             // retry, late shed) interleave around the spans by timestamp, so
             // each track stays monotone.
-            let mut per_req: Vec<Vec<(u64, AdaptiveKind)>> = vec![Vec::new(); lowered.len()];
+            let mut per_req: Vec<Vec<(u64, AdaptiveKind)>> = vec![Vec::new(); trace.len()];
             for ev in &state.events {
                 per_req[ev.req].push((ev.ts, ev.kind));
             }
-            for (i, req) in lowered.iter().enumerate() {
-                let tid = i as u64;
+            for (i, spec) in trace.requests.iter().enumerate() {
+                let (tid, arrival) = (i as u64, table.arrival[i]);
                 let events = &per_req[i];
-                if !req.admit {
+                if !table[i].admit {
                     for &(ts, kind) in events {
                         adaptive_instant(obs, tid, ts, kind);
                     }
@@ -707,7 +646,7 @@ impl ServeSim {
                 let admitted = state.admitted_at[i];
                 // Retry instants precede the (effective) arrival; decay and
                 // feedback instants land between arrival and admission.
-                let split = events.partition_point(|&(ts, _)| ts <= req.arrival);
+                let split = events.partition_point(|&(ts, _)| ts <= arrival);
                 for &(ts, kind) in &events[..split] {
                     adaptive_instant(obs, tid, ts, kind);
                 }
@@ -715,9 +654,9 @@ impl ServeSim {
                     PID_REQUESTS,
                     tid,
                     "queued",
-                    req.arrival,
-                    admitted - req.arrival,
-                    &[("class", ArgValue::Str(class_name(req.class)))],
+                    arrival,
+                    admitted - arrival,
+                    &[("class", ArgValue::Str(class_name(spec.class)))],
                 );
                 for &(ts, kind) in &events[split..] {
                     adaptive_instant(obs, tid, ts, kind);
@@ -733,27 +672,26 @@ impl ServeSim {
             }
         }
 
-        let records: Vec<RequestRecord> = lowered
-            .iter()
-            .enumerate()
-            .filter(|(_, req)| req.admit)
-            .map(|(i, req)| {
+        let records: Vec<RequestRecord> = (0..trace.len())
+            .filter(|&i| table[i].admit)
+            .map(|i| {
                 assert!(
                     state.completed_at[i] != u64::MAX,
                     "every admitted request must complete"
                 );
+                let low = &table[i];
                 RequestRecord {
                     id: i as u64,
-                    class: req.class,
+                    class: trace.requests[i].class,
                     instance: state.placed_on[i],
-                    arrival: req.arrival,
+                    arrival: table.arrival[i],
                     admitted: state.admitted_at[i],
                     completed: state.completed_at[i],
-                    footprint_bytes: req.footprint,
-                    energy_pj: req.energy_pj,
-                    rerouted: req.rerouted,
-                    decayed: req.decayed,
-                    retries: req.retries,
+                    footprint_bytes: low.footprint,
+                    energy_pj: low.energy_pj,
+                    rerouted: low.rerouted,
+                    decayed: state.decayed[i],
+                    retries: intake.attempts(i),
                 }
             })
             .collect();
@@ -785,7 +723,7 @@ impl ServeSim {
         csim: &CycleSim,
         router: &OpRouter,
         cache: &mut LowerCache,
-        lowered: &mut [Lowered],
+        table: &mut RequestTable,
         state: &mut AdmissionState,
     ) {
         let Some(threshold) = self.cfg.decay_threshold else {
@@ -793,23 +731,23 @@ impl ServeSim {
         };
         for pos in 0..state.waiting.len() {
             let req = state.waiting[pos];
-            if lowered[req].decay_checked || now.saturating_sub(lowered[req].arrival) < threshold {
+            if state.decay_checked[req] || now.saturating_sub(table.arrival[req]) < threshold {
                 continue;
             }
-            lowered[req].decay_checked = true;
-            let Some(target) = router.decay_target(lowered[req].class) else {
+            state.decay_checked[req] = true;
+            let spec = &table.specs[req];
+            let Some(target) = router.decay_target(spec.class) else {
                 continue;
             };
-            if target == lowered[req].op {
+            if target == table[req].op {
                 continue;
             }
-            let lowering =
-                admission::lower_at_cached(&self.cfg, cache, csim, &lowered[req].spec, &target);
+            let lowering = admission::lower_at_cached(&self.cfg, cache, csim, spec, &target);
             if self.cfg.over_energy_budget(lowering.energy_pj) {
                 continue;
             }
-            lowered[req].reroute(target, lowering);
-            lowered[req].decayed = true;
+            table.reroute(req, target, lowering);
+            state.decayed[req] = true;
             state.note(req, now, AdaptiveKind::Decay);
         }
     }
@@ -826,31 +764,30 @@ impl ServeSim {
         router: &OpRouter,
         cache: &mut LowerCache,
         req: usize,
-        lowered: &mut [Lowered],
+        table: &mut RequestTable,
         state: &mut AdmissionState,
     ) {
         let OpRouter::Feedback(front, fb) = router else {
             return;
         };
-        if lowered[req].decayed {
+        if state.decayed[req] {
             return;
         }
         let level = state.pressure(fb);
-        if level == lowered[req].level {
+        if level == state.level[req] {
             return;
         }
-        let target = front.route_pressure(&lowered[req].class, level);
-        if target == lowered[req].op {
-            lowered[req].level = level;
+        state.level[req] = level;
+        let spec = &table.specs[req];
+        let target = front.route_pressure(&spec.class, level);
+        if target == table[req].op {
             return;
         }
-        let lowering =
-            admission::lower_at_cached(&self.cfg, cache, csim, &lowered[req].spec, &target);
-        lowered[req].level = level;
+        let lowering = admission::lower_at_cached(&self.cfg, cache, csim, spec, &target);
         if self.cfg.over_energy_budget(lowering.energy_pj) {
             return;
         }
-        lowered[req].reroute(target, lowering);
+        table.reroute(req, target, lowering);
         state.note(req, now, AdaptiveKind::Feedback(level));
     }
 
@@ -867,12 +804,12 @@ impl ServeSim {
         csim: &CycleSim,
         router: &OpRouter,
         cache: &mut LowerCache,
-        lowered: &mut [Lowered],
+        table: &mut RequestTable,
         state: &mut AdmissionState,
         msim: &mut MultiPipelineSim,
         obs: &mut TraceRecorder,
     ) {
-        self.decay_waiting(now, csim, router, cache, lowered, state);
+        self.decay_waiting(now, csim, router, cache, table, state);
         let budget = self.cfg.budget_bytes();
         let energy_budget = self.cfg.instance_energy_budget_pj;
         while !state.waiting.is_empty() {
@@ -881,12 +818,12 @@ impl ServeSim {
                 now,
                 &state.waiting,
                 state.waiting.len(),
-                |r| lowered[r].arrival,
-                |r| lowered[r].footprint,
+                |r| table.arrival[r],
+                |r| table[r].footprint,
             );
             let req = state.waiting[pos];
-            self.feedback_relower(now, csim, router, cache, req, lowered, state);
-            let (fp, energy_pj) = (lowered[req].footprint, lowered[req].energy_pj);
+            self.feedback_relower(now, csim, router, cache, req, table, state);
+            let (fp, energy_pj) = (table[req].footprint, table[req].energy_pj);
             let instances = 0..self.cfg.instances;
             let target = state
                 .bookings
@@ -899,7 +836,7 @@ impl ServeSim {
                 return;
             };
             state.waiting.remove(pos);
-            msim.submit(inst, req as u64, &lowered[req].job, now);
+            msim.submit(inst, req as u64, &table[req].job, now);
             state.bookings.book(inst, fp, energy_pj);
             state.energy_pj[inst] += energy_pj;
             state.placed_on[req] = inst;
@@ -994,6 +931,12 @@ struct AdmissionState {
     placed_on: Vec<usize>,
     admitted_at: Vec<u64>,
     completed_at: Vec<u64>,
+    /// Whether the decay threshold re-lowered the request while it waited.
+    decayed: Vec<bool>,
+    /// Decay was evaluated (possibly rejected); guards repeated re-lowering.
+    decay_checked: Vec<bool>,
+    /// Pressure level of the request's current lowering (feedback router).
+    level: Vec<u8>,
     /// Retry re-arrivals admitted back into the wait queue.
     retried: u64,
     /// Adaptive instants buffered for post-run trace emission.
@@ -1015,6 +958,9 @@ impl AdmissionState {
             placed_on: vec![usize::MAX; requests],
             admitted_at: vec![u64::MAX; requests],
             completed_at: vec![u64::MAX; requests],
+            decayed: vec![false; requests],
+            decay_checked: vec![false; requests],
+            level: vec![0; requests],
             retried: 0,
             events: Vec::new(),
             ewma_latency: vec![0.0; instances],

@@ -610,7 +610,7 @@ proptest! {
     ) {
         use sofa_hw::config::HwConfig;
         use sofa_model::trace::{RequestTrace, TraceConfig};
-        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter};
+        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter, RetryPolicy};
 
         let mut tc = TraceConfig::new(16, 120.0, seed);
         tc.seq_len = 256;
@@ -618,19 +618,30 @@ proptest! {
         tc.heads = 4;
         tc.prefill_queries = 8;
         let trace = RequestTrace::generate(&tc);
-        let mut cfg = FleetConfig::new(HwConfig::small(), nodes, 2);
-        cfg.epoch_cycles = 4096;
-
-        let mut cold_cfg = cfg.clone();
-        cold_cfg.serve.lowering_cache = false;
-        let reference = sofa_par::with_threads(1, || {
-            FleetServeSim::new(cold_cfg.clone()).run(&trace, OpRouter::TraceNative)
+        let mut plain = FleetConfig::new(HwConfig::small(), nodes, 2);
+        plain.epoch_cycles = 4096;
+        // The budget-and-retry variant: the budget sheds prefills on first
+        // submission, so the retry path re-lowers through the cache.
+        let mut retrying = plain.clone();
+        retrying.serve.energy_budget_pj_per_req = Some(4.0e6);
+        retrying.serve.retry = Some(RetryPolicy {
+            backoff_cycles: 20_000,
+            max_retries: 2,
+            keep_factor: 0.5,
         });
-        for threads in [1usize, 2, 8] {
-            let cached = sofa_par::with_threads(threads, || {
-                FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
+
+        for cfg in [plain, retrying] {
+            let mut cold_cfg = cfg.clone();
+            cold_cfg.serve.lowering_cache = false;
+            let reference = sofa_par::with_threads(1, || {
+                FleetServeSim::new(cold_cfg.clone()).run(&trace, OpRouter::TraceNative)
             });
-            prop_assert_eq!(&cached, &reference, "threads={}", threads);
+            for threads in [1usize, 2, 8] {
+                let cached = sofa_par::with_threads(threads, || {
+                    FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
+                });
+                prop_assert_eq!(&cached, &reference, "threads={}", threads);
+            }
         }
     }
 
