@@ -1,7 +1,7 @@
 //! The harness CLI.
 //!
 //! ```text
-//! harness run  [--all | --spec NAME]... [--json PATH] [--update-golden] [--specs DIR]
+//! harness run  (--all | --spec NAME...) [--json PATH] [--update-golden] [--specs DIR]
 //! harness check [--specs DIR]
 //! harness list [--markdown] [--specs DIR]
 //! ```
@@ -33,12 +33,32 @@ struct Args {
 fn usage() -> String {
     "usage: harness <run|check|list> [options]\n\
      \n\
-     harness run  [--all | --spec NAME]... [--json PATH] [--update-golden] [--specs DIR]\n\
+     harness run  (--all | --spec NAME...) [--json PATH] [--update-golden] [--specs DIR]\n\
      harness check [--specs DIR]\n\
      harness list [--markdown] [--specs DIR]\n"
         .to_string()
 }
 
+/// The flags `command` takes.
+fn flags_of(command: &str) -> &'static [&'static str] {
+    match command {
+        "run" => &["--all", "--spec", "--json", "--update-golden", "--specs"],
+        "check" => &["--specs"],
+        _ => &["--markdown", "--specs"],
+    }
+}
+
+/// Stores a single-value flag, refusing a second occurrence.
+fn set_once(slot: &mut Option<PathBuf>, flag: &str, value: String) -> Result<(), String> {
+    match slot.replace(PathBuf::from(value)) {
+        Some(_) => Err(format!("{flag} given twice")),
+        None => Ok(()),
+    }
+}
+
+/// Parses `argv`. A flag the command does not take, a repeated
+/// single-value flag, a flag without its value and `--all` next to
+/// `--spec` are one-line errors.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let command = argv.first().cloned().ok_or_else(usage)?;
     if !matches!(command.as_str(), "run" | "check" | "list") {
@@ -53,8 +73,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         markdown: false,
         specs_dir: workspace_root().join("specs"),
     };
+    let mut specs_dir = None;
     let mut it = argv[1..].iter();
     while let Some(flag) = it.next() {
+        if !flags_of(&args.command).contains(&flag.as_str()) {
+            return Err(format!("harness {} does not take {flag:?}", args.command));
+        }
         let mut value = |name: &str| {
             it.next()
                 .cloned()
@@ -63,12 +87,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--all" => args.all = true,
             "--spec" => args.specs.push(value("--spec")?),
-            "--json" => args.json = Some(PathBuf::from(value("--json")?)),
+            "--json" => set_once(&mut args.json, "--json", value("--json")?)?,
             "--update-golden" => args.update_golden = true,
             "--markdown" => args.markdown = true,
-            "--specs" => args.specs_dir = PathBuf::from(value("--specs")?),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
+            "--specs" => set_once(&mut specs_dir, "--specs", value("--specs")?)?,
+            other => unreachable!("{other:?} is in flags_of but has no arm"),
         }
+    }
+    if args.all && !args.specs.is_empty() {
+        return Err("--all and --spec exclude each other".into());
+    }
+    if let Some(dir) = specs_dir {
+        args.specs_dir = dir;
     }
     Ok(args)
 }

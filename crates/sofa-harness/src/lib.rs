@@ -9,7 +9,7 @@
 //! `count_equality`. One binary (`harness`) executes them:
 //!
 //! ```text
-//! harness run  [--all | --spec NAME]... [--json PATH] [--update-golden] [--specs DIR]
+//! harness run  (--all | --spec NAME...) [--json PATH] [--update-golden] [--specs DIR]
 //! harness check [--specs DIR]           # lint every spec without running it
 //! harness list [--markdown] [--specs DIR]
 //! ```

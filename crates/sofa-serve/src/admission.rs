@@ -4,15 +4,16 @@
 //! distinct lowerings with each request's current one and effective
 //! arrival; the [`Intake`] of original arrivals and retry re-arrivals; the
 //! per-instance [`Bookings`], the aged smallest-first [`pick`] and the
-//! least-booked, energy-headroom [`Bookings::place`] — Tailors-style
-//! overbooking of the sparsity-reduced `T×k` footprint.
+//! least-booked, energy-headroom [`Bookings::place`]. Admission books the
+//! sparsity-reduced `T×k` footprint; overbooking it Tailors-style is a
+//! larger [`ServeConfig::admit_buffer_bytes`].
 //!
 //! Each simulator keeps its own clock, loop, completions and tracing. The
 //! single node is event-exact: it takes one external event strictly before
 //! its next simulation event. The fleet steps in epochs: it takes every
 //! external event below its next boundary.
 
-use crate::scheduler::{AdmitPolicy, OpRouter, ServeConfig};
+use crate::scheduler::{OpRouter, ServeConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::ops::{Index, Range};
@@ -133,20 +134,14 @@ pub(crate) type LowerCache = LoweringCache<ShapeKey, PointLowering>;
 /// the query block and the output accumulator (`T×H` 16-bit values
 /// each) plus per-selected-key metadata — index and predicted score,
 /// 4 B per kept Q-K pair. Layers run back to back, so admission books
-/// the worst layer. Worst-case sizing must budget for a dense selection
-/// (every key kept); the *measured* footprint books only the `T×k`
-/// pairs the prediction stage actually keeps — the capacity overbooking
-/// reclaims.
+/// the worst layer. Worst-case sizing would budget for a dense selection
+/// (every key kept); admission books only the `T×k` pairs the prediction
+/// stage actually keeps.
 ///
 /// The energy projection follows the DSE evaluator's model: the
 /// analytic compute/SRAM/interface/DRAM energy of each layer's task
 /// plus [`DRAM_ACTIVATION_PJ`] per DRAM request the lowered job issues.
-pub(crate) fn lower_at(
-    cfg: &ServeConfig,
-    csim: &CycleSim,
-    spec: &RequestSpec,
-    op: &OperatingPoint,
-) -> PointLowering {
+pub(crate) fn lower_at(csim: &CycleSim, spec: &RequestSpec, op: &OperatingPoint) -> PointLowering {
     let t = spec.queries as u64;
     let h = spec.hidden as u64;
     let mut combined = PipelineJob {
@@ -168,12 +163,7 @@ pub(crate) fn lower_at(
         let requests = job.dram_requests();
         let analytic = csim.accel.simulate(&task);
         energy_pj += analytic.energy.total_j() * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
-        let kept_pairs = if cfg.predicted_footprint {
-            task.k() as u64
-        } else {
-            spec.seq_len as u64
-        };
-        footprint = footprint.max(t * h * 2 + t * h * 2 + t * kept_pairs * 4);
+        footprint = footprint.max(t * h * 2 + t * h * 2 + t * task.k() as u64 * 4);
         combined.work.extend(job.work);
         combined.cycles.extend(job.cycles);
     }
@@ -188,14 +178,13 @@ pub(crate) fn lower_at(
 /// the adaptive re-lowering mechanisms; [`lower_trace`] seeds the same
 /// cache via its dedup pass instead.
 pub(crate) fn lower_at_cached(
-    cfg: &ServeConfig,
     cache: &mut LowerCache,
     csim: &CycleSim,
     spec: &RequestSpec,
     op: &OperatingPoint,
 ) -> PointLowering {
     cache
-        .get_or_insert_with(ShapeKey::new(spec, op), || lower_at(cfg, csim, spec, op))
+        .get_or_insert_with(ShapeKey::new(spec, op), || lower_at(csim, spec, op))
         .clone()
 }
 
@@ -209,11 +198,11 @@ pub(crate) fn lower_routed(
     router: &OpRouter,
 ) -> Lowered {
     let mut op = router.pick(&cfg.op, spec);
-    let mut lowering = lower_at(cfg, csim, spec, &op);
+    let mut lowering = lower_at(csim, spec, &op);
     let mut rerouted = false;
     if cfg.over_energy_budget(lowering.energy_pj) {
         if let Some(lean) = router.leaner().filter(|lean| *lean != op) {
-            lowering = lower_at(cfg, csim, spec, &lean);
+            lowering = lower_at(csim, spec, &lean);
             op = lean;
             rerouted = true;
         }
@@ -385,7 +374,7 @@ impl Intake {
             let base = router.leaner().unwrap_or_else(|| cfg.op.clone());
             let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
             let op = base.with_uniform_keep(keep);
-            let lowering = lower_at_cached(cfg, cache, csim, &table.specs[req], &op);
+            let lowering = lower_at_cached(cache, csim, &table.specs[req], &op);
             if !cfg.over_energy_budget(lowering.energy_pj) {
                 table.reroute(req, op, lowering);
                 table.arrival[req] = now;
@@ -418,8 +407,8 @@ impl Intake {
 
 /// Position in `waiting` of the next request to try, among its first
 /// `window` entries: the oldest request if it has waited past the aging
-/// threshold, else the policy's pick. `arrival` and `footprint` read a
-/// request's effective arrival and booked bytes.
+/// threshold, else the one with the smallest footprint. `arrival` and
+/// `footprint` read a request's effective arrival and booked bytes.
 ///
 /// The oldest is found by scanning every arrival in the window — pushes
 /// happen in arrival order today, but requeue paths (retry re-arrivals,
@@ -442,10 +431,7 @@ pub(crate) fn pick(
     if now.saturating_sub(arrival(waiting[oldest])) >= cfg.aging_threshold {
         return oldest;
     }
-    match cfg.policy {
-        AdmitPolicy::Fifo => oldest,
-        AdmitPolicy::SmallestFirst => first_min(waiting, window, footprint),
-    }
+    first_min(waiting, window, footprint)
 }
 
 /// Position of the first request with the least `(key, id)` among the
@@ -609,7 +595,7 @@ mod tests {
         ) {
             let (nodes, ipn) = (shape.0, shape.1);
             let instances = nodes * ipn;
-            let budget = ServeConfig::new(HwConfig::small(), ipn).budget_bytes();
+            let budget = ServeConfig::new(HwConfig::small(), ipn).admit_buffer_bytes;
             let fp = [0, 1, budget / 2, budget, budget + 1][shape.2];
             let eb: f64 = 1.0e6;
             let energy_pj = [0.0, 1.0, eb / 2.0, eb, 2.0 * eb][shape.3];
@@ -713,13 +699,9 @@ mod tests {
         // (arrival, footprint) of requests 0..3; the smallest is last.
         let reqs = [(10, 300), (20, 200), (30, 100)];
         let waiting = WaitQueue::from([0, 1, 2]);
-        let pick_in = |cfg: &ServeConfig, window| {
-            pick(cfg, 50, &waiting, window, |r| reqs[r].0, |r| reqs[r].1)
-        };
-        assert_eq!(pick_in(&cfg, 3), 2);
-        assert_eq!(pick_in(&cfg, 2), 1);
-        assert_eq!(pick_in(&cfg, 1), 0);
-        cfg.policy = AdmitPolicy::Fifo;
-        assert_eq!(pick_in(&cfg, 3), 0);
+        let pick_in = |window| pick(&cfg, 50, &waiting, window, |r| reqs[r].0, |r| reqs[r].1);
+        assert_eq!(pick_in(3), 2);
+        assert_eq!(pick_in(2), 1);
+        assert_eq!(pick_in(1), 0);
     }
 }

@@ -44,13 +44,22 @@ use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiRepo
 use std::ops::Range;
 use std::sync::Arc;
 
+/// How many waiting requests (oldest first) the smallest-first pick scans
+/// per admission: bounds the per-admission cost on deep backlogs, while
+/// aging still protects the queue head.
+const ADMIT_WINDOW: usize = 64;
+
+/// Fraction of nodes in the prefill pool when disaggregating (rounded,
+/// clamped so both pools are non-empty).
+const PREFILL_NODE_FRACTION: f64 = 0.5;
+
 /// Configuration of a sharded serving fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Per-node serving parameters; [`ServeConfig::instances`] is the
-    /// instance count *per node*. The admission knobs (budget, overbooking,
-    /// policy, aging, energy budget, retry) apply fleet-wide; the fleet does
-    /// not decay, so [`ServeConfig::decay_threshold`] must be `None`.
+    /// instance count *per node*. The admission knobs (budget, aging,
+    /// energy budgets, retry) apply fleet-wide; the fleet does not decay,
+    /// so [`ServeConfig::decay_threshold`] must be `None`.
     pub serve: ServeConfig,
     /// Number of nodes, each with [`ServeConfig::instances`] instances and
     /// a private DRAM channel.
@@ -62,32 +71,24 @@ pub struct FleetConfig {
     /// amortize cross-node synchronization (and parallel-stepping overhead)
     /// at the cost of coarser admission timing.
     pub epoch_cycles: u64,
-    /// How many waiting requests (oldest first) the smallest-first pick
-    /// scans per admission — bounds the per-admission cost on deep
-    /// backlogs; aging still protects the queue head.
-    pub admit_window: usize,
-    /// Split the fleet into a prefill node pool and a decode node pool
-    /// (each class spills to the other pool only when its own has no
-    /// capacity). Requires at least two nodes.
+    /// Split the fleet into a prefill node pool (half the nodes, rounded:
+    /// [`FleetConfig::prefill_nodes`]) and a decode node pool of the rest;
+    /// each class spills to the other pool only when its own has no
+    /// capacity. Requires at least two nodes.
     pub disaggregate: bool,
-    /// Fraction of nodes in the prefill pool when disaggregating (rounded,
-    /// clamped so both pools are non-empty).
-    pub prefill_node_fraction: f64,
 }
 
 impl FleetConfig {
     /// A fleet of `nodes` × `instances_per_node` instances of `hw` with the
     /// single-node serving defaults, the default fabric, a 64Ki-cycle
-    /// epoch, a 64-request admission window and no disaggregation.
+    /// epoch and no disaggregation.
     pub fn new(hw: sofa_hw::config::HwConfig, nodes: usize, instances_per_node: usize) -> Self {
         FleetConfig {
             serve: ServeConfig::new(hw, instances_per_node),
             nodes,
             fabric: FabricParams::default(),
             epoch_cycles: 1 << 16,
-            admit_window: 64,
             disaggregate: false,
-            prefill_node_fraction: 0.5,
         }
     }
 
@@ -110,7 +111,7 @@ impl FleetConfig {
         if !self.disaggregate || self.nodes < 2 {
             return 0;
         }
-        let p = (self.nodes as f64 * self.prefill_node_fraction).round() as usize;
+        let p = (self.nodes as f64 * PREFILL_NODE_FRACTION).round() as usize;
         p.clamp(1, self.nodes - 1)
     }
 
@@ -130,19 +131,11 @@ impl FleetConfig {
         if self.epoch_cycles == 0 {
             return Err("epoch_cycles must be positive".into());
         }
-        if self.admit_window == 0 {
-            return Err("admit_window must be positive".into());
-        }
         if self.fabric.bytes_per_cycle == 0 {
             return Err("fabric.bytes_per_cycle must be positive".into());
         }
-        if self.disaggregate {
-            if self.nodes < 2 {
-                return Err("disaggregation needs at least two nodes".into());
-            }
-            if !(self.prefill_node_fraction > 0.0 && self.prefill_node_fraction < 1.0) {
-                return Err("prefill_node_fraction must be in (0, 1)".into());
-            }
+        if self.disaggregate && self.nodes < 2 {
+            return Err("disaggregation needs at least two nodes".into());
         }
         Ok(())
     }
@@ -465,14 +458,14 @@ impl FleetServeSim {
     ) {
         let s = &self.cfg.serve;
         let ipn = s.instances;
-        let budget = s.budget_bytes();
+        let budget = s.admit_buffer_bytes;
         let energy_budget = s.instance_energy_budget_pj;
         while !state.waiting.is_empty() {
             let pos = admission::pick(
                 s,
                 now,
                 &state.waiting,
-                self.cfg.admit_window,
+                ADMIT_WINDOW,
                 |r| table.arrival[r],
                 |r| table[r].footprint,
             );
@@ -644,7 +637,7 @@ impl FleetServeSim {
             peak_inflight_bytes: node_peaks
                 .map(|n| n.iter().copied().max().unwrap_or(0))
                 .collect(),
-            budget_bytes: s.budget_bytes(),
+            budget_bytes: s.admit_buffer_bytes,
         }
     }
 }
@@ -803,14 +796,6 @@ mod tests {
             nodes: 0,
             ..small_cfg(1, 1)
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fleet config")]
-    fn zero_buffer_depth_rejected() {
-        let mut cfg = small_cfg(1, 1);
-        cfg.serve.sim.buffer_depth = 0;
-        FleetServeSim::new(cfg);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`scheduler`] — [`ServeSim`]: routes each request to an
 //!   `OperatingPoint` ([`OpRouter`]: trace-native, fixed, or per-class
 //!   Pareto routing through a DSE front), lowers it layer by layer into a
-//!   tile stream, admits it against a per-instance buffer budget (with
-//!   optional Tailors-style overbooking of the sparsity-reduced footprint)
+//!   tile stream, admits its sparsity-reduced footprint against a
+//!   per-instance buffer budget (a larger budget overbooks, Tailors-style)
 //!   and a per-request energy budget (re-routing or shedding over-budget
 //!   requests), balances load across instances, and ages waiting requests
 //!   so none starves.
@@ -58,4 +58,4 @@ pub mod scheduler;
 pub use fleet::{FleetConfig, FleetReport, FleetServeSim};
 pub use report::{RequestRecord, ServeReport, ShedRecord};
 pub use routing::{AdaptiveServeConfig, AdaptiveServeStudy, DseServeComparison, RoutedServeStudy};
-pub use scheduler::{AdmitPolicy, FeedbackConfig, OpRouter, RetryPolicy, ServeConfig, ServeSim};
+pub use scheduler::{FeedbackConfig, OpRouter, RetryPolicy, ServeConfig, ServeSim};

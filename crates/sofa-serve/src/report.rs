@@ -82,8 +82,8 @@ pub struct ServeReport {
     pub multi: MultiReport,
     /// End-to-end makespan in cycles (first arrival to last event).
     pub total_cycles: u64,
-    /// The effective per-instance admission budget in bytes
-    /// (`admit_buffer_bytes × overbook`).
+    /// The per-instance admission budget in bytes
+    /// ([`ServeConfig::admit_buffer_bytes`](crate::ServeConfig::admit_buffer_bytes)).
     pub budget_bytes: u64,
     /// Highest concurrently-admitted footprint observed per instance.
     pub peak_inflight_bytes: Vec<u64>,
@@ -269,13 +269,15 @@ impl ServeReport {
             self.total_cycles,
             self.throughput_per_mcycle(),
         ));
-        out.push_str(&format!(
-            "latency p50 {}  p95 {}  p99 {}  mean queueing {:.0} cyc\n",
-            self.p50(),
-            self.p95(),
-            self.p99(),
-            self.mean_queueing_delay(),
-        ));
+        if !self.records.is_empty() {
+            out.push_str(&format!(
+                "latency p50 {}  p95 {}  p99 {}  mean queueing {:.0} cyc\n",
+                self.p50(),
+                self.p95(),
+                self.p99(),
+                self.mean_queueing_delay(),
+            ));
+        }
         out.push_str(&format!(
             "energy {:.1} nJ total, {:.1} nJ/req  rerouted {}  shed {}\n",
             self.total_energy_pj() / 1e3,
@@ -401,6 +403,21 @@ mod tests {
         assert!(s.contains("instance 0"));
         assert!(s.contains("dram"));
         assert!(s.contains("nJ/req"));
+    }
+
+    #[test]
+    fn summary_of_an_all_shed_run_skips_the_latency_line() {
+        let mut r = report(Vec::new());
+        r.shed.push(ShedRecord {
+            id: 0,
+            class: RequestClass::Prefill,
+            arrival: 0,
+            energy_pj: 2.0,
+            retries: 0,
+        });
+        let s = r.summary();
+        assert!(!s.contains("p50"), "{s}");
+        assert!(s.contains("requests 0") && s.contains("shed 1"), "{s}");
     }
 
     #[test]

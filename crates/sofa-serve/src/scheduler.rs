@@ -28,11 +28,10 @@
 //! Admission is buffer-budgeted. Classic worst-case sizing reserves, per
 //! admitted request, the SRAM a *dense* request would pin — but after the
 //! prediction stage, top-k sparsity means the real resident footprint is a
-//! fraction of that. With [`ServeConfig::predicted_footprint`] the scheduler
-//! books the measured (sparsity-aware) footprint instead, and
-//! [`ServeConfig::overbook`] further relaxes the budget — the
-//! buffer-overbooking idea Tailors applies to sparse workloads. Requests are
-//! picked smallest-footprint-first (best packing) unless one has waited past
+//! fraction of that, so the scheduler books the top-k footprint against
+//! [`ServeConfig::admit_buffer_bytes`]. Overbooking in the Tailors sense is
+//! a larger `admit_buffer_bytes`. Requests are picked
+//! smallest-footprint-first (best packing) unless one has waited past
 //! [`ServeConfig::aging_threshold`], in which case the oldest starved
 //! request is served first.
 //!
@@ -90,16 +89,6 @@ fn class_name(class: RequestClass) -> &'static str {
         RequestClass::Prefill => "prefill",
         RequestClass::Decode => "decode",
     }
-}
-
-/// How the scheduler picks the next waiting request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitPolicy {
-    /// Strict arrival order.
-    Fifo,
-    /// Smallest buffer footprint first (best packing under the budget);
-    /// priority aging still bounds the wait of large requests.
-    SmallestFirst,
 }
 
 /// Deterministic client retry model for shed requests
@@ -268,19 +257,12 @@ pub struct ServeConfig {
     /// request's keep ratio into this point).
     pub op: OperatingPoint,
     /// Per-instance admission budget in bytes (defaults to the token SRAM).
+    /// Setting it above the SRAM size overbooks: it banks on sparsity
+    /// keeping real occupancy below the booked footprints.
     pub admit_buffer_bytes: u64,
-    /// Budget relaxation factor (≥ 1): `budget = admit_buffer_bytes ×
-    /// overbook`. Overbooking banks on sparsity keeping real occupancy
-    /// below the accounted footprints.
-    pub overbook: f64,
-    /// Account the measured sparse footprint (`true`, Tailors-style) or the
-    /// worst-case dense footprint (`false`, classic sizing) per request.
-    pub predicted_footprint: bool,
-    /// Waiting cycles beyond which a request overrides the admission policy
-    /// (starvation bound for `SmallestFirst`).
+    /// Waiting cycles beyond which the oldest request is picked ahead of
+    /// the smallest (the starvation bound of smallest-first admission).
     pub aging_threshold: u64,
-    /// Pick order among waiting requests.
-    pub policy: AdmitPolicy,
     /// Per-request energy ceiling in picojoules (the per-instance J/req
     /// budget from the DSE energy model). `None` disables the energy path;
     /// with a budget, over-budget requests are re-routed to the router's
@@ -311,10 +293,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serving setup of `instances` copies of `hw` with the defaults:
-    /// smallest-first admission on measured footprints, no overbooking,
-    /// aging after 100k cycles, DRAM priority aging after 4 burst latencies,
-    /// calibrated DRAM command occupancy, a single-layer deployment point at
-    /// the trace-default keep and `Bc = 32`, and no energy budget.
+    /// a token-SRAM admission budget, aging after 100k cycles, DRAM
+    /// priority aging after 4 burst latencies, calibrated DRAM command
+    /// occupancy, a single-layer deployment point at the trace-default keep
+    /// and `Bc = 32`, and no energy budget.
     pub fn new(hw: HwConfig, instances: usize) -> Self {
         let mut sim = SimParams::default();
         sim.dram_age_threshold = 4 * sim.burst_latency;
@@ -325,10 +307,7 @@ impl ServeConfig {
             instances,
             op: OperatingPoint::single(0.25, 32),
             admit_buffer_bytes: hw.token_sram_bytes as u64,
-            overbook: 1.0,
-            predicted_footprint: true,
             aging_threshold: 100_000,
-            policy: AdmitPolicy::SmallestFirst,
             energy_budget_pj_per_req: None,
             decay_threshold: None,
             retry: None,
@@ -342,26 +321,17 @@ impl ServeConfig {
         self.energy_budget_pj_per_req.is_some_and(|b| energy_pj > b)
     }
 
-    /// The effective per-instance budget in bytes.
-    pub fn budget_bytes(&self) -> u64 {
-        (self.admit_buffer_bytes as f64 * self.overbook).round() as u64
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending parameter.
     pub fn validate(&self) -> Result<(), String> {
-        self.sim.validate()?;
         if self.instances == 0 {
             return Err("instances must be positive".into());
         }
         if self.admit_buffer_bytes == 0 {
             return Err("admit_buffer_bytes must be positive".into());
-        }
-        if self.overbook < 1.0 || self.overbook.is_nan() {
-            return Err("overbook must be >= 1".into());
         }
         if let Some(b) = self.energy_budget_pj_per_req {
             if b <= 0.0 || b.is_nan() {
@@ -705,7 +675,7 @@ impl ServeSim {
             shed,
             total_cycles: multi.total_cycles,
             multi,
-            budget_bytes: self.cfg.budget_bytes(),
+            budget_bytes: self.cfg.admit_buffer_bytes,
             peak_inflight_bytes: state.bookings.peak,
             energy_pj_per_instance: state.energy_pj,
             retried: state.retried,
@@ -742,7 +712,7 @@ impl ServeSim {
             if target == table[req].op {
                 continue;
             }
-            let lowering = admission::lower_at_cached(&self.cfg, cache, csim, spec, &target);
+            let lowering = admission::lower_at_cached(cache, csim, spec, &target);
             if self.cfg.over_energy_budget(lowering.energy_pj) {
                 continue;
             }
@@ -783,7 +753,7 @@ impl ServeSim {
         if target == table[req].op {
             return;
         }
-        let lowering = admission::lower_at_cached(&self.cfg, cache, csim, spec, &target);
+        let lowering = admission::lower_at_cached(cache, csim, spec, &target);
         if self.cfg.over_energy_budget(lowering.energy_pj) {
             return;
         }
@@ -795,7 +765,7 @@ impl ServeSim {
     /// requests first; the picked request is feedback-re-lowered against the
     /// current pressure level; then [`Bookings::place`] chooses the
     /// instance. An instance fits a request when the booked footprints stay
-    /// within the (overbooked) budget — or when it is completely idle, so a
+    /// within the admission budget — or when it is completely idle, so a
     /// single oversized request can always make progress.
     #[allow(clippy::too_many_arguments)] // the event loop's full mutable state
     fn try_admit(
@@ -810,7 +780,7 @@ impl ServeSim {
         obs: &mut TraceRecorder,
     ) {
         self.decay_waiting(now, csim, router, cache, table, state);
-        let budget = self.cfg.budget_bytes();
+        let budget = self.cfg.admit_buffer_bytes;
         let energy_budget = self.cfg.instance_energy_budget_pj;
         while !state.waiting.is_empty() {
             let pos = admission::pick(
@@ -1108,7 +1078,7 @@ mod tests {
         let trace = small_trace(32, 400.0, 5);
         let tight = ServeSim::new(small_cfg(1)).run(&trace);
         let mut loose_cfg = small_cfg(1);
-        loose_cfg.overbook = 4.0;
+        loose_cfg.admit_buffer_bytes *= 4;
         let loose = ServeSim::new(loose_cfg).run(&trace);
         assert!(
             loose.mean_queueing_delay() <= tight.mean_queueing_delay(),
@@ -1121,7 +1091,7 @@ mod tests {
 
     #[test]
     fn aging_bounds_the_wait_of_large_requests() {
-        // Under SmallestFirst a steady stream of small decodes could starve
+        // Under smallest-first picking a steady stream of small decodes could starve
         // a large prefill; the aging threshold must bound its wait relative
         // to the same schedule without aging.
         let trace = small_trace(48, 300.0, 13);
@@ -1326,11 +1296,11 @@ mod tests {
     fn aging_scans_for_the_true_oldest_not_just_the_head() {
         // Regression: `pick` used to age only `waiting[0]`, so a requeue
         // (retry re-arrival, adaptive re-route) that left a fresh request at
-        // the head let SmallestFirst starve the true oldest forever.
+        // the head let smallest-first picking starve the true oldest forever.
         let mut cfg = small_cfg(1);
         cfg.aging_threshold = 100_000;
         // Requests 0 and 1 as (arrival, footprint); the head of the queue
-        // is a fresh, small request SmallestFirst loves, behind it the true
+        // is a fresh, small request smallest-first picking loves, behind it the true
         // oldest, large enough to lose every footprint comparison.
         let waiting = WaitQueue::from([0, 1]);
         let pick = |now: u64, reqs: [(u64, u64); 2]| {
@@ -1341,7 +1311,7 @@ mod tests {
             1,
             "the starved request must be aged even when it is not the head"
         );
-        // Below the threshold the policy pick still wins.
+        // Below the threshold the smallest request still wins.
         assert_eq!(pick(50_000, [(40_000, 8), (0, 1_000)]), 0);
     }
 
@@ -1497,30 +1467,6 @@ mod tests {
         bad.target_latency_cycles = 0;
         let _ = ServeSim::new(small_cfg(1))
             .run_with(&small_trace(2, 50.0, 1), OpRouter::Feedback(&front, &bad));
-    }
-
-    #[test]
-    fn zero_buffer_depth_is_rejected_by_validate() {
-        let mut cfg = small_cfg(1);
-        cfg.sim.buffer_depth = 0;
-        let err = cfg.validate().expect_err("zero banks must not validate");
-        assert!(err.contains("buffer_depth"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid serve config")]
-    fn zero_buffer_depth_fails_at_construction() {
-        let mut cfg = small_cfg(1);
-        cfg.sim.buffer_depth = 0;
-        let _ = ServeSim::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid serve config")]
-    fn underbooking_is_rejected() {
-        let mut cfg = small_cfg(1);
-        cfg.overbook = 0.5;
-        let _ = ServeSim::new(cfg);
     }
 
     #[test]

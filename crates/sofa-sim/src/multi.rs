@@ -128,12 +128,12 @@ struct Instance {
 }
 
 impl Instance {
-    fn new(buffer_depth: usize) -> Self {
+    fn new() -> Self {
         Instance {
             tiles: Vec::new(),
             base: 0,
             buffers: (0..STAGES - 1)
-                .map(|_| PingPongBuffer::new(buffer_depth))
+                .map(|_| PingPongBuffer::new(SimParams::BUFFER_DEPTH))
                 .collect(),
             busy: [false; STAGES],
             next_tile: [0; STAGES],
@@ -244,7 +244,6 @@ pub struct MultiReport {
 /// `N` pipeline instances over one shared DRAM channel.
 #[derive(Debug)]
 pub struct MultiPipelineSim {
-    params: SimParams,
     instances: Vec<Instance>,
     queue: EventQueue<MultiEvent>,
     dram: DramChannel,
@@ -272,10 +271,7 @@ impl MultiPipelineSim {
         u32::try_from(instances).expect("instance count must fit in u32");
         let bytes_per_cycle = cfg.dram_bandwidth_bps / cfg.freq_hz;
         MultiPipelineSim {
-            params,
-            instances: (0..instances)
-                .map(|_| Instance::new(params.buffer_depth))
-                .collect(),
+            instances: (0..instances).map(|_| Instance::new()).collect(),
             queue: EventQueue::new(),
             dram: DramChannel::with_timing(
                 instances * STAGES,
@@ -490,14 +486,10 @@ impl MultiPipelineSim {
         }
     }
 
-    fn prefetch_depth(&self) -> usize {
-        self.params.prefetch_depth.max(1)
-    }
-
-    /// Keeps instance `inst`'s key-stream prefetcher `prefetch_depth` tiles
-    /// ahead of its prediction stage.
+    /// Keeps instance `inst`'s key-stream prefetcher
+    /// [`SimParams::PREFETCH_DEPTH`] tiles ahead of its prediction stage.
     fn pump_prefetch(&mut self, inst: usize, now: u64) {
-        let window = self.instances[inst].next_tile[0] + self.prefetch_depth();
+        let window = self.instances[inst].next_tile[0] + SimParams::PREFETCH_DEPTH;
         while self.instances[inst].pred_issued < self.instances[inst].stream_len().min(window) {
             let tile = self.instances[inst].pred_issued;
             self.instances[inst].pred_issued += 1;
@@ -917,7 +909,7 @@ mod tests {
         assert_eq!(size_of::<Scheduled<MultiEvent>>(), 24);
         assert_eq!(size_of::<TileSlot>(), 88);
         assert!(size_of::<TileSlot>() < size_of::<TileWork>());
-        assert_eq!(row_size(&Instance::new(2).read_done), 32);
+        assert_eq!(row_size(&Instance::new().read_done), 32);
     }
 
     #[test]

@@ -38,16 +38,13 @@ use sofa_obs::TraceRecorder;
 
 pub(crate) const STAGES: usize = 4;
 
-/// Structural knobs of the simulated microarchitecture.
+/// Timing knobs of the simulated microarchitecture. Its structure is fixed:
+/// [`SimParams::BUFFER_DEPTH`] banks per stage boundary and a key-stream
+/// prefetch of [`SimParams::PREFETCH_DEPTH`] tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimParams {
-    /// Ping-pong banks per stage boundary (the paper's design uses 2).
-    pub buffer_depth: usize,
     /// Fixed DRAM latency from request issue to first data beat (cycles).
     pub burst_latency: u64,
-    /// How many tiles ahead the prediction stage prefetches its key stream
-    /// (0 is treated as 1, i.e. fetch-on-demand).
-    pub prefetch_depth: usize,
     /// Minimum cycles a tile occupies a stage (control overhead floor).
     pub min_tile_cycles: u64,
     /// DRAM queueing delay beyond which a request overrides round-robin
@@ -63,6 +60,14 @@ pub struct SimParams {
 }
 
 impl SimParams {
+    /// Ping-pong banks per stage boundary: SOFA double-buffers every stage
+    /// boundary, so a producer stalls once both banks are occupied.
+    pub const BUFFER_DEPTH: usize = 2;
+
+    /// How many tiles ahead of the prediction stage its key stream is
+    /// fetched.
+    pub const PREFETCH_DEPTH: usize = 2;
+
     /// Returns these parameters with `dram_command_cycles` calibrated
     /// against the burst-latency model for `cfg`'s bandwidth
     /// ([`crate::dram::calibrate_dram_command_cycles`]). At the
@@ -78,26 +83,12 @@ impl SimParams {
             crate::dram::calibrate_dram_command_cycles(self.burst_latency, bytes_per_cycle);
         self
     }
-
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.buffer_depth == 0 {
-            return Err("buffer_depth must be positive".into());
-        }
-        Ok(())
-    }
 }
 
 impl Default for SimParams {
     fn default() -> Self {
         SimParams {
-            buffer_depth: 2,
             burst_latency: 64,
-            prefetch_depth: 2,
             min_tile_cycles: 1,
             dram_age_threshold: u64::MAX,
             dram_command_cycles: 0,
@@ -201,7 +192,7 @@ impl CycleSim {
                 .buffer_occupancy
                 .map(|average_occupancy| BufferActivity {
                     average_occupancy,
-                    capacity: self.params.buffer_depth,
+                    capacity: SimParams::BUFFER_DEPTH,
                 }),
             timeline: multi.timeline.take().unwrap_or_default(),
             num_tiles: job.num_tiles(),
@@ -468,15 +459,6 @@ mod tests {
             skewed.total_cycles,
             balanced.total_cycles
         );
-    }
-
-    #[test]
-    fn zero_prefetch_depth_degrades_to_fetch_on_demand() {
-        let mut sim = CycleSim::new(HwConfig::small());
-        sim.params.prefetch_depth = 0;
-        let r = sim.run(&small_task());
-        assert_eq!(r.stages[0].tiles, r.num_tiles, "run must not be empty");
-        assert!(r.total_cycles > 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! A Poisson-ish trace of attention requests (`sofa-model`) is admitted by
 //! the continuous-batching scheduler (`sofa-serve`) onto simulated
 //! accelerator instances that share one DRAM channel (`sofa-sim`). The
-//! example contrasts one instance against two, and classic worst-case buffer
-//! sizing against sparsity-aware (overbooked) admission.
+//! example contrasts one instance against two, and the default admission
+//! budget (the token SRAM) against a 1.5x overbooked one.
 
 use sofa_hw::config::HwConfig;
 use sofa_model::trace::{RequestTrace, TraceConfig};
@@ -38,24 +38,19 @@ fn main() {
         println!();
     }
 
-    // Worst-case dense footprints admit fewer requests at a time; the
-    // prediction stage's sparsity lets the scheduler book the measured
-    // footprint instead (and overbook on top).
-    let mut dense = ServeConfig::new(HwConfig::paper_default(), 2);
-    dense.predicted_footprint = false;
-    let dense_report = ServeSim::new(dense).run(&trace);
-    let mut sparse = ServeConfig::new(HwConfig::paper_default(), 2);
-    sparse.overbook = 1.5;
-    let sparse_report = ServeSim::new(sparse).run(&trace);
-    println!("-- admission accounting, 2 instances --");
-    println!(
-        "worst-case dense footprints : p95 {} kcyc, mean queueing {:.1} kcyc",
-        dense_report.p95() / 1000,
-        dense_report.mean_queueing_delay() / 1e3
-    );
-    println!(
-        "measured + 1.5x overbooked  : p95 {} kcyc, mean queueing {:.1} kcyc",
-        sparse_report.p95() / 1000,
-        sparse_report.mean_queueing_delay() / 1e3
-    );
+    // Admission books each request's top-k footprint; overbooking is a
+    // larger budget than the token SRAM, banking on sparsity keeping real
+    // occupancy below the booked bytes.
+    println!("-- admission budget, 2 instances --");
+    for factor in [1.0, 1.5] {
+        let mut cfg = ServeConfig::new(HwConfig::paper_default(), 2);
+        cfg.admit_buffer_bytes = (cfg.admit_buffer_bytes as f64 * factor) as u64;
+        let report = ServeSim::new(cfg).run(&trace);
+        println!(
+            "{factor:.1}x token SRAM ({} KiB): p95 {} kcyc, mean queueing {:.1} kcyc",
+            report.budget_bytes / 1024,
+            report.p95() / 1000,
+            report.mean_queueing_delay() / 1e3
+        );
+    }
 }

@@ -237,7 +237,7 @@ proptest! {
     ) {
         use sofa_hw::accel::AttentionTask;
         use sofa_hw::config::HwConfig;
-        use sofa_sim::{CycleSim, MultiPipelineSim};
+        use sofa_sim::{CycleSim, MultiPipelineSim, SimParams};
 
         let bc = 1usize << tile_pow;
         let task = AttentionTask::new(
@@ -266,7 +266,7 @@ proptest! {
         prop_assert_eq!(inst.tiles, single.num_tiles);
         for (b, &occupancy) in single.buffers.iter().zip(inst.buffer_occupancy.iter()) {
             prop_assert_eq!(b.average_occupancy, occupancy);
-            prop_assert_eq!(b.capacity, sim.params.buffer_depth);
+            prop_assert_eq!(b.capacity, SimParams::BUFFER_DEPTH);
         }
         prop_assert_eq!(done.len(), 1);
         prop_assert_eq!(done[0].1.request, 0);
