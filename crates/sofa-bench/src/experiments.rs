@@ -1,6 +1,6 @@
-//! One function per paper figure/table. Each returns a [`Table`] so the thin
-//! binaries in `src/bin/` (and the integration tests) can render or inspect
-//! the numbers.
+//! One function per paper figure/table. Each returns a [`Table`] so the
+//! registry (and through it `sofa-bench <experiment>`) and the integration
+//! tests can render or inspect the numbers.
 //!
 //! Experiments that require the authors' silicon or GPU measurements use the
 //! calibration constants documented in `sofa-baselines` (and flagged in
@@ -1028,7 +1028,7 @@ pub fn par_scaling() -> Table {
 /// the default probe grid and all four scalarization profiles.
 /// Deterministic and bit-identical at any `SOFA_THREADS`. The search is the
 /// dominant cost of every consumer, and several of them run in one process
-/// (`all_experiments`, the golden-report tests), so the result is computed
+/// (`sofa-bench all`, the golden-report tests), so the result is computed
 /// once and cloned — callers that need a genuinely fresh run (the gate's
 /// determinism check) use [`dse_pareto_report_fresh`].
 pub fn dse_pareto_report() -> dse::DseReport {
@@ -1634,6 +1634,11 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// lowering-cache counters. One timed run — the scenario takes seconds and
 /// CI already re-runs it for the thread-identity gate.
 ///
+/// The run is pinned to one worker thread, as the repository benchmark's
+/// runs are: each fleet epoch's spawn/join barrier waits for the slowest
+/// worker, so a multi-threaded run times CPU steal on a shared host rather
+/// than the simulator. Thread identity stays gated by `serve_fleet_mega`.
+///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits);
 /// the wall budget gates at about 3× the measured time.
@@ -1641,8 +1646,10 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
     let cfg = fleet_config(8, 8);
     let sim = FleetServeSim::new(cfg);
-    let (wall, (report, stats)) = best_wall_seconds(1, || {
-        sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
+    let (wall, (report, stats)) = sofa_par::with_threads(1, || {
+        best_wall_seconds(1, || {
+            sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
+        })
     });
     let mut t = Table::new(
         "Perf  Fleet 1M-request wall time + per-node lowering-cache hit rate",

@@ -3,8 +3,8 @@
 //!
 //! Each experiment is a library function in [`experiments`] that returns a
 //! [`Table`]; the typed [`registry`] names every runnable experiment and
-//! drives the thin binaries in `src/bin/` (via [`registry::run_bin`]), the
-//! `all_experiments` fan-out, the spec-driven `sofa-harness` runner, and
+//! drives the `sofa-bench <experiment>` binary (`sofa-bench all` runs the
+//! whole evaluation section), the spec-driven `sofa-harness` runner, and
 //! the generated `docs/EXPERIMENTS.md` catalogue — so none of them can
 //! drift from the code.
 

@@ -1,7 +1,7 @@
 //! The typed experiment registry: one entry per runnable experiment, with
-//! everything the consumers need to stay in sync — the `all_experiments`
-//! fan-out, the thin per-experiment binaries ([`run_bin`]), the spec-driven
-//! `sofa-harness` runner (which looks experiments up by name), and the
+//! everything the consumers need to stay in sync — the `sofa-bench`
+//! binary (`sofa-bench <name>`, `sofa-bench all`), the spec-driven
+//! `sofa-harness` runner (both look experiments up by name), and the
 //! generated `docs/EXPERIMENTS.md` catalogue (`harness list --markdown`).
 //!
 //! An experiment run produces an [`ExperimentOutput`]: the tables it
@@ -12,7 +12,7 @@
 //! lets a spec file express a regression gate declaratively.
 
 use crate::experiments;
-use crate::report::{parse_path_flags, print_and_write, usage_error, Table};
+use crate::report::Table;
 use sofa_hw::config::HwConfig;
 use sofa_sim::CycleSim;
 use std::collections::BTreeMap;
@@ -87,17 +87,15 @@ impl ExperimentOutput {
 
 /// One registered experiment.
 pub struct ExperimentEntry {
-    /// Registry key — what spec files name in their `experiment` field.
+    /// Registry key — what spec files name in their `experiment` field and
+    /// `sofa-bench <name>` runs.
     pub name: &'static str,
-    /// The thin binary that runs it, if one exists (`None` for gate-only
-    /// experiments that exist to export metrics).
-    pub bin: Option<&'static str>,
     /// One-line description (the generated catalogue's prose column).
     pub about: &'static str,
     /// `true` for reproductions of the paper's figures/tables; `false`
     /// for the simulation / serving / DSE studies that go beyond it.
     pub paper: bool,
-    /// Run by the `all_experiments` fan-out.
+    /// Run by `sofa-bench all`.
     pub in_all: bool,
     /// Must run on the main thread, after any parallel fan-out (the
     /// `par_scaling` wall-time study — inside a parallel region `sofa-par`
@@ -242,7 +240,7 @@ pub fn fleet_consistency_output_from(
 
 /// The observability run as an output: the serving summary plus the Chrome
 /// trace and metrics snapshot as named texts, byte-identical to what the
-/// `serve_trace` binary writes.
+/// `sofa-bench serve_trace` writes.
 fn serve_trace_output() -> ExperimentOutput {
     let (report, obs, metrics) = experiments::serve_trace_observed();
     let summary = format!("{}trace: {} events\n", report.summary(), obs.len());
@@ -253,7 +251,7 @@ fn serve_trace_output() -> ExperimentOutput {
 }
 
 /// The full registry, in canonical order: the paper artefacts first (the
-/// order `all_experiments` prints them), then the studies and gate-only
+/// order `sofa-bench all` prints them), then the studies and gate-only
 /// experiments.
 pub fn registry() -> Vec<ExperimentEntry> {
     fn paper(
@@ -263,7 +261,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
     ) -> ExperimentEntry {
         ExperimentEntry {
             name,
-            bin: Some(name),
             about,
             paper: true,
             in_all: true,
@@ -273,14 +270,12 @@ pub fn registry() -> Vec<ExperimentEntry> {
     }
     fn study(
         name: &'static str,
-        bin: Option<&'static str>,
         about: &'static str,
         in_all: bool,
         run: fn() -> ExperimentOutput,
     ) -> ExperimentEntry {
         ExperimentEntry {
             name,
-            bin,
             about,
             paper: false,
             in_all,
@@ -384,7 +379,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "sim_cycle_vs_analytic",
-            Some("sim_cycle_vs_analytic"),
             "cycle simulator vs analytic model across compute- and memory-bound configs, plus the per-stage stall breakdown",
             true,
             || {
@@ -396,21 +390,18 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "dse_pareto",
-            Some("dse_pareto"),
             "hardware-aware DSE Pareto front + tuned-vs-default serving A/B (process-cached search)",
             true,
             || dse_output_from(&experiments::dse_pareto_report()),
         ),
         study(
             "serve_routed",
-            Some("serve_routed"),
             "paper-default vs tuned vs Pareto-routed vs budgeted routing on one mixed trace",
             true,
             || routed_output_from(&experiments::serve_routed_study()),
         ),
         ExperimentEntry {
             name: "par_scaling",
-            bin: Some("par_scaling"),
             about: "wall-time vs worker threads with a bit-identity re-check column (host-dependent, never gated)",
             paper: false,
             in_all: true,
@@ -419,7 +410,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         study(
             "serve_sweep",
-            Some("serve_sweep"),
             "continuous-batching latency percentiles + multi-instance strong scaling",
             false,
             || {
@@ -431,7 +421,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_adaptive",
-            Some("serve_adaptive"),
             "closed-loop controller A/B: the overload trace under static budgeted Pareto routing vs decay + measured-state feedback + client shed/retry",
             false,
             || {
@@ -442,14 +431,12 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_fleet",
-            Some("serve_fleet"),
             "fleet-scale sharded serving: the pinned 1/2/4-node grid over the inter-node fabric",
             false,
             || tables(experiments::serve_fleet),
         ),
         study(
             "serve_fleet_mega",
-            None,
             "one million requests through 8 nodes x 8 instances — the CI thread-matrix byte-identity scenario",
             false,
             || {
@@ -460,7 +447,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_fleet_consistency",
-            None,
             "served counts and p95 drift between the 1x1 fleet path and the single-node scheduler",
             false,
             || {
@@ -470,21 +456,18 @@ pub fn registry() -> Vec<ExperimentEntry> {
         ),
         study(
             "serve_trace",
-            Some("serve_trace"),
             "the budgeted routed-serving scenario traced end to end in simulated cycles (Chrome trace + metrics snapshot)",
             false,
             serve_trace_output,
         ),
         study(
             "cycle_sim_fidelity",
-            None,
             "per-config relative error of the cycle simulator vs the analytic model on the compute-bound grid",
             false,
             cycle_sim_fidelity_output,
         ),
         study(
             "dse_pareto_fresh",
-            None,
             "dse_pareto without the process-wide cache: every run performs the full search, so determinism predicates are meaningful",
             false,
             || dse_output_from(&experiments::dse_pareto_report_fresh()),
@@ -496,7 +479,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         // measure the degraded path.
         ExperimentEntry {
             name: "perf_lowering",
-            bin: None,
             about: "serving lowering-cache wall time + hit rate on the routed and adaptive traces (hit-rate floors gate; wall time budgeted, never snapshotted)",
             paper: false,
             in_all: true,
@@ -505,8 +487,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_fleet_mega",
-            bin: None,
-            about: "1M-request fleet wall time + per-node lowering-cache hit rate (hit-rate floor and wall budget gate)",
+            about: "1M-request fleet wall time at one worker thread + per-node lowering-cache hit rate (hit-rate floor and wall budget gate)",
             paper: false,
             in_all: false,
             main_thread: true,
@@ -514,7 +495,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_dse",
-            bin: None,
             about: "fresh DSE search wall time + candidate-dedup counters (dedup liveness gates; wall time budgeted)",
             paper: false,
             in_all: true,
@@ -529,48 +509,19 @@ pub fn find(name: &str) -> Option<ExperimentEntry> {
     registry().into_iter().find(|e| e.name == name)
 }
 
-/// The shared `main` of every thin experiment binary: parses the command
-/// line (only `--json <path>` is accepted; anything else exits 2 with one
-/// `<name>: …` line before the experiment runs), then looks `name` up, runs
-/// it, prints its summary text (if any) and tables, and writes the JSON
-/// artifact.
-///
-/// # Panics
-///
-/// Panics if `name` is not registered — a bin/registry mismatch is a bug.
-pub fn run_bin(name: &str) {
-    let entry = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [json] = parse_path_flags(&args, ["--json"]).unwrap_or_else(|e| usage_error(name, &e));
-    let out = (entry.run)();
-    if let Some(summary) = out.texts.get("summary") {
-        print!("{summary}");
-    }
-    print_and_write(&out.tables, json.as_deref());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn names_are_unique_and_bins_match() {
+    fn names_are_unique() {
         let reg = registry();
         let mut names: Vec<&str> = reg.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), reg.len(), "duplicate registry names");
-        for e in &reg {
-            if let Some(bin) = e.bin {
-                // Every named bin is the experiment itself (the fleet and
-                // trace binaries add flag handling on top).
-                assert!(
-                    bin == e.name,
-                    "bin {bin} does not match registry key {}",
-                    e.name
-                );
-            }
-        }
+        // `sofa-bench all` is the fan-out, so no entry may take its name.
+        assert!(!names.contains(&"all"), "`all` is reserved");
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Lightweight plain-text table reporting used by every experiment binary.
+//! Lightweight plain-text table reporting used by every experiment.
+
+use sofa_obs::metrics::json_string;
 
 /// A simple column-aligned table with a title.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -105,26 +107,6 @@ impl Table {
     }
 }
 
-/// Escapes `s` as a JSON string literal (shared with the `sofa-harness`
-/// results writer).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Serialises several tables as one JSON array.
 pub fn tables_to_json(tables: &[Table]) -> String {
     format!(
@@ -135,79 +117,6 @@ pub fn tables_to_json(tables: &[Table]) -> String {
             .collect::<Vec<_>>()
             .join(",")
     )
-}
-
-/// Parses a binary's command line, which may hold only `--flag <path>` pairs
-/// for the flags in `flags`, each at most once. Returns one optional path per
-/// flag, in `flags`' order. Binaries call this before running anything, so a
-/// bad command line costs nothing and writes nothing.
-///
-/// # Errors
-///
-/// An unknown argument, a flag without a path, or a repeated flag, described
-/// in one line.
-pub fn parse_path_flags<const N: usize>(
-    args: &[String],
-    flags: [&str; N],
-) -> Result<[Option<std::path::PathBuf>; N], String> {
-    let mut paths = std::array::from_fn(|_| None);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(slot) = flags.iter().position(|f| f == arg) else {
-            return Err(format!(
-                "unknown argument {arg:?} (expected {})",
-                flags.join(" / ")
-            ));
-        };
-        let path = it
-            .next()
-            .ok_or_else(|| format!("{arg} requires an output path"))?;
-        if paths[slot].replace(path.into()).is_some() {
-            return Err(format!("{arg} given twice"));
-        }
-    }
-    Ok(paths)
-}
-
-/// Reports a bad command line as one `<bin>: <message>` line on stderr and
-/// exits with code 2, the usage-error code of the harness exit contract.
-pub fn usage_error(bin: &str, message: &str) -> ! {
-    eprintln!("{bin}: {message}");
-    std::process::exit(2)
-}
-
-/// Writes `text` to `path`, creating parent directories, and echoes the
-/// path on stderr — the artifact convention of every experiment binary
-/// (the `--json` tables and the `serve_trace` trace and metrics files).
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn write_text_artifact(path: &std::path::Path, text: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    std::fs::write(path, text).expect("write artifact");
-    eprintln!("wrote {}", path.display());
-}
-
-/// The tail every experiment binary shares: prints `tables` to stdout
-/// (blank-line separated) and, given a `--json` path, also writes them there
-/// as one JSON array ([`tables_to_json`], [`write_text_artifact`]).
-///
-/// # Panics
-///
-/// Panics if the artifact cannot be written.
-pub fn print_and_write(tables: &[Table], json: Option<&std::path::Path>) {
-    for t in tables {
-        t.print();
-        println!();
-    }
-    if let Some(path) = json {
-        write_text_artifact(path, &tables_to_json(tables));
-    }
 }
 
 /// Formats a float with 3 significant decimals.

@@ -1,11 +1,12 @@
-//! The `serve_fleet` binary's flag contract: malformed, unknown and ignored
-//! flags and invalid scales exit with code 2 and a one-line message, never
-//! a panic and never a silent fall-back to the pinned grid.
+//! The flag contract of `sofa-bench serve_fleet`: malformed, unknown and
+//! ignored flags and invalid scales exit with code 2 and a one-line message,
+//! never a panic and never a silent fall-back to the pinned grid.
 
 use std::process::{Command, Output};
 
 fn serve_fleet(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_serve_fleet"))
+    Command::new(env!("CARGO_BIN_EXE_sofa-bench"))
+        .arg("serve_fleet")
         .args(args)
         .env("SOFA_THREADS", "1")
         .output()
@@ -63,6 +64,7 @@ fn bad_flags_exit_2_with_one_line() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("serve_fleet: "), "{stderr}");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
     }

@@ -197,8 +197,7 @@ fn cmd_list(args: &Args) -> Result<u8, String> {
     } else {
         println!("registered experiments:");
         for e in sofa_bench::registry::registry() {
-            let bin = e.bin.map(|b| format!(" (bin {b})")).unwrap_or_default();
-            println!("  {}{bin}: {}", e.name, e.about);
+            println!("  {}: {}", e.name, e.about);
         }
         println!("\nspecs in {}:", args.specs_dir.display());
         for s in &specs {

@@ -80,32 +80,39 @@ pub fn experiments_markdown(specs: &[Spec]) -> String {
 
     out.push_str("## Paper artefacts\n\n");
     out.push_str(
-        "Each binary regenerates one figure or table from the paper. All of\n\
-         them run inside `all_experiments`, accept `--json <path>` to write\n\
-         the table as a JSON artifact, and are deterministic at any\n\
-         `SOFA_THREADS` setting.\n\n",
+        "Every registered experiment runs as `sofa-bench <name>`\n\
+         (`cargo run --release -p sofa-bench -- <name>`). Each command below\n\
+         regenerates one figure or table from the paper. All of them run\n\
+         inside `sofa-bench all`, accept `--json <path>` to write the table\n\
+         as a JSON artifact, and are deterministic at any `SOFA_THREADS`\n\
+         setting.\n\n",
     );
-    out.push_str("| Binary | Reproduces |\n|---|---|\n");
+    out.push_str("| Command | Reproduces |\n|---|---|\n");
     for e in entries.iter().filter(|e| e.paper) {
-        let bin = e.bin.expect("paper entries have binaries");
-        out.push_str(&format!("| `{bin}` | {} |\n", e.about));
+        out.push_str(&format!("| `sofa-bench {}` | {} |\n", e.name, e.about));
     }
-    out.push_str(
-        "| `all_experiments` | every experiment above plus the studies below, in one run |\n",
-    );
+    let studies_in_all: Vec<String> = entries
+        .iter()
+        .filter(|e| !e.paper && e.in_all)
+        .map(|e| format!("`{}`", e.name))
+        .collect();
+    out.push_str(&format!(
+        "| `sofa-bench all` | every experiment above, then {}, in one run |\n",
+        studies_in_all.join(", ")
+    ));
 
     out.push_str("\n## Studies\n\n");
     out.push_str(
         "Beyond the paper's own artefacts, these experiments exercise the\n\
-         simulator, the design-space explorer and the serving stack. Entries\n\
-         without a binary are harness-only (they exist to be gated, not\n\
-         browsed); `serve_fleet` also accepts `--requests/--rate/--nodes/\
+         simulator, the design-space explorer and the serving stack. Each\n\
+         accepts `--json <path>`; `sofa-bench serve_trace` takes\n\
+         `--trace <path>` and `--metrics <path>` instead, and\n\
+         `sofa-bench serve_fleet` also accepts `--requests/--rate/--nodes/\
          --instances-per-node/--disaggregate` for scaled runs.\n\n",
     );
-    out.push_str("| Experiment | Binary | What it measures |\n|---|---|---|\n");
+    out.push_str("| Command | What it measures |\n|---|---|\n");
     for e in entries.iter().filter(|e| !e.paper) {
-        let bin = e.bin.map_or("-".to_string(), |b| format!("`{b}`"));
-        out.push_str(&format!("| `{}` | {bin} | {} |\n", e.name, e.about));
+        out.push_str(&format!("| `sofa-bench {}` | {} |\n", e.name, e.about));
     }
 
     out.push_str("\n## Gated specs\n\n");

@@ -126,16 +126,6 @@ impl LayerProfile {
     pub fn total_bytes(&self) -> u64 {
         self.qkv.total_bytes() + self.attention.total_bytes() + self.ffn.total_bytes()
     }
-
-    /// Fraction of the layer's FLOPs spent in attention.
-    pub fn attention_flop_fraction(&self) -> f64 {
-        self.attention.flops as f64 / self.total_flops() as f64
-    }
-
-    /// Fraction of the layer's traffic spent in attention.
-    pub fn attention_byte_fraction(&self) -> f64 {
-        self.attention.total_bytes() as f64 / self.total_bytes() as f64
-    }
 }
 
 /// Memory footprint (bytes) of the dominant persistent/intermediate tensors of

@@ -205,9 +205,10 @@ impl MetricsRegistry {
     }
 }
 
-/// Escapes `s` as a JSON string literal (same escaping as the bench-table
-/// artifact writer, so all repo JSON speaks one dialect).
-pub(crate) fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal — the one escaper behind every
+/// JSON artifact the workspace writes (trace, metrics, bench tables,
+/// harness results), so all of them speak one dialect.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -613,12 +613,7 @@ impl FleetServeSim {
         obs.absorb(fleet.take_trace());
 
         let sim_report = fleet.report();
-        let total_cycles = sim_report
-            .nodes
-            .iter()
-            .map(|n| n.total_cycles)
-            .max()
-            .unwrap_or(0);
+        let total_cycles = sim_report.total_cycles();
         let node_peaks = state.bookings.peak.chunks(ipn);
         FleetReport {
             served: state.served,

@@ -134,11 +134,6 @@ impl Fabric {
         end + self.params.latency_cycles
     }
 
-    /// Cycle `node`'s ingress link becomes free.
-    pub fn link_free_at(&self, node: usize) -> u64 {
-        self.link_free[node]
-    }
-
     /// Snapshot of the per-link accounting.
     pub fn report(&self) -> FabricReport {
         FabricReport {
@@ -240,11 +235,6 @@ impl NodeSim {
         }
         &self.done
     }
-
-    /// The node's underlying multi-instance simulation.
-    pub fn sim(&self) -> &MultiPipelineSim {
-        &self.sim
-    }
 }
 
 /// A request completion observed at fleet level.
@@ -305,19 +295,9 @@ impl FleetSim {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Instances per node.
     pub fn instances_per_node(&self) -> usize {
         self.instances_per_node
-    }
-
-    /// The node at index `node`.
-    pub fn node(&self, node: usize) -> &NodeSim {
-        &self.nodes[node]
     }
 
     /// Queues `job` for `inst` of `node`, entering its tile streams at

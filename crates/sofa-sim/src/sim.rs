@@ -329,16 +329,6 @@ impl PipelineJob {
             })
             .sum()
     }
-
-    /// The largest per-tile DRAM footprint — the bytes one resident tile of
-    /// this request can pin in on-chip buffers, used by admission control.
-    pub fn peak_tile_bytes(&self) -> u64 {
-        self.work
-            .iter()
-            .map(|w| w.total_dram_bytes())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

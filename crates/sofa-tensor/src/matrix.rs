@@ -190,11 +190,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols)

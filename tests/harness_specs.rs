@@ -236,20 +236,3 @@ fn experiments_md_matches_the_generated_catalogue() {
         "cargo run --release -p sofa-harness --bin harness -- list --markdown > docs/EXPERIMENTS.md",
     );
 }
-
-#[test]
-fn registry_names_match_the_smoke_binaries() {
-    // Every binary-backed entry must have a bin target on disk, so `harness
-    // list` and the Cargo bin set cannot drift apart.
-    let bins_dir = root().join("crates/sofa-bench/src/bin");
-    for e in registry::registry() {
-        if let Some(bin) = e.bin {
-            let path = bins_dir.join(format!("{bin}.rs"));
-            assert!(
-                path.is_file(),
-                "registry bin {bin} has no {}",
-                path.display()
-            );
-        }
-    }
-}
