@@ -33,7 +33,7 @@ use sofa_serve::{
     AdaptiveServeConfig, AdaptiveServeStudy, FeedbackConfig, FleetConfig, FleetReport,
     FleetServeSim, OpRouter, RetryPolicy, RoutedServeStudy, ServeConfig, ServeReport, ServeSim,
 };
-use sofa_sim::CycleSim;
+use sofa_sim::{CycleSim, MultiPipelineSim};
 use sofa_tensor::seeded_rng;
 
 /// A compact workload used by the algorithm-level experiments: large enough to
@@ -1586,9 +1586,11 @@ fn best_wall_seconds<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// Exports the hard gate inputs of the `perf_lowering` spec:
 /// `routed_hit_rate` / `adaptive_hit_rate` must stay above
 /// `hit_rate_floor` (the traces draw from a small set of benchmark-derived
-/// shapes, so most lowerings must be cache hits), while `wall_seconds` is
-/// only held to a generous `wall_time_budget` so slow CI machines don't
-/// flake.
+/// shapes, so most lowerings must be cache hits), and `routed_misses` /
+/// `adaptive_misses` must equal their `*_pinned` values exactly (the runs
+/// are deterministic, so each miss is a lowering the run had to compute).
+/// `wall_seconds` is only held to a generous `wall_time_budget` so slow CI
+/// machines don't flake.
 pub fn perf_lowering() -> crate::ExperimentOutput {
     let report = dse_pareto_report();
     let controller = serve_adaptive_controller();
@@ -1598,18 +1600,20 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
     );
     let mut out = crate::ExperimentOutput::default();
     let mut total_wall = 0.0;
-    for (name, cfg, trace, router) in [
+    for (name, cfg, trace, router, pinned_misses) in [
         (
             "routed",
             dse_serve_config(),
             serve_trace(32, 150.0, 29),
             OpRouter::Pareto(&report.pareto),
+            5,
         ),
         (
             "adaptive",
             serve_adaptive_config(),
             serve_adaptive_trace(),
             OpRouter::Feedback(&report.pareto, &controller.feedback),
+            10,
         ),
     ] {
         let sim = ServeSim::new(cfg);
@@ -1622,7 +1626,10 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
             stats.misses.to_string(),
             format!("{:.1}%", 100.0 * stats.hit_rate()),
         ]);
-        out = out.with_scalar(&format!("{name}_hit_rate"), stats.hit_rate());
+        out = out
+            .with_scalar(&format!("{name}_hit_rate"), stats.hit_rate())
+            .with_scalar(&format!("{name}_misses"), stats.misses as f64)
+            .with_scalar(&format!("{name}_misses_pinned"), f64::from(pinned_misses));
     }
     out.tables.push(t);
     out.with_scalar("hit_rate_floor", 0.5)
@@ -1640,8 +1647,10 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// than the simulator. Thread identity stays gated by `serve_fleet_mega`.
 ///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
-/// shape set, so per-node lowering must be almost entirely cache hits);
-/// the wall budget gates at about 3× the measured time.
+/// shape set, so per-node lowering must be almost entirely cache hits), and
+/// so is `events_per_request`, which must equal its pinned value exactly
+/// (see [`fleet_mega_node_events_per_request`]); the wall budget gates at
+/// about 3× the measured time.
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
     let cfg = fleet_config(8, 8);
@@ -1651,9 +1660,18 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
             sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
         })
     });
+    let events_per_request = fleet_mega_node_events_per_request();
     let mut t = Table::new(
         "Perf  Fleet 1M-request wall time + per-node lowering-cache hit rate",
-        &["config", "served", "wall s", "hits", "misses", "hit rate"],
+        &[
+            "config",
+            "served",
+            "wall s",
+            "hits",
+            "misses",
+            "hit rate",
+            "events/req",
+        ],
     );
     t.push([
         "1000000req 8x8".to_string(),
@@ -1662,12 +1680,47 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         stats.hits.to_string(),
         stats.misses.to_string(),
         format!("{:.1}%", 100.0 * stats.hit_rate()),
+        events_per_request.to_string(),
     ]);
     crate::ExperimentOutput::of_tables(vec![t])
         .with_scalar("served", report.served as f64)
         .with_scalar("hit_rate", stats.hit_rate())
         .with_scalar("hit_rate_floor", 0.5)
+        .with_scalar("events_per_request", events_per_request)
+        .with_scalar("events_per_request_pinned", 65.0)
         .with_scalar("wall_seconds", wall)
+}
+
+/// Events the event core processes per request on one node of the
+/// `perf_fleet_mega` fleet: 96 requests of the fleet's request shape
+/// (eight tiles each), with bursts, idle gaps and same-cycle arrivals, each
+/// submitted to the least-backlogged of the node's 8 instances and stepped
+/// through [`MultiPipelineSim::step`]. Each request costs 32 `StageDone`,
+/// 17 `DramFree` and 16 read `DramDone` events however they interleave, so
+/// the mean is an exact count.
+fn fleet_mega_node_events_per_request() -> f64 {
+    let cfg = fleet_config(8, 8).serve;
+    let mut csim = CycleSim::new(cfg.hw);
+    csim.params = cfg.sim;
+    let job = csim.job(&AttentionTask::at_layer(32, 512, 512, 8, &cfg.op, 0), None);
+    let mut sim = MultiPipelineSim::new(&cfg.hw, cfg.instances, cfg.sim);
+    let requests = 96u64;
+    let (mut events, mut at) = (0u64, 0u64);
+    for r in 0..requests {
+        at += [0, 0, 700, 0, 20_000, 150][r as usize % 6];
+        while sim.next_event_time().is_some_and(|t| t <= at) {
+            sim.step();
+            events += 1;
+        }
+        let inst = (0..sim.num_instances())
+            .min_by_key(|&i| sim.pending_tiles(i))
+            .expect("the node has instances");
+        sim.submit(inst, r, &job, at);
+    }
+    while sim.step().is_some() {
+        events += 1;
+    }
+    events as f64 / requests as f64
 }
 
 /// Experiment — wall time of one fresh hardware-aware DSE search (the

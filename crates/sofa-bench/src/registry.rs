@@ -479,7 +479,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         // measure the degraded path.
         ExperimentEntry {
             name: "perf_lowering",
-            about: "serving lowering-cache wall time + hit rate on the routed and adaptive traces (hit-rate floors gate; wall time budgeted, never snapshotted)",
+            about: "serving lowering-cache wall time + hit rate on the routed and adaptive traces (hit-rate floors and miss pins gate; wall time budgeted, never snapshotted)",
             paper: false,
             in_all: true,
             main_thread: true,
@@ -487,7 +487,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_fleet_mega",
-            about: "1M-request fleet wall time at one worker thread + per-node lowering-cache hit rate (hit-rate floor and wall budget gate)",
+            about: "1M-request fleet wall time at one worker thread + per-node lowering-cache hit rate + node events per request (hit-rate floor, events pin and wall budget gate)",
             paper: false,
             in_all: false,
             main_thread: true,

@@ -821,10 +821,11 @@ mod tests {
     /// of the `fleet_mega` shape (S=512, 512-wide, 8 heads, 32 queries,
     /// keep 0.25, `Bc` = 64 — eight tiles) costs 32 `StageDone` events (8
     /// tiles × 4 stages), 17 `DramFree` events (one per DRAM request: 8
-    /// key-stream and 8 K/V reads plus 1 writeback) and 17 `DramDone`
-    /// events, 66 in all, however the requests interleave on the node.
+    /// key-stream and 8 K/V reads plus 1 writeback) and 16 `DramDone`
+    /// events (one per read: the writeback's arrival is not an event), 65
+    /// in all, however the requests interleave on the node.
     #[test]
-    fn fleet_mega_requests_cost_exactly_66_events_each() {
+    fn fleet_mega_requests_cost_exactly_65_events_each() {
         let mut cfg = FleetConfig::new(HwConfig::paper_default(), 8, 8);
         cfg.serve.op = sofa_model::OperatingPoint::single(0.25, 64);
         let mut csim = CycleSim::new(cfg.serve.hw);
@@ -863,7 +864,7 @@ mod tests {
             report.instances.iter().map(|i| i.requests).sum::<usize>(),
             requests as usize
         );
-        assert_eq!(steps, 66 * requests);
+        assert_eq!(steps, 65 * requests);
     }
 
     #[test]

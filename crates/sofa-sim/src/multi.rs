@@ -31,6 +31,7 @@ use crate::tracks::{announce_pipeline, bank_track, PID_SHARED_DRAM, TID_BANK_BAS
 use sofa_hw::config::HwConfig;
 use sofa_hw::descriptor::TileWork;
 use sofa_obs::{ArgValue, TraceRecorder};
+use std::collections::VecDeque;
 
 /// Events of the multi-instance simulation. Instance and stage indices are
 /// narrowed (the instance count is checked to fit `u32` in
@@ -45,12 +46,12 @@ enum MultiEvent {
     },
     /// The shared channel can issue the next request.
     DramFree,
-    /// A DRAM request's data arrived at its requester.
+    /// An operand read's data arrived at its stage. (Nothing waits on a
+    /// writeback's arrival, so writes schedule no event.)
     DramDone {
         instance: u32,
         stage: u8,
         tile: usize,
-        write: bool,
     },
 }
 
@@ -87,41 +88,43 @@ impl TileSlot {
     }
 }
 
-/// `read_done` stamp of an operand fetch that has not arrived yet (a flat
-/// sentinel keeps a row at 32 bytes; `Option<u64>` would double it).
-const NOT_ARRIVED: u64 = u64::MAX;
+/// An entry of an instance's tile ring: one in-flight tile and its operand
+/// stamps, in one row so `try_start` reads both from the same cache lines.
+#[derive(Debug)]
+struct Row {
+    slot: TileSlot,
+    /// `read_done[stage]`: when the stage's operand fetch for the tile
+    /// arrived, [`NOT_ARRIVED`] until then. The sorting stage never reads
+    /// DRAM, so its stamp is the submission time.
+    read_done: [u64; STAGES],
+}
 
-/// Tiles a drained prefix must reach before the stream storage is
-/// compacted (amortises the `drain` shift).
-const COMPACT_THRESHOLD: usize = 1024;
+/// `read_done` stamp of an operand fetch that has not arrived yet (a flat
+/// sentinel keeps the stamps at 32 bytes; `Option<u64>` would double them).
+const NOT_ARRIVED: u64 = u64::MAX;
 
 /// Per-instance pipeline state: stream of tiles, buffer pool, stage status.
 ///
 /// Tile indices are *stream positions* — monotonically increasing over the
 /// instance's lifetime and used as identifiers in events and ping-pong
-/// bookkeeping. Storage is compacted: tiles every stage has fully retired
-/// are dropped from the front of `tiles`/`read_done` and `base` records how
-/// many, so month-long serving streams hold only the in-flight window in
-/// memory (the fleet simulator feeds millions of requests through one
-/// instance). Compaction never changes timing — it only frees storage that
-/// can no longer be referenced.
+/// bookkeeping. Storage is a ring of the in-flight tiles: a submission
+/// pushes its tiles at the back, the formal stage's `StageDone` pops the
+/// tile from the front ([`Instance::retire`]) and `base` counts the popped,
+/// so a stream holds only its admitted-but-unretired window however many
+/// requests pass through it (the fleet simulator feeds millions through one
+/// instance). Retiring never changes timing — it frees only a tile no
+/// pending event or bank can reference any more.
 #[derive(Debug)]
 struct Instance {
     /// Stream positions `base..base + tiles.len()`; index with
-    /// [`Instance::slot`].
-    tiles: Vec<TileSlot>,
-    /// Stream position of `tiles[0]`.
+    /// [`Instance::row`].
+    tiles: VecDeque<Row>,
+    /// Stream position of `tiles[0]`: the tiles retired so far.
     base: usize,
     buffers: Vec<PingPongBuffer>,
     busy: [bool; STAGES],
     next_tile: [usize; STAGES],
     idle_since: [u64; STAGES],
-    /// `read_done[tile - base][stage]`: when the stage's operand fetch for
-    /// the tile arrived, [`NOT_ARRIVED`] until then. One row per tile (not
-    /// one column per stage) so a tile's submit is a single push and
-    /// `try_start`'s lookup stays on the row the `tiles` access just
-    /// touched.
-    read_done: Vec<[u64; STAGES]>,
     /// Tiles whose stage-0 key-stream read has been issued (prefetch window).
     pred_issued: usize,
     acts: [StageActivity; STAGES],
@@ -130,7 +133,7 @@ struct Instance {
 impl Instance {
     fn new() -> Self {
         Instance {
-            tiles: Vec::new(),
+            tiles: VecDeque::new(),
             base: 0,
             buffers: (0..STAGES - 1)
                 .map(|_| PingPongBuffer::new(SimParams::BUFFER_DEPTH))
@@ -138,7 +141,6 @@ impl Instance {
             busy: [false; STAGES],
             next_tile: [0; STAGES],
             idle_since: [0; STAGES],
-            read_done: Vec::new(),
             pred_issued: 0,
             acts: [StageActivity::default(); STAGES],
         }
@@ -151,33 +153,20 @@ impl Instance {
     }
 
     /// The tile at stream position `tile` (must not be retired).
-    fn slot(&self, tile: usize) -> &TileSlot {
-        &self.tiles[tile - self.base]
+    fn row(&mut self, tile: usize) -> &mut Row {
+        &mut self.tiles[tile - self.base]
     }
 
-    fn read_done_at(&self, stage: usize, tile: usize) -> Option<u64> {
-        let at = self.read_done[tile - self.base][stage];
-        (at != NOT_ARRIVED).then_some(at)
-    }
-
-    fn set_read_done(&mut self, stage: usize, tile: usize, now: u64) {
-        self.read_done[tile - self.base][stage] = now;
-    }
-
-    /// Drops retired tiles from the front of the stream storage. A tile is
-    /// retired once the formal stage's `StageDone` for it has been
-    /// processed: every later event referencing it (earlier-stage work,
-    /// operand fetches) has necessarily fired, and write-back `DramDone`s
-    /// never index the stream.
-    fn compact(&mut self) {
-        let retired = self.next_tile[STAGES - 1] - usize::from(self.busy[STAGES - 1]);
-        let drop = retired.saturating_sub(self.base);
-        if drop < COMPACT_THRESHOLD {
-            return;
-        }
-        self.tiles.drain(..drop);
-        self.read_done.drain(..drop);
-        self.base += drop;
+    /// Pops tile `tile`, the oldest in flight, once the formal stage has
+    /// finished it: its earlier stages and operand fetches have all fired,
+    /// and its writeback schedules no event.
+    fn retire(&mut self, tile: usize) -> TileSlot {
+        debug_assert_eq!(tile, self.base, "tiles retire in stream order");
+        self.base += 1;
+        self.tiles
+            .pop_front()
+            .expect("a finished tile is in flight")
+            .slot
     }
 }
 
@@ -229,7 +218,9 @@ impl InstanceActivity {
 /// Aggregate outcome of a multi-instance run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiReport {
-    /// End-to-end cycles from the first fetch to the last event.
+    /// End-to-end cycles from the first fetch to the last event or the
+    /// arrival of the last writeback, whichever is later (a writeback's
+    /// arrival is folded in when the channel issues it, not scheduled).
     pub total_cycles: u64,
     /// Per-instance activity.
     pub instances: Vec<InstanceActivity>,
@@ -383,17 +374,11 @@ impl MultiPipelineSim {
         };
         let n = job.work.len();
         let ins = &mut self.instances[inst];
-        ins.tiles.reserve(n);
-        ins.read_done.reserve(n);
-        for (i, (work, &cycles)) in job.work.iter().zip(job.cycles.iter()).enumerate() {
-            ins.tiles
-                .push(TileSlot::new(request, i + 1 == n, work, cycles));
-            // The sorting stage never reads DRAM; everything else resolves
-            // its operand fetch per tile.
-            ins.read_done.push(std::array::from_fn(
-                |s| if s == 1 { now } else { NOT_ARRIVED },
-            ));
-        }
+        let rows = job.work.iter().zip(&job.cycles).enumerate();
+        ins.tiles.extend(rows.map(|(i, (work, &cycles))| Row {
+            slot: TileSlot::new(request, i + 1 == n, work, cycles),
+            read_done: std::array::from_fn(|s| if s == 1 { now } else { NOT_ARRIVED }),
+        }));
         // A stage that had drained its stream was idle for lack of work, not
         // stalled on a resource — restart its idle clock at the submission.
         for (s, drained) in stage_was_drained.iter().enumerate() {
@@ -430,15 +415,12 @@ impl MultiPipelineSim {
                 instance,
                 stage,
                 tile,
-                write,
             } => {
-                if !write {
-                    let (instance, stage) = (instance as usize, usize::from(stage));
-                    self.instances[instance].set_read_done(stage, tile, now);
-                    // Operand arrival only relaxes the receiving stage's
-                    // read constraint — the other stages cannot newly start.
-                    self.try_start(instance, stage, now);
-                }
+                let (instance, stage) = (instance as usize, usize::from(stage));
+                self.instances[instance].row(tile).read_done[stage] = now;
+                // Operand arrival only relaxes the receiving stage's read
+                // constraint — the other stages cannot newly start.
+                self.try_start(instance, stage, now);
                 None
             }
         };
@@ -498,9 +480,10 @@ impl MultiPipelineSim {
     }
 
     fn issue_read(&mut self, inst: usize, stage: usize, tile: usize, now: u64) {
-        let bytes = self.instances[inst].slot(tile).read_bytes[stage];
+        let row = self.instances[inst].row(tile);
+        let bytes = row.slot.read_bytes[stage];
         if bytes == 0 {
-            self.instances[inst].set_read_done(stage, tile, now);
+            row.read_done[stage] = now;
             return;
         }
         self.dram.enqueue(
@@ -519,15 +502,21 @@ impl MultiPipelineSim {
     fn pump_dram(&mut self, now: u64) {
         if let Some(issued) = self.dram.try_issue(now) {
             self.queue.push(issued.free_at, MultiEvent::DramFree);
-            self.queue.push(
-                issued.done_at,
-                MultiEvent::DramDone {
-                    instance: (issued.request.port / STAGES) as u32,
-                    stage: issued.request.stage as u8,
-                    tile: issued.request.tile,
-                    write: issued.request.write,
-                },
-            );
+            let req = issued.request;
+            if req.write {
+                // Nothing waits on a writeback's arrival: it only bounds
+                // the run's end.
+                self.end_time = self.end_time.max(issued.done_at);
+            } else {
+                self.queue.push(
+                    issued.done_at,
+                    MultiEvent::DramDone {
+                        instance: (req.port / STAGES) as u32,
+                        stage: req.stage as u8,
+                        tile: req.tile,
+                    },
+                );
+            }
         }
         self.sample_dram(now);
     }
@@ -561,7 +550,7 @@ impl MultiPipelineSim {
             // Without RASS, the formal stage refetches shared vectors.
             2 => self.issue_read(inst, 3, tile, now),
             3 => {
-                let slot = *self.instances[inst].slot(tile);
+                let slot = self.instances[inst].retire(tile);
                 if slot.write_bytes > 0 {
                     self.dram.enqueue(
                         DramRequest {
@@ -584,9 +573,6 @@ impl MultiPipelineSim {
                 }
             }
             _ => unreachable!(),
-        }
-        if stage == STAGES - 1 {
-            self.instances[inst].compact();
         }
         // A StageDone only relaxes constraints of its neighbourhood: the
         // stage itself went idle, the upstream stage's output bank gained a
@@ -626,10 +612,15 @@ impl MultiPipelineSim {
             }
         };
         // Operand data arrived from DRAM?
-        let read_at = match ins.read_done_at(stage, tile) {
-            Some(t) => t,
-            None => return,
-        };
+        let row = ins.row(tile);
+        let (read_at, dur, request) = (
+            row.read_done[stage],
+            row.slot.cycles[stage],
+            row.slot.request,
+        );
+        if read_at == NOT_ARRIVED {
+            return;
+        }
         // Downstream bank free to fill?
         let out_at = if stage == STAGES - 1 {
             0
@@ -657,9 +648,6 @@ impl MultiPipelineSim {
             }
         }
 
-        let slot = ins.slot(tile);
-        let dur = slot.cycles[stage];
-        let request = slot.request;
         let end = now + dur;
         ins.busy[stage] = true;
         ins.next_tile[stage] = tile + 1;
@@ -902,14 +890,44 @@ mod tests {
     fn event_core_records_stay_slim() {
         use crate::event::Scheduled;
         use std::mem::size_of;
-        fn row_size<T>(_: &[T]) -> usize {
+        fn row_size<T>(_: &VecDeque<T>) -> usize {
             size_of::<T>()
         }
         assert_eq!(size_of::<MultiEvent>(), 16);
         assert_eq!(size_of::<Scheduled<MultiEvent>>(), 24);
         assert_eq!(size_of::<TileSlot>(), 88);
         assert!(size_of::<TileSlot>() < size_of::<TileWork>());
-        assert_eq!(row_size(&Instance::new().read_done), 32);
+        // A ring row: the 88-byte slot plus 32 bytes of operand stamps.
+        assert_eq!(row_size(&Instance::new().tiles), 120);
+    }
+
+    #[test]
+    fn tile_ring_holds_only_the_in_flight_window() {
+        // Ten thousand requests stream through one instance, each submitted
+        // while fewer than `window` tiles wait for the formal stage: the
+        // ring never holds more than the admitted-but-unretired tiles.
+        let sim = CycleSim::new(HwConfig::small());
+        let job = sim.job(&AttentionTask::new(16, 64, 256, 4, 0.25, 32), None);
+        let window = 4 * job.work.len();
+        let mut m = MultiPipelineSim::new(sim.accel.config(), 1, sim.params);
+        let (requests, mut submitted, mut done, mut now) = (10_000u64, 0, 0, 0);
+        let mut peak = 0;
+        while done < requests {
+            while submitted < requests && m.pending_tiles(0) < window {
+                m.submit(0, submitted, &job, now);
+                submitted += 1;
+            }
+            peak = peak.max(m.instances[0].tiles.capacity());
+            let step = m.step().expect("submitted work is pending");
+            now = step.time;
+            done += u64::from(step.completed.is_some());
+        }
+        assert_eq!(m.instances[0].base, 10_000 * job.work.len());
+        assert!(m.instances[0].tiles.is_empty());
+        assert!(
+            peak <= 4 * window,
+            "ring grew to {peak} tiles for a {window}-tile window"
+        );
     }
 
     #[test]
@@ -936,7 +954,7 @@ mod tests {
         while m.step().is_some() {
             steps += 1;
         }
-        assert_eq!(steps, 2080, "events for 16 requests");
+        assert_eq!(steps, 2064, "events for 16 requests");
         let report = m.report();
         assert_eq!(report.total_cycles, 179_126);
         assert_eq!(
