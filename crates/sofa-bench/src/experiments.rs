@@ -33,7 +33,7 @@ use sofa_serve::{
     AdaptiveServeConfig, AdaptiveServeStudy, FeedbackConfig, FleetConfig, FleetReport,
     FleetServeSim, OpRouter, RetryPolicy, RoutedServeStudy, ServeConfig, ServeReport, ServeSim,
 };
-use sofa_sim::{CycleSim, MultiPipelineSim};
+use sofa_sim::{CycleSim, MultiPipelineSim, PipelineJob};
 use sofa_tensor::seeded_rng;
 
 /// A compact workload used by the algorithm-level experiments: large enough to
@@ -1649,7 +1649,7 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits), and
 /// so is `events_per_request`, which must equal its pinned value exactly
-/// (see [`fleet_mega_node_events_per_request`]); the wall budget gates at
+/// (see [`fleet_mega_node_scenario`]); the wall budget gates at
 /// about 3× the measured time.
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
@@ -1660,7 +1660,8 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
             sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
         })
     });
-    let events_per_request = fleet_mega_node_events_per_request();
+    let (node_events, _) = fleet_mega_node_scenario();
+    let events_per_request = node_events as f64 / NODE_REQUESTS as f64;
     let mut t = Table::new(
         "Perf  Fleet 1M-request wall time + per-node lowering-cache hit rate",
         &[
@@ -1691,22 +1692,32 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         .with_scalar("wall_seconds", wall)
 }
 
-/// Events the event core processes per request on one node of the
-/// `perf_fleet_mega` fleet: 96 requests of the fleet's request shape
-/// (eight tiles each), with bursts, idle gaps and same-cycle arrivals, each
-/// submitted to the least-backlogged of the node's 8 instances and stepped
-/// through [`MultiPipelineSim::step`]. Each request costs 32 `StageDone`,
-/// 17 `DramFree` and 16 read `DramDone` events however they interleave, so
-/// the mean is an exact count.
-fn fleet_mega_node_events_per_request() -> f64 {
+/// Requests of the `perf_fleet_mega` node scenario.
+const NODE_REQUESTS: u64 = 96;
+
+/// One request of the `perf_fleet_mega` fleet's shape (32 queries, a
+/// 512-token context, 512 wide with 8 heads, keep 0.25 and `Bc` = 64:
+/// eight tiles), lowered for one of its nodes.
+fn fleet_mega_node_job() -> PipelineJob {
     let cfg = fleet_config(8, 8).serve;
     let mut csim = CycleSim::new(cfg.hw);
     csim.params = cfg.sim;
-    let job = csim.job(&AttentionTask::at_layer(32, 512, 512, 8, &cfg.op, 0), None);
+    csim.job(&AttentionTask::at_layer(32, 512, 512, 8, &cfg.op, 0), None)
+}
+
+/// The event core on one node of the `perf_fleet_mega` fleet: 96 requests
+/// of [`fleet_mega_node_job`], with bursts, idle gaps and same-cycle
+/// arrivals, each submitted to the least-backlogged of the node's 8
+/// instances and stepped through [`MultiPipelineSim::step`]. Returns the
+/// events processed and the requests completed. Each request costs 32
+/// `StageDone`, 17 `DramFree` and 16 read `DramDone` events however they
+/// interleave, so the mean per request is an exact count.
+fn fleet_mega_node_scenario() -> (u64, usize) {
+    let cfg = fleet_config(8, 8).serve;
+    let job = fleet_mega_node_job();
     let mut sim = MultiPipelineSim::new(&cfg.hw, cfg.instances, cfg.sim);
-    let requests = 96u64;
     let (mut events, mut at) = (0u64, 0u64);
-    for r in 0..requests {
+    for r in 0..NODE_REQUESTS {
         at += [0, 0, 700, 0, 20_000, 150][r as usize % 6];
         while sim.next_event_time().is_some_and(|t| t <= at) {
             sim.step();
@@ -1720,7 +1731,8 @@ fn fleet_mega_node_events_per_request() -> f64 {
     while sim.step().is_some() {
         events += 1;
     }
-    events as f64 / requests as f64
+    let completed = sim.report().instances.iter().map(|i| i.requests).sum();
+    (events, completed)
 }
 
 /// Experiment — wall time of one fresh hardware-aware DSE search (the
@@ -1766,6 +1778,28 @@ pub fn perf_dse() -> crate::ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every `perf_fleet_mega` request is 8 tiles, each with a prediction
+    /// read and a K/V read, no formal-stage refetch (RASS) and one
+    /// writeback tile, and costs the node's event core exactly 65 events
+    /// — 32 `StageDone` (8 tiles × 4 stages), 17 `DramFree` (one per DRAM
+    /// request) and 16 `DramDone` (one per read: a writeback's arrival is
+    /// not an event) — however the requests interleave.
+    #[test]
+    fn fleet_mega_requests_cost_exactly_65_events_each() {
+        let job = fleet_mega_node_job();
+        assert_eq!(job.work.len(), 8);
+        let count = |f: fn(&sofa_hw::descriptor::TileWork) -> u64| {
+            job.work.iter().filter(|w| f(w) > 0).count()
+        };
+        assert_eq!(count(|w| w.pred_read_bytes), 8);
+        assert_eq!(count(|w| w.kv_read_bytes), 8);
+        assert_eq!(count(|w| w.extra_formal_read_bytes), 0, "RASS: no refetch");
+        assert_eq!(count(|w| w.write_bytes), 1);
+        let (events, completed) = fleet_mega_node_scenario();
+        assert_eq!(completed as u64, NODE_REQUESTS);
+        assert_eq!(events, 65 * NODE_REQUESTS);
+    }
 
     #[test]
     fn every_experiment_produces_rows() {

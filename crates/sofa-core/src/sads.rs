@@ -89,6 +89,43 @@ impl Default for SadsConfig {
     }
 }
 
+/// A row value with its column index, so every comparison reads the value
+/// directly instead of through `row[i]`. std's stable sort chooses each
+/// comparison from the outcomes of the earlier ones and the slice length
+/// alone (its scratch holds the whole selection at these lengths), so
+/// sorting these pairs by value orders the selection and counts its
+/// comparisons exactly as sorting the bare indices by `row[i]` did. The
+/// pair stays eight bytes, the size of the `usize` index it replaces.
+type Keyed = (f32, u32);
+
+/// Row scratch reused by every [`sads_topk_row`] call on a thread. The
+/// buffers only grow, so a row allocates nothing but its result once they
+/// fit.
+#[derive(Default)]
+struct RowScratch {
+    selected: Vec<Keyed>,
+    /// The excluded pool, at least as long as the row. Only a prefix, whose
+    /// length the kernel tracks, is live; the rest is stale and written
+    /// before it is read.
+    excluded: Vec<Keyed>,
+    /// One segment's candidates, at least a segment long; live like
+    /// `excluded`.
+    candidates: Vec<Keyed>,
+    heap: Vec<Keyed>,
+}
+
+thread_local! {
+    static ROW_SCRATCH: std::cell::RefCell<RowScratch> =
+        std::cell::RefCell::new(RowScratch::default());
+}
+
+/// Grows `buf` to at least `len` entries; what it holds stays stale.
+fn ensure_len(buf: &mut Vec<Keyed>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, (0.0, 0));
+    }
+}
+
 /// Selects the top-k indices of one row with distributed sub-segment sorting.
 /// The returned indices are ordered by descending value (so index 0 is the
 /// predicted maximum — the hint SU-FA consumes).
@@ -97,6 +134,18 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
     if s == 0 || k == 0 {
         return Vec::new();
     }
+    assert!(u32::try_from(s).is_ok(), "SADS rows are indexed by u32");
+    ROW_SCRATCH.with_borrow_mut(|scratch| topk_row_with(row, k, cfg, ops, scratch))
+}
+
+fn topk_row_with(
+    row: &[f32],
+    k: usize,
+    cfg: &SadsConfig,
+    ops: &mut OpCounts,
+    scratch: &mut RowScratch,
+) -> Vec<usize> {
+    let s = row.len();
     let k = k.min(s);
     let n = cfg.segments.min(s);
     let seg_len = s.div_ceil(n);
@@ -107,11 +156,19 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
 
     // Comparisons are tallied locally and recorded once.
     let mut cmp = 0u64;
-    let mut selected: Vec<usize> = Vec::with_capacity(k + n);
-    let mut excluded_candidates: Vec<usize> = Vec::new();
-    // One candidate buffer and one heap, reused by every segment.
-    let mut candidates: Vec<usize> = Vec::with_capacity(seg_len);
-    let mut heap: Vec<usize> = Vec::new();
+    let RowScratch {
+        selected,
+        excluded,
+        candidates,
+        heap,
+    } = scratch;
+    selected.clear();
+    // Every index of the row is selected, excluded or (within one segment)
+    // a candidate, so the pool never outgrows the row and the candidates
+    // never outgrow a segment.
+    ensure_len(excluded, s);
+    ensure_len(candidates, seg_len);
+    let mut excluded_len = 0;
 
     for seg in 0..n {
         let lo = seg * seg_len;
@@ -138,22 +195,28 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
         let threshold = seg_max - range * cfg.radius_frac as f32;
 
         // Clipping: in-radius values become candidates, the rest go straight
-        // to the excluded pool (one comparison each).
-        candidates.clear();
-        let clipped_from = excluded_candidates.len();
+        // to the excluded pool (one comparison each). Each value is written
+        // to both buffers and only the matching length advances.
+        let clipped_from = excluded_len;
+        let mut candidates_len = 0;
         for (off, &v) in values.iter().enumerate() {
-            if v >= threshold {
-                candidates.push(lo + off);
-            } else {
-                excluded_candidates.push(lo + off);
-            }
+            let entry = (v, (lo + off) as u32);
+            let in_radius = v >= threshold;
+            candidates[candidates_len] = entry;
+            excluded[excluded_len] = entry;
+            candidates_len += usize::from(in_radius);
+            excluded_len += usize::from(!in_radius);
         }
         cmp += (hi - lo) as u64;
         // Adaptive clipping (Threshold-Updating unit): if the radius would
         // starve the quota, the threshold falls back to the low bound and the
         // clipped values re-enter the candidate pool.
-        if candidates.len() < quota {
-            candidates.extend(excluded_candidates.drain(clipped_from..));
+        if candidates_len < quota {
+            let clipped = excluded_len - clipped_from;
+            candidates[candidates_len..candidates_len + clipped]
+                .copy_from_slice(&excluded[clipped_from..excluded_len]);
+            candidates_len += clipped;
+            excluded_len = clipped_from;
         }
 
         // Local selection of the quota largest candidates. The streaming
@@ -162,30 +225,39 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
         // profile (one compare per streamed value plus log(quota) on the rare
         // replacements). Candidates beyond the quota remain available for
         // the exchange step.
-        cmp += select_top_q(row, &candidates, quota, &mut heap, &mut excluded_candidates);
-        selected.extend_from_slice(&heap);
+        cmp += select_top_q(
+            &candidates[..candidates_len],
+            quota,
+            heap,
+            excluded,
+            &mut excluded_len,
+        );
+        selected.extend_from_slice(heap);
     }
 
     // If short trailing segments could not meet their quota, top the selection
     // up from the best excluded candidates so exactly k entries are returned.
-    while selected.len() < k && !excluded_candidates.is_empty() {
-        let best = argbest(row, &excluded_candidates, |a, b| a > b);
-        cmp += excluded_candidates.len() as u64 - 1;
-        selected.push(excluded_candidates.swap_remove(best));
+    while selected.len() < k && excluded_len > 0 {
+        let best = argbest(&excluded[..excluded_len], |a, b| a > b);
+        cmp += excluded_len as u64 - 1;
+        selected.push(excluded[best]);
+        // `swap_remove` on the live prefix.
+        excluded_len -= 1;
+        excluded[best] = excluded[excluded_len];
     }
 
     // Adjustive exchange: recover misplaced values across segment borders.
     for _ in 0..cfg.refine_iters {
-        if selected.is_empty() || excluded_candidates.is_empty() {
+        if selected.is_empty() || excluded_len == 0 {
             break;
         }
         // Find min of selected and max of excluded.
-        let min_sel = argbest(row, &selected, |a, b| a < b);
-        let max_exc = argbest(row, &excluded_candidates, |a, b| a > b);
+        let min_sel = argbest(selected, |a, b| a < b);
+        let max_exc = argbest(&excluded[..excluded_len], |a, b| a > b);
         // Two linear scans plus the exchange test below.
-        cmp += (selected.len() + excluded_candidates.len() - 1) as u64;
-        if row[excluded_candidates[max_exc]] > row[selected[min_sel]] {
-            std::mem::swap(&mut selected[min_sel], &mut excluded_candidates[max_exc]);
+        cmp += (selected.len() + excluded_len - 1) as u64;
+        if excluded[max_exc].0 > selected[min_sel].0 {
+            std::mem::swap(&mut selected[min_sel], &mut excluded[max_exc]);
         } else {
             break;
         }
@@ -194,51 +266,56 @@ pub fn sads_topk_row(row: &[f32], k: usize, cfg: &SadsConfig, ops: &mut OpCounts
     // Order the final selection by descending value. Only the top-1/top-2
     // order actually matters downstream, but keeping the list sorted makes the
     // mask easier to consume; the comparisons are counted.
-    let cmp_counter = std::cell::Cell::new(0u64);
-    selected.sort_by(|&a, &b| {
-        cmp_counter.set(cmp_counter.get() + 1);
-        row[b]
-            .partial_cmp(&row[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
+    selected.sort_by(|a, b| {
+        cmp += 1;
+        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
     });
-    ops.record(OpKind::Cmp, cmp + cmp_counter.get());
-    selected.truncate(k);
+    ops.record(OpKind::Cmp, cmp);
     selected
+        .iter()
+        .take(k)
+        .map(|&(_, idx)| idx as usize)
+        .collect()
 }
 
-/// Position in `indices` of the entry whose value `beats` every other (the
-/// first one on ties): a linear scan of `indices.len() − 1` comparisons.
-fn argbest(row: &[f32], indices: &[usize], beats: impl Fn(f32, f32) -> bool) -> usize {
+/// Position in `entries` of the one whose value `beats` every other (the
+/// first one on ties): a linear scan of `entries.len() − 1` comparisons.
+fn argbest(entries: &[Keyed], beats: impl Fn(f32, f32) -> bool) -> usize {
     let mut best = 0;
-    for (i, &idx) in indices.iter().enumerate().skip(1) {
-        if beats(row[idx], row[indices[best]]) {
+    for (i, e) in entries.iter().enumerate().skip(1) {
+        if beats(e.0, entries[best].0) {
             best = i;
         }
     }
     best
 }
 
-/// Streaming selection of the `quota` largest candidate indices using a
-/// bounded min-heap: leaves the kept indices in `heap` (in heap order),
-/// appends the spilled ones to `spill` in stream order and returns the
-/// comparisons made.
+/// Streaming selection of the `quota` largest candidates using a bounded
+/// min-heap: leaves the kept entries in `heap` (in heap order), writes the
+/// spilled ones to `spill[*spill_len..]` in stream order, advancing
+/// `spill_len`, and returns the comparisons made.
 fn select_top_q(
-    row: &[f32],
-    candidates: &[usize],
+    candidates: &[Keyed],
     quota: usize,
-    heap: &mut Vec<usize>,
-    spill: &mut Vec<usize>,
+    heap: &mut Vec<Keyed>,
+    spill: &mut [Keyed],
+    spill_len: &mut usize,
 ) -> u64 {
     heap.clear();
     if quota == 0 {
-        spill.extend_from_slice(candidates);
+        spill[*spill_len..*spill_len + candidates.len()].copy_from_slice(candidates);
+        *spill_len += candidates.len();
         return 0;
     }
     if candidates.len() <= quota {
         heap.extend_from_slice(candidates);
         return 0;
     }
-    // `heap` is a min-heap over the kept indices (by value).
+    let mut spill_one = |e: Keyed| {
+        spill[*spill_len] = e;
+        *spill_len += 1;
+    };
+    // `heap` is a min-heap over the kept entries (by value).
     let mut cmp = 0u64;
     for &c in candidates {
         if heap.len() < quota {
@@ -248,7 +325,7 @@ fn select_top_q(
             while i > 0 {
                 let parent = (i - 1) / 2;
                 cmp += 1;
-                if row[heap[i]] < row[heap[parent]] {
+                if heap[i].0 < heap[parent].0 {
                     heap.swap(i, parent);
                     i = parent;
                 } else {
@@ -257,8 +334,8 @@ fn select_top_q(
             }
         } else {
             cmp += 1;
-            if row[c] > row[heap[0]] {
-                spill.push(std::mem::replace(&mut heap[0], c));
+            if c.0 > heap[0].0 {
+                spill_one(std::mem::replace(&mut heap[0], c));
                 // Sift down.
                 let mut i = 0;
                 loop {
@@ -266,13 +343,13 @@ fn select_top_q(
                     let mut smallest = i;
                     if l < quota {
                         cmp += 1;
-                        if row[heap[l]] < row[heap[smallest]] {
+                        if heap[l].0 < heap[smallest].0 {
                             smallest = l;
                         }
                     }
                     if r < quota {
                         cmp += 1;
-                        if row[heap[r]] < row[heap[smallest]] {
+                        if heap[r].0 < heap[smallest].0 {
                             smallest = r;
                         }
                     }
@@ -283,7 +360,7 @@ fn select_top_q(
                     i = smallest;
                 }
             } else {
-                spill.push(c);
+                spill_one(c);
             }
         }
     }
@@ -620,6 +697,9 @@ mod tests {
         (heap, spilled)
     }
 
+    /// Longest row the reuse proptest draws.
+    const MAX_ROW: usize = 600;
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
@@ -627,28 +707,49 @@ mod tests {
         /// selection and comparison count for every segment count `1..=S`,
         /// radius, 0–4 exchange iterations, `k` below and above the segment
         /// count, and rows of distinct values, heavy ties, two levels or one
-        /// constant.
+        /// constant. Each case runs 2–5 rows of unrelated shape in sequence
+        /// on one thread after a full-length row, so every row starts from
+        /// the row scratch another row left dirty; rows up to 599 long reach
+        /// every path of std's final sort (insertion sort up to 20 entries,
+        /// run merging beyond).
         #[test]
         fn buffer_reusing_sads_matches_the_allocating_kernel(
-            shape in (1usize..96, 1usize..96, 0usize..97, 0usize..5),
-            radius in 0.01f64..1.0,
-            kind in 0usize..4,
-            values in proptest::collection::vec(-4.0f32..4.0, 96),
+            rows in proptest::collection::vec(
+                ((1usize..MAX_ROW, 1usize..MAX_ROW, 0usize..MAX_ROW + 1, 0usize..5),
+                 0.01f64..1.0,
+                 0usize..4),
+                2..6,
+            ),
+            values in proptest::collection::vec(-4.0f32..4.0, MAX_ROW + 64),
         ) {
-            let (s, segments, k, refine_iters) = shape;
-            let segments = segments.min(s);
-            let row: Vec<f32> = match kind {
-                0 => values[..s].to_vec(),
-                1 => values[..s].iter().map(|v| v.round()).collect(),
-                2 => values[..s].iter().map(|&v| f32::from(v > 0.0)).collect(),
-                _ => vec![values[0]; s],
-            };
-            let cfg = SadsConfig::new(segments, radius, refine_iters).unwrap();
-            let (mut ops, mut ref_ops) = (OpCounts::new(), OpCounts::new());
-            let got = sads_topk_row(&row, k, &cfg, &mut ops);
-            let want = reference_topk_row(&row, k, &cfg, &mut ref_ops);
-            proptest::prop_assert_eq!(got, want);
-            proptest::prop_assert_eq!(ops, ref_ops);
+            let dirty = &values[..MAX_ROW];
+            let paper = SadsConfig::paper_default();
+            let _ = sads_topk_row(dirty, MAX_ROW / 3, &paper, &mut OpCounts::new());
+            for (r, (shape, radius, kind)) in rows.into_iter().enumerate() {
+                let (s, segments, k, refine_iters) = shape;
+                // Every other row keeps to small shapes (S below 97), so
+                // single segments, tiny quotas and k above S stay common.
+                let (s, segments, k) = if r % 2 == 0 {
+                    (s % 96 + 1, segments % 96 + 1, k % 97)
+                } else {
+                    (s, segments, k)
+                };
+                let segments = segments.min(s);
+                let base = &values[r * 13..r * 13 + s];
+                let row: Vec<f32> = match kind {
+                    0 => base.to_vec(),
+                    1 => base.iter().map(|v| v.round()).collect(),
+                    2 => base.iter().map(|&v| f32::from(v > 0.0)).collect(),
+                    _ => vec![base[0]; s],
+                };
+                let cfg = SadsConfig::new(segments, radius, refine_iters).unwrap();
+                let (mut ops, mut ref_ops) = (OpCounts::new(), OpCounts::new());
+                let got = sads_topk_row(&row, k, &cfg, &mut ops);
+                let want = reference_topk_row(&row, k, &cfg, &mut ref_ops);
+                let at = format!("row {r} (S {s}, k {k}, {segments} segments)");
+                proptest::prop_assert_eq!(got, want, "{}", at);
+                proptest::prop_assert_eq!(ops, ref_ops, "{}", at);
+            }
         }
     }
 

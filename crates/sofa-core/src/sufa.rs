@@ -67,117 +67,145 @@ pub fn sorted_updating_attention(
     let scale = 1.0 / (d as f32).sqrt();
     let mut out = Matrix::zeros(q.rows(), dv);
     let mut stats = SuFaStats::default();
+    // One row's scores in walk order, reused by every row.
+    let mut scores: Vec<f32> = Vec::new();
 
     for i in 0..q.rows() {
         let qrow = q.row(i);
         let selected = mask.row(i);
-        if selected.is_empty() {
+        let n = selected.len();
+        if n == 0 {
             continue;
         }
         // The mask is stored in descending predicted order; ascending simply
         // reverses the walk.
-        let indices: Vec<usize> = match order {
-            SuFaOrder::Descending => selected.to_vec(),
-            SuFaOrder::Ascending => selected.iter().rev().copied().collect(),
+        let key_at = |t: usize| match order {
+            SuFaOrder::Descending => selected[t],
+            SuFaOrder::Ascending => selected[n - 1 - t],
         };
 
-        let mut m = f32::NEG_INFINITY;
-        let mut l = 0.0f32;
-        let mut acc = vec![0.0f32; dv];
-        let mut first = true;
-
-        for &j in &indices {
-            stats.pairs_processed += 1;
-            // Score of the selected pair.
-            let krow = k.row(j);
+        // Scores of the selected pairs, each its own sequential dot product;
+        // four keys' chains run side by side.
+        scores.clear();
+        let mut t = 0;
+        while t + 4 <= n {
+            let (k0, k1, k2, k3) = (
+                k.row(key_at(t)),
+                k.row(key_at(t + 1)),
+                k.row(key_at(t + 2)),
+                k.row(key_at(t + 3)),
+            );
+            let mut x = [0.0f32; 4];
+            for ((((&a, &b0), &b1), &b2), &b3) in qrow.iter().zip(k0).zip(k1).zip(k2).zip(k3) {
+                x[0] += a * b0;
+                x[1] += a * b1;
+                x[2] += a * b2;
+                x[3] += a * b3;
+            }
+            scores.extend(x.map(|x| x * scale));
+            t += 4;
+        }
+        scores.extend((t..n).map(|t| {
+            let krow = k.row(key_at(t));
             let mut x = 0.0f32;
             for (a, b) in qrow.iter().zip(krow.iter()) {
                 x += a * b;
             }
-            x *= scale;
-            ops.record(OpKind::Mul, d as u64);
-            ops.record(OpKind::Add, d as u64);
+            x * scale
+        }));
 
-            if first {
-                // The scheduler guarantees the first processed score is the
-                // predicted maximum; it becomes the reference for free.
-                m = x;
-                first = false;
-                l = 1.0;
-                ops.record(OpKind::Exp, 1); // exp(0) evaluated by the unit
-                let vrow = v.row(j);
-                for (a, &vv) in acc.iter_mut().zip(vrow.iter()) {
-                    *a += vv;
-                }
-                ops.record(OpKind::Mul, dv as u64);
-                ops.record(OpKind::Add, dv as u64);
-                continue;
-            }
+        // The output row starts zeroed and serves as the accumulator. The
+        // scheduler guarantees the first processed score is the predicted
+        // maximum; it becomes the reference for free (exp(0) is still
+        // evaluated by the unit).
+        let acc = out.row_mut(i);
+        let mut m = scores[0];
+        let mut l = 1.0f32;
+        for (a, &vv) in acc.iter_mut().zip(v.row(key_at(0))) {
+            *a += vv;
+        }
+        let mut corrections = 0u64;
 
+        for (t, &x) in scores.iter().enumerate().skip(1) {
             // Max-ensuring comparison (AP module, mode 1 at tile switch /
             // mode 0 otherwise — one comparison either way).
-            ops.record(OpKind::Cmp, 1);
             if x > m {
                 // Prediction order violated: rescale accumulated state.
-                stats.max_corrections += 1;
+                corrections += 1;
                 let corr = (m - x).exp();
-                ops.record(OpKind::Exp, 1);
                 l *= corr;
-                ops.record(OpKind::Mul, 1);
                 for a in acc.iter_mut() {
                     *a *= corr;
                 }
-                ops.record(OpKind::Mul, dv as u64);
                 m = x;
             }
 
+            let vrow = v.row(key_at(t));
             match order {
                 SuFaOrder::Descending => {
                     // Eq. (2): l ← l + exp(x − m). One exp, one add.
                     let p = (x - m).exp();
-                    ops.record(OpKind::Exp, 1);
                     l += p;
-                    ops.record(OpKind::Add, 1);
-                    let vrow = v.row(j);
-                    for (a, &vv) in acc.iter_mut().zip(vrow.iter()) {
+                    for (a, &vv) in acc.iter_mut().zip(vrow) {
                         *a += p * vv;
                     }
-                    ops.record(OpKind::Mul, dv as u64);
-                    ops.record(OpKind::Add, dv as u64);
                 }
                 SuFaOrder::Ascending => {
                     // Eq. (1): the new score is (predictedly) the new maximum,
                     // so the previous denominator and accumulator must be
                     // rescaled every step: one extra exp-multiply pair.
                     let p = (x - m).exp();
-                    ops.record(OpKind::Exp, 1);
                     let corr = if x >= m { (m - x).exp() } else { 1.0 };
-                    ops.record(OpKind::Exp, 1);
-                    ops.record(OpKind::Mul, 1);
                     l = l * corr + p;
-                    ops.record(OpKind::Add, 1);
-                    let vrow = v.row(j);
                     for a in acc.iter_mut() {
                         *a *= corr;
                     }
-                    ops.record(OpKind::Mul, dv as u64);
-                    for (a, &vv) in acc.iter_mut().zip(vrow.iter()) {
+                    for (a, &vv) in acc.iter_mut().zip(vrow) {
                         *a += p * vv;
                     }
-                    ops.record(OpKind::Mul, dv as u64);
-                    ops.record(OpKind::Add, dv as u64);
                 }
             }
         }
 
         // Final normalisation.
-        let orow = out.row_mut(i);
-        for (o, a) in orow.iter_mut().zip(acc.iter()) {
-            *o = a / l;
+        for o in acc.iter_mut() {
+            *o /= l;
         }
-        ops.record(OpKind::Div, dv as u64);
+
+        stats.pairs_processed += n as u64;
+        stats.max_corrections += corrections;
+        record_row_ops(ops, order, n as u64, corrections, d as u64, dv as u64);
     }
     (out, stats)
+}
+
+/// Records one row's operations: `n` selected pairs, `corrections` of them
+/// through the max-ensuring path, head dims `d` (Q·K) and `dv` (V).
+fn record_row_ops(ops: &mut OpCounts, order: SuFaOrder, n: u64, corrections: u64, d: u64, dv: u64) {
+    let later = n - 1;
+    // Every pair's score: d multiplies and d adds.
+    ops.record(OpKind::Mul, n * d);
+    ops.record(OpKind::Add, n * d);
+    // The first pair: exp(0) and one V row into the accumulator.
+    ops.record(OpKind::Exp, 1);
+    ops.record(OpKind::Mul, dv);
+    ops.record(OpKind::Add, dv);
+    // Every later pair: one max-ensuring comparison, one exp, the
+    // denominator add and one weighted V row.
+    ops.record(OpKind::Cmp, later);
+    ops.record(OpKind::Exp, later);
+    ops.record(OpKind::Add, later * (1 + dv));
+    ops.record(OpKind::Mul, later * dv);
+    if order == SuFaOrder::Ascending {
+        // Eq. (1)'s extra exp and multiply, and the rescaled accumulator.
+        ops.record(OpKind::Exp, later);
+        ops.record(OpKind::Mul, later * (1 + dv));
+    }
+    // A correction: one exp, the denominator and the accumulator rescaled.
+    ops.record(OpKind::Exp, corrections);
+    ops.record(OpKind::Mul, corrections * (1 + dv));
+    // Final normalisation.
+    ops.record(OpKind::Div, dv);
 }
 
 #[cfg(test)]
@@ -325,6 +353,196 @@ mod tests {
             max_abs_diff(&got, &want) < 1e-3,
             "max-ensure keeps it exact"
         );
+    }
+
+    /// The per-row `indices` copy and `acc` vector kernel the
+    /// scores-first one replaced: one score per pair inside the online
+    /// softmax walk and one `ops.record` per operation group.
+    fn reference_attention(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        mask: &TopKMask,
+        order: SuFaOrder,
+        ops: &mut OpCounts,
+    ) -> (Matrix, SuFaStats) {
+        assert_eq!(q.cols(), k.cols(), "Q and K head dims must match");
+        assert_eq!(k.rows(), v.rows(), "K and V lengths must match");
+        assert_eq!(mask.queries(), q.rows(), "mask must cover every query");
+        assert_eq!(mask.seq_len(), k.rows(), "mask must cover every key");
+
+        let d = q.cols();
+        let dv = v.cols();
+        let scale = 1.0 / (d as f32).sqrt();
+        let mut out = Matrix::zeros(q.rows(), dv);
+        let mut stats = SuFaStats::default();
+
+        for i in 0..q.rows() {
+            let qrow = q.row(i);
+            let selected = mask.row(i);
+            if selected.is_empty() {
+                continue;
+            }
+            // The mask is stored in descending predicted order; ascending simply
+            // reverses the walk.
+            let indices: Vec<usize> = match order {
+                SuFaOrder::Descending => selected.to_vec(),
+                SuFaOrder::Ascending => selected.iter().rev().copied().collect(),
+            };
+
+            let mut m = f32::NEG_INFINITY;
+            let mut l = 0.0f32;
+            let mut acc = vec![0.0f32; dv];
+            let mut first = true;
+
+            for &j in &indices {
+                stats.pairs_processed += 1;
+                // Score of the selected pair.
+                let krow = k.row(j);
+                let mut x = 0.0f32;
+                for (a, b) in qrow.iter().zip(krow.iter()) {
+                    x += a * b;
+                }
+                x *= scale;
+                ops.record(OpKind::Mul, d as u64);
+                ops.record(OpKind::Add, d as u64);
+
+                if first {
+                    // The scheduler guarantees the first processed score is the
+                    // predicted maximum; it becomes the reference for free.
+                    m = x;
+                    first = false;
+                    l = 1.0;
+                    ops.record(OpKind::Exp, 1); // exp(0) evaluated by the unit
+                    let vrow = v.row(j);
+                    for (a, &vv) in acc.iter_mut().zip(vrow.iter()) {
+                        *a += vv;
+                    }
+                    ops.record(OpKind::Mul, dv as u64);
+                    ops.record(OpKind::Add, dv as u64);
+                    continue;
+                }
+
+                // Max-ensuring comparison (AP module, mode 1 at tile switch /
+                // mode 0 otherwise — one comparison either way).
+                ops.record(OpKind::Cmp, 1);
+                if x > m {
+                    // Prediction order violated: rescale accumulated state.
+                    stats.max_corrections += 1;
+                    let corr = (m - x).exp();
+                    ops.record(OpKind::Exp, 1);
+                    l *= corr;
+                    ops.record(OpKind::Mul, 1);
+                    for a in acc.iter_mut() {
+                        *a *= corr;
+                    }
+                    ops.record(OpKind::Mul, dv as u64);
+                    m = x;
+                }
+
+                match order {
+                    SuFaOrder::Descending => {
+                        // Eq. (2): l ← l + exp(x − m). One exp, one add.
+                        let p = (x - m).exp();
+                        ops.record(OpKind::Exp, 1);
+                        l += p;
+                        ops.record(OpKind::Add, 1);
+                        let vrow = v.row(j);
+                        for (a, &vv) in acc.iter_mut().zip(vrow.iter()) {
+                            *a += p * vv;
+                        }
+                        ops.record(OpKind::Mul, dv as u64);
+                        ops.record(OpKind::Add, dv as u64);
+                    }
+                    SuFaOrder::Ascending => {
+                        // Eq. (1): the new score is (predictedly) the new maximum,
+                        // so the previous denominator and accumulator must be
+                        // rescaled every step: one extra exp-multiply pair.
+                        let p = (x - m).exp();
+                        ops.record(OpKind::Exp, 1);
+                        let corr = if x >= m { (m - x).exp() } else { 1.0 };
+                        ops.record(OpKind::Exp, 1);
+                        ops.record(OpKind::Mul, 1);
+                        l = l * corr + p;
+                        ops.record(OpKind::Add, 1);
+                        let vrow = v.row(j);
+                        for a in acc.iter_mut() {
+                            *a *= corr;
+                        }
+                        ops.record(OpKind::Mul, dv as u64);
+                        for (a, &vv) in acc.iter_mut().zip(vrow.iter()) {
+                            *a += p * vv;
+                        }
+                        ops.record(OpKind::Mul, dv as u64);
+                        ops.record(OpKind::Add, dv as u64);
+                    }
+                }
+            }
+
+            // Final normalisation.
+            let orow = out.row_mut(i);
+            for (o, a) in orow.iter_mut().zip(acc.iter()) {
+                *o = a / l;
+            }
+            ops.record(OpKind::Div, dv as u64);
+        }
+        (out, stats)
+    }
+
+    /// Bound (exclusive) on the SU-FA proptest's context length `S`.
+    const MAX_S: usize = 41;
+    /// Bound (exclusive) on its head dims `d` and `dv`.
+    const MAX_D: usize = 23;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The scores-first kernel returns the reference kernel's output
+        /// bits, `SuFaStats` and `OpCounts` in both walk orders, for head
+        /// dims and selection lengths that are not multiples of 4, empty
+        /// mask rows and selections in random order (so the max-ensuring
+        /// path fires), with repeated keys.
+        #[test]
+        fn scores_first_sufa_matches_the_reference_kernel(
+            shape in (1usize..6, 1usize..MAX_S, 1usize..MAX_D, 1usize..MAX_D),
+            lens in proptest::collection::vec(0usize..MAX_S + 4, 6),
+            picks in proptest::collection::vec(0u32..1_000_000, 6 * (MAX_S + 4)),
+            values in proptest::collection::vec(-3.0f32..3.0, 2 * MAX_D * (6 + 2 * MAX_S)),
+        ) {
+            let (queries, s, d, dv) = shape;
+            let mut vals = values.into_iter();
+            let mut matrix = |rows: usize, cols: usize| {
+                Matrix::from_vec(rows, cols, vals.by_ref().take(rows * cols).collect()).unwrap()
+            };
+            let (q, k, v) = (matrix(queries, d), matrix(s, d), matrix(s, dv));
+            // Row i selects `lens[i]` keys (empty rows included): a random
+            // subset in shuffled order when that many exist, else keys
+            // drawn with repeats.
+            let rows: Vec<Vec<usize>> = (0..queries)
+                .map(|i| {
+                    let picks = &picks[i * (MAX_S + 4)..][..MAX_S + 4];
+                    if lens[i] <= s {
+                        let mut keys: Vec<usize> = (0..s).collect();
+                        keys.sort_by_key(|&j| picks[j]);
+                        keys.truncate(lens[i]);
+                        keys
+                    } else {
+                        picks[..lens[i]].iter().map(|&p| p as usize % s).collect()
+                    }
+                })
+                .collect();
+            let mask = TopKMask::new(s, rows);
+            for order in [SuFaOrder::Descending, SuFaOrder::Ascending] {
+                let (mut ops, mut ref_ops) = (OpCounts::new(), OpCounts::new());
+                let (got, stats) = sorted_updating_attention(&q, &k, &v, &mask, order, &mut ops);
+                let (want, ref_stats) = reference_attention(&q, &k, &v, &mask, order, &mut ref_ops);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?}", order);
+                proptest::prop_assert_eq!(stats, ref_stats, "{:?}", order);
+                proptest::prop_assert_eq!(ops, ref_ops, "{:?}", order);
+            }
+        }
     }
 
     #[test]

@@ -172,6 +172,7 @@ impl TraceRecorder {
     }
 
     /// Whether this recorder keeps events.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }

@@ -817,56 +817,6 @@ mod tests {
         assert_eq!(cfg.validate(), Ok(()));
     }
 
-    /// The event core's work per request is a pinned constant: one request
-    /// of the `fleet_mega` shape (S=512, 512-wide, 8 heads, 32 queries,
-    /// keep 0.25, `Bc` = 64 — eight tiles) costs 32 `StageDone` events (8
-    /// tiles × 4 stages), 17 `DramFree` events (one per DRAM request: 8
-    /// key-stream and 8 K/V reads plus 1 writeback) and 16 `DramDone`
-    /// events (one per read: the writeback's arrival is not an event), 65
-    /// in all, however the requests interleave on the node.
-    #[test]
-    fn fleet_mega_requests_cost_exactly_65_events_each() {
-        let mut cfg = FleetConfig::new(HwConfig::paper_default(), 8, 8);
-        cfg.serve.op = sofa_model::OperatingPoint::single(0.25, 64);
-        let mut csim = CycleSim::new(cfg.serve.hw);
-        csim.params = cfg.serve.sim;
-        let task = sofa_hw::accel::AttentionTask::at_layer(32, 512, 512, 8, &cfg.serve.op, 0);
-        let job = csim.job(&task, None);
-        assert_eq!(job.work.len(), 8);
-        let count = |f: fn(&sofa_hw::descriptor::TileWork) -> u64| {
-            job.work.iter().filter(|w| f(w) > 0).count()
-        };
-        assert_eq!(count(|w| w.pred_read_bytes), 8);
-        assert_eq!(count(|w| w.kv_read_bytes), 8);
-        assert_eq!(count(|w| w.extra_formal_read_bytes), 0, "RASS: no refetch");
-        assert_eq!(count(|w| w.write_bytes), 1);
-        let mut sim =
-            sofa_sim::MultiPipelineSim::new(&cfg.serve.hw, cfg.serve.instances, cfg.serve.sim);
-        // Bursts, idle gaps and same-cycle arrivals on a contended channel.
-        let requests = 96u64;
-        let (mut steps, mut at) = (0u64, 0u64);
-        for r in 0..requests {
-            at += [0, 0, 700, 0, 20_000, 150][r as usize % 6];
-            while sim.next_event_time().is_some_and(|t| t <= at) {
-                sim.step();
-                steps += 1;
-            }
-            let inst = (0..sim.num_instances())
-                .min_by_key(|&i| sim.pending_tiles(i))
-                .expect("the node has instances");
-            sim.submit(inst, r, &job, at);
-        }
-        while sim.step().is_some() {
-            steps += 1;
-        }
-        let report = sim.report();
-        assert_eq!(
-            report.instances.iter().map(|i| i.requests).sum::<usize>(),
-            requests as usize
-        );
-        assert_eq!(steps, 65 * requests);
-    }
-
     #[test]
     fn prefill_nodes_is_total_on_unvalidatable_configs() {
         // Regression: `clamp(1, nodes - 1)` panicked (min > max) for a

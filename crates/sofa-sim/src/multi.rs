@@ -316,11 +316,10 @@ impl MultiPipelineSim {
         std::mem::replace(&mut self.obs, TraceRecorder::disabled())
     }
 
-    /// Samples the shared-channel queue-depth counter track.
+    /// Samples the shared-channel queue-depth counter track. Callers check
+    /// that tracing is on, so an untraced run makes no call per event.
+    #[cold]
     fn sample_dram(&mut self, now: u64) {
-        if !self.obs.is_enabled() {
-            return;
-        }
         self.obs.counter(
             self.dram_pid,
             0,
@@ -330,11 +329,10 @@ impl MultiPipelineSim {
         );
     }
 
-    /// Samples instance `inst`'s ping-pong occupancy counter at boundary `b`.
+    /// Samples instance `inst`'s ping-pong occupancy counter at boundary
+    /// `b`. Callers check that tracing is on, like [`Self::sample_dram`].
+    #[cold]
     fn sample_bank(&mut self, inst: usize, b: usize, now: u64) {
-        if !self.obs.is_enabled() {
-            return;
-        }
         self.obs.counter(
             self.pid_base + inst as u64,
             TID_BANK_BASE + b as u64,
@@ -518,7 +516,9 @@ impl MultiPipelineSim {
                 );
             }
         }
-        self.sample_dram(now);
+        if self.obs.is_enabled() {
+            self.sample_dram(now);
+        }
     }
 
     fn on_stage_done(
@@ -540,7 +540,7 @@ impl MultiPipelineSim {
                 ins.buffers[stage].mark_ready(tile, now);
             }
         }
-        if stage > 0 {
+        if stage > 0 && self.obs.is_enabled() {
             self.sample_bank(inst, stage - 1, now);
         }
         match stage {
@@ -655,7 +655,9 @@ impl MultiPipelineSim {
         ins.acts[stage].tiles += 1;
         if stage < STAGES - 1 {
             ins.buffers[stage].reserve(tile, now);
-            self.sample_bank(inst, stage, now);
+            if self.obs.is_enabled() {
+                self.sample_bank(inst, stage, now);
+            }
         }
         if self.obs.is_enabled() {
             if waited > 0 {
