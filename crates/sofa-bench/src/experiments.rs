@@ -1641,11 +1641,6 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// lowering-cache counters. One timed run — the scenario takes seconds and
 /// CI already re-runs it for the thread-identity gate.
 ///
-/// The run is pinned to one worker thread, as the repository benchmark's
-/// runs are: each fleet epoch's spawn/join barrier waits for the slowest
-/// worker, so a multi-threaded run times CPU steal on a shared host rather
-/// than the simulator. Thread identity stays gated by `serve_fleet_mega`.
-///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits), and
 /// so is `events_per_request`, which must equal its pinned value exactly
@@ -1655,10 +1650,8 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
     let cfg = fleet_config(8, 8);
     let sim = FleetServeSim::new(cfg);
-    let (wall, (report, stats)) = sofa_par::with_threads(1, || {
-        best_wall_seconds(1, || {
-            sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
-        })
+    let (wall, (report, stats)) = best_wall_seconds(1, || {
+        sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
     });
     let (node_events, _) = fleet_mega_node_scenario();
     let events_per_request = node_events as f64 / NODE_REQUESTS as f64;

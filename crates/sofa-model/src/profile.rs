@@ -117,11 +117,6 @@ impl LayerProfile {
         }
     }
 
-    /// Total FLOPs of the layer.
-    pub fn total_flops(&self) -> u64 {
-        self.qkv.flops + self.attention.flops + self.ffn.flops
-    }
-
     /// Total bytes moved by the layer.
     pub fn total_bytes(&self) -> u64 {
         self.qkv.total_bytes() + self.attention.total_bytes() + self.ffn.total_bytes()

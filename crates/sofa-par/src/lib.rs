@@ -1,10 +1,11 @@
 //! Deterministic scoped data-parallelism for the SOFA workspace.
 //!
-//! The hot paths of this repository — batched pipeline runs, per-row
-//! prediction/top-k loops, experiment fan-out, request lowering — are
-//! embarrassingly parallel over *independent* work items. This crate gives
-//! them a rayon-flavoured API (`par_map`, `par_chunks`, `join`) built on
-//! plain `std::thread::scope`, with two guarantees rayon does not make:
+//! The parallel paths of this repository — batched pipeline runs, per-row
+//! prediction/top-k loops, DSE candidate evaluation, request lowering and
+//! the experiment registry's `all` run — are embarrassingly parallel over
+//! *independent* work items. This crate maps them over plain
+//! `std::thread::scope` workers ([`par_map`], [`par_map_index`]) with two
+//! guarantees:
 //!
 //! 1. **Bit-identical results at any thread count.** Work is split into one
 //!    contiguous chunk per worker (no work stealing), every item is computed
@@ -27,13 +28,10 @@
 //! single-item input) short-circuits to the plain sequential loop — no
 //! threads are spawned at all.
 //!
-//! Randomised parallel work uses [`par_map_rng`]: each *item* gets its own
-//! RNG stream derived from `(base_seed, item index)` via the `rand_chacha`
-//! shim, so the stream an item sees is independent of which worker runs it
-//! and of the thread count.
+//! Randomised parallel work seeds each item from `(base_seed, item index)`
+//! with [`item_seed`], so the stream an item sees is independent of which
+//! worker runs it and of the thread count.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -91,7 +89,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// Whether the current thread is already inside a `sofa-par` worker (nested
 /// parallel regions degrade to sequential execution).
-pub fn in_parallel_region() -> bool {
+fn in_parallel_region() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
@@ -184,165 +182,9 @@ where
     par_map_index(items.len(), |i| f(&items[i]))
 }
 
-/// Splits `items` into one contiguous chunk per worker and maps each chunk
-/// with `f(chunk_start_index, chunk)`; the per-chunk result vectors are
-/// concatenated in input order.
-///
-/// This is the entry point for callers that want to amortise per-worker
-/// state (scratch buffers, caches) across the items of a chunk: `f` is
-/// invoked once per chunk and may thread `&mut` state through the chunk's
-/// items. Determinism is preserved as long as the state does not change the
-/// per-item results (e.g. reused allocations that are reset between items).
-///
-/// # Panics
-///
-/// Panics if `f` returns a vector whose length differs from its chunk's.
-pub fn par_chunks<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> Vec<U> + Sync,
-{
-    let n = items.len();
-    let threads = configured_threads();
-    let run_chunk = |lo: usize, hi: usize| {
-        let out = f(lo, &items[lo..hi]);
-        assert_eq!(
-            out.len(),
-            hi - lo,
-            "par_chunks closure must return one result per item"
-        );
-        out
-    };
-    if threads <= 1 || n <= 1 || in_parallel_region() {
-        return run_chunk(0, n);
-    }
-    let bounds = chunk_bounds(n, threads);
-    std::thread::scope(|scope| {
-        let run_chunk = &run_chunk;
-        // As in `par_map_index`: tail chunks on workers, head chunk on the
-        // calling thread.
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|&(lo, hi)| {
-                scope.spawn(move || {
-                    let _guard = RegionGuard::enter();
-                    run_chunk(lo, hi)
-                })
-            })
-            .collect();
-        let head = {
-            let _guard = RegionGuard::enter();
-            run_chunk(bounds[0].0, bounds[0].1)
-        };
-        let mut out = Vec::with_capacity(n);
-        out.extend(head);
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
-}
-
-/// Maps `f` over the items of a mutable slice in place, returning one
-/// result per item in input order.
-///
-/// The slice is split into one contiguous chunk per worker via
-/// `split_at_mut` — no two workers ever alias an item, no work stealing —
-/// so as long as `f(i, item)` touches only its own item, results and item
-/// states are bit-identical at any thread count. This is the entry point
-/// for stepping independently-evolving simulations (the fleet simulator's
-/// nodes) in parallel between synchronization epochs.
-pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut T) -> U + Sync,
-{
-    let n = items.len();
-    let threads = configured_threads();
-    if threads <= 1 || n <= 1 || in_parallel_region() {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let bounds = chunk_bounds(n, threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        // Head chunk on the calling thread, tail chunks on scoped workers —
-        // the same layout as `par_map_index`.
-        let (head, mut tail) = items.split_at_mut(bounds[0].1);
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .map(|&(lo, hi)| {
-                let (chunk, rest) = std::mem::take(&mut tail).split_at_mut(hi - lo);
-                tail = rest;
-                scope.spawn(move || {
-                    let _guard = RegionGuard::enter();
-                    chunk
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(off, item)| f(lo + off, item))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        let head_out: Vec<U> = {
-            let _guard = RegionGuard::enter();
-            head.iter_mut()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect()
-        };
-        let mut out = Vec::with_capacity(n);
-        out.extend(head_out);
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
-}
-
-/// Runs `a` and `b`, potentially in parallel, returning both results.
-/// `b` executes on the calling thread; `a` on a scoped worker (or inline
-/// when the effective thread count is 1 or the caller is already parallel).
-pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    if configured_threads() <= 1 || in_parallel_region() {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let ha = scope.spawn(move || {
-            let _guard = RegionGuard::enter();
-            a()
-        });
-        let rb = {
-            let _guard = RegionGuard::enter();
-            b()
-        };
-        match ha.join() {
-            Ok(ra) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
 /// Domain-separation constant folded into [`item_seed`]'s base seed, so a
-/// `par_map_rng` stream can never collide with a stream derived from the
-/// same `(base, index)` pair via `sofa_tensor::derive_seed`.
+/// per-item seed can never collide with the seed `sofa_tensor::derive_seed`
+/// gives the same `(base, index)` pair.
 const ITEM_SEED_DOMAIN: u64 = 0x5047_5F50_4152_5F31; // "PG_PAR_1"
 
 /// Derives the RNG seed of item `index` under `base_seed` (SplitMix64-style
@@ -355,26 +197,9 @@ pub fn item_seed(base_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps `f` over `items` where each item receives its own deterministic RNG
-/// stream seeded from `(base_seed, item index)` — the stream is a property
-/// of the *item*, not the worker, so results are bit-identical at any
-/// thread count.
-pub fn par_map_rng<T, U, F>(items: &[T], base_seed: u64, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T, &mut ChaCha8Rng) -> U + Sync,
-{
-    par_map_index(items.len(), |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(item_seed(base_seed, i as u64));
-        f(&items[i], &mut rng)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn chunk_bounds_cover_everything_contiguously() {
@@ -415,27 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_concatenates_in_order_and_passes_offsets() {
-        let items: Vec<usize> = (0..41).collect();
-        for threads in [1usize, 4, 16] {
-            let got = with_threads(threads, || {
-                par_chunks(&items, |start, chunk| {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(off, &v)| {
-                            assert_eq!(v, start + off, "offset must locate the chunk");
-                            v * 3
-                        })
-                        .collect()
-                })
-            });
-            let want: Vec<usize> = items.iter().map(|v| v * 3).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn nested_regions_run_sequentially_but_correctly() {
         let outer: Vec<usize> = (0..8).collect();
         let got = with_threads(4, || {
@@ -450,30 +254,6 @@ mod tests {
                 inner,
                 &vec![i * 10, i * 10 + 1, i * 10 + 2, i * 10 + 3, i * 10 + 4]
             );
-        }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_every_item_in_order() {
-        for threads in [1usize, 2, 3, 8, 100] {
-            let mut items: Vec<u64> = (0..97).collect();
-            let got = with_threads(threads, || {
-                par_map_mut(&mut items, |i, v| {
-                    *v += 1;
-                    *v * i as u64
-                })
-            });
-            let want: Vec<u64> = (0..97u64).map(|i| (i + 1) * i).collect();
-            assert_eq!(got, want, "threads={threads}");
-            assert_eq!(items, (1..=97).collect::<Vec<u64>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        for threads in [1usize, 4] {
-            let (a, b) = with_threads(threads, || join(|| 2 + 2, || "b"));
-            assert_eq!((a, b), (4, "b"));
         }
     }
 
@@ -503,24 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_rng_streams_are_per_item_not_per_worker() {
-        let items: Vec<u32> = (0..33).collect();
-        let draw = |threads: usize| {
-            with_threads(threads, || {
-                par_map_rng(&items, 99, |&x, rng| (x, rng.gen::<u64>()))
-            })
-        };
-        let one = draw(1);
-        for threads in [2usize, 7, 33] {
-            assert_eq!(draw(threads), one, "threads={threads}");
-        }
-        // Distinct items see distinct streams.
-        assert_ne!(one[0].1, one[1].1);
-        assert_eq!(item_seed(1, 2), item_seed(1, 2));
-        assert_ne!(item_seed(1, 2), item_seed(2, 2));
-    }
-
-    #[test]
     fn item_seed_is_domain_separated_from_tensor_derive_seed() {
         // sofa_tensor::derive_seed uses the same SplitMix64 mixing without
         // the domain constant; the two families must never hand the same
@@ -537,5 +299,8 @@ mod tests {
                 assert_ne!(item_seed(base, index), tensor_derive(base, index));
             }
         }
+        // Equal inputs agree; distinct bases give distinct seeds.
+        assert_eq!(item_seed(1, 2), item_seed(1, 2));
+        assert_ne!(item_seed(1, 2), item_seed(2, 2));
     }
 }

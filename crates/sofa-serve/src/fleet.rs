@@ -13,12 +13,12 @@
 //!
 //! **Epoch-synchronized.** The router interacts with the simulation only at
 //! multiples of [`FleetConfig::epoch_cycles`]: each epoch, every node's
-//! event stream advances independently (in parallel via `sofa-par` — nodes
-//! share nothing between boundaries), then completions are folded into the
-//! booking state, arrivals are ingested, and admission runs at the boundary
-//! cycle. Queueing delays are therefore quantized to the epoch; the
-//! boundary is computed from the next pending activity, so idle stretches
-//! are skipped in one step.
+//! event stream advances independently to the boundary (serially, in node
+//! order — nodes share nothing between boundaries), then completions are
+//! folded into the booking state node-major, arrivals are ingested, and
+//! admission runs at the boundary cycle. Queueing delays are therefore
+//! quantized to the epoch; the boundary is computed from the next pending
+//! activity, so idle stretches are skipped in one step.
 //!
 //! **Fleet-scale accounting.** A million-request trace cannot keep a
 //! per-request record vector; [`FleetReport`] aggregates latency and
@@ -68,8 +68,8 @@ pub struct FleetConfig {
     pub fabric: FabricParams,
     /// Synchronization granularity: the router admits and collects
     /// completions only at multiples of this cycle count. Larger epochs
-    /// amortize cross-node synchronization (and parallel-stepping overhead)
-    /// at the cost of coarser admission timing.
+    /// amortize cross-node synchronization at the cost of coarser admission
+    /// timing.
     pub epoch_cycles: u64,
     /// Split the fleet into a prefill node pool (half the nodes, rounded:
     /// [`FleetConfig::prefill_nodes`]) and a decode node pool of the rest;
@@ -90,11 +90,6 @@ impl FleetConfig {
             epoch_cycles: 1 << 16,
             disaggregate: false,
         }
-    }
-
-    /// Instances per node.
-    pub fn instances_per_node(&self) -> usize {
-        self.serve.instances
     }
 
     /// Total instances across the fleet.

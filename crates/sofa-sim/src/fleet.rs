@@ -8,12 +8,12 @@
 //! [`Fabric`] whose per-node ingress links have their own latency and
 //! bandwidth model.
 //!
-//! **Epoch-parallel stepping.** Between synchronization epochs the nodes
-//! share nothing, so [`FleetSim::run_until`] steps them concurrently with
-//! `sofa_par::par_map_mut` — one contiguous chunk of nodes per worker, no
-//! work stealing — and merges completions in node order. Results (and, with
-//! tracing on, the trace bytes: each node records into its own pid window,
-//! absorbed in node order) are bit-identical at any `SOFA_THREADS`.
+//! **Serial stepping.** Between synchronization epochs the nodes share
+//! nothing, so [`FleetSim::run_until`] steps them one after another, in
+//! node order, on the calling thread; each node appends its completions to
+//! the fleet's one buffer. Results (and, with tracing on, the trace bytes:
+//! each node records into its own pid window, absorbed in node order) do
+//! not depend on `SOFA_THREADS`.
 //!
 //! **Deliveries.** Work enters a node through [`FleetSim::submit`] with an
 //! explicit delivery timestamp (computed by the router from the fabric
@@ -159,10 +159,6 @@ pub struct NodeSim {
     /// (the per-node fabric link serializes, so the router's decision order
     /// is already delivery order).
     pending: VecDeque<Pending>,
-    /// Completion scratch refilled by [`NodeSim::run_until`] — allocated
-    /// once and reused across epochs (fleet runs step tens of thousands of
-    /// epochs, and a fresh per-epoch vector per node was pure churn).
-    done: Vec<(u64, Completion)>,
 }
 
 impl NodeSim {
@@ -170,7 +166,6 @@ impl NodeSim {
         NodeSim {
             sim: MultiPipelineSim::new(cfg, instances, params),
             pending: VecDeque::new(),
-            done: Vec::new(),
         }
     }
 
@@ -207,15 +202,12 @@ impl NodeSim {
     }
 
     /// Processes every event and delivery with timestamp strictly below
-    /// `until`, returning the node's completions in time order. Events run
-    /// before deliveries on equal timestamps — a completion at cycle `t`
-    /// frees its instance before work delivered at `t` enters, matching the
-    /// single-node serving scheduler's tie rule.
-    ///
-    /// The returned slice borrows the node's reusable scratch buffer; it is
-    /// valid until the next `run_until` call.
-    pub fn run_until(&mut self, until: u64) -> &[(u64, Completion)] {
-        self.done.clear();
+    /// `until`, appending the node's completions to `out` in time order,
+    /// tagged as node `node`. Events run before deliveries on equal
+    /// timestamps — a completion at cycle `t` frees its instance before work
+    /// delivered at `t` enters, matching the single-node serving scheduler's
+    /// tie rule.
+    pub fn run_until(&mut self, node: usize, until: u64, out: &mut Vec<FleetCompletion>) {
         loop {
             // One bound per delivery: events up to and including the next
             // delivery's cycle run first, then the delivery enters.
@@ -223,8 +215,13 @@ impl NodeSim {
             let bound = next.map_or(until, |p| p.deliver_at + 1);
             while self.sim.next_event_time().is_some_and(|e| e < bound) {
                 let step = self.sim.step().expect("event was pending");
-                if let Some(c) = step.completed {
-                    self.done.push((step.time, c));
+                if let Some(Completion { instance, request }) = step.completed {
+                    out.push(FleetCompletion {
+                        node,
+                        instance,
+                        request,
+                        time: step.time,
+                    });
                 }
             }
             if next.is_none() {
@@ -233,7 +230,6 @@ impl NodeSim {
             let p = self.pending.pop_front().expect("delivery was pending");
             self.sim.submit(p.inst, p.request, &p.job, p.deliver_at);
         }
-        &self.done
     }
 }
 
@@ -265,14 +261,14 @@ impl FleetSimReport {
 }
 
 /// `nodes` × `instances_per_node` pipeline instances, grouped into nodes
-/// with private DRAM channels, stepped epoch-parallel.
+/// with private DRAM channels, stepped serially between epochs.
 #[derive(Debug)]
 pub struct FleetSim {
     nodes: Vec<NodeSim>,
-    instances_per_node: usize,
     traced: bool,
-    /// Merged completion scratch refilled by [`FleetSim::run_until`] —
-    /// reused across epochs like the per-node buffers it gathers.
+    /// Completion scratch refilled by [`FleetSim::run_until`] — allocated
+    /// once and reused across the tens of thousands of epochs of a fleet
+    /// run.
     completions: Vec<FleetCompletion>,
 }
 
@@ -289,15 +285,9 @@ impl FleetSim {
             nodes: (0..nodes)
                 .map(|_| NodeSim::new(cfg, instances_per_node, params))
                 .collect(),
-            instances_per_node,
             traced: false,
             completions: Vec::new(),
         }
-    }
-
-    /// Instances per node.
-    pub fn instances_per_node(&self) -> usize {
-        self.instances_per_node
     }
 
     /// Queues `job` for `inst` of `node`, entering its tile streams at
@@ -319,25 +309,14 @@ impl FleetSim {
         self.nodes.iter().filter_map(|n| n.next_activity()).min()
     }
 
-    /// Runs every node up to (exclusive) `until` — in parallel, one
-    /// contiguous chunk of nodes per `sofa-par` worker — and returns the
-    /// epoch's completions grouped by node (node-major, time-ordered within
-    /// a node). The grouping is the caller-order reduction that keeps fleet
-    /// runs bit-identical at any thread count. The slice borrows the fleet's
-    /// reusable scratch buffer and is valid until the next stepping call.
+    /// Runs every node, in node order, up to (exclusive) `until` and
+    /// returns the epoch's completions grouped by node (node-major,
+    /// time-ordered within a node). The slice borrows the fleet's reusable
+    /// scratch buffer and is valid until the next stepping call.
     pub fn run_until(&mut self, until: u64) -> &[FleetCompletion] {
-        sofa_par::par_map_mut(&mut self.nodes, |_, node| {
-            node.run_until(until);
-        });
         self.completions.clear();
-        for (node, n) in self.nodes.iter().enumerate() {
-            self.completions
-                .extend(n.done.iter().map(|&(time, c)| FleetCompletion {
-                    node,
-                    instance: c.instance,
-                    request: c.request,
-                    time,
-                }));
+        for (n, node) in self.nodes.iter_mut().enumerate() {
+            node.run_until(n, until, &mut self.completions);
         }
         &self.completions
     }
@@ -455,38 +434,63 @@ mod tests {
 
     #[test]
     fn nodes_run_independently_and_deterministically_across_threads() {
+        // Nodes step serially on the calling thread, so the outcome cannot
+        // depend on the worker count; a repeated run must match exactly.
         let csim = CycleSim::new(HwConfig::small());
         let job = small_job(&csim);
-        let run = |threads: usize| {
-            sofa_par::with_threads(threads, || {
-                let mut fleet = FleetSim::new(csim.accel.config(), 3, 2, csim.params);
-                for r in 0..12u64 {
-                    fleet.submit(
-                        (r % 3) as usize,
-                        (r % 2) as usize,
-                        r,
-                        Arc::clone(&job),
-                        r * 50,
-                    );
-                }
-                let mut done: Vec<FleetCompletion> = Vec::new();
-                let mut epoch = 4096u64;
-                while fleet.next_activity().is_some() {
-                    done.extend(fleet.run_until(epoch));
-                    epoch += 4096;
-                }
-                (done, fleet.report())
-            })
+        let run = || {
+            let mut fleet = FleetSim::new(csim.accel.config(), 3, 2, csim.params);
+            for r in 0..12u64 {
+                fleet.submit(
+                    (r % 3) as usize,
+                    (r % 2) as usize,
+                    r,
+                    Arc::clone(&job),
+                    r * 50,
+                );
+            }
+            let mut done: Vec<FleetCompletion> = Vec::new();
+            let mut epoch = 4096u64;
+            while fleet.next_activity().is_some() {
+                done.extend(fleet.run_until(epoch));
+                epoch += 4096;
+            }
+            (done, fleet.report())
         };
-        let one = run(1);
-        for threads in [2usize, 8] {
-            assert_eq!(run(threads), one, "fleet diverged at {threads} threads");
-        }
+        let one = run();
+        assert_eq!(run(), one, "fleet runs diverged");
         // Three nodes really ran: each completed its requests.
         for node in &one.1.nodes {
             let reqs: usize = node.instances.iter().map(|i| i.requests).sum();
             assert_eq!(reqs, 4);
         }
+    }
+
+    #[test]
+    fn run_until_returns_completions_node_major_and_time_ordered_per_node() {
+        // Deliveries to three nodes interleave in time, so the completions
+        // interleave in time across nodes too; one epoch must still hand
+        // them back grouped by node, each node's in time order — the order
+        // the serving router folds them in.
+        let csim = CycleSim::new(HwConfig::small());
+        let job = small_job(&csim);
+        let mut fleet = FleetSim::new(csim.accel.config(), 3, 1, csim.params);
+        for r in 0..9u64 {
+            fleet.submit((r % 3) as usize, 0, r, Arc::clone(&job), r * 10);
+        }
+        let done = fleet.run_to_idle().to_vec();
+        assert_eq!(done.len(), 9);
+        let nodes: Vec<usize> = done.iter().map(|c| c.node).collect();
+        assert_eq!(nodes, [0, 0, 0, 1, 1, 1, 2, 2, 2]);
+        for group in done.chunks(3) {
+            assert!(group.windows(2).all(|w| w[0].time <= w[1].time));
+            let requests: Vec<u64> = group.iter().map(|c| c.request).collect();
+            let n = group[0].node as u64;
+            assert_eq!(requests, [n, n + 3, n + 6]);
+        }
+        // The completions really interleave in time: node-major order is
+        // not time order.
+        assert!(done.windows(2).any(|w| w[0].time > w[1].time));
     }
 
     #[test]

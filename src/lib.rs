@@ -4,7 +4,7 @@
 //! package) can reach the whole stack through one dependency:
 //!
 //! * [`par`] — deterministic scoped data-parallelism (`par_map`,
-//!   `par_chunks`, `join`) controlled by `SOFA_THREADS`.
+//!   `par_map_index`, `with_threads`) controlled by `SOFA_THREADS`.
 //! * [`tensor`] — matrices, softmax, fixed-point and deterministic RNG.
 //! * [`model`] — workload shapes, score distributions, benchmark suite.
 //! * [`core`] — the SOFA algorithms (DLZS, SADS, SU-FA, pipeline).

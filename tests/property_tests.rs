@@ -427,10 +427,10 @@ proptest! {
         use sofa_model::trace::{RequestTrace, TraceConfig};
         use sofa_serve::{FleetConfig, FleetServeSim, OpRouter};
 
-        // Nodes step in parallel between synchronization epochs, so the
-        // whole fleet report — sketches, fabric stats, per-node cycle
-        // reports — must be a pure function of (config, trace) at any
-        // SOFA_THREADS.
+        // Request lowering fans out over workers (nodes step serially
+        // between synchronization epochs), so the whole fleet report —
+        // sketches, fabric stats, per-node cycle reports — must be a pure
+        // function of (config, trace) at any SOFA_THREADS.
         let nodes = if disaggregate { nodes.max(2) } else { nodes };
         let mut tc = TraceConfig::new(16, 120.0, seed);
         tc.seq_len = 256;
