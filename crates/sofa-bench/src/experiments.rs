@@ -1644,7 +1644,7 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits), and
 /// so is `events_per_request`, which must equal its pinned value exactly
-/// (see [`fleet_mega_node_scenario`]); the wall budget gates at
+/// (see the private `fleet_mega_node_scenario`); the wall budget gates at
 /// about 3× the measured time.
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);

@@ -26,8 +26,89 @@ use sofa_model::trace::{RequestSpec, RequestTrace};
 use sofa_model::OperatingPoint;
 use sofa_sim::{CycleSim, PipelineJob};
 
-/// Waiting request ids, in arrival order.
-pub(crate) type WaitQueue = VecDeque<usize>;
+/// Waiting request ids in effective-arrival order, plus the decay
+/// frontier.
+///
+/// Both drivers push in that order: [`Intake`] hands out external events in
+/// time order, and a queued request's effective arrival is the cycle it was
+/// handed out at (a retry's is its re-arrival). [`WaitQueue::push`] asserts
+/// it. So the oldest waiting request is in the head's equal-arrival run
+/// ([`pick`]), and the requests that have waited past any threshold are a
+/// prefix of the queue ([`WaitQueue::next_overdue`]).
+#[derive(Debug, Default)]
+pub(crate) struct WaitQueue {
+    reqs: VecDeque<usize>,
+    /// Effective arrival of the last push; no push may arrive earlier.
+    last_arrival: u64,
+    /// Requests ahead of this position were already handed out by
+    /// [`WaitQueue::next_overdue`].
+    frontier: usize,
+}
+
+impl WaitQueue {
+    /// Appends `req`, whose effective arrival is `arrival`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrival` is earlier than the last push's.
+    pub(crate) fn push(&mut self, req: usize, arrival: u64) {
+        assert!(
+            arrival >= self.last_arrival,
+            "wait queue push out of arrival order: request {req} arrives at {arrival}, \
+             after a push at {}",
+            self.last_arrival
+        );
+        self.last_arrival = arrival;
+        self.reqs.push_back(req);
+    }
+
+    /// Number of waiting requests.
+    pub(crate) fn len(&self) -> usize {
+        self.reqs.len()
+    }
+
+    /// Whether no request is waiting.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.reqs.is_empty()
+    }
+
+    /// Removes and returns the request at `pos`. A removal ahead of the
+    /// decay frontier moves it back by one.
+    pub(crate) fn remove(&mut self, pos: usize) -> usize {
+        if pos < self.frontier {
+            self.frontier -= 1;
+        }
+        self.reqs.remove(pos).expect("position is in the queue")
+    }
+
+    /// The next request behind the decay frontier if it has waited at least
+    /// `threshold` cycles at `now`, moving the frontier past it. Each
+    /// request is handed out once. In arrival order the first request
+    /// younger than `threshold` ends the walk: every request behind it is
+    /// younger still.
+    pub(crate) fn next_overdue(
+        &mut self,
+        now: u64,
+        threshold: u64,
+        arrival: impl Fn(usize) -> u64,
+    ) -> Option<usize> {
+        let &req = self.reqs.get(self.frontier)?;
+        if now.saturating_sub(arrival(req)) < threshold {
+            return None;
+        }
+        self.frontier += 1;
+        Some(req)
+    }
+}
+
+impl Index<usize> for WaitQueue {
+    type Output = usize;
+
+    /// The request at position `pos`, counting from the head.
+    fn index(&self, pos: usize) -> &usize {
+        &self.reqs[pos]
+    }
+}
 
 /// One lowering as admission books it, shared by every request whose
 /// current lowering it is.
@@ -410,11 +491,11 @@ impl Intake {
 /// threshold, else the one with the smallest footprint. `arrival` and
 /// `footprint` read a request's effective arrival and booked bytes.
 ///
-/// The oldest is found by scanning every arrival in the window — pushes
-/// happen in arrival order today, but requeue paths (retry re-arrivals,
-/// adaptive re-routes) must not be able to starve an aged request by
-/// perturbing the head of the queue. The window bounds the scan cost on
-/// million-request backlogs.
+/// The oldest is the least `(arrival, id)`. [`WaitQueue::push`] asserts
+/// arrival order, so it is in the head's equal-arrival run, and only that
+/// run is read: an aged pick costs the run plus one entry, not the window.
+/// The smallest-first pick scans the window; the window bounds its cost on
+/// deep backlogs.
 ///
 /// # Panics
 ///
@@ -427,23 +508,42 @@ pub(crate) fn pick(
     arrival: impl Fn(usize) -> u64,
     footprint: impl Fn(usize) -> u64,
 ) -> usize {
-    let oldest = first_min(waiting, window, &arrival);
-    if now.saturating_sub(arrival(waiting[oldest])) >= cfg.aging_threshold {
+    let (oldest, arrived) = oldest(waiting, window, arrival);
+    if now.saturating_sub(arrived) >= cfg.aging_threshold {
         return oldest;
     }
     first_min(waiting, window, footprint)
+}
+
+/// Position and arrival of the least `(arrival, id)` among the first
+/// `window` entries of `waiting`: the least id of the head's equal-arrival
+/// run.
+fn oldest(waiting: &WaitQueue, window: usize, arrival: impl Fn(usize) -> u64) -> (usize, u64) {
+    let mut run = waiting.reqs.iter().take(window).enumerate();
+    let (mut best, &head) = run.next().expect("a non-empty queue and window");
+    let (arrived, mut best_req) = (arrival(head), head);
+    for (pos, &req) in run {
+        if arrival(req) != arrived {
+            break;
+        }
+        if req < best_req {
+            (best, best_req) = (pos, req);
+        }
+    }
+    (best, arrived)
 }
 
 /// Position of the first request with the least `(key, id)` among the
 /// first `window` entries of `waiting`.
 fn first_min(waiting: &WaitQueue, window: usize, key: impl Fn(usize) -> u64) -> usize {
     waiting
+        .reqs
         .iter()
         .take(window)
         .enumerate()
         .min_by_key(|&(_, &req)| (key(req), req))
         .map(|(pos, _)| pos)
-        .expect("waiting is non-empty")
+        .expect("a non-empty queue and window")
 }
 
 /// In-flight bookings per instance slot: the footprint bytes, request count
@@ -692,16 +792,235 @@ mod tests {
         assert_eq!((intake.attempts(0), intake.attempts(1)), (1, 1));
     }
 
+    /// A wait queue of `(id, arrival)` pushes, in order.
+    fn queue(pushes: &[(usize, u64)]) -> WaitQueue {
+        let mut waiting = WaitQueue::default();
+        for &(req, at) in pushes {
+            waiting.push(req, at);
+        }
+        waiting
+    }
+
     #[test]
     fn pick_scans_only_the_window() {
         let mut cfg = ServeConfig::new(HwConfig::small(), 1);
         cfg.aging_threshold = 100_000;
         // (arrival, footprint) of requests 0..3; the smallest is last.
         let reqs = [(10, 300), (20, 200), (30, 100)];
-        let waiting = WaitQueue::from([0, 1, 2]);
+        let waiting = queue(&[(0, 10), (1, 20), (2, 30)]);
         let pick_in = |window| pick(&cfg, 50, &waiting, window, |r| reqs[r].0, |r| reqs[r].1);
         assert_eq!(pick_in(3), 2);
         assert_eq!(pick_in(2), 1);
         assert_eq!(pick_in(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "wait queue push out of arrival order")]
+    fn wait_queue_rejects_a_push_that_arrives_before_the_last() {
+        // No driver can queue a request ahead of one that arrived later:
+        // the oldest-first pick and the decay frontier rely on it.
+        queue(&[(0, 500_000), (1, 0)]);
+    }
+
+    #[test]
+    fn aging_picks_the_least_id_of_the_heads_equal_arrival_run() {
+        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+        cfg.aging_threshold = 100_000;
+        // Requests 0..3 as (arrival, footprint). The head is request 2, a
+        // small request smallest-first picking loves; behind it at the same
+        // arrival waits request 0, the true oldest by `(arrival, id)`, large
+        // enough to lose every footprint comparison.
+        let reqs = [(0, 1_000), (50, 4), (0, 8)];
+        let waiting = queue(&[(2, 0), (0, 0), (1, 50)]);
+        let pick_at = |now| pick(&cfg, now, &waiting, 3, |r| reqs[r].0, |r| reqs[r].1);
+        assert_eq!(
+            pick_at(550_000),
+            1,
+            "the aged pick takes the least id of the head's run, not the head"
+        );
+    }
+
+    #[test]
+    fn below_the_aging_threshold_the_smallest_request_wins() {
+        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+        cfg.aging_threshold = 100_000;
+        let reqs = [(0, 1_000), (40_000, 8)];
+        let waiting = queue(&[(0, 0), (1, 40_000)]);
+        assert_eq!(
+            pick(&cfg, 50_000, &waiting, 2, |r| reqs[r].0, |r| reqs[r].1),
+            1
+        );
+    }
+
+    /// The pick as it was before the arrival order was asserted: the oldest
+    /// `(arrival, id)` and the smallest `(footprint, id)` by full scans of
+    /// the window.
+    fn pick_by_scan(
+        cfg: &ServeConfig,
+        now: u64,
+        waiting: &[usize],
+        window: usize,
+        arrival: impl Fn(usize) -> u64,
+        footprint: impl Fn(usize) -> u64,
+    ) -> usize {
+        let first_min = |key: &dyn Fn(usize) -> u64| {
+            waiting
+                .iter()
+                .take(window)
+                .enumerate()
+                .min_by_key(|&(_, &req)| (key(req), req))
+                .map(|(pos, _)| pos)
+                .expect("waiting is non-empty")
+        };
+        let oldest = first_min(&arrival);
+        if now.saturating_sub(arrival(waiting[oldest])) >= cfg.aging_threshold {
+            return oldest;
+        }
+        first_min(&footprint)
+    }
+
+    /// The decay walk as it was before the frontier: every unchecked
+    /// waiting request that has waited `threshold` cycles, in queue order,
+    /// marked in the per-request `checked` flags.
+    fn overdue_by_scan(
+        waiting: &[usize],
+        checked: &mut [bool],
+        now: u64,
+        threshold: u64,
+        arrival: impl Fn(usize) -> u64,
+    ) -> Vec<usize> {
+        let mut overdue = Vec::new();
+        for &req in waiting {
+            if checked[req] || now.saturating_sub(arrival(req)) < threshold {
+                continue;
+            }
+            checked[req] = true;
+            overdue.push(req);
+        }
+        overdue
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The head-run pick and the decay frontier choose exactly what the
+        /// full scans choose, over random arrival-ordered queues: pushes
+        /// that often share an arrival and take ids out of order, time
+        /// steps, picks over windows from 1 entry to the whole queue (each
+        /// picked request removed or left), removals at any position ahead
+        /// of and behind the frontier, footprint changes between picks and
+        /// decay walks.
+        #[test]
+        fn head_run_pick_and_decay_frontier_match_the_full_scans(
+            thresholds in (0usize..5, 0usize..4),
+            ops in proptest::collection::vec((0u8..7, 0usize..5, 0usize..5), 1..300),
+        ) {
+            const IDS: usize = 256;
+            let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+            cfg.aging_threshold = [0, 5, 50, 500, u64::MAX][thresholds.0];
+            let decay = [0, 10, 100, 1_000][thresholds.1];
+            let mut arrival = [0u64; IDS];
+            let mut footprint = [0u64; IDS];
+            let mut checked = [false; IDS];
+            let mut reference: Vec<usize> = Vec::new();
+            let mut waiting = WaitQueue::default();
+            let (mut now, mut pushed) = (0u64, 0usize);
+            for (op, a, b) in ops {
+                match op {
+                    // Push at the current time or just after it; ids step
+                    // by 97 mod 256, so an equal-arrival run holds them out
+                    // of order.
+                    0 | 1 if pushed < IDS => {
+                        now += [0, 0, 0, 1, 7][a];
+                        let req = pushed * 97 % IDS;
+                        pushed += 1;
+                        (arrival[req], footprint[req]) = (now, [1, 2, 3, 1_000, 0][b]);
+                        waiting.push(req, now);
+                        reference.push(req);
+                    }
+                    2 => now += [1, 4, 30, 300, 3_000][a],
+                    3 if !reference.is_empty() => {
+                        let window = [1, 2, 3, 8, reference.len()][a];
+                        let pos = pick(&cfg, now, &waiting, window, |r| arrival[r], |r| footprint[r]);
+                        let expect = pick_by_scan(
+                            &cfg, now, &reference, window, |r| arrival[r], |r| footprint[r],
+                        );
+                        proptest::prop_assert_eq!(pos, expect);
+                        if b < 3 {
+                            proptest::prop_assert_eq!(waiting.remove(pos), reference.remove(pos));
+                        }
+                    }
+                    4 if !reference.is_empty() => {
+                        let pos = (a * 7 + b) % reference.len();
+                        proptest::prop_assert_eq!(waiting.remove(pos), reference.remove(pos));
+                    }
+                    5 => {
+                        let expect =
+                            overdue_by_scan(&reference, &mut checked, now, decay, |r| arrival[r]);
+                        let mut overdue = Vec::new();
+                        while let Some(req) = waiting.next_overdue(now, decay, |r| arrival[r]) {
+                            overdue.push(req);
+                        }
+                        proptest::prop_assert_eq!(overdue, expect);
+                    }
+                    6 if !reference.is_empty() => {
+                        let req = reference[a % reference.len()];
+                        footprint[req] = [1, 2, 3, 1_000, 0][b];
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(waiting.len(), reference.len());
+            }
+        }
+    }
+
+    #[test]
+    fn aged_picks_and_the_decay_frontier_read_a_constant_per_decision() {
+        // A 10,000-request backlog arriving in equal-arrival runs of 4, each
+        // run pushed in descending id order. Time keeps pace with the
+        // admissions, so the head has always aged and the decay frontier
+        // runs a fixed distance ahead of it, with a long young tail behind.
+        const N: usize = 10_000;
+        const RUN: usize = 4;
+        const DECISION_READS: u64 = RUN as u64 + 3;
+        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+        cfg.aging_threshold = 1_000;
+        let decay = 500;
+        let at = |req: usize| (req / RUN) as u64 * 10;
+        let reads = std::cell::Cell::new(0u64);
+        let arrival = |req| {
+            reads.set(reads.get() + 1);
+            at(req)
+        };
+        let footprint = |req: usize| {
+            reads.set(reads.get() + 1);
+            req as u64
+        };
+        let mut waiting = WaitQueue::default();
+        for run in 0..N / RUN {
+            for req in (run * RUN..(run + 1) * RUN).rev() {
+                waiting.push(req, at(req));
+            }
+        }
+        for admitted in 0..N {
+            let now = at(admitted) + cfg.aging_threshold;
+            while waiting.next_overdue(now, decay, arrival).is_some() {}
+            let pos = pick(&cfg, now, &waiting, waiting.len(), arrival, footprint);
+            assert_eq!(
+                waiting.remove(pos),
+                admitted,
+                "the oldest request goes first"
+            );
+        }
+        assert!(waiting.is_empty());
+        // Per decision: the head's run plus one entry for the pick, and one
+        // read where the decay walk stops; each request passes the frontier
+        // once.
+        let bound = N as u64 * DECISION_READS + N as u64;
+        assert!(
+            reads.get() <= bound,
+            "{} arrival and footprint reads for {N} decisions (bound {bound})",
+            reads.get()
+        );
     }
 }

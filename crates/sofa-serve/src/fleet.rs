@@ -3,13 +3,14 @@
 //!
 //! [`ServeSim`](crate::ServeSim) schedules one node — `N` instances
 //! behind one shared DRAM channel. [`FleetServeSim`] scales that out:
-//! requests are routed across [`FleetConfig::nodes`] nodes (each a full
-//! [`sofa_sim::NodeSim`] with a private DRAM channel), reaching their node
-//! through an inter-node [`Fabric`] whose per-node ingress links add
-//! serialization and latency to every placement. Placement is least-booked
-//! across the whole fleet, with optional **prefill/decode
-//! disaggregation**: prefills pin to one node pool, decodes to the other,
-//! spilling over only when their pool has no capacity at all.
+//! requests are routed across [`FleetConfig::nodes`] nodes of a
+//! [`sofa_sim::FleetSim`] (each a full [`sofa_sim::MultiPipelineSim`] with
+//! a private DRAM channel), reaching their node through an inter-node
+//! [`Fabric`] whose per-node ingress links add serialization and latency
+//! to every placement. Placement is least-booked across the whole fleet,
+//! with optional **prefill/decode disaggregation**: prefills pin to one
+//! node pool, decodes to the other, spilling over only when their pool has
+//! no capacity at all.
 //!
 //! **Epoch-synchronized.** The router interacts with the simulation only at
 //! multiples of [`FleetConfig::epoch_cycles`]: each epoch, every node's
@@ -534,7 +535,7 @@ impl FleetServeSim {
         }
 
         let mut state = RouterState {
-            waiting: WaitQueue::new(),
+            waiting: WaitQueue::default(),
             bookings: Bookings::new(self.cfg.total_instances()),
             requests_per_node: vec![0; self.cfg.nodes],
             latency: QuantileSketch::new(),
@@ -580,7 +581,7 @@ impl FleetServeSim {
                 match arrival {
                     Arrival::Queued { req, attempt } => {
                         retried += u64::from(attempt > 0);
-                        state.waiting.push_back(req);
+                        state.waiting.push(req, table.arrival[req]);
                     }
                     Arrival::BackedOff { .. } => {}
                     Arrival::Shed { .. } => shed += 1,

@@ -26,8 +26,8 @@
 //!   per-request Pareto routing (`sofa_dse::DseReport`), for side-by-side
 //!   latency/energy comparison.
 //! * [`fleet`] — [`FleetServeSim`]: sharded serving across many nodes
-//!   (each a private-DRAM `sofa_sim::NodeSim`) joined by an inter-node
-//!   fabric; epoch-synchronized least-booked placement with optional
+//!   (each a private-DRAM node of `sofa_sim::FleetSim`) joined by an
+//!   inter-node fabric; epoch-synchronized least-booked placement with optional
 //!   prefill/decode disaggregation, reporting streaming-sketch percentiles
 //!   ([`FleetReport`]) so million-request traces stay cheap.
 //!

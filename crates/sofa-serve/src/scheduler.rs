@@ -534,7 +534,7 @@ impl ServeSim {
                             state.retried += 1;
                             state.note(req, now, AdaptiveKind::Retry(attempt));
                         }
-                        state.waiting.push_back(req);
+                        state.waiting.push(req, table.arrival[req]);
                         sample_waiting(obs, now, &state.waiting);
                     }
                     Arrival::BackedOff { req, attempt } => {
@@ -684,9 +684,10 @@ impl ServeSim {
     }
 
     /// Re-lowers every waiting request that has waited past the decay
-    /// threshold to the router's decay target, at most once per request.
-    /// With an energy budget, a decay that would break the budget is
-    /// rejected (the request keeps its current lowering).
+    /// threshold to the router's decay target, at most once per request:
+    /// the wait queue's decay frontier passes each request once. With an
+    /// energy budget, a decay that would break the budget is rejected (the
+    /// request keeps its current lowering).
     fn decay_waiting(
         &self,
         now: u64,
@@ -699,12 +700,10 @@ impl ServeSim {
         let Some(threshold) = self.cfg.decay_threshold else {
             return;
         };
-        for pos in 0..state.waiting.len() {
-            let req = state.waiting[pos];
-            if state.decay_checked[req] || now.saturating_sub(table.arrival[req]) < threshold {
-                continue;
-            }
-            state.decay_checked[req] = true;
+        while let Some(req) = state
+            .waiting
+            .next_overdue(now, threshold, |r| table.arrival[r])
+        {
             let spec = &table.specs[req];
             let Some(target) = router.decay_target(spec.class) else {
                 continue;
@@ -903,8 +902,6 @@ struct AdmissionState {
     completed_at: Vec<u64>,
     /// Whether the decay threshold re-lowered the request while it waited.
     decayed: Vec<bool>,
-    /// Decay was evaluated (possibly rejected); guards repeated re-lowering.
-    decay_checked: Vec<bool>,
     /// Pressure level of the request's current lowering (feedback router).
     level: Vec<u8>,
     /// Retry re-arrivals admitted back into the wait queue.
@@ -922,14 +919,13 @@ struct AdmissionState {
 impl AdmissionState {
     fn new(instances: usize, requests: usize) -> Self {
         AdmissionState {
-            waiting: WaitQueue::new(),
+            waiting: WaitQueue::default(),
             bookings: Bookings::new(instances),
             energy_pj: vec![0.0; instances],
             placed_on: vec![usize::MAX; requests],
             admitted_at: vec![u64::MAX; requests],
             completed_at: vec![u64::MAX; requests],
             decayed: vec![false; requests],
-            decay_checked: vec![false; requests],
             level: vec![0; requests],
             retried: 0,
             events: Vec::new(),
@@ -1290,29 +1286,6 @@ mod tests {
         let lossy_lean = entry(0.05, 8, 0.30, 40, 2.0e7);
         let reference = entry(0.25, 16, 0.12, 130, 7.0e7);
         ParetoFront::new(&[keep_parity, heavy_fast, lossy_lean], &reference)
-    }
-
-    #[test]
-    fn aging_scans_for_the_true_oldest_not_just_the_head() {
-        // Regression: `pick` used to age only `waiting[0]`, so a requeue
-        // (retry re-arrival, adaptive re-route) that left a fresh request at
-        // the head let smallest-first picking starve the true oldest forever.
-        let mut cfg = small_cfg(1);
-        cfg.aging_threshold = 100_000;
-        // Requests 0 and 1 as (arrival, footprint); the head of the queue
-        // is a fresh, small request smallest-first picking loves, behind it the true
-        // oldest, large enough to lose every footprint comparison.
-        let waiting = WaitQueue::from([0, 1]);
-        let pick = |now: u64, reqs: [(u64, u64); 2]| {
-            admission::pick(&cfg, now, &waiting, 2, |r| reqs[r].0, |r| reqs[r].1)
-        };
-        assert_eq!(
-            pick(550_000, [(500_000, 8), (0, 1_000)]),
-            1,
-            "the starved request must be aged even when it is not the head"
-        );
-        // Below the threshold the smallest request still wins.
-        assert_eq!(pick(50_000, [(40_000, 8), (0, 1_000)]), 0);
     }
 
     #[test]

@@ -248,6 +248,11 @@ impl DramChannel {
     /// Panics if the request's port does not exist, or if `now` precedes the
     /// stamp of a request already queued on the port (per-port stamps must
     /// be nondecreasing for the aged pick to find the oldest request).
+    ///
+    /// Always inlined, like [`crate::event::EventQueue::push`]: out of line,
+    /// the caller spills the request with 8-byte stores and this reloads
+    /// two of its fields with one 16-byte load, which stalls.
+    #[inline(always)]
     pub fn enqueue(&mut self, req: DramRequest, now: u64) {
         assert!(req.port < self.queues.len(), "no such DRAM port");
         let queue = &mut self.queues[req.port];
@@ -263,17 +268,29 @@ impl DramChannel {
         });
         if self.aging() {
             let key = (now, req.port);
-            let entry = (now, req.port, self.enqueued[req.port]);
             if self.order.back().is_none_or(|&(at, p, _)| (at, p) <= key) {
-                self.order.push_back(entry);
+                self.order
+                    .push_back((now, req.port, self.enqueued[req.port]));
             } else {
-                let at = self.order.partition_point(|&(at, p, _)| (at, p) <= key);
-                self.order.insert(at, entry);
+                self.insert_order(now, req.port);
             }
         }
         self.enqueued[req.port] += 1;
         self.nonempty[req.port / 64] |= 1 << (req.port % 64);
         self.queued += 1;
+    }
+
+    /// Inserts the aging-index entry of `port`'s next request, stamped
+    /// `now`, where it sorts before the back. Out of line and given the
+    /// entry's fields in registers: built in memory for this rare path, the
+    /// entry would be reloaded on the common append path with a 16-byte
+    /// load of two 8-byte stores, which stalls.
+    #[cold]
+    #[inline(never)]
+    fn insert_order(&mut self, now: u64, port: usize) {
+        let key = (now, port);
+        let at = self.order.partition_point(|&(at, p, _)| (at, p) <= key);
+        self.order.insert(at, (now, port, self.enqueued[port]));
     }
 
     /// The port an aged request would be served from: the queue head with

@@ -152,8 +152,9 @@ struct Pending {
 }
 
 /// One fleet node: a [`MultiPipelineSim`] plus its in-flight deliveries.
+/// Only [`FleetSim`] builds and steps nodes.
 #[derive(Debug)]
-pub struct NodeSim {
+pub(crate) struct NodeSim {
     sim: MultiPipelineSim,
     /// Deliveries not yet applied, in non-decreasing `deliver_at` order
     /// (the per-node fabric link serializes, so the router's decision order
@@ -175,7 +176,13 @@ impl NodeSim {
     /// # Panics
     ///
     /// Panics if `deliver_at` precedes an already-queued delivery.
-    pub fn submit_at(&mut self, inst: usize, request: u64, job: Arc<PipelineJob>, deliver_at: u64) {
+    pub(crate) fn submit_at(
+        &mut self,
+        inst: usize,
+        request: u64,
+        job: Arc<PipelineJob>,
+        deliver_at: u64,
+    ) {
         if let Some(back) = self.pending.back() {
             assert!(
                 deliver_at >= back.deliver_at,
@@ -192,7 +199,7 @@ impl NodeSim {
 
     /// Earliest future activity: the next simulation event or pending
     /// delivery.
-    pub fn next_activity(&self) -> Option<u64> {
+    pub(crate) fn next_activity(&self) -> Option<u64> {
         let ev = self.sim.next_event_time();
         let sub = self.pending.front().map(|p| p.deliver_at);
         match (ev, sub) {
@@ -207,7 +214,7 @@ impl NodeSim {
     /// timestamps — a completion at cycle `t` frees its instance before work
     /// delivered at `t` enters, matching the single-node serving scheduler's
     /// tie rule.
-    pub fn run_until(&mut self, node: usize, until: u64, out: &mut Vec<FleetCompletion>) {
+    pub(crate) fn run_until(&mut self, node: usize, until: u64, out: &mut Vec<FleetCompletion>) {
         loop {
             // One bound per delivery: events up to and including the next
             // delivery's cycle run first, then the delivery enters.
