@@ -493,9 +493,9 @@ impl Intake {
 ///
 /// The oldest is the least `(arrival, id)`. [`WaitQueue::push`] asserts
 /// arrival order, so it is in the head's equal-arrival run, and only that
-/// run is read: an aged pick costs the run plus one entry, not the window.
-/// The smallest-first pick scans the window; the window bounds its cost on
-/// deep backlogs.
+/// run is read: an aged pick reads the head, its run and the entry behind
+/// it, not the window. The smallest-first pick scans the window; the
+/// window bounds its cost on deep backlogs.
 ///
 /// # Panics
 ///
@@ -519,18 +519,14 @@ pub(crate) fn pick(
 /// `window` entries of `waiting`: the least id of the head's equal-arrival
 /// run.
 fn oldest(waiting: &WaitQueue, window: usize, arrival: impl Fn(usize) -> u64) -> (usize, u64) {
-    let mut run = waiting.reqs.iter().take(window).enumerate();
-    let (mut best, &head) = run.next().expect("a non-empty queue and window");
-    let (arrived, mut best_req) = (arrival(head), head);
-    for (pos, &req) in run {
-        if arrival(req) != arrived {
-            break;
-        }
-        if req < best_req {
-            (best, best_req) = (pos, req);
-        }
-    }
-    (best, arrived)
+    let arrived = arrival(waiting[0]);
+    let run = waiting.reqs.iter().take(window);
+    let (pos, _) = run
+        .take_while(|&&req| arrival(req) == arrived)
+        .enumerate()
+        .min_by_key(|&(_, &req)| req)
+        .expect("a non-empty queue and window");
+    (pos, arrived)
 }
 
 /// Position of the first request with the least `(key, id)` among the
@@ -1013,9 +1009,9 @@ mod tests {
             );
         }
         assert!(waiting.is_empty());
-        // Per decision: the head's run plus one entry for the pick, and one
-        // read where the decay walk stops; each request passes the frontier
-        // once.
+        // Per decision: the head, its run and the entry behind it for the
+        // pick, and one read where the decay walk stops; each request
+        // passes the frontier once.
         let bound = N as u64 * DECISION_READS + N as u64;
         assert!(
             reads.get() <= bound,
