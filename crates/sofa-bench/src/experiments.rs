@@ -33,7 +33,7 @@ use sofa_serve::{
     AdaptiveServeConfig, AdaptiveServeStudy, FeedbackConfig, FleetConfig, FleetReport,
     FleetServeSim, OpRouter, RetryPolicy, RoutedServeStudy, ServeConfig, ServeReport, ServeSim,
 };
-use sofa_sim::{CycleSim, MultiPipelineSim, PipelineJob};
+use sofa_sim::{CoreWork, CycleSim, MultiPipelineSim, PipelineJob};
 use sofa_tensor::seeded_rng;
 
 /// A compact workload used by the algorithm-level experiments: large enough to
@@ -1643,9 +1643,11 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 ///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits), and
-/// so is `events_per_request`, which must equal its pinned value exactly
-/// (see the private `fleet_mega_node_scenario`); the wall budget gates at
-/// about 3× the measured time.
+/// so are the node event core's work counts per request, each of which must
+/// equal its pinned value exactly (see the private
+/// `fleet_mega_node_scenario`): events, stage wake-ups, stage starts and
+/// DRAM issues. The DRAM pumps and aged issues per request are reported
+/// beside them. The wall budget gates at about 3× the measured time.
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let trace = fleet_trace(1_000_000, 400.0, 31);
     let cfg = fleet_config(8, 8);
@@ -1653,8 +1655,9 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
     let (wall, (report, stats)) = best_wall_seconds(1, || {
         sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
     });
-    let (node_events, _) = fleet_mega_node_scenario();
-    let events_per_request = node_events as f64 / NODE_REQUESTS as f64;
+    let (node_events, _, work) = fleet_mega_node_scenario();
+    let per_request = |count: u64| count as f64 / NODE_REQUESTS as f64;
+    let events_per_request = per_request(node_events);
     let mut t = Table::new(
         "Perf  Fleet 1M-request wall time + per-node lowering-cache hit rate",
         &[
@@ -1665,6 +1668,11 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
             "misses",
             "hit rate",
             "events/req",
+            "wake-ups/req",
+            "starts/req",
+            "DRAM pumps/req",
+            "DRAM issues/req",
+            "aged/req",
         ],
     );
     t.push([
@@ -1675,6 +1683,11 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         stats.misses.to_string(),
         format!("{:.1}%", 100.0 * stats.hit_rate()),
         events_per_request.to_string(),
+        per_request(work.wakeups).to_string(),
+        per_request(work.starts).to_string(),
+        per_request(work.dram_pumps).to_string(),
+        per_request(work.dram_issues).to_string(),
+        format!("{:.2}", per_request(work.aged_issues)),
     ]);
     crate::ExperimentOutput::of_tables(vec![t])
         .with_scalar("served", report.served as f64)
@@ -1682,6 +1695,17 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         .with_scalar("hit_rate_floor", 0.5)
         .with_scalar("events_per_request", events_per_request)
         .with_scalar("events_per_request_pinned", 65.0)
+        .with_scalar("wakeups_per_request", per_request(work.wakeups))
+        .with_scalar("wakeups_per_request_pinned", 32.0)
+        .with_scalar("starts_per_request", per_request(work.starts))
+        .with_scalar("starts_per_request_pinned", 32.0)
+        .with_scalar("dram_issues_per_request", per_request(work.dram_issues))
+        .with_scalar("dram_issues_per_request_pinned", 17.0)
+        .with_scalar("dram_pumps_per_request", per_request(work.dram_pumps))
+        .with_scalar(
+            "dram_aged_issues_per_request",
+            per_request(work.aged_issues),
+        )
         .with_scalar("wall_seconds", wall)
 }
 
@@ -1702,10 +1726,11 @@ fn fleet_mega_node_job() -> PipelineJob {
 /// of [`fleet_mega_node_job`], with bursts, idle gaps and same-cycle
 /// arrivals, each submitted to the least-backlogged of the node's 8
 /// instances and stepped through [`MultiPipelineSim::step`]. Returns the
-/// events processed and the requests completed. Each request costs 32
-/// `StageDone`, 17 `DramFree` and 16 read `DramDone` events however they
-/// interleave, so the mean per request is an exact count.
-fn fleet_mega_node_scenario() -> (u64, usize) {
+/// events processed, the requests completed and the event core's work
+/// counters. Each request costs 32 `StageDone`, 17 `DramFree` and 16 read
+/// `DramDone` events however they interleave, so the mean per request is an
+/// exact count; so are its 32 stage starts and 17 DRAM issues.
+fn fleet_mega_node_scenario() -> (u64, usize, CoreWork) {
     let cfg = fleet_config(8, 8).serve;
     let job = fleet_mega_node_job();
     let mut sim = MultiPipelineSim::new(&cfg.hw, cfg.instances, cfg.sim);
@@ -1725,7 +1750,7 @@ fn fleet_mega_node_scenario() -> (u64, usize) {
         events += 1;
     }
     let completed = sim.report().instances.iter().map(|i| i.requests).sum();
-    (events, completed)
+    (events, completed, sim.work())
 }
 
 /// Experiment — wall time of one fresh hardware-aware DSE search (the
@@ -1789,9 +1814,14 @@ mod tests {
         assert_eq!(count(|w| w.kv_read_bytes), 8);
         assert_eq!(count(|w| w.extra_formal_read_bytes), 0, "RASS: no refetch");
         assert_eq!(count(|w| w.write_bytes), 1);
-        let (events, completed) = fleet_mega_node_scenario();
+        let (events, completed, work) = fleet_mega_node_scenario();
         assert_eq!(completed as u64, NODE_REQUESTS);
         assert_eq!(events, 65 * NODE_REQUESTS);
+        // Every stage of every tile starts once, woken once: no stage is
+        // woken in vain. Every request's 16 reads and 1 writeback issue.
+        assert_eq!(work.starts, 32 * NODE_REQUESTS);
+        assert_eq!(work.wakeups, work.starts);
+        assert_eq!(work.dram_issues, 17 * NODE_REQUESTS);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! A missing or unknown experiment exits 2 with one `sofa-bench: …` line. A
 //! malformed, unknown, repeated or ignored flag (a scale flag without
 //! `--requests`) and a scale that fails validation exit 2 with one
-//! `<experiment>: …` line, before anything runs or is written.
+//! `<experiment>: …` line, before anything runs or is written. An artifact
+//! path that cannot be written exits 1 with one `<experiment>: …` line.
 
 use sofa_bench::experiments::{serve_fleet_scaled, validate_fleet_scale};
 use sofa_bench::registry;
@@ -59,7 +60,7 @@ fn main() {
                 )],
                 None => (entry.run)().tables,
             };
-            print_and_write(&tables, json.as_deref());
+            print_and_write(entry.name, &tables, json.as_deref());
         }
         "serve_trace" => {
             let paths = parse_path_flags(flags, ["--trace", "--metrics"])
@@ -68,14 +69,14 @@ fn main() {
             print!("{}", out.texts["summary"]);
             for (path, text) in paths.iter().zip(["trace", "metrics"]) {
                 if let Some(path) = path {
-                    write_text_artifact(path, &out.texts[text]);
+                    write_text_artifact(entry.name, path, &out.texts[text]);
                 }
             }
         }
         _ => {
             let [json] =
                 parse_path_flags(flags, ["--json"]).unwrap_or_else(|e| usage_error(entry.name, &e));
-            print_and_write(&(entry.run)().tables, json.as_deref());
+            print_and_write(entry.name, &(entry.run)().tables, json.as_deref());
         }
     }
 }
@@ -198,29 +199,30 @@ fn usage_error(prefix: &str, message: &str) -> ! {
 }
 
 /// Writes `text` to `path`, creating parent directories, and echoes the
-/// path on stderr.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-fn write_text_artifact(path: &Path, text: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
+/// path on stderr. A path that cannot be written (its parent is a regular
+/// file, a directory is read-only, …) is reported as one `<prefix>: …` line
+/// on stderr and exits with code 1.
+fn write_text_artifact(prefix: &str, path: &Path, text: &str) {
+    let written = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
     }
-    std::fs::write(path, text).expect("write artifact");
+    .and_then(|()| std::fs::write(path, text));
+    if let Err(e) = written {
+        eprintln!("{prefix}: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
     eprintln!("wrote {}", path.display());
 }
 
 /// Prints `tables` to stdout (blank-line separated) and, given a `--json`
 /// path, also writes them there as one JSON array ([`tables_to_json`]).
-fn print_and_write(tables: &[Table], json: Option<&Path>) {
+fn print_and_write(prefix: &str, tables: &[Table], json: Option<&Path>) {
     for t in tables {
         t.print();
         println!();
     }
     if let Some(path) = json {
-        write_text_artifact(path, &tables_to_json(tables));
+        write_text_artifact(prefix, path, &tables_to_json(tables));
     }
 }

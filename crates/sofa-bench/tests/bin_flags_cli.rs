@@ -2,6 +2,8 @@
 //! unknown experiment exits with code 2 and one `sofa-bench: …` line; an
 //! unknown, repeated or valueless flag exits with code 2 and one
 //! `<experiment>: …` line. Either way nothing runs, prints or is written.
+//! An artifact path that cannot be written exits with code 1 and one
+//! `<experiment>: …` line instead of a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -114,4 +116,27 @@ fn json_flag_writes_the_tables() {
     assert!(!out.stdout.is_empty(), "the table is printed");
     let json = std::fs::read_to_string(&path).expect("artifact written");
     assert!(json.starts_with("[{\"title\":"), "{json}");
+}
+
+#[test]
+fn unwritable_artifact_paths_exit_1_with_one_line() {
+    let dir = scratch_dir("bin_flags_unwritable");
+    let file = dir.join("file");
+    std::fs::write(&file, "a regular file").expect("create the blocking file");
+    let under_file = file.join("out.json");
+    let under_file = under_file.to_str().unwrap();
+    for args in [
+        &["table3_area_power", "--json", under_file][..],
+        &["serve_trace", "--trace", under_file],
+    ] {
+        let out = sofa_bench(args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("{}: cannot write {under_file}: ", args[0])),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }

@@ -171,7 +171,9 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
 /// per-layer keep ratios enter as IEEE-754 bit patterns so two points that
 /// differ in any layer's keep — e.g. an attempt-shrunk retry keep — can never
 /// collide, while bit-identical floats always do.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The default key is empty: a buffer for [`ShapeKey::refill`].
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ShapeKey {
     class: u8,
     queries: usize,
@@ -185,15 +187,31 @@ pub struct ShapeKey {
 impl ShapeKey {
     /// Build the key for lowering `spec` at `op`.
     pub fn new(spec: &RequestSpec, op: &OperatingPoint) -> Self {
-        Self {
-            class: spec.class as u8,
-            queries: spec.queries,
-            seq_len: spec.seq_len,
-            hidden: spec.hidden,
-            heads: spec.heads,
-            keeps: op.keeps().iter().map(|k| k.to_bits()).collect(),
-            tiles: op.tiles().to_vec(),
-        }
+        let mut key = Self::default();
+        key.refill(spec, op.keeps().iter().copied(), op.tiles());
+        key
+    }
+
+    /// Rebuilds the key in place for lowering `spec` at the per-layer
+    /// `keeps` and `tiles`, reusing its buffers: a loop that keys many
+    /// requests through one reused key allocates only when the key
+    /// outgrows them. Refilled from an operating point's keeps and tiles,
+    /// it equals [`ShapeKey::new`] of that point.
+    pub fn refill(
+        &mut self,
+        spec: &RequestSpec,
+        keeps: impl IntoIterator<Item = f64>,
+        tiles: &[usize],
+    ) {
+        self.class = spec.class as u8;
+        self.queries = spec.queries;
+        self.seq_len = spec.seq_len;
+        self.hidden = spec.hidden;
+        self.heads = spec.heads;
+        self.keeps.clear();
+        self.keeps.extend(keeps.into_iter().map(f64::to_bits));
+        self.tiles.clear();
+        self.tiles.extend_from_slice(tiles);
     }
 }
 
@@ -273,6 +291,22 @@ mod tests {
         let a = OperatingPoint::uniform(0.25, 16, 4);
         let b = OperatingPoint::uniform(0.25, 32, 4);
         assert_ne!(ShapeKey::new(&s, &a), ShapeKey::new(&s, &b));
+    }
+
+    #[test]
+    fn refilled_keys_equal_new_keys() {
+        let mut key = ShapeKey::default();
+        for (s, op) in [
+            (spec(4), OperatingPoint::uniform(0.25, 16, 4)),
+            (
+                spec(64),
+                OperatingPoint::new(vec![0.5, 0.2], vec![32, 16]).unwrap(),
+            ),
+            (spec(1), OperatingPoint::single(0.1, 64)),
+        ] {
+            key.refill(&s, op.keeps().iter().copied(), op.tiles());
+            assert_eq!(key, ShapeKey::new(&s, &op));
+        }
     }
 
     #[test]

@@ -324,13 +324,20 @@ pub(crate) fn lower_trace<'t>(
     let mut seen: HashMap<ShapeKey, usize> = HashMap::new();
     let mut index = Vec::with_capacity(specs.len());
     let mut reps: Vec<usize> = Vec::new();
+    // One key, refilled per request: a request that shares a
+    // representative allocates nothing; only a new key is cloned.
+    let (mut key, mut routed) = (ShapeKey::default(), [None, None]);
     for (i, spec) in specs.iter().enumerate() {
         let rep = if cache.enabled() {
-            let op = router.pick(&cfg.op, spec);
-            *seen.entry(ShapeKey::new(spec, &op)).or_insert_with(|| {
-                reps.push(i);
-                reps.len() - 1
-            })
+            router.refill_key(&cfg.op, spec, &mut key, &mut routed);
+            match seen.get(&key) {
+                Some(&rep) => rep,
+                None => {
+                    reps.push(i);
+                    seen.insert(key.clone(), reps.len() - 1);
+                    reps.len() - 1
+                }
+            }
         } else {
             reps.push(i);
             reps.len() - 1

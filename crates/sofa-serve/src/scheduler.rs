@@ -65,7 +65,7 @@
 use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
 
-use sofa_core::cache::CacheStats;
+use sofa_core::cache::{CacheStats, ShapeKey};
 use sofa_dse::ParetoFront;
 use sofa_hw::config::HwConfig;
 use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
@@ -214,6 +214,31 @@ impl OpRouter<'_> {
             OpRouter::Fixed(op) => (*op).clone(),
             OpRouter::Pareto(front) | OpRouter::Feedback(front, _) => front.route(&spec.class),
         }
+    }
+
+    /// Refills `key` with the key of lowering `spec` at the point
+    /// [`Self::pick`] assigns it, without building that point: trace-native
+    /// keys read the deployment tiling and the request's keep, a fixed
+    /// point is borrowed, and a front routes by request class alone, so
+    /// `routed` holds each class's point after its first pick.
+    pub(crate) fn refill_key(
+        &self,
+        deployment: &OperatingPoint,
+        spec: &RequestSpec,
+        key: &mut ShapeKey,
+        routed: &mut [Option<OperatingPoint>; 2],
+    ) {
+        let op: &OperatingPoint = match self {
+            OpRouter::TraceNative => {
+                let keeps = std::iter::repeat_n(spec.keep_ratio, deployment.layers());
+                return key.refill(spec, keeps, deployment.tiles());
+            }
+            OpRouter::Fixed(op) => op,
+            OpRouter::Pareto(front) | OpRouter::Feedback(front, _) => {
+                routed[spec.class as usize].get_or_insert_with(|| front.route(&spec.class))
+            }
+        };
+        key.refill(spec, op.keeps().iter().copied(), op.tiles());
     }
 
     /// The leaner point an over-budget request is re-routed to, when the
@@ -1286,6 +1311,27 @@ mod tests {
         let lossy_lean = entry(0.05, 8, 0.30, 40, 2.0e7);
         let reference = entry(0.25, 16, 0.12, 130, 7.0e7);
         ParetoFront::new(&[keep_parity, heavy_fast, lossy_lean], &reference)
+    }
+
+    #[test]
+    fn refilled_keys_equal_the_keys_of_picked_points() {
+        // The dedup pass keys each request through one reused key; every
+        // router must give the key of the point it picks.
+        let trace = small_trace(64, 400.0, 23);
+        let front = adaptive_front();
+        let fixed = OperatingPoint::new(vec![0.3, 0.2], vec![32, 16]).unwrap();
+        let deployment = small_cfg(1).op;
+        for router in [
+            OpRouter::TraceNative,
+            OpRouter::Fixed(&fixed),
+            OpRouter::Pareto(&front),
+        ] {
+            let (mut key, mut routed) = (ShapeKey::default(), [None, None]);
+            for spec in &trace.requests {
+                router.refill_key(&deployment, spec, &mut key, &mut routed);
+                assert_eq!(key, ShapeKey::new(spec, &router.pick(&deployment, spec)));
+            }
+        }
     }
 
     #[test]

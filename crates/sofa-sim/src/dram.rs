@@ -24,35 +24,38 @@
 //! outliers for whole requests.
 //!
 //! The aged pick reads an ordered index instead of the port queues:
-//! `order` holds one `(stamp, port, ordinal)` entry per queued request,
-//! sorted by `(stamp, port)`, and an entry is live while its per-port
-//! ordinal has not been issued yet (`ordinal >= issued[port]`). Per-port
-//! enqueue stamps never decrease (asserted in [`DramChannel::enqueue`]),
-//! because requests arrive in simulated-time order, so each port's oldest
-//! live entry is its queue head. The pick drops dead entries off the front;
-//! the front is then the oldest pending request, lowest port on equal
-//! stamps — the same choice as a scan of every queue front, in O(1)
-//! amortised per issue. Enqueues arrive in time order and almost always
-//! append; an entry that sorts before the back (a lower port at the same
-//! cycle, or a stamp older than the back, which the per-port contract
-//! allows across ports) is inserted at its place. The index is kept only
-//! while aging is on — without aging it would never be read nor drained —
-//! and is cleared whenever the queues drain.
+//! `order` holds one `(stamp, port)` key per queued request, in
+//! nondecreasing order. Per-port enqueue stamps never decrease (asserted in
+//! [`DramChannel::enqueue`]), because requests arrive in simulated-time
+//! order, so each port's oldest request is its queue head. A key is live
+//! while its port's head carries its stamp. The pick drops dead keys off
+//! the front; the front is then the least `(stamp, port)` of any queue
+//! head: the oldest pending request, lowest port on equal stamps. That is
+//! the choice a scan of every queue front makes, in O(1) amortised per
+//! issue. The liveness test reads the head the issue pops anyway, so the
+//! index needs no per-port counters. A port with several requests at one
+//! stamp has as many equal keys, and the pick cannot tell them apart, nor
+//! needs to. An aged issue drops the front key at once: it is the issued
+//! head's own. Enqueues arrive in time order and almost always append; a
+//! key that sorts before the back (a lower port at the same cycle, or a
+//! stamp older than the back, which the per-port contract allows across
+//! ports) is inserted at its place. The index is kept only while aging is
+//! on — without aging it would never be read nor drained — and is cleared
+//! whenever the queues drain.
 //!
 //! Two smaller savings on the issue path. Port queues hold a 40-byte
 //! `Queued` entry, the public request without its port (the queue index),
-//! instead of a 48-byte `(DramRequest, u64)`. And each stage remembers its
-//! last `(bytes, cycles)` transfer time, so an issue that repeats its
-//! stage's last size skips the float division; on the repository
-//! benchmark's workloads 67–84% of issues do.
+//! instead of a 48-byte `(DramRequest, u64)`. And a 64-slot memo,
+//! direct-mapped by a hash of the transfer size, remembers recent
+//! `(bytes, cycles)` transfer times, so an issue of a recent size skips the
+//! float division and the `ceil` call. Request sizes come from a few
+//! lowered request shapes, so nearly every issue hits.
 //!
 //! This is the contention the analytic model's `max(compute, memory)` folds
 //! away — and the reason the cycle simulator can report *which* stage was
 //! starved.
 
 use std::collections::VecDeque;
-
-use crate::sim::STAGES;
 
 /// Calibrates the per-request command occupancy ([`DramChannel`]'s
 /// `command_cycles`) against the burst-latency model instead of hardwiring a
@@ -85,6 +88,15 @@ pub fn calibrate_dram_command_cycles(burst_latency: u64, bytes_per_cycle: f64) -
     .into_iter()
     .min_by_key(|&c| ((c + transfer + burst_latency).abs_diff(target), c))
     .expect("candidate sweep is non-empty")
+}
+
+/// Slots of the transfer-time memo.
+const MEMO_SLOTS: usize = 64;
+
+/// The memo slot of a `bytes`-byte transfer: the top bits of a Fibonacci
+/// hash, so sizes that differ only in low bits still spread.
+fn memo_slot(bytes: u64) -> usize {
+    (bytes.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 /// One queued DRAM request.
@@ -142,18 +154,14 @@ pub struct DramChannel {
     /// (`u64::MAX` disables aging).
     age_threshold: u64,
     queues: Vec<VecDeque<Queued>>,
-    /// Aging index: `(stamp, port, ordinal)` of every queued request in
-    /// nondecreasing `(stamp, port)` order, plus dead entries (already
-    /// issued) not yet dropped off the front. Empty while aging is off.
-    order: VecDeque<(u64, usize, u64)>,
-    /// Requests ever enqueued on each port — the next entry's ordinal.
-    enqueued: Vec<u64>,
-    /// Requests ever issued from each port: an `order` entry is live while
-    /// its ordinal is at least this.
-    issued: Vec<u64>,
-    /// Last `(bytes, channel cycles)` issued per stage (`stage % STAGES`):
-    /// a hit skips the float division of the transfer time.
-    transfer_memo: [(u64, u64); STAGES],
+    /// Aging index: a `(stamp, port)` key per queued request, in
+    /// nondecreasing order, plus dead keys not yet dropped off the front.
+    /// Empty while aging is off.
+    order: VecDeque<(u64, usize)>,
+    /// `(bytes, channel cycles)` of recent transfers, direct-mapped by a
+    /// hash of the size: a hit skips the float division and the `ceil`
+    /// call of the transfer time.
+    transfer_memo: [(u64, u64); MEMO_SLOTS],
     /// One bit per port, set while the port's queue is non-empty — the
     /// round-robin pick reads these words instead of touching every queue.
     nonempty: Vec<u64>,
@@ -219,10 +227,8 @@ impl DramChannel {
             age_threshold,
             queues: (0..ports).map(|_| VecDeque::new()).collect(),
             order: VecDeque::new(),
-            enqueued: vec![0; ports],
-            issued: vec![0; ports],
             // Zero bytes transfer in zero cycles, so the empty slot is exact.
-            transfer_memo: [(0, command_cycles); STAGES],
+            transfer_memo: [(0, command_cycles); MEMO_SLOTS],
             nonempty: vec![0; ports.div_ceil(64)],
             queued: 0,
             next_port: 0,
@@ -268,48 +274,46 @@ impl DramChannel {
         });
         if self.aging() {
             let key = (now, req.port);
-            if self.order.back().is_none_or(|&(at, p, _)| (at, p) <= key) {
-                self.order
-                    .push_back((now, req.port, self.enqueued[req.port]));
+            if self.order.back().is_none_or(|&back| back <= key) {
+                self.order.push_back(key);
             } else {
                 self.insert_order(now, req.port);
             }
         }
-        self.enqueued[req.port] += 1;
         self.nonempty[req.port / 64] |= 1 << (req.port % 64);
         self.queued += 1;
     }
 
-    /// Inserts the aging-index entry of `port`'s next request, stamped
-    /// `now`, where it sorts before the back. Out of line and given the
-    /// entry's fields in registers: built in memory for this rare path, the
-    /// entry would be reloaded on the common append path with a 16-byte
-    /// load of two 8-byte stores, which stalls.
+    /// Inserts the aging-index key of `port`'s next request, stamped `now`,
+    /// where it sorts before the back. Out of line and given the key's
+    /// fields in registers: built in memory for this rare path, the key
+    /// would be reloaded on the common append path with a 16-byte load of
+    /// two 8-byte stores, which stalls.
     #[cold]
     #[inline(never)]
     fn insert_order(&mut self, now: u64, port: usize) {
         let key = (now, port);
-        let at = self.order.partition_point(|&(at, p, _)| (at, p) <= key);
-        self.order.insert(at, (now, port, self.enqueued[port]));
+        let at = self.order.partition_point(|&entry| entry <= key);
+        self.order.insert(at, key);
     }
 
     /// The port an aged request would be served from: the queue head with
     /// the longest wait, if it is at or beyond the threshold, ties broken
-    /// by the lowest port so arbitration stays deterministic. Drops issued
-    /// entries off the front of `order` first; the front is then the live
-    /// entry with the least `(stamp, port)`, which is that port's head.
+    /// by the lowest port so arbitration stays deterministic. Drops dead
+    /// keys off the front of `order` first: a key is dead when its port's
+    /// head is not stamped with it. The front is then the least
+    /// `(stamp, port)` of any queue head.
     fn aged_port(&mut self, now: u64) -> Option<usize> {
         if !self.aging() {
             return None;
         }
-        while let Some(&(_, port, ordinal)) = self.order.front() {
-            if ordinal >= self.issued[port] {
-                break;
+        while let Some(&(at, port)) = self.order.front() {
+            if self.queues[port].front().is_some_and(|head| head.at == at) {
+                return (now.saturating_sub(at) >= self.age_threshold).then_some(port);
             }
             self.order.pop_front();
         }
-        let &(oldest, port, _) = self.order.front()?;
-        (now.saturating_sub(oldest) >= self.age_threshold).then_some(port)
+        None
     }
 
     /// First port with queued work in cyclic order starting at `start`,
@@ -322,7 +326,11 @@ impl DramChannel {
             return Some(w0 * 64 + first.trailing_zeros() as usize);
         }
         for k in 1..=nwords {
-            let i = (w0 + k) % nwords;
+            let i = if w0 + k < nwords {
+                w0 + k
+            } else {
+                w0 + k - nwords
+            };
             let word = if i == w0 {
                 // Wrapped back around: only the ports below `start` remain.
                 self.nonempty[i] & !(!0u64 << b0)
@@ -341,12 +349,24 @@ impl DramChannel {
     /// timing. The caller is responsible for scheduling the returned
     /// `free_at` / `done_at` events and for calling [`DramChannel::release`]
     /// at `free_at`.
+    #[inline]
     pub fn try_issue(&mut self, now: u64) -> Option<Issued> {
         if self.busy || self.queued == 0 {
             return None;
         }
+        self.issue(now)
+    }
+
+    /// [`Self::try_issue`] past its check for a busy or empty channel, out
+    /// of line: about half the pumps find the channel busy, and those cost
+    /// a branch instead of a call.
+    #[inline(never)]
+    fn issue(&mut self, now: u64) -> Option<Issued> {
         let ports = self.queues.len();
         let pick = if let Some(aged) = self.aged_port(now) {
+            // The front key is the issued head's own: drop it now rather
+            // than as a dead key at the next pick.
+            self.order.pop_front();
             self.aged_issues += 1;
             Some(aged)
         } else {
@@ -358,14 +378,14 @@ impl DramChannel {
         if queue.is_empty() {
             self.nonempty[port / 64] &= !(1 << (port % 64));
         }
-        self.issued[port] += 1;
         self.queued -= 1;
         if self.queued == 0 {
             // Every index entry is dead once nothing is queued.
             self.order.clear();
         }
-        self.next_port = (port + 1) % ports;
-        let slot = &mut self.transfer_memo[q.stage % STAGES];
+        // A compare, not a `%`: the division would run on every issue.
+        self.next_port = if port + 1 == ports { 0 } else { port + 1 };
+        let slot = &mut self.transfer_memo[memo_slot(q.bytes)];
         if slot.0 != q.bytes {
             *slot = (
                 q.bytes,
@@ -424,6 +444,11 @@ impl DramChannel {
     /// Cycles the channel spent transferring data.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
+    }
+
+    /// Requests issued so far.
+    pub(crate) fn issues(&self) -> u64 {
+        self.issued_requests
     }
 
     /// How many issues were decided by aging rather than round-robin.
@@ -793,19 +818,20 @@ mod tests {
     }
 
     #[test]
-    fn transfer_memo_is_per_stage_and_exact() {
+    fn transfer_memo_is_exact() {
         let mut ch = DramChannel::with_timing(8, 3.0, 0, u64::MAX, 7);
-        // Repeated, alternating and zero sizes on stages sharing and not
-        // sharing a memo slot: every issue equals the direct expression.
-        for (k, (port, bytes)) in [(0, 10), (0, 10), (1, 11), (0, 10), (4, 0), (5, 11), (4, 9)]
-            .into_iter()
-            .enumerate()
-        {
+        // Repeated, alternating and zero sizes, then four times as many
+        // distinct sizes as memo slots, twice over, so sizes evict each
+        // other: every issue equals the direct expression.
+        let sizes = [10, 10, 11, 10, 0, 11, 9].into_iter();
+        let spread = (0..4 * MEMO_SLOTS as u64).map(|k| k * 97 % 5000);
+        for (k, bytes) in sizes.chain(spread.clone()).chain(spread).enumerate() {
+            let port = k % 8;
             ch.enqueue(req(port, k, bytes), 0);
             let issued = ch.try_issue(0).unwrap();
             ch.release();
             let expect = 7 + (bytes as f64 / 3.0).ceil() as u64;
-            assert_eq!(issued.free_at, expect, "{bytes} B on stage {}", port % 4);
+            assert_eq!(issued.free_at, expect, "{bytes} B");
             assert_eq!(issued.request, req(port, k, bytes));
         }
     }

@@ -59,6 +59,6 @@ pub mod tracks;
 
 pub use dram::calibrate_dram_command_cycles;
 pub use fleet::{Fabric, FabricParams, FabricReport, FleetCompletion, FleetSim, FleetSimReport};
-pub use multi::{Completion, InstanceActivity, MultiPipelineSim, MultiReport, Step};
+pub use multi::{Completion, CoreWork, InstanceActivity, MultiPipelineSim, MultiReport, Step};
 pub use report::{CycleComparison, CycleReport, DramActivity, StageActivity, TimelineEntry};
 pub use sim::{CycleSim, PipelineJob, SimParams};

@@ -18,6 +18,34 @@
 //! (see [`SimParams::dram_age_threshold`]), so no instance's fetch stream
 //! can starve indefinitely behind another's bulk transfers.
 //!
+//! Stage starts are **readiness-driven**. A stage starts its next tile once
+//! five constraints hold: the stage is idle, the tile has been submitted,
+//! its input bank is ready, its DRAM operand has arrived and its output
+//! bank has a free slot. Each instance keeps, per stage, the set of those
+//! constraints still open for the stage's next tile (`Instance::open`).
+//! An event clears exactly the constraints it resolves, and a stage is
+//! woken — its start path entered — only when an event empties its set:
+//!
+//! * `DramDone(s, t)` resolves stage `s`'s operand if `t` is its next tile;
+//! * `StageDone(s, t)` frees stage `s`, frees a slot in stage `s − 1`'s
+//!   output bank, readies stage `s + 1`'s input if `t` is its next tile,
+//!   and, through a zero-byte operand fetch, may resolve stage `s + 1`'s
+//!   operand;
+//! * a submission gives work to the stages that had run out of it.
+//!
+//! A start opens the constraints of the stage's following tile. The bank
+//! constraints come from the stage counters alone: a boundary's bank holds
+//! the tiles its producer started and its consumer has not finished. The
+//! stages an event wakes are woken in ascending stage order. Every start
+//! pushes a `StageDone`, and equal-time events pop in push order, so this
+//! order is part of the output.
+//!
+//! Every stage start is therefore a wake-up, and no stage is polled in
+//! vain; [`MultiPipelineSim::work`] counts both beside the report
+//! ([`CoreWork`]). A test-only polling core — the sweep this design
+//! replaced, which tried every stage an event might have freed — is the
+//! differential reference.
+//!
 //! Determinism: the event queue breaks timestamp ties FIFO, instances are
 //! scanned in index order, and the channel arbitrates deterministically —
 //! two runs over the same submissions are bit-identical.
@@ -89,7 +117,7 @@ impl TileSlot {
 }
 
 /// An entry of an instance's tile ring: one in-flight tile and its operand
-/// stamps, in one row so `try_start` reads both from the same cache lines.
+/// stamps, in one row so a start reads both from the same cache lines.
 #[derive(Debug)]
 struct Row {
     slot: TileSlot,
@@ -102,6 +130,19 @@ struct Row {
 /// `read_done` stamp of an operand fetch that has not arrived yet (a flat
 /// sentinel keeps the stamps at 32 bytes; `Option<u64>` would double them).
 const NOT_ARRIVED: u64 = u64::MAX;
+
+/// The constraints a stage's next tile must clear before the stage can
+/// start it, one bit each in [`Instance::open`]: the stage is still on its
+/// previous tile,
+const BUSY: u8 = 1 << 0;
+/// the tile has not been submitted,
+const NO_WORK: u8 = 1 << 1;
+/// its input bank is not ready (never set on the prediction stage),
+const INPUT: u8 = 1 << 2;
+/// its DRAM operand has not arrived,
+const OPERAND: u8 = 1 << 3;
+/// or the stage's output bank is full (never set on the formal stage).
+const OUTPUT: u8 = 1 << 4;
 
 /// Per-instance pipeline state: stream of tiles, buffer pool, stage status.
 ///
@@ -121,9 +162,13 @@ struct Instance {
     tiles: VecDeque<Row>,
     /// Stream position of `tiles[0]`: the tiles retired so far.
     base: usize,
-    buffers: Vec<PingPongBuffer>,
+    buffers: [PingPongBuffer; STAGES - 1],
     busy: [bool; STAGES],
     next_tile: [usize; STAGES],
+    /// Per stage, the constraints of `next_tile` still open (see [`BUSY`]).
+    /// Kept exact: every event that resolves one clears its bit, and a
+    /// start recomputes the set for the stage's following tile.
+    open: [u8; STAGES],
     idle_since: [u64; STAGES],
     /// Tiles whose stage-0 key-stream read has been issued (prefetch window).
     pred_issued: usize,
@@ -135,11 +180,10 @@ impl Instance {
         Instance {
             tiles: VecDeque::new(),
             base: 0,
-            buffers: (0..STAGES - 1)
-                .map(|_| PingPongBuffer::new(SimParams::BUFFER_DEPTH))
-                .collect(),
+            buffers: std::array::from_fn(|_| PingPongBuffer::new(SimParams::BUFFER_DEPTH)),
             busy: [false; STAGES],
             next_tile: [0; STAGES],
+            open: [NO_WORK; STAGES],
             idle_since: [0; STAGES],
             pred_issued: 0,
             acts: [StageActivity::default(); STAGES],
@@ -155,6 +199,68 @@ impl Instance {
     /// The tile at stream position `tile` (must not be retired).
     fn row(&mut self, tile: usize) -> &mut Row {
         &mut self.tiles[tile - self.base]
+    }
+
+    /// Tiles `stage` has finished: started, and not still running.
+    fn finished(&self, stage: usize) -> usize {
+        self.next_tile[stage] - usize::from(self.busy[stage])
+    }
+
+    /// The constraints of `stage`'s next tile that are still open. The
+    /// banks need no lookup: a boundary's bank holds the tiles its producer
+    /// started and its consumer has not finished, and the next tile's input
+    /// bank is ready once the producer finished the tile (while the stage
+    /// still drains the tile ahead, that bank is the second oldest; the
+    /// stage's own `StageDone` makes it the oldest).
+    fn open_constraints(&self, stage: usize) -> u8 {
+        let tile = self.next_tile[stage];
+        let mut open = 0;
+        if self.busy[stage] {
+            open |= BUSY;
+        }
+        if stage < STAGES - 1 && tile - self.finished(stage + 1) >= SimParams::BUFFER_DEPTH {
+            open |= OUTPUT;
+        }
+        debug_assert_eq!(
+            open & OUTPUT != 0,
+            stage < STAGES - 1 && !self.buffers[stage].has_free_slot()
+        );
+        if tile >= self.stream_len() {
+            return open | NO_WORK;
+        }
+        if stage > 0 && self.finished(stage - 1) <= tile {
+            open |= INPUT;
+        }
+        debug_assert_eq!(
+            open & INPUT != 0,
+            stage > 0 && !self.buffers[stage - 1].is_ready(tile)
+        );
+        if self.tiles[tile - self.base].read_done[stage] == NOT_ARRIVED {
+            open |= OPERAND;
+        }
+        open
+    }
+
+    /// Clears `bit` from `stage`'s open set when `tile` is the stage's next
+    /// tile (a constraint of a later tile is not open yet).
+    #[inline]
+    fn resolve(&mut self, stage: usize, tile: usize, bit: u8) {
+        if self.next_tile[stage] == tile {
+            self.open[stage] &= !bit;
+        }
+    }
+
+    /// Whether `stage` can start its next tile, checked the way the polling
+    /// core checked it before every start attempt: idle, work present,
+    /// input bank ready (the oldest bank, holding the tile), operand
+    /// arrived, output bank free.
+    fn startable(&self, stage: usize) -> bool {
+        let tile = self.next_tile[stage];
+        !self.busy[stage]
+            && tile < self.stream_len()
+            && (stage == 0 || self.buffers[stage - 1].ready_time(tile).is_some())
+            && self.tiles[tile - self.base].read_done[stage] != NOT_ARRIVED
+            && (stage == STAGES - 1 || self.buffers[stage].has_free_slot())
     }
 
     /// Pops tile `tile`, the oldest in flight, once the formal stage has
@@ -232,6 +338,25 @@ pub struct MultiReport {
     pub dram_mean_queue_wait: f64,
 }
 
+/// Host-side work of the event core, counted beside [`MultiReport`] rather
+/// than in it, so the report's `Debug` rendering (and every digest built on
+/// it) does not change. The counts are deterministic: equal submissions and
+/// steps give equal counts on any host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    /// Stage wake-ups: calls into the start path. A stage is woken only
+    /// when an event resolved the last open constraint of its next tile.
+    pub wakeups: u64,
+    /// Stage starts (one `StageDone` event each).
+    pub starts: u64,
+    /// Attempts to issue the next DRAM request.
+    pub dram_pumps: u64,
+    /// DRAM requests issued.
+    pub dram_issues: u64,
+    /// DRAM issues decided by priority aging rather than round-robin.
+    pub aged_issues: u64,
+}
+
 /// `N` pipeline instances over one shared DRAM channel.
 #[derive(Debug)]
 pub struct MultiPipelineSim {
@@ -248,6 +373,9 @@ pub struct MultiPipelineSim {
     /// Every stage start in start order, when recording is on (`None` by
     /// default). `CycleSim` turns it on to build `CycleReport::timeline`.
     pub(crate) timeline: Option<Vec<TimelineEntry>>,
+    wakeups: u64,
+    starts: u64,
+    dram_pumps: u64,
 }
 
 impl MultiPipelineSim {
@@ -277,6 +405,9 @@ impl MultiPipelineSim {
             pid_base: 0,
             dram_pid: PID_SHARED_DRAM,
             timeline: None,
+            wakeups: 0,
+            starts: 0,
+            dram_pumps: 0,
         }
     }
 
@@ -364,6 +495,24 @@ impl MultiPipelineSim {
     ///
     /// Panics if `inst` does not exist or `job` has no tiles.
     pub fn submit(&mut self, inst: usize, request: u64, job: &PipelineJob, now: u64) {
+        self.append(inst, request, job, now);
+        // The new tiles are the next tiles of the stages that had run out of
+        // work: open their constraints, then wake every stage in order.
+        let ins = &mut self.instances[inst];
+        for s in 0..STAGES {
+            if ins.open[s] & NO_WORK != 0 {
+                ins.open[s] = ins.open_constraints(s);
+            }
+        }
+        for s in 0..STAGES {
+            self.wake(inst, s, now);
+        }
+    }
+
+    /// The part of [`Self::submit`] before any stage is woken: appends the
+    /// tiles, restarts the idle clocks of drained stages and issues the
+    /// key-stream prefetch.
+    fn append(&mut self, inst: usize, request: u64, job: &PipelineJob, now: u64) {
         assert!(inst < self.instances.len(), "no such instance");
         assert!(!job.work.is_empty(), "cannot submit an empty job");
         let stage_was_drained: [bool; STAGES] = {
@@ -385,7 +534,6 @@ impl MultiPipelineSim {
             }
         }
         self.pump_prefetch(inst, now);
-        self.try_start_all(inst, now);
     }
 
     /// Timestamp of the next pending event, if any.
@@ -415,10 +563,12 @@ impl MultiPipelineSim {
                 tile,
             } => {
                 let (instance, stage) = (instance as usize, usize::from(stage));
-                self.instances[instance].row(tile).read_done[stage] = now;
-                // Operand arrival only relaxes the receiving stage's read
-                // constraint — the other stages cannot newly start.
-                self.try_start(instance, stage, now);
+                let ins = &mut self.instances[instance];
+                ins.row(tile).read_done[stage] = now;
+                // Operand arrival resolves only the receiving stage's
+                // constraint, and only if the tile is that stage's next.
+                ins.resolve(stage, tile, OPERAND);
+                self.wake(instance, stage, now);
                 None
             }
         };
@@ -437,6 +587,17 @@ impl MultiPipelineSim {
             }
         }
         done
+    }
+
+    /// The event core's host-side work so far (see [`CoreWork`]).
+    pub fn work(&self) -> CoreWork {
+        CoreWork {
+            wakeups: self.wakeups,
+            starts: self.starts,
+            dram_pumps: self.dram_pumps,
+            dram_issues: self.dram.issues(),
+            aged_issues: self.dram.aged_issues(),
+        }
     }
 
     /// Snapshot of the run's accounting.
@@ -478,10 +639,12 @@ impl MultiPipelineSim {
     }
 
     fn issue_read(&mut self, inst: usize, stage: usize, tile: usize, now: u64) {
-        let row = self.instances[inst].row(tile);
+        let ins = &mut self.instances[inst];
+        let row = ins.row(tile);
         let bytes = row.slot.read_bytes[stage];
         if bytes == 0 {
             row.read_done[stage] = now;
+            ins.resolve(stage, tile, OPERAND);
             return;
         }
         self.dram.enqueue(
@@ -497,7 +660,12 @@ impl MultiPipelineSim {
         self.pump_dram(now);
     }
 
+    /// Issues the next DRAM request if the channel is free and schedules
+    /// its events. Always inlined: about half the pumps find the channel
+    /// busy, and inlined they cost a branch rather than a call.
+    #[inline(always)]
     fn pump_dram(&mut self, now: u64) {
+        self.dram_pumps += 1;
         if let Some(issued) = self.dram.try_issue(now) {
             self.queue.push(issued.free_at, MultiEvent::DramFree);
             let req = issued.request;
@@ -532,12 +700,16 @@ impl MultiPipelineSim {
         {
             let ins = &mut self.instances[inst];
             ins.busy[stage] = false;
+            ins.open[stage] &= !BUSY;
             ins.idle_since[stage] = now;
             if stage > 0 {
                 ins.buffers[stage - 1].release(tile, now);
+                // The upstream stage's output bank has a free slot again.
+                ins.open[stage - 1] &= !OUTPUT;
             }
             if stage < STAGES - 1 {
                 ins.buffers[stage].mark_ready(tile, now);
+                ins.resolve(stage + 1, tile, INPUT);
             }
         }
         if stage > 0 && self.obs.is_enabled() {
@@ -574,60 +746,62 @@ impl MultiPipelineSim {
             }
             _ => unreachable!(),
         }
-        // A StageDone only relaxes constraints of its neighbourhood: the
-        // stage itself went idle, the upstream stage's output bank gained a
-        // free slot, the downstream stage's input bank gained a ready tile
-        // (and a zero-byte operand fetch issued above resolves downstream
-        // immediately). Stages further away cannot newly start, and the
-        // starts are mutually independent, so skipping them is
-        // behaviour-identical to the full scan.
-        for s in stage.saturating_sub(1)..=(stage + 1).min(STAGES - 1) {
-            self.try_start(inst, s, now);
+        // A StageDone resolves constraints only in its neighbourhood: the
+        // upstream stage's full output bank, the stage's own busy bit, the
+        // downstream stage's input bank and, through a zero-byte fetch
+        // issued above, its operand. Wake them in stage order: each start
+        // pushes a `StageDone`, and equal-time events pop in push order.
+        if stage > 0 {
+            self.wake(inst, stage - 1, now);
+        }
+        self.wake(inst, stage, now);
+        if stage < STAGES - 1 {
+            self.wake(inst, stage + 1, now);
         }
         completed
     }
 
-    fn try_start_all(&mut self, inst: usize, now: u64) {
-        for s in 0..STAGES {
-            self.try_start(inst, s, now);
+    /// Starts `stage` of `inst` if its open set is empty: the event just
+    /// handled resolved the last constraint of the stage's next tile. The
+    /// open sets are exact, so an empty set means the tile can start and a
+    /// non-empty one that it cannot.
+    #[inline]
+    fn wake(&mut self, inst: usize, stage: usize, now: u64) {
+        if self.instances[inst].open[stage] == 0 {
+            self.wakeups += 1;
+            self.start(inst, stage, now);
         }
     }
 
-    fn try_start(&mut self, inst: usize, stage: usize, now: u64) {
+    /// Starts `stage` of `inst` on its next tile, whose constraints have all
+    /// resolved, and opens the constraints of the tile after it.
+    #[inline(never)]
+    fn start(&mut self, inst: usize, stage: usize, now: u64) {
         let ins = &mut self.instances[inst];
-        if ins.busy[stage] {
-            return;
-        }
         let tile = ins.next_tile[stage];
-        if tile >= ins.stream_len() {
-            return;
-        }
-        // Input bank ready? (The prediction stage reads the raw key stream.)
+        debug_assert!(
+            ins.startable(stage),
+            "woke stage {stage} of instance {inst} in vain"
+        );
+        // When the input bank became ready (the prediction stage reads the
+        // raw key stream), when the operand arrived and when the output bank
+        // last freed a slot: the three stamps the stall attribution reads.
         let input_at = if stage == 0 {
             0
         } else {
-            match ins.buffers[stage - 1].ready_time(tile) {
-                Some(t) => t,
-                None => return,
-            }
+            ins.buffers[stage - 1]
+                .ready_time(tile)
+                .expect("an empty open set has a ready input bank")
         };
-        // Operand data arrived from DRAM?
         let row = ins.row(tile);
         let (read_at, dur, request) = (
             row.read_done[stage],
             row.slot.cycles[stage],
             row.slot.request,
         );
-        if read_at == NOT_ARRIVED {
-            return;
-        }
-        // Downstream bank free to fill?
         let out_at = if stage == STAGES - 1 {
             0
         } else {
-            if !ins.buffers[stage].has_free_slot() {
-                return;
-            }
             ins.buffers[stage].last_release_time()
         };
 
@@ -655,9 +829,11 @@ impl MultiPipelineSim {
         ins.acts[stage].tiles += 1;
         if stage < STAGES - 1 {
             ins.buffers[stage].reserve(tile, now);
-            if self.obs.is_enabled() {
-                self.sample_bank(inst, stage, now);
-            }
+        }
+        ins.open[stage] = ins.open_constraints(stage);
+        self.starts += 1;
+        if stage < STAGES - 1 && self.obs.is_enabled() {
+            self.sample_bank(inst, stage, now);
         }
         if self.obs.is_enabled() {
             if waited > 0 {
@@ -986,6 +1162,310 @@ mod tests {
             report.instances[0].buffer_occupancy,
             [0.1848977814499291, 1.7200629724328127, 0.18436184585152351]
         );
+    }
+
+    impl MultiPipelineSim {
+        /// Asserts the readiness invariant between events: every stage's
+        /// open set equals the one read afresh from the pipeline state, and
+        /// no stage is left startable (an empty set would have started it).
+        fn assert_settled(&self) {
+            for (i, ins) in self.instances.iter().enumerate() {
+                for s in 0..STAGES {
+                    assert_eq!(
+                        ins.open[s],
+                        ins.open_constraints(s),
+                        "instance {i} stage {s}"
+                    );
+                    assert!(!ins.startable(s), "instance {i} stage {s} left startable");
+                }
+            }
+        }
+    }
+
+    /// The event core before readiness-driven starts, kept as the
+    /// differential reference: every event polls the stages it might have
+    /// freed (`try_start` on `s − 1`, `s` and `s + 1` after a `StageDone`,
+    /// on the receiving stage after a `DramDone`, on all four after a
+    /// submission) and `try_start` checks every constraint itself. It
+    /// drives the state of an inner [`MultiPipelineSim`] (whose open sets
+    /// it never reads), shares its tile appends, DRAM pumping and operand
+    /// fetches, and always records the timeline. Untraced.
+    struct PollingCore {
+        sim: MultiPipelineSim,
+    }
+
+    impl PollingCore {
+        fn new(cfg: &HwConfig, instances: usize, params: SimParams) -> Self {
+            let mut sim = MultiPipelineSim::new(cfg, instances, params);
+            sim.timeline = Some(Vec::new());
+            PollingCore { sim }
+        }
+
+        fn submit(&mut self, inst: usize, request: u64, job: &PipelineJob, now: u64) {
+            self.sim.append(inst, request, job, now);
+            for s in 0..STAGES {
+                self.try_start(inst, s, now);
+            }
+        }
+
+        fn step(&mut self) -> Option<Step> {
+            let (now, ev) = self.sim.queue.pop()?;
+            self.sim.end_time = self.sim.end_time.max(now);
+            let mut completed = None;
+            match ev {
+                MultiEvent::StageDone {
+                    instance,
+                    stage,
+                    tile,
+                } => {
+                    completed = self.on_stage_done(instance as usize, usize::from(stage), tile, now)
+                }
+                MultiEvent::DramFree => {
+                    self.sim.dram.release();
+                    self.sim.pump_dram(now);
+                }
+                MultiEvent::DramDone {
+                    instance,
+                    stage,
+                    tile,
+                } => {
+                    let (instance, stage) = (instance as usize, usize::from(stage));
+                    self.sim.instances[instance].row(tile).read_done[stage] = now;
+                    self.try_start(instance, stage, now);
+                }
+            }
+            Some(Step {
+                time: now,
+                completed,
+            })
+        }
+
+        fn on_stage_done(
+            &mut self,
+            inst: usize,
+            stage: usize,
+            tile: usize,
+            now: u64,
+        ) -> Option<Completion> {
+            let ins = &mut self.sim.instances[inst];
+            ins.busy[stage] = false;
+            ins.idle_since[stage] = now;
+            if stage > 0 {
+                ins.buffers[stage - 1].release(tile, now);
+            }
+            if stage < STAGES - 1 {
+                ins.buffers[stage].mark_ready(tile, now);
+            }
+            let mut completed = None;
+            match stage {
+                0 => self.sim.pump_prefetch(inst, now),
+                1 | 2 => self.sim.issue_read(inst, stage + 1, tile, now),
+                _ => {
+                    let slot = self.sim.instances[inst].retire(tile);
+                    if slot.write_bytes > 0 {
+                        let write = DramRequest {
+                            port: inst * STAGES + 3,
+                            stage: 3,
+                            tile,
+                            bytes: slot.write_bytes,
+                            write: true,
+                        };
+                        self.sim.dram.enqueue(write, now);
+                        self.sim.pump_dram(now);
+                    }
+                    if slot.last {
+                        self.sim.requests_completed[inst] += 1;
+                        completed = Some(Completion {
+                            instance: inst,
+                            request: slot.request,
+                        });
+                    }
+                }
+            }
+            for s in stage.saturating_sub(1)..=(stage + 1).min(STAGES - 1) {
+                self.try_start(inst, s, now);
+            }
+            completed
+        }
+
+        fn try_start(&mut self, inst: usize, stage: usize, now: u64) {
+            let ins = &mut self.sim.instances[inst];
+            if ins.busy[stage] {
+                return;
+            }
+            let tile = ins.next_tile[stage];
+            if tile >= ins.stream_len() {
+                return;
+            }
+            let input_at = if stage == 0 {
+                0
+            } else {
+                match ins.buffers[stage - 1].ready_time(tile) {
+                    Some(t) => t,
+                    None => return,
+                }
+            };
+            let row = ins.row(tile);
+            let (read_at, dur) = (row.read_done[stage], row.slot.cycles[stage]);
+            if read_at == NOT_ARRIVED {
+                return;
+            }
+            let out_at = if stage == STAGES - 1 {
+                0
+            } else {
+                if !ins.buffers[stage].has_free_slot() {
+                    return;
+                }
+                ins.buffers[stage].last_release_time()
+            };
+            let waited = now - ins.idle_since[stage];
+            if waited > 0 {
+                if read_at >= input_at && read_at >= out_at {
+                    ins.acts[stage].stall_dram += waited;
+                } else if input_at >= out_at {
+                    ins.acts[stage].stall_input += waited;
+                } else {
+                    ins.acts[stage].stall_output += waited;
+                }
+            }
+            ins.busy[stage] = true;
+            ins.next_tile[stage] = tile + 1;
+            ins.acts[stage].busy += dur;
+            ins.acts[stage].tiles += 1;
+            if stage < STAGES - 1 {
+                ins.buffers[stage].reserve(tile, now);
+            }
+            self.sim.starts += 1;
+            let end = now + dur;
+            let timeline = self.sim.timeline.as_mut().expect("the reference records");
+            timeline.push(TimelineEntry {
+                stage,
+                tile,
+                start: now,
+                end,
+            });
+            self.sim.queue.push(
+                end,
+                MultiEvent::StageDone {
+                    instance: inst as u32,
+                    stage: stage as u8,
+                    tile,
+                },
+            );
+        }
+    }
+
+    /// A job of `tiles` tiles cut from `base` (cycling through its tiles),
+    /// with each tile's DRAM bytes and stage cycles redrawn from `bits`:
+    /// zero and nonzero reads on every fetching stage, the formal-stage
+    /// refetch of a job without RASS, writebacks on any tile.
+    fn redrawn_job(base: &PipelineJob, tiles: usize, mut bits: u64) -> PipelineJob {
+        let mut draw = |n: u64| {
+            bits = bits
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (bits >> 33) % n
+        };
+        let (mut work, mut cycles) = (Vec::new(), Vec::new());
+        for i in 0..tiles {
+            let mut w = base.work[i % base.work.len()];
+            w.pred_read_bytes = [0, w.pred_read_bytes, 64, 20_000][draw(4) as usize];
+            w.kv_read_bytes = [0, w.kv_read_bytes, 512][draw(3) as usize];
+            w.extra_formal_read_bytes = [0, 0, 4096, 100][draw(4) as usize];
+            w.write_bytes = [0, 0, 0, 2048][draw(4) as usize];
+            work.push(w);
+            cycles.push(std::array::from_fn(|s| {
+                [1, 7, 64, 300, base.cycles[i % base.cycles.len()][s]][draw(5) as usize]
+            }));
+        }
+        PipelineJob { work, cycles }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random submission streams on 1–8 instances, with same-cycle
+        /// arrivals, short and idle gaps, submissions before and after the
+        /// events of their own cycle, redrawn zero and nonzero reads and
+        /// stage times, aging off, on every cycle and at the serving
+        /// threshold, and zero or calibrated command cycles: the
+        /// readiness-driven core steps, completes, reports and starts
+        /// exactly like the polling core, and after every event and
+        /// submission no stage is left startable.
+        #[test]
+        fn readiness_core_matches_the_polling_core(
+            shape in (1usize..9, 0usize..3, 0usize..3, 0usize..2),
+            subs in proptest::collection::vec((0usize..8, 0usize..5, 1usize..7, 0u64..u64::MAX), 1..40),
+        ) {
+            let (instances, aging, latency, command) = shape;
+            let sim = CycleSim::new(HwConfig::small());
+            let mut params = sim.params;
+            params.burst_latency = [0, 1, 64][latency];
+            params.dram_age_threshold = [u64::MAX, 1, 4 * 64][aging];
+            params.dram_command_cycles = [0, 32][command];
+            let base = sim.job(&AttentionTask::new(16, 256, 256, 4, 0.25, 32), None);
+            let mut ready = MultiPipelineSim::new(sim.accel.config(), instances, params);
+            ready.timeline = Some(Vec::new());
+            let mut polling = PollingCore::new(sim.accel.config(), instances, params);
+            let mut at = 0u64;
+            let mut steps = Vec::new();
+            for (r, (inst, gap, tiles, bits)) in subs.into_iter().enumerate() {
+                at += [0, 0, 50, 2_000, 200_000][gap];
+                // Odd draws submit ahead of the events of their own cycle.
+                let before = |t: u64| if bits & 1 == 0 { t <= at } else { t < at };
+                loop {
+                    let next = ready.next_event_time();
+                    proptest::prop_assert_eq!(next, polling.sim.next_event_time());
+                    if !next.is_some_and(before) {
+                        break;
+                    }
+                    let step = ready.step();
+                    proptest::prop_assert_eq!(step, polling.step());
+                    steps.extend(step);
+                    if cfg!(debug_assertions) {
+                        ready.assert_settled();
+                    }
+                }
+                let job = redrawn_job(&base, tiles, bits);
+                ready.submit(inst % instances, r as u64, &job, at);
+                polling.submit(inst % instances, r as u64, &job, at);
+                if cfg!(debug_assertions) {
+                    ready.assert_settled();
+                }
+            }
+            loop {
+                let step = ready.step();
+                proptest::prop_assert_eq!(step, polling.step());
+                let Some(step) = step else { break };
+                steps.push(step);
+                if cfg!(debug_assertions) {
+                    ready.assert_settled();
+                }
+            }
+            proptest::prop_assert!(steps.windows(2).all(|w| w[0].time <= w[1].time));
+            proptest::prop_assert_eq!(ready.report(), polling.sim.report());
+            proptest::prop_assert_eq!(&ready.timeline, &polling.sim.timeline);
+            let work = ready.work();
+            proptest::prop_assert_eq!(work.starts, polling.sim.starts);
+            proptest::prop_assert_eq!(work.wakeups, work.starts);
+        }
+    }
+
+    #[test]
+    fn single_job_timeline_matches_the_polling_core() {
+        // `CycleSim`'s path: one job at cycle zero on one instance, with and
+        // without RASS (the formal stage refetching shared vectors).
+        for rass in [true, false] {
+            let mut sim = CycleSim::new(HwConfig::small());
+            sim.accel.rass = rass;
+            let job = small_job(&sim);
+            let report = sim.run_job(&job);
+            let mut polling = PollingCore::new(sim.accel.config(), 1, sim.params);
+            polling.submit(0, 0, &job, 0);
+            while polling.step().is_some() {}
+            assert_eq!(Some(report.timeline), polling.sim.timeline);
+            assert_eq!(report.total_cycles, polling.sim.report().total_cycles);
+        }
     }
 
     #[test]

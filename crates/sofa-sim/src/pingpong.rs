@@ -30,12 +30,20 @@ struct Slot {
     ready_at: u64,
 }
 
+/// Most banks a [`PingPongBuffer`] can have. The banks are an inline ring
+/// of this many slots, a power of two, so the window neither allocates nor
+/// shifts when its oldest bank is released.
+pub const MAX_BANKS: usize = 4;
+
 /// A ping-pong buffer of `capacity` banks with occupancy accounting.
 #[derive(Debug)]
 pub struct PingPongBuffer {
     capacity: usize,
-    /// Resident banks in stream order, oldest first.
-    slots: Vec<Slot>,
+    /// Resident banks in stream order, oldest first: `len` slots of the
+    /// ring starting at `head`.
+    slots: [Slot; MAX_BANKS],
+    head: usize,
+    len: usize,
     /// Last time the occupancy changed, for the occupancy integral.
     last_change: u64,
     /// Σ occupancy · dt, for average-occupancy reporting.
@@ -49,12 +57,20 @@ impl PingPongBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above [`MAX_BANKS`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
+        assert!(capacity <= MAX_BANKS, "at most {MAX_BANKS} banks");
+        let empty = Slot {
+            tile: 0,
+            state: SlotState::Filling,
+            ready_at: u64::MAX,
+        };
         PingPongBuffer {
             capacity,
-            slots: Vec::new(),
+            slots: [empty; MAX_BANKS],
+            head: 0,
+            len: 0,
             last_change: 0,
             occupancy_integral: 0,
             last_release: 0,
@@ -62,13 +78,18 @@ impl PingPongBuffer {
     }
 
     fn advance(&mut self, now: u64) {
-        self.occupancy_integral += self.slots.len() as u64 * (now - self.last_change);
+        self.occupancy_integral += self.len as u64 * (now - self.last_change);
         self.last_change = now;
+    }
+
+    /// The `i`-th resident bank, oldest first.
+    fn resident(&self, i: usize) -> Option<&Slot> {
+        (i < self.len).then(|| &self.slots[(self.head + i) % MAX_BANKS])
     }
 
     /// Whether the producer can start filling a new bank.
     pub fn has_free_slot(&self) -> bool {
-        self.slots.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Time the most recent bank was freed — the moment a producer blocked on
@@ -85,11 +106,12 @@ impl PingPongBuffer {
     pub fn reserve(&mut self, tile: usize, now: u64) {
         assert!(self.has_free_slot(), "reserve on a full ping-pong buffer");
         self.advance(now);
-        self.slots.push(Slot {
+        self.slots[(self.head + self.len) % MAX_BANKS] = Slot {
             tile,
             state: SlotState::Filling,
             ready_at: u64::MAX,
-        });
+        };
+        self.len += 1;
     }
 
     /// Producer finished `tile`; the bank becomes consumable.
@@ -98,10 +120,9 @@ impl PingPongBuffer {
     ///
     /// Panics if `tile` is not the bank being filled (the newest resident).
     pub fn mark_ready(&mut self, tile: usize, now: u64) {
-        let slot = self
-            .slots
-            .last_mut()
-            .filter(|s| s.tile == tile && s.state == SlotState::Filling)
+        let newest = (self.head + self.len.wrapping_sub(1)) % MAX_BANKS;
+        let slot = Some(&mut self.slots[newest])
+            .filter(|s| self.len > 0 && s.tile == tile && s.state == SlotState::Filling)
             .expect("mark_ready on unreserved tile");
         slot.state = SlotState::Ready;
         slot.ready_at = now;
@@ -110,10 +131,18 @@ impl PingPongBuffer {
     /// When `tile` became ready for the consumer (`None` unless it is the
     /// oldest resident and ready).
     pub fn ready_time(&self, tile: usize) -> Option<u64> {
-        self.slots
-            .first()
+        self.resident(0)
             .filter(|s| s.tile == tile && s.state == SlotState::Ready)
             .map(|s| s.ready_at)
+    }
+
+    /// Whether `tile` is resident and ready, wherever it sits in the window
+    /// (unlike [`Self::ready_time`], not only as the oldest bank): a
+    /// consumer still draining the tile ahead asks this of its next one.
+    pub(crate) fn is_ready(&self, tile: usize) -> bool {
+        self.resident(0)
+            .and_then(|oldest| self.resident(tile.wrapping_sub(oldest.tile)))
+            .is_some_and(|s| s.state == SlotState::Ready)
     }
 
     /// Consumer finished draining `tile`; the bank is freed.
@@ -123,27 +152,27 @@ impl PingPongBuffer {
     /// Panics if `tile` is not the oldest resident or not ready.
     pub fn release(&mut self, tile: usize, now: u64) {
         assert!(
-            self.slots
-                .first()
+            self.resident(0)
                 .is_some_and(|s| s.tile == tile && s.state == SlotState::Ready),
             "release of a tile that is not resident"
         );
         self.advance(now);
-        self.slots.remove(0);
+        self.head = (self.head + 1) % MAX_BANKS;
+        self.len -= 1;
         self.last_release = now;
     }
 
     /// Current number of occupied banks (filling or ready).
     pub fn occupancy(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Mean occupancy in banks over `[0, now]`.
     pub fn average_occupancy(&self, now: u64) -> f64 {
         if now == 0 {
-            return self.slots.len() as f64;
+            return self.len as f64;
         }
-        let integral = self.occupancy_integral + self.slots.len() as u64 * (now - self.last_change);
+        let integral = self.occupancy_integral + self.len as u64 * (now - self.last_change);
         integral as f64 / now as f64
     }
 }
@@ -209,6 +238,12 @@ mod tests {
                 .map(|s| s.ready_at)
         }
 
+        fn is_ready(&self, tile: usize) -> bool {
+            self.slots
+                .iter()
+                .any(|s| s.tile == tile && s.state == SlotState::Ready)
+        }
+
         fn release(&mut self, tile: usize, now: u64) {
             let idx = self
                 .slots
@@ -235,7 +270,8 @@ mod tests {
 
         /// Random producer/consumer lifecycles in stream order (the only
         /// order the pipeline uses): the window answers every query exactly
-        /// as the search-based buffer does, at depths 1 to 4.
+        /// as the search-based buffer does, at depths 1 to 4, including
+        /// whether the banks behind the oldest are ready.
         #[test]
         fn fifo_window_matches_the_search(
             depth in 1usize..5,
@@ -268,6 +304,9 @@ mod tests {
                     _ => {}
                 }
                 proptest::prop_assert_eq!(window.ready_time(oldest), reference.ready_time(oldest));
+                for tile in oldest..oldest + 5 {
+                    proptest::prop_assert_eq!(window.is_ready(tile), reference.is_ready(tile));
+                }
                 proptest::prop_assert_eq!(window.has_free_slot(), reference.has_free_slot());
                 proptest::prop_assert_eq!(window.last_release_time(), reference.last_release);
                 proptest::prop_assert_eq!(
