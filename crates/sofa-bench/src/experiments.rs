@@ -1280,7 +1280,6 @@ pub fn serve_adaptive_controller() -> AdaptiveServeConfig {
             queue_depth_bar: 4,
             energy_bar_pj: None,
         },
-        instance_energy_budget_pj: None,
     }
 }
 

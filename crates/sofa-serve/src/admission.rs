@@ -4,14 +4,14 @@
 //! distinct lowerings with each request's current one and effective
 //! arrival; the [`Intake`] of original arrivals and retry re-arrivals; the
 //! per-instance [`Bookings`], the aged smallest-first [`pick`] and the
-//! least-booked, energy-headroom [`Bookings::place`]. Admission books the
+//! least-booked [`Bookings::place`]. Admission books the
 //! sparsity-reduced `T×k` footprint; overbooking it Tailors-style is a
 //! larger [`ServeConfig::admit_buffer_bytes`].
 //!
-//! Each simulator keeps its own clock, loop, completions and tracing. The
-//! single node is event-exact: it takes one external event strictly before
-//! its next simulation event. The fleet steps in epochs: it takes every
-//! external event below its next boundary.
+//! Each simulator keeps its own clock, loop and completions, and only the
+//! single node traces. The single node is event-exact: it takes one
+//! external event strictly before its next simulation event. The fleet
+//! steps in epochs: it takes every external event below its next boundary.
 
 use crate::scheduler::{OpRouter, ServeConfig};
 use std::cmp::Reverse;
@@ -493,10 +493,15 @@ impl Intake {
     }
 }
 
+/// Waiting cycles beyond which the oldest request is picked ahead of the
+/// smallest: the starvation bound of smallest-first admission.
+pub(crate) const AGING_THRESHOLD: u64 = 100_000;
+
 /// Position in `waiting` of the next request to try, among its first
-/// `window` entries: the oldest request if it has waited past the aging
-/// threshold, else the one with the smallest footprint. `arrival` and
-/// `footprint` read a request's effective arrival and booked bytes.
+/// `window` entries: the oldest request if it has waited at least
+/// `aged_after` cycles at `now` (the drivers pass [`AGING_THRESHOLD`]),
+/// else the one with the smallest footprint. `arrival` and `footprint`
+/// read a request's effective arrival and booked bytes.
 ///
 /// The oldest is the least `(arrival, id)`. [`WaitQueue::push`] asserts
 /// arrival order, so it is in the head's equal-arrival run, and only that
@@ -508,7 +513,7 @@ impl Intake {
 ///
 /// Panics if `waiting` is empty or `window` is 0.
 pub(crate) fn pick(
-    cfg: &ServeConfig,
+    aged_after: u64,
     now: u64,
     waiting: &WaitQueue,
     window: usize,
@@ -516,7 +521,7 @@ pub(crate) fn pick(
     footprint: impl Fn(usize) -> u64,
 ) -> usize {
     let (oldest, arrived) = oldest(waiting, window, arrival);
-    if now.saturating_sub(arrived) >= cfg.aging_threshold {
+    if now.saturating_sub(arrived) >= aged_after {
         return oldest;
     }
     first_min(waiting, window, footprint)
@@ -549,14 +554,13 @@ fn first_min(waiting: &WaitQueue, window: usize, key: impl Fn(usize) -> u64) -> 
         .expect("a non-empty queue and window")
 }
 
-/// In-flight bookings per instance slot: the footprint bytes, request count
-/// and projected energy of the admitted-but-uncompleted requests, and the
-/// peak booked bytes.
+/// In-flight bookings per instance slot: the footprint bytes and request
+/// count of the admitted-but-uncompleted requests, and the peak booked
+/// bytes.
 #[derive(Debug)]
 pub(crate) struct Bookings {
     pub(crate) bytes: Vec<u64>,
     pub(crate) reqs: Vec<usize>,
-    pub(crate) energy: Vec<f64>,
     pub(crate) peak: Vec<u64>,
 }
 
@@ -566,29 +570,25 @@ impl Bookings {
         Bookings {
             bytes: vec![0; slots],
             reqs: vec![0; slots],
-            energy: vec![0.0; slots],
             peak: vec![0; slots],
         }
     }
 
-    /// Books one admitted request on `slot`.
-    pub(crate) fn book(&mut self, slot: usize, bytes: u64, energy_pj: f64) {
+    /// Books one admitted request of `bytes` on `slot`.
+    pub(crate) fn book(&mut self, slot: usize, bytes: u64) {
         self.bytes[slot] += bytes;
         self.reqs[slot] += 1;
-        self.energy[slot] += energy_pj;
         self.peak[slot] = self.peak[slot].max(self.bytes[slot]);
     }
 
-    /// Releases one completed request from `slot`.
-    pub(crate) fn release(&mut self, slot: usize, bytes: u64, energy_pj: f64) {
+    /// Releases one completed request of `bytes` from `slot`.
+    pub(crate) fn release(&mut self, slot: usize, bytes: u64) {
         self.bytes[slot] -= bytes;
         self.reqs[slot] -= 1;
-        self.energy[slot] -= energy_pj;
     }
 
     /// Checks that every booking was released: each slot is back to 0
-    /// bytes and 0 requests. Energy is left out — it is an `f64` sum and
-    /// need not return to exactly 0.
+    /// bytes and 0 requests.
     ///
     /// # Panics
     ///
@@ -605,45 +605,22 @@ impl Bookings {
     /// The slot in `slots` the next request lands on: among slots that fit
     /// `fp` more bytes within `budget` (or are idle, so one oversized
     /// request always makes progress), the least-booked one, first in slot
-    /// order on ties. With a per-instance `energy_budget`, slots without
-    /// headroom for `energy_pj` are skipped too (unless idle) and
-    /// booked-bytes ties break toward the most energy headroom.
-    pub(crate) fn place(
-        &self,
-        slots: Range<usize>,
-        fp: u64,
-        energy_pj: f64,
-        budget: u64,
-        energy_budget: Option<f64>,
-    ) -> Option<usize> {
-        let fits = |slot: usize| self.reqs[slot] == 0 || self.bytes[slot] + fp <= budget;
-        match energy_budget {
-            None => {
-                // A strict `<` keeps the first minimum, and nothing books
-                // fewer than 0 bytes.
-                let mut best: Option<(usize, u64)> = None;
-                for slot in slots {
-                    let booked = self.bytes[slot];
-                    if fits(slot) && best.is_none_or(|(_, b)| booked < b) {
-                        best = Some((slot, booked));
-                        if booked == 0 {
-                            break;
-                        }
-                    }
+    /// order on ties.
+    pub(crate) fn place(&self, slots: Range<usize>, fp: u64, budget: u64) -> Option<usize> {
+        // A strict `<` keeps the first minimum, and nothing books fewer
+        // than 0 bytes.
+        let mut best: Option<(usize, u64)> = None;
+        for slot in slots {
+            let booked = self.bytes[slot];
+            let fits = self.reqs[slot] == 0 || booked + fp <= budget;
+            if fits && best.is_none_or(|(_, b)| booked < b) {
+                best = Some((slot, booked));
+                if booked == 0 {
+                    break;
                 }
-                best.map(|(slot, _)| slot)
             }
-            Some(eb) => slots
-                .filter(|&slot| {
-                    fits(slot) && (self.reqs[slot] == 0 || self.energy[slot] + energy_pj <= eb)
-                })
-                .min_by(|&a, &b| {
-                    self.bytes[a]
-                        .cmp(&self.bytes[b])
-                        .then_with(|| self.energy[a].total_cmp(&self.energy[b]))
-                        .then_with(|| a.cmp(&b))
-                }),
         }
+        best.map(|(slot, _)| slot)
     }
 }
 
@@ -653,33 +630,14 @@ mod tests {
     use crate::scheduler::RetryPolicy;
     use sofa_hw::config::HwConfig;
     use sofa_model::trace::TraceConfig;
-    use std::cmp::Ordering;
 
     /// The placement as one iterator chain over the whole range: among
-    /// idle slots and slots with byte (and, when budgeted, energy) headroom,
-    /// the least-booked, ties toward the least booked energy when budgeted,
-    /// then the first slot.
-    fn place_by_scan(
-        b: &Bookings,
-        slots: Range<usize>,
-        fp: u64,
-        energy_pj: f64,
-        budget: u64,
-        energy_budget: Option<f64>,
-    ) -> Option<usize> {
+    /// idle slots and slots with byte headroom, the least-booked, then the
+    /// first slot.
+    fn place_by_scan(b: &Bookings, slots: Range<usize>, fp: u64, budget: u64) -> Option<usize> {
         slots
-            .filter(|&s| {
-                b.reqs[s] == 0
-                    || (b.bytes[s] + fp <= budget
-                        && energy_budget.is_none_or(|eb| b.energy[s] + energy_pj <= eb))
-            })
-            .min_by(|&x, &y| {
-                let energy = match energy_budget {
-                    Some(_) => b.energy[x].total_cmp(&b.energy[y]),
-                    None => Ordering::Equal,
-                };
-                b.bytes[x].cmp(&b.bytes[y]).then(energy).then(x.cmp(&y))
-            })
+            .filter(|&s| b.reqs[s] == 0 || b.bytes[s] + fp <= budget)
+            .min_by_key(|&s| (b.bytes[s], s))
     }
 
     proptest::proptest! {
@@ -687,32 +645,23 @@ mod tests {
 
         /// The shared placement picks exactly what the full scan picks, over
         /// random bookings that mix idle slots, booked slots at zero bytes,
-        /// slots at and past the byte budget edge, in-flight energy at,
-        /// below and above the energy budget, and slot ranges from empty
-        /// node pools to the single node's whole `0..instances`.
+        /// slots at and past the byte budget edge, and slot ranges from
+        /// empty node pools to the single node's whole `0..instances`.
         #[test]
         fn early_exit_place_matches_the_full_scan(
-            shape in (1usize..5, 1usize..5, 0usize..5, 0usize..5),
-            range in (0usize..6, 0usize..5, 0usize..2),
-            slots in proptest::collection::vec((0usize..6, 0usize..3, 0usize..5), 16),
+            shape in (1usize..5, 1usize..5, 0usize..5),
+            range in (0usize..6, 0usize..5),
+            slots in proptest::collection::vec((0usize..6, 0usize..3), 16),
         ) {
             let (nodes, ipn) = (shape.0, shape.1);
             let instances = nodes * ipn;
             let budget = ServeConfig::new(HwConfig::small(), ipn).admit_buffer_bytes;
             let fp = [0, 1, budget / 2, budget, budget + 1][shape.2];
-            let eb: f64 = 1.0e6;
-            let energy_pj = [0.0, 1.0, eb / 2.0, eb, 2.0 * eb][shape.3];
-            let energy_budget = [None, Some(eb)][range.2];
             let sizes = [0, 1, budget / 2, budget - fp.min(budget), budget, 3 * budget];
-            // In-flight energy that lands exactly at, below and above the
-            // budget once `energy_pj` is added.
-            let edge = (eb - energy_pj).max(0.0);
-            let energies = [0.0, edge, edge / 2.0, edge + 1.0, 3.0 * eb];
             let mut b = Bookings::new(instances);
-            for (s, &(bytes, reqs, energy)) in slots[..instances].iter().enumerate() {
+            for (s, &(bytes, reqs)) in slots[..instances].iter().enumerate() {
                 b.bytes[s] = sizes[bytes];
                 b.reqs[s] = reqs;
-                b.energy[s] = energies[energy];
             }
             let slots = if range.0 == 5 {
                 0..instances
@@ -721,8 +670,8 @@ mod tests {
                 x.min(y) * ipn..x.max(y) * ipn
             };
             proptest::prop_assert_eq!(
-                b.place(slots.clone(), fp, energy_pj, budget, energy_budget),
-                place_by_scan(&b, slots, fp, energy_pj, budget, energy_budget)
+                b.place(slots.clone(), fp, budget),
+                place_by_scan(&b, slots, fp, budget)
             );
         }
     }
@@ -730,19 +679,16 @@ mod tests {
     #[test]
     fn bookings_drain_when_every_request_is_released() {
         let mut b = Bookings::new(3);
-        b.book(0, 100, 0.1);
-        b.book(0, 50, 0.2);
-        b.book(2, 7, 3.0);
+        b.book(0, 100);
+        b.book(0, 50);
+        b.book(2, 7);
         assert_eq!(b.peak, [150, 0, 7]);
-        b.release(0, 100, 0.1);
-        b.book(2, 0, 0.0);
-        b.release(2, 7, 3.0);
-        b.release(0, 50, 0.2);
-        b.release(2, 0, 0.0);
+        b.release(0, 100);
+        b.book(2, 0);
+        b.release(2, 7);
+        b.release(0, 50);
+        b.release(2, 0);
         assert_eq!(b.peak, [150, 0, 7]);
-        // The energy sum need not return to exactly 0, so the check
-        // leaves it out.
-        assert_ne!(b.energy[0], 0.0);
         b.assert_drained();
     }
 
@@ -750,9 +696,9 @@ mod tests {
     #[should_panic(expected = "slot 1 still books 0 B in 1 requests")]
     fn bookings_drain_check_catches_a_missing_release() {
         let mut b = Bookings::new(2);
-        b.book(0, 100, 1.0);
-        b.book(1, 0, 0.0);
-        b.release(0, 100, 1.0);
+        b.book(0, 100);
+        b.book(1, 0);
+        b.release(0, 100);
         b.assert_drained();
     }
 
@@ -806,12 +752,11 @@ mod tests {
 
     #[test]
     fn pick_scans_only_the_window() {
-        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
-        cfg.aging_threshold = 100_000;
         // (arrival, footprint) of requests 0..3; the smallest is last.
         let reqs = [(10, 300), (20, 200), (30, 100)];
         let waiting = queue(&[(0, 10), (1, 20), (2, 30)]);
-        let pick_in = |window| pick(&cfg, 50, &waiting, window, |r| reqs[r].0, |r| reqs[r].1);
+        let (arrival, footprint) = (|r: usize| reqs[r].0, |r: usize| reqs[r].1);
+        let pick_in = |window| pick(AGING_THRESHOLD, 50, &waiting, window, arrival, footprint);
         assert_eq!(pick_in(3), 2);
         assert_eq!(pick_in(2), 1);
         assert_eq!(pick_in(1), 0);
@@ -827,15 +772,14 @@ mod tests {
 
     #[test]
     fn aging_picks_the_least_id_of_the_heads_equal_arrival_run() {
-        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
-        cfg.aging_threshold = 100_000;
         // Requests 0..3 as (arrival, footprint). The head is request 2, a
         // small request smallest-first picking loves; behind it at the same
         // arrival waits request 0, the true oldest by `(arrival, id)`, large
         // enough to lose every footprint comparison.
         let reqs = [(0, 1_000), (50, 4), (0, 8)];
         let waiting = queue(&[(2, 0), (0, 0), (1, 50)]);
-        let pick_at = |now| pick(&cfg, now, &waiting, 3, |r| reqs[r].0, |r| reqs[r].1);
+        let (arrival, footprint) = (|r: usize| reqs[r].0, |r: usize| reqs[r].1);
+        let pick_at = |now| pick(AGING_THRESHOLD, now, &waiting, 3, arrival, footprint);
         assert_eq!(
             pick_at(550_000),
             1,
@@ -845,12 +789,11 @@ mod tests {
 
     #[test]
     fn below_the_aging_threshold_the_smallest_request_wins() {
-        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
-        cfg.aging_threshold = 100_000;
         let reqs = [(0, 1_000), (40_000, 8)];
         let waiting = queue(&[(0, 0), (1, 40_000)]);
+        let (arrival, footprint) = (|r: usize| reqs[r].0, |r: usize| reqs[r].1);
         assert_eq!(
-            pick(&cfg, 50_000, &waiting, 2, |r| reqs[r].0, |r| reqs[r].1),
+            pick(AGING_THRESHOLD, 50_000, &waiting, 2, arrival, footprint),
             1
         );
     }
@@ -859,7 +802,7 @@ mod tests {
     /// `(arrival, id)` and the smallest `(footprint, id)` by full scans of
     /// the window.
     fn pick_by_scan(
-        cfg: &ServeConfig,
+        aged_after: u64,
         now: u64,
         waiting: &[usize],
         window: usize,
@@ -876,7 +819,7 @@ mod tests {
                 .expect("waiting is non-empty")
         };
         let oldest = first_min(&arrival);
-        if now.saturating_sub(arrival(waiting[oldest])) >= cfg.aging_threshold {
+        if now.saturating_sub(arrival(waiting[oldest])) >= aged_after {
             return oldest;
         }
         first_min(&footprint)
@@ -919,8 +862,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..7, 0usize..5, 0usize..5), 1..300),
         ) {
             const IDS: usize = 256;
-            let mut cfg = ServeConfig::new(HwConfig::small(), 1);
-            cfg.aging_threshold = [0, 5, 50, 500, u64::MAX][thresholds.0];
+            let aging = [0, 5, 50, 500, u64::MAX][thresholds.0];
             let decay = [0, 10, 100, 1_000][thresholds.1];
             let mut arrival = [0u64; IDS];
             let mut footprint = [0u64; IDS];
@@ -944,9 +886,9 @@ mod tests {
                     2 => now += [1, 4, 30, 300, 3_000][a],
                     3 if !reference.is_empty() => {
                         let window = [1, 2, 3, 8, reference.len()][a];
-                        let pos = pick(&cfg, now, &waiting, window, |r| arrival[r], |r| footprint[r]);
+                        let pos = pick(aging, now, &waiting, window, |r| arrival[r], |r| footprint[r]);
                         let expect = pick_by_scan(
-                            &cfg, now, &reference, window, |r| arrival[r], |r| footprint[r],
+                            aging, now, &reference, window, |r| arrival[r], |r| footprint[r],
                         );
                         proptest::prop_assert_eq!(pos, expect);
                         if b < 3 {
@@ -986,8 +928,7 @@ mod tests {
         const N: usize = 10_000;
         const RUN: usize = 4;
         const DECISION_READS: u64 = RUN as u64 + 3;
-        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
-        cfg.aging_threshold = 1_000;
+        const AGING: u64 = 1_000;
         let decay = 500;
         let at = |req: usize| (req / RUN) as u64 * 10;
         let reads = std::cell::Cell::new(0u64);
@@ -1006,9 +947,9 @@ mod tests {
             }
         }
         for admitted in 0..N {
-            let now = at(admitted) + cfg.aging_threshold;
+            let now = at(admitted) + AGING;
             while waiting.next_overdue(now, decay, arrival).is_some() {}
-            let pos = pick(&cfg, now, &waiting, waiting.len(), arrival, footprint);
+            let pos = pick(AGING, now, &waiting, waiting.len(), arrival, footprint);
             assert_eq!(
                 waiting.remove(pos),
                 admitted,

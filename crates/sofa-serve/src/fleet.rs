@@ -29,18 +29,16 @@
 //! lowered once (in parallel) and shared as [`Arc<PipelineJob>`]s across
 //! every request of that shape.
 //!
-//! Determinism contract: the report (and, when traced, the Perfetto
-//! artifact: per-node pid windows absorbed in node order, router/fabric
-//! counters stamped at boundary cycles) is byte-identical at any
-//! `SOFA_THREADS` and across repeated runs.
+//! Determinism contract: the report is byte-identical at any
+//! `SOFA_THREADS` and across repeated runs. The fleet records no trace; a
+//! full trace of a million-request run would take gigabytes.
 
 use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
 use crate::report::ServeReport;
 use crate::scheduler::{OpRouter, ServeConfig};
 use sofa_core::cache::CacheStats;
 use sofa_model::trace::{RequestClass, RequestTrace};
-use sofa_obs::{MetricsRegistry, QuantileSketch, TraceRecorder};
-use sofa_sim::tracks::{PID_FABRIC, PID_FLEET_ROUTER};
+use sofa_obs::QuantileSketch;
 use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
 use std::ops::Range;
 use std::sync::Arc;
@@ -58,9 +56,9 @@ const PREFILL_NODE_FRACTION: f64 = 0.5;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Per-node serving parameters; [`ServeConfig::instances`] is the
-    /// instance count *per node*. The admission knobs (budget, aging,
-    /// energy budgets, retry) apply fleet-wide; the fleet does not decay,
-    /// so [`ServeConfig::decay_threshold`] must be `None`.
+    /// instance count *per node*. The admission knobs (budget, energy
+    /// budget, retry) apply fleet-wide; the fleet does not decay, so
+    /// [`ServeConfig::decay_threshold`] must be `None`.
     pub serve: ServeConfig,
     /// Number of nodes, each with [`ServeConfig::instances`] instances and
     /// a private DRAM channel.
@@ -245,98 +243,6 @@ impl FleetReport {
             .sum::<f64>()
             / self.nodes.len() as f64
     }
-
-    /// Adds the fleet summary to `reg` under the `fleet.` prefix.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.inc("fleet.requests.total", self.served + self.shed);
-        reg.inc("fleet.requests.served", self.served);
-        reg.inc("fleet.requests.shed", self.shed);
-        reg.inc("fleet.requests.rerouted", self.rerouted);
-        // Only adaptive (retry-enabled) runs carry the counter, so existing
-        // metric snapshots stay byte-stable.
-        if self.retried > 0 {
-            reg.inc("fleet.requests.retried", self.retried);
-        }
-        reg.inc("fleet.requests.prefill", self.prefills);
-        reg.inc("fleet.requests.decode", self.decodes);
-        reg.set_gauge("fleet.total_cycles", self.total_cycles as f64);
-        reg.set_gauge("fleet.throughput_per_mcycle", self.throughput_per_mcycle());
-        reg.set_gauge("fleet.mean_queueing_delay", self.mean_queueing_delay());
-        reg.set_gauge("fleet.energy_pj_per_request", self.energy_pj_per_request());
-        if self.served > 0 {
-            reg.set_gauge("fleet.latency_p50", self.p50() as f64);
-            reg.set_gauge("fleet.latency_p95", self.p95() as f64);
-            reg.set_gauge("fleet.latency_p99", self.p99() as f64);
-        }
-        reg.set_gauge("fleet.fabric.bytes", self.fabric.total_bytes() as f64);
-        reg.set_gauge(
-            "fleet.fabric.transfers",
-            self.fabric.total_transfers() as f64,
-        );
-        for n in 0..self.nodes.len() {
-            reg.set_gauge(
-                &format!("fleet.node{n}.requests"),
-                self.requests_per_node[n] as f64,
-            );
-            reg.set_gauge(
-                &format!("fleet.node{n}.utilization"),
-                self.node_utilization(n),
-            );
-            reg.set_gauge(
-                &format!("fleet.node{n}.link_utilization"),
-                self.fabric.link_utilization(n, self.total_cycles),
-            );
-            reg.set_gauge(
-                &format!("fleet.node{n}.peak_inflight_bytes"),
-                self.peak_inflight_bytes[n] as f64,
-            );
-        }
-    }
-
-    /// A compact human-readable summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "served {}  shed {}  rerouted {}  makespan {} cyc  throughput {:.2} req/Mcyc\n",
-            self.served,
-            self.shed,
-            self.rerouted,
-            self.total_cycles,
-            self.throughput_per_mcycle(),
-        ));
-        if self.retried > 0 {
-            out.push_str(&format!(
-                "retried {} (served after client backoff)\n",
-                self.retried
-            ));
-        }
-        if self.served > 0 {
-            out.push_str(&format!(
-                "latency p50 {}  p95 {}  p99 {}  mean queueing {:.0} cyc\n",
-                self.p50(),
-                self.p95(),
-                self.p99(),
-                self.mean_queueing_delay(),
-            ));
-        }
-        for n in 0..self.nodes.len() {
-            out.push_str(&format!(
-                "node {n}: {} requests  util {:>5.1}%  link busy {:>4.1}%  peak buffer {}/{} B\n",
-                self.requests_per_node[n],
-                100.0 * self.node_utilization(n),
-                100.0 * self.fabric.link_utilization(n, self.total_cycles),
-                self.peak_inflight_bytes[n],
-                self.budget_bytes,
-            ));
-        }
-        out.push_str(&format!(
-            "fabric: {:.1} MB moved in {} transfers  energy {:.1} nJ/req\n",
-            self.fabric.total_bytes() as f64 / 1e6,
-            self.fabric.total_transfers(),
-            self.energy_pj_per_request() / 1e3,
-        ));
-        out
-    }
 }
 
 /// Mutable routing state of one fleet run.
@@ -374,20 +280,14 @@ impl FleetServeSim {
         &self.cfg
     }
 
-    /// Serves `trace` across the fleet under `router`. The fleet has no
-    /// feedback loop: [`OpRouter::Feedback`] routes as [`OpRouter::Pareto`]
-    /// over the same front.
+    /// Serves `trace` across the fleet under `router`.
     ///
     /// # Panics
     ///
-    /// Panics if `trace` is empty.
+    /// Panics if `trace` is empty or `router` is [`OpRouter::Feedback`]:
+    /// the fleet has no feedback loop.
     pub fn run(&self, trace: &RequestTrace, router: OpRouter) -> FleetReport {
-        self.run_inner(
-            trace,
-            router,
-            &mut TraceRecorder::disabled(),
-            &mut CacheStats::default(),
-        )
+        self.run_inner(trace, router).0
     }
 
     /// [`FleetServeSim::run`] plus the lowering-cache effectiveness counters
@@ -399,30 +299,7 @@ impl FleetServeSim {
         trace: &RequestTrace,
         router: OpRouter,
     ) -> (FleetReport, CacheStats) {
-        let mut stats = CacheStats::default();
-        let report = self.run_inner(trace, router, &mut TraceRecorder::disabled(), &mut stats);
-        (report, stats)
-    }
-
-    /// [`FleetServeSim::run`] plus observability: per-node pipeline tracks
-    /// (each node in its own pid window), router wait-queue and per-node
-    /// fabric counters land in `obs`; the report's summary lands in
-    /// `metrics`. Unlike the single-node scheduler, no per-request spans
-    /// are emitted — at fleet request counts they would dwarf the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is empty.
-    pub fn run_traced(
-        &self,
-        trace: &RequestTrace,
-        router: OpRouter,
-        obs: &mut TraceRecorder,
-        metrics: &mut MetricsRegistry,
-    ) -> FleetReport {
-        let report = self.run_inner(trace, router, obs, &mut CacheStats::default());
-        report.record_metrics(metrics);
-        report
+        self.run_inner(trace, router)
     }
 
     /// The instance slots of the node pool `class` placements try first.
@@ -440,9 +317,9 @@ impl FleetServeSim {
 
     /// Admits as many waiting requests as fit, at boundary cycle `now`:
     /// pick (aged oldest or windowed smallest-first), place (least-booked
-    /// with energy headroom in the class pool, spilling fleet-wide when the
-    /// pool is full), book the fabric transfer, and hand the job to the
-    /// node at its delivery cycle.
+    /// in the class pool, spilling fleet-wide when the pool is full), book
+    /// the fabric transfer, and hand the job to the node at its delivery
+    /// cycle.
     fn try_admit(
         &self,
         now: u64,
@@ -450,15 +327,12 @@ impl FleetServeSim {
         state: &mut RouterState,
         fabric: &mut Fabric,
         fleet: &mut FleetSim,
-        obs: &mut TraceRecorder,
     ) {
-        let s = &self.cfg.serve;
-        let ipn = s.instances;
-        let budget = s.admit_buffer_bytes;
-        let energy_budget = s.instance_energy_budget_pj;
+        let ipn = self.cfg.serve.instances;
+        let budget = self.cfg.serve.admit_buffer_bytes;
         while !state.waiting.is_empty() {
             let pos = admission::pick(
-                s,
+                admission::AGING_THRESHOLD,
                 now,
                 &state.waiting,
                 ADMIT_WINDOW,
@@ -468,11 +342,7 @@ impl FleetServeSim {
             let req = state.waiting[pos];
             let low = &table[req];
             let (fp, energy_pj) = (low.footprint, low.energy_pj);
-            let place = |slots| {
-                state
-                    .bookings
-                    .place(slots, fp, energy_pj, budget, energy_budget)
-            };
+            let place = |slots| state.bookings.place(slots, fp, budget);
             let target = place(self.pool(table.specs[req].class)).or_else(|| {
                 self.cfg
                     .disaggregate
@@ -489,30 +359,19 @@ impl FleetServeSim {
             let (node, inst) = (slot / ipn, slot % ipn);
             let delivery = fabric.transfer(node, fp, now);
             fleet.submit(node, inst, req as u64, Arc::clone(&low.job), delivery);
-            state.bookings.book(slot, fp, energy_pj);
+            state.bookings.book(slot, fp);
             state.requests_per_node[node] += 1;
             state.energy_pj += energy_pj;
             state.queueing.record(now - table.arrival[req]);
-            if obs.is_enabled() {
-                obs.counter(
-                    PID_FABRIC,
-                    node as u64,
-                    "fabric.bytes",
-                    now,
-                    &[("bytes", fabric.report().links[node].bytes as f64)],
-                );
-            }
         }
     }
 
-    fn run_inner(
-        &self,
-        trace: &RequestTrace,
-        router: OpRouter,
-        obs: &mut TraceRecorder,
-        cache_stats: &mut CacheStats,
-    ) -> FleetReport {
+    fn run_inner(&self, trace: &RequestTrace, router: OpRouter) -> (FleetReport, CacheStats) {
         assert!(!trace.is_empty(), "cannot serve an empty trace");
+        assert!(
+            !matches!(router, OpRouter::Feedback(..)),
+            "FleetServeSim has no feedback loop: route the front with OpRouter::Pareto"
+        );
         let s = &self.cfg.serve;
         let ipn = s.instances;
         let mut csim = CycleSim::new(s.hw);
@@ -524,15 +383,6 @@ impl FleetServeSim {
 
         let mut fleet = FleetSim::new(&s.hw, self.cfg.nodes, ipn, s.sim);
         let mut fabric = Fabric::new(self.cfg.fabric, self.cfg.nodes);
-        if obs.is_enabled() {
-            obs.process_name(PID_FLEET_ROUTER, "fleet-router");
-            obs.thread_name(PID_FLEET_ROUTER, 0, "fleet.wait_queue");
-            obs.process_name(PID_FABRIC, "fabric");
-            for n in 0..self.cfg.nodes {
-                obs.thread_name(PID_FABRIC, n as u64, &format!("fabric.node{n}.bytes"));
-            }
-            fleet.enable_tracing();
-        }
 
         let mut state = RouterState {
             waiting: WaitQueue::default(),
@@ -562,7 +412,7 @@ impl FleetServeSim {
                 let req = c.request as usize;
                 let low = &table[req];
                 let slot = c.node * ipn + c.instance;
-                state.bookings.release(slot, low.footprint, low.energy_pj);
+                state.bookings.release(slot, low.footprint);
                 match table.specs[req].class {
                     RequestClass::Prefill => prefills += 1,
                     RequestClass::Decode => decodes += 1,
@@ -587,16 +437,7 @@ impl FleetServeSim {
                     Arrival::Shed { .. } => shed += 1,
                 }
             }
-            self.try_admit(boundary, &table, &mut state, &mut fabric, &mut fleet, obs);
-            if obs.is_enabled() {
-                obs.counter(
-                    PID_FLEET_ROUTER,
-                    0,
-                    "fleet.wait_queue",
-                    boundary,
-                    &[("waiting", state.waiting.len() as f64)],
-                );
-            }
+            self.try_admit(boundary, &table, &mut state, &mut fabric, &mut fleet);
         }
         assert!(state.waiting.is_empty(), "all eligible requests admitted");
         assert_eq!(
@@ -605,13 +446,11 @@ impl FleetServeSim {
             "served + shed == offered"
         );
         state.bookings.assert_drained();
-        *cache_stats = cache.stats();
-        obs.absorb(fleet.take_trace());
 
         let sim_report = fleet.report();
         let total_cycles = sim_report.total_cycles();
         let node_peaks = state.bookings.peak.chunks(ipn);
-        FleetReport {
+        let report = FleetReport {
             served: state.served,
             shed,
             rerouted,
@@ -629,7 +468,8 @@ impl FleetServeSim {
                 .map(|n| n.iter().copied().max().unwrap_or(0))
                 .collect(),
             budget_bytes: s.admit_buffer_bytes,
-        }
+        };
+        (report, cache.stats())
     }
 }
 
@@ -763,30 +603,36 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_matches_untraced_and_validates() {
-        let trace = small_trace(10, 100.0);
-        let sim = FleetServeSim::new(small_cfg(2, 1));
-        let plain = sim.run(&trace, OpRouter::TraceNative);
-        let mut obs = TraceRecorder::enabled();
-        let mut metrics = MetricsRegistry::new();
-        let traced = sim.run_traced(&trace, OpRouter::TraceNative, &mut obs, &mut metrics);
-        assert_eq!(plain, traced);
-        let json = obs.to_chrome_json();
-        let stats = sofa_obs::validate_chrome_trace(&json).expect("valid trace");
-        assert!(stats.spans > 0);
-        assert!(json.contains("fleet-router"));
-        assert!(json.contains("fabric.node1.bytes"));
-        assert!(json.contains("node1.dram-channel"));
-        assert!(!metrics.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "invalid fleet config")]
     fn zero_nodes_rejected() {
         FleetServeSim::new(FleetConfig {
             nodes: 0,
             ..small_cfg(1, 1)
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "FleetServeSim has no feedback loop")]
+    fn feedback_routing_is_rejected() {
+        // Regression: the fleet routed it as `Pareto` and ignored its
+        // `FeedbackConfig`.
+        use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
+        let point = CandidateEval {
+            candidate: DseCandidate {
+                keep_ratios: vec![0.25],
+                tile_sizes: vec![32],
+            },
+            metrics: MetricVector {
+                loss: 0.1,
+                cycles: 100,
+                energy_pj: 1.0e7,
+                area_mm2: 5.0,
+            },
+        };
+        let front = sofa_dse::ParetoFront::new(std::slice::from_ref(&point), &point);
+        let fb = crate::FeedbackConfig::new(1);
+        FleetServeSim::new(small_cfg(1, 1))
+            .run(&small_trace(2, 50.0), OpRouter::Feedback(&front, &fb));
     }
 
     #[test]
@@ -862,19 +708,5 @@ mod tests {
         // Determinism with the retry path active.
         let again = sim.run(&trace, OpRouter::TraceNative);
         assert_eq!(adaptive, again);
-    }
-
-    #[test]
-    fn instance_energy_budget_spreads_load() {
-        let trace = small_trace(24, 300.0);
-        let mut cfg = small_cfg(2, 1);
-        // Roomy enough that everything is eventually served, tight enough
-        // that placement must account energy headroom.
-        cfg.serve.instance_energy_budget_pj = Some(5.0e7);
-        let sim = FleetServeSim::new(cfg.clone());
-        let report = sim.run(&trace, OpRouter::TraceNative);
-        assert_eq!(report.served, 24, "budgeted placement must still serve all");
-        assert!(report.requests_per_node.iter().all(|&r| r > 0));
-        assert_eq!(report, sim.run(&trace, OpRouter::TraceNative));
     }
 }

@@ -9,7 +9,7 @@
 //! * `admission` (crate-private) — the admission core both simulators
 //!   share: the deduplicated lowering pass, the request table, the
 //!   arrival/retry intake, per-instance bookings, the aged smallest-first
-//!   pick and the least-booked, energy-headroom placement.
+//!   pick and the least-booked placement.
 //! * [`scheduler`] — [`ServeSim`]: routes each request to an
 //!   `OperatingPoint` ([`OpRouter`]: trace-native, fixed, or per-class
 //!   Pareto routing through a DSE front), lowers it layer by layer into a
@@ -29,7 +29,8 @@
 //!   (each a private-DRAM node of `sofa_sim::FleetSim`) joined by an
 //!   inter-node fabric; epoch-synchronized least-booked placement with optional
 //!   prefill/decode disaggregation, reporting streaming-sketch percentiles
-//!   ([`FleetReport`]) so million-request traces stay cheap.
+//!   ([`FleetReport`]) so million-request traces stay cheap. The fleet
+//!   records no trace and routes no feedback loop.
 //!
 //! # Example
 //!

@@ -19,8 +19,8 @@
 //!   budgeted variant of it) to that comparison — the (p95, J/req) evidence
 //!   the regression gate checks;
 //! * [`ServeSim::run_adaptive_study`] pits the closed-loop controller
-//!   (decay + measured-state feedback + shed/retry + instance energy
-//!   budgets, [`AdaptiveServeConfig`]) against static budgeted Pareto
+//!   (decay + measured-state feedback + shed/retry,
+//!   [`AdaptiveServeConfig`]) against static budgeted Pareto
 //!   routing on the same overload trace — the evidence behind the
 //!   `serve_adaptive` experiment and regression gate 7.
 
@@ -109,21 +109,16 @@ pub struct AdaptiveServeConfig {
     pub retry: RetryPolicy,
     /// Measured-state feedback parameters ([`OpRouter::Feedback`]).
     pub feedback: FeedbackConfig,
-    /// Optional per-instance in-flight energy ceiling
-    /// ([`crate::ServeConfig::instance_energy_budget_pj`]).
-    pub instance_energy_budget_pj: Option<f64>,
 }
 
 impl AdaptiveServeConfig {
     /// A controller targeting `target_latency_cycles`: decay at half the
-    /// target, default client retries, default feedback bars, no instance
-    /// energy ceiling.
+    /// target, default client retries, default feedback bars.
     pub fn targeting(target_latency_cycles: u64) -> Self {
         AdaptiveServeConfig {
             decay_threshold: (target_latency_cycles / 2).max(1),
             retry: RetryPolicy::default(),
             feedback: FeedbackConfig::new(target_latency_cycles),
-            instance_energy_budget_pj: None,
         }
     }
 }
@@ -137,8 +132,7 @@ pub struct AdaptiveServeStudy {
     /// — the strongest open-loop deployment (PR 5's budgeted routed serving).
     pub static_routed: ServeReport,
     /// The closed-loop controller on the identical trace, budget and front:
-    /// decay, measured-state feedback, shed/retry and instance energy
-    /// budgets all active.
+    /// decay, measured-state feedback and shed/retry all active.
     pub adaptive: ServeReport,
     /// The per-request energy ceiling both arms run under (¾ of the
     /// measured paper-default J/req, as in [`RoutedServeStudy`]).
@@ -234,7 +228,7 @@ impl ServeSim {
     /// [`ServeSim::run_routed_study`]) to ¾ of the measured paper-default
     /// J/req. The static arm runs this scheduler's configuration plus the
     /// budget; the adaptive arm additionally enables `controller`'s decay
-    /// threshold, retry policy and instance energy ceiling, and routes
+    /// threshold and retry policy, and routes
     /// through [`OpRouter::Feedback`]. Both arms are deterministic, so the
     /// study is too.
     pub fn run_adaptive_study(
@@ -254,7 +248,6 @@ impl ServeSim {
         let mut adaptive_cfg = static_cfg;
         adaptive_cfg.decay_threshold = Some(controller.decay_threshold);
         adaptive_cfg.retry = Some(controller.retry);
-        adaptive_cfg.instance_energy_budget_pj = controller.instance_energy_budget_pj;
         let adaptive = ServeSim::new(adaptive_cfg)
             .run_with(trace, OpRouter::Feedback(&dse.pareto, &controller.feedback));
 

@@ -31,11 +31,11 @@
 //! fraction of that, so the scheduler books the top-k footprint against
 //! [`ServeConfig::admit_buffer_bytes`]. Overbooking in the Tailors sense is
 //! a larger `admit_buffer_bytes`. Requests are picked
-//! smallest-footprint-first (best packing) unless one has waited past
-//! [`ServeConfig::aging_threshold`], in which case the oldest starved
-//! request is served first.
+//! smallest-footprint-first (best packing) unless one has waited 100,000
+//! cycles, in which case the oldest starved request is served first.
+//! Placement puts the picked request on the least-booked instance it fits.
 //!
-//! **Adaptive control loop.** Four opt-in mechanisms close the loop on
+//! **Adaptive control loop.** Three opt-in mechanisms close the loop on
 //! *measured* state. Every adaptive decision happens inside the serial
 //! event loop (re-lowering there is a pure function of already-deterministic
 //! inputs), so the determinism contract — bit-identical reports and trace
@@ -56,11 +56,7 @@
 //!   deterministic client backoff at a leaner keep ratio (the client's
 //!   degrade-and-retry model) and is recorded as shed only once its
 //!   retries are exhausted; served retries are counted separately
-//!   ([`ServeReport::retried`]);
-//! * **per-instance energy budgets**
-//!   ([`ServeConfig::instance_energy_budget_pj`]) — placement filters and
-//!   orders candidate instances by in-flight energy headroom as well as
-//!   booked bytes, so load balance trades against thermal/energy headroom.
+//!   ([`ServeReport::retried`]).
 
 use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
@@ -285,9 +281,6 @@ pub struct ServeConfig {
     /// Setting it above the SRAM size overbooks: it banks on sparsity
     /// keeping real occupancy below the booked footprints.
     pub admit_buffer_bytes: u64,
-    /// Waiting cycles beyond which the oldest request is picked ahead of
-    /// the smallest (the starvation bound of smallest-first admission).
-    pub aging_threshold: u64,
     /// Per-request energy ceiling in picojoules (the per-instance J/req
     /// budget from the DSE energy model). `None` disables the energy path;
     /// with a budget, over-budget requests are re-routed to the router's
@@ -302,13 +295,6 @@ pub struct ServeConfig {
     /// Client retry model for shed requests. `None` (the default) sheds
     /// immediately, exactly as before the adaptive controller existed.
     pub retry: Option<RetryPolicy>,
-    /// Per-instance in-flight energy ceiling in picojoules. When set,
-    /// placement skips instances whose booked (admitted-but-uncompleted)
-    /// energy would exceed it — unless the instance is idle, so oversized
-    /// requests still make progress — and breaks booked-bytes ties toward
-    /// the most energy headroom. `None` (the default) keeps pure
-    /// least-booked placement.
-    pub instance_energy_budget_pj: Option<f64>,
     /// Memoise lowerings on `(request shape, operating point)` keys
     /// (default `true`). Lowering is a pure function of that key, so the
     /// cache changes wall time only — reports and trace bytes are
@@ -318,10 +304,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A serving setup of `instances` copies of `hw` with the defaults:
-    /// a token-SRAM admission budget, aging after 100k cycles, DRAM
-    /// priority aging after 4 burst latencies, calibrated DRAM command
-    /// occupancy, a single-layer deployment point at the trace-default keep
-    /// and `Bc = 32`, and no energy budget.
+    /// a token-SRAM admission budget, DRAM priority aging after 4 burst
+    /// latencies, calibrated DRAM command occupancy, a single-layer
+    /// deployment point at the trace-default keep and `Bc = 32`, and no
+    /// energy budget.
     pub fn new(hw: HwConfig, instances: usize) -> Self {
         let mut sim = SimParams::default();
         sim.dram_age_threshold = 4 * sim.burst_latency;
@@ -332,11 +318,9 @@ impl ServeConfig {
             instances,
             op: OperatingPoint::single(0.25, 32),
             admit_buffer_bytes: hw.token_sram_bytes as u64,
-            aging_threshold: 100_000,
             energy_budget_pj_per_req: None,
             decay_threshold: None,
             retry: None,
-            instance_energy_budget_pj: None,
             lowering_cache: true,
         }
     }
@@ -361,11 +345,6 @@ impl ServeConfig {
         if let Some(b) = self.energy_budget_pj_per_req {
             if b <= 0.0 || b.is_nan() {
                 return Err("energy budget must be positive".into());
-            }
-        }
-        if let Some(b) = self.instance_energy_budget_pj {
-            if b <= 0.0 || b.is_nan() {
-                return Err("instance energy budget must be positive".into());
             }
         }
         if let Some(retry) = &self.retry {
@@ -592,9 +571,7 @@ impl ServeSim {
                 let idx = done.request as usize;
                 let low = &table[idx];
                 state.completed_at[idx] = step.time;
-                state
-                    .bookings
-                    .release(done.instance, low.footprint, low.energy_pj);
+                state.bookings.release(done.instance, low.footprint);
                 if let OpRouter::Feedback(_, fb) = &router {
                     let latency = (step.time - table.arrival[idx]) as f64;
                     state.observe_completion(fb, done.instance, latency, low.energy_pj);
@@ -805,10 +782,9 @@ impl ServeSim {
     ) {
         self.decay_waiting(now, csim, router, cache, table, state);
         let budget = self.cfg.admit_buffer_bytes;
-        let energy_budget = self.cfg.instance_energy_budget_pj;
         while !state.waiting.is_empty() {
             let pos = admission::pick(
-                &self.cfg,
+                admission::AGING_THRESHOLD,
                 now,
                 &state.waiting,
                 state.waiting.len(),
@@ -818,10 +794,7 @@ impl ServeSim {
             let req = state.waiting[pos];
             self.feedback_relower(now, csim, router, cache, req, table, state);
             let (fp, energy_pj) = (table[req].footprint, table[req].energy_pj);
-            let instances = 0..self.cfg.instances;
-            let target = state
-                .bookings
-                .place(instances, fp, energy_pj, budget, energy_budget);
+            let target = state.bookings.place(0..self.cfg.instances, fp, budget);
             let Some(inst) = target else {
                 // Nothing fits the candidate now; completions will retry.
                 // Stopping (rather than skipping to a smaller request) is
@@ -831,7 +804,7 @@ impl ServeSim {
             };
             state.waiting.remove(pos);
             msim.submit(inst, req as u64, &table[req].job, now);
-            state.bookings.book(inst, fp, energy_pj);
+            state.bookings.book(inst, fp);
             state.energy_pj[inst] += energy_pj;
             state.placed_on[req] = inst;
             state.admitted_at[req] = now;
@@ -1020,6 +993,7 @@ mod tests {
     use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
     use sofa_hw::accel::AttentionTask;
     use sofa_model::trace::TraceConfig;
+    use sofa_sim::tracks::PID_SHARED_DRAM;
 
     fn small_cfg(instances: usize) -> ServeConfig {
         let mut cfg = ServeConfig::new(HwConfig::small(), instances);
@@ -1112,23 +1086,27 @@ mod tests {
 
     #[test]
     fn aging_bounds_the_wait_of_large_requests() {
-        // Under smallest-first picking a steady stream of small decodes could starve
-        // a large prefill; the aging threshold must bound its wait relative
-        // to the same schedule without aging.
+        // Under smallest-first picking a steady stream of small decodes could
+        // starve a large prefill. Once a request has waited the aging
+        // threshold, nothing younger is admitted ahead of it: an aged pick
+        // takes the oldest, and admission stops while it does not fit.
         let trace = small_trace(48, 300.0, 13);
-        let mut aged_cfg = small_cfg(1);
-        aged_cfg.aging_threshold = 20_000;
-        let mut starved_cfg = small_cfg(1);
-        starved_cfg.aging_threshold = u64::MAX;
-        let aged = ServeSim::new(aged_cfg).run(&trace);
-        let starved = ServeSim::new(starved_cfg).run(&trace);
-        let worst = |r: &ServeReport| r.records.iter().map(|x| x.queueing_delay()).max().unwrap();
-        assert!(
-            worst(&aged) <= worst(&starved),
-            "aging must not worsen the worst queueing delay: {} vs {}",
-            worst(&aged),
-            worst(&starved)
-        );
+        let report = ServeSim::new(small_cfg(1)).run(&trace);
+        let rs = &report.records;
+        let mut aged = 0;
+        for a in rs {
+            // `a` waits at every admission in `[a.arrival + threshold, a.admitted)`.
+            let aged_from = a.arrival + admission::AGING_THRESHOLD;
+            if aged_from < a.admitted {
+                aged += 1;
+            }
+            for b in rs {
+                let overtaken = (aged_from..a.admitted).contains(&b.admitted)
+                    && (a.arrival, a.id) < (b.arrival, b.id);
+                assert!(!overtaken, "{} overtook the aged {}", b.id, a.id);
+            }
+        }
+        assert!(aged > 0, "the load must age some request");
     }
 
     #[test]
@@ -1236,6 +1214,16 @@ mod tests {
         );
         assert!(stats.counter_samples > 0, "booking counters sampled");
         assert!(stats.max_ts > 0 && stats.max_ts <= traced.total_cycles);
+        // The documented single-node layout: the instances, the DRAM
+        // channel, the request tracks and the scheduler.
+        let doc = sofa_obs::json::parse(&obs.to_chrome_json()).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let pids: std::collections::BTreeSet<u64> = events
+            .iter()
+            .map(|e| e.get("pid").and_then(|p| p.as_num()).unwrap() as u64)
+            .collect();
+        let want = [0, 1, PID_SHARED_DRAM, PID_REQUESTS, PID_SCHEDULER];
+        assert_eq!(pids, want.into_iter().collect());
         assert_eq!(reg.counter("serve.requests.admitted"), 16);
         assert_eq!(reg.counter("serve.requests.shed"), 0);
         assert!(reg.gauge("serve.latency_p95").is_some());
@@ -1441,25 +1429,6 @@ mod tests {
     }
 
     #[test]
-    fn instance_energy_budget_steers_placement_without_shedding() {
-        let trace = small_trace(24, 150.0, 19);
-        let mut cfg = small_cfg(2);
-        cfg.instance_energy_budget_pj = Some(5.0e7);
-        let sim = ServeSim::new(cfg);
-        let report = sim.run(&trace);
-        assert_eq!(
-            report.records.len(),
-            trace.len(),
-            "an instance budget delays admission, it never sheds"
-        );
-        assert!(
-            report.requests_on(0) > 0 && report.requests_on(1) > 0,
-            "energy headroom must spread load across both instances"
-        );
-        assert_eq!(report, sim.run(&trace));
-    }
-
-    #[test]
     #[should_panic(expected = "invalid serve config")]
     fn zero_retry_keep_factor_is_rejected() {
         let mut cfg = small_cfg(1);
@@ -1467,14 +1436,6 @@ mod tests {
             keep_factor: 0.0,
             ..RetryPolicy::default()
         });
-        let _ = ServeSim::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid serve config")]
-    fn non_positive_instance_energy_budget_is_rejected() {
-        let mut cfg = small_cfg(1);
-        cfg.instance_energy_budget_pj = Some(0.0);
         let _ = ServeSim::new(cfg);
     }
 

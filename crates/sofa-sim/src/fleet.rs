@@ -11,9 +11,9 @@
 //! **Serial stepping.** Between synchronization epochs the nodes share
 //! nothing, so [`FleetSim::run_until`] steps them one after another, in
 //! node order, on the calling thread; each node appends its completions to
-//! the fleet's one buffer. Results (and, with tracing on, the trace bytes:
-//! each node records into its own pid window, absorbed in node order) do
-//! not depend on `SOFA_THREADS`.
+//! the fleet's one buffer. Results do not depend on `SOFA_THREADS`. Fleet
+//! runs are not traced: a node is traced on its own, as a
+//! [`MultiPipelineSim`].
 //!
 //! **Deliveries.** Work enters a node through [`FleetSim::submit`] with an
 //! explicit delivery timestamp (computed by the router from the fabric
@@ -28,9 +28,7 @@
 
 use crate::multi::{Completion, MultiPipelineSim, MultiReport};
 use crate::sim::{PipelineJob, SimParams};
-use crate::tracks::{node_pid_base, PID_NODE_DRAM};
 use sofa_hw::config::HwConfig;
-use sofa_obs::TraceRecorder;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -81,14 +79,6 @@ impl FabricReport {
     /// Total payload bytes across all links.
     pub fn total_bytes(&self) -> u64 {
         self.links.iter().map(|l| l.bytes).sum()
-    }
-
-    /// Busy fraction of link `node` over `total_cycles`.
-    pub fn link_utilization(&self, node: usize, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            return 0.0;
-        }
-        self.links[node].busy_cycles as f64 / total_cycles as f64
     }
 }
 
@@ -272,7 +262,6 @@ impl FleetSimReport {
 #[derive(Debug)]
 pub struct FleetSim {
     nodes: Vec<NodeSim>,
-    traced: bool,
     /// Completion scratch refilled by [`FleetSim::run_until`] — allocated
     /// once and reused across the tens of thousands of epochs of a fleet
     /// run.
@@ -292,7 +281,6 @@ impl FleetSim {
             nodes: (0..nodes)
                 .map(|_| NodeSim::new(cfg, instances_per_node, params))
                 .collect(),
-            traced: false,
             completions: Vec::new(),
         }
     }
@@ -334,32 +322,6 @@ impl FleetSim {
     /// scratch and is valid until the next stepping call.
     pub fn run_to_idle(&mut self) -> &[FleetCompletion] {
         self.run_until(u64::MAX)
-    }
-
-    /// Switches tracing on for every node: node `n`'s instances record at
-    /// pids `node_pid_base(n) + i`, its private DRAM channel at
-    /// `node_pid_base(n) +` [`PID_NODE_DRAM`]. Call before the first
-    /// submission; collect with [`FleetSim::take_trace`].
-    pub fn enable_tracing(&mut self) {
-        self.traced = true;
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            let base = node_pid_base(n);
-            node.sim
-                .enable_tracing_with_pids(base, base + PID_NODE_DRAM, &format!("node{n}."));
-        }
-    }
-
-    /// Merges every node's trace (in node order) into one recorder, leaving
-    /// disabled recorders behind.
-    pub fn take_trace(&mut self) -> TraceRecorder {
-        if !self.traced {
-            return TraceRecorder::disabled();
-        }
-        let mut merged = TraceRecorder::enabled();
-        for node in &mut self.nodes {
-            merged.absorb(node.sim.take_trace());
-        }
-        merged
     }
 
     /// Snapshot of every node's accounting.
@@ -527,23 +489,6 @@ mod tests {
         };
         assert_eq!(sort(fine.0), sort(coarse.0));
         assert_eq!(fine.1, coarse.1);
-    }
-
-    #[test]
-    fn fleet_tracing_uses_disjoint_pid_windows_and_validates() {
-        let csim = CycleSim::new(HwConfig::small());
-        let job = small_job(&csim);
-        let mut fleet = FleetSim::new(csim.accel.config(), 2, 1, csim.params);
-        fleet.enable_tracing();
-        fleet.submit(0, 0, 0, Arc::clone(&job), 0);
-        fleet.submit(1, 0, 1, Arc::clone(&job), 0);
-        fleet.run_to_idle();
-        let json = fleet.take_trace().to_chrome_json();
-        let stats = sofa_obs::validate_chrome_trace(&json).expect("valid trace");
-        assert!(stats.spans > 0);
-        assert!(json.contains("node0.inst0"));
-        assert!(json.contains("node1.inst0"));
-        assert!(json.contains("node1.dram-channel"));
     }
 
     #[test]

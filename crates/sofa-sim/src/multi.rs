@@ -366,10 +366,6 @@ pub struct MultiPipelineSim {
     end_time: u64,
     requests_completed: Vec<usize>,
     obs: TraceRecorder,
-    /// Trace pid of instance 0 (instance `i` records at `pid_base + i`).
-    pid_base: u64,
-    /// Trace pid of the shared DRAM channel.
-    dram_pid: u64,
     /// Every stage start in start order, when recording is on (`None` by
     /// default). `CycleSim` turns it on to build `CycleReport::timeline`.
     pub(crate) timeline: Option<Vec<TimelineEntry>>,
@@ -402,8 +398,6 @@ impl MultiPipelineSim {
             end_time: 0,
             requests_completed: vec![0; instances],
             obs: TraceRecorder::disabled(),
-            pid_base: 0,
-            dram_pid: PID_SHARED_DRAM,
             timeline: None,
             wakeups: 0,
             starts: 0,
@@ -416,29 +410,22 @@ impl MultiPipelineSim {
     /// index) plus the shared channel's queue-depth counter (process
     /// [`PID_SHARED_DRAM`]), all in simulated cycles. Call before the first
     /// submission; collect with [`MultiPipelineSim::take_trace`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has more than 99 instances: instance 99 would
+    /// record on the channel's pid, and later ones on the serving layer's.
     pub fn enable_tracing(&mut self) {
-        self.enable_tracing_with_pids(0, PID_SHARED_DRAM, "");
-    }
-
-    /// [`MultiPipelineSim::enable_tracing`] with an explicit track layout:
-    /// instance `i` records at pid `pid_base + i`, the shared channel at
-    /// `dram_pid`, and `label` prefixes the process names. The fleet
-    /// simulator gives each node a disjoint pid window
-    /// ([`crate::tracks::node_pid_base`]) so node traces merge without
-    /// collisions.
-    pub fn enable_tracing_with_pids(&mut self, pid_base: u64, dram_pid: u64, label: &str) {
-        self.pid_base = pid_base;
-        self.dram_pid = dram_pid;
+        let n = self.instances.len();
+        assert!(
+            n as u64 <= PID_SHARED_DRAM,
+            "cannot trace {n} instances: instance pids must stay below the DRAM channel's {PID_SHARED_DRAM}"
+        );
         self.obs = TraceRecorder::enabled();
-        self.obs
-            .process_name(dram_pid, &format!("{label}dram-channel"));
-        self.obs.thread_name(dram_pid, 0, "dram.queue_depth");
-        for i in 0..self.instances.len() {
-            announce_pipeline(
-                &mut self.obs,
-                pid_base + i as u64,
-                &format!("{label}inst{i}"),
-            );
+        self.obs.process_name(PID_SHARED_DRAM, "dram-channel");
+        self.obs.thread_name(PID_SHARED_DRAM, 0, "dram.queue_depth");
+        for i in 0..n {
+            announce_pipeline(&mut self.obs, i as u64, &format!("inst{i}"));
         }
     }
 
@@ -452,7 +439,7 @@ impl MultiPipelineSim {
     #[cold]
     fn sample_dram(&mut self, now: u64) {
         self.obs.counter(
-            self.dram_pid,
+            PID_SHARED_DRAM,
             0,
             "dram.queue_depth",
             now,
@@ -465,7 +452,7 @@ impl MultiPipelineSim {
     #[cold]
     fn sample_bank(&mut self, inst: usize, b: usize, now: u64) {
         self.obs.counter(
-            self.pid_base + inst as u64,
+            inst as u64,
             TID_BANK_BASE + b as u64,
             &bank_track(b),
             now,
@@ -838,7 +825,7 @@ impl MultiPipelineSim {
         if self.obs.is_enabled() {
             if waited > 0 {
                 self.obs.complete(
-                    self.pid_base + inst as u64,
+                    inst as u64,
                     stage as u64,
                     stall_name,
                     idle_since,
@@ -847,7 +834,7 @@ impl MultiPipelineSim {
                 );
             }
             self.obs.complete(
-                self.pid_base + inst as u64,
+                inst as u64,
                 stage as u64,
                 &format!("req{request}:tile{tile}"),
                 now,
@@ -1033,6 +1020,14 @@ mod tests {
             "four instances over one channel must age requests at threshold 1"
         );
         assert!(report.dram_mean_queue_wait > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot trace 100 instances")]
+    fn tracing_more_instances_than_pids_below_the_channel_panics() {
+        // Instance 99 would record on the DRAM channel's pid, and 100 and
+        // 101 on the serving layer's request and scheduler pids.
+        MultiPipelineSim::new(&HwConfig::small(), 100, SimParams::default()).enable_tracing();
     }
 
     #[test]

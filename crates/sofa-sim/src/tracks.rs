@@ -5,8 +5,11 @@
 //!
 //! * **pid** — one per pipeline instance: the instance index of a
 //!   [`crate::MultiPipelineSim`] (a [`crate::CycleSim`] run is instance 0).
-//!   The shared DRAM channel is its own process, [`PID_SHARED_DRAM`];
-//!   higher layers (the serving scheduler) start at [`PID_SERVE_BASE`].
+//!   The shared DRAM channel is its own process, [`PID_SHARED_DRAM`], so a
+//!   traced node holds at most 99 instances
+//!   ([`crate::MultiPipelineSim::enable_tracing`] checks it); higher layers
+//!   (the serving scheduler) start at [`PID_SERVE_BASE`]. Fleet runs are
+//!   not traced.
 //! * **tid** — within a pipeline process: tids `0..=3` carry the per-stage
 //!   busy/stall spans (in [`crate::report::STAGE_NAMES`] order) and
 //!   [`TID_BANK_BASE`]`+b` the ping-pong occupancy counter of stage
@@ -20,25 +23,6 @@ use sofa_obs::TraceRecorder;
 pub const PID_SHARED_DRAM: u64 = 99;
 /// First process id available to layers above the simulator (serving).
 pub const PID_SERVE_BASE: u64 = 100;
-/// Process id of the fleet router's counter tracks (per-node booked bytes,
-/// wait-queue depth).
-pub const PID_FLEET_ROUTER: u64 = 998;
-/// Process id of the inter-node fabric's counter tracks (tid = node index).
-pub const PID_FABRIC: u64 = 999;
-/// First process id of fleet node 0; node `n` owns the pid window
-/// `[node_pid_base(n), node_pid_base(n) + PID_NODE_STRIDE)`.
-pub const PID_FLEET_BASE: u64 = 1000;
-/// Pid window size per fleet node: instance `i` of a node records at
-/// `node_pid_base(n) + i`, the node's private DRAM channel at
-/// `node_pid_base(n) + PID_NODE_DRAM`.
-pub const PID_NODE_STRIDE: u64 = 100;
-/// Offset, within a node's pid window, of its private DRAM channel.
-pub const PID_NODE_DRAM: u64 = PID_NODE_STRIDE - 1;
-
-/// First pid of fleet node `node`'s trace-track window.
-pub fn node_pid_base(node: usize) -> u64 {
-    PID_FLEET_BASE + node as u64 * PID_NODE_STRIDE
-}
 /// First track id of the three ping-pong bank-occupancy counters.
 pub const TID_BANK_BASE: u64 = 5;
 
