@@ -62,32 +62,25 @@ impl CacheStats {
 /// Generic over the key and value so the same machinery serves the
 /// request-shape lowering cache in `sofa-serve` (value: lowered pipeline job +
 /// footprint + energy) and the per-layer evaluation memo in `sofa-dse`
-/// (value: loss/cycles/energy triple). Disabled caches behave as pass-through
-/// computations that still count every lookup as a miss, so cache-on vs
-/// cache-off runs differ only in wall time, never in output.
+/// (value: loss/cycles/energy triple). A hit returns exactly what the
+/// function would compute for that key, so the memo changes wall time
+/// only, never output.
 #[derive(Debug, Clone)]
 pub struct LoweringCache<K, V> {
     map: HashMap<K, V>,
     stats: CacheStats,
-    enabled: bool,
 }
 
-impl<K: Eq + Hash, V> LoweringCache<K, V> {
-    /// An empty cache; `enabled = false` turns it into a counting
-    /// pass-through.
-    pub fn new(enabled: bool) -> Self {
+impl<K: Eq + Hash, V> Default for LoweringCache<K, V> {
+    fn default() -> Self {
         Self {
             map: HashMap::new(),
             stats: CacheStats::default(),
-            enabled,
         }
     }
+}
 
-    /// Whether lookups may be answered from the memo table.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
+impl<K: Eq + Hash, V> LoweringCache<K, V> {
     /// Number of distinct keys stored.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -103,22 +96,9 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
         self.stats
     }
 
-    /// Look up `key`, computing and storing the value on a miss. On a
-    /// disabled cache the value is recomputed on every call (the slot is
-    /// overwritten so the returned reference can borrow from the map).
+    /// Look up `key`, computing and storing the value on a miss.
     pub fn get_or_insert_with(&mut self, key: K, compute: impl FnOnce() -> V) -> &V {
         use std::collections::hash_map::Entry;
-        if !self.enabled {
-            self.stats.misses += 1;
-            let value = compute();
-            return match self.map.entry(key) {
-                Entry::Occupied(mut slot) => {
-                    slot.insert(value);
-                    slot.into_mut()
-                }
-                Entry::Vacant(slot) => slot.insert(value),
-            };
-        }
         if self.map.contains_key(&key) {
             self.stats.hits += 1;
             return self.map.get(&key).expect("hit was just observed");
@@ -133,21 +113,14 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
 
     /// Look up `key` without computing; counts neither hit nor miss.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        if self.enabled {
-            self.map.get(key)
-        } else {
-            None
-        }
+        self.map.get(key)
     }
 
     /// Store a precomputed value (dedup-before-parallel backfill). Counts as
-    /// a miss — the value was computed outside the cache. No-op storage-wise
-    /// when disabled.
+    /// a miss — the value was computed outside the cache.
     pub fn insert_computed(&mut self, key: K, value: V) {
         self.stats.misses += 1;
-        if self.enabled {
-            self.map.insert(key, value);
-        }
+        self.map.insert(key, value);
     }
 
     /// Record `n` lookups answered by the dedup-before-parallel pass without
@@ -158,11 +131,9 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
 
     /// Store a value without touching the counters — for seeding a cache
     /// with results that were already accounted elsewhere (e.g. a reference
-    /// point every run computes regardless of caching). No-op when disabled.
+    /// point every run computes regardless of caching).
     pub fn preload(&mut self, key: K, value: V) {
-        if self.enabled {
-            self.map.insert(key, value);
-        }
+        self.map.insert(key, value);
     }
 }
 
@@ -235,7 +206,7 @@ mod tests {
 
     #[test]
     fn memoises_and_counts() {
-        let mut cache: LoweringCache<u32, u64> = LoweringCache::new(true);
+        let mut cache: LoweringCache<u32, u64> = LoweringCache::default();
         let mut computed = 0u64;
         for key in [1u32, 2, 1, 1, 2, 3] {
             cache.get_or_insert_with(key, || {
@@ -250,23 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_recomputes_every_lookup() {
-        let mut cache: LoweringCache<u32, u64> = LoweringCache::new(false);
-        let mut computed = 0u64;
-        for _ in 0..4 {
-            cache.get_or_insert_with(7, || {
-                computed += 1;
-                computed
-            });
-        }
-        assert_eq!(computed, 4);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 4 });
-        assert!(cache.peek(&7).is_none());
-    }
-
-    #[test]
     fn shared_hit_accounting_matches_dedup_pass() {
-        let mut cache: LoweringCache<u32, u64> = LoweringCache::new(true);
+        let mut cache: LoweringCache<u32, u64> = LoweringCache::default();
         // Dedup-before-parallel: 5 requests, 2 unique keys.
         cache.insert_computed(1, 10);
         cache.insert_computed(2, 20);

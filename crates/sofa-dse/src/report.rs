@@ -112,12 +112,6 @@ pub struct DseSearchConfig {
     pub profiles: Vec<ScalarWeights>,
     /// Base RNG seed (profile `i` derives its stream from `(seed, i)`).
     pub seed: u64,
-    /// Memoise candidate evaluations on the canonical per-layer encoding
-    /// (default `true`). The probe grid and the weight profiles propose
-    /// overlapping candidates; evaluation is a pure function of the
-    /// candidate, so dedup changes wall time only — the report (minus
-    /// [`DseReport::evals_saved`]) is bit-identical either way.
-    pub dedup: bool,
 }
 
 impl DseSearchConfig {
@@ -132,7 +126,6 @@ impl DseSearchConfig {
             probe_tiles: vec![4, 8, 16, 32],
             profiles: ScalarWeights::profiles(),
             seed,
-            dedup: true,
         }
     }
 
@@ -147,7 +140,6 @@ impl DseSearchConfig {
             probe_tiles: vec![8, 16],
             profiles: vec![ScalarWeights::balanced()],
             seed,
-            dedup: true,
         }
     }
 }
@@ -174,9 +166,11 @@ pub struct DseReport {
     /// Total candidate lowerings performed (including the default).
     pub evaluations: usize,
     /// Candidate evaluations answered from the dedup memo instead of being
-    /// re-lowered (0 with [`DseSearchConfig::dedup`] off). Deterministic:
-    /// probe dedup is serial and each profile's saves are a pure function of
-    /// its own proposal stream.
+    /// re-lowered: the probe grid and the weight profiles propose
+    /// overlapping candidates, and evaluation is a pure function of the
+    /// candidate's per-layer encoding. Deterministic: probe dedup is serial
+    /// and each profile's saves are a pure function of its own proposal
+    /// stream.
     pub evals_saved: usize,
 }
 
@@ -231,7 +225,7 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
     // re-evaluation would. Filled serially (dedup-before-parallel in the
     // probe phase, per-profile local memos in the search phase), so the
     // saved-evaluation count is deterministic at any `SOFA_THREADS`.
-    let mut memo: EvalMemo = LoweringCache::new(cfg.dedup);
+    let mut memo = EvalMemo::default();
     memo.preload(candidate_key(&paper_default.candidate), reference);
 
     // Phase 1 — deterministic coarse probes, batch-parallel over the
@@ -255,7 +249,7 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
         if let Some(m) = memo.peek(&key).copied() {
             memo.record_shared_hits(1);
             probe_src.push(Ok(m));
-        } else if let Some(&i) = pending.get(&key).filter(|_| cfg.dedup) {
+        } else if let Some(&i) = pending.get(&key) {
             memo.record_shared_hits(1);
             probe_src.push(Err(i));
         } else {
@@ -346,7 +340,7 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
 /// floats collide; any per-layer difference misses.
 type CandidateKey = (Vec<u64>, Vec<usize>);
 
-/// The candidate-evaluation memo (see [`DseSearchConfig::dedup`]).
+/// The candidate-evaluation memo (see [`DseReport::evals_saved`]).
 type EvalMemo = LoweringCache<CandidateKey, MetricVector>;
 
 fn candidate_key(c: &DseCandidate) -> CandidateKey {
@@ -379,7 +373,7 @@ fn run_profile(
         observed_y.push(weights.scalarize(&e.metrics, reference));
     }
 
-    let mut local: EvalMemo = LoweringCache::new(cfg.dedup);
+    let mut local = EvalMemo::default();
     let evaluate = |c: DseCandidate, local: &mut EvalMemo| -> CandidateEval {
         let key = candidate_key(&c);
         let cached = base.peek(&key).or_else(|| local.peek(&key)).copied();

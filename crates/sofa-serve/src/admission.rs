@@ -1,28 +1,34 @@
 //! The admission core shared by [`ServeSim`](crate::ServeSim) and
-//! [`FleetServeSim`](crate::FleetServeSim): the deduplicated lowering pass
-//! ([`lower_trace`]) and the lowering functions; the [`RequestTable`] of
-//! distinct lowerings with each request's current one and effective
-//! arrival; the [`Intake`] of original arrivals and retry re-arrivals; the
-//! per-instance [`Bookings`], the aged smallest-first [`pick`] and the
-//! least-booked [`Bookings::place`]. Admission books the
+//! [`FleetServeSim`](crate::FleetServeSim). [`Admission`] makes every
+//! admission decision of one run: the deduplicated lowering pass
+//! ([`lower_trace`]) into the [`RequestTable`], the [`Intake`] of original
+//! arrivals and retry re-arrivals, the [`WaitQueue`], the aged
+//! smallest-first [`pick`], the per-slot [`Bookings`] and the adaptive
+//! controller (decay, feedback pressure and retries). Admission books the
 //! sparsity-reduced `T×k` footprint; overbooking it Tailors-style is a
 //! larger [`ServeConfig::admit_buffer_bytes`].
 //!
-//! Each simulator keeps its own clock, loop and completions, and only the
-//! single node traces. The single node is event-exact: it takes one
-//! external event strictly before its next simulation event. The fleet
-//! steps in epochs: it takes every external event below its next boundary.
+//! A driver keeps its clock and what it does with an admitted request. The
+//! single node is event-exact: it takes one external event strictly before
+//! its next simulation event, and admits from the whole wait queue after
+//! each external event and each step that completes a request. The fleet
+//! steps in epochs: it completes a boundary's requests node by node, takes
+//! every external event below the boundary, then admits from a window at
+//! the queue head. Each driver's place and submit closures choose the slot
+//! and run the request there, and each driver keeps its own energy sum.
+//! Only the single node traces; the core buffers its adaptive instants for
+//! it.
 
-use crate::scheduler::{OpRouter, ServeConfig};
+use crate::scheduler::{FeedbackConfig, OpRouter, ServeConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::ops::{Index, Range};
 use std::sync::Arc;
 
-use sofa_core::cache::{LoweringCache, ShapeKey};
+use sofa_core::cache::{CacheStats, LoweringCache, ShapeKey};
 use sofa_hw::accel::AttentionTask;
 use sofa_hw::energy::DRAM_ACTIVATION_PJ;
-use sofa_model::trace::{RequestSpec, RequestTrace};
+use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
 use sofa_model::OperatingPoint;
 use sofa_sim::{CycleSim, PipelineJob};
 
@@ -117,7 +123,7 @@ pub(crate) struct Lowered {
     /// The operating point of this lowering.
     pub(crate) op: OperatingPoint,
     /// The lowered tile stream, shared with every other lowering of the
-    /// same `(shape, operating point)` key when the cache is on.
+    /// same `(shape, operating point)` key.
     pub(crate) job: Arc<PipelineJob>,
     /// Bytes admission control books for the request (the worst layer).
     pub(crate) footprint: u64,
@@ -306,10 +312,9 @@ pub(crate) fn lower_routed(
 /// serial dedup pass elects one representative per distinct key; only the
 /// representatives fan out across cores (in index order, so the result is
 /// oblivious to the thread count), and every other request shares its
-/// representative's lowering. With the cache off every request is its own
-/// representative — the classic full fan-out. The representatives'
-/// final-point lowerings seed `cache`, which accounts one miss per
-/// representative and one hit per request that shared one.
+/// representative's lowering. The representatives' final-point lowerings
+/// seed `cache`, which accounts one miss per representative and one hit per
+/// request that shared one.
 ///
 /// Returns the table of the whole trace: the representatives' lowerings,
 /// each request pointing at its representative's, at its spec's arrival.
@@ -328,19 +333,14 @@ pub(crate) fn lower_trace<'t>(
     // representative allocates nothing; only a new key is cloned.
     let (mut key, mut routed) = (ShapeKey::default(), [None, None]);
     for (i, spec) in specs.iter().enumerate() {
-        let rep = if cache.enabled() {
-            router.refill_key(&cfg.op, spec, &mut key, &mut routed);
-            match seen.get(&key) {
-                Some(&rep) => rep,
-                None => {
-                    reps.push(i);
-                    seen.insert(key.clone(), reps.len() - 1);
-                    reps.len() - 1
-                }
+        router.refill_key(&cfg.op, spec, &mut key, &mut routed);
+        let rep = match seen.get(&key) {
+            Some(&rep) => rep,
+            None => {
+                reps.push(i);
+                seen.insert(key.clone(), reps.len() - 1);
+                reps.len() - 1
             }
-        } else {
-            reps.push(i);
-            reps.len() - 1
         };
         index.push(lowering_index(rep));
     }
@@ -360,19 +360,16 @@ pub(crate) fn lower_trace<'t>(
 }
 
 /// What one external event — an original arrival or a retry re-arrival —
-/// did to its request. `attempt` is 0 for the original submission.
+/// did to its request.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Arrival {
     /// The request joins the wait queue.
-    Queued { req: usize, attempt: u32 },
+    Queued,
     /// Over the energy budget: the client re-submits after its backoff.
-    BackedOff { req: usize, attempt: u32 },
-    /// Over the energy budget with no retry left: shed at `energy_pj`.
-    Shed {
-        req: usize,
-        attempt: u32,
-        energy_pj: f64,
-    },
+    BackedOff,
+    /// Over the energy budget with no retry left: shed at `energy_pj` after
+    /// `attempt` re-submissions.
+    Shed { attempt: u32, energy_pj: f64 },
 }
 
 /// The arrival side of admission: the cursor over the trace's original
@@ -390,22 +387,16 @@ pub(crate) struct Intake {
 
 impl Intake {
     /// Client re-submissions of `req` so far.
-    pub(crate) fn attempts(&self, req: usize) -> u32 {
+    fn attempts(&self, req: usize) -> u32 {
         self.attempts.get(&req).copied().unwrap_or(0)
-    }
-
-    /// Cycle of the next external event, if any is left.
-    #[inline]
-    pub(crate) fn next_time(&self, table: &RequestTable) -> Option<u64> {
-        self.peek(table).map(|(t, _)| t)
     }
 
     /// The next external event's cycle and whether it is a retry
     /// re-arrival. Original arrivals go first on ties: the retried client
     /// re-submits just behind the fresh traffic.
     #[inline]
-    fn peek(&self, table: &RequestTable) -> Option<(u64, bool)> {
-        let arrival = table.specs.get(self.next).map(|r| r.arrival_cycle);
+    fn peek(&self, specs: &[RequestSpec]) -> Option<(u64, bool)> {
+        let arrival = specs.get(self.next).map(|r| r.arrival_cycle);
         let retry = self.retries.peek().map(|&Reverse((t, _))| t);
         match (arrival, retry) {
             (Some(a), Some(r)) if r < a => Some((r, true)),
@@ -414,82 +405,12 @@ impl Intake {
         }
     }
 
-    /// Takes the next external event strictly before `bound` (any event
-    /// when `bound` is `None`) and returns its cycle and outcome. Inlined:
-    /// the single node asks once per simulation event, and almost always
-    /// gets `None`.
-    #[inline]
-    pub(crate) fn pop_before(
-        &mut self,
-        bound: Option<u64>,
-        cfg: &ServeConfig,
-        cache: &mut LowerCache,
-        csim: &CycleSim,
-        router: &OpRouter,
-        table: &mut RequestTable,
-    ) -> Option<(u64, Arrival)> {
-        let now = self.next_time(table)?;
-        if bound.is_some_and(|b| now >= b) {
-            return None;
-        }
-        Some(self.take(cfg, cache, csim, router, table))
-    }
-
-    /// Takes the next external event. An original arrival queues if its
-    /// lowering is admitted. A retry re-arrival is re-lowered through the
-    /// cache at its attempt's leaner keep; if that fits the energy budget,
-    /// `table` switches the request to it at the re-arrival cycle. A request
-    /// that does not fit backs off while [`ServeConfig::retry`] leaves it an
-    /// attempt, and is shed otherwise.
-    fn take(
-        &mut self,
-        cfg: &ServeConfig,
-        cache: &mut LowerCache,
-        csim: &CycleSim,
-        router: &OpRouter,
-        table: &mut RequestTable,
-    ) -> (u64, Arrival) {
-        let (now, is_retry) = self.peek(table).expect("an external event is pending");
-        let (req, attempt, energy_pj) = if is_retry {
-            let Reverse((_, req)) = self.retries.pop().expect("a retry was peeked");
-            let attempt = self.attempts(req) + 1;
-            self.attempts.insert(req, attempt);
-            let policy = cfg.retry.expect("retries require a policy");
-            // The router's leanest point (or the deployment point when it
-            // has none) with its keep shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored
-            // at 1%. The shrunk keep is part of the cache key, so repeat
-            // attempts at the same level hit.
-            let base = router.leaner().unwrap_or_else(|| cfg.op.clone());
-            let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
-            let op = base.with_uniform_keep(keep);
-            let lowering = lower_at_cached(cache, csim, &table.specs[req], &op);
-            if !cfg.over_energy_budget(lowering.energy_pj) {
-                table.reroute(req, op, lowering);
-                table.arrival[req] = now;
-                return (now, Arrival::Queued { req, attempt });
-            }
-            (req, attempt, lowering.energy_pj)
-        } else {
-            let req = self.next;
-            self.next += 1;
-            if table[req].admit {
-                return (now, Arrival::Queued { req, attempt: 0 });
-            }
-            (req, 0, table[req].energy_pj)
-        };
-        let arrival = match cfg.retry {
-            Some(policy) if attempt < policy.max_retries => {
-                self.retries
-                    .push(Reverse((now + policy.backoff_cycles, req)));
-                Arrival::BackedOff { req, attempt }
-            }
-            _ => Arrival::Shed {
-                req,
-                attempt,
-                energy_pj,
-            },
-        };
-        (now, arrival)
+    /// Takes the next retry re-arrival: its request and attempt number.
+    fn pop_retry(&mut self) -> (usize, u32) {
+        let Reverse((_, req)) = self.retries.pop().expect("a retry was peeked");
+        let attempt = self.attempts(req) + 1;
+        self.attempts.insert(req, attempt);
+        (req, attempt)
     }
 }
 
@@ -624,6 +545,401 @@ impl Bookings {
     }
 }
 
+/// One adaptive-controller action, buffered during a traced run and
+/// emitted as a trace instant after it: mid-loop emission would break
+/// per-track timestamp monotonicity against the post-run lifecycle spans.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum AdaptiveKind {
+    /// The decay threshold re-lowered a waiting request to the lean end.
+    Decay,
+    /// Feedback pressure re-lowered the picked request at this level.
+    Feedback(u8),
+    /// An over-budget attempt went to the retry queue (attempt number; 0 is
+    /// the initial submission).
+    RetryShed(u32),
+    /// A retry re-arrival fit the budget and joined the wait queue.
+    Retry(u32),
+    /// Retries exhausted: finally shed, at this last-attempt energy.
+    Shed(f64),
+}
+
+/// [`AdaptiveKind`] tagged with the request and cycle it happened at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdaptiveEvent {
+    pub(crate) req: usize,
+    pub(crate) ts: u64,
+    pub(crate) kind: AdaptiveKind,
+}
+
+/// The measured state of [`OpRouter::Feedback`]: EWMAs (`ewma ← α·sample +
+/// (1−α)·ewma`; the first sample of a series seeds it) of each slot's
+/// completion latency and per-request energy and of the wait-queue depth,
+/// sampled at every completion.
+#[derive(Debug, Default)]
+struct Pressure {
+    latency: Vec<f64>,
+    energy: Vec<f64>,
+    queue: f64,
+    samples: u64,
+}
+
+impl Pressure {
+    /// Folds one completion on `slot` into the EWMAs.
+    fn observe(&mut self, fb: &FeedbackConfig, slot: usize, latency: f64, energy: f64, depth: f64) {
+        let mix = |prev: f64, x: f64| {
+            if prev == 0.0 {
+                x
+            } else {
+                fb.alpha * x + (1.0 - fb.alpha) * prev
+            }
+        };
+        self.latency[slot] = mix(self.latency[slot], latency);
+        self.energy[slot] = mix(self.energy[slot], energy);
+        self.queue = if self.samples == 0 {
+            depth
+        } else {
+            fb.alpha * depth + (1.0 - fb.alpha) * self.queue
+        };
+        self.samples += 1;
+    }
+
+    /// The discrete pressure level measured state maps to — 0 calm, 1 over
+    /// target, 2 badly over — per [`FeedbackConfig`]. Zero until the first
+    /// completion lands (no measurement, no pressure).
+    fn level(&self, fb: &FeedbackConfig) -> u8 {
+        if self.samples == 0 {
+            return 0;
+        }
+        let hottest = self.latency.iter().copied().fold(0.0f64, f64::max);
+        let target = fb.target_latency_cycles as f64;
+        let queue_bar = fb.queue_depth_bar as f64;
+        let mut level = 0u8;
+        if hottest > target || self.queue > queue_bar {
+            level = 1;
+        }
+        if hottest > 2.0 * target || self.queue > 2.0 * queue_bar {
+            level = 2;
+        }
+        if let Some(bar) = fb.energy_bar_pj {
+            let hottest_energy = self.energy.iter().copied().fold(0.0f64, f64::max);
+            if hottest_energy > bar {
+                level = (level + 1).min(2);
+            }
+        }
+        level
+    }
+}
+
+/// One admitted request, as [`Admission::admit`] hands it to the driver.
+pub(crate) struct Admitted<'l> {
+    /// The instance slot it is booked on.
+    pub(crate) slot: usize,
+    pub(crate) req: usize,
+    /// Its lowering at admission.
+    pub(crate) low: &'l Lowered,
+    /// Its effective arrival.
+    pub(crate) arrival: u64,
+    /// Requests still waiting after it left the queue.
+    pub(crate) waiting: usize,
+    /// Bytes booked on `slot` with it.
+    pub(crate) booked: u64,
+}
+
+/// All admission state and policy of one run (see the module docs).
+pub(crate) struct Admission<'a> {
+    cfg: &'a ServeConfig,
+    router: OpRouter<'a>,
+    csim: CycleSim,
+    cache: LowerCache,
+    /// Every request's current lowering and effective arrival.
+    pub(crate) table: RequestTable<'a>,
+    intake: Intake,
+    waiting: WaitQueue,
+    bookings: Bookings,
+    /// Retry re-arrivals admitted back into the wait queue.
+    pub(crate) retried: u64,
+    pressure: Pressure,
+    /// Per request, the pressure level of its current lowering; empty
+    /// unless the router is [`OpRouter::Feedback`].
+    level: Vec<u8>,
+    /// Per request, whether decay re-lowered it while it waited; empty
+    /// unless [`ServeConfig::decay_threshold`] is set.
+    decayed: Vec<bool>,
+    /// Adaptive instants in the order they happened; `None` unless traced.
+    pub(crate) events: Option<Vec<AdaptiveEvent>>,
+}
+
+impl<'a> Admission<'a> {
+    /// Lowers `trace` through `router` ([`lower_trace`]) for admission onto
+    /// `slots` instance slots; `traced` buffers the adaptive instants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`OpRouter::Feedback`] configuration fails
+    /// [`FeedbackConfig::validate`].
+    pub(crate) fn new(
+        cfg: &'a ServeConfig,
+        router: OpRouter<'a>,
+        trace: &'a RequestTrace,
+        slots: usize,
+        traced: bool,
+    ) -> Self {
+        if let OpRouter::Feedback(_, fb) = router {
+            fb.validate().expect("invalid feedback config");
+        }
+        let mut csim = CycleSim::new(cfg.hw);
+        csim.params = cfg.sim;
+        let mut cache = LowerCache::default();
+        let table = lower_trace(cfg, &csim, trace, &router, &mut cache);
+        let requests = |on: bool| if on { trace.len() } else { 0 };
+        Admission {
+            cfg,
+            router,
+            csim,
+            cache,
+            table,
+            intake: Intake::default(),
+            waiting: WaitQueue::default(),
+            bookings: Bookings::new(slots),
+            retried: 0,
+            pressure: Pressure {
+                latency: vec![0.0; slots],
+                energy: vec![0.0; slots],
+                ..Pressure::default()
+            },
+            level: vec![0; requests(matches!(router, OpRouter::Feedback(..)))],
+            decayed: vec![false; requests(cfg.decay_threshold.is_some())],
+            events: traced.then(Vec::new),
+        }
+    }
+
+    /// Cycle of the next external event, if any is left.
+    #[inline]
+    pub(crate) fn next_arrival(&self) -> Option<u64> {
+        self.intake.peek(self.table.specs).map(|(t, _)| t)
+    }
+
+    /// Requests waiting for admission.
+    pub(crate) fn waiting(&self) -> usize {
+        self.waiting.len()
+    }
+
+    /// Client re-submissions of `req` so far.
+    pub(crate) fn attempts(&self, req: usize) -> u32 {
+        self.intake.attempts(req)
+    }
+
+    /// Bytes booked on `slot`.
+    pub(crate) fn booked(&self, slot: usize) -> u64 {
+        self.bookings.bytes[slot]
+    }
+
+    /// Whether decay re-lowered `req` while it waited.
+    pub(crate) fn decayed(&self, req: usize) -> bool {
+        self.decayed.get(req).copied().unwrap_or(false)
+    }
+
+    /// Takes the next external event strictly before `bound` (any event
+    /// when `bound` is `None`) and returns its cycle, request and outcome.
+    /// An original arrival queues if its lowering is admitted. A retry
+    /// re-arrival is re-lowered through the cache at its attempt's leaner
+    /// keep; if that fits the energy budget, the request switches to it and
+    /// queues at the re-arrival cycle. A request that does not fit backs off
+    /// while [`ServeConfig::retry`] leaves it an attempt, and is shed
+    /// otherwise. Inlined: the single node asks once per simulation event,
+    /// and almost always gets `None`.
+    #[inline]
+    pub(crate) fn next_external(&mut self, bound: Option<u64>) -> Option<(u64, usize, Arrival)> {
+        let (now, is_retry) = self.intake.peek(self.table.specs)?;
+        if bound.is_some_and(|b| now >= b) {
+            return None;
+        }
+        Some(self.take(now, is_retry))
+    }
+
+    fn take(&mut self, now: u64, is_retry: bool) -> (u64, usize, Arrival) {
+        let (req, attempt, energy_pj) = if is_retry {
+            let (req, attempt) = self.intake.pop_retry();
+            let policy = self.cfg.retry.expect("retries require a policy");
+            // The fixed point, the front's leanest point or the deployment
+            // point, with its keep shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored at
+            // 1%. The shrunk keep is part of the cache key, so repeat
+            // attempts at the same level hit.
+            let base = match self.router {
+                OpRouter::Fixed(op) => op.clone(),
+                router => router.leaner().unwrap_or_else(|| self.cfg.op.clone()),
+            };
+            let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
+            let op = base.with_uniform_keep(keep);
+            let spec = &self.table.specs[req];
+            let lowering = lower_at_cached(&mut self.cache, &self.csim, spec, &op);
+            if !self.cfg.over_energy_budget(lowering.energy_pj) {
+                self.table.reroute(req, op, lowering);
+                self.table.arrival[req] = now;
+                self.retried += 1;
+                self.note(req, now, AdaptiveKind::Retry(attempt));
+                self.waiting.push(req, now);
+                return (now, req, Arrival::Queued);
+            }
+            (req, attempt, lowering.energy_pj)
+        } else {
+            let req = self.intake.next;
+            self.intake.next += 1;
+            if self.table[req].admit {
+                self.waiting.push(req, now);
+                return (now, req, Arrival::Queued);
+            }
+            (req, 0, self.table[req].energy_pj)
+        };
+        let arrival = match self.cfg.retry {
+            Some(policy) if attempt < policy.max_retries => {
+                let retry = Reverse((now + policy.backoff_cycles, req));
+                self.intake.retries.push(retry);
+                self.note(req, now, AdaptiveKind::RetryShed(attempt));
+                Arrival::BackedOff
+            }
+            _ => {
+                if attempt > 0 {
+                    self.note(req, now, AdaptiveKind::Shed(energy_pj));
+                }
+                Arrival::Shed { attempt, energy_pj }
+            }
+        };
+        (now, req, arrival)
+    }
+
+    /// Completes `req` on `slot` at `now`: releases its booking and, under
+    /// [`OpRouter::Feedback`], folds its latency and energy into the
+    /// pressure EWMAs and returns the new pressure level.
+    pub(crate) fn complete(&mut self, slot: usize, req: usize, now: u64) -> Option<u8> {
+        let low = &self.table[req];
+        self.bookings.release(slot, low.footprint);
+        let OpRouter::Feedback(_, fb) = self.router else {
+            return None;
+        };
+        let latency = (now - self.table.arrival[req]) as f64;
+        let depth = self.waiting.len() as f64;
+        self.pressure
+            .observe(fb, slot, latency, low.energy_pj, depth);
+        Some(self.pressure.level(fb))
+    }
+
+    /// Admits waiting requests at `now` until the picked one fits nowhere.
+    /// Decay first re-lowers the requests that waited past the threshold;
+    /// each pick (among the first `window` waiting requests) is re-lowered
+    /// for the current feedback pressure, `place` chooses its slot from the
+    /// bookings, its class and its footprint, and `submit` runs it there.
+    /// Stopping at a request that fits nowhere, rather than skipping to a
+    /// smaller one, keeps the aged head from being overtaken forever.
+    pub(crate) fn admit(
+        &mut self,
+        now: u64,
+        window: usize,
+        place: impl Fn(&Bookings, RequestClass, u64) -> Option<usize>,
+        mut submit: impl FnMut(Admitted),
+    ) {
+        self.decay(now);
+        while !self.waiting.is_empty() {
+            let table = &self.table;
+            let arrival = |r: usize| table.arrival[r];
+            let pos = pick(AGING_THRESHOLD, now, &self.waiting, window, arrival, |r| {
+                table[r].footprint
+            });
+            let req = self.waiting[pos];
+            self.relower_for_pressure(now, req);
+            let (low, class) = (&self.table[req], self.table.specs[req].class);
+            let Some(slot) = place(&self.bookings, class, low.footprint) else {
+                return;
+            };
+            self.waiting.remove(pos);
+            self.bookings.book(slot, low.footprint);
+            submit(Admitted {
+                slot,
+                req,
+                low,
+                arrival: self.table.arrival[req],
+                waiting: self.waiting.len(),
+                booked: self.bookings.bytes[slot],
+            });
+        }
+    }
+
+    /// Re-lowers every waiting request that has waited past the decay
+    /// threshold to the router's decay target, at most once per request:
+    /// the wait queue's decay frontier passes each request once.
+    fn decay(&mut self, now: u64) {
+        let Some(threshold) = self.cfg.decay_threshold else {
+            return;
+        };
+        while let Some(req) = self
+            .waiting
+            .next_overdue(now, threshold, |r| self.table.arrival[r])
+        {
+            let class = self.table.specs[req].class;
+            let Some(target) = self.router.decay_target(class) else {
+                continue;
+            };
+            if self.reroute_within_budget(req, target) {
+                self.decayed[req] = true;
+                self.note(req, now, AdaptiveKind::Decay);
+            }
+        }
+    }
+
+    /// Re-lowers the picked `req` when the feedback pressure level moved
+    /// since it was last lowered. Decayed requests are already at the lean
+    /// end and are left alone.
+    fn relower_for_pressure(&mut self, now: u64, req: usize) {
+        let OpRouter::Feedback(front, fb) = self.router else {
+            return;
+        };
+        let level = self.pressure.level(fb);
+        if self.decayed(req) || level == self.level[req] {
+            return;
+        }
+        self.level[req] = level;
+        let target = front.route_pressure(&self.table.specs[req].class, level);
+        if self.reroute_within_budget(req, target) {
+            self.note(req, now, AdaptiveKind::Feedback(level));
+        }
+    }
+
+    /// Moves `req` to `target` unless it is there already or its lowering
+    /// at `target` breaks the energy budget; returns whether it moved.
+    fn reroute_within_budget(&mut self, req: usize, target: OperatingPoint) -> bool {
+        if target == self.table[req].op {
+            return false;
+        }
+        let spec = &self.table.specs[req];
+        let lowering = lower_at_cached(&mut self.cache, &self.csim, spec, &target);
+        if self.cfg.over_energy_budget(lowering.energy_pj) {
+            return false;
+        }
+        self.table.reroute(req, target, lowering);
+        true
+    }
+
+    /// Buffers one adaptive action when the run is traced.
+    fn note(&mut self, req: usize, ts: u64, kind: AdaptiveKind) {
+        if let Some(events) = &mut self.events {
+            events.push(AdaptiveEvent { req, ts, kind });
+        }
+    }
+
+    /// Ends the run: checks that no request still waits and every booking
+    /// was released, and returns each slot's peak booked bytes and the
+    /// lowering-cache statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request still waits or a slot still books bytes.
+    pub(crate) fn finish(self) -> (Vec<u64>, CacheStats) {
+        assert!(self.waiting.is_empty(), "all eligible requests admitted");
+        self.bookings.assert_drained();
+        (self.bookings.peak, self.cache.stats())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,25 +1036,201 @@ mod tests {
             max_retries: 1,
             keep_factor: 0.5,
         });
-        let csim = CycleSim::new(cfg.hw);
-        let mut cache = LowerCache::new(true);
-        let router = OpRouter::TraceNative;
-        let mut table = lower_trace(&cfg, &csim, &trace, &router, &mut cache);
-        let mut intake = Intake::default();
-        let mut pop =
-            |bound| intake.pop_before(bound, &cfg, &mut cache, &csim, &router, &mut table);
-        assert_eq!(pop(Some(a0)), None, "the bound is strict");
-        let backed_off = |req| Arrival::BackedOff { req, attempt: 0 };
-        assert_eq!(pop(Some(a0 + 1)), Some((a0, backed_off(0))));
-        assert_eq!(pop(None), Some((a1, backed_off(1))), "originals first");
+        let mut adm = Admission::new(&cfg, OpRouter::TraceNative, &trace, 1, true);
+        assert_eq!(adm.next_external(Some(a0)), None, "the bound is strict");
+        let backed_off = |req| Some((a0.max(a1 * req as u64), req, Arrival::BackedOff));
+        assert_eq!(adm.next_external(Some(a0 + 1)), backed_off(0));
+        assert_eq!(adm.next_external(None), backed_off(1), "originals first");
         let shed = |popped| match popped {
-            Some((t, Arrival::Shed { req, attempt, .. })) => (t, req, attempt),
+            Some((t, req, Arrival::Shed { attempt, .. })) => (t, req, attempt),
             other => panic!("expected a final shed, got {other:?}"),
         };
-        assert_eq!(shed(pop(None)), (a1, 0, 1));
-        assert_eq!(shed(pop(None)), (2 * a1 - a0, 1, 1));
-        assert_eq!(pop(None), None);
-        assert_eq!((intake.attempts(0), intake.attempts(1)), (1, 1));
+        assert_eq!(shed(adm.next_external(None)), (a1, 0, 1));
+        assert_eq!(shed(adm.next_external(None)), (2 * a1 - a0, 1, 1));
+        assert_eq!(adm.next_external(None), None);
+        assert_eq!((adm.attempts(0), adm.attempts(1)), (1, 1));
+        let kinds: Vec<_> = adm
+            .events
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                AdaptiveKind::RetryShed(0),
+                AdaptiveKind::RetryShed(0),
+                AdaptiveKind::Shed(_),
+                AdaptiveKind::Shed(_)
+            ]
+        ));
+        assert_eq!(adm.waiting(), 0);
+        assert_eq!(adm.retried, 0);
+    }
+
+    #[test]
+    fn a_retry_under_a_fixed_point_keeps_its_layers_and_tiles() {
+        // The budget admits every retry at the fixed point's shrunk keep
+        // but no prefill at the fixed point itself. A retry at the
+        // deployment point (one layer, `Bc = 32`) would fit too, so only the
+        // re-lowered point tells the two apart.
+        let mut tc = TraceConfig::new(24, 100.0, 3);
+        tc.seq_len = 256;
+        tc.hidden = 256;
+        tc.heads = 4;
+        tc.prefill_queries = 16;
+        let trace = RequestTrace::generate(&tc);
+        let fixed = OperatingPoint::new(vec![0.4, 0.3], vec![16, 8]).unwrap();
+        let retry = RetryPolicy {
+            backoff_cycles: 10_000,
+            max_retries: 2,
+            keep_factor: 0.5,
+        };
+        let shrunk = fixed.with_uniform_keep(fixed.mean_keep() * retry.keep_factor);
+        let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+        let csim = CycleSim::new(cfg.hw);
+        let prefills = trace
+            .requests
+            .iter()
+            .filter(|r| r.class == RequestClass::Prefill);
+        let energy = |op| {
+            prefills
+                .clone()
+                .map(move |r| lower_at(&csim, r, op).energy_pj)
+        };
+        let budget = energy(&shrunk).fold(0.0, f64::max);
+        assert!(energy(&fixed).all(|e| e > budget));
+        cfg.energy_budget_pj_per_req = Some(budget);
+        cfg.retry = Some(retry);
+        let mut adm = Admission::new(&cfg, OpRouter::Fixed(&fixed), &trace, 1, false);
+        let mut retried = 0;
+        while let Some((_, req, arrival)) = adm.next_external(None) {
+            if arrival == Arrival::Queued && adm.attempts(req) > 0 {
+                assert_eq!(adm.table[req].op, shrunk, "request {req}");
+                retried += 1;
+            }
+        }
+        assert!(retried > 0, "the prefills retry");
+        assert_eq!(retried, adm.retried);
+    }
+
+    /// A two-layer front whose routed, cycle-leanest and energy-leanest
+    /// points differ.
+    fn small_front() -> sofa_dse::ParetoFront {
+        use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
+        let entry = |keep: f64, bc: usize, loss: f64, cycles: u64, energy: f64| CandidateEval {
+            candidate: DseCandidate {
+                keep_ratios: vec![keep, keep * 0.5],
+                tile_sizes: vec![bc, bc / 2],
+            },
+            metrics: MetricVector {
+                loss,
+                cycles,
+                energy_pj: energy,
+                area_mm2: 5.0,
+            },
+        };
+        let points = [
+            entry(0.25, 16, 0.10, 120, 6.0e7),
+            entry(0.4, 32, 0.11, 80, 9.0e7),
+            entry(0.05, 8, 0.30, 40, 2.0e7),
+        ];
+        sofa_dse::ParetoFront::new(&points, &entry(0.25, 16, 0.12, 130, 7.0e7))
+    }
+
+    fn random_trace(seed: u64) -> RequestTrace {
+        let mut tc = TraceConfig::new(12, 150.0, seed);
+        tc.seq_len = 256;
+        tc.hidden = 256;
+        tc.heads = 4;
+        tc.prefill_queries = 8;
+        RequestTrace::generate(&tc)
+    }
+
+    /// Whether two lowerings are the same bits.
+    fn same_point(a: &PointLowering, b: &PointLowering) -> bool {
+        a.job == b.job
+            && a.footprint == b.footprint
+            && a.energy_pj.to_bits() == b.energy_pj.to_bits()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// The deduplicated pass gives each request exactly what lowering it
+        /// alone through the router gives, at any thread count: sharing a
+        /// representative's lowering changes no bit.
+        #[test]
+        fn table_lowerings_equal_lower_routed_alone(
+            seed in 0u64..1_000,
+            router in 0usize..3,
+            budgeted in proptest::bool::ANY,
+        ) {
+            let trace = random_trace(seed);
+            let (front, fixed) = (small_front(), OperatingPoint::uniform(0.3, 8, 2));
+            let router = [
+                OpRouter::TraceNative,
+                OpRouter::Fixed(&fixed),
+                OpRouter::Pareto(&front),
+            ][router];
+            let mut cfg = ServeConfig::new(HwConfig::small(), 1);
+            cfg.energy_budget_pj_per_req = budgeted.then_some(3.0e6);
+            let csim = CycleSim::new(cfg.hw);
+            for threads in [1, 2, 8] {
+                let mut cache = LowerCache::default();
+                let table = sofa_par::with_threads(threads, || {
+                    lower_trace(&cfg, &csim, &trace, &router, &mut cache)
+                });
+                for (i, spec) in trace.requests.iter().enumerate() {
+                    let alone = lower_routed(&cfg, &csim, spec, &router);
+                    let low = &table[i];
+                    let same = same_point(&low.point(), &alone.point());
+                    proptest::prop_assert!(same, "request {}", i);
+                    proptest::prop_assert_eq!(&low.op, &alone.op);
+                    let flags = (low.rerouted, low.admit);
+                    proptest::prop_assert_eq!(flags, (alone.rerouted, alone.admit));
+                }
+                let stats = cache.stats();
+                proptest::prop_assert_eq!(stats.hits + stats.misses, trace.len() as u64);
+            }
+        }
+
+        /// `lower_at_cached` answers every lookup with exactly what a fresh
+        /// `lower_at` computes, on caches warmed by random lookups of
+        /// multi-layer points and of retry keeps shrunk by the attempt count.
+        #[test]
+        fn cached_lowerings_equal_fresh_lowerings(
+            seed in 0u64..1_000,
+            lookups in proptest::collection::vec((0usize..12, 0usize..4, 0i32..4), 1..24),
+        ) {
+            let trace = random_trace(seed);
+            let cfg = ServeConfig::new(HwConfig::small(), 1);
+            let csim = CycleSim::new(cfg.hw);
+            let bases = [
+                cfg.op.clone(),
+                OperatingPoint::new(vec![0.3, 0.2], vec![32, 16]).unwrap(),
+                OperatingPoint::uniform(0.25, 8, 3),
+                small_front().leanest_energy(),
+            ];
+            for threads in [1, 2, 8] {
+                let mut cache = LowerCache::default();
+                let mut keys = std::collections::HashSet::new();
+                for &(req, base, attempt) in &lookups {
+                    let (spec, base) = (&trace.requests[req], &bases[base]);
+                    let keep = (base.mean_keep() * 0.5f64.powi(attempt)).max(0.01);
+                    let op = if attempt == 0 { base.clone() } else { base.with_uniform_keep(keep) };
+                    let cached = sofa_par::with_threads(threads, || {
+                        lower_at_cached(&mut cache, &csim, spec, &op)
+                    });
+                    proptest::prop_assert!(same_point(&cached, &lower_at(&csim, spec, &op)));
+                    keys.insert(ShapeKey::new(spec, &op));
+                }
+                let stats = cache.stats();
+                proptest::prop_assert_eq!(stats.misses, keys.len() as u64);
+                proptest::prop_assert_eq!(stats.hits + stats.misses, lookups.len() as u64);
+            }
+        }
     }
 
     /// A wait queue of `(id, arrival)` pushes, in order.

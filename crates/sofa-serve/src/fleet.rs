@@ -2,15 +2,16 @@
 //! node/fabric hierarchy.
 //!
 //! [`ServeSim`](crate::ServeSim) schedules one node — `N` instances
-//! behind one shared DRAM channel. [`FleetServeSim`] scales that out:
-//! requests are routed across [`FleetConfig::nodes`] nodes of a
-//! [`sofa_sim::FleetSim`] (each a full [`sofa_sim::MultiPipelineSim`] with
-//! a private DRAM channel), reaching their node through an inter-node
-//! [`Fabric`] whose per-node ingress links add serialization and latency
-//! to every placement. Placement is least-booked across the whole fleet,
-//! with optional **prefill/decode disaggregation**: prefills pin to one
-//! node pool, decodes to the other, spilling over only when their pool has
-//! no capacity at all.
+//! behind one shared DRAM channel. [`FleetServeSim`] scales that out
+//! across [`FleetConfig::nodes`] nodes of a [`sofa_sim::FleetSim`] (each a
+//! full [`sofa_sim::MultiPipelineSim`] with a private DRAM channel),
+//! reached through an inter-node [`Fabric`] whose per-node ingress links
+//! add serialization and latency to every placement. Both run one
+//! admission core, adaptive controller included; the fleet keeps its
+//! epoch loop, the fabric, the class pools and the sketches. Placement is
+//! least-booked across the fleet, with optional **prefill/decode
+//! disaggregation**: prefills pin to one node pool, decodes to the other,
+//! spilling over only when their pool has no capacity at all.
 //!
 //! **Epoch-synchronized.** The router interacts with the simulation only at
 //! multiples of [`FleetConfig::epoch_cycles`]: each epoch, every node's
@@ -25,21 +26,19 @@
 //! per-request record vector; [`FleetReport`] aggregates latency and
 //! queueing delay into streaming [`QuantileSketch`]es (exact below 256
 //! cycles, ≤1/128 relative error above) the moment each completion
-//! surfaces. Lowering is shape-memoized: distinct request shapes are
-//! lowered once (in parallel) and shared as [`Arc<PipelineJob>`]s across
-//! every request of that shape.
+//! surfaces.
 //!
 //! Determinism contract: the report is byte-identical at any
 //! `SOFA_THREADS` and across repeated runs. The fleet records no trace; a
 //! full trace of a million-request run would take gigabytes.
 
-use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
+use crate::admission::{Admission, Arrival, Bookings};
 use crate::report::ServeReport;
 use crate::scheduler::{OpRouter, ServeConfig};
 use sofa_core::cache::CacheStats;
 use sofa_model::trace::{RequestClass, RequestTrace};
 use sofa_obs::QuantileSketch;
-use sofa_sim::{CycleSim, Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
+use sofa_sim::{Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -57,8 +56,7 @@ const PREFILL_NODE_FRACTION: f64 = 0.5;
 pub struct FleetConfig {
     /// Per-node serving parameters; [`ServeConfig::instances`] is the
     /// instance count *per node*. The admission knobs (budget, energy
-    /// budget, retry) apply fleet-wide; the fleet does not decay, so
-    /// [`ServeConfig::decay_threshold`] must be `None`.
+    /// budget, decay, retry) apply fleet-wide.
     pub serve: ServeConfig,
     /// Number of nodes, each with [`ServeConfig::instances`] instances and
     /// a private DRAM channel.
@@ -118,9 +116,6 @@ impl FleetConfig {
         self.serve.validate()?;
         if self.nodes == 0 {
             return Err("nodes must be positive".into());
-        }
-        if self.serve.decay_threshold.is_some() {
-            return Err("serve.decay_threshold is not supported by the fleet".into());
         }
         if self.epoch_cycles == 0 {
             return Err("epoch_cycles must be positive".into());
@@ -245,19 +240,6 @@ impl FleetReport {
     }
 }
 
-/// Mutable routing state of one fleet run.
-struct RouterState {
-    /// Waiting (admitted-eligible) request indices, in arrival order.
-    waiting: WaitQueue,
-    /// Bookings per instance slot (`node * instances_per_node + inst`).
-    bookings: Bookings,
-    requests_per_node: Vec<u64>,
-    latency: QuantileSketch,
-    queueing: QuantileSketch,
-    served: u64,
-    energy_pj: f64,
-}
-
 /// The fleet-scale serving simulator.
 #[derive(Debug)]
 pub struct FleetServeSim {
@@ -284,16 +266,15 @@ impl FleetServeSim {
     ///
     /// # Panics
     ///
-    /// Panics if `trace` is empty or `router` is [`OpRouter::Feedback`]:
-    /// the fleet has no feedback loop.
+    /// Panics if `trace` is empty or a [`OpRouter::Feedback`] configuration
+    /// fails [`crate::FeedbackConfig::validate`].
     pub fn run(&self, trace: &RequestTrace, router: OpRouter) -> FleetReport {
         self.run_inner(trace, router).0
     }
 
     /// [`FleetServeSim::run`] plus the lowering-cache effectiveness counters
-    /// of the run. The report is bit-identical to [`FleetServeSim::run`]'s;
-    /// the statistics ride outside it so cache-on and cache-off reports stay
-    /// comparable bytes.
+    /// of the run, which ride outside the report: it is bit-identical to
+    /// [`FleetServeSim::run`]'s.
     pub fn run_with_cache_stats(
         &self,
         trace: &RequestTrace,
@@ -315,93 +296,26 @@ impl FleetServeSim {
         }
     }
 
-    /// Admits as many waiting requests as fit, at boundary cycle `now`:
-    /// pick (aged oldest or windowed smallest-first), place (least-booked
-    /// in the class pool, spilling fleet-wide when the pool is full), book
-    /// the fabric transfer, and hand the job to the node at its delivery
-    /// cycle.
-    fn try_admit(
-        &self,
-        now: u64,
-        table: &RequestTable,
-        state: &mut RouterState,
-        fabric: &mut Fabric,
-        fleet: &mut FleetSim,
-    ) {
-        let ipn = self.cfg.serve.instances;
-        let budget = self.cfg.serve.admit_buffer_bytes;
-        while !state.waiting.is_empty() {
-            let pos = admission::pick(
-                admission::AGING_THRESHOLD,
-                now,
-                &state.waiting,
-                ADMIT_WINDOW,
-                |r| table.arrival[r],
-                |r| table[r].footprint,
-            );
-            let req = state.waiting[pos];
-            let low = &table[req];
-            let (fp, energy_pj) = (low.footprint, low.energy_pj);
-            let place = |slots| state.bookings.place(slots, fp, budget);
-            let target = place(self.pool(table.specs[req].class)).or_else(|| {
-                self.cfg
-                    .disaggregate
-                    .then(|| place(0..self.cfg.total_instances()))
-                    .flatten()
-            });
-            let Some(slot) = target else {
-                // The candidate fits nowhere; the next boundary retries.
-                // Stopping (not skipping to a smaller request) keeps the
-                // aged head from being overtaken forever.
-                return;
-            };
-            state.waiting.remove(pos);
-            let (node, inst) = (slot / ipn, slot % ipn);
-            let delivery = fabric.transfer(node, fp, now);
-            fleet.submit(node, inst, req as u64, Arc::clone(&low.job), delivery);
-            state.bookings.book(slot, fp);
-            state.requests_per_node[node] += 1;
-            state.energy_pj += energy_pj;
-            state.queueing.record(now - table.arrival[req]);
-        }
-    }
-
     fn run_inner(&self, trace: &RequestTrace, router: OpRouter) -> (FleetReport, CacheStats) {
         assert!(!trace.is_empty(), "cannot serve an empty trace");
-        assert!(
-            !matches!(router, OpRouter::Feedback(..)),
-            "FleetServeSim has no feedback loop: route the front with OpRouter::Pareto"
-        );
         let s = &self.cfg.serve;
-        let ipn = s.instances;
-        let mut csim = CycleSim::new(s.hw);
-        csim.params = s.sim;
-        let mut cache = LowerCache::new(s.lowering_cache);
+        let (ipn, total) = (s.instances, self.cfg.total_instances());
         // One lowering per distinct shape, shared by every request of it.
-        let mut table = admission::lower_trace(s, &csim, trace, &router, &mut cache);
-        let mut intake = Intake::default();
-
+        let mut adm = Admission::new(s, router, trace, total, false);
         let mut fleet = FleetSim::new(&s.hw, self.cfg.nodes, ipn, s.sim);
         let mut fabric = Fabric::new(self.cfg.fabric, self.cfg.nodes);
 
-        let mut state = RouterState {
-            waiting: WaitQueue::default(),
-            bookings: Bookings::new(self.cfg.total_instances()),
-            requests_per_node: vec![0; self.cfg.nodes],
-            latency: QuantileSketch::new(),
-            queueing: QuantileSketch::new(),
-            served: 0,
-            energy_pj: 0.0,
-        };
-        let mut shed = 0u64;
-        let mut rerouted = 0u64;
-        let mut retried = 0u64;
-        let mut prefills = 0u64;
-        let mut decodes = 0u64;
+        let mut requests_per_node = vec![0; self.cfg.nodes];
+        let mut latency = QuantileSketch::new();
+        let mut queueing = QuantileSketch::new();
+        let (mut served, mut shed, mut rerouted) = (0u64, 0u64, 0u64);
+        let (mut prefills, mut decodes) = (0u64, 0u64);
+        let mut energy_pj = 0.0;
         let epoch = self.cfg.epoch_cycles;
+        let budget = s.admit_buffer_bytes;
 
         loop {
-            let next = [fleet.next_activity(), intake.next_time(&table)];
+            let next = [fleet.next_activity(), adm.next_arrival()];
             let Some(next) = next.into_iter().flatten().min() else {
                 break;
             };
@@ -410,66 +324,66 @@ impl FleetServeSim {
             let boundary = (next / epoch + 1) * epoch;
             for c in fleet.run_until(boundary) {
                 let req = c.request as usize;
-                let low = &table[req];
-                let slot = c.node * ipn + c.instance;
-                state.bookings.release(slot, low.footprint);
-                match table.specs[req].class {
+                adm.complete(c.node * ipn + c.instance, req, c.time);
+                match trace.requests[req].class {
                     RequestClass::Prefill => prefills += 1,
                     RequestClass::Decode => decodes += 1,
                 }
-                if low.rerouted {
-                    rerouted += 1;
-                }
-                state.latency.record(c.time - table.arrival[req]);
-                state.served += 1;
+                rerouted += u64::from(adm.table[req].rerouted);
+                latency.record(c.time - adm.table.arrival[req]);
+                served += 1;
             }
             // Ingest originals and retry re-arrivals below the boundary in
             // time order, so the wait queue stays arrival-ordered.
-            while let Some((_, arrival)) =
-                intake.pop_before(Some(boundary), s, &mut cache, &csim, &router, &mut table)
-            {
-                match arrival {
-                    Arrival::Queued { req, attempt } => {
-                        retried += u64::from(attempt > 0);
-                        state.waiting.push(req, table.arrival[req]);
-                    }
-                    Arrival::BackedOff { .. } => {}
-                    Arrival::Shed { .. } => shed += 1,
-                }
+            while let Some((_, _, arrival)) = adm.next_external(Some(boundary)) {
+                shed += u64::from(matches!(arrival, Arrival::Shed { .. }));
             }
-            self.try_admit(boundary, &table, &mut state, &mut fabric, &mut fleet);
+            // Least-booked in the class pool, spilling fleet-wide when the
+            // pool is full; the job reaches its node over the fabric.
+            let place = |b: &Bookings, class, fp| {
+                let place = |slots| b.place(slots, fp, budget);
+                place(self.pool(class))
+                    .or_else(|| self.cfg.disaggregate.then(|| place(0..total)).flatten())
+            };
+            adm.admit(boundary, ADMIT_WINDOW, place, |a| {
+                let (node, inst) = (a.slot / ipn, a.slot % ipn);
+                let delivery = fabric.transfer(node, a.low.footprint, boundary);
+                fleet.submit(node, inst, a.req as u64, Arc::clone(&a.low.job), delivery);
+                requests_per_node[node] += 1;
+                energy_pj += a.low.energy_pj;
+                queueing.record(boundary - a.arrival);
+            });
         }
-        assert!(state.waiting.is_empty(), "all eligible requests admitted");
+        let retried = adm.retried;
+        let (peaks, stats) = adm.finish();
         assert_eq!(
-            state.served + shed,
+            served + shed,
             trace.len() as u64,
             "served + shed == offered"
         );
-        state.bookings.assert_drained();
 
         let sim_report = fleet.report();
-        let total_cycles = sim_report.total_cycles();
-        let node_peaks = state.bookings.peak.chunks(ipn);
         let report = FleetReport {
-            served: state.served,
+            served,
             shed,
             rerouted,
             retried,
             prefills,
             decodes,
-            latency: state.latency,
-            queueing: state.queueing,
-            total_cycles,
+            latency,
+            queueing,
+            total_cycles: sim_report.total_cycles(),
             nodes: sim_report.nodes,
             fabric: fabric.report(),
-            energy_pj: state.energy_pj,
-            requests_per_node: state.requests_per_node,
-            peak_inflight_bytes: node_peaks
+            energy_pj,
+            requests_per_node,
+            peak_inflight_bytes: peaks
+                .chunks(ipn)
                 .map(|n| n.iter().copied().max().unwrap_or(0))
                 .collect(),
             budget_bytes: s.admit_buffer_bytes,
         };
-        (report, cache.stats())
+        (report, stats)
     }
 }
 
@@ -485,6 +399,7 @@ pub fn p95_drift(fleet: &FleetReport, single: &ServeReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission;
     use crate::ServeSim;
     use sofa_hw::config::HwConfig;
     use sofa_model::trace::TraceConfig;
@@ -562,15 +477,26 @@ mod tests {
     #[test]
     fn single_node_and_one_node_fleet_share_the_lowering_pass() {
         let trace = small_trace(24, 100.0);
-        for cache in [true, false] {
-            let mut cfg = small_cfg(1, 2);
-            cfg.serve.lowering_cache = cache;
-            let (_, single) = ServeSim::new(cfg.serve.clone())
-                .run_with_cache_stats(&trace, OpRouter::TraceNative);
-            let (_, fleet) =
-                FleetServeSim::new(cfg).run_with_cache_stats(&trace, OpRouter::TraceNative);
-            assert_eq!(single, fleet, "cache {cache}");
-            assert_eq!(single.hits + single.misses, 24);
+        let cfg = small_cfg(1, 2);
+        let (_, single) =
+            ServeSim::new(cfg.serve.clone()).run_with_cache_stats(&trace, OpRouter::TraceNative);
+        let (_, fleet) =
+            FleetServeSim::new(cfg.clone()).run_with_cache_stats(&trace, OpRouter::TraceNative);
+        assert_eq!(single, fleet);
+        assert_eq!(single.hits + single.misses, 24);
+        // The shared pass gives every request what lowering it alone gives.
+        let adm = Admission::new(&cfg.serve, OpRouter::TraceNative, &trace, 2, false);
+        let csim = {
+            let mut csim = sofa_sim::CycleSim::new(cfg.serve.hw);
+            csim.params = cfg.serve.sim;
+            csim
+        };
+        for (i, spec) in trace.requests.iter().enumerate() {
+            let alone = admission::lower_routed(&cfg.serve, &csim, spec, &OpRouter::TraceNative);
+            let low = &adm.table[i];
+            assert_eq!((&low.op, &low.job), (&alone.op, &alone.job), "request {i}");
+            assert_eq!(low.footprint, alone.footprint);
+            assert_eq!(low.energy_pj.to_bits(), alone.energy_pj.to_bits());
         }
     }
 
@@ -612,37 +538,57 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FleetServeSim has no feedback loop")]
-    fn feedback_routing_is_rejected() {
-        // Regression: the fleet routed it as `Pareto` and ignored its
-        // `FeedbackConfig`.
+    fn the_fleet_runs_the_whole_controller() {
+        // Decay, feedback routing, retries and an energy budget on one
+        // trace. Which attempt fits depends only on the lowerings, and decay
+        // and feedback re-lower only within the budget, so both drivers
+        // serve, shed and retry the same requests whatever their timing.
         use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
-        let point = CandidateEval {
+        let entry = |keep: f64, bc: usize, loss: f64, cycles: u64, energy: f64| CandidateEval {
             candidate: DseCandidate {
-                keep_ratios: vec![0.25],
-                tile_sizes: vec![32],
+                keep_ratios: vec![keep, keep],
+                tile_sizes: vec![bc, bc],
             },
             metrics: MetricVector {
-                loss: 0.1,
-                cycles: 100,
-                energy_pj: 1.0e7,
+                loss,
+                cycles,
+                energy_pj: energy,
                 area_mm2: 5.0,
             },
         };
-        let front = sofa_dse::ParetoFront::new(std::slice::from_ref(&point), &point);
-        let fb = crate::FeedbackConfig::new(1);
-        FleetServeSim::new(small_cfg(1, 1))
-            .run(&small_trace(2, 50.0), OpRouter::Feedback(&front, &fb));
-    }
+        let points = [
+            entry(0.25, 16, 0.10, 120, 6.0e7),
+            entry(0.4, 32, 0.11, 80, 9.0e7),
+            entry(0.05, 8, 0.30, 40, 2.0e7),
+        ];
+        let front = sofa_dse::ParetoFront::new(&points, &entry(0.25, 16, 0.12, 130, 7.0e7));
+        let feedback = crate::FeedbackConfig::new(20_000);
+        let router = OpRouter::Feedback(&front, &feedback);
+        let mut tc = TraceConfig::new(48, 400.0, 42);
+        (tc.seq_len, tc.hidden, tc.heads) = (256, 256, 4);
+        (tc.prefill_queries, tc.max_decode_queries) = (64, 32);
+        let trace = RequestTrace::generate(&tc);
+        let mut cfg = small_cfg(1, 2);
+        cfg.serve.energy_budget_pj_per_req = Some(2.0e7);
+        cfg.serve.retry = Some(crate::RetryPolicy {
+            backoff_cycles: 20_000,
+            max_retries: 2,
+            keep_factor: 0.8,
+        });
+        let mut controller = cfg.clone();
+        controller.serve.decay_threshold = Some(10_000);
 
-    #[test]
-    fn decay_threshold_is_rejected_by_validate() {
-        // Regression: the fleet never read it, so a decaying config ran as
-        // if it did not decay.
-        let mut cfg = small_cfg(1, 1);
-        cfg.serve.decay_threshold = Some(10_000);
-        let err = cfg.validate().expect_err("the fleet cannot decay");
-        assert!(err.contains("serve.decay_threshold"), "{err}");
+        let single = ServeSim::new(controller.serve.clone()).run_with(&trace, router);
+        let sim = FleetServeSim::new(controller);
+        let fleet = sim.run(&trace, router);
+        assert!(fleet.shed > 0 && fleet.retried > 0);
+        assert_eq!(fleet.served, single.records.len() as u64);
+        assert_eq!(fleet.shed, single.shed.len() as u64);
+        assert_eq!(fleet.retried, single.retried);
+        assert_eq!(fleet, sim.run(&trace, router));
+        // Decay and feedback re-route beyond what the budget alone does.
+        let budget_only = FleetServeSim::new(cfg).run(&trace, OpRouter::Pareto(&front));
+        assert!(fleet.rerouted > budget_only.rerouted);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * `admission` (crate-private) — the admission core both simulators
 //!   share: the deduplicated lowering pass, the request table, the
 //!   arrival/retry intake, per-instance bookings, the aged smallest-first
-//!   pick and the least-booked placement.
+//!   pick, the least-booked placement and the adaptive controller (decay,
+//!   feedback pressure, retries).
 //! * [`scheduler`] — [`ServeSim`]: routes each request to an
 //!   `OperatingPoint` ([`OpRouter`]: trace-native, fixed, or per-class
 //!   Pareto routing through a DSE front), lowers it layer by layer into a
@@ -30,7 +31,7 @@
 //!   inter-node fabric; epoch-synchronized least-booked placement with optional
 //!   prefill/decode disaggregation, reporting streaming-sketch percentiles
 //!   ([`FleetReport`]) so million-request traces stay cheap. The fleet
-//!   records no trace and routes no feedback loop.
+//!   records no trace.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! The continuous-batching admission scheduler.
+//! The continuous-batching serving simulator of one node.
 //!
 //! [`ServeSim`] multiplexes a [`RequestTrace`] onto `N` simulated SOFA
 //! instances. Requests are lowered once into pipeline jobs; admission then
@@ -8,57 +8,51 @@
 //! continuous batching at tile granularity: an instance never drains between
 //! requests, new tiles enter right behind the previous request's.
 //!
+//! Every admission decision is the admission core's, which
+//! [`FleetServeSim`](crate::FleetServeSim) shares; [`ServeSim`] keeps the
+//! event-exact loop over [`MultiPipelineSim`], the per-request records and
+//! the tracing. The policy the core carries out:
+//!
 //! **Operating points.** Every request is lowered at an [`OperatingPoint`]
 //! chosen by an [`OpRouter`] — the trace's native keep ratios on the
 //! deployment tiling, one fixed point, or per-class Pareto routing through a
 //! DSE front ([`sofa_dse::ParetoFront`]). A multi-layer point lowers the
 //! request once per layer, switching keep ratio and tile size between the
 //! layer invocations, and streams the concatenated tile sequence through the
-//! instance. Scalar `(keep, Bc)` pairs never enter the lowering.
+//! instance.
 //!
 //! **Energy budget.** Lowering projects each request's energy from the DSE
-//! energy model (analytic compute/SRAM/interface/DRAM energy plus the
-//! per-DRAM-request activation charge). When the configured per-request
-//! budget ([`ServeConfig::energy_budget_pj_per_req`]) is exceeded, the
-//! scheduler re-routes the request to the front's energy-leanest point; a
-//! request that exceeds the budget even there is **shed** — recorded in
-//! [`ServeReport::shed`] instead of being admitted. Admitted energy is
-//! tracked per instance.
+//! energy model. A request over the per-request budget
+//! ([`ServeConfig::energy_budget_pj_per_req`]) is re-routed to the front's
+//! energy-leanest point, and **shed** ([`ServeReport::shed`]) if it is over
+//! even there.
 //!
-//! Admission is buffer-budgeted. Classic worst-case sizing reserves, per
-//! admitted request, the SRAM a *dense* request would pin — but after the
-//! prediction stage, top-k sparsity means the real resident footprint is a
-//! fraction of that, so the scheduler books the top-k footprint against
-//! [`ServeConfig::admit_buffer_bytes`]. Overbooking in the Tailors sense is
-//! a larger `admit_buffer_bytes`. Requests are picked
-//! smallest-footprint-first (best packing) unless one has waited 100,000
-//! cycles, in which case the oldest starved request is served first.
-//! Placement puts the picked request on the least-booked instance it fits.
+//! **Buffer budget.** Worst-case sizing would reserve the SRAM a *dense*
+//! request pins, but after the prediction stage top-k sparsity keeps a
+//! fraction of that resident, so admission books the top-k footprint
+//! against [`ServeConfig::admit_buffer_bytes`]; a larger budget overbooks
+//! in the Tailors sense. Requests are picked smallest-footprint-first
+//! unless one has waited 100,000 cycles, when the oldest goes first, and
+//! land on the least-booked instance they fit.
 //!
 //! **Adaptive control loop.** Three opt-in mechanisms close the loop on
-//! *measured* state. Every adaptive decision happens inside the serial
-//! event loop (re-lowering there is a pure function of already-deterministic
-//! inputs), so the determinism contract — bit-identical reports and trace
-//! bytes at any `SOFA_THREADS` — is untouched:
+//! *measured* state, all inside the serial loop, so reports and trace bytes
+//! stay bit-identical at any `SOFA_THREADS`:
 //!
 //! * **decay** ([`ServeConfig::decay_threshold`]) — a request waiting past
 //!   the threshold is re-lowered to a leaner operating point (decodes to
-//!   the front's cycle-leanest point, prefills to its energy-leanest)
-//!   instead of only being priority-aged, and the reroute is recorded on
-//!   the request ([`RequestRecord::decayed`]) and traced as an instant;
-//! * **feedback** ([`OpRouter::Feedback`]) — per-instance EWMAs of
-//!   completion latency and energy plus a wait-queue-depth EWMA map
-//!   measured overload to a pressure level
-//!   ([`FeedbackConfig`]), which shifts the routing eligibility bar along
-//!   the front ([`sofa_dse::ParetoFront::route_pressure`]) at admission
-//!   time;
+//!   the front's cycle-leanest point, prefills to its energy-leanest),
+//!   recorded as [`RequestRecord::decayed`] and traced as an instant;
+//! * **feedback** ([`OpRouter::Feedback`]) — EWMAs of completion latency,
+//!   energy and wait-queue depth map measured overload to a pressure level
+//!   ([`FeedbackConfig`]) that shifts the routing bar along the front
+//!   ([`sofa_dse::ParetoFront::route_pressure`]) at admission time;
 //! * **retry** ([`ServeConfig::retry`]) — a shed request re-arrives after a
-//!   deterministic client backoff at a leaner keep ratio (the client's
-//!   degrade-and-retry model) and is recorded as shed only once its
-//!   retries are exhausted; served retries are counted separately
-//!   ([`ServeReport::retried`]).
+//!   deterministic client backoff at a leaner keep ratio and is recorded as
+//!   shed only once its retries are exhausted; served retries are counted
+//!   in [`ServeReport::retried`].
 
-use crate::admission::{self, Arrival, Bookings, Intake, LowerCache, RequestTable, WaitQueue};
+use crate::admission::{AdaptiveKind, Admission, Arrival, Bookings};
 use crate::report::{RequestRecord, ServeReport, ShedRecord};
 
 use sofa_core::cache::{CacheStats, ShapeKey};
@@ -68,7 +62,7 @@ use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
 use sofa_model::OperatingPoint;
 use sofa_obs::{ArgValue, MetricsRegistry, TraceRecorder};
 use sofa_sim::tracks::PID_SERVE_BASE;
-use sofa_sim::{CycleSim, MultiPipelineSim, SimParams};
+use sofa_sim::{MultiPipelineSim, SimParams};
 
 /// Process id of the per-request lifecycle tracks (tid = request id).
 pub const PID_REQUESTS: u64 = PID_SERVE_BASE;
@@ -92,9 +86,10 @@ fn class_name(class: RequestClass) -> &'static str {
 ///
 /// A request the energy budget sheds is not dropped: the client re-submits
 /// it `backoff_cycles` later at a leaner keep ratio — each attempt shrinks
-/// the keep by `keep_factor` from the router's leanest point — until it fits
-/// the budget or `max_retries` attempts are exhausted, at which point it is
-/// finally recorded in [`ServeReport::shed`].
+/// the keep by `keep_factor` from the fixed point under [`OpRouter::Fixed`],
+/// the front's leanest point under front routing, or else the deployment
+/// point — until it fits the budget or `max_retries` attempts are
+/// exhausted, at which point it is finally recorded in [`ServeReport::shed`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Cycles the client waits before re-submitting a shed request.
@@ -103,7 +98,7 @@ pub struct RetryPolicy {
     /// good.
     pub max_retries: u32,
     /// Keep-ratio shrink per attempt, in `(0, 1]`: attempt `n` re-lowers at
-    /// `leanest_keep × keep_factorⁿ`.
+    /// `base_keep × keep_factorⁿ`.
     pub keep_factor: f64,
 }
 
@@ -250,7 +245,7 @@ impl OpRouter<'_> {
     /// cycle-leanest point for decodes (drain the queue fast), its
     /// energy-leanest for prefills (cheapest way through the backlog).
     /// `None` for routers without a front — decay is a no-op there.
-    fn decay_target(&self, class: RequestClass) -> Option<OperatingPoint> {
+    pub(crate) fn decay_target(&self, class: RequestClass) -> Option<OperatingPoint> {
         let front = match self {
             OpRouter::Pareto(front) | OpRouter::Feedback(front, _) => front,
             _ => return None,
@@ -295,11 +290,6 @@ pub struct ServeConfig {
     /// Client retry model for shed requests. `None` (the default) sheds
     /// immediately, exactly as before the adaptive controller existed.
     pub retry: Option<RetryPolicy>,
-    /// Memoise lowerings on `(request shape, operating point)` keys
-    /// (default `true`). Lowering is a pure function of that key, so the
-    /// cache changes wall time only — reports and trace bytes are
-    /// bit-identical either way (proven by the cache-differential tests).
-    pub lowering_cache: bool,
 }
 
 impl ServeConfig {
@@ -321,7 +311,6 @@ impl ServeConfig {
             energy_budget_pj_per_req: None,
             decay_threshold: None,
             retry: None,
-            lowering_cache: true,
         }
     }
 
@@ -411,9 +400,8 @@ impl ServeSim {
     }
 
     /// [`ServeSim::run_with`] plus the lowering-cache effectiveness counters
-    /// of the run. The report is bit-identical to [`ServeSim::run_with`]'s —
-    /// the statistics ride outside it precisely so cache-on and cache-off
-    /// reports stay comparable bytes.
+    /// of the run, which ride outside the report: it is bit-identical to
+    /// [`ServeSim::run_with`]'s.
     pub fn run_with_cache_stats(
         &self,
         trace: &RequestTrace,
@@ -456,9 +444,6 @@ impl ServeSim {
         cache_stats: &mut CacheStats,
     ) -> ServeReport {
         assert!(!trace.is_empty(), "cannot serve an empty trace");
-        if let OpRouter::Feedback(_, fb) = &router {
-            fb.validate().expect("invalid feedback config");
-        }
         let n = self.cfg.instances;
         if obs.is_enabled() {
             obs.process_name(PID_REQUESTS, "requests");
@@ -475,13 +460,10 @@ impl ServeSim {
                 obs.thread_name(i as u64, TID_SERVE_ENERGY, "serve.energy_pj");
             }
         }
-        let mut csim = CycleSim::new(self.cfg.hw);
-        csim.params = self.cfg.sim;
-        let mut cache = LowerCache::new(self.cfg.lowering_cache);
-        let mut table = admission::lower_trace(&self.cfg, &csim, trace, &router, &mut cache);
+        let mut adm = Admission::new(&self.cfg, router, trace, n, obs.is_enabled());
         if obs.is_enabled() {
             for (i, spec) in trace.requests.iter().enumerate() {
-                let (tid, low, at) = (i as u64, &table[i], spec.arrival_cycle);
+                let (tid, low, at) = (i as u64, &adm.table[i], spec.arrival_cycle);
                 obs.instant(
                     PID_REQUESTS,
                     tid,
@@ -503,7 +485,7 @@ impl ServeSim {
                     );
                 }
                 // With a retry policy a first-attempt shed is not final:
-                // the serial loop buffers shed-retry/retry/shed instants
+                // the admission core buffers shed-retry/retry/shed instants
                 // and they are emitted post-run instead.
                 if !low.admit && self.cfg.retry.is_none() {
                     obs.instant(
@@ -521,37 +503,22 @@ impl ServeSim {
         if obs.is_enabled() {
             msim.enable_tracing();
         }
-        let mut state = AdmissionState::new(n, trace.len());
+        let mut energy_pj = vec![0.0; n];
+        let mut placed_on = vec![usize::MAX; trace.len()];
+        let mut admitted_at = vec![u64::MAX; trace.len()];
+        let mut completed_at = vec![u64::MAX; trace.len()];
         let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut intake = Intake::default();
+        let budget = self.cfg.admit_buffer_bytes;
 
         loop {
             // Completions at the same cycle free capacity before any
             // admission decision, so simulation events win ties.
             let event = msim.next_event_time();
-            let popped =
-                intake.pop_before(event, &self.cfg, &mut cache, &csim, &router, &mut table);
-            let now = if let Some((now, arrival)) = popped {
+            let now = if let Some((now, req, arrival)) = adm.next_external(event) {
                 match arrival {
-                    Arrival::Queued { req, attempt } => {
-                        if attempt > 0 {
-                            state.retried += 1;
-                            state.note(req, now, AdaptiveKind::Retry(attempt));
-                        }
-                        state.waiting.push(req, table.arrival[req]);
-                        sample_waiting(obs, now, &state.waiting);
-                    }
-                    Arrival::BackedOff { req, attempt } => {
-                        state.note(req, now, AdaptiveKind::RetryShed(attempt));
-                    }
-                    Arrival::Shed {
-                        req,
-                        attempt,
-                        energy_pj,
-                    } => {
-                        if attempt > 0 {
-                            state.note(req, now, AdaptiveKind::Shed(energy_pj));
-                        }
+                    Arrival::Queued => sample_waiting(obs, now, adm.waiting()),
+                    Arrival::BackedOff => {}
+                    Arrival::Shed { attempt, energy_pj } => {
                         let spec = &trace.requests[req];
                         shed.push(ShedRecord {
                             id: req as u64,
@@ -568,34 +535,47 @@ impl ServeSim {
                 let Some(done) = step.completed else {
                     continue;
                 };
-                let idx = done.request as usize;
-                let low = &table[idx];
-                state.completed_at[idx] = step.time;
-                state.bookings.release(done.instance, low.footprint);
-                if let OpRouter::Feedback(_, fb) = &router {
-                    let latency = (step.time - table.arrival[idx]) as f64;
-                    state.observe_completion(fb, done.instance, latency, low.energy_pj);
+                let (req, inst) = (done.request as usize, done.instance);
+                completed_at[req] = step.time;
+                if let Some(level) = adm.complete(inst, req, step.time) {
                     if obs.is_enabled() {
                         obs.counter(
                             PID_SCHEDULER,
                             1,
                             "serve.pressure",
                             step.time,
-                            &[("level", state.pressure(fb) as f64)],
+                            &[("level", level as f64)],
                         );
                     }
                 }
-                sample_booked(obs, step.time, done.instance, &state.bookings);
+                sample_booked(obs, step.time, inst, adm.booked(inst));
                 step.time
             } else {
                 break;
             };
-            self.try_admit(
-                now, &csim, &router, &mut cache, &mut table, &mut state, &mut msim, obs,
-            );
+            // The whole wait queue is the pick window.
+            let place = |b: &Bookings, _, fp| b.place(0..n, fp, budget);
+            adm.admit(now, usize::MAX, place, |a| {
+                msim.submit(a.slot, a.req as u64, &a.low.job, now);
+                energy_pj[a.slot] += a.low.energy_pj;
+                placed_on[a.req] = a.slot;
+                admitted_at[a.req] = now;
+                sample_waiting(obs, now, a.waiting);
+                sample_booked(obs, now, a.slot, a.booked);
+                if obs.is_enabled() {
+                    obs.counter(
+                        a.slot as u64,
+                        TID_SERVE_ENERGY,
+                        "serve.energy_pj",
+                        now,
+                        &[("pj", energy_pj[a.slot])],
+                    );
+                }
+            });
         }
 
-        if obs.is_enabled() {
+        let table = &adm.table;
+        if let Some(events) = &adm.events {
             // Lifecycle spans are emitted once placement and completion are
             // known; walking the requests in id order keeps every per-request
             // track's timestamps (lowered -> queued -> execute) sorted. The
@@ -603,7 +583,7 @@ impl ServeSim {
             // retry, late shed) interleave around the spans by timestamp, so
             // each track stays monotone.
             let mut per_req: Vec<Vec<(u64, AdaptiveKind)>> = vec![Vec::new(); trace.len()];
-            for ev in &state.events {
+            for ev in events {
                 per_req[ev.req].push((ev.ts, ev.kind));
             }
             for (i, spec) in trace.requests.iter().enumerate() {
@@ -615,7 +595,7 @@ impl ServeSim {
                     }
                     continue;
                 }
-                let admitted = state.admitted_at[i];
+                let admitted = admitted_at[i];
                 // Retry instants precede the (effective) arrival; decay and
                 // feedback instants land between arrival and admission.
                 let split = events.partition_point(|&(ts, _)| ts <= arrival);
@@ -638,8 +618,8 @@ impl ServeSim {
                     tid,
                     "execute",
                     admitted,
-                    state.completed_at[i] - admitted,
-                    &[("instance", ArgValue::U64(state.placed_on[i] as u64))],
+                    completed_at[i] - admitted,
+                    &[("instance", ArgValue::U64(placed_on[i] as u64))],
                 );
             }
         }
@@ -648,27 +628,28 @@ impl ServeSim {
             .filter(|&i| table[i].admit)
             .map(|i| {
                 assert!(
-                    state.completed_at[i] != u64::MAX,
+                    completed_at[i] != u64::MAX,
                     "every admitted request must complete"
                 );
                 let low = &table[i];
                 RequestRecord {
                     id: i as u64,
                     class: trace.requests[i].class,
-                    instance: state.placed_on[i],
+                    instance: placed_on[i],
                     arrival: table.arrival[i],
-                    admitted: state.admitted_at[i],
-                    completed: state.completed_at[i],
+                    admitted: admitted_at[i],
+                    completed: completed_at[i],
                     footprint_bytes: low.footprint,
                     energy_pj: low.energy_pj,
                     rerouted: low.rerouted,
-                    decayed: state.decayed[i],
-                    retries: intake.attempts(i),
+                    decayed: adm.decayed(i),
+                    retries: adm.attempts(i),
                 }
             })
             .collect();
-        state.bookings.assert_drained();
-        *cache_stats = cache.stats();
+        let retried = adm.retried;
+        let (peak_inflight_bytes, stats) = adm.finish();
+        *cache_stats = stats;
         let multi = msim.report();
         obs.absorb(msim.take_trace());
         let latency = ServeReport::sketch_latencies(&records);
@@ -678,175 +659,12 @@ impl ServeSim {
             total_cycles: multi.total_cycles,
             multi,
             budget_bytes: self.cfg.admit_buffer_bytes,
-            peak_inflight_bytes: state.bookings.peak,
-            energy_pj_per_instance: state.energy_pj,
-            retried: state.retried,
+            peak_inflight_bytes,
+            energy_pj_per_instance: energy_pj,
+            retried,
             latency,
         }
     }
-
-    /// Re-lowers every waiting request that has waited past the decay
-    /// threshold to the router's decay target, at most once per request:
-    /// the wait queue's decay frontier passes each request once. With an
-    /// energy budget, a decay that would break the budget is rejected (the
-    /// request keeps its current lowering).
-    fn decay_waiting(
-        &self,
-        now: u64,
-        csim: &CycleSim,
-        router: &OpRouter,
-        cache: &mut LowerCache,
-        table: &mut RequestTable,
-        state: &mut AdmissionState,
-    ) {
-        let Some(threshold) = self.cfg.decay_threshold else {
-            return;
-        };
-        while let Some(req) = state
-            .waiting
-            .next_overdue(now, threshold, |r| table.arrival[r])
-        {
-            let spec = &table.specs[req];
-            let Some(target) = router.decay_target(spec.class) else {
-                continue;
-            };
-            if target == table[req].op {
-                continue;
-            }
-            let lowering = admission::lower_at_cached(cache, csim, spec, &target);
-            if self.cfg.over_energy_budget(lowering.energy_pj) {
-                continue;
-            }
-            table.reroute(req, target, lowering);
-            state.decayed[req] = true;
-            state.note(req, now, AdaptiveKind::Decay);
-        }
-    }
-
-    /// Re-lowers the picked request when the measured pressure level moved
-    /// since it was last lowered (feedback router only). Decayed requests
-    /// are already at the lean end and are left alone; with an energy
-    /// budget, a re-lowering that would break the budget is rejected.
-    #[allow(clippy::too_many_arguments)] // the event loop's full mutable state
-    fn feedback_relower(
-        &self,
-        now: u64,
-        csim: &CycleSim,
-        router: &OpRouter,
-        cache: &mut LowerCache,
-        req: usize,
-        table: &mut RequestTable,
-        state: &mut AdmissionState,
-    ) {
-        let OpRouter::Feedback(front, fb) = router else {
-            return;
-        };
-        if state.decayed[req] {
-            return;
-        }
-        let level = state.pressure(fb);
-        if level == state.level[req] {
-            return;
-        }
-        state.level[req] = level;
-        let spec = &table.specs[req];
-        let target = front.route_pressure(&spec.class, level);
-        if target == table[req].op {
-            return;
-        }
-        let lowering = admission::lower_at_cached(cache, csim, spec, &target);
-        if self.cfg.over_energy_budget(lowering.energy_pj) {
-            return;
-        }
-        table.reroute(req, target, lowering);
-        state.note(req, now, AdaptiveKind::Feedback(level));
-    }
-
-    /// Admits as many waiting requests as fit. Decay re-lowers over-waited
-    /// requests first; the picked request is feedback-re-lowered against the
-    /// current pressure level; then [`Bookings::place`] chooses the
-    /// instance. An instance fits a request when the booked footprints stay
-    /// within the admission budget — or when it is completely idle, so a
-    /// single oversized request can always make progress.
-    #[allow(clippy::too_many_arguments)] // the event loop's full mutable state
-    fn try_admit(
-        &self,
-        now: u64,
-        csim: &CycleSim,
-        router: &OpRouter,
-        cache: &mut LowerCache,
-        table: &mut RequestTable,
-        state: &mut AdmissionState,
-        msim: &mut MultiPipelineSim,
-        obs: &mut TraceRecorder,
-    ) {
-        self.decay_waiting(now, csim, router, cache, table, state);
-        let budget = self.cfg.admit_buffer_bytes;
-        while !state.waiting.is_empty() {
-            let pos = admission::pick(
-                admission::AGING_THRESHOLD,
-                now,
-                &state.waiting,
-                state.waiting.len(),
-                |r| table.arrival[r],
-                |r| table[r].footprint,
-            );
-            let req = state.waiting[pos];
-            self.feedback_relower(now, csim, router, cache, req, table, state);
-            let (fp, energy_pj) = (table[req].footprint, table[req].energy_pj);
-            let target = state.bookings.place(0..self.cfg.instances, fp, budget);
-            let Some(inst) = target else {
-                // Nothing fits the candidate now; completions will retry.
-                // Stopping (rather than skipping to a smaller request) is
-                // what keeps the aged head-of-line request from being
-                // overtaken forever.
-                return;
-            };
-            state.waiting.remove(pos);
-            msim.submit(inst, req as u64, &table[req].job, now);
-            state.bookings.book(inst, fp);
-            state.energy_pj[inst] += energy_pj;
-            state.placed_on[req] = inst;
-            state.admitted_at[req] = now;
-            sample_waiting(obs, now, &state.waiting);
-            sample_booked(obs, now, inst, &state.bookings);
-            if obs.is_enabled() {
-                obs.counter(
-                    inst as u64,
-                    TID_SERVE_ENERGY,
-                    "serve.energy_pj",
-                    now,
-                    &[("pj", state.energy_pj[inst])],
-                );
-            }
-        }
-    }
-}
-
-/// One adaptive-controller action. Buffered during the serial loop and
-/// emitted as a trace instant after the run — mid-loop emission would break
-/// per-track timestamp monotonicity against the post-run lifecycle spans.
-#[derive(Debug, Clone, Copy)]
-enum AdaptiveKind {
-    /// The decay threshold re-lowered a waiting request to the lean end.
-    Decay,
-    /// Feedback pressure re-lowered the picked request at this level.
-    Feedback(u8),
-    /// An over-budget attempt went to the retry queue (attempt number; 0 is
-    /// the initial submission).
-    RetryShed(u32),
-    /// A retry re-arrival fit the budget and joined the wait queue.
-    Retry(u32),
-    /// Retries exhausted: finally shed, at this last-attempt energy.
-    Shed(f64),
-}
-
-/// [`AdaptiveKind`] tagged with the request and cycle it happened at.
-#[derive(Debug, Clone, Copy)]
-struct AdaptiveEvent {
-    req: usize,
-    ts: u64,
-    kind: AdaptiveKind,
 }
 
 /// Emits one buffered adaptive instant on a request's lifecycle track.
@@ -864,136 +682,36 @@ fn adaptive_instant(obs: &mut TraceRecorder, tid: u64, ts: u64, kind: AdaptiveKi
 }
 
 /// Samples instance `inst`'s booked bytes on its counter track.
-fn sample_booked(obs: &mut TraceRecorder, now: u64, inst: usize, bookings: &Bookings) {
-    let bytes = bookings.bytes[inst] as f64;
+fn sample_booked(obs: &mut TraceRecorder, now: u64, inst: usize, bytes: u64) {
     obs.counter(
         inst as u64,
         TID_SERVE_INFLIGHT,
         "serve.inflight_bytes",
         now,
-        &[("bytes", bytes)],
+        &[("bytes", bytes as f64)],
     );
 }
 
 /// Samples the wait-queue depth on the scheduler's counter track.
-fn sample_waiting(obs: &mut TraceRecorder, now: u64, waiting: &WaitQueue) {
-    let depth = waiting.len() as f64;
+fn sample_waiting(obs: &mut TraceRecorder, now: u64, depth: usize) {
     obs.counter(
         PID_SCHEDULER,
         0,
         "serve.wait_queue",
         now,
-        &[("waiting", depth)],
+        &[("waiting", depth as f64)],
     );
-}
-
-/// Mutable scheduling state of one [`ServeSim::run_with`]: the wait queue
-/// (in arrival order), per-instance bookings and admitted energy, and the
-/// per-request placement/lifecycle slots filled in as the run progresses.
-#[derive(Debug)]
-struct AdmissionState {
-    waiting: WaitQueue,
-    bookings: Bookings,
-    energy_pj: Vec<f64>,
-    placed_on: Vec<usize>,
-    admitted_at: Vec<u64>,
-    completed_at: Vec<u64>,
-    /// Whether the decay threshold re-lowered the request while it waited.
-    decayed: Vec<bool>,
-    /// Pressure level of the request's current lowering (feedback router).
-    level: Vec<u8>,
-    /// Retry re-arrivals admitted back into the wait queue.
-    retried: u64,
-    /// Adaptive instants buffered for post-run trace emission.
-    events: Vec<AdaptiveEvent>,
-    /// Feedback EWMAs: per-instance completion latency and per-request
-    /// energy, plus the wait-queue depth, sampled at every completion.
-    ewma_latency: Vec<f64>,
-    ewma_energy: Vec<f64>,
-    ewma_queue: f64,
-    fb_samples: u64,
-}
-
-impl AdmissionState {
-    fn new(instances: usize, requests: usize) -> Self {
-        AdmissionState {
-            waiting: WaitQueue::default(),
-            bookings: Bookings::new(instances),
-            energy_pj: vec![0.0; instances],
-            placed_on: vec![usize::MAX; requests],
-            admitted_at: vec![u64::MAX; requests],
-            completed_at: vec![u64::MAX; requests],
-            decayed: vec![false; requests],
-            level: vec![0; requests],
-            retried: 0,
-            events: Vec::new(),
-            ewma_latency: vec![0.0; instances],
-            ewma_energy: vec![0.0; instances],
-            ewma_queue: 0.0,
-            fb_samples: 0,
-        }
-    }
-
-    /// Buffers one adaptive action for post-run trace emission.
-    fn note(&mut self, req: usize, ts: u64, kind: AdaptiveKind) {
-        self.events.push(AdaptiveEvent { req, ts, kind });
-    }
-
-    /// Folds one completion into the feedback EWMAs (`ewma ← α·sample +
-    /// (1−α)·ewma`; the first sample of a series seeds it directly).
-    fn observe_completion(&mut self, fb: &FeedbackConfig, inst: usize, latency: f64, energy: f64) {
-        let mix = |prev: f64, x: f64| {
-            if prev == 0.0 {
-                x
-            } else {
-                fb.alpha * x + (1.0 - fb.alpha) * prev
-            }
-        };
-        self.ewma_latency[inst] = mix(self.ewma_latency[inst], latency);
-        self.ewma_energy[inst] = mix(self.ewma_energy[inst], energy);
-        let depth = self.waiting.len() as f64;
-        self.ewma_queue = if self.fb_samples == 0 {
-            depth
-        } else {
-            fb.alpha * depth + (1.0 - fb.alpha) * self.ewma_queue
-        };
-        self.fb_samples += 1;
-    }
-
-    /// The discrete pressure level measured state maps to — 0 calm, 1 over
-    /// target, 2 badly over — per [`FeedbackConfig`]. Zero until the first
-    /// completion lands (no measurement, no pressure).
-    fn pressure(&self, fb: &FeedbackConfig) -> u8 {
-        if self.fb_samples == 0 {
-            return 0;
-        }
-        let hottest = self.ewma_latency.iter().copied().fold(0.0f64, f64::max);
-        let target = fb.target_latency_cycles as f64;
-        let queue_bar = fb.queue_depth_bar as f64;
-        let mut level = 0u8;
-        if hottest > target || self.ewma_queue > queue_bar {
-            level = 1;
-        }
-        if hottest > 2.0 * target || self.ewma_queue > 2.0 * queue_bar {
-            level = 2;
-        }
-        if let Some(bar) = fb.energy_bar_pj {
-            let hottest_energy = self.ewma_energy.iter().copied().fold(0.0f64, f64::max);
-            if hottest_energy > bar {
-                level = (level + 1).min(2);
-            }
-        }
-        level
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AGING_THRESHOLD;
     use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
     use sofa_hw::accel::AttentionTask;
     use sofa_model::trace::TraceConfig;
     use sofa_sim::tracks::PID_SHARED_DRAM;
+    use sofa_sim::CycleSim;
 
     fn small_cfg(instances: usize) -> ServeConfig {
         let mut cfg = ServeConfig::new(HwConfig::small(), instances);
@@ -1096,7 +814,7 @@ mod tests {
         let mut aged = 0;
         for a in rs {
             // `a` waits at every admission in `[a.arrival + threshold, a.admitted)`.
-            let aged_from = a.arrival + admission::AGING_THRESHOLD;
+            let aged_from = a.arrival + AGING_THRESHOLD;
             if aged_from < a.admitted {
                 aged += 1;
             }

@@ -423,14 +423,18 @@ proptest! {
         nodes in 1usize..4,
         disaggregate in prop::bool::ANY,
     ) {
+        use sofa_dse::{hardware_aware_search, DseSearchConfig, EvalConfig, HwAwareEvaluator};
         use sofa_hw::config::HwConfig;
         use sofa_model::trace::{RequestTrace, TraceConfig};
-        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter};
+        use sofa_model::OperatingPoint;
+        use sofa_serve::{AdaptiveServeConfig, FleetConfig, FleetServeSim, OpRouter};
 
         // Request lowering fans out over workers (nodes step serially
         // between synchronization epochs), so the whole fleet report —
         // sketches, fabric stats, per-node cycle reports — must be a pure
-        // function of (config, trace) at any SOFA_THREADS.
+        // function of (config, trace) at any SOFA_THREADS. The controller
+        // arm adds decay, feedback routing, retries and an energy budget of
+        // ¾ of the paper default's J/req: every decision stays serial.
         let nodes = if disaggregate { nodes.max(2) } else { nodes };
         let mut tc = TraceConfig::new(16, 120.0, seed);
         tc.seq_len = 256;
@@ -441,16 +445,29 @@ proptest! {
         let mut cfg = FleetConfig::new(HwConfig::small(), nodes, 2);
         cfg.epoch_cycles = 4096;
         cfg.disaggregate = disaggregate;
+        let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(seed), 2);
+        let dse = hardware_aware_search(&evaluator, &DseSearchConfig::smoke(seed));
+        let controller = AdaptiveServeConfig::targeting(150_000);
+        let default_op = OperatingPoint::paper_default(dse.pareto.layers());
+        let paper_default =
+            FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::Fixed(&default_op));
+        prop_assert_eq!(paper_default.served, 16, "no budget sheds nothing");
+        let mut adaptive = cfg.clone();
+        let budget = 0.75 * paper_default.energy_pj_per_request();
+        adaptive.serve.energy_budget_pj_per_req = Some(budget);
+        adaptive.serve.decay_threshold = Some(controller.decay_threshold);
+        adaptive.serve.retry = Some(controller.retry);
+        let feedback = OpRouter::Feedback(&dse.pareto, &controller.feedback);
 
-        let reference = sofa_par::with_threads(1, || {
-            FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
-        });
-        prop_assert_eq!(reference.served, 16);
-        for threads in [1usize, 2, 8] {
-            let got = sofa_par::with_threads(threads, || {
-                FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
-            });
-            prop_assert_eq!(&got, &reference, "threads={}", threads);
+        for (cfg, router) in [(cfg, OpRouter::TraceNative), (adaptive, feedback)] {
+            let reference =
+                sofa_par::with_threads(1, || FleetServeSim::new(cfg.clone()).run(&trace, router));
+            for threads in [1usize, 2, 8] {
+                let got = sofa_par::with_threads(threads, || {
+                    FleetServeSim::new(cfg.clone()).run(&trace, router)
+                });
+                prop_assert_eq!(&got, &reference, "threads={}", threads);
+            }
         }
     }
 
@@ -531,12 +548,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    // ------------- lowering-cache differentials (cache on == off) -------------
+    // -------- memoised lowering and evaluation equal fresh ones --------
     //
-    // The lowering cache is a pure wall-time optimisation: every report must
-    // be byte-identical with the cache on and off, at any SOFA_THREADS. A
-    // drift here means a cached lowering diverged from a fresh one — the
-    // exact bug class the cache's determinism contract forbids.
+    // Serving shares one lowering per (request shape, operating point) key
+    // and the DSE search answers repeated candidates from a memo. Each
+    // shared or memoised value must be exactly what computing it afresh
+    // gives, at any SOFA_THREADS. The admission core's unit tests compare
+    // the lowering functions themselves; these compare whole runs.
 
     #[test]
     fn routed_serving_is_unchanged_by_the_lowering_cache(seed in 0u64..20) {
@@ -545,6 +563,9 @@ proptest! {
         use sofa_model::trace::{RequestTrace, TraceConfig};
         use sofa_serve::{ServeConfig, ServeSim};
 
+        // A request served alone is lowered alone: its record's footprint
+        // and energy bits, its re-route and its DRAM bytes must equal those
+        // it gets sharing the run's lowering pass.
         let mut tc = TraceConfig::new(8, 80.0, seed);
         tc.seq_len = 256;
         tc.hidden = 256;
@@ -553,53 +574,26 @@ proptest! {
         let trace = RequestTrace::generate(&tc);
         let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(seed), 2);
         let dse = hardware_aware_search(&evaluator, &DseSearchConfig::smoke(seed));
-
-        let mut cold_cfg = ServeConfig::new(HwConfig::small(), 2);
-        cold_cfg.lowering_cache = false;
-        let reference = sofa_par::with_threads(1, || {
-            ServeSim::new(cold_cfg.clone()).run_routed(&trace, &dse)
-        });
-        let cached_cfg = ServeConfig::new(HwConfig::small(), 2);
-        prop_assert!(cached_cfg.lowering_cache, "the cache must default on");
+        let sim = ServeSim::new(ServeConfig::new(HwConfig::small(), 2));
+        let alone: Vec<_> = trace
+            .requests
+            .iter()
+            .map(|spec| {
+                let one = RequestTrace { config: trace.config.clone(), requests: vec![*spec] };
+                sofa_par::with_threads(1, || sim.run_routed(&one, &dse))
+            })
+            .collect();
         for threads in [1usize, 2, 8] {
-            let cached = sofa_par::with_threads(threads, || {
-                ServeSim::new(cached_cfg.clone()).run_routed(&trace, &dse)
-            });
-            prop_assert_eq!(&cached, &reference, "threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn adaptive_serving_is_unchanged_by_the_lowering_cache(seed in 0u64..12) {
-        use sofa_dse::{hardware_aware_search, DseSearchConfig, EvalConfig, HwAwareEvaluator};
-        use sofa_hw::config::HwConfig;
-        use sofa_model::trace::{RequestTrace, TraceConfig};
-        use sofa_serve::{AdaptiveServeConfig, ServeConfig, ServeSim};
-
-        // The adaptive paths re-lower on decay, retry (keep^attempt) and
-        // feedback re-routing — every one must hit the same cache discipline.
-        let mut tc = TraceConfig::new(8, 150.0, seed);
-        tc.seq_len = 256;
-        tc.hidden = 256;
-        tc.heads = 4;
-        tc.prefill_queries = 8;
-        let trace = RequestTrace::generate(&tc);
-        let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(seed), 2);
-        let dse = hardware_aware_search(&evaluator, &DseSearchConfig::smoke(seed));
-        let controller = AdaptiveServeConfig::targeting(150_000);
-        let mut cfg = ServeConfig::new(HwConfig::small(), 2);
-        cfg.admit_buffer_bytes = 16 * 1024;
-
-        let mut cold_cfg = cfg.clone();
-        cold_cfg.lowering_cache = false;
-        let reference = sofa_par::with_threads(1, || {
-            ServeSim::new(cold_cfg.clone()).run_adaptive_study(&trace, &dse, &controller)
-        });
-        for threads in [1usize, 2, 8] {
-            let cached = sofa_par::with_threads(threads, || {
-                ServeSim::new(cfg.clone()).run_adaptive_study(&trace, &dse, &controller)
-            });
-            prop_assert_eq!(&cached, &reference, "threads={}", threads);
+            let shared = sofa_par::with_threads(threads, || sim.run_routed(&trace, &dse));
+            prop_assert_eq!(shared.records.len(), trace.len());
+            for (r, one) in shared.records.iter().zip(&alone) {
+                let a = &one.records[0];
+                prop_assert_eq!(r.footprint_bytes, a.footprint_bytes, "threads={}", threads);
+                prop_assert_eq!(r.energy_pj.to_bits(), a.energy_pj.to_bits());
+                prop_assert_eq!(r.rerouted, a.rerouted);
+            }
+            let dram: u64 = alone.iter().map(|one| one.multi.dram.total_bytes()).sum();
+            prop_assert_eq!(shared.multi.dram.total_bytes(), dram, "threads={}", threads);
         }
     }
 
@@ -610,8 +604,11 @@ proptest! {
     ) {
         use sofa_hw::config::HwConfig;
         use sofa_model::trace::{RequestTrace, TraceConfig};
-        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter, RetryPolicy};
+        use sofa_serve::{FleetConfig, FleetServeSim, OpRouter, RetryPolicy, ServeSim};
 
+        // The fleet's shared lowerings against each request served alone
+        // on one node: the same requests are served, shed, retried and
+        // re-routed, and the fleet's DRAM moves exactly their bytes.
         let mut tc = TraceConfig::new(16, 120.0, seed);
         tc.seq_len = 256;
         tc.hidden = 256;
@@ -631,16 +628,29 @@ proptest! {
         });
 
         for cfg in [plain, retrying] {
-            let mut cold_cfg = cfg.clone();
-            cold_cfg.serve.lowering_cache = false;
-            let reference = sofa_par::with_threads(1, || {
-                FleetServeSim::new(cold_cfg.clone()).run(&trace, OpRouter::TraceNative)
-            });
+            let single = ServeSim::new(cfg.serve.clone());
+            let alone: Vec<_> = trace
+                .requests
+                .iter()
+                .map(|spec| {
+                    let one = RequestTrace { config: trace.config.clone(), requests: vec![*spec] };
+                    sofa_par::with_threads(1, || single.run(&one))
+                })
+                .collect();
+            let served = alone.iter().map(|r| r.records.len() as u64).sum::<u64>();
+            let retried = alone.iter().map(|r| r.retried).sum::<u64>();
+            let rerouted = alone.iter().map(|r| r.rerouted_requests() as u64).sum::<u64>();
+            let dram = alone.iter().map(|r| r.multi.dram.total_bytes()).sum::<u64>();
             for threads in [1usize, 2, 8] {
-                let cached = sofa_par::with_threads(threads, || {
+                let fleet = sofa_par::with_threads(threads, || {
                     FleetServeSim::new(cfg.clone()).run(&trace, OpRouter::TraceNative)
                 });
-                prop_assert_eq!(&cached, &reference, "threads={}", threads);
+                let fleet_dram = fleet.nodes.iter().map(|n| n.dram.total_bytes()).sum::<u64>();
+                prop_assert_eq!(
+                    (fleet.served, fleet.shed, fleet.retried, fleet.rerouted, fleet_dram),
+                    (served, trace.len() as u64 - served, retried, rerouted, dram),
+                    "threads={}", threads
+                );
             }
         }
     }
@@ -649,27 +659,19 @@ proptest! {
     fn dse_search_is_unchanged_by_candidate_dedup(seed in 0u64..12) {
         use sofa_dse::{hardware_aware_search, DseSearchConfig, EvalConfig, HwAwareEvaluator};
 
-        // Dedup answers repeated proposals from the memo; everything except
-        // the evals_saved counter itself must be bit-identical to the
-        // re-evaluating run, at any SOFA_THREADS.
-        let mut cold_cfg = DseSearchConfig::smoke(seed);
-        cold_cfg.dedup = false;
-        let mut reference = sofa_par::with_threads(1, || {
-            let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(seed), 2);
-            hardware_aware_search(&evaluator, &cold_cfg)
-        });
-        prop_assert_eq!(reference.evals_saved, 0, "dedup off must save nothing");
+        // The search answers repeated proposals from its memo; every point
+        // it reports must equal a fresh evaluation of its candidate, at any
+        // SOFA_THREADS.
+        let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(seed), 2);
         let cfg = DseSearchConfig::smoke(seed);
-        prop_assert!(cfg.dedup, "dedup must default on");
-        for threads in [1usize, 2, 8] {
-            let mut deduped = sofa_par::with_threads(threads, || {
-                let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(seed), 2);
-                hardware_aware_search(&evaluator, &cfg)
-            });
-            // evals_saved is the one field dedup is allowed to change.
-            deduped.evals_saved = 0;
-            reference.evals_saved = 0;
-            prop_assert_eq!(&deduped, &reference, "threads={}", threads);
+        let reference = sofa_par::with_threads(1, || hardware_aware_search(&evaluator, &cfg));
+        for e in &reference.evaluated {
+            prop_assert_eq!(e, &evaluator.evaluate(&e.candidate));
+        }
+        for threads in [2usize, 8] {
+            let report =
+                sofa_par::with_threads(threads, || hardware_aware_search(&evaluator, &cfg));
+            prop_assert_eq!(&report, &reference, "threads={}", threads);
         }
     }
 }
