@@ -1753,43 +1753,67 @@ fn fleet_mega_node_scenario() -> (u64, usize, CoreWork) {
 }
 
 /// Experiment — wall time of one fresh hardware-aware DSE search (the
-/// `dse_pareto_fresh` workload) plus its candidate-dedup and stage-1
-/// counters. The search's guided proposals are mostly distinct, so
+/// `dse_pareto_fresh` workload) plus its candidate-dedup, layer-memo and
+/// stage-1 counters. The search's guided proposals are mostly distinct, so
 /// `evals_saved` is small by design — the gate only requires the dedup to be
 /// live (> 0 on this pinned seed) and the wall time to stay under budget.
 /// `predictions` counts the search's per-layer DLZS predictions, which the
-/// gate pins to exactly `layers` (one per layer, however many candidates).
+/// gate pins to exactly `layers` (one per layer, however many candidates),
+/// and `layer_sims` its cycle simulations, pinned to `distinct_layer_points`
+/// (one per distinct `(layer, keep, Bc)` point, however many candidates
+/// share it).
 pub fn perf_dse() -> crate::ExperimentOutput {
     let (wall, (report, evaluator)) = best_wall_seconds(1, dse_pareto_search);
-    let proposals = report.evaluations + report.evals_saved;
+    let proposals = report.evaluations;
+    let lowered = report.evaluations - report.evals_saved;
     let mut t = Table::new(
         "Perf  Fresh DSE search wall time + candidate-dedup rate",
         &[
             "search",
             "wall s",
             "proposals",
-            "evaluated",
+            "lowered",
             "saved",
             "dedup rate",
+            "layer sims",
         ],
     );
     t.push([
         "quick(0xD5E)".to_string(),
         format!("{wall:.2}"),
         proposals.to_string(),
-        report.evaluations.to_string(),
+        lowered.to_string(),
         report.evals_saved.to_string(),
         format!(
             "{:.1}%",
             100.0 * report.evals_saved as f64 / proposals as f64
         ),
+        evaluator.layer_sims().to_string(),
     ]);
     crate::ExperimentOutput::of_tables(vec![t])
         .with_scalar("evaluations", report.evaluations as f64)
         .with_scalar("evals_saved", report.evals_saved as f64)
         .with_scalar("predictions", evaluator.predictions() as f64)
         .with_scalar("layers", evaluator.layers() as f64)
+        .with_scalar("layer_sims", evaluator.layer_sims() as f64)
+        .with_scalar(
+            "distinct_layer_points",
+            distinct_layer_points(&report) as f64,
+        )
         .with_scalar("wall_seconds", wall)
+}
+
+/// Distinct `(layer, keep bits, Bc)` points over a search's default and
+/// evaluated candidates, counted from the report alone.
+fn distinct_layer_points(report: &dse::DseReport) -> usize {
+    std::iter::once(&report.paper_default)
+        .chain(&report.evaluated)
+        .flat_map(|e| {
+            let c = &e.candidate;
+            (0..c.tile_sizes.len()).map(|l| (l, c.keep_ratios[l].to_bits(), c.tile_sizes[l]))
+        })
+        .collect::<std::collections::HashSet<_>>()
+        .len()
 }
 
 #[cfg(test)]

@@ -495,7 +495,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_dse",
-            about: "fresh DSE search wall time + candidate-dedup counters (dedup liveness gates; wall time budgeted)",
+            about: "fresh DSE search wall time + candidate-dedup and layer-memo counters (dedup liveness and one cycle simulation per distinct layer point gated; wall time budgeted)",
             paper: false,
             in_all: true,
             main_thread: true,

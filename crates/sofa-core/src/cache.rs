@@ -1,16 +1,15 @@
-//! Deterministic lowering/evaluation caches.
+//! Deterministic lowering caches.
 //!
-//! The serving and DSE hot paths repeatedly lower the same `(request shape,
+//! The serving hot paths repeatedly lower the same `(request shape,
 //! operating point)` pairs: benchmark-derived traces draw from a handful of
-//! shapes, adaptive decay/retry/feedback re-lowerings revisit the same lean
-//! points, and the DSE weight profiles propose overlapping candidates. Every
-//! such lowering is a *pure function* of its key — the pipeline, the cycle
-//! simulator and the energy model take no input besides the shape, the
-//! operating point and immutable configuration — so memoising it cannot
-//! change any output bit. What memoisation *can* change is determinism
-//! bookkeeping: a concurrently-filled cache would make hit/miss counters (and
-//! any eval counters derived from them) depend on thread interleaving. The
-//! types here therefore only support two access disciplines, both
+//! shapes, and adaptive decay/retry/feedback re-lowerings revisit the same
+//! lean points. Every such lowering is a *pure function* of its key — the
+//! pipeline, the cycle simulator and the energy model take no input besides
+//! the shape, the operating point and immutable configuration — so
+//! memoising it cannot change any output bit. What memoisation *can* change
+//! is determinism bookkeeping: a concurrently-filled cache would make
+//! hit/miss counters (and any eval counters derived from them) depend on
+//! thread interleaving. The types here therefore only support two access disciplines, both
 //! deterministic at any `SOFA_THREADS`:
 //!
 //! 1. **Serial memoisation** via [`LoweringCache::get_or_insert_with`] from a
@@ -59,12 +58,10 @@ impl CacheStats {
 
 /// A deterministic memo table for pure lowering/evaluation functions.
 ///
-/// Generic over the key and value so the same machinery serves the
-/// request-shape lowering cache in `sofa-serve` (value: lowered pipeline job +
-/// footprint + energy) and the per-layer evaluation memo in `sofa-dse`
-/// (value: loss/cycles/energy triple). A hit returns exactly what the
-/// function would compute for that key, so the memo changes wall time
-/// only, never output.
+/// Generic over the key and value; `sofa-serve`'s request-shape lowering
+/// cache (value: lowered pipeline job + footprint + energy) is the user. A
+/// hit returns exactly what the function would compute for that key, so the
+/// memo changes wall time only, never output.
 #[derive(Debug, Clone)]
 pub struct LoweringCache<K, V> {
     map: HashMap<K, V>,
@@ -111,11 +108,6 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
         }
     }
 
-    /// Look up `key` without computing; counts neither hit nor miss.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
-    }
-
     /// Store a precomputed value (dedup-before-parallel backfill). Counts as
     /// a miss — the value was computed outside the cache.
     pub fn insert_computed(&mut self, key: K, value: V) {
@@ -127,13 +119,6 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
     /// reaching the memo table (requests that shared a representative).
     pub fn record_shared_hits(&mut self, n: u64) {
         self.stats.hits += n;
-    }
-
-    /// Store a value without touching the counters — for seeding a cache
-    /// with results that were already accounted elsewhere (e.g. a reference
-    /// point every run computes regardless of caching).
-    pub fn preload(&mut self, key: K, value: V) {
-        self.map.insert(key, value);
     }
 }
 

@@ -24,13 +24,18 @@
 //!    `Bc·log₂Bc` and the ping-pong banks linearly with the largest resident
 //!    tile.
 //!
-//! Losses are averaged across layers; cycles and energy are summed. The
-//! workloads and dense references are pinned at construction; the
-//! predictions live only as long as one session — one `evaluate`, one
-//! `evaluate_batch` or one `hardware_aware_search` — so no evaluator state
-//! carries over between calls. Evaluation is a pure function of the
-//! candidate, which is what lets [`EvalSession::evaluate_batch`] fan out over
-//! `sofa-par` with bit-identical results at any `SOFA_THREADS`.
+//! Losses are averaged across layers; cycles and energy are summed. Steps
+//! 1–4 are a pure function of one layer point — the layer, its keep ratio
+//! and its tile size — so a session scores each distinct layer point once
+//! and answers every later candidate that shares it from a memo.
+//!
+//! The workloads and dense references are pinned at construction; the
+//! predictions and the layer memo live only as long as one session — one
+//! `evaluate`, one `evaluate_batch` or one `hardware_aware_search` — so no
+//! evaluator state carries over between calls. Evaluation is a pure
+//! function of the candidate, which is what lets
+//! [`EvalSession::evaluate_batch`] fan out over `sofa-par` with
+//! bit-identical results at any `SOFA_THREADS`.
 
 use crate::space::{DseCandidate, DseSpace};
 use sofa_core::accuracy::proxy_loss;
@@ -42,6 +47,9 @@ use sofa_hw::energy::{compute_energy_j, DRAM_ACTIVATION_PJ};
 use sofa_model::{AttentionWorkload, OperatingPoint, ScoreDistribution};
 use sofa_sim::CycleSim;
 use sofa_tensor::Matrix;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Control overhead a stage pays per tile (descriptor decode, bank swap,
 /// scoreboard update) in the DSE evaluation. This is the cost the paper's
@@ -202,15 +210,19 @@ impl EvalConfig {
 pub struct HwAwareEvaluator {
     cfg: EvalConfig,
     layers: Vec<(AttentionWorkload, Matrix)>,
-    /// Per-layer cycle simulations run so far. Atomic adds are commutative,
-    /// so the totals are identical at any `SOFA_THREADS` even though the
-    /// evaluations fan out.
-    layer_evals: std::sync::atomic::AtomicU64,
+    /// Per-layer evaluations scored so far, memo hits included. Atomic adds
+    /// are commutative, so the totals are identical at any `SOFA_THREADS`
+    /// even though the evaluations fan out.
+    layer_evals: AtomicU64,
+    /// Per-layer cycle simulations actually run: one per distinct layer
+    /// point per session.
+    layer_sims: AtomicU64,
     /// Per-layer predictions run so far (one per layer per session).
-    predictions: std::sync::atomic::AtomicU64,
-    /// Evaluations whose cycle simulation agreed with the analytic model
-    /// within [`FIDELITY_TOLERANCE`] — the surrogate-vs-sim fidelity signal.
-    fidelity_hits: std::sync::atomic::AtomicU64,
+    predictions: AtomicU64,
+    /// Scored evaluations whose cycle simulation agreed with the analytic
+    /// model within [`FIDELITY_TOLERANCE`] — the surrogate-vs-sim fidelity
+    /// signal.
+    fidelity_hits: AtomicU64,
 }
 
 impl HwAwareEvaluator {
@@ -241,9 +253,10 @@ impl HwAwareEvaluator {
         HwAwareEvaluator {
             cfg,
             layers,
-            layer_evals: std::sync::atomic::AtomicU64::new(0),
-            predictions: std::sync::atomic::AtomicU64::new(0),
-            fidelity_hits: std::sync::atomic::AtomicU64::new(0),
+            layer_evals: AtomicU64::new(0),
+            layer_sims: AtomicU64::new(0),
+            predictions: AtomicU64::new(0),
+            fidelity_hits: AtomicU64::new(0),
         }
     }
 
@@ -252,23 +265,31 @@ impl HwAwareEvaluator {
         &self.cfg
     }
 
-    /// Per-layer cycle simulations this evaluator has run.
+    /// Per-layer evaluations this evaluator has scored: one per layer of
+    /// every candidate scored, whether its layer point was simulated or
+    /// answered from the session's memo.
     pub fn layer_evals(&self) -> u64 {
-        self.layer_evals.load(std::sync::atomic::Ordering::Relaxed)
+        self.layer_evals.load(Ordering::Relaxed)
+    }
+
+    /// Per-layer cycle simulations this evaluator has run: one per distinct
+    /// `(layer, keep, Bc)` point per session.
+    pub fn layer_sims(&self) -> u64 {
+        self.layer_sims.load(Ordering::Relaxed)
     }
 
     /// Per-layer predictions (stage 1 plus the K/V projections) this
     /// evaluator has run: `layers()` per session, independent of how many
     /// candidates the session scores.
     pub fn predictions(&self) -> u64 {
-        self.predictions.load(std::sync::atomic::Ordering::Relaxed)
+        self.predictions.load(Ordering::Relaxed)
     }
 
-    /// How many of those agreed with the analytic model within
-    /// [`FIDELITY_TOLERANCE`].
+    /// How many scored layer evaluations agreed with the analytic model
+    /// within [`FIDELITY_TOLERANCE`] (a memo hit counts its remembered
+    /// verdict).
     pub fn fidelity_hits(&self) -> u64 {
-        self.fidelity_hits
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.fidelity_hits.load(Ordering::Relaxed)
     }
 
     /// Snapshots the evaluation counters into `reg` as
@@ -302,20 +323,20 @@ impl HwAwareEvaluator {
 
     /// Opens an evaluation session: runs each layer's prediction (stage 1
     /// and the K/V projections) once, fanned out over layers, for every
-    /// candidate the session scores.
+    /// candidate the session scores, and starts an empty layer memo.
     pub fn session(&self) -> EvalSession<'_> {
         // Stage 1 reads only the prediction scheme, which
         // `PipelineConfig::for_layer` fixes to DLZS for every candidate, so
         // the paper default's pipeline predicts what any candidate's would.
         let op = OperatingPoint::paper_default(self.layers.len());
         let predictions = sofa_par::par_map_index(self.layers.len(), |i| {
-            self.predictions
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.predictions.fetch_add(1, Ordering::Relaxed);
             SofaPipeline::new(PipelineConfig::for_layer(&op, i)).predict(&self.layers[i].0)
         });
         EvalSession {
             evaluator: self,
             predictions,
+            memo: Mutex::default(),
         }
     }
 
@@ -335,19 +356,20 @@ impl HwAwareEvaluator {
         self.session().evaluate_batch(candidates)
     }
 
-    /// One layer's `(loss, cycles, energy_pj)` at the candidate's operating
-    /// point, from that layer's `prediction`.
+    /// Scores one layer point: `layer` at `(keep, bc)`, from that layer's
+    /// `prediction`. Runs one cycle simulation.
     fn evaluate_layer(
         &self,
         layer: usize,
-        c: &DseCandidate,
+        keep: f64,
+        bc: usize,
         prediction: &Prediction,
-    ) -> (f64, u64, f64) {
+    ) -> LayerEval {
         let (workload, dense) = &self.layers[layer];
-        let op = c.operating_point();
-        let bc = op.tile(layer);
-        let result = SofaPipeline::new(PipelineConfig::for_layer(&op, layer))
-            .run_predicted(workload, prediction);
+        let result = SofaPipeline::new(
+            PipelineConfig::new(keep, bc).expect("space candidates are valid pipeline configs"),
+        )
+        .run_predicted(workload, prediction);
         let loss = proxy_loss(&result.output, dense);
 
         // Lower the measured selection into the hardware models: the task
@@ -355,13 +377,13 @@ impl HwAwareEvaluator {
         // expectation), and the cycle simulator replays the run's real
         // per-tile selection counts.
         let stats = result.tile_selection_stats(bc);
-        let mut task = AttentionTask::at_layer(
+        let mut task = AttentionTask::new(
             self.cfg.queries,
             self.cfg.seq_len,
             self.cfg.heads * self.cfg.head_dim,
             self.cfg.heads,
-            &op,
-            layer,
+            keep,
+            bc,
         );
         task.key_union_fraction =
             (result.keys_generated as f64 / self.cfg.seq_len as f64).clamp(1e-6, 1.0);
@@ -378,32 +400,51 @@ impl HwAwareEvaluator {
         let requests = job.dram_requests();
         let report = sim.run_job(&job);
         let analytic = sim.accel.simulate(&task);
-        self.layer_evals
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if report
-            .compare(&analytic, self.cfg.hw.freq_hz)
-            .agrees_within(FIDELITY_TOLERANCE)
-        {
-            self.fidelity_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        self.layer_sims.fetch_add(1, Ordering::Relaxed);
 
         let compute_j = compute_energy_j(&result.total_ops());
         let memory_j =
             analytic.energy.sram_j + analytic.energy.interface_j + analytic.energy.dram_j;
-        let energy_pj = (compute_j + memory_j) * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ;
-        (loss, report.total_cycles, energy_pj)
+        LayerEval {
+            loss,
+            cycles: report.total_cycles,
+            energy_pj: (compute_j + memory_j) * 1e12 + requests as f64 * DRAM_ACTIVATION_PJ,
+            agrees_with_analytic: report
+                .compare(&analytic, self.cfg.hw.freq_hz)
+                .agrees_within(FIDELITY_TOLERANCE),
+        }
     }
 }
 
+/// One layer point's score: what [`HwAwareEvaluator::evaluate_layer`]
+/// returns, and what the session memo remembers.
+#[derive(Debug, Clone, Copy)]
+struct LayerEval {
+    loss: f64,
+    cycles: u64,
+    energy_pj: f64,
+    /// The cycle simulation agreed with the analytic model within
+    /// [`FIDELITY_TOLERANCE`].
+    agrees_with_analytic: bool,
+}
+
+/// A layer point: the layer, its keep ratio's IEEE-754 bits and its tile
+/// size — everything a layer's score reads beside the session's prediction.
+type LayerKey = (usize, u64, usize);
+
 /// One search's view of an [`HwAwareEvaluator`]: the per-layer predictions
 /// (stage-1 scores and projected K/V rows), computed once when the session
-/// opens and shared by every candidate it scores. Dropping the session drops
-/// them.
+/// opens, and the memo of every layer point the session has scored, each
+/// simulated exactly once at any `SOFA_THREADS`. Every candidate the session
+/// scores shares both; dropping the session drops them.
 #[derive(Debug)]
 pub struct EvalSession<'a> {
     evaluator: &'a HwAwareEvaluator,
     predictions: Vec<Prediction>,
+    /// One cell per layer point, filled outside the map lock by the first
+    /// thread to reach it; a thread that reaches a cell being filled waits
+    /// for its value.
+    memo: Mutex<HashMap<LayerKey, Arc<OnceLock<LayerEval>>>>,
 }
 
 impl EvalSession<'_> {
@@ -413,19 +454,46 @@ impl EvalSession<'_> {
     ///
     /// Panics if the candidate's layer count differs from the evaluator's.
     pub fn evaluate(&self, c: &DseCandidate) -> CandidateEval {
-        assert_eq!(
-            c.tile_sizes.len(),
-            self.predictions.len(),
+        self.score(c, true)
+    }
+
+    /// Scores a candidate the caller has already scored in this session:
+    /// the same bits as [`EvalSession::evaluate`], read from the layer memo
+    /// and not counted again in `layer_evals` or `fidelity_hits`.
+    pub(crate) fn recall(&self, c: &DseCandidate) -> CandidateEval {
+        self.score(c, false)
+    }
+
+    /// Scores a batch of candidates, fanning out across cores
+    /// (`sofa_par::par_map`). Bit-identical to calling
+    /// [`EvalSession::evaluate`] (or [`HwAwareEvaluator::evaluate`]) per
+    /// candidate, at any `SOFA_THREADS` — the differential property tests in
+    /// `tests/property_tests.rs` enforce this.
+    pub fn evaluate_batch(&self, candidates: &[DseCandidate]) -> Vec<CandidateEval> {
+        sofa_par::par_map(candidates, |c| self.evaluate(c))
+    }
+
+    fn score(&self, c: &DseCandidate, counted: bool) -> CandidateEval {
+        let layers = self.predictions.len();
+        assert!(
+            c.tile_sizes.len() == layers && c.keep_ratios.len() == layers,
             "candidate layer count mismatch"
         );
         // Layers are independent; nested invocations (e.g. from
         // `evaluate_batch`) degrade to sequential without changing results.
-        let per_layer = sofa_par::par_map_index(self.predictions.len(), |i| {
-            self.evaluator.evaluate_layer(i, c, &self.predictions[i])
+        let per_layer = sofa_par::par_map_index(layers, |i| {
+            self.layer_point(i, c.keep_ratios[i], c.tile_sizes[i])
         });
-        let loss = per_layer.iter().map(|l| l.0).sum::<f64>() / per_layer.len() as f64;
-        let cycles = per_layer.iter().map(|l| l.1).sum::<u64>();
-        let energy_pj = per_layer.iter().map(|l| l.2).sum::<f64>();
+        if counted {
+            let e = self.evaluator;
+            let hits = per_layer.iter().filter(|l| l.agrees_with_analytic).count();
+            e.layer_evals
+                .fetch_add(per_layer.len() as u64, Ordering::Relaxed);
+            e.fidelity_hits.fetch_add(hits as u64, Ordering::Relaxed);
+        }
+        let loss = per_layer.iter().map(|l| l.loss).sum::<f64>() / per_layer.len() as f64;
+        let cycles = per_layer.iter().map(|l| l.cycles).sum::<u64>();
+        let energy_pj = per_layer.iter().map(|l| l.energy_pj).sum::<f64>();
         CandidateEval {
             candidate: c.clone(),
             metrics: MetricVector {
@@ -437,13 +505,20 @@ impl EvalSession<'_> {
         }
     }
 
-    /// Scores a batch of candidates, fanning out across cores
-    /// (`sofa_par::par_map`). Bit-identical to calling
-    /// [`EvalSession::evaluate`] (or [`HwAwareEvaluator::evaluate`]) per
-    /// candidate, at any `SOFA_THREADS` — the differential property test in
-    /// `tests/property_tests.rs` enforces this.
-    pub fn evaluate_batch(&self, candidates: &[DseCandidate]) -> Vec<CandidateEval> {
-        sofa_par::par_map(candidates, |c| self.evaluate(c))
+    /// The score of `layer` at `(keep, bc)`: simulated by the first caller,
+    /// remembered for the rest of the session.
+    fn layer_point(&self, layer: usize, keep: f64, bc: usize) -> LayerEval {
+        let cell = Arc::clone(
+            self.memo
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry((layer, keep.to_bits(), bc))
+                .or_default(),
+        );
+        *cell.get_or_init(|| {
+            self.evaluator
+                .evaluate_layer(layer, keep, bc, &self.predictions[layer])
+        })
     }
 }
 
@@ -563,12 +638,52 @@ mod tests {
         eval.evaluate(&uniform(0.25, 16, 2));
         eval.evaluate(&uniform(0.50, 8, 2));
         assert_eq!(eval.layer_evals(), 4, "two candidates x two layers");
+        assert_eq!(eval.layer_sims(), 4, "two sessions share no memo");
         assert!(eval.fidelity_hits() <= eval.layer_evals());
         let mut reg = sofa_obs::MetricsRegistry::new();
         eval.record_metrics(&mut reg);
         assert_eq!(reg.counter("dse.evaluator.layer_evals"), 4);
         let rate = reg.gauge("dse.evaluator.fidelity_rate").unwrap();
         assert!((0.0..=1.0).contains(&rate));
+    }
+
+    #[test]
+    fn a_session_simulates_each_layer_point_once() {
+        let eval = HwAwareEvaluator::new(EvalConfig::tiny(13), 2);
+        let session = eval.session();
+        let a = DseCandidate {
+            keep_ratios: vec![0.25, 0.5],
+            tile_sizes: vec![16, 8],
+        };
+        // Shares layer 0's point with `a`; its layer 1 runs `a`'s layer-0
+        // pair, a different point because the layer differs.
+        let b = DseCandidate {
+            keep_ratios: vec![0.25, 0.25],
+            tile_sizes: vec![16, 16],
+        };
+        let first = session.evaluate(&a);
+        let hits = eval.fidelity_hits();
+        assert_eq!(
+            session.evaluate(&a),
+            first,
+            "a memo hit returns the same bits"
+        );
+        assert_eq!(eval.fidelity_hits(), 2 * hits, "a hit counts its verdict");
+        session.evaluate(&b);
+        assert_eq!(
+            eval.layer_evals(),
+            6,
+            "three candidates x two layers scored"
+        );
+        assert_eq!(
+            eval.layer_sims(),
+            3,
+            "three distinct layer points simulated"
+        );
+        drop(session);
+        // The memo dies with its session.
+        eval.evaluate(&a);
+        assert_eq!(eval.layer_sims(), 5);
     }
 
     #[test]

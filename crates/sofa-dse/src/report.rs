@@ -17,19 +17,20 @@
 //!
 //! All three phases score candidates through one [`EvalSession`], so the
 //! search runs each layer's DLZS prediction and K/V projection once,
-//! however many candidates it lowers. Every phase is a pure function of the evaluator's
-//! pinned inputs and the search seed, so the whole report is bit-identical
-//! at any `SOFA_THREADS` — the property the CI regression gate re-checks by
-//! running the search twice.
+//! however many candidates it lowers, and one cycle simulation per distinct
+//! `(layer, keep, Bc)` point, however many candidates share it. Every phase
+//! is a pure function of the evaluator's pinned inputs and the search seed,
+//! so the whole report is bit-identical at any `SOFA_THREADS` — the
+//! property the CI regression gate re-checks by running the search twice.
 
 use crate::eval::{CandidateEval, EvalSession, HwAwareEvaluator, MetricVector};
 use crate::pareto::ParetoFront;
 use crate::space::{DseCandidate, DseSpace};
 use crate::surrogate::propose_next;
-use sofa_core::cache::LoweringCache;
 use sofa_model::trace::RequestClass;
 use sofa_model::OperatingPoint;
 use sofa_tensor::seeded_rng;
+use std::collections::HashSet;
 
 /// One scalarization profile: weights over the normalised metric components.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +117,7 @@ pub struct DseSearchConfig {
 
 impl DseSearchConfig {
     /// The default experiment budget: a 4×4 probe grid plus four profiles of
-    /// 2 + 6 evaluations each (≈ 49 candidate lowerings with the default).
+    /// 2 + 6 evaluations each (49 candidate proposals with the default).
     pub fn quick(seed: u64) -> Self {
         DseSearchConfig {
             init_samples: 2,
@@ -163,14 +164,16 @@ pub struct DseReport {
     /// loss, falling back to the global scalarization winner when no
     /// candidate dominates. Deterministic tie-breaking.
     pub best: CandidateEval,
-    /// Total candidate lowerings performed (including the default).
+    /// Candidate proposals, including the default: `evaluated.len() + 1`.
+    /// Of these, `evaluations − evals_saved` were scored.
     pub evaluations: usize,
-    /// Candidate evaluations answered from the dedup memo instead of being
-    /// re-lowered: the probe grid and the weight profiles propose
-    /// overlapping candidates, and evaluation is a pure function of the
-    /// candidate's per-layer encoding. Deterministic: probe dedup is serial
-    /// and each profile's saves are a pure function of its own proposal
-    /// stream.
+    /// Proposals that repeated an already-scored candidate and were
+    /// recalled instead of scored again: the probe grid and the weight
+    /// profiles propose overlapping candidates, and evaluation is a pure
+    /// function of the candidate's per-layer encoding. A proposal repeats
+    /// the default, a probe or an earlier proposal of its own profile.
+    /// Deterministic: probe dedup is serial and each profile's saves are a
+    /// pure function of its own proposal stream.
     pub evals_saved: usize,
 }
 
@@ -220,17 +223,17 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
     let paper_default = session.evaluate(&space.paper_default_candidate());
     let reference = paper_default.metrics;
 
-    // The dedup memo: evaluation is a pure function of the candidate's
-    // canonical per-layer encoding, so a memo hit returns the exact bits a
-    // re-evaluation would. Filled serially (dedup-before-parallel in the
-    // probe phase, per-profile local memos in the search phase), so the
-    // saved-evaluation count is deterministic at any `SOFA_THREADS`.
-    let mut memo = EvalMemo::default();
-    memo.preload(candidate_key(&paper_default.candidate), reference);
+    // The candidates already scored. Evaluation is a pure function of the
+    // candidate's canonical per-layer encoding, so a repeated proposal is
+    // recalled from the session's layer memo instead of scored again. The
+    // sets are filled serially (before the probe fan-out, and per profile in
+    // the search phase), so the saved-evaluation count is deterministic at
+    // any `SOFA_THREADS`.
+    let mut scored: HashSet<CandidateKey> =
+        HashSet::from([candidate_key(&paper_default.candidate)]);
 
-    // Phase 1 — deterministic coarse probes, batch-parallel over the
-    // *distinct* candidates (the paper default overlaps the grid whenever
-    // its `(keep, Bc)` is a grid point).
+    // Phase 1 — deterministic coarse probes, batch-parallel (the paper
+    // default overlaps the grid whenever its `(keep, Bc)` is a grid point).
     let probes: Vec<DseCandidate> = cfg
         .probe_keeps
         .iter()
@@ -240,63 +243,44 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
                 .map(move |&bc| DseCandidate::uniform(keep, bc, space.layers))
         })
         .collect();
-    let mut fresh: Vec<DseCandidate> = Vec::new();
-    let mut pending: std::collections::HashMap<CandidateKey, usize> =
-        std::collections::HashMap::new();
-    let mut probe_src: Vec<Result<MetricVector, usize>> = Vec::with_capacity(probes.len());
-    for c in &probes {
-        let key = candidate_key(c);
-        if let Some(m) = memo.peek(&key).copied() {
-            memo.record_shared_hits(1);
-            probe_src.push(Ok(m));
-        } else if let Some(&i) = pending.get(&key) {
-            memo.record_shared_hits(1);
-            probe_src.push(Err(i));
-        } else {
-            pending.insert(key, fresh.len());
-            probe_src.push(Err(fresh.len()));
-            fresh.push(c.clone());
-        }
-    }
-    let fresh_evals = session.evaluate_batch(&fresh);
-    for e in &fresh_evals {
-        memo.insert_computed(candidate_key(&e.candidate), e.metrics);
-    }
-    let probe_evals: Vec<CandidateEval> = probes
-        .into_iter()
-        .zip(probe_src)
-        .map(|(candidate, src)| CandidateEval {
-            metrics: src.unwrap_or_else(|i| fresh_evals[i].metrics),
-            candidate,
-        })
+    let fresh: Vec<bool> = probes
+        .iter()
+        .map(|c| scored.insert(candidate_key(c)))
         .collect();
+    let mut evals_saved = fresh.iter().filter(|&&f| !f).count();
+    let probe_evals: Vec<CandidateEval> = sofa_par::par_map_index(probes.len(), |i| {
+        if fresh[i] {
+            session.evaluate(&probes[i])
+        } else {
+            session.recall(&probes[i])
+        }
+    });
 
     // Phase 2 — one scalarized Bayesian search per profile, profiles in
     // parallel. Each profile is a pure function of (probes, seed, profile),
-    // so the fan-out cannot change results; the shared memo is read-only
-    // here and each profile counts its own saves in a local memo.
+    // so the fan-out cannot change results; the shared set is read-only
+    // here and each profile counts its own repeats in a local set.
     let profile_indices: Vec<usize> = (0..cfg.profiles.len()).collect();
-    let profile_runs: Vec<(Vec<CandidateEval>, u64)> = sofa_par::par_map(&profile_indices, |&p| {
-        run_profile(
-            &session,
-            &space,
-            cfg,
-            &cfg.profiles[p],
-            p,
-            &probe_evals,
-            &reference,
-            &memo,
-        )
-    });
+    let profile_runs: Vec<(Vec<CandidateEval>, usize)> =
+        sofa_par::par_map(&profile_indices, |&p| {
+            run_profile(
+                &session,
+                &space,
+                cfg,
+                &cfg.profiles[p],
+                p,
+                &probe_evals,
+                &reference,
+                &scored,
+            )
+        });
 
     // Phase 3 — pool and reduce.
     let mut evaluated = probe_evals;
-    let mut evals_saved = memo.stats().hits;
     for (run, saved) in profile_runs {
         evaluated.extend(run);
         evals_saved += saved;
     }
-    let evals_saved = evals_saved as usize;
     let evaluations = evaluated.len() + 1;
     let mut pool = evaluated.clone();
     pool.push(paper_default.clone());
@@ -335,13 +319,10 @@ pub fn hardware_aware_search(evaluator: &HwAwareEvaluator, cfg: &DseSearchConfig
     }
 }
 
-/// The canonical candidate encoding the dedup memo keys on: per-layer keep
+/// The canonical candidate encoding the dedup sets key on: per-layer keep
 /// ratios as IEEE-754 bit patterns plus per-layer tile sizes. Bit-identical
 /// floats collide; any per-layer difference misses.
 type CandidateKey = (Vec<u64>, Vec<usize>);
-
-/// The candidate-evaluation memo (see [`DseReport::evals_saved`]).
-type EvalMemo = LoweringCache<CandidateKey, MetricVector>;
 
 fn candidate_key(c: &DseCandidate) -> CandidateKey {
     (
@@ -352,8 +333,9 @@ fn candidate_key(c: &DseCandidate) -> CandidateKey {
 
 /// One profile's scalarized Bayesian run: warm-started from the probe
 /// observations, returning only the *new* evaluations it performed plus the
-/// number it answered from the memo (`base`, read-only, shared across
-/// profiles) or its own proposal history instead of re-lowering.
+/// number of proposals that repeated a candidate of `base` (the default and
+/// the probes, shared across profiles) or of its own proposal history, which
+/// it recalls instead of scoring again.
 #[allow(clippy::too_many_arguments)]
 fn run_profile(
     session: &EvalSession<'_>,
@@ -363,8 +345,8 @@ fn run_profile(
     profile_index: usize,
     probes: &[CandidateEval],
     reference: &MetricVector,
-    base: &EvalMemo,
-) -> (Vec<CandidateEval>, u64) {
+    base: &HashSet<CandidateKey>,
+) -> (Vec<CandidateEval>, usize) {
     let mut rng = seeded_rng(sofa_par::item_seed(cfg.seed, profile_index as u64));
     let mut observed_x: Vec<Vec<f64>> = Vec::new();
     let mut observed_y: Vec<f64> = Vec::new();
@@ -373,20 +355,14 @@ fn run_profile(
         observed_y.push(weights.scalarize(&e.metrics, reference));
     }
 
-    let mut local = EvalMemo::default();
-    let evaluate = |c: DseCandidate, local: &mut EvalMemo| -> CandidateEval {
+    let mut local: HashSet<CandidateKey> = HashSet::new();
+    let evaluate = |c: DseCandidate, local: &mut HashSet<CandidateKey>| -> CandidateEval {
         let key = candidate_key(&c);
-        let cached = base.peek(&key).or_else(|| local.peek(&key)).copied();
-        if let Some(m) = cached {
-            local.record_shared_hits(1);
-            return CandidateEval {
-                metrics: m,
-                candidate: c,
-            };
+        if base.contains(&key) || !local.insert(key) {
+            session.recall(&c)
+        } else {
+            session.evaluate(&c)
         }
-        let e = session.evaluate(&c);
-        local.insert_computed(key, e.metrics);
-        e
     };
 
     let mut new_evals: Vec<CandidateEval> = Vec::new();
@@ -413,7 +389,7 @@ fn run_profile(
         let e = evaluate(chosen, &mut local);
         observe(e, &mut observed_x, &mut observed_y);
     }
-    let saved = local.stats().hits;
+    let saved = new_evals.len() - local.len();
     (new_evals, saved)
 }
 
@@ -471,7 +447,11 @@ mod tests {
         let r = hardware_aware_search(&evaluator, &DseSearchConfig::smoke(29));
         assert!(r.evaluations > 1);
         assert_eq!(evaluator.predictions(), 2);
-        assert!(evaluator.layer_evals() > evaluator.predictions());
+        // Every proposal but the recalled repeats is scored, each layer
+        // point simulated once.
+        let scored = (r.evaluations - r.evals_saved) as u64;
+        assert_eq!(evaluator.layer_evals(), 2 * scored);
+        assert!(evaluator.layer_sims() <= evaluator.layer_evals());
 
         let evaluator = HwAwareEvaluator::new(EvalConfig::tiny(29), 2);
         let candidates: Vec<DseCandidate> = [0.1, 0.2, 0.3, 0.4, 0.5]

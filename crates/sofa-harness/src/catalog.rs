@@ -123,7 +123,9 @@ pub fn experiments_markdown(specs: &[Spec]) -> String {
          predicate passed, `1` means a gate tripped (a genuine regression),\n\
          `2` means an artifact was missing or unparseable (an\n\
          infrastructure problem). `harness run --update-golden` (or\n\
-         `UPDATE_GOLDEN=1`) rewrites golden snapshots instead of comparing.\n\n",
+         `UPDATE_GOLDEN=1`) rewrites golden snapshots instead of comparing.\n\
+         A gate marked `(threads N)` runs its experiment, and every re-run\n\
+         without a thread count of its own, under `N` worker threads.\n\n",
     );
     out.push_str("| Spec | Experiment | Gate | Artifacts | Golden | Predicates |\n|---|---|---|---|---|---|\n");
     for s in specs {
@@ -142,8 +144,11 @@ pub fn experiments_markdown(specs: &[Spec]) -> String {
             .map(predicate_summary)
             .collect::<Vec<_>>()
             .join(", ");
+        let threads = s
+            .threads
+            .map_or(String::new(), |t| format!(" (threads {t})"));
         out.push_str(&format!(
-            "| `{}` | `{}` | {} | {artifacts} | {} | {preds} |\n",
+            "| `{}` | `{}` | {}{threads} | {artifacts} | {} | {preds} |\n",
             s.name,
             s.experiment,
             s.gate.as_deref().unwrap_or("-"),
@@ -174,6 +179,7 @@ mod tests {
             about: "demo spec".into(),
             experiment: "serve_routed".into(),
             gate: Some("routing".into()),
+            threads: None,
             artifacts: vec![ArtifactSpec::Tables {
                 path: "bench-reports/demo.json".into(),
             }],

@@ -177,7 +177,7 @@ pub fn run_spec(spec: &Spec, opts: &RunOptions) -> SpecResult {
         ));
         return result;
     };
-    let output = match run_experiment(entry.run, None) {
+    let output = match run_experiment(entry.run, spec.threads) {
         Ok(out) => out,
         Err(e) => {
             result.failures.push(format!("experiment panicked: {e}"));
@@ -213,7 +213,8 @@ pub fn run_spec(spec: &Spec, opts: &RunOptions) -> SpecResult {
         }
     }
 
-    let rerun = |threads: Option<usize>| run_experiment(entry.run, threads);
+    // A re-run without its own thread count repeats the first run's.
+    let rerun = |threads: Option<usize>| run_experiment(entry.run, threads.or(spec.threads));
     let ctx = EvalContext {
         output: &output,
         rerun: &rerun,
@@ -335,9 +336,20 @@ mod tests {
             about: "unit-test spec".into(),
             experiment: experiment.into(),
             gate: Some("unit".into()),
+            threads: None,
             artifacts: Vec::new(),
             predicates,
         }
+    }
+
+    #[test]
+    fn a_declared_thread_count_applies_to_the_run() {
+        fn threads() -> ExperimentOutput {
+            ExperimentOutput::of_tables(Vec::new())
+                .with_scalar("threads", sofa_par::configured_threads() as f64)
+        }
+        let run = run_experiment(threads, Some(3)).unwrap();
+        assert_eq!(run.scalar("threads"), Some(3.0));
     }
 
     #[test]

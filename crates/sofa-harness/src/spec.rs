@@ -19,6 +19,9 @@
 //! }
 //! ```
 //!
+//! An optional `"threads": N` (a positive integer) runs the experiment
+//! under `N` worker threads.
+//!
 //! Parsing is strict: unknown top-level keys, artifact kinds, predicate
 //! kinds or predicate fields are errors, so `harness check` catches typos
 //! at PR time instead of silently skipping a gate.
@@ -37,6 +40,10 @@ pub struct Spec {
     /// Gate label used on failure lines (`[gate routing] …`); specs without
     /// one are artifact/smoke scenarios.
     pub gate: Option<String>,
+    /// Worker threads the experiment runs under (`sofa_par::with_threads`);
+    /// without one it runs at the default `SOFA_THREADS`. Perf specs declare
+    /// it so their wall times measure the same work on every host.
+    pub threads: Option<usize>,
     /// Artifacts to write after the run.
     pub artifacts: Vec<ArtifactSpec>,
     /// Gate predicates, evaluated in order.
@@ -189,6 +196,7 @@ fn spec_from_json(doc: &Json) -> Result<Spec, String> {
             "about",
             "experiment",
             "gate",
+            "threads",
             "artifacts",
             "predicates",
         ],
@@ -202,6 +210,13 @@ fn spec_from_json(doc: &Json) -> Result<Spec, String> {
             v.as_str()
                 .map(str::to_string)
                 .ok_or_else(|| "spec field \"gate\" must be a string".to_string())?,
+        ),
+    };
+    let threads = match o.get("threads") {
+        None => None,
+        Some(v) => Some(
+            positive_int(v)
+                .ok_or_else(|| "spec field \"threads\" must be a positive integer".to_string())?,
         ),
     };
     let mut artifacts = Vec::new();
@@ -231,9 +246,17 @@ fn spec_from_json(doc: &Json) -> Result<Spec, String> {
         about,
         experiment,
         gate,
+        threads,
         artifacts,
         predicates,
     })
+}
+
+/// A JSON number that is a whole number of at least 1.
+fn positive_int(v: &Json) -> Option<usize> {
+    v.as_num()
+        .filter(|n| n.fract() == 0.0 && *n >= 1.0)
+        .map(|n| n as usize)
 }
 
 fn artifact_from_json(v: &Json, index: usize) -> Result<ArtifactSpec, String> {
@@ -339,9 +362,7 @@ fn predicate_from_json(v: &Json, index: usize) -> Result<Predicate, String> {
                 .ok_or_else(|| format!("{what} is missing an array field \"threads\""))?
                 .iter()
                 .map(|t| {
-                    t.as_num()
-                        .filter(|n| n.fract() == 0.0 && *n >= 1.0)
-                        .map(|n| n as usize)
+                    positive_int(t)
                         .ok_or_else(|| format!("{what} threads must be positive integers"))
                 })
                 .collect::<Result<_, _>>()?;
@@ -473,6 +494,7 @@ mod tests {
         .unwrap();
         assert_eq!(spec.name, "demo");
         assert_eq!(spec.gate.as_deref(), Some("routing"));
+        assert_eq!(spec.threads, None);
         assert_eq!(spec.artifacts.len(), 2);
         assert_eq!(spec.predicates.len(), 9);
         assert_eq!(
@@ -617,6 +639,27 @@ mod tests {
             assert!(
                 err.contains("budget_seconds") || err.contains("advisory"),
                 "predicate {bad} gave unrelated error {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parses_a_declared_thread_count() {
+        let spec =
+            parse_spec(r#"{"name": "d", "about": "d", "experiment": "e", "threads": 1}"#).unwrap();
+        assert_eq!(spec.threads, Some(1));
+    }
+
+    #[test]
+    fn rejects_a_thread_count_that_is_not_a_positive_integer() {
+        for threads in ["0", "-1", "1.5", "\"1\"", "[1]", "null"] {
+            let err = parse_spec(&format!(
+                r#"{{"name": "d", "about": "d", "experiment": "e", "threads": {threads}}}"#
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains("\"threads\" must be a positive integer"),
+                "threads={threads} gave unrelated error {err}"
             );
         }
     }

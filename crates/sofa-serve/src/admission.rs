@@ -22,6 +22,7 @@
 use crate::scheduler::{FeedbackConfig, OpRouter, ServeConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Index, Range};
 use std::sync::Arc;
 
@@ -304,6 +305,51 @@ pub(crate) fn lower_routed(
     }
 }
 
+/// A multiplicative word hasher (the rotate-xor-multiply step of FxHash)
+/// for maps that are only looked up, never iterated: `lower_trace` hashes
+/// every request's key, and SipHash's resistance to crafted keys buys
+/// nothing on keys a trace generator made. `finish` rotates the
+/// well-mixed high bits into the low bits the table indexes by.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Lowers every request of `trace` through `router`, once per distinct
 /// `(request shape, routed operating point)` key.
 ///
@@ -326,7 +372,7 @@ pub(crate) fn lower_trace<'t>(
     cache: &mut LowerCache,
 ) -> RequestTable<'t> {
     let specs = &trace.requests;
-    let mut seen: HashMap<ShapeKey, usize> = HashMap::new();
+    let mut seen: HashMap<ShapeKey, usize, BuildHasherDefault<MulHasher>> = HashMap::default();
     let mut index = Vec::with_capacity(specs.len());
     let mut reps: Vec<usize> = Vec::new();
     // One key, refilled per request: a request that shares a

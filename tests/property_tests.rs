@@ -550,8 +550,9 @@ proptest! {
 
     // -------- memoised lowering and evaluation equal fresh ones --------
     //
-    // Serving shares one lowering per (request shape, operating point) key
-    // and the DSE search answers repeated candidates from a memo. Each
+    // Serving shares one lowering per (request shape, operating point) key,
+    // the DSE search recalls repeated candidates and a DSE session scores
+    // each (layer, keep, Bc) point once, from a memo. Each
     // shared or memoised value must be exactly what computing it afresh
     // gives, at any SOFA_THREADS. The admission core's unit tests compare
     // the lowering functions themselves; these compare whole runs.
@@ -672,6 +673,65 @@ proptest! {
             let report =
                 sofa_par::with_threads(threads, || hardware_aware_search(&evaluator, &cfg));
             prop_assert_eq!(&report, &reference, "threads={}", threads);
+        }
+    }
+
+    #[test]
+    fn dse_layer_memo_equals_a_fresh_evaluator_per_candidate(
+        seed in 0u64..50,
+        first in prop::collection::vec((0usize..3, 0usize..3, 0usize..3, 0usize..3), 2..8),
+        second in prop::collection::vec((0usize..3, 0usize..3, 0usize..3, 0usize..3), 1..6),
+    ) {
+        use sofa_dse::{CandidateEval, DseCandidate, EvalConfig, HwAwareEvaluator};
+        use std::collections::HashSet;
+
+        // Two layers, each drawn from three keeps and three tile sizes, so
+        // candidates repeat layer points inside a batch and across batches.
+        const KEEPS: [f64; 3] = [0.1, 0.25, 0.4];
+        const TILES: [usize; 3] = [4, 8, 16];
+        let candidate = |&(k0, t0, k1, t1): &(usize, usize, usize, usize)| DseCandidate {
+            keep_ratios: vec![KEEPS[k0], KEEPS[k1]],
+            tile_sizes: vec![TILES[t0], TILES[t1]],
+        };
+        let batches: [Vec<DseCandidate>; 2] =
+            [first.iter().map(candidate).collect(), second.iter().map(candidate).collect()];
+        let all: Vec<&DseCandidate> = batches.iter().flatten().collect();
+        let distinct = all
+            .iter()
+            .flat_map(|c| (0..2).map(move |l| (l, c.keep_ratios[l].to_bits(), c.tile_sizes[l])))
+            .collect::<HashSet<_>>()
+            .len() as u64;
+        let bits = |e: &CandidateEval| {
+            let m = &e.metrics;
+            let score = (m.loss.to_bits(), m.cycles, m.energy_pj.to_bits(), m.area_mm2.to_bits());
+            (e.candidate.clone(), score)
+        };
+
+        // Reference: every candidate scored by an evaluator of its own.
+        let cfg = EvalConfig::tiny(seed);
+        let (mut evals, mut hits) = (0, 0);
+        let reference: Vec<_> = all
+            .iter()
+            .map(|c| {
+                let fresh = HwAwareEvaluator::new(cfg, 2);
+                let e = sofa_par::with_threads(1, || fresh.evaluate(c));
+                evals += fresh.layer_evals();
+                hits += fresh.fidelity_hits();
+                bits(&e)
+            })
+            .collect();
+        for threads in [1usize, 2, 8] {
+            // One session scores both batches, one call each.
+            let evaluator = HwAwareEvaluator::new(cfg, 2);
+            let memoised: Vec<_> = sofa_par::with_threads(threads, || {
+                let session = evaluator.session();
+                batches.iter().flat_map(|b| session.evaluate_batch(b)).collect()
+            });
+            let memoised: Vec<_> = memoised.iter().map(bits).collect();
+            prop_assert_eq!(&memoised, &reference, "threads={}", threads);
+            prop_assert_eq!(evaluator.layer_evals(), evals, "threads={}", threads);
+            prop_assert_eq!(evaluator.fidelity_hits(), hits, "threads={}", threads);
+            prop_assert_eq!(evaluator.layer_sims(), distinct, "threads={}", threads);
         }
     }
 }
