@@ -1437,9 +1437,10 @@ pub fn serve_fleet() -> Table {
 
 /// One fleet run at explicit scale — the entry point of the `serve_fleet`
 /// binary's `--requests/--nodes/--instances-per-node/--rate` mode, sized by
-/// CI up to a million requests on 64 simulated instances. Deterministic and
-/// bit-identical at any `SOFA_THREADS`, which CI checks by byte-comparing
-/// the JSON artifact across thread counts.
+/// CI up to a million requests on 64 simulated instances. The requests are
+/// streamed, never held, so memory follows the requests in flight, not
+/// `requests`. Deterministic and bit-identical at any `SOFA_THREADS`, which
+/// CI checks by byte-comparing the JSON artifact across thread counts.
 pub fn serve_fleet_scaled(
     requests: usize,
     rate: f64,
@@ -1448,9 +1449,9 @@ pub fn serve_fleet_scaled(
     disaggregate: bool,
 ) -> Table {
     let mut t = Table::new("Fleet  Sharded serving at scale", &FLEET_HEADERS);
-    let trace = fleet_trace(requests, rate, 31);
+    let stream = fleet_trace_config(requests, rate, 31).requests();
     let cfg = scaled_fleet_config(nodes, instances_per_node, disaggregate);
-    let report = FleetServeSim::new(cfg).run(&trace, OpRouter::TraceNative);
+    let report = FleetServeSim::new(cfg).run(stream, OpRouter::TraceNative);
     let label = format!(
         "{requests}req {nodes}x{instances_per_node}{}",
         if disaggregate { " disagg" } else { "" }
@@ -1635,10 +1636,11 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
         .with_scalar("wall_seconds", total_wall)
 }
 
-/// Experiment — wall time of the 1M-request fleet scenario (the
-/// `serve_fleet_mega` workload: 8 nodes × 8 instances), with the per-node
-/// lowering-cache counters. One timed run — the scenario takes seconds and
-/// CI already re-runs it for the thread-identity gate.
+/// Experiment — wall time and peak live heap of the 1M-request fleet
+/// scenario (the `serve_fleet_mega` workload: 8 nodes × 8 instances, its
+/// requests streamed, so the wall time includes generating them), with the
+/// per-node lowering-cache counters. One timed run — the scenario takes
+/// seconds and CI already re-runs it for the thread-identity gate.
 ///
 /// `hit_rate` is the hard gate input (a million requests draw from a small
 /// shape set, so per-node lowering must be almost entirely cache hits), and
@@ -1647,13 +1649,21 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// `fleet_mega_node_scenario`): events, stage wake-ups, stage starts and
 /// DRAM issues. The DRAM pumps and aged issues per request are reported
 /// beside them. The wall budget gates at about 3× the measured time.
+///
+/// `peak_heap_bytes_100k` and `peak_heap_bytes_1m` are the most heap a
+/// streamed run of the first 100k and of all 1M requests held at once
+/// ([`sofa_obs::alloc::peak_during`]): a run that holds only its live
+/// requests holds about as much at either length. They read 0 in a process
+/// without the counting allocator (the `harness` and `sofa-bench` binaries
+/// install it).
 pub fn perf_fleet_mega() -> crate::ExperimentOutput {
-    let trace = fleet_trace(1_000_000, 400.0, 31);
-    let cfg = fleet_config(8, 8);
-    let sim = FleetServeSim::new(cfg);
-    let (wall, (report, stats)) = best_wall_seconds(1, || {
-        sim.run_with_cache_stats(&trace, OpRouter::TraceNative)
-    });
+    let sim = FleetServeSim::new(fleet_config(8, 8));
+    let run = |requests| {
+        let stream = fleet_trace_config(requests, 400.0, 31).requests();
+        sofa_obs::alloc::peak_during(|| sim.run_with_cache_stats(stream, OpRouter::TraceNative))
+    };
+    let (_, heap_100k) = run(100_000);
+    let (wall, ((report, stats), heap_1m)) = best_wall_seconds(1, || run(1_000_000));
     let (node_events, _, work) = fleet_mega_node_scenario();
     let per_request = |count: u64| count as f64 / NODE_REQUESTS as f64;
     let events_per_request = per_request(node_events);
@@ -1672,8 +1682,11 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
             "DRAM pumps/req",
             "DRAM issues/req",
             "aged/req",
+            "heap 100k MB",
+            "heap 1M MB",
         ],
     );
+    let mb = |bytes: u64| format!("{:.2}", bytes as f64 / 1e6);
     t.push([
         "1000000req 8x8".to_string(),
         report.served.to_string(),
@@ -1687,6 +1700,8 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         per_request(work.dram_pumps).to_string(),
         per_request(work.dram_issues).to_string(),
         format!("{:.2}", per_request(work.aged_issues)),
+        mb(heap_100k),
+        mb(heap_1m),
     ]);
     crate::ExperimentOutput::of_tables(vec![t])
         .with_scalar("served", report.served as f64)
@@ -1705,6 +1720,8 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
             "dram_aged_issues_per_request",
             per_request(work.aged_issues),
         )
+        .with_scalar("peak_heap_bytes_100k", heap_100k as f64)
+        .with_scalar("peak_heap_bytes_1m", heap_1m as f64)
         .with_scalar("wall_seconds", wall)
 }
 

@@ -29,6 +29,10 @@ use sofa_bench::registry;
 use sofa_bench::report::{tables_to_json, Table};
 use std::path::{Path, PathBuf};
 
+/// Counts heap bytes, so experiments that gate their memory read it.
+#[global_allocator]
+static ALLOC: sofa_obs::alloc::CountingAlloc = sofa_obs::alloc::CountingAlloc;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, flags)) = args.split_first() else {
@@ -114,8 +118,9 @@ where
     value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
 }
 
-/// Parses `serve_fleet`'s flags into the `--json` path and, given
-/// `--requests`, one validated explicit scale (`None` runs the pinned grid).
+/// Parses `serve_fleet`'s flags, each at most once, into the `--json` path
+/// and, given `--requests`, one validated explicit scale (`None` runs the
+/// pinned grid).
 fn parse_fleet_flags(args: &[String]) -> Result<(Option<Scale>, Option<PathBuf>), String> {
     let mut requests = None;
     let mut json = None;
@@ -127,8 +132,12 @@ fn parse_fleet_flags(args: &[String]) -> Result<(Option<Scale>, Option<PathBuf>)
         disaggregate: false,
     };
     let mut scale_flag = None;
+    let mut seen: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if seen.contains(&flag.as_str()) {
+            return Err(format!("{flag} given twice"));
+        }
         let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
             "--requests" => requests = Some(number(flag, value()?)?),
@@ -136,15 +145,11 @@ fn parse_fleet_flags(args: &[String]) -> Result<(Option<Scale>, Option<PathBuf>)
             "--instances-per-node" => scale.instances_per_node = number(flag, value()?)?,
             "--rate" => scale.rate = number(flag, value()?)?,
             "--disaggregate" => scale.disaggregate = true,
-            "--json" => {
-                if json.replace(PathBuf::from(value()?)).is_some() {
-                    return Err("--json given twice".to_string());
-                }
-                continue;
-            }
+            "--json" => json = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown argument {other:?}")),
         }
-        if flag != "--requests" {
+        seen.push(flag);
+        if flag != "--requests" && flag != "--json" {
             scale_flag = Some(flag);
         }
     }

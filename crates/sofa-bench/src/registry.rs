@@ -487,7 +487,7 @@ pub fn registry() -> Vec<ExperimentEntry> {
         },
         ExperimentEntry {
             name: "perf_fleet_mega",
-            about: "1M-request fleet wall time at one worker thread + per-node lowering-cache hit rate + node events per request (hit-rate floor, events pin and wall budget gate)",
+            about: "1M-request fleet wall time at one worker thread + per-node lowering-cache hit rate + node events per request + a streamed run's peak live heap at 100k and 1M requests (hit-rate floor, events pin, heap ratio and wall budget gate)",
             paper: false,
             in_all: false,
             main_thread: true,

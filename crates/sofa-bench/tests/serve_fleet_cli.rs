@@ -71,6 +71,48 @@ fn bad_flags_exit_2_with_one_line() {
 }
 
 #[test]
+fn a_repeated_flag_exits_2_with_one_line() {
+    // Regression: the last value of a repeated scale flag won and the
+    // first was dropped without a word.
+    for (args, flag) in [
+        (&["--requests", "5", "--requests", "6"][..], "--requests"),
+        (
+            &["--requests", "5", "--nodes", "2", "--nodes", "3"],
+            "--nodes",
+        ),
+        (
+            &[
+                "--instances-per-node",
+                "1",
+                "--requests",
+                "5",
+                "--instances-per-node",
+                "2",
+            ],
+            "--instances-per-node",
+        ),
+        (
+            &["--rate", "100", "--requests", "5", "--rate", "200"],
+            "--rate",
+        ),
+        (
+            &["--disaggregate", "--requests", "5", "--disaggregate"],
+            "--disaggregate",
+        ),
+        (&["--json", "a.json", "--json", "b.json"], "--json"),
+    ] {
+        let out = serve_fleet(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("serve_fleet: {flag} given twice")
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+}
+
+#[test]
 fn a_valid_scale_runs() {
     let out = serve_fleet(&[
         "--requests",

@@ -14,11 +14,12 @@
 //!
 //! 1. **Serial memoisation** via [`LoweringCache::get_or_insert_with`] from a
 //!    single-threaded event loop, and
-//! 2. **Dedup-before-parallel**: a serial pass over the work list computes
-//!    keys and elects first-occurrence representatives, only the unique
-//!    representatives are lowered (possibly in parallel, in index order), and
-//!    the results are shared back by key. The cache is consulted and filled
-//!    serially on either side of the parallel region.
+//! 2. **First-sight dedup**: a serial pass keys each request as it arrives,
+//!    lowers only the first request of each key (its representative) and
+//!    shares that lowering with every later request of the key. The
+//!    representatives' lowerings are stored with
+//!    [`LoweringCache::insert_computed`] and the sharers counted with
+//!    [`LoweringCache::record_shared_hits`].
 //!
 //! Hit/miss statistics are part of the deterministic contract: for a fixed
 //! trace and configuration they are identical across runs and thread counts.
@@ -108,14 +109,14 @@ impl<K: Eq + Hash, V> LoweringCache<K, V> {
         }
     }
 
-    /// Store a precomputed value (dedup-before-parallel backfill). Counts as
-    /// a miss — the value was computed outside the cache.
+    /// Store a precomputed value (a first-sight dedup representative).
+    /// Counts as a miss — the value was computed outside the cache.
     pub fn insert_computed(&mut self, key: K, value: V) {
         self.stats.misses += 1;
         self.map.insert(key, value);
     }
 
-    /// Record `n` lookups answered by the dedup-before-parallel pass without
+    /// Record `n` lookups answered by the first-sight dedup pass without
     /// reaching the memo table (requests that shared a representative).
     pub fn record_shared_hits(&mut self, n: u64) {
         self.stats.hits += n;
@@ -208,7 +209,7 @@ mod tests {
     #[test]
     fn shared_hit_accounting_matches_dedup_pass() {
         let mut cache: LoweringCache<u32, u64> = LoweringCache::default();
-        // Dedup-before-parallel: 5 requests, 2 unique keys.
+        // First-sight dedup: 5 requests, 2 unique keys.
         cache.insert_computed(1, 10);
         cache.insert_computed(2, 20);
         cache.record_shared_hits(3);

@@ -15,6 +15,10 @@ use sofa_harness::spec::Spec;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Counts heap bytes, so experiments that gate their memory read it.
+#[global_allocator]
+static ALLOC: sofa_obs::alloc::CountingAlloc = sofa_obs::alloc::CountingAlloc;
+
 fn workspace_root() -> PathBuf {
     // crates/sofa-harness -> workspace root
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -45,5 +45,7 @@ pub use config::{ModelConfig, ModelFamily};
 pub use distribution::{DistributionType, ScoreDistribution};
 pub use operating_point::OperatingPoint;
 pub use suite::{benchmark_suite, Benchmark};
-pub use trace::{RequestClass, RequestSpec, RequestTrace, TraceConfig};
+pub use trace::{
+    RequestClass, RequestSource, RequestSpec, RequestTrace, TraceConfig, TraceRequests,
+};
 pub use workload::{AttentionWorkload, ScoreWorkload};

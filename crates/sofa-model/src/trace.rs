@@ -6,9 +6,10 @@
 //! a handful of queries each — arriving at Poisson-ish random times. This
 //! module generates such streams deterministically (shim-RNG seeded, so two
 //! runs of an experiment see the same trace): [`TraceConfig`] describes the
-//! mix and the arrival process, [`RequestTrace::generate`] materialises the
+//! mix and the arrival process, [`TraceConfig::requests`] streams the
 //! [`RequestSpec`]s a scheduler (the `sofa-serve` crate) admits onto
-//! simulated accelerator instances.
+//! simulated accelerator instances, and [`RequestTrace::generate`]
+//! materialises the same stream. A [`RequestSource`] is either of the two.
 //!
 //! Request shapes can be taken from the paper's benchmark suite via
 //! [`TraceConfig::from_benchmark`], inheriting the model's hidden width,
@@ -16,6 +17,7 @@
 
 use crate::suite::Benchmark;
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use sofa_tensor::seeded_rng;
 
 /// The two request kinds of autoregressive serving.
@@ -162,6 +164,133 @@ impl TraceConfig {
         }
         Ok(())
     }
+
+    /// The requests of this trace, generated one at a time in arrival
+    /// order: exactly the requests [`RequestTrace::generate`] holds, from
+    /// the same random draws, without holding them. Request `i` reads only
+    /// the draws before it, so the stream is prefix-stable: the first `n`
+    /// requests of any longer trace of this configuration are the `n`
+    /// requests of this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`TraceConfig::validate`].
+    pub fn requests(&self) -> TraceRequests {
+        self.validate().expect("invalid trace config");
+        TraceRequests {
+            rng: seeded_rng(self.seed),
+            mean_gap: 1.0e6 / self.arrivals_per_mcycle,
+            clock: 0.0,
+            next: 0,
+            cfg: self.clone(),
+        }
+    }
+}
+
+/// The lazy request stream of one [`TraceConfig`]
+/// ([`TraceConfig::requests`]): its generator state, and nothing per
+/// request.
+#[derive(Debug, Clone)]
+pub struct TraceRequests {
+    cfg: TraceConfig,
+    rng: ChaCha8Rng,
+    mean_gap: f64,
+    /// Arrival clock of the last request, in fractional cycles.
+    clock: f64,
+    /// Id of the next request.
+    next: u64,
+}
+
+impl TraceRequests {
+    /// Draws the next request; the caller checks that one is left.
+    #[inline]
+    fn draw(&mut self) -> RequestSpec {
+        let cfg = &self.cfg;
+        // Exponential inter-arrival gap (inverse-CDF of Exp(1/gap)).
+        let u: f64 = self.rng.gen();
+        self.clock += -(1.0 - u).ln() * self.mean_gap;
+        let class = if self.rng.gen_bool(cfg.decode_fraction) {
+            RequestClass::Decode
+        } else {
+            RequestClass::Prefill
+        };
+        let queries = match class {
+            RequestClass::Prefill => cfg.prefill_queries,
+            RequestClass::Decode => self.rng.gen_range(1..=cfg.max_decode_queries),
+        };
+        let id = self.next;
+        self.next += 1;
+        RequestSpec {
+            id,
+            arrival_cycle: self.clock.round() as u64,
+            class,
+            queries,
+            seq_len: cfg.seq_len,
+            hidden: cfg.hidden,
+            heads: cfg.heads,
+            keep_ratio: cfg.keep_ratio,
+        }
+    }
+}
+
+impl Iterator for TraceRequests {
+    type Item = RequestSpec;
+
+    fn next(&mut self) -> Option<RequestSpec> {
+        (self.next < self.cfg.num_requests as u64).then(|| self.draw())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.cfg.num_requests - self.next as usize;
+        (left, Some(left))
+    }
+
+    /// One counted loop over the draws left, with no per-request
+    /// end-of-stream check: [`RequestTrace::generate`] collects through it.
+    fn fold<B, F: FnMut(B, RequestSpec) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        for _ in self.next..self.cfg.num_requests as u64 {
+            acc = f(acc, self.draw());
+        }
+        acc
+    }
+}
+
+impl ExactSizeIterator for TraceRequests {}
+
+/// Where a serving run takes its requests from, in arrival order: a
+/// materialised [`RequestTrace`] or a [`TraceRequests`] stream. A run
+/// that reads a stream holds no request it has not been offered yet.
+#[derive(Debug, Clone)]
+pub enum RequestSource<'t> {
+    /// The requests of a materialised trace.
+    Trace(std::slice::Iter<'t, RequestSpec>),
+    /// A generated stream.
+    Stream(TraceRequests),
+}
+
+impl Iterator for RequestSource<'_> {
+    type Item = RequestSpec;
+
+    #[inline]
+    fn next(&mut self) -> Option<RequestSpec> {
+        match self {
+            RequestSource::Trace(specs) => specs.next().copied(),
+            RequestSource::Stream(stream) => stream.next(),
+        }
+    }
+}
+
+impl<'t> From<&'t RequestTrace> for RequestSource<'t> {
+    fn from(trace: &'t RequestTrace) -> Self {
+        RequestSource::Trace(trace.requests.iter())
+    }
+}
+
+impl From<TraceRequests> for RequestSource<'_> {
+    fn from(stream: TraceRequests) -> Self {
+        RequestSource::Stream(stream)
+    }
 }
 
 /// A generated request stream, in arrival order.
@@ -174,43 +303,17 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Generates the trace described by `cfg`. Deterministic: the same
-    /// configuration always yields the same trace.
+    /// Generates the trace described by `cfg`: [`TraceConfig::requests`],
+    /// collected into one allocation of exactly `cfg.num_requests`
+    /// requests. Deterministic: the same configuration always yields the
+    /// same trace.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`TraceConfig::validate`].
     pub fn generate(cfg: &TraceConfig) -> Self {
-        cfg.validate().expect("invalid trace config");
-        let mut rng = seeded_rng(cfg.seed);
-        let mean_gap = 1.0e6 / cfg.arrivals_per_mcycle;
-        let mut clock = 0.0f64;
-        let requests = (0..cfg.num_requests as u64)
-            .map(|id| {
-                // Exponential inter-arrival gap (inverse-CDF of Exp(1/gap)).
-                let u: f64 = rng.gen();
-                clock += -(1.0 - u).ln() * mean_gap;
-                let class = if rng.gen_bool(cfg.decode_fraction) {
-                    RequestClass::Decode
-                } else {
-                    RequestClass::Prefill
-                };
-                let queries = match class {
-                    RequestClass::Prefill => cfg.prefill_queries,
-                    RequestClass::Decode => rng.gen_range(1..=cfg.max_decode_queries),
-                };
-                RequestSpec {
-                    id,
-                    arrival_cycle: clock.round() as u64,
-                    class,
-                    queries,
-                    seq_len: cfg.seq_len,
-                    hidden: cfg.hidden,
-                    heads: cfg.heads,
-                    keep_ratio: cfg.keep_ratio,
-                }
-            })
-            .collect();
+        let mut requests = Vec::with_capacity(cfg.num_requests);
+        cfg.requests().for_each(|r| requests.push(r));
         RequestTrace {
             config: cfg.clone(),
             requests,
@@ -260,6 +363,56 @@ mod tests {
         let mut cfg2 = cfg.clone();
         cfg2.seed = 43;
         assert_ne!(a, RequestTrace::generate(&cfg2));
+    }
+
+    /// A small mix whose decodes draw their query counts, so every request
+    /// reads two or three random draws.
+    fn mixed(n: usize, seed: u64) -> TraceConfig {
+        let mut cfg = TraceConfig::new(n, 120.0, seed);
+        cfg.max_decode_queries = 7;
+        cfg
+    }
+
+    #[test]
+    fn the_stream_yields_the_generated_trace() {
+        for (n, seed) in [(1, 0), (3, 5), (257, 42), (2_000, 0xDEC0DE)] {
+            let cfg = mixed(n, seed);
+            let trace = RequestTrace::generate(&cfg);
+            assert_eq!(trace.requests.capacity(), n, "one exact allocation");
+            let stream = cfg.requests();
+            assert_eq!(stream.len(), n);
+            let streamed: Vec<RequestSpec> = stream.collect();
+            assert_eq!(streamed, trace.requests, "{n} requests at seed {seed}");
+            let source: Vec<RequestSpec> = RequestSource::from(&trace).collect();
+            assert_eq!(
+                source,
+                RequestSource::from(cfg.requests()).collect::<Vec<_>>()
+            );
+        }
+        // The draws of the generator as it was before it streamed: the
+        // first arrivals and two sums over 2,000 requests.
+        let trace: Vec<RequestSpec> = mixed(2_000, 0xDEC0DE).requests().collect();
+        let head: Vec<_> = trace[..3]
+            .iter()
+            .map(|r| (r.arrival_cycle, r.class, r.queries))
+            .collect();
+        use RequestClass::Decode;
+        assert_eq!(
+            head,
+            [(7091, Decode, 7), (10262, Decode, 7), (13166, Decode, 6)]
+        );
+        let arrivals: u64 = trace.iter().map(|r| r.arrival_cycle).sum();
+        let queries: usize = trace.iter().map(|r| r.queries).sum();
+        assert_eq!((arrivals, queries), (15_913_275_357, 43_940));
+    }
+
+    #[test]
+    fn the_stream_is_prefix_stable() {
+        let long: Vec<RequestSpec> = mixed(1_000, 9).requests().collect();
+        for n in [1, 2, 17, 500, 999] {
+            let short: Vec<RequestSpec> = mixed(n, 9).requests().collect();
+            assert_eq!(short[..], long[..n], "the first {n} requests");
+        }
     }
 
     #[test]

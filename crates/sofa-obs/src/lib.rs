@@ -24,7 +24,12 @@
 //! [`check::validate_chrome_trace`] is a small self-contained validity
 //! checker (schema, per-track timestamp monotonicity, balanced begin/end)
 //! used by the CI regression gate on the exported trace artifact.
+//!
+//! On the host's side, [`alloc::CountingAlloc`] is a global allocator that
+//! counts live and peak heap bytes and allocations, for the binaries that
+//! gate what a run holds in memory.
 
+pub mod alloc;
 pub mod check;
 pub mod json;
 pub mod metrics;

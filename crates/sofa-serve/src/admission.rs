@@ -1,12 +1,21 @@
 //! The admission core shared by [`ServeSim`](crate::ServeSim) and
 //! [`FleetServeSim`](crate::FleetServeSim). [`Admission`] makes every
-//! admission decision of one run: the deduplicated lowering pass
-//! ([`lower_trace`]) into the [`RequestTable`], the [`Intake`] of original
-//! arrivals and retry re-arrivals, the [`WaitQueue`], the aged
-//! smallest-first [`pick`], the per-slot [`Bookings`] and the adaptive
+//! admission decision of one run: the [`Intake`] of original arrivals, each
+//! lowered on arrival through a first-sight dedup map, and of retry
+//! re-arrivals; the [`Slab`] of live requests; the [`WaitQueue`]; the aged
+//! smallest-first [`pick`]; the per-slot [`Bookings`] and the adaptive
 //! controller (decay, feedback pressure and retries). Admission books the
 //! sparsity-reduced `T×k` footprint; overbooking it Tailors-style is a
 //! larger [`ServeConfig::admit_buffer_bytes`].
+//!
+//! **Memory.** A run holds state only for its live requests: those
+//! waiting, in flight or backing off for a retry, one [`Slab`] entry each.
+//! It reads its requests from a [`RequestSource`] one at a time, lowers the
+//! first request of each distinct shape and operating point and shares that
+//! lowering with the rest, and frees a request's entry when it completes or
+//! is finally shed. Nothing the core keeps grows with the number of
+//! requests offered; what does grow is a driver's choice (the single node's
+//! per-request records).
 //!
 //! A driver keeps its clock and what it does with an admitted request. The
 //! single node is event-exact: it takes one external event strictly before
@@ -16,24 +25,27 @@
 //! every external event below the boundary, then admits from a window at
 //! the queue head. Each driver's place and submit closures choose the slot
 //! and run the request there, and each driver keeps its own energy sum.
-//! Only the single node traces; the core buffers its adaptive instants for
-//! it.
+//! Only the single node traces; the core buffers its adaptive instants and
+//! first lowerings for it.
 
 use crate::scheduler::{FeedbackConfig, OpRouter, ServeConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Index, Range};
+use std::iter::Chain;
+use std::ops::{Index, IndexMut, Range};
+use std::option;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sofa_core::cache::{CacheStats, LoweringCache, ShapeKey};
 use sofa_hw::accel::AttentionTask;
 use sofa_hw::energy::DRAM_ACTIVATION_PJ;
-use sofa_model::trace::{RequestClass, RequestSpec, RequestTrace};
+use sofa_model::trace::{RequestClass, RequestSource, RequestSpec};
 use sofa_model::OperatingPoint;
 use sofa_sim::{CycleSim, PipelineJob};
 
-/// Waiting request ids in effective-arrival order, plus the decay
+/// The waiting requests in effective-arrival order, plus the decay
 /// frontier.
 ///
 /// Both drivers push in that order: [`Intake`] hands out external events in
@@ -42,9 +54,22 @@ use sofa_sim::{CycleSim, PipelineJob};
 /// it. So the oldest waiting request is in the head's equal-arrival run
 /// ([`pick`]), and the requests that have waited past any threshold are a
 /// prefix of the queue ([`WaitQueue::next_overdue`]).
+///
+/// The queue holds [`Slab`] keys up to its first deferred original
+/// arrival, and behind it, [`Behind`] runs: counts of deferred originals
+/// and the keys of requests queued after them. A deferred original has no
+/// entry yet; [`Admission`] makes it one when the pick window or the decay
+/// frontier reaches it. A backlog the picks do not reach costs a count, not
+/// an entry per request.
 #[derive(Debug, Default)]
 pub(crate) struct WaitQueue {
+    /// The keys of the requests ahead of the first deferred original.
     reqs: VecDeque<usize>,
+    /// The rest of the queue, in order.
+    behind: VecDeque<Behind>,
+    /// Requests in `behind`, and how many of them are deferred originals.
+    behind_len: usize,
+    deferred: usize,
     /// Effective arrival of the last push; no push may arrive earlier.
     last_arrival: u64,
     /// Requests ahead of this position were already handed out by
@@ -52,35 +77,94 @@ pub(crate) struct WaitQueue {
     frontier: usize,
 }
 
+/// A run of the wait queue behind its first deferred original.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Behind {
+    /// This many deferred original arrivals, in id order.
+    Originals(usize),
+    /// The [`Slab`] key of one queued request.
+    Request(usize),
+}
+
 impl WaitQueue {
+    /// Asserts that a push at `arrival` keeps the queue in arrival order.
+    fn arrive(&mut self, arrival: u64) {
+        assert!(
+            arrival >= self.last_arrival,
+            "wait queue push out of arrival order: a request arrives at {arrival}, \
+             after a push at {}",
+            self.last_arrival
+        );
+        self.last_arrival = arrival;
+    }
+
     /// Appends `req`, whose effective arrival is `arrival`.
     ///
     /// # Panics
     ///
     /// Panics if `arrival` is earlier than the last push's.
     pub(crate) fn push(&mut self, req: usize, arrival: u64) {
-        assert!(
-            arrival >= self.last_arrival,
-            "wait queue push out of arrival order: request {req} arrives at {arrival}, \
-             after a push at {}",
-            self.last_arrival
-        );
-        self.last_arrival = arrival;
-        self.reqs.push_back(req);
+        self.arrive(arrival);
+        if self.behind.is_empty() {
+            self.reqs.push_back(req);
+        } else {
+            self.behind.push_back(Behind::Request(req));
+            self.behind_len += 1;
+        }
+    }
+
+    /// Appends an original arrival at `arrival` without an entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrival` is earlier than the last push's.
+    fn defer(&mut self, arrival: u64) {
+        self.arrive(arrival);
+        match self.behind.back_mut() {
+            Some(Behind::Originals(n)) => *n += 1,
+            _ => self.behind.push_back(Behind::Originals(1)),
+        }
+        self.behind_len += 1;
+        self.deferred += 1;
+    }
+
+    /// Whether an original arriving now should be deferred: the queue holds
+    /// `held` keyed requests already, or defers some.
+    fn defers(&self, held: usize) -> bool {
+        !self.behind.is_empty() || self.reqs.len() >= held
+    }
+
+    /// Takes the first request behind the keyed ones: its key, or
+    /// `Originals(1)` for a deferred original, which the caller keys. The
+    /// caller appends the key to the keyed ones.
+    fn pop_behind(&mut self) -> Option<Behind> {
+        let front = self.behind.front_mut()?;
+        self.behind_len -= 1;
+        match front {
+            Behind::Originals(n) => {
+                self.deferred -= 1;
+                *n -= 1;
+                if *n == 0 {
+                    self.behind.pop_front();
+                }
+                Some(Behind::Originals(1))
+            }
+            Behind::Request(_) => self.behind.pop_front(),
+        }
     }
 
     /// Number of waiting requests.
     pub(crate) fn len(&self) -> usize {
-        self.reqs.len()
+        self.reqs.len() + self.behind_len
     }
 
     /// Whether no request is waiting.
     pub(crate) fn is_empty(&self) -> bool {
-        self.reqs.is_empty()
+        self.len() == 0
     }
 
-    /// Removes and returns the request at `pos`. A removal ahead of the
-    /// decay frontier moves it back by one.
+    /// Removes and returns the keyed request at `pos`. A removal ahead of
+    /// the decay frontier moves it back by one.
     pub(crate) fn remove(&mut self, pos: usize) -> usize {
         if pos < self.frontier {
             self.frontier -= 1;
@@ -88,8 +172,8 @@ impl WaitQueue {
         self.reqs.remove(pos).expect("position is in the queue")
     }
 
-    /// The next request behind the decay frontier if it has waited at least
-    /// `threshold` cycles at `now`, moving the frontier past it. Each
+    /// The next keyed request behind the decay frontier if it has waited at
+    /// least `threshold` cycles at `now`, moving the frontier past it. Each
     /// request is handed out once. In arrival order the first request
     /// younger than `threshold` ends the walk: every request behind it is
     /// younger still.
@@ -149,29 +233,46 @@ impl Lowered {
     }
 }
 
-/// Every request of one run with its current lowering and effective
-/// arrival. Lowerings are stored once: [`lower_trace`]'s representatives
-/// first, then one entry per retry, decay or feedback re-lowering. A
-/// request costs a `u32` index and a `u64` arrival, 12 B.
+/// One live request: offered, and not yet completed or finally shed.
 #[derive(Debug)]
-pub(crate) struct RequestTable<'t> {
-    /// The trace's requests, in arrival order.
-    pub(crate) specs: &'t [RequestSpec],
-    lowerings: Vec<Lowered>,
-    /// Per request, the position of its current lowering in `lowerings`
-    /// (`u32` keeps a million-request fleet run 4 MB smaller).
-    index: Vec<u32>,
-    /// Effective arrival per request: the spec's arrival cycle, or the
-    /// re-arrival time once a shed request's retry is admitted (latency is
-    /// measured from the client's live submission).
-    pub(crate) arrival: Vec<u64>,
+pub(crate) struct Live {
+    /// Position in the run's source order: the request's id, which breaks
+    /// the pick's ties.
+    pub(crate) seq: usize,
+    pub(crate) spec: RequestSpec,
+    /// Its current lowering.
+    pub(crate) low: Rc<Lowered>,
+    /// Effective arrival: the spec's arrival cycle, or the re-arrival time
+    /// once a shed request's retry is admitted (latency is measured from
+    /// the client's live submission).
+    pub(crate) arrival: u64,
+    /// The feedback pressure level of its current lowering (0 unless the
+    /// router is [`OpRouter::Feedback`]).
+    level: u8,
+    /// Whether decay re-lowered it while it waited.
+    pub(crate) decayed: bool,
+    /// Client re-submissions so far.
+    pub(crate) attempts: u32,
 }
 
-impl RequestTable<'_> {
-    /// Moves `req` to `lowering` at `op`, marked re-routed. Callers
+impl Live {
+    /// Original arrival `seq` with its first lowering.
+    fn original(seq: usize, spec: RequestSpec, low: Rc<Lowered>) -> Self {
+        Live {
+            seq,
+            spec,
+            low,
+            arrival: spec.arrival_cycle,
+            level: 0,
+            decayed: false,
+            attempts: 0,
+        }
+    }
+
+    /// Moves the request to `lowering` at `op`, marked re-routed. Callers
     /// re-lower only within the energy budget, so the request is admitted.
-    pub(crate) fn reroute(&mut self, req: usize, op: OperatingPoint, lowering: PointLowering) {
-        self.lowerings.push(Lowered {
+    fn reroute(&mut self, op: OperatingPoint, lowering: PointLowering) {
+        self.low = Rc::new(Lowered {
             op,
             job: lowering.job,
             footprint: lowering.footprint,
@@ -179,22 +280,62 @@ impl RequestTable<'_> {
             rerouted: true,
             admit: true,
         });
-        self.index[req] = lowering_index(self.lowerings.len() - 1);
     }
 }
 
-/// `i` as a [`RequestTable`] index: no trace that fits in memory reaches
-/// 2^32 lowerings.
-fn lowering_index(i: usize) -> u32 {
-    u32::try_from(i).expect("a run holds fewer than 2^32 lowerings")
+/// The live requests of one run — waiting, in flight, or backing off for a
+/// retry — in recycled entries. [`Intake`] takes an entry for each request
+/// it reads; completion or the final shed frees it, and the next request
+/// reuses the most recently freed entry. So the table is as long as the
+/// most requests ever live at once, whatever the run was offered.
+#[derive(Debug, Default)]
+pub(crate) struct Slab {
+    /// The entries; their count is the table's high-water mark.
+    entries: Vec<Option<Live>>,
+    /// Free entries, the most recently freed last.
+    free: Vec<usize>,
+    /// Requests live now, and the most live at once so far.
+    live: usize,
+    peak_live: usize,
 }
 
-impl Index<usize> for RequestTable<'_> {
-    type Output = Lowered;
+impl Slab {
+    /// Stores `req` and returns its key.
+    fn insert(&mut self, req: Live) -> usize {
+        self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
+        match self.free.pop() {
+            Some(key) => {
+                self.entries[key] = Some(req);
+                key
+            }
+            None => {
+                self.entries.push(Some(req));
+                self.entries.len() - 1
+            }
+        }
+    }
 
-    /// Request `req`'s current lowering.
-    fn index(&self, req: usize) -> &Lowered {
-        &self.lowerings[self.index[req] as usize]
+    /// Removes and returns the request at `key`, freeing its entry.
+    fn remove(&mut self, key: usize) -> Live {
+        let req = self.entries[key].take().expect("a live request");
+        self.free.push(key);
+        self.live -= 1;
+        req
+    }
+}
+
+impl Index<usize> for Slab {
+    type Output = Live;
+
+    fn index(&self, key: usize) -> &Live {
+        self.entries[key].as_ref().expect("a live request")
+    }
+}
+
+impl IndexMut<usize> for Slab {
+    fn index_mut(&mut self, key: usize) -> &mut Live {
+        self.entries[key].as_mut().expect("a live request")
     }
 }
 
@@ -263,8 +404,8 @@ pub(crate) fn lower_at(csim: &CycleSim, spec: &RequestSpec, op: &OperatingPoint)
 }
 
 /// [`lower_at`] through the lowering cache. Serial-path entry point for
-/// the adaptive re-lowering mechanisms; [`lower_trace`] seeds the same
-/// cache via its dedup pass instead.
+/// the adaptive re-lowering mechanisms; the intake's first-sight dedup
+/// ([`Admission`]) stores its representatives in the same cache.
 pub(crate) fn lower_at_cached(
     cache: &mut LowerCache,
     csim: &CycleSim,
@@ -306,10 +447,11 @@ pub(crate) fn lower_routed(
 }
 
 /// A multiplicative word hasher (the rotate-xor-multiply step of FxHash)
-/// for maps that are only looked up, never iterated: `lower_trace` hashes
-/// every request's key, and SipHash's resistance to crafted keys buys
-/// nothing on keys a trace generator made. `finish` rotates the
-/// well-mixed high bits into the low bits the table indexes by.
+/// for maps that are only looked up, never iterated: the intake's
+/// first-sight dedup hashes every request's key, and SipHash's resistance
+/// to crafted keys buys nothing on keys a trace generator made. `finish`
+/// rotates the well-mixed high bits into the low bits the table indexes
+/// by.
 #[derive(Default)]
 struct MulHasher(u64);
 
@@ -350,61 +492,6 @@ impl Hasher for MulHasher {
     }
 }
 
-/// Lowers every request of `trace` through `router`, once per distinct
-/// `(request shape, routed operating point)` key.
-///
-/// Lowering a request (routing, descriptor generation, per-tile cycle
-/// apportioning, energy projection) is a pure function of that key. A
-/// serial dedup pass elects one representative per distinct key; only the
-/// representatives fan out across cores (in index order, so the result is
-/// oblivious to the thread count), and every other request shares its
-/// representative's lowering. The representatives' final-point lowerings
-/// seed `cache`, which accounts one miss per representative and one hit per
-/// request that shared one.
-///
-/// Returns the table of the whole trace: the representatives' lowerings,
-/// each request pointing at its representative's, at its spec's arrival.
-pub(crate) fn lower_trace<'t>(
-    cfg: &ServeConfig,
-    csim: &CycleSim,
-    trace: &'t RequestTrace,
-    router: &OpRouter,
-    cache: &mut LowerCache,
-) -> RequestTable<'t> {
-    let specs = &trace.requests;
-    let mut seen: HashMap<ShapeKey, usize, BuildHasherDefault<MulHasher>> = HashMap::default();
-    let mut index = Vec::with_capacity(specs.len());
-    let mut reps: Vec<usize> = Vec::new();
-    // One key, refilled per request: a request that shares a
-    // representative allocates nothing; only a new key is cloned.
-    let (mut key, mut routed) = (ShapeKey::default(), [None, None]);
-    for (i, spec) in specs.iter().enumerate() {
-        router.refill_key(&cfg.op, spec, &mut key, &mut routed);
-        let rep = match seen.get(&key) {
-            Some(&rep) => rep,
-            None => {
-                reps.push(i);
-                seen.insert(key.clone(), reps.len() - 1);
-                reps.len() - 1
-            }
-        };
-        index.push(lowering_index(rep));
-    }
-    let lowerings: Vec<Lowered> = sofa_par::par_map_index(reps.len(), |k| {
-        lower_routed(cfg, csim, &specs[reps[k]], router)
-    });
-    for (low, &rep) in lowerings.iter().zip(&reps) {
-        cache.insert_computed(ShapeKey::new(&specs[rep], &low.op), low.point());
-    }
-    cache.record_shared_hits((specs.len() - reps.len()) as u64);
-    RequestTable {
-        specs,
-        lowerings,
-        index,
-        arrival: specs.iter().map(|r| r.arrival_cycle).collect(),
-    }
-}
-
 /// What one external event — an original arrival or a retry re-arrival —
 /// did to its request.
 #[derive(Debug, PartialEq)]
@@ -418,32 +505,38 @@ pub(crate) enum Arrival {
     Shed { attempt: u32, energy_pj: f64 },
 }
 
-/// The arrival side of admission: the cursor over the trace's original
-/// arrivals, the retry heap of shed requests awaiting their client backoff
-/// ([`ServeConfig::retry`]) and each retried request's attempt count.
-#[derive(Debug, Default)]
-pub(crate) struct Intake {
-    /// The next original arrival.
-    next: usize,
-    /// Shed requests awaiting their client backoff: (re-arrival, id).
-    retries: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Attempts so far of every request that re-arrived at least once.
-    attempts: HashMap<usize, u32>,
+/// The arrival side of admission: the run's request source read one
+/// request ahead, and the retry heap of shed requests awaiting their client
+/// backoff ([`ServeConfig::retry`]).
+#[derive(Debug)]
+pub(crate) struct Intake<'a> {
+    source: RequestSource<'a>,
+    /// The next original arrival, read ahead from `source`.
+    next: Option<RequestSpec>,
+    /// Original arrivals taken so far: the id of the next one.
+    taken: usize,
+    /// Shed requests awaiting their client backoff: (re-arrival, id, slab
+    /// key).
+    retries: BinaryHeap<Reverse<(u64, usize, usize)>>,
 }
 
-impl Intake {
-    /// Client re-submissions of `req` so far.
-    fn attempts(&self, req: usize) -> u32 {
-        self.attempts.get(&req).copied().unwrap_or(0)
+impl<'a> Intake<'a> {
+    fn new(mut source: RequestSource<'a>) -> Self {
+        Intake {
+            next: source.next(),
+            source,
+            taken: 0,
+            retries: BinaryHeap::new(),
+        }
     }
 
     /// The next external event's cycle and whether it is a retry
     /// re-arrival. Original arrivals go first on ties: the retried client
     /// re-submits just behind the fresh traffic.
     #[inline]
-    fn peek(&self, specs: &[RequestSpec]) -> Option<(u64, bool)> {
-        let arrival = specs.get(self.next).map(|r| r.arrival_cycle);
-        let retry = self.retries.peek().map(|&Reverse((t, _))| t);
+    fn peek(&self) -> Option<(u64, bool)> {
+        let arrival = self.next.as_ref().map(|r| r.arrival_cycle);
+        let retry = self.retries.peek().map(|&Reverse((t, ..))| t);
         match (arrival, retry) {
             (Some(a), Some(r)) if r < a => Some((r, true)),
             (Some(a), _) => Some((a, false)),
@@ -451,13 +544,24 @@ impl Intake {
         }
     }
 
-    /// Takes the next retry re-arrival: its request and attempt number.
-    fn pop_retry(&mut self) -> (usize, u32) {
-        let Reverse((_, req)) = self.retries.pop().expect("a retry was peeked");
-        let attempt = self.attempts(req) + 1;
-        self.attempts.insert(req, attempt);
-        (req, attempt)
+    /// Takes the next original arrival and its id.
+    fn pop_original(&mut self) -> (usize, RequestSpec) {
+        let spec = self.next.take().expect("an arrival was peeked");
+        self.next = self.source.next();
+        self.taken += 1;
+        (self.taken - 1, spec)
     }
+}
+
+/// The original arrivals from the first deferred one on, read again: the
+/// run's source a second time, behind its intake.
+struct Replay<'a> {
+    /// The id of the next request `specs` yields.
+    seq: usize,
+    specs: Chain<
+        Chain<option::IntoIter<RequestSpec>, option::IntoIter<RequestSpec>>,
+        RequestSource<'a>,
+    >,
 }
 
 /// Waiting cycles beyond which the oldest request is picked ahead of the
@@ -467,8 +571,9 @@ pub(crate) const AGING_THRESHOLD: u64 = 100_000;
 /// Position in `waiting` of the next request to try, among its first
 /// `window` entries: the oldest request if it has waited at least
 /// `aged_after` cycles at `now` (the drivers pass [`AGING_THRESHOLD`]),
-/// else the one with the smallest footprint. `arrival` and `footprint`
-/// read a request's effective arrival and booked bytes.
+/// else the one with the smallest footprint. `arrival` and `footprint` read
+/// a waiting request's effective arrival and booked bytes, each paired
+/// with the request's id, which breaks ties.
 ///
 /// The oldest is the least `(arrival, id)`. [`WaitQueue::push`] asserts
 /// arrival order, so it is in the head's equal-arrival run, and only that
@@ -484,8 +589,8 @@ pub(crate) fn pick(
     now: u64,
     waiting: &WaitQueue,
     window: usize,
-    arrival: impl Fn(usize) -> u64,
-    footprint: impl Fn(usize) -> u64,
+    arrival: impl Fn(usize) -> (u64, usize),
+    footprint: impl Fn(usize) -> (u64, usize),
 ) -> usize {
     let (oldest, arrived) = oldest(waiting, window, arrival);
     if now.saturating_sub(arrived) >= aged_after {
@@ -497,26 +602,30 @@ pub(crate) fn pick(
 /// Position and arrival of the least `(arrival, id)` among the first
 /// `window` entries of `waiting`: the least id of the head's equal-arrival
 /// run.
-fn oldest(waiting: &WaitQueue, window: usize, arrival: impl Fn(usize) -> u64) -> (usize, u64) {
-    let arrived = arrival(waiting[0]);
-    let run = waiting.reqs.iter().take(window);
+fn oldest(
+    waiting: &WaitQueue,
+    window: usize,
+    arrival: impl Fn(usize) -> (u64, usize),
+) -> (usize, u64) {
+    let (arrived, _) = arrival(waiting[0]);
+    let run = waiting.reqs.iter().take(window).map(|&req| arrival(req));
     let (pos, _) = run
-        .take_while(|&&req| arrival(req) == arrived)
+        .take_while(|&(at, _)| at == arrived)
         .enumerate()
-        .min_by_key(|&(_, &req)| req)
+        .min_by_key(|&(_, oldest)| oldest)
         .expect("a non-empty queue and window");
     (pos, arrived)
 }
 
-/// Position of the first request with the least `(key, id)` among the
-/// first `window` entries of `waiting`.
-fn first_min(waiting: &WaitQueue, window: usize, key: impl Fn(usize) -> u64) -> usize {
+/// Position of the first request with the least `key` among the first
+/// `window` entries of `waiting`.
+fn first_min(waiting: &WaitQueue, window: usize, key: impl Fn(usize) -> (u64, usize)) -> usize {
     waiting
         .reqs
         .iter()
         .take(window)
         .enumerate()
-        .min_by_key(|&(_, &req)| (key(req), req))
+        .min_by_key(|&(_, &req)| key(req))
         .map(|(pos, _)| pos)
         .expect("a non-empty queue and window")
 }
@@ -680,15 +789,40 @@ impl Pressure {
 pub(crate) struct Admitted<'l> {
     /// The instance slot it is booked on.
     pub(crate) slot: usize,
-    pub(crate) req: usize,
-    /// Its lowering at admission.
-    pub(crate) low: &'l Lowered,
-    /// Its effective arrival.
-    pub(crate) arrival: u64,
+    /// Its [`Slab`] key, which [`Admission::complete`] takes back.
+    pub(crate) key: usize,
+    /// The request, with its lowering at admission.
+    pub(crate) req: &'l Live,
     /// Requests still waiting after it left the queue.
     pub(crate) waiting: usize,
     /// Bytes booked on `slot` with it.
     pub(crate) booked: u64,
+}
+
+/// What [`Admission::complete`] tells the driver about a completed request.
+pub(crate) struct Completed {
+    pub(crate) class: RequestClass,
+    /// Its effective arrival.
+    pub(crate) arrival: u64,
+    /// Whether any mechanism re-routed it away from its first-pick point.
+    pub(crate) rerouted: bool,
+    /// The new feedback pressure level, under [`OpRouter::Feedback`].
+    pub(crate) level: Option<u8>,
+}
+
+/// What a run leaves behind once [`Admission::finish`] has checked it.
+pub(crate) struct Finished {
+    /// Each slot's peak booked bytes.
+    pub(crate) peaks: Vec<u64>,
+    pub(crate) stats: CacheStats,
+    /// Original arrivals the run took.
+    pub(crate) offered: u64,
+    /// The most requests live at once.
+    #[cfg(test)]
+    pub(crate) peak_live: usize,
+    /// The [`Slab`]'s high-water mark.
+    #[cfg(test)]
+    pub(crate) high_water: usize,
 }
 
 /// All admission state and policy of one run (see the module docs).
@@ -697,55 +831,79 @@ pub(crate) struct Admission<'a> {
     router: OpRouter<'a>,
     csim: CycleSim,
     cache: LowerCache,
-    /// Every request's current lowering and effective arrival.
-    pub(crate) table: RequestTable<'a>,
-    intake: Intake,
+    /// Each distinct `(request shape, routed operating point)` key's
+    /// lowering, made by the key's first request and shared by the rest.
+    seen: HashMap<ShapeKey, Rc<Lowered>, BuildHasherDefault<MulHasher>>,
+    /// One key, refilled per request: a request that shares a lowering
+    /// allocates nothing; only a new key is cloned.
+    shape: ShapeKey,
+    /// The router's pick per request class, computed on first use.
+    routed: [Option<OperatingPoint>; 2],
+    /// The live requests.
+    pub(crate) live: Slab,
+    intake: Intake<'a>,
+    /// The deferred originals' specs, while any wait; `None` otherwise.
+    replay: Option<Replay<'a>>,
     waiting: WaitQueue,
+    /// How many waiting requests (oldest first) each pick reads.
+    window: usize,
+    /// How many keyed requests may wait before an arriving original is
+    /// deferred: `window` unless a test turns deferral off.
+    pub(crate) defer_after: usize,
     bookings: Bookings,
     /// Retry re-arrivals admitted back into the wait queue.
     pub(crate) retried: u64,
     pressure: Pressure,
-    /// Per request, the pressure level of its current lowering; empty
-    /// unless the router is [`OpRouter::Feedback`].
-    level: Vec<u8>,
-    /// Per request, whether decay re-lowered it while it waited; empty
-    /// unless [`ServeConfig::decay_threshold`] is set.
-    decayed: Vec<bool>,
     /// Adaptive instants in the order they happened; `None` unless traced.
     pub(crate) events: Option<Vec<AdaptiveEvent>>,
+    /// Each original arrival's first lowering, in id order; `None` unless
+    /// traced.
+    pub(crate) first: Option<Vec<Rc<Lowered>>>,
 }
 
 impl<'a> Admission<'a> {
-    /// Lowers `trace` through `router` ([`lower_trace`]) for admission onto
-    /// `slots` instance slots; `traced` buffers the adaptive instants.
+    /// Admission of the requests of `source`, each lowered through `router`
+    /// as it arrives, onto `slots` instance slots, picking among the first
+    /// `window` waiting requests; `traced` buffers the adaptive instants
+    /// and the first lowerings. An original that arrives while `window`
+    /// requests wait ahead of it is deferred: it holds no entry until a
+    /// pick or the decay frontier reaches it.
     ///
     /// # Panics
     ///
-    /// Panics if a [`OpRouter::Feedback`] configuration fails
+    /// Panics if `source` is empty, `window` is 0 or a
+    /// [`OpRouter::Feedback`] configuration fails
     /// [`FeedbackConfig::validate`].
     pub(crate) fn new(
         cfg: &'a ServeConfig,
         router: OpRouter<'a>,
-        trace: &'a RequestTrace,
+        source: RequestSource<'a>,
         slots: usize,
+        window: usize,
         traced: bool,
     ) -> Self {
         if let OpRouter::Feedback(_, fb) = router {
             fb.validate().expect("invalid feedback config");
         }
+        let intake = Intake::new(source);
+        assert!(intake.next.is_some(), "cannot serve an empty trace");
+        assert!(window > 0, "the pick window holds at least one request");
         let mut csim = CycleSim::new(cfg.hw);
         csim.params = cfg.sim;
-        let mut cache = LowerCache::default();
-        let table = lower_trace(cfg, &csim, trace, &router, &mut cache);
-        let requests = |on: bool| if on { trace.len() } else { 0 };
         Admission {
             cfg,
             router,
             csim,
-            cache,
-            table,
-            intake: Intake::default(),
+            cache: LowerCache::default(),
+            seen: HashMap::default(),
+            shape: ShapeKey::default(),
+            routed: [None, None],
+            live: Slab::default(),
+            intake,
+            replay: None,
             waiting: WaitQueue::default(),
+            window,
+            defer_after: window,
             bookings: Bookings::new(slots),
             retried: 0,
             pressure: Pressure {
@@ -753,16 +911,15 @@ impl<'a> Admission<'a> {
                 energy: vec![0.0; slots],
                 ..Pressure::default()
             },
-            level: vec![0; requests(matches!(router, OpRouter::Feedback(..)))],
-            decayed: vec![false; requests(cfg.decay_threshold.is_some())],
             events: traced.then(Vec::new),
+            first: traced.then(Vec::new),
         }
     }
 
     /// Cycle of the next external event, if any is left.
     #[inline]
     pub(crate) fn next_arrival(&self) -> Option<u64> {
-        self.intake.peek(self.table.specs).map(|(t, _)| t)
+        self.intake.peek().map(|(t, _)| t)
     }
 
     /// Requests waiting for admission.
@@ -770,33 +927,25 @@ impl<'a> Admission<'a> {
         self.waiting.len()
     }
 
-    /// Client re-submissions of `req` so far.
-    pub(crate) fn attempts(&self, req: usize) -> u32 {
-        self.intake.attempts(req)
-    }
-
     /// Bytes booked on `slot`.
     pub(crate) fn booked(&self, slot: usize) -> u64 {
         self.bookings.bytes[slot]
     }
 
-    /// Whether decay re-lowered `req` while it waited.
-    pub(crate) fn decayed(&self, req: usize) -> bool {
-        self.decayed.get(req).copied().unwrap_or(false)
-    }
-
     /// Takes the next external event strictly before `bound` (any event
-    /// when `bound` is `None`) and returns its cycle, request and outcome.
-    /// An original arrival queues if its lowering is admitted. A retry
-    /// re-arrival is re-lowered through the cache at its attempt's leaner
-    /// keep; if that fits the energy budget, the request switches to it and
-    /// queues at the re-arrival cycle. A request that does not fit backs off
-    /// while [`ServeConfig::retry`] leaves it an attempt, and is shed
-    /// otherwise. Inlined: the single node asks once per simulation event,
-    /// and almost always gets `None`.
+    /// when `bound` is `None`) and returns its cycle, request id and
+    /// outcome. An original arrival takes a [`Slab`] entry and its
+    /// lowering ([`Admission::lower_first`]), and queues if that lowering
+    /// is admitted. A retry re-arrival is re-lowered through the cache at
+    /// its attempt's leaner keep; if that fits the energy budget, the
+    /// request switches to it and queues at the re-arrival cycle. A request
+    /// that does not fit backs off while [`ServeConfig::retry`] leaves it
+    /// an attempt, and is shed, its entry freed, otherwise. Inlined: the
+    /// single node asks once per simulation event, and almost always gets
+    /// `None`.
     #[inline]
     pub(crate) fn next_external(&mut self, bound: Option<u64>) -> Option<(u64, usize, Arrival)> {
-        let (now, is_retry) = self.intake.peek(self.table.specs)?;
+        let (now, is_retry) = self.intake.peek()?;
         if bound.is_some_and(|b| now >= b) {
             return None;
         }
@@ -804,9 +953,11 @@ impl<'a> Admission<'a> {
     }
 
     fn take(&mut self, now: u64, is_retry: bool) -> (u64, usize, Arrival) {
-        let (req, attempt, energy_pj) = if is_retry {
-            let (req, attempt) = self.intake.pop_retry();
+        let (seq, key, energy_pj) = if is_retry {
+            let Reverse((_, seq, key)) = self.intake.retries.pop().expect("a retry was peeked");
             let policy = self.cfg.retry.expect("retries require a policy");
+            let req = &mut self.live[key];
+            req.attempts += 1;
             // The fixed point, the front's leanest point or the deployment
             // point, with its keep shrunk by `keep_factorᵃᵗᵗᵉᵐᵖᵗ`, floored at
             // 1%. The shrunk keep is part of the cache key, so repeat
@@ -815,95 +966,193 @@ impl<'a> Admission<'a> {
                 OpRouter::Fixed(op) => op.clone(),
                 router => router.leaner().unwrap_or_else(|| self.cfg.op.clone()),
             };
-            let keep = (base.mean_keep() * policy.keep_factor.powi(attempt as i32)).max(0.01);
+            let keep = (base.mean_keep() * policy.keep_factor.powi(req.attempts as i32)).max(0.01);
             let op = base.with_uniform_keep(keep);
-            let spec = &self.table.specs[req];
-            let lowering = lower_at_cached(&mut self.cache, &self.csim, spec, &op);
+            let lowering = lower_at_cached(&mut self.cache, &self.csim, &req.spec, &op);
             if !self.cfg.over_energy_budget(lowering.energy_pj) {
-                self.table.reroute(req, op, lowering);
-                self.table.arrival[req] = now;
+                req.reroute(op, lowering);
+                req.arrival = now;
+                let attempt = req.attempts;
                 self.retried += 1;
-                self.note(req, now, AdaptiveKind::Retry(attempt));
-                self.waiting.push(req, now);
-                return (now, req, Arrival::Queued);
+                self.note(seq, now, AdaptiveKind::Retry(attempt));
+                self.waiting.push(key, now);
+                return (now, seq, Arrival::Queued);
             }
-            (req, attempt, lowering.energy_pj)
+            (seq, key, lowering.energy_pj)
         } else {
-            let req = self.intake.next;
-            self.intake.next += 1;
-            if self.table[req].admit {
-                self.waiting.push(req, now);
-                return (now, req, Arrival::Queued);
+            let (seq, spec) = self.intake.pop_original();
+            let low = self.lower_first(&spec);
+            if let Some(first) = &mut self.first {
+                first.push(Rc::clone(&low));
             }
-            (req, 0, self.table[req].energy_pj)
+            if low.admit && self.waiting.defers(self.defer_after) {
+                if self.replay.is_none() {
+                    let intake = &self.intake;
+                    let specs = Some(spec).into_iter().chain(intake.next);
+                    self.replay = Some(Replay {
+                        seq,
+                        specs: specs.chain(intake.source.clone()),
+                    });
+                }
+                self.waiting.defer(now);
+                return (now, seq, Arrival::Queued);
+            }
+            let (admit, energy_pj) = (low.admit, low.energy_pj);
+            let key = self.live.insert(Live::original(seq, spec, low));
+            if admit {
+                self.waiting.push(key, now);
+                return (now, seq, Arrival::Queued);
+            }
+            (seq, key, energy_pj)
         };
+        let attempt = self.live[key].attempts;
         let arrival = match self.cfg.retry {
             Some(policy) if attempt < policy.max_retries => {
-                let retry = Reverse((now + policy.backoff_cycles, req));
+                let retry = Reverse((now + policy.backoff_cycles, seq, key));
                 self.intake.retries.push(retry);
-                self.note(req, now, AdaptiveKind::RetryShed(attempt));
+                self.note(seq, now, AdaptiveKind::RetryShed(attempt));
                 Arrival::BackedOff
             }
             _ => {
                 if attempt > 0 {
-                    self.note(req, now, AdaptiveKind::Shed(energy_pj));
+                    self.note(seq, now, AdaptiveKind::Shed(energy_pj));
                 }
+                self.live.remove(key);
                 Arrival::Shed { attempt, energy_pj }
             }
         };
-        (now, req, arrival)
+        (now, seq, arrival)
     }
 
-    /// Completes `req` on `slot` at `now`: releases its booking and, under
-    /// [`OpRouter::Feedback`], folds its latency and energy into the
-    /// pressure EWMAs and returns the new pressure level.
-    pub(crate) fn complete(&mut self, slot: usize, req: usize, now: u64) -> Option<u8> {
-        let low = &self.table[req];
-        self.bookings.release(slot, low.footprint);
-        let OpRouter::Feedback(_, fb) = self.router else {
-            return None;
+    /// The lowering of an original arrival through the router, with the
+    /// energy budget applied ([`lower_routed`]). The first request of each
+    /// `(request shape, routed operating point)` key lowers it and stores
+    /// it in the cache, as a miss; every later request of the key shares
+    /// it, as a hit.
+    fn lower_first(&mut self, spec: &RequestSpec) -> Rc<Lowered> {
+        let (cfg, router) = (self.cfg, &self.router);
+        router.refill_key(&cfg.op, spec, &mut self.shape, &mut self.routed);
+        if let Some(low) = self.seen.get(&self.shape) {
+            self.cache.record_shared_hits(1);
+            return Rc::clone(low);
+        }
+        let low = Rc::new(lower_routed(cfg, &self.csim, spec, router));
+        self.cache
+            .insert_computed(ShapeKey::new(spec, &low.op), low.point());
+        self.seen.insert(self.shape.clone(), Rc::clone(&low));
+        low
+    }
+
+    /// Gives the next deferred original its entry and returns its key. The
+    /// replay skips the originals the intake did not defer: deferral starts
+    /// a replay only when nothing is deferred, and while anything is, every
+    /// admitted original is deferred, so those skipped are the ones the
+    /// energy budget did not admit.
+    fn key_deferred(&mut self) -> usize {
+        let mut replay = self.replay.take().expect("a deferred original waits");
+        let key = loop {
+            let spec = replay
+                .specs
+                .next()
+                .expect("the replay reaches every deferred original");
+            let seq = replay.seq;
+            replay.seq += 1;
+            let low = self.lowering_of(&spec);
+            if low.admit {
+                break self.live.insert(Live::original(seq, spec, low));
+            }
         };
-        let latency = (now - self.table.arrival[req]) as f64;
-        let depth = self.waiting.len() as f64;
-        self.pressure
-            .observe(fb, slot, latency, low.energy_pj, depth);
-        Some(self.pressure.level(fb))
+        if self.waiting.deferred > 0 {
+            self.replay = Some(replay);
+        }
+        key
+    }
+
+    /// The lowering [`Admission::lower_first`] gave `spec` at its arrival,
+    /// looked up again without counting a cache lookup.
+    fn lowering_of(&mut self, spec: &RequestSpec) -> Rc<Lowered> {
+        let (cfg, router) = (self.cfg, &self.router);
+        router.refill_key(&cfg.op, spec, &mut self.shape, &mut self.routed);
+        Rc::clone(self.seen.get(&self.shape).expect("lowered at its arrival"))
+    }
+
+    /// Keys waiting requests from behind the keyed ones until `keyed`
+    /// requests are keyed or none waits behind them.
+    fn key_waiting(&mut self, keyed: usize) {
+        while self.waiting.reqs.len() < keyed {
+            let key = match self.waiting.pop_behind() {
+                None => return,
+                Some(Behind::Request(key)) => key,
+                Some(Behind::Originals(_)) => self.key_deferred(),
+            };
+            self.waiting.reqs.push_back(key);
+        }
+    }
+
+    /// Completes the request at `key` on `slot` at `now`: releases its
+    /// booking, frees its entry and, under [`OpRouter::Feedback`], folds
+    /// its latency and energy into the pressure EWMAs.
+    pub(crate) fn complete(&mut self, slot: usize, key: usize, now: u64) -> Completed {
+        let req = self.live.remove(key);
+        self.bookings.release(slot, req.low.footprint);
+        let level = match self.router {
+            OpRouter::Feedback(_, fb) => {
+                let latency = (now - req.arrival) as f64;
+                let depth = self.waiting.len() as f64;
+                self.pressure
+                    .observe(fb, slot, latency, req.low.energy_pj, depth);
+                Some(self.pressure.level(fb))
+            }
+            _ => None,
+        };
+        Completed {
+            class: req.spec.class,
+            arrival: req.arrival,
+            rerouted: req.low.rerouted,
+            level,
+        }
     }
 
     /// Admits waiting requests at `now` until the picked one fits nowhere.
     /// Decay first re-lowers the requests that waited past the threshold;
-    /// each pick (among the first `window` waiting requests) is re-lowered
-    /// for the current feedback pressure, `place` chooses its slot from the
-    /// bookings, its class and its footprint, and `submit` runs it there.
-    /// Stopping at a request that fits nowhere, rather than skipping to a
-    /// smaller one, keeps the aged head from being overtaken forever.
+    /// each pick (among the first `window` waiting requests, keyed first)
+    /// is re-lowered for the current feedback pressure, `place` chooses its
+    /// slot from the bookings, its class and its footprint, and `submit`
+    /// runs it there. Stopping at a request that fits nowhere, rather than
+    /// skipping to a smaller one, keeps the aged head from being overtaken
+    /// forever.
     pub(crate) fn admit(
         &mut self,
         now: u64,
-        window: usize,
         place: impl Fn(&Bookings, RequestClass, u64) -> Option<usize>,
         mut submit: impl FnMut(Admitted),
     ) {
         self.decay(now);
         while !self.waiting.is_empty() {
-            let table = &self.table;
-            let arrival = |r: usize| table.arrival[r];
-            let pos = pick(AGING_THRESHOLD, now, &self.waiting, window, arrival, |r| {
-                table[r].footprint
-            });
-            let req = self.waiting[pos];
-            self.relower_for_pressure(now, req);
-            let (low, class) = (&self.table[req], self.table.specs[req].class);
-            let Some(slot) = place(&self.bookings, class, low.footprint) else {
+            self.key_waiting(self.window);
+            let live = &self.live;
+            let arrival = |k: usize| (live[k].arrival, live[k].seq);
+            let footprint = |k: usize| (live[k].low.footprint, live[k].seq);
+            let pos = pick(
+                AGING_THRESHOLD,
+                now,
+                &self.waiting,
+                self.window,
+                arrival,
+                footprint,
+            );
+            let key = self.waiting[pos];
+            self.relower_for_pressure(now, key);
+            let req = &self.live[key];
+            let Some(slot) = place(&self.bookings, req.spec.class, req.low.footprint) else {
                 return;
             };
             self.waiting.remove(pos);
-            self.bookings.book(slot, low.footprint);
+            self.bookings.book(slot, req.low.footprint);
             submit(Admitted {
                 slot,
+                key,
                 req,
-                low,
-                arrival: self.table.arrival[req],
                 waiting: self.waiting.len(),
                 booked: self.bookings.bytes[slot],
             });
@@ -917,72 +1166,93 @@ impl<'a> Admission<'a> {
         let Some(threshold) = self.cfg.decay_threshold else {
             return;
         };
-        while let Some(req) = self
-            .waiting
-            .next_overdue(now, threshold, |r| self.table.arrival[r])
-        {
-            let class = self.table.specs[req].class;
-            let Some(target) = self.router.decay_target(class) else {
+        loop {
+            self.key_waiting(self.waiting.frontier + 1);
+            let overdue = self
+                .waiting
+                .next_overdue(now, threshold, |k| self.live[k].arrival);
+            let Some(key) = overdue else {
+                return;
+            };
+            let Some(target) = self.router.decay_target(self.live[key].spec.class) else {
                 continue;
             };
-            if self.reroute_within_budget(req, target) {
-                self.decayed[req] = true;
-                self.note(req, now, AdaptiveKind::Decay);
+            if self.reroute_within_budget(key, target) {
+                self.live[key].decayed = true;
+                self.note(self.live[key].seq, now, AdaptiveKind::Decay);
             }
         }
     }
 
-    /// Re-lowers the picked `req` when the feedback pressure level moved
-    /// since it was last lowered. Decayed requests are already at the lean
-    /// end and are left alone.
-    fn relower_for_pressure(&mut self, now: u64, req: usize) {
+    /// Re-lowers the picked request at `key` when the feedback pressure
+    /// level moved since it was last lowered. Decayed requests are already
+    /// at the lean end and are left alone.
+    fn relower_for_pressure(&mut self, now: u64, key: usize) {
         let OpRouter::Feedback(front, fb) = self.router else {
             return;
         };
         let level = self.pressure.level(fb);
-        if self.decayed(req) || level == self.level[req] {
+        let req = &mut self.live[key];
+        if req.decayed || level == req.level {
             return;
         }
-        self.level[req] = level;
-        let target = front.route_pressure(&self.table.specs[req].class, level);
-        if self.reroute_within_budget(req, target) {
-            self.note(req, now, AdaptiveKind::Feedback(level));
+        req.level = level;
+        let target = front.route_pressure(&req.spec.class, level);
+        if self.reroute_within_budget(key, target) {
+            self.note(self.live[key].seq, now, AdaptiveKind::Feedback(level));
         }
     }
 
-    /// Moves `req` to `target` unless it is there already or its lowering
-    /// at `target` breaks the energy budget; returns whether it moved.
-    fn reroute_within_budget(&mut self, req: usize, target: OperatingPoint) -> bool {
-        if target == self.table[req].op {
+    /// Moves the request at `key` to `target` unless it is there already or
+    /// its lowering at `target` breaks the energy budget; returns whether
+    /// it moved.
+    fn reroute_within_budget(&mut self, key: usize, target: OperatingPoint) -> bool {
+        let req = &mut self.live[key];
+        if target == req.low.op {
             return false;
         }
-        let spec = &self.table.specs[req];
-        let lowering = lower_at_cached(&mut self.cache, &self.csim, spec, &target);
+        let lowering = lower_at_cached(&mut self.cache, &self.csim, &req.spec, &target);
         if self.cfg.over_energy_budget(lowering.energy_pj) {
             return false;
         }
-        self.table.reroute(req, target, lowering);
+        req.reroute(target, lowering);
         true
     }
 
-    /// Buffers one adaptive action when the run is traced.
-    fn note(&mut self, req: usize, ts: u64, kind: AdaptiveKind) {
+    /// Buffers one adaptive action on request `seq` when the run is traced.
+    fn note(&mut self, seq: usize, ts: u64, kind: AdaptiveKind) {
         if let Some(events) = &mut self.events {
-            events.push(AdaptiveEvent { req, ts, kind });
+            events.push(AdaptiveEvent { req: seq, ts, kind });
         }
     }
 
-    /// Ends the run: checks that no request still waits and every booking
-    /// was released, and returns each slot's peak booked bytes and the
-    /// lowering-cache statistics.
+    /// Ends the run: checks that every offered request completed or was
+    /// shed, that the slab grew only to the most requests live at once, and
+    /// that every booking was released.
     ///
     /// # Panics
     ///
-    /// Panics if a request still waits or a slot still books bytes.
-    pub(crate) fn finish(self) -> (Vec<u64>, CacheStats) {
+    /// Panics if a request is still live, the slab outgrew the peak live
+    /// count or a slot still books bytes.
+    pub(crate) fn finish(self) -> Finished {
         assert!(self.waiting.is_empty(), "all eligible requests admitted");
+        let slab = &self.live;
+        assert_eq!(slab.live, 0, "every request completed or was shed");
+        assert_eq!(
+            slab.entries.len(),
+            slab.peak_live,
+            "the slab reuses a freed entry before it grows"
+        );
         self.bookings.assert_drained();
-        (self.bookings.peak, self.cache.stats())
+        Finished {
+            peaks: self.bookings.peak,
+            stats: self.cache.stats(),
+            offered: self.intake.taken as u64,
+            #[cfg(test)]
+            peak_live: slab.peak_live,
+            #[cfg(test)]
+            high_water: slab.entries.len(),
+        }
     }
 }
 
@@ -991,7 +1261,7 @@ mod tests {
     use super::*;
     use crate::scheduler::RetryPolicy;
     use sofa_hw::config::HwConfig;
-    use sofa_model::trace::TraceConfig;
+    use sofa_model::trace::{RequestTrace, TraceConfig};
 
     /// The placement as one iterator chain over the whole range: among
     /// idle slots and slots with byte headroom, the least-booked, then the
@@ -1082,7 +1352,7 @@ mod tests {
             max_retries: 1,
             keep_factor: 0.5,
         });
-        let mut adm = Admission::new(&cfg, OpRouter::TraceNative, &trace, 1, true);
+        let mut adm = Admission::new(&cfg, OpRouter::TraceNative, (&trace).into(), 1, 1, true);
         assert_eq!(adm.next_external(Some(a0)), None, "the bound is strict");
         let backed_off = |req| Some((a0.max(a1 * req as u64), req, Arrival::BackedOff));
         assert_eq!(adm.next_external(Some(a0 + 1)), backed_off(0));
@@ -1094,7 +1364,6 @@ mod tests {
         assert_eq!(shed(adm.next_external(None)), (a1, 0, 1));
         assert_eq!(shed(adm.next_external(None)), (2 * a1 - a0, 1, 1));
         assert_eq!(adm.next_external(None), None);
-        assert_eq!((adm.attempts(0), adm.attempts(1)), (1, 1));
         let kinds: Vec<_> = adm
             .events
             .as_ref()
@@ -1149,12 +1418,17 @@ mod tests {
         assert!(energy(&fixed).all(|e| e > budget));
         cfg.energy_budget_pj_per_req = Some(budget);
         cfg.retry = Some(retry);
-        let mut adm = Admission::new(&cfg, OpRouter::Fixed(&fixed), &trace, 1, false);
+        let router = OpRouter::Fixed(&fixed);
+        let mut adm = Admission::new(&cfg, router, (&trace).into(), 1, usize::MAX, false);
         let mut retried = 0;
         while let Some((_, req, arrival)) = adm.next_external(None) {
-            if arrival == Arrival::Queued && adm.attempts(req) > 0 {
-                assert_eq!(adm.table[req].op, shrunk, "request {req}");
-                retried += 1;
+            let queued = adm.waiting.reqs.back().map(|&key| &adm.live[key]);
+            if let (Arrival::Queued, Some(queued)) = (arrival, queued) {
+                if queued.attempts > 0 {
+                    assert_eq!(queued.seq, req);
+                    assert_eq!(queued.low.op, shrunk, "request {req}");
+                    retried += 1;
+                }
             }
         }
         assert!(retried > 0, "the prefills retry");
@@ -1204,7 +1478,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(8))]
 
-        /// The deduplicated pass gives each request exactly what lowering it
+        /// The first-sight dedup gives each request exactly what lowering it
         /// alone through the router gives, at any thread count: sharing a
         /// representative's lowering changes no bit.
         #[test]
@@ -1224,20 +1498,22 @@ mod tests {
             cfg.energy_budget_pj_per_req = budgeted.then_some(3.0e6);
             let csim = CycleSim::new(cfg.hw);
             for threads in [1, 2, 8] {
-                let mut cache = LowerCache::default();
-                let table = sofa_par::with_threads(threads, || {
-                    lower_trace(&cfg, &csim, &trace, &router, &mut cache)
+                let adm = sofa_par::with_threads(threads, || {
+                    let mut adm = Admission::new(&cfg, router, (&trace).into(), 1, 1, true);
+                    while adm.next_external(None).is_some() {}
+                    adm
                 });
-                for (i, spec) in trace.requests.iter().enumerate() {
+                let first = adm.first.as_ref().expect("a traced run logs first lowerings");
+                proptest::prop_assert_eq!(first.len(), trace.len());
+                for (i, (spec, low)) in trace.requests.iter().zip(first).enumerate() {
                     let alone = lower_routed(&cfg, &csim, spec, &router);
-                    let low = &table[i];
                     let same = same_point(&low.point(), &alone.point());
                     proptest::prop_assert!(same, "request {}", i);
                     proptest::prop_assert_eq!(&low.op, &alone.op);
                     let flags = (low.rerouted, low.admit);
                     proptest::prop_assert_eq!(flags, (alone.rerouted, alone.admit));
                 }
-                let stats = cache.stats();
+                let stats = adm.cache.stats();
                 proptest::prop_assert_eq!(stats.hits + stats.misses, trace.len() as u64);
             }
         }
@@ -1293,7 +1569,7 @@ mod tests {
         // (arrival, footprint) of requests 0..3; the smallest is last.
         let reqs = [(10, 300), (20, 200), (30, 100)];
         let waiting = queue(&[(0, 10), (1, 20), (2, 30)]);
-        let (arrival, footprint) = (|r: usize| reqs[r].0, |r: usize| reqs[r].1);
+        let (arrival, footprint) = (|r: usize| (reqs[r].0, r), |r: usize| (reqs[r].1, r));
         let pick_in = |window| pick(AGING_THRESHOLD, 50, &waiting, window, arrival, footprint);
         assert_eq!(pick_in(3), 2);
         assert_eq!(pick_in(2), 1);
@@ -1316,7 +1592,7 @@ mod tests {
         // enough to lose every footprint comparison.
         let reqs = [(0, 1_000), (50, 4), (0, 8)];
         let waiting = queue(&[(2, 0), (0, 0), (1, 50)]);
-        let (arrival, footprint) = (|r: usize| reqs[r].0, |r: usize| reqs[r].1);
+        let (arrival, footprint) = (|r: usize| (reqs[r].0, r), |r: usize| (reqs[r].1, r));
         let pick_at = |now| pick(AGING_THRESHOLD, now, &waiting, 3, arrival, footprint);
         assert_eq!(
             pick_at(550_000),
@@ -1329,7 +1605,7 @@ mod tests {
     fn below_the_aging_threshold_the_smallest_request_wins() {
         let reqs = [(0, 1_000), (40_000, 8)];
         let waiting = queue(&[(0, 0), (1, 40_000)]);
-        let (arrival, footprint) = (|r: usize| reqs[r].0, |r: usize| reqs[r].1);
+        let (arrival, footprint) = (|r: usize| (reqs[r].0, r), |r: usize| (reqs[r].1, r));
         assert_eq!(
             pick(AGING_THRESHOLD, 50_000, &waiting, 2, arrival, footprint),
             1
@@ -1424,7 +1700,8 @@ mod tests {
                     2 => now += [1, 4, 30, 300, 3_000][a],
                     3 if !reference.is_empty() => {
                         let window = [1, 2, 3, 8, reference.len()][a];
-                        let pos = pick(aging, now, &waiting, window, |r| arrival[r], |r| footprint[r]);
+                        let (at, fp) = (|r: usize| (arrival[r], r), |r: usize| (footprint[r], r));
+                        let pos = pick(aging, now, &waiting, window, at, fp);
                         let expect = pick_by_scan(
                             aging, now, &reference, window, |r| arrival[r], |r| footprint[r],
                         );
@@ -1472,11 +1749,11 @@ mod tests {
         let reads = std::cell::Cell::new(0u64);
         let arrival = |req| {
             reads.set(reads.get() + 1);
-            at(req)
+            (at(req), req)
         };
         let footprint = |req: usize| {
             reads.set(reads.get() + 1);
-            req as u64
+            (req as u64, req)
         };
         let mut waiting = WaitQueue::default();
         for run in 0..N / RUN {
@@ -1486,7 +1763,10 @@ mod tests {
         }
         for admitted in 0..N {
             let now = at(admitted) + AGING;
-            while waiting.next_overdue(now, decay, arrival).is_some() {}
+            while waiting
+                .next_overdue(now, decay, |req| arrival(req).0)
+                .is_some()
+            {}
             let pos = pick(AGING, now, &waiting, waiting.len(), arrival, footprint);
             assert_eq!(
                 waiting.remove(pos),

@@ -22,21 +22,24 @@
 //! quantized to the epoch; the boundary is computed from the next pending
 //! activity, so idle stretches are skipped in one step.
 //!
-//! **Fleet-scale accounting.** A million-request trace cannot keep a
-//! per-request record vector; [`FleetReport`] aggregates latency and
-//! queueing delay into streaming [`QuantileSketch`]es (exact below 256
-//! cycles, ≤1/128 relative error above) the moment each completion
-//! surfaces.
+//! **Fleet-scale accounting.** A run holds nothing per offered request. It
+//! reads its requests from a [`RequestSource`] (a materialised trace or a
+//! lazy [`TraceConfig::requests`](sofa_model::TraceConfig::requests)
+//! stream), keeps admission state only for the requests in flight, in the
+//! pick window or backing off for a retry, and [`FleetReport`] aggregates
+//! latency and queueing delay into streaming [`QuantileSketch`]es (exact
+//! below 256 cycles, ≤1/128 relative error above) the moment each
+//! completion surfaces.
 //!
 //! Determinism contract: the report is byte-identical at any
 //! `SOFA_THREADS` and across repeated runs. The fleet records no trace; a
 //! full trace of a million-request run would take gigabytes.
 
-use crate::admission::{Admission, Arrival, Bookings};
+use crate::admission::{Admission, Arrival, Bookings, Finished};
 use crate::report::ServeReport;
 use crate::scheduler::{OpRouter, ServeConfig};
 use sofa_core::cache::CacheStats;
-use sofa_model::trace::{RequestClass, RequestTrace};
+use sofa_model::trace::{RequestClass, RequestSource};
 use sofa_obs::QuantileSketch;
 use sofa_sim::{Fabric, FabricParams, FabricReport, FleetSim, MultiReport};
 use std::ops::Range;
@@ -262,25 +265,31 @@ impl FleetServeSim {
         &self.cfg
     }
 
-    /// Serves `trace` across the fleet under `router`.
+    /// Serves the requests of `requests` across the fleet under `router`.
+    /// `requests` is a [`RequestSource`]: a `&RequestTrace`, or a
+    /// [`TraceConfig::requests`](sofa_model::TraceConfig::requests) stream.
+    /// The run reads it one request at a time and keeps state only for the
+    /// requests it has in flight, waiting or backing off for a retry, so a
+    /// streamed run's memory does not grow with its length.
     ///
     /// # Panics
     ///
-    /// Panics if `trace` is empty or a [`OpRouter::Feedback`] configuration
-    /// fails [`crate::FeedbackConfig::validate`].
-    pub fn run(&self, trace: &RequestTrace, router: OpRouter) -> FleetReport {
-        self.run_inner(trace, router).0
+    /// Panics if `requests` is empty or a [`OpRouter::Feedback`]
+    /// configuration fails [`crate::FeedbackConfig::validate`].
+    pub fn run<'t>(&self, requests: impl Into<RequestSource<'t>>, router: OpRouter) -> FleetReport {
+        self.run_inner(requests.into(), router, ADMIT_WINDOW).0
     }
 
     /// [`FleetServeSim::run`] plus the lowering-cache effectiveness counters
     /// of the run, which ride outside the report: it is bit-identical to
     /// [`FleetServeSim::run`]'s.
-    pub fn run_with_cache_stats(
+    pub fn run_with_cache_stats<'t>(
         &self,
-        trace: &RequestTrace,
+        requests: impl Into<RequestSource<'t>>,
         router: OpRouter,
     ) -> (FleetReport, CacheStats) {
-        self.run_inner(trace, router)
+        let (report, done) = self.run_inner(requests.into(), router, ADMIT_WINDOW);
+        (report, done.stats)
     }
 
     /// The instance slots of the node pool `class` placements try first.
@@ -296,12 +305,18 @@ impl FleetServeSim {
         }
     }
 
-    fn run_inner(&self, trace: &RequestTrace, router: OpRouter) -> (FleetReport, CacheStats) {
-        assert!(!trace.is_empty(), "cannot serve an empty trace");
+    /// The run, deferring an arriving original once `defer_after` requests
+    /// wait keyed ([`Admission::new`]).
+    fn run_inner(
+        &self,
+        requests: RequestSource,
+        router: OpRouter,
+        defer_after: usize,
+    ) -> (FleetReport, Finished) {
         let s = &self.cfg.serve;
         let (ipn, total) = (s.instances, self.cfg.total_instances());
-        // One lowering per distinct shape, shared by every request of it.
-        let mut adm = Admission::new(s, router, trace, total, false);
+        let mut adm = Admission::new(s, router, requests, total, ADMIT_WINDOW, false);
+        adm.defer_after = defer_after;
         let mut fleet = FleetSim::new(&s.hw, self.cfg.nodes, ipn, s.sim);
         let mut fabric = Fabric::new(self.cfg.fabric, self.cfg.nodes);
 
@@ -323,14 +338,13 @@ impl FleetServeSim {
             // idle stretches collapse into one epoch step.
             let boundary = (next / epoch + 1) * epoch;
             for c in fleet.run_until(boundary) {
-                let req = c.request as usize;
-                adm.complete(c.node * ipn + c.instance, req, c.time);
-                match trace.requests[req].class {
+                let done = adm.complete(c.node * ipn + c.instance, c.request as usize, c.time);
+                match done.class {
                     RequestClass::Prefill => prefills += 1,
                     RequestClass::Decode => decodes += 1,
                 }
-                rerouted += u64::from(adm.table[req].rerouted);
-                latency.record(c.time - adm.table.arrival[req]);
+                rerouted += u64::from(done.rerouted);
+                latency.record(c.time - done.arrival);
                 served += 1;
             }
             // Ingest originals and retry re-arrivals below the boundary in
@@ -339,28 +353,26 @@ impl FleetServeSim {
                 shed += u64::from(matches!(arrival, Arrival::Shed { .. }));
             }
             // Least-booked in the class pool, spilling fleet-wide when the
-            // pool is full; the job reaches its node over the fabric.
+            // pool is full; the job reaches its node over the fabric, tagged
+            // with the request's slab key.
             let place = |b: &Bookings, class, fp| {
                 let place = |slots| b.place(slots, fp, budget);
                 place(self.pool(class))
                     .or_else(|| self.cfg.disaggregate.then(|| place(0..total)).flatten())
             };
-            adm.admit(boundary, ADMIT_WINDOW, place, |a| {
+            adm.admit(boundary, place, |a| {
                 let (node, inst) = (a.slot / ipn, a.slot % ipn);
-                let delivery = fabric.transfer(node, a.low.footprint, boundary);
-                fleet.submit(node, inst, a.req as u64, Arc::clone(&a.low.job), delivery);
+                let low = &a.req.low;
+                let delivery = fabric.transfer(node, low.footprint, boundary);
+                fleet.submit(node, inst, a.key as u64, Arc::clone(&low.job), delivery);
                 requests_per_node[node] += 1;
-                energy_pj += a.low.energy_pj;
-                queueing.record(boundary - a.arrival);
+                energy_pj += low.energy_pj;
+                queueing.record(boundary - a.req.arrival);
             });
         }
         let retried = adm.retried;
-        let (peaks, stats) = adm.finish();
-        assert_eq!(
-            served + shed,
-            trace.len() as u64,
-            "served + shed == offered"
-        );
+        let done = adm.finish();
+        assert_eq!(served + shed, done.offered, "served + shed == offered");
 
         let sim_report = fleet.report();
         let report = FleetReport {
@@ -377,13 +389,14 @@ impl FleetServeSim {
             fabric: fabric.report(),
             energy_pj,
             requests_per_node,
-            peak_inflight_bytes: peaks
+            peak_inflight_bytes: done
+                .peaks
                 .chunks(ipn)
                 .map(|n| n.iter().copied().max().unwrap_or(0))
                 .collect(),
             budget_bytes: s.admit_buffer_bytes,
         };
-        (report, stats)
+        (report, done)
     }
 }
 
@@ -402,15 +415,19 @@ mod tests {
     use crate::admission;
     use crate::ServeSim;
     use sofa_hw::config::HwConfig;
-    use sofa_model::trace::TraceConfig;
+    use sofa_model::trace::{RequestTrace, TraceConfig};
 
-    fn small_trace(n: usize, rate: f64) -> RequestTrace {
+    fn small_trace_config(n: usize, rate: f64) -> TraceConfig {
         let mut tc = TraceConfig::new(n, rate, 42);
         tc.seq_len = 256;
         tc.hidden = 256;
         tc.heads = 4;
         tc.prefill_queries = 8;
-        RequestTrace::generate(&tc)
+        tc
+    }
+
+    fn small_trace(n: usize, rate: f64) -> RequestTrace {
+        RequestTrace::generate(&small_trace_config(n, rate))
     }
 
     fn small_cfg(nodes: usize, ipn: usize) -> FleetConfig {
@@ -484,16 +501,19 @@ mod tests {
             FleetServeSim::new(cfg.clone()).run_with_cache_stats(&trace, OpRouter::TraceNative);
         assert_eq!(single, fleet);
         assert_eq!(single.hits + single.misses, 24);
-        // The shared pass gives every request what lowering it alone gives.
-        let adm = Admission::new(&cfg.serve, OpRouter::TraceNative, &trace, 2, false);
+        // The shared intake gives every request what lowering it alone
+        // gives.
+        let source = (&trace).into();
+        let mut adm = Admission::new(&cfg.serve, OpRouter::TraceNative, source, 2, 1, true);
+        while adm.next_external(None).is_some() {}
         let csim = {
             let mut csim = sofa_sim::CycleSim::new(cfg.serve.hw);
             csim.params = cfg.serve.sim;
             csim
         };
-        for (i, spec) in trace.requests.iter().enumerate() {
+        let first = adm.first.as_ref().expect("traced");
+        for (i, (spec, low)) in trace.requests.iter().zip(first).enumerate() {
             let alone = admission::lower_routed(&cfg.serve, &csim, spec, &OpRouter::TraceNative);
-            let low = &adm.table[i];
             assert_eq!((&low.op, &low.job), (&alone.op, &alone.job), "request {i}");
             assert_eq!(low.footprint, alone.footprint);
             assert_eq!(low.energy_pj.to_bits(), alone.energy_pj.to_bits());
@@ -537,12 +557,9 @@ mod tests {
         });
     }
 
-    #[test]
-    fn the_fleet_runs_the_whole_controller() {
-        // Decay, feedback routing, retries and an energy budget on one
-        // trace. Which attempt fits depends only on the lowerings, and decay
-        // and feedback re-lower only within the budget, so both drivers
-        // serve, shed and retry the same requests whatever their timing.
+    /// A two-layer front whose routed, cycle-leanest and energy-leanest
+    /// points differ.
+    fn small_front() -> sofa_dse::ParetoFront {
         use sofa_dse::{CandidateEval, DseCandidate, MetricVector};
         let entry = |keep: f64, bc: usize, loss: f64, cycles: u64, energy: f64| CandidateEval {
             candidate: DseCandidate {
@@ -561,13 +578,16 @@ mod tests {
             entry(0.4, 32, 0.11, 80, 9.0e7),
             entry(0.05, 8, 0.30, 40, 2.0e7),
         ];
-        let front = sofa_dse::ParetoFront::new(&points, &entry(0.25, 16, 0.12, 130, 7.0e7));
-        let feedback = crate::FeedbackConfig::new(20_000);
-        let router = OpRouter::Feedback(&front, &feedback);
+        sofa_dse::ParetoFront::new(&points, &entry(0.25, 16, 0.12, 130, 7.0e7))
+    }
+
+    /// The controller scenario: 48 requests on one node of two instances
+    /// under an energy budget that sheds, with retries and, when `decay`,
+    /// a decay threshold.
+    fn controller_scenario(decay: bool) -> (TraceConfig, FleetConfig) {
         let mut tc = TraceConfig::new(48, 400.0, 42);
         (tc.seq_len, tc.hidden, tc.heads) = (256, 256, 4);
         (tc.prefill_queries, tc.max_decode_queries) = (64, 32);
-        let trace = RequestTrace::generate(&tc);
         let mut cfg = small_cfg(1, 2);
         cfg.serve.energy_budget_pj_per_req = Some(2.0e7);
         cfg.serve.retry = Some(crate::RetryPolicy {
@@ -575,8 +595,22 @@ mod tests {
             max_retries: 2,
             keep_factor: 0.8,
         });
-        let mut controller = cfg.clone();
-        controller.serve.decay_threshold = Some(10_000);
+        cfg.serve.decay_threshold = decay.then_some(10_000);
+        (tc, cfg)
+    }
+
+    #[test]
+    fn the_fleet_runs_the_whole_controller() {
+        // Decay, feedback routing, retries and an energy budget on one
+        // trace. Which attempt fits depends only on the lowerings, and decay
+        // and feedback re-lower only within the budget, so both drivers
+        // serve, shed and retry the same requests whatever their timing.
+        let front = small_front();
+        let feedback = crate::FeedbackConfig::new(20_000);
+        let router = OpRouter::Feedback(&front, &feedback);
+        let (tc, controller) = controller_scenario(true);
+        let trace = RequestTrace::generate(&tc);
+        let (_, cfg) = controller_scenario(false);
 
         let single = ServeSim::new(controller.serve.clone()).run_with(&trace, router);
         let sim = FleetServeSim::new(controller);
@@ -654,5 +688,123 @@ mod tests {
         // Determinism with the retry path active.
         let again = sim.run(&trace, OpRouter::TraceNative);
         assert_eq!(adaptive, again);
+    }
+
+    #[test]
+    fn a_streamed_run_equals_the_materialised_run() {
+        // The plain path on two nodes, and the whole controller: decay,
+        // feedback routing, an energy budget that sheds and retries.
+        let front = small_front();
+        let feedback = crate::FeedbackConfig::new(20_000);
+        let (controlled, controller) = controller_scenario(true);
+        let arms = [
+            (
+                small_trace_config(64, 150.0),
+                small_cfg(2, 2),
+                OpRouter::TraceNative,
+            ),
+            (
+                controlled,
+                controller,
+                OpRouter::Feedback(&front, &feedback),
+            ),
+        ];
+        for (tc, cfg, router) in arms {
+            let trace = RequestTrace::generate(&tc);
+            let sim = FleetServeSim::new(cfg);
+            for threads in [1, 2, 8] {
+                let run = |source: RequestSource| {
+                    sofa_par::with_threads(threads, || sim.run_with_cache_stats(source, router))
+                };
+                let (held, held_stats) = run((&trace).into());
+                let (streamed, streamed_stats) = run(tc.requests().into());
+                assert_eq!(
+                    format!("{streamed:?}"),
+                    format!("{held:?}"),
+                    "{threads} threads"
+                );
+                assert_eq!(streamed_stats, held_stats, "{threads} threads");
+                if matches!(router, OpRouter::Feedback(..)) {
+                    assert!(held.shed > 0 && held.retried > 0 && held.rerouted > 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_run_holds_only_its_live_requests() {
+        // A calm run and one offered three times what it serves, whose
+        // backlog grows to most of the trace: the slab holds the requests in
+        // flight and the pick window, not the backlog.
+        const REQUESTS: usize = 50_000;
+        for (rate, overloaded) in [(100.0, false), (3_000.0, true)] {
+            let tc = small_trace_config(REQUESTS, rate);
+            let sim = FleetServeSim::new(small_cfg(1, 2));
+            let requests = tc.requests().into();
+            let (report, done) = sim.run_inner(requests, OpRouter::TraceNative, ADMIT_WINDOW);
+            assert_eq!(report.served, REQUESTS as u64);
+            assert_eq!(done.offered, REQUESTS as u64);
+            assert_eq!(
+                report.throughput_per_mcycle() < rate / 3.0,
+                overloaded,
+                "{} served per Mcycle at {rate} offered",
+                report.throughput_per_mcycle()
+            );
+            assert_eq!(
+                done.high_water, done.peak_live,
+                "the slab grows only to the most requests live at once"
+            );
+            assert!(
+                done.peak_live < 2 * ADMIT_WINDOW,
+                "{} requests live at once out of {REQUESTS} at {rate}",
+                done.peak_live
+            );
+        }
+    }
+
+    #[test]
+    fn deferring_the_backlog_changes_no_decision() {
+        // Overloaded runs whose backlog outgrows the pick window: the plain
+        // path on two nodes, and the whole controller, whose decay frontier
+        // walks into the deferred backlog and whose budget sheds and
+        // retries originals among the deferred ones.
+        let front = small_front();
+        let feedback = crate::FeedbackConfig::new(20_000);
+        let (mut controlled, mut controller) = controller_scenario(true);
+        (controlled.num_requests, controlled.arrivals_per_mcycle) = (600, 4_000.0);
+        controller.serve.decay_threshold = Some(200_000);
+        let arms = [
+            (
+                small_trace_config(600, 6_000.0),
+                small_cfg(2, 1),
+                OpRouter::TraceNative,
+            ),
+            (
+                controlled,
+                controller,
+                OpRouter::Feedback(&front, &feedback),
+            ),
+        ];
+        for (tc, cfg, router) in arms {
+            let sim = FleetServeSim::new(cfg);
+            let run = |defer_after| sim.run_inner(tc.requests().into(), router, defer_after);
+            let (deferred, lean) = run(ADMIT_WINDOW);
+            let (keyed, full) = run(usize::MAX);
+            assert_eq!(format!("{deferred:?}"), format!("{keyed:?}"));
+            assert_eq!(lean.stats, full.stats);
+            let live = format!(
+                "{} live with deferral, {} without",
+                lean.peak_live, full.peak_live
+            );
+            if matches!(router, OpRouter::Feedback(..)) {
+                // Decay keys the requests it re-lowers, and backing-off
+                // requests are live: only the young backlog is deferred.
+                assert!(lean.peak_live < full.peak_live, "{live}");
+                assert!(deferred.shed > 0 && deferred.retried > 0 && deferred.rerouted > 0);
+            } else {
+                assert!(lean.peak_live < 2 * ADMIT_WINDOW, "{live}");
+                assert!(full.peak_live > 4 * ADMIT_WINDOW, "{live}");
+            }
+        }
     }
 }

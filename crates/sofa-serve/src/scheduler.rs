@@ -443,8 +443,16 @@ impl ServeSim {
         obs: &mut TraceRecorder,
         cache_stats: &mut CacheStats,
     ) -> ServeReport {
-        assert!(!trace.is_empty(), "cannot serve an empty trace");
         let n = self.cfg.instances;
+        // The whole wait queue is the pick window.
+        let mut adm = Admission::new(
+            &self.cfg,
+            router,
+            trace.into(),
+            n,
+            usize::MAX,
+            obs.is_enabled(),
+        );
         if obs.is_enabled() {
             obs.process_name(PID_REQUESTS, "requests");
             for i in 0..trace.requests.len() {
@@ -460,53 +468,22 @@ impl ServeSim {
                 obs.thread_name(i as u64, TID_SERVE_ENERGY, "serve.energy_pj");
             }
         }
-        let mut adm = Admission::new(&self.cfg, router, trace, n, obs.is_enabled());
-        if obs.is_enabled() {
-            for (i, spec) in trace.requests.iter().enumerate() {
-                let (tid, low, at) = (i as u64, &adm.table[i], spec.arrival_cycle);
-                obs.instant(
-                    PID_REQUESTS,
-                    tid,
-                    "lowered",
-                    at,
-                    &[
-                        ("class", ArgValue::Str(class_name(spec.class))),
-                        ("footprint_bytes", ArgValue::U64(low.footprint)),
-                        ("energy_pj", ArgValue::F64(low.energy_pj)),
-                    ],
-                );
-                if low.rerouted {
-                    obs.instant(
-                        PID_REQUESTS,
-                        tid,
-                        "reroute",
-                        at,
-                        &[("to", ArgValue::Str("energy-leanest"))],
-                    );
-                }
-                // With a retry policy a first-attempt shed is not final:
-                // the admission core buffers shed-retry/retry/shed instants
-                // and they are emitted post-run instead.
-                if !low.admit && self.cfg.retry.is_none() {
-                    obs.instant(
-                        PID_REQUESTS,
-                        tid,
-                        "shed",
-                        at,
-                        &[("energy_pj", ArgValue::F64(low.energy_pj))],
-                    );
-                }
-            }
-        }
+        // Each request's "lowered" instant precedes the run's counter
+        // samples in the trace, but a request is lowered only when it
+        // arrives: the loop records into its own buffer, absorbed after the
+        // instants.
+        let mut run_obs = obs.fork();
 
         let mut msim = MultiPipelineSim::new(&self.cfg.hw, n, self.cfg.sim);
         if obs.is_enabled() {
             msim.enable_tracing();
         }
         let mut energy_pj = vec![0.0; n];
-        let mut placed_on = vec![usize::MAX; trace.len()];
-        let mut admitted_at = vec![u64::MAX; trace.len()];
-        let mut completed_at = vec![u64::MAX; trace.len()];
+        // The served requests' records in admission order, each with its
+        // slab key, and per request the position of its record.
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(trace.len());
+        let mut keys: Vec<usize> = Vec::with_capacity(trace.len());
+        let mut record_of = vec![u32::MAX; trace.len()];
         let mut shed: Vec<ShedRecord> = Vec::new();
         let budget = self.cfg.admit_buffer_bytes;
 
@@ -514,6 +491,7 @@ impl ServeSim {
             // Completions at the same cycle free capacity before any
             // admission decision, so simulation events win ties.
             let event = msim.next_event_time();
+            let obs = &mut run_obs;
             let now = if let Some((now, req, arrival)) = adm.next_external(event) {
                 match arrival {
                     Arrival::Queued => sample_waiting(obs, now, adm.waiting()),
@@ -536,8 +514,9 @@ impl ServeSim {
                     continue;
                 };
                 let (req, inst) = (done.request as usize, done.instance);
-                completed_at[req] = step.time;
-                if let Some(level) = adm.complete(inst, req, step.time) {
+                let at = record_of[req] as usize;
+                records[at].completed = step.time;
+                if let Some(level) = adm.complete(inst, keys[at], step.time).level {
                     if obs.is_enabled() {
                         obs.counter(
                             PID_SCHEDULER,
@@ -553,13 +532,28 @@ impl ServeSim {
             } else {
                 break;
             };
-            // The whole wait queue is the pick window.
+            // The simulator tags each job with its request id.
             let place = |b: &Bookings, _, fp| b.place(0..n, fp, budget);
-            adm.admit(now, usize::MAX, place, |a| {
-                msim.submit(a.slot, a.req as u64, &a.low.job, now);
-                energy_pj[a.slot] += a.low.energy_pj;
-                placed_on[a.req] = a.slot;
-                admitted_at[a.req] = now;
+            adm.admit(now, place, |a| {
+                let (req, low) = (a.req, &a.req.low);
+                msim.submit(a.slot, req.seq as u64, &low.job, now);
+                energy_pj[a.slot] += low.energy_pj;
+                record_of[req.seq] =
+                    u32::try_from(records.len()).expect("fewer than 2^32 requests");
+                keys.push(a.key);
+                records.push(RequestRecord {
+                    id: req.seq as u64,
+                    class: req.spec.class,
+                    instance: a.slot,
+                    arrival: req.arrival,
+                    admitted: now,
+                    completed: u64::MAX,
+                    footprint_bytes: low.footprint,
+                    energy_pj: low.energy_pj,
+                    rerouted: low.rerouted,
+                    decayed: req.decayed,
+                    retries: req.attempts,
+                });
                 sample_waiting(obs, now, a.waiting);
                 sample_booked(obs, now, a.slot, a.booked);
                 if obs.is_enabled() {
@@ -573,9 +567,48 @@ impl ServeSim {
                 }
             });
         }
+        assert!(
+            records.iter().all(|r| r.completed != u64::MAX),
+            "every admitted request must complete"
+        );
 
-        let table = &adm.table;
-        if let Some(events) = &adm.events {
+        if let (Some(first), Some(events)) = (&adm.first, &adm.events) {
+            for (i, (spec, low)) in trace.requests.iter().zip(first).enumerate() {
+                let (tid, at) = (i as u64, spec.arrival_cycle);
+                obs.instant(
+                    PID_REQUESTS,
+                    tid,
+                    "lowered",
+                    at,
+                    &[
+                        ("class", ArgValue::Str(class_name(spec.class))),
+                        ("footprint_bytes", ArgValue::U64(low.footprint)),
+                        ("energy_pj", ArgValue::F64(low.energy_pj)),
+                    ],
+                );
+                if low.rerouted {
+                    obs.instant(
+                        PID_REQUESTS,
+                        tid,
+                        "reroute",
+                        at,
+                        &[("to", ArgValue::Str("energy-leanest"))],
+                    );
+                }
+                // With a retry policy a first-attempt shed is not final:
+                // the admission core buffers shed-retry/retry/shed instants
+                // and they are emitted with the lifecycle spans instead.
+                if !low.admit && self.cfg.retry.is_none() {
+                    obs.instant(
+                        PID_REQUESTS,
+                        tid,
+                        "shed",
+                        at,
+                        &[("energy_pj", ArgValue::F64(low.energy_pj))],
+                    );
+                }
+            }
+            obs.absorb(run_obs);
             // Lifecycle spans are emitted once placement and completion are
             // known; walking the requests in id order keeps every per-request
             // track's timestamps (lowered -> queued -> execute) sorted. The
@@ -587,18 +620,17 @@ impl ServeSim {
                 per_req[ev.req].push((ev.ts, ev.kind));
             }
             for (i, spec) in trace.requests.iter().enumerate() {
-                let (tid, arrival) = (i as u64, table.arrival[i]);
+                let tid = i as u64;
                 let events = &per_req[i];
-                if !table[i].admit {
+                let Some(r) = records.get(record_of[i] as usize) else {
                     for &(ts, kind) in events {
                         adaptive_instant(obs, tid, ts, kind);
                     }
                     continue;
-                }
-                let admitted = admitted_at[i];
+                };
                 // Retry instants precede the (effective) arrival; decay and
                 // feedback instants land between arrival and admission.
-                let split = events.partition_point(|&(ts, _)| ts <= arrival);
+                let split = events.partition_point(|&(ts, _)| ts <= r.arrival);
                 for &(ts, kind) in &events[..split] {
                     adaptive_instant(obs, tid, ts, kind);
                 }
@@ -606,8 +638,8 @@ impl ServeSim {
                     PID_REQUESTS,
                     tid,
                     "queued",
-                    arrival,
-                    admitted - arrival,
+                    r.arrival,
+                    r.admitted - r.arrival,
                     &[("class", ArgValue::Str(class_name(spec.class)))],
                 );
                 for &(ts, kind) in &events[split..] {
@@ -617,39 +649,17 @@ impl ServeSim {
                     PID_REQUESTS,
                     tid,
                     "execute",
-                    admitted,
-                    completed_at[i] - admitted,
-                    &[("instance", ArgValue::U64(placed_on[i] as u64))],
+                    r.admitted,
+                    r.completed - r.admitted,
+                    &[("instance", ArgValue::U64(r.instance as u64))],
                 );
             }
         }
 
-        let records: Vec<RequestRecord> = (0..trace.len())
-            .filter(|&i| table[i].admit)
-            .map(|i| {
-                assert!(
-                    completed_at[i] != u64::MAX,
-                    "every admitted request must complete"
-                );
-                let low = &table[i];
-                RequestRecord {
-                    id: i as u64,
-                    class: trace.requests[i].class,
-                    instance: placed_on[i],
-                    arrival: table.arrival[i],
-                    admitted: admitted_at[i],
-                    completed: completed_at[i],
-                    footprint_bytes: low.footprint,
-                    energy_pj: low.energy_pj,
-                    rerouted: low.rerouted,
-                    decayed: adm.decayed(i),
-                    retries: adm.attempts(i),
-                }
-            })
-            .collect();
+        records.sort_unstable_by_key(|r| r.id);
         let retried = adm.retried;
-        let (peak_inflight_bytes, stats) = adm.finish();
-        *cache_stats = stats;
+        let done = adm.finish();
+        *cache_stats = done.stats;
         let multi = msim.report();
         obs.absorb(msim.take_trace());
         let latency = ServeReport::sketch_latencies(&records);
@@ -659,7 +669,7 @@ impl ServeSim {
             total_cycles: multi.total_cycles,
             multi,
             budget_bytes: self.cfg.admit_buffer_bytes,
-            peak_inflight_bytes,
+            peak_inflight_bytes: done.peaks,
             energy_pj_per_instance: energy_pj,
             retried,
             latency,

@@ -236,3 +236,37 @@ fn experiments_md_matches_the_generated_catalogue() {
         "cargo run --release -p sofa-harness --bin harness -- list --markdown > docs/EXPERIMENTS.md",
     );
 }
+
+#[test]
+fn the_fleet_heap_gate_fails_on_zero_readings() {
+    // In a process without the counting allocator both readings are 0; a
+    // gate that passed then would gate nothing.
+    let spec = spec("perf_fleet_mega");
+    let heap = spec
+        .predicates
+        .iter()
+        .find(|p| matches!(p, Predicate::Dominance { subject, .. } if subject[0] == "peak_heap_bytes_1m"))
+        .expect("perf_fleet_mega gates the streamed run's peak heap");
+    let verdict = |at_1m: f64, at_100k: f64| {
+        let out = sofa_bench::ExperimentOutput::default()
+            .with_scalar("peak_heap_bytes_1m", at_1m)
+            .with_scalar("peak_heap_bytes_100k", at_100k);
+        let rerun = |_: Option<usize>| -> Result<sofa_bench::ExperimentOutput, String> {
+            panic!("the heap gate reads scalars only")
+        };
+        let ctx = EvalContext {
+            output: &out,
+            rerun: &rerun,
+            golden_root: &root(),
+            update_golden: false,
+        };
+        matches!(evaluate(heap, &ctx), Verdict::Pass(_))
+    };
+    assert!(!verdict(0.0, 0.0), "zero readings must fail");
+    assert!(verdict(278_192.0, 271_408.0));
+    assert!(verdict(1.09e6, 1.0e6));
+    assert!(
+        !verdict(1.11e6, 1.0e6),
+        "a 1M run may hold at most 1.1x the 100k run"
+    );
+}
