@@ -27,15 +27,15 @@ pub struct AcceleratorRecord {
     /// prediction overhead).
     pub saved_computation: f64,
     /// Technology node in nm.
-    pub tech_nm: f64,
+    pub(crate) tech_nm: f64,
     /// Clock frequency in Hz.
-    pub freq_hz: f64,
+    pub(crate) freq_hz: f64,
     /// Core area in mm² at the native node.
-    pub area_mm2: f64,
+    pub(crate) area_mm2: f64,
     /// Core power in watts at the native node.
-    pub core_power_w: f64,
+    pub(crate) core_power_w: f64,
     /// IO/DRAM power in watts (0 when not reported).
-    pub io_power_w: f64,
+    pub(crate) io_power_w: f64,
     /// Effective throughput in GOPS at the native node.
     pub throughput_gops: f64,
     /// Whether the accelerator coordinates optimisation across stages
@@ -46,11 +46,6 @@ pub struct AcceleratorRecord {
 }
 
 impl AcceleratorRecord {
-    /// Core energy efficiency at the native node (GOPS/W).
-    pub fn core_energy_efficiency(&self) -> f64 {
-        self.throughput_gops / self.core_power_w
-    }
-
     /// Device (core + IO) energy efficiency at the native node (GOPS/W);
     /// falls back to the core-only number when IO power is not reported.
     pub fn device_energy_efficiency(&self) -> f64 {
@@ -59,7 +54,7 @@ impl AcceleratorRecord {
     }
 
     /// Throughput scaled to 28 nm (frequency scales with 1/s).
-    pub fn throughput_gops_28nm(&self) -> f64 {
+    pub(crate) fn throughput_gops_28nm(&self) -> f64 {
         let scale = scale_freq_to_28nm(self.freq_hz, self.tech_nm) / self.freq_hz;
         self.throughput_gops * scale
     }
@@ -88,7 +83,7 @@ impl AcceleratorRecord {
 
     /// Approximate number of multipliers in the native design, used by the
     /// latency normalisation (FACT: 512, others estimated from area).
-    pub fn native_multipliers(&self) -> usize {
+    pub(crate) fn native_multipliers(&self) -> usize {
         match self.name {
             "FACT" => 512,
             "Sanger" => 1024,
@@ -231,14 +226,13 @@ pub fn sota_accelerators() -> Vec<AcceleratorRecord> {
     ]
 }
 
-/// Looks up one accelerator by name.
-pub fn find(name: &str) -> Option<AcceleratorRecord> {
-    sota_accelerators().into_iter().find(|a| a.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn find(name: &str) -> Option<AcceleratorRecord> {
+        sota_accelerators().into_iter().find(|a| a.name == name)
+    }
 
     #[test]
     fn table_has_nine_rows_including_sofa() {
@@ -275,7 +269,7 @@ mod tests {
         let eff = sofa.device_energy_efficiency();
         assert!((eff - 7183.0).abs() / 7183.0 < 0.01, "got {eff}");
         // Core-only: 25708 GOPS/W.
-        assert!((sofa.core_energy_efficiency() - 25708.0).abs() / 25708.0 < 0.01);
+        assert!((sofa.throughput_gops / sofa.core_power_w - 25708.0).abs() / 25708.0 < 0.01);
     }
 
     #[test]

@@ -24,29 +24,21 @@ pub enum DevicePlatform {
 pub struct SoftwareStack {
     /// Low-complexity prediction + SADS software (token pruning the platform
     /// can partially exploit).
-    pub software: bool,
+    pub(crate) software: bool,
     /// A DLZS engine attached to the platform (hardware ablation of Fig. 21).
-    pub dlzs_engine: bool,
+    pub(crate) dlzs_engine: bool,
     /// A SADS engine attached.
-    pub sads_engine: bool,
+    pub(crate) sads_engine: bool,
     /// An SU-FA engine attached.
-    pub sufa_engine: bool,
+    pub(crate) sufa_engine: bool,
     /// A RASS scheduling unit attached.
-    pub rass_unit: bool,
+    pub(crate) rass_unit: bool,
 }
 
 impl SoftwareStack {
     /// Dense execution: nothing from SOFA.
     pub fn dense() -> Self {
         SoftwareStack::default()
-    }
-
-    /// Software-only SOFA (what a GPU/TPU can run today).
-    pub fn software_only() -> Self {
-        SoftwareStack {
-            software: true,
-            ..Self::default()
-        }
     }
 
     /// The full stack (software plus every engine) — this is the SOFA ASIC.
@@ -74,7 +66,7 @@ pub struct GpuModel {
     /// overheads, softmax, reshapes).
     pub attention_utilization: f64,
     /// Dynamic power draw under the attention workload, in watts.
-    pub dynamic_power_w: f64,
+    pub(crate) dynamic_power_w: f64,
 }
 
 impl GpuModel {
@@ -165,12 +157,12 @@ impl GpuModel {
     }
 
     /// Execution time with a given SOFA stack deployed.
-    pub fn attention_time_s(&self, task: &AttentionTask, stack: &SoftwareStack) -> f64 {
+    pub(crate) fn attention_time_s(&self, task: &AttentionTask, stack: &SoftwareStack) -> f64 {
         self.dense_attention_time_s(task) / self.speedup(stack)
     }
 
     /// Effective throughput in GOPS (dense-equivalent ops per second).
-    pub fn effective_gops(&self, task: &AttentionTask, stack: &SoftwareStack) -> f64 {
+    pub(crate) fn effective_gops(&self, task: &AttentionTask, stack: &SoftwareStack) -> f64 {
         task.dense_equivalent_ops() / self.attention_time_s(task, stack) / 1e9
     }
 
@@ -197,6 +189,14 @@ impl GpuModel {
 mod tests {
     use super::*;
 
+    /// Software-only SOFA: what a GPU/TPU can run today.
+    fn software_only() -> SoftwareStack {
+        SoftwareStack {
+            software: true,
+            ..SoftwareStack::default()
+        }
+    }
+
     fn task() -> AttentionTask {
         AttentionTask::new(128, 4096, 4096, 32, 0.2, 16)
     }
@@ -220,8 +220,8 @@ mod tests {
 
     #[test]
     fn software_only_speedups_match_paper() {
-        let gpu = GpuModel::a100().speedup(&SoftwareStack::software_only());
-        let tpu = GpuModel::tpu().speedup(&SoftwareStack::software_only());
+        let gpu = GpuModel::a100().speedup(&software_only());
+        let tpu = GpuModel::tpu().speedup(&software_only());
         assert!((gpu - 3.16).abs() < 0.01);
         assert!((tpu - 2.95).abs() < 0.01);
         assert_eq!(GpuModel::a100().speedup(&SoftwareStack::dense()), 1.0);
@@ -242,10 +242,10 @@ mod tests {
         let gpu = GpuModel::a100();
         let t = task();
         let dense = gpu.attention_time_s(&t, &SoftwareStack::dense());
-        let sw = gpu.attention_time_s(&t, &SoftwareStack::software_only());
+        let sw = gpu.attention_time_s(&t, &software_only());
         assert!(sw < dense);
         assert!(
-            gpu.energy_efficiency_gops_w(&t, &SoftwareStack::software_only())
+            gpu.energy_efficiency_gops_w(&t, &software_only())
                 > gpu.energy_efficiency_gops_w(&t, &SoftwareStack::dense())
         );
     }

@@ -9,6 +9,3 @@
 
 pub mod accelerators;
 pub mod gpu;
-
-pub use accelerators::{sota_accelerators, AcceleratorRecord, Sparsity};
-pub use gpu::{DevicePlatform, GpuModel, SoftwareStack};

@@ -47,7 +47,7 @@ fn small_workload(seed: u64) -> AttentionWorkload {
 // ---------------------------------------------------------------------------
 
 /// Fig. 1 — memory-footprint and computation breakdown for long sequences.
-pub fn fig01_breakdown() -> Table {
+pub(crate) fn fig01_breakdown() -> Table {
     let mut t = Table::new(
         "Fig.1  Memory & computation breakdown (QKV / Attention / FFN)",
         &[
@@ -88,7 +88,7 @@ pub fn fig01_breakdown() -> Table {
 
 /// Fig. 3 — memory-access-time ratio of whole-row dynamic-sparsity
 /// accelerators (FACT / Energon style, 2 MB SRAM) versus token parallelism.
-pub fn fig03_mat() -> Table {
+pub(crate) fn fig03_mat() -> Table {
     let mut t = Table::new(
         "Fig.3  MAT ratio of whole-row accelerators vs. parallelism (2MB SRAM)",
         &["model", "seq_len", "parallelism", "MAT ratio", "DRAM MB"],
@@ -124,7 +124,7 @@ pub fn fig03_mat() -> Table {
 
 /// Fig. 4 — operational intensity of QKV / MHA / FFN and its growth with token
 /// parallelism.
-pub fn fig04_oi() -> Table {
+pub(crate) fn fig04_oi() -> Table {
     let mut t = Table::new(
         "Fig.4  Operational intensity (normalised to FFN) and OI vs parallelism",
         &[
@@ -160,7 +160,7 @@ pub fn fig04_oi() -> Table {
 
 /// Fig. 5 — extra exponentiations/comparisons of FlashAttention-2 relative to
 /// the vanilla (un-tiled) softmax, and its growth with S and the tile count.
-pub fn fig05_fa2_overhead() -> Table {
+pub(crate) fn fig05_fa2_overhead() -> Table {
     let mut t = Table::new(
         "Fig.5  FA-2 overhead vs vanilla attention",
         &[
@@ -209,7 +209,7 @@ pub fn fig05_fa2_overhead() -> Table {
 
 /// Fig. 8 — measured proportions of the three attention-score distribution
 /// types across models.
-pub fn fig08_distribution() -> Table {
+pub(crate) fn fig08_distribution() -> Table {
     let mut t = Table::new(
         "Fig.8  Attention score distribution type mixture",
         &["model", "Type-I", "Type-II", "Type-III"],
@@ -230,7 +230,7 @@ pub fn fig08_distribution() -> Table {
 
 /// Fig. 16 — latency breakdown (QKV / attention / FFN) and attention
 /// memory-access / energy share on the GPU for growing models.
-pub fn fig16_latency_breakdown() -> Table {
+pub(crate) fn fig16_latency_breakdown() -> Table {
     let mut t = Table::new(
         "Fig.16  GPU latency breakdown and attention shares",
         &[
@@ -289,7 +289,7 @@ pub fn fig16_latency_breakdown() -> Table {
 
 /// Fig. 17 — normalized complexity of the ablation
 /// 4-bit+full-sort+FA-2 → DLZS → +SADS → +SU-FA.
-pub fn fig17_complexity_ablation() -> Table {
+pub(crate) fn fig17_complexity_ablation() -> Table {
     let mut t = Table::new(
         "Fig.17  Complexity ablation (normalised to the 4-bit + full-sort + FA-2 baseline)",
         &["configuration", "normalised complexity", "reduction"],
@@ -334,7 +334,7 @@ pub fn fig17_complexity_ablation() -> Table {
 
 /// Fig. 18 — computation reduction of the LP mechanism on the 20-benchmark
 /// suite at 0 % / 1 % / 2 % loss budgets.
-pub fn fig18_lp_reduction() -> Table {
+pub(crate) fn fig18_lp_reduction() -> Table {
     let mut t = Table::new(
         "Fig.18  LP computation reduction per benchmark (Atten / QKV+Atten)",
         &["benchmark", "loss 0%", "loss 1%", "loss 2%"],
@@ -367,7 +367,7 @@ pub fn fig18_lp_reduction() -> Table {
 }
 
 /// Ablation — SU-FA ascending vs descending updating order (paper §III-C).
-pub fn ablation_sufa_order() -> Table {
+pub(crate) fn ablation_sufa_order() -> Table {
     let mut t = Table::new(
         "Ablation  SU-FA update order (descending vs ascending vs FA-2)",
         &["scheme", "exp ops", "mul ops", "normalised complexity"],
@@ -410,7 +410,7 @@ pub fn ablation_sufa_order() -> Table {
 }
 
 /// Ablation — RASS KV fetch reduction versus the naive schedule.
-pub fn ablation_rass() -> Table {
+pub(crate) fn ablation_rass() -> Table {
     let mut t = Table::new(
         "Ablation  RASS vs naive KV scheduling",
         &[
@@ -449,7 +449,7 @@ pub fn ablation_rass() -> Table {
 }
 
 /// Ablation — DSE convergence: Bayesian optimisation vs random search.
-pub fn ablation_dse() -> Table {
+pub(crate) fn ablation_dse() -> Table {
     let mut t = Table::new(
         "Ablation  DSE (Bayesian optimisation vs random search)",
         &[
@@ -510,7 +510,7 @@ pub fn ablation_dse() -> Table {
 
 /// Fig. 19 — throughput gain of SOFA over the A100 GPU, and over
 /// LP / LP+FA-1 / LP+FA-2 on the GPU.
-pub fn fig19_throughput() -> Table {
+pub(crate) fn fig19_throughput() -> Table {
     let mut t = Table::new(
         "Fig.19  Throughput gain over dense A100 execution",
         &[
@@ -563,7 +563,7 @@ pub fn fig19_throughput() -> Table {
 
 /// Fig. 20 — memory-access reduction of SOFA and energy-efficiency gain over
 /// the A100 GPU.
-pub fn fig20_memory_energy() -> Table {
+pub(crate) fn fig20_memory_energy() -> Table {
     let mut t = Table::new(
         "Fig.20  Memory access reduction and energy-efficiency gain",
         &["quantity", "value"],
@@ -618,7 +618,7 @@ pub fn fig20_memory_energy() -> Table {
 
 /// Fig. 21 — throughput / efficiency gain breakdown when SOFA's mechanisms are
 /// added to the GPU and the TPU.
-pub fn fig21_gain_breakdown() -> Table {
+pub(crate) fn fig21_gain_breakdown() -> Table {
     let mut t = Table::new(
         "Fig.21  Gain breakdown on GPU / TPU",
         &["step", "GPU cumulative speedup", "TPU cumulative speedup"],
@@ -632,7 +632,7 @@ pub fn fig21_gain_breakdown() -> Table {
 }
 
 /// Table I — qualitative optimisation coverage of the SOTA accelerators.
-pub fn table1_summary() -> Table {
+pub(crate) fn table1_summary() -> Table {
     let mut t = Table::new(
         "Table I  Optimisation coverage of SOTA Transformer accelerators",
         &[
@@ -661,7 +661,7 @@ pub fn table1_summary() -> Table {
 }
 
 /// Table II — quantitative comparison with the SOTA accelerators.
-pub fn table2_comparison() -> Table {
+pub(crate) fn table2_comparison() -> Table {
     let mut t = Table::new(
         "Table II  Comparison with SOTA accelerators (scaled to 28nm / 1.0V)",
         &[
@@ -691,7 +691,7 @@ pub fn table2_comparison() -> Table {
 }
 
 /// Table III — area and power breakdown of the SOFA accelerator.
-pub fn table3_area_power() -> Table {
+pub(crate) fn table3_area_power() -> Table {
     let mut t = Table::new(
         "Table III  SOFA area and power breakdown (TSMC 28nm, 1 GHz)",
         &["module", "area (mm2)", "power (mW)"],
@@ -713,7 +713,7 @@ pub fn table3_area_power() -> Table {
 }
 
 /// Table IV — system power breakdown (core / memory interface / DRAM).
-pub fn table4_power() -> Table {
+pub(crate) fn table4_power() -> Table {
     let mut t = Table::new(
         "Table IV  System power breakdown at 59.8 GB/s",
         &["component", "power (W)"],
@@ -762,7 +762,7 @@ pub fn cycle_sim_tasks() -> Vec<AttentionTask> {
 
 /// Experiment — event-driven cycle-level simulation vs the analytic model:
 /// end-to-end cycles, agreement, and where the time went.
-pub fn sim_cycle_vs_analytic() -> Table {
+pub(crate) fn sim_cycle_vs_analytic() -> Table {
     let mut t = Table::new(
         "Sim  Cycle-level simulation vs analytic model",
         &[
@@ -809,7 +809,7 @@ pub fn sim_cycle_vs_analytic() -> Table {
 /// Experiment — per-stage busy/stall breakdown of one compute-bound and one
 /// memory-bound configuration (the dynamic detail `max(compute, memory)`
 /// cannot express).
-pub fn sim_stall_breakdown() -> Table {
+pub(crate) fn sim_stall_breakdown() -> Table {
     let mut t = Table::new(
         "Sim  Per-stage busy/stall breakdown (cycle-level)",
         &[
@@ -878,7 +878,7 @@ fn serve_config(instances: usize) -> ServeConfig {
 /// Experiment — request latency percentiles, queueing delay and per-instance
 /// utilization of the continuous-batching scheduler across instance counts
 /// and offered loads.
-pub fn serve_throughput_latency() -> Table {
+pub(crate) fn serve_throughput_latency() -> Table {
     let mut t = Table::new(
         "Serve  Continuous batching: latency percentiles vs instances and load",
         &[
@@ -926,7 +926,7 @@ pub fn serve_throughput_latency() -> Table {
 
 /// Experiment — strong scaling of one saturating request stream over 1–4
 /// instances sharing the DRAM channel.
-pub fn serve_scaling() -> Table {
+pub(crate) fn serve_scaling() -> Table {
     let mut t = Table::new(
         "Serve  Strong scaling under a saturating stream (shared DRAM)",
         &[
@@ -979,7 +979,7 @@ pub fn serve_scaling() -> Table {
 /// but never gated or snapshotted. Call it from the main thread — inside a
 /// parallel region the engine degrades to sequential by design and every
 /// speedup would read 1.0x.
-pub fn par_scaling() -> Table {
+pub(crate) fn par_scaling() -> Table {
     let mut t = Table::new(
         "Par  run_batch wall-time vs worker threads (batch of 8 workloads)",
         &["threads", "wall ms", "speedup", "bit-identical"],
@@ -1030,7 +1030,7 @@ pub fn par_scaling() -> Table {
 /// dominant cost of every consumer, and several of them run in one process
 /// (`sofa-bench all`, the golden-report tests), so the result is computed
 /// once and cloned — callers that need a genuinely fresh run (the gate's
-/// determinism check) use [`dse_pareto_report_fresh`].
+/// determinism check) use `dse_pareto_report_fresh`.
 pub fn dse_pareto_report() -> dse::DseReport {
     static REPORT: std::sync::OnceLock<dse::DseReport> = std::sync::OnceLock::new();
     REPORT.get_or_init(dse_pareto_report_fresh).clone()
@@ -1039,7 +1039,7 @@ pub fn dse_pareto_report() -> dse::DseReport {
 /// [`dse_pareto_report`] without the process-wide cache: actually runs the
 /// search. The CI regression gate calls this twice to verify the search is
 /// deterministic — a check the cache would make vacuous.
-pub fn dse_pareto_report_fresh() -> dse::DseReport {
+pub(crate) fn dse_pareto_report_fresh() -> dse::DseReport {
     dse_pareto_search().0
 }
 
@@ -1051,19 +1051,13 @@ fn dse_pareto_search() -> (dse::DseReport, dse::HwAwareEvaluator) {
     (report, evaluator)
 }
 
-/// Experiment — the hardware-aware DSE Pareto front: every non-dominated
-/// `(loss, cycles, energy, area)` operating point next to the paper-default
-/// configuration, with the balanced-scalarization pick marked `tuned` and
-/// the per-class routes marked `route:*`.
-pub fn dse_pareto() -> Table {
-    dse_pareto_from(&dse_pareto_report())
-}
-
-/// [`dse_pareto`] on an already-computed DSE report — the search is the
-/// dominant cost, so callers that have one (the spec harness, which shares
-/// one report across the table and its gate metrics) should not pay for it
-/// again.
-pub fn dse_pareto_from(r: &dse::DseReport) -> Table {
+/// Experiment — the hardware-aware DSE Pareto front of an already-computed
+/// DSE report: every non-dominated `(loss, cycles, energy, area)` operating
+/// point next to the paper-default configuration, with the
+/// balanced-scalarization pick marked `tuned` and the per-class routes
+/// marked `route:*`. The search is the dominant cost, so the spec harness
+/// shares one report across this table and its gate metrics.
+pub(crate) fn dse_pareto_from(r: &dse::DseReport) -> Table {
     let mut t = Table::new(
         "DSE  Hardware-aware Pareto front (loss / cycles / energy / area)",
         &[
@@ -1171,15 +1165,9 @@ const SERVE_OP_HEADERS: [&str; 11] = [
 ];
 
 /// Experiment — the DSE loop closed end to end: the same serving trace run
-/// at the paper-default operating point and at the tuned point the
-/// hardware-aware search recommends, side by side.
-pub fn dse_serve_ab() -> Table {
-    dse_serve_ab_from(&dse_pareto_report())
-}
-
-/// [`dse_serve_ab`] on an already-computed DSE report (same rationale as
-/// [`dse_pareto_from`]).
-pub fn dse_serve_ab_from(report: &dse::DseReport) -> Table {
+/// at the paper-default operating point and at the tuned point `report`
+/// recommends, side by side.
+pub(crate) fn dse_serve_ab_from(report: &dse::DseReport) -> Table {
     let mut t = Table::new(
         "DSE  Serving A/B: paper-default vs DSE-tuned operating point",
         &SERVE_OP_HEADERS,
@@ -1198,11 +1186,11 @@ pub fn dse_serve_ab_from(report: &dse::DseReport) -> Table {
 /// tuned point, per-request Pareto routing, and Pareto routing under a
 /// ¾-of-default energy budget. Deterministic and bit-identical at any
 /// `SOFA_THREADS`.
-pub fn serve_routed_study() -> RoutedServeStudy {
+pub(crate) fn serve_routed_study() -> RoutedServeStudy {
     serve_routed_study_from(&dse_pareto_report())
 }
 
-/// [`serve_routed_study`] on an already-computed DSE report — the search is
+/// `serve_routed_study` on an already-computed DSE report — the search is
 /// the dominant cost, so callers that have one (the CI regression gate runs
 /// it for gate 3) should not pay for it again.
 pub fn serve_routed_study_from(report: &dse::DseReport) -> RoutedServeStudy {
@@ -1210,18 +1198,14 @@ pub fn serve_routed_study_from(report: &dse::DseReport) -> RoutedServeStudy {
     ServeSim::new(dse_serve_config()).run_routed_study(&trace, report)
 }
 
-/// Experiment — per-request operating points: paper-default vs single-point
-/// tuned vs Pareto-routed (latency-lean decodes, energy-lean prefills) vs
+/// Experiment — per-request operating points: renders a routed-serving
+/// study as the `serve_routed` table, paper-default vs single-point tuned vs
+/// Pareto-routed (latency-lean decodes, energy-lean prefills) vs
 /// budget-constrained routing, on the same mixed trace. The routed row must
-/// strictly dominate the paper default on (p95, J/req) — CI gate 4.
-pub fn serve_routed() -> Table {
-    serve_routed_table(&serve_routed_study())
-}
-
-/// Renders an already-computed routed-serving study as the `serve_routed`
-/// table — the spec harness computes the study once and derives both the
-/// table and the gate metrics from it.
-pub fn serve_routed_table(study: &RoutedServeStudy) -> Table {
+/// strictly dominate the paper default on (p95, J/req) — CI gate 4. The
+/// spec harness computes the study once and derives both the table and the
+/// gate metrics from it.
+pub(crate) fn serve_routed_table(study: &RoutedServeStudy) -> Table {
     let mut t = Table::new(
         "Serve  Routed operating points: default vs tuned vs Pareto-routed",
         &SERVE_OP_HEADERS,
@@ -1266,7 +1250,7 @@ fn serve_adaptive_config() -> ServeConfig {
 /// (one decode service time at the routed point), client retries shrinking
 /// keep 4× per attempt on a 300k-cycle backoff, feedback targeting a
 /// 500k-cycle completion latency with a queue bar of 4.
-pub fn serve_adaptive_controller() -> AdaptiveServeConfig {
+pub(crate) fn serve_adaptive_controller() -> AdaptiveServeConfig {
     AdaptiveServeConfig {
         decay_threshold: 300_000,
         retry: RetryPolicy {
@@ -1283,17 +1267,11 @@ pub fn serve_adaptive_controller() -> AdaptiveServeConfig {
     }
 }
 
-/// The pinned adaptive-serving study shared by the `serve_adaptive`
+/// The pinned adaptive-serving study behind the `serve_adaptive`
 /// experiment, its golden snapshot and CI regression gate 7: the overload
 /// trace under static budgeted Pareto routing vs the closed-loop controller
-/// (decay + measured-state feedback + shed/retry). Deterministic and
-/// bit-identical at any `SOFA_THREADS`.
-pub fn serve_adaptive_study() -> AdaptiveServeStudy {
-    serve_adaptive_study_from(&dse_pareto_report())
-}
-
-/// [`serve_adaptive_study`] on an already-computed DSE report — the search
-/// is the dominant cost, so the CI regression gate reuses gate 3's report.
+/// (decay + measured-state feedback + shed/retry), on an already-computed
+/// DSE report. Deterministic and bit-identical at any `SOFA_THREADS`.
 pub fn serve_adaptive_study_from(report: &dse::DseReport) -> AdaptiveServeStudy {
     ServeSim::new(serve_adaptive_config()).run_adaptive_study(
         &serve_adaptive_trace(),
@@ -1318,21 +1296,17 @@ const SERVE_ADAPTIVE_HEADERS: [&str; 13] = [
     "retried",
 ];
 
-/// Experiment — closing the control loop: the same overload trace under
-/// static budgeted Pareto routing and under the adaptive controller (live
-/// decay of over-waited requests, measured-state feedback routing,
-/// client-side shed/retry). The adaptive row must strictly dominate the
-/// static row on (p95, shed) within 5% of its J/req — CI gate 7.
-pub fn serve_adaptive() -> Table {
-    let report = dse_pareto_report();
-    let decode_op = report.route(&sofa_model::trace::RequestClass::Decode);
-    serve_adaptive_table(&serve_adaptive_study_from(&report), &decode_op)
-}
-
-/// Renders an already-computed adaptive-serving study as the
-/// `serve_adaptive` table (`decode_op` labels the operating-point column —
-/// the study itself routes per request).
-pub fn serve_adaptive_table(study: &AdaptiveServeStudy, decode_op: &OperatingPoint) -> Table {
+/// Experiment — closing the control loop: renders an adaptive-serving study
+/// as the `serve_adaptive` table, static budgeted Pareto routing against the
+/// adaptive controller (live decay of over-waited requests, measured-state
+/// feedback routing, client-side shed/retry). The adaptive row must strictly
+/// dominate the static row on (p95, shed) within 5% of its J/req — CI gate
+/// 7. `decode_op` labels the operating-point column; the study itself
+/// routes per request.
+pub(crate) fn serve_adaptive_table(
+    study: &AdaptiveServeStudy,
+    decode_op: &OperatingPoint,
+) -> Table {
     let mut t = Table::new(
         "Serve  Adaptive control loop: static Pareto routing vs measured-state routing",
         &SERVE_ADAPTIVE_HEADERS,
@@ -1374,7 +1348,7 @@ fn fleet_trace_config(num_requests: usize, arrivals_per_mcycle: f64, seed: u64) 
 /// single-layer `Bc = 64` deployment point matched to `fleet_trace`'s
 /// request shape, and the fleet defaults (64Ki-cycle epochs, default
 /// fabric).
-pub fn fleet_config(nodes: usize, instances_per_node: usize) -> FleetConfig {
+pub(crate) fn fleet_config(nodes: usize, instances_per_node: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(HwConfig::paper_default(), nodes, instances_per_node);
     cfg.serve.op = OperatingPoint::single(0.25, 64);
     cfg
@@ -1416,7 +1390,7 @@ fn fleet_row(label: &str, report: &FleetReport) -> Vec<String> {
 /// 4-node run with prefill/decode disaggregation. This is the pinned
 /// scenario behind the `serve_fleet` golden snapshot and CI regression
 /// gate 6.
-pub fn serve_fleet() -> Table {
+pub(crate) fn serve_fleet() -> Table {
     let mut t = Table::new(
         "Fleet  Sharded serving: least-booked placement across nodes",
         &FLEET_HEADERS,
@@ -1512,7 +1486,7 @@ pub fn serve_fleet_consistency() -> (FleetReport, ServeReport) {
 /// to end in simulated cycles, with the algorithm-layer (`core.*`) and DSE
 /// (`dse.*`) counters folded into the same metrics registry. Deterministic
 /// and byte-identical at any `SOFA_THREADS`.
-pub fn serve_trace_observed() -> (
+pub(crate) fn serve_trace_observed() -> (
     ServeReport,
     sofa_obs::TraceRecorder,
     sofa_obs::MetricsRegistry,
@@ -1577,6 +1551,16 @@ fn best_wall_seconds<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, result.expect("runs > 0"))
 }
 
+/// Runs `work` and returns its result with the heap allocations made
+/// meanwhile ([`sofa_obs::alloc::allocations`]; reallocations count, and so
+/// do other threads' allocations in the same window). 0 in a process
+/// without the counting allocator.
+fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = sofa_obs::alloc::allocations();
+    let out = work();
+    (out, sofa_obs::alloc::allocations() - before)
+}
+
 /// Experiment — wall time and lowering-cache effectiveness of the
 /// single-node serving scheduler on the pinned routed and adaptive traces
 /// (best of 3 runs each). The reports are bit-identical to the cached
@@ -1589,24 +1573,31 @@ fn best_wall_seconds<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// shapes, so most lowerings must be cache hits), and `routed_misses` /
 /// `adaptive_misses` must equal their `*_pinned` values exactly (the runs
 /// are deterministic, so each miss is a lowering the run had to compute).
+/// So must `routed_allocations` / `adaptive_allocations`, the heap
+/// allocations of one more run of each scenario after the timed ones: a
+/// single-threaded run makes the same allocations every time, and a
+/// process without the counting allocator reads 0, which fails the pin.
 /// `wall_seconds` is only held to a generous `wall_time_budget` so slow CI
 /// machines don't flake.
-pub fn perf_lowering() -> crate::ExperimentOutput {
+pub(crate) fn perf_lowering() -> crate::ExperimentOutput {
     let report = dse_pareto_report();
     let controller = serve_adaptive_controller();
     let mut t = Table::new(
         "Perf  Serving lowering cache: wall time + hit rate (best of 3)",
-        &["scenario", "wall ms", "hits", "misses", "hit rate"],
+        &[
+            "scenario", "wall ms", "hits", "misses", "hit rate", "allocs",
+        ],
     );
     let mut out = crate::ExperimentOutput::default();
     let mut total_wall = 0.0;
-    for (name, cfg, trace, router, pinned_misses) in [
+    for (name, cfg, trace, router, pinned_misses, pinned_allocations) in [
         (
             "routed",
             dse_serve_config(),
             serve_trace(32, 150.0, 29),
             OpRouter::Pareto(&report.pareto),
             5,
+            434u64,
         ),
         (
             "adaptive",
@@ -1614,10 +1605,12 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
             serve_adaptive_trace(),
             OpRouter::Feedback(&report.pareto, &controller.feedback),
             10,
+            941,
         ),
     ] {
         let sim = ServeSim::new(cfg);
         let (wall, (_, stats)) = best_wall_seconds(3, || sim.run_with_cache_stats(&trace, router));
+        let (_, allocations) = allocations_during(|| sim.run_with_cache_stats(&trace, router));
         total_wall += wall;
         t.push([
             name.to_string(),
@@ -1625,11 +1618,17 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
             stats.hits.to_string(),
             stats.misses.to_string(),
             format!("{:.1}%", 100.0 * stats.hit_rate()),
+            allocations.to_string(),
         ]);
         out = out
             .with_scalar(&format!("{name}_hit_rate"), stats.hit_rate())
             .with_scalar(&format!("{name}_misses"), stats.misses as f64)
-            .with_scalar(&format!("{name}_misses_pinned"), f64::from(pinned_misses));
+            .with_scalar(&format!("{name}_misses_pinned"), f64::from(pinned_misses))
+            .with_scalar(&format!("{name}_allocations"), allocations as f64)
+            .with_scalar(
+                &format!("{name}_allocations_pinned"),
+                pinned_allocations as f64,
+            );
     }
     out.tables.push(t);
     out.with_scalar("hit_rate_floor", 0.5)
@@ -1653,16 +1652,18 @@ pub fn perf_lowering() -> crate::ExperimentOutput {
 /// `peak_heap_bytes_100k` and `peak_heap_bytes_1m` are the most heap a
 /// streamed run of the first 100k and of all 1M requests held at once
 /// ([`sofa_obs::alloc::peak_during`]): a run that holds only its live
-/// requests holds about as much at either length. They read 0 in a process
-/// without the counting allocator (the `harness` and `sofa-bench` binaries
-/// install it).
-pub fn perf_fleet_mega() -> crate::ExperimentOutput {
+/// requests holds about as much at either length. `allocations_100k` counts
+/// the heap allocations of the 100k run, which must equal
+/// `allocations_100k_pinned` exactly. All three read 0 in a process without
+/// the counting allocator (the `harness` and `sofa-bench` binaries install
+/// it).
+pub(crate) fn perf_fleet_mega() -> crate::ExperimentOutput {
     let sim = FleetServeSim::new(fleet_config(8, 8));
     let run = |requests| {
         let stream = fleet_trace_config(requests, 400.0, 31).requests();
         sofa_obs::alloc::peak_during(|| sim.run_with_cache_stats(stream, OpRouter::TraceNative))
     };
-    let (_, heap_100k) = run(100_000);
+    let ((_, heap_100k), allocations_100k) = allocations_during(|| run(100_000));
     let (wall, ((report, stats), heap_1m)) = best_wall_seconds(1, || run(1_000_000));
     let (node_events, _, work) = fleet_mega_node_scenario();
     let per_request = |count: u64| count as f64 / NODE_REQUESTS as f64;
@@ -1684,6 +1685,7 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
             "aged/req",
             "heap 100k MB",
             "heap 1M MB",
+            "allocs 100k",
         ],
     );
     let mb = |bytes: u64| format!("{:.2}", bytes as f64 / 1e6);
@@ -1702,6 +1704,7 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         format!("{:.2}", per_request(work.aged_issues)),
         mb(heap_100k),
         mb(heap_1m),
+        allocations_100k.to_string(),
     ]);
     crate::ExperimentOutput::of_tables(vec![t])
         .with_scalar("served", report.served as f64)
@@ -1722,6 +1725,8 @@ pub fn perf_fleet_mega() -> crate::ExperimentOutput {
         )
         .with_scalar("peak_heap_bytes_100k", heap_100k as f64)
         .with_scalar("peak_heap_bytes_1m", heap_1m as f64)
+        .with_scalar("allocations_100k", allocations_100k as f64)
+        .with_scalar("allocations_100k_pinned", 579.0)
         .with_scalar("wall_seconds", wall)
 }
 
@@ -1779,7 +1784,7 @@ fn fleet_mega_node_scenario() -> (u64, usize, CoreWork) {
 /// and `layer_sims` its cycle simulations, pinned to `distinct_layer_points`
 /// (one per distinct `(layer, keep, Bc)` point, however many candidates
 /// share it).
-pub fn perf_dse() -> crate::ExperimentOutput {
+pub(crate) fn perf_dse() -> crate::ExperimentOutput {
     let (wall, (report, evaluator)) = best_wall_seconds(1, dse_pareto_search);
     let proposals = report.evaluations;
     let lowered = report.evaluations - report.evals_saved;
@@ -2006,7 +2011,7 @@ mod tests {
             "at least one tuned config must strictly dominate the paper \
              default on (cycles, energy) at equal-or-better loss"
         );
-        let t = dse_pareto();
+        let t = dse_pareto_from(&r);
         assert_eq!(
             t.rows.len(),
             r.pareto.len() + 1,
@@ -2022,7 +2027,7 @@ mod tests {
 
     #[test]
     fn dse_serve_ab_reports_both_operating_points() {
-        let t = dse_serve_ab();
+        let t = dse_serve_ab_from(&dse_pareto_report());
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0][0], "paper-default");
         assert_eq!(t.rows[1][0], "dse-tuned");
@@ -2055,7 +2060,7 @@ mod tests {
             study.routed.p95(),
             study.tuned.p95(),
         );
-        let t = serve_routed();
+        let t = serve_routed_table(&study);
         assert_eq!(t.rows.len(), 4, "default, tuned, routed, budgeted");
         assert_eq!(t.rows[2][0], "pareto-routed");
         // The budgeted run demonstrates the energy path: every request is
@@ -2074,7 +2079,8 @@ mod tests {
         // the closed-loop controller must strictly beat static budgeted
         // Pareto routing on (p95, shed) while staying within 5% of its
         // J/req — and actually exercise every mechanism it ships.
-        let study = serve_adaptive_study();
+        let report = dse_pareto_report();
+        let study = serve_adaptive_study_from(&report);
         assert!(
             study.adaptive_dominates_static(),
             "adaptive (p95 {}, shed {}, {:.2} uJ/req) must dominate static \
@@ -2102,7 +2108,8 @@ mod tests {
             study.adaptive.rerouted_requests() > study.static_routed.rerouted_requests(),
             "feedback must re-route beyond the budget reroutes"
         );
-        let t = serve_adaptive();
+        let decode_op = report.route(&sofa_model::trace::RequestClass::Decode);
+        let t = serve_adaptive_table(&study, &decode_op);
         assert_eq!(t.rows.len(), 2, "static and adaptive rows");
         assert_eq!(t.rows[0][0], "static-routed");
         assert_eq!(t.rows[1][0], "adaptive");

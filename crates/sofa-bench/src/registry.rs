@@ -55,7 +55,7 @@ impl ExperimentOutput {
     }
 
     /// Adds a series metric (builder style).
-    pub fn with_series(mut self, name: &str, values: Vec<f64>) -> Self {
+    pub(crate) fn with_series(mut self, name: &str, values: Vec<f64>) -> Self {
         self.metrics
             .insert(name.to_string(), MetricValue::Series(values));
         self

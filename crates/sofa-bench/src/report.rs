@@ -8,7 +8,7 @@ pub struct Table {
     /// Table title (printed as a header line).
     pub title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Data rows (already formatted as strings).
     pub rows: Vec<Vec<String>>,
 }
@@ -28,7 +28,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row length does not match the header count.
-    pub fn add_row(&mut self, row: Vec<String>) {
+    pub(crate) fn add_row(&mut self, row: Vec<String>) {
         assert_eq!(
             row.len(),
             self.headers.len(),
@@ -47,7 +47,7 @@ impl Table {
     }
 
     /// Renders the table as column-aligned text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -120,17 +120,17 @@ pub fn tables_to_json(tables: &[Table]) -> String {
 }
 
 /// Formats a float with 3 significant decimals.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// Formats a float as a percentage.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Formats a speed-up factor.
-pub fn times(x: f64) -> String {
+pub(crate) fn times(x: f64) -> String {
     format!("{x:.2}x")
 }
 

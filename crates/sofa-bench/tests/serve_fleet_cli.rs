@@ -30,6 +30,7 @@ fn bad_flags_exit_2_with_one_line() {
             "arrivals_per_mcycle",
         ),
         (&["--requests", "10", "--rate", "-1"], "arrivals_per_mcycle"),
+        (&["--requests", "5", "--rate", "inf"], "arrivals_per_mcycle"),
         (
             &[
                 "--requests",

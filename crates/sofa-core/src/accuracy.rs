@@ -33,7 +33,7 @@ pub struct AccuracyPoint {
     pub loss: f64,
     /// Fraction of attention-stage computation removed relative to dense
     /// (1 − keep_ratio, since the formal stage scales with kept pairs).
-    pub attention_compute_saving: f64,
+    pub(crate) attention_compute_saving: f64,
 }
 
 /// Evaluates the proxy loss of the SOFA pipeline at a specific keep ratio.

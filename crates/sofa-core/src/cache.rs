@@ -49,12 +49,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Merge another snapshot into this one.
-    pub fn absorb(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
 }
 
 /// A deterministic memo table for pure lowering/evaluation functions.
@@ -79,16 +73,6 @@ impl<K: Eq + Hash, V> Default for LoweringCache<K, V> {
 }
 
 impl<K: Eq + Hash, V> LoweringCache<K, V> {
-    /// Number of distinct keys stored.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Effectiveness counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -202,7 +186,6 @@ mod tests {
         }
         assert_eq!(computed, 3);
         assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 3 });
-        assert_eq!(cache.len(), 3);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 

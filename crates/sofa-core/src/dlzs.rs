@@ -30,16 +30,9 @@ pub struct PredictionStats {
     /// Primitive operations executed.
     pub ops: OpCounts,
     /// Bytes of weight data that must be streamed from DRAM.
-    pub weight_bytes: u64,
+    pub(crate) weight_bytes: u64,
     /// Bytes of token/query activations streamed from DRAM.
-    pub activation_bytes: u64,
-}
-
-impl PredictionStats {
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.weight_bytes + self.activation_bytes
-    }
+    pub(crate) activation_bytes: u64,
 }
 
 /// The DLZS predictor with pre-converted `W_k` codes.
@@ -84,19 +77,9 @@ impl DlzsPredictor {
         }
     }
 
-    /// Head dimension of the prepared weights.
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
-    }
-
-    /// Input (embedding) dimension of the prepared weights.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Bytes of DRAM the pre-converted weights occupy (4-bit exponent + sign
     /// packed into 5 bits per weight, as in the paper's storage analysis).
-    pub fn weight_storage_bytes(&self) -> u64 {
+    pub(crate) fn weight_storage_bytes(&self) -> u64 {
         packed_bytes(self.input_dim * self.head_dim, LzCode::storage_bits(8)) as u64
     }
 
@@ -109,7 +92,7 @@ impl DlzsPredictor {
     /// # Panics
     ///
     /// Panics if `x.cols() != input_dim`.
-    pub fn predict_keys(&self, x: &Matrix, stats: &mut PredictionStats) -> Matrix {
+    pub(crate) fn predict_keys(&self, x: &Matrix, stats: &mut PredictionStats) -> Matrix {
         assert_eq!(x.cols(), self.input_dim, "token width mismatch");
         let xq = Quantized::from_matrix(8, x);
         let out_scale = xq.params.scale * self.wk_scale;
@@ -158,7 +141,7 @@ impl DlzsPredictor {
     /// # Panics
     ///
     /// Panics if the head dimensions disagree.
-    pub fn predict_scores(
+    pub(crate) fn predict_scores(
         &self,
         q: &Matrix,
         k_hat: &Matrix,
@@ -237,7 +220,7 @@ fn record_shift_adds(ops: &mut OpCounts, lanes: u64) {
 /// dynamic-sparsity accelerators use in their pre-compute stage). The keys are
 /// assumed to have been produced by an exact 8-bit `X·W_k`, whose cost is also
 /// counted.
-pub fn predict_scores_int4(
+pub(crate) fn predict_scores_int4(
     x: &Matrix,
     wk: &Matrix,
     q: &Matrix,
@@ -276,7 +259,7 @@ pub fn predict_scores_int4(
 
 /// Baseline: the vanilla leading-one/zero scheme that converts *both*
 /// operands of every multiplication on the fly (paper Fig. 7(b) top).
-pub fn predict_scores_vanilla_lz(
+pub(crate) fn predict_scores_vanilla_lz(
     x: &Matrix,
     wk: &Matrix,
     q: &Matrix,
@@ -441,8 +424,6 @@ mod tests {
         let p = DlzsPredictor::prepare(&wk);
         let bytes = p.weight_storage_bytes();
         assert_eq!(bytes, (64 * 32 * 5u64).div_ceil(8));
-        assert_eq!(p.input_dim(), 64);
-        assert_eq!(p.head_dim(), 32);
     }
 
     #[test]
@@ -571,6 +552,5 @@ mod tests {
         let scores = predict_scores_int4(&w.x, &w.wk, &w.q, &mut stats);
         assert_eq!(scores.shape(), (8, 96));
         assert!(stats.ops.mul > 0);
-        assert!(stats.total_bytes() > 0);
     }
 }

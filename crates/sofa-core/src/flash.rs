@@ -25,9 +25,9 @@ pub enum FlashVersion {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashConfig {
     /// Key/value tile size `Bc`.
-    pub tile_size: usize,
+    pub(crate) tile_size: usize,
     /// Formulation to model.
-    pub version: FlashVersion,
+    pub(crate) version: FlashVersion,
 }
 
 impl FlashConfig {

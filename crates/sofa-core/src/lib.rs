@@ -52,8 +52,6 @@ pub use dlzs::DlzsPredictor;
 pub use ops::{OpCounts, OpKind};
 pub use sads::SadsConfig;
 pub use sufa::{sorted_updating_attention, SuFaOrder};
-pub use tiling::TileSelectionStats;
-pub use topk::TopKMask;
 
 /// Errors produced by the SOFA algorithm layer.
 #[derive(Debug, Clone, PartialEq)]

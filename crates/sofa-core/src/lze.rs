@@ -20,46 +20,28 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LzCode {
     /// `true` if the encoded value was negative.
-    pub negative: bool,
+    pub(crate) negative: bool,
     /// MSB position `e = W − LZ(|x|)`; `0` means the value was zero.
     /// For 8-bit inputs `e ∈ 0..=8` (4-bit code), for 16-bit inputs
     /// `e ∈ 0..=16` (5-bit code).
-    pub exponent: u8,
+    pub(crate) exponent: u8,
 }
 
 impl LzCode {
     /// The code for zero.
-    pub const ZERO: LzCode = LzCode {
+    pub(crate) const ZERO: LzCode = LzCode {
         negative: false,
         exponent: 0,
     };
 
     /// Returns `true` if this code represents zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.exponent == 0
-    }
-
-    /// The approximate magnitude `2^(e-1)` this code stands for (0 for zero).
-    pub fn magnitude(&self) -> i64 {
-        if self.exponent == 0 {
-            0
-        } else {
-            1i64 << (self.exponent - 1)
-        }
-    }
-
-    /// The approximate signed value.
-    pub fn value(&self) -> i64 {
-        if self.negative {
-            -self.magnitude()
-        } else {
-            self.magnitude()
-        }
     }
 
     /// Number of storage bits of this code for a `width`-bit source operand:
     /// `ceil(log2(width+1))` exponent bits plus one sign bit.
-    pub fn storage_bits(width: u32) -> u32 {
+    pub(crate) fn storage_bits(width: u32) -> u32 {
         let mut bits = 0;
         while (1u32 << bits) < width + 1 {
             bits += 1;
@@ -92,47 +74,6 @@ pub fn encode(value: i32, width: u32) -> LzCode {
     }
 }
 
-/// Encodes an 8-bit value (the weight/token path of the DLZS engine).
-pub fn encode_i8(value: i8) -> LzCode {
-    encode(value as i32, 8)
-}
-
-/// Encodes a 16-bit value (the Q path of the attention-prediction phase).
-pub fn encode_i16(value: i16) -> LzCode {
-    encode(value as i32, 16)
-}
-
-/// The hardware-style configurable leading-zero encoder: two 8-bit leading
-/// zero counters that work independently in 8-bit mode or are chained in
-/// 16-bit mode (paper Fig. 12, left).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigurableLze {
-    /// Operating width: 8 or 16 bits.
-    pub width: u32,
-}
-
-impl ConfigurableLze {
-    /// Creates an encoder in the given mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 8 or 16.
-    pub fn new(width: u32) -> Self {
-        assert!(width == 8 || width == 16, "only 8- and 16-bit modes exist");
-        ConfigurableLze { width }
-    }
-
-    /// Encodes one value in the configured mode.
-    pub fn encode(&self, value: i32) -> LzCode {
-        encode(value, self.width)
-    }
-
-    /// Encodes a slice of values, returning the codes.
-    pub fn encode_all(&self, values: &[i32]) -> Vec<LzCode> {
-        values.iter().map(|&v| self.encode(v)).collect()
-    }
-}
-
 /// DLZS multiplication: the full-precision operand is shifted by the code's
 /// exponent. `x · y ≈ sign · |x| << (e(y) − 1)`.
 pub fn approx_mul_dlzs(full: i32, code: LzCode) -> i64 {
@@ -162,63 +103,54 @@ pub fn approx_mul_vanilla(a: LzCode, b: LzCode) -> i64 {
     }
 }
 
-/// Mean absolute relative error of an approximate-product function over all
-/// pairs of the provided operand sets (exact zero products are skipped).
-pub fn mean_relative_error<F>(lhs: &[i32], rhs: &[i32], mut approx: F) -> f64
-where
-    F: FnMut(i32, i32) -> i64,
-{
-    let mut total = 0.0;
-    let mut n = 0u64;
-    for &a in lhs {
-        for &b in rhs {
-            let exact = a as i64 * b as i64;
-            if exact == 0 {
-                continue;
-            }
-            let got = approx(a, b);
-            total += ((exact - got).abs() as f64) / (exact.abs() as f64);
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        total / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Mean absolute relative error of an approximate-product function over
+    /// all pairs of the operand sets (exact zero products are skipped).
+    fn mean_relative_error(lhs: &[i32], rhs: &[i32], approx: impl Fn(i32, i32) -> i64) -> f64 {
+        let mut total = 0.0;
+        let mut n = 0u64;
+        for &a in lhs {
+            for &b in rhs {
+                let exact = a as i64 * b as i64;
+                if exact != 0 {
+                    total += ((exact - approx(a, b)).abs() as f64) / (exact.abs() as f64);
+                    n += 1;
+                }
+            }
+        }
+        total / n as f64
+    }
+
     #[test]
     fn encode_zero_and_powers() {
-        assert_eq!(encode_i8(0), LzCode::ZERO);
-        assert!(encode_i8(0).is_zero());
-        assert_eq!(encode_i8(1).exponent, 1);
-        assert_eq!(encode_i8(2).exponent, 2);
-        assert_eq!(encode_i8(64).exponent, 7);
-        assert_eq!(encode_i8(127).exponent, 7);
-        assert_eq!(encode_i8(-128).exponent, 8);
-        assert!(encode_i8(-3).negative);
+        assert_eq!(encode(0, 8), LzCode::ZERO);
+        assert!(encode(0, 8).is_zero());
+        assert_eq!(encode(1, 8).exponent, 1);
+        assert_eq!(encode(2, 8).exponent, 2);
+        assert_eq!(encode(64, 8).exponent, 7);
+        assert_eq!(encode(127, 8).exponent, 7);
+        assert_eq!(encode(-128, 8).exponent, 8);
+        assert!(encode(-3, 8).negative);
     }
 
     #[test]
     fn encode_i16_wide_values() {
-        assert_eq!(encode_i16(255).exponent, 8);
-        assert_eq!(encode_i16(256).exponent, 9);
-        assert_eq!(encode_i16(i16::MAX).exponent, 15);
-        assert_eq!(encode_i16(i16::MIN).exponent, 16);
+        assert_eq!(encode(255, 16).exponent, 8);
+        assert_eq!(encode(256, 16).exponent, 9);
+        assert_eq!(encode(i16::MAX.into(), 16).exponent, 15);
+        assert_eq!(encode(i16::MIN.into(), 16).exponent, 16);
     }
 
     #[test]
     fn code_magnitude_and_value() {
-        let c = encode_i8(-24);
+        // -24 keeps its sign and its leading one: -16 = -(1 << (5 - 1)).
+        let c = encode(-24, 8);
         assert_eq!(c.exponent, 5);
-        assert_eq!(c.magnitude(), 16);
-        assert_eq!(c.value(), -16);
-        assert_eq!(LzCode::ZERO.value(), 0);
+        assert!(c.negative);
+        assert_eq!(LzCode::ZERO.exponent, 0);
     }
 
     #[test]
@@ -233,16 +165,16 @@ mod tests {
     fn paper_worked_example() {
         // 24 × 6 = 144. DLZS: 24 << (e(6)-1) = 24 << 2 = 96.
         // Vanilla: 16 × 4 = 64.
-        let six = encode_i8(6);
+        let six = encode(6, 8);
         assert_eq!(approx_mul_dlzs(24, six), 96);
-        assert_eq!(approx_mul_vanilla(encode_i8(24), six), 64);
+        assert_eq!(approx_mul_vanilla(encode(24, 8), six), 64);
         let exact = 144i64;
         assert!((exact - 96).abs() < (exact - 64).abs(), "DLZS is closer");
     }
 
     #[test]
     fn dlzs_sign_handling() {
-        let c = encode_i8(-6);
+        let c = encode(-6, 8);
         assert_eq!(approx_mul_dlzs(24, c), -96);
         assert_eq!(approx_mul_dlzs(-24, c), 96);
         assert_eq!(approx_mul_dlzs(0, c), 0);
@@ -251,8 +183,8 @@ mod tests {
 
     #[test]
     fn vanilla_sign_and_zero() {
-        assert_eq!(approx_mul_vanilla(encode_i8(-8), encode_i8(8)), -64);
-        assert_eq!(approx_mul_vanilla(LzCode::ZERO, encode_i8(5)), 0);
+        assert_eq!(approx_mul_vanilla(encode(-8, 8), encode(8, 8)), -64);
+        assert_eq!(approx_mul_vanilla(LzCode::ZERO, encode(5, 8)), 0);
     }
 
     #[test]
@@ -269,21 +201,6 @@ mod tests {
         );
         // The paper claims roughly half the error.
         assert!(dlzs_err < 0.75 * vanilla_err);
-    }
-
-    #[test]
-    fn configurable_lze_modes() {
-        let lze8 = ConfigurableLze::new(8);
-        let lze16 = ConfigurableLze::new(16);
-        assert_eq!(lze8.encode(100).exponent, 7);
-        assert_eq!(lze16.encode(1000).exponent, 10);
-        assert_eq!(lze8.encode_all(&[1, 2, 4]).len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "8- and 16-bit")]
-    fn invalid_width_panics() {
-        let _ = ConfigurableLze::new(12);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl OpKind {
     /// multiply (the paper's hardware uses a LUT-based unit) and costs several
     /// multiplications; shifts and comparisons cost about one addition;
     /// division costs roughly a multiplication plus iterations.
-    pub fn weight(self) -> f64 {
+    pub(crate) fn weight(self) -> f64 {
         match self {
             OpKind::Mul => 16.0,
             OpKind::Add => 1.0,
@@ -140,20 +140,10 @@ impl OpCounts {
     }
 
     /// Element-wise sum of two tallies.
-    pub fn combine(&self, other: &OpCounts) -> OpCounts {
+    pub(crate) fn combine(&self, other: &OpCounts) -> OpCounts {
         let mut out = *self;
         for k in OpKind::ALL {
             out.record(k, other.count(k));
-        }
-        out
-    }
-
-    /// Element-wise scaling of a tally (used when one representative tile is
-    /// simulated and the total is extrapolated).
-    pub fn scaled(&self, factor: u64) -> OpCounts {
-        let mut out = OpCounts::new();
-        for k in OpKind::ALL {
-            out.record(k, self.count(k) * factor);
         }
         out
     }
@@ -261,9 +251,6 @@ mod tests {
         let c = a + b;
         assert_eq!(c.mul, 12);
         assert_eq!(c.exp, 1);
-        let d = c.scaled(3);
-        assert_eq!(d.mul, 36);
-        assert_eq!(d.exp, 3);
         a += b;
         assert_eq!(a.mul, 12);
     }

@@ -77,11 +77,11 @@ pub struct PipelineConfig {
     /// SADS adjustive-exchange iterations.
     pub refine_iters: usize,
     /// Pre-compute scheme.
-    pub prediction: PredictionScheme,
+    pub(crate) prediction: PredictionScheme,
     /// Top-k scheme.
-    pub sorting: SortingScheme,
+    pub(crate) sorting: SortingScheme,
     /// Formal-compute scheme.
-    pub formal: FormalScheme,
+    pub(crate) formal: FormalScheme,
 }
 
 impl PipelineConfig {
@@ -217,13 +217,13 @@ impl PipelineResult {
 #[derive(Debug, Clone)]
 pub struct Prediction {
     /// The predicted attention scores.
-    pub scores: Matrix,
+    pub(crate) scores: Matrix,
     /// Operation/traffic statistics of the prediction.
-    pub stats: PredictionStats,
+    pub(crate) stats: PredictionStats,
     /// `K = X·W_k` for every token row, shape `(seq_len, head_dim)`.
-    pub keys: Matrix,
+    pub(crate) keys: Matrix,
     /// `V = X·W_v` for every token row, shape `(seq_len, head_dim)`.
-    pub values: Matrix,
+    pub(crate) values: Matrix,
 }
 
 /// The configurable SOFA pipeline.
@@ -238,11 +238,6 @@ impl SofaPipeline {
         SofaPipeline { cfg }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
     /// This pipeline's schemes (prediction/sorting/formal, SADS tuning) at
     /// one layer of an operating point: the keep ratio and tile size are
     /// swapped for `op`'s, everything else is inherited. This is how a
@@ -252,7 +247,7 @@ impl SofaPipeline {
     /// # Panics
     ///
     /// Panics if `layer` is out of the point's range.
-    pub fn at_layer(&self, op: &OperatingPoint, layer: usize) -> SofaPipeline {
+    pub(crate) fn at_layer(&self, op: &OperatingPoint, layer: usize) -> SofaPipeline {
         let mut cfg = self.cfg;
         cfg.keep_ratio = op.keep(layer);
         cfg.tile_size = op.tile(layer);
@@ -265,7 +260,7 @@ impl SofaPipeline {
     /// [`SofaPipeline::run_layers`]; keeping the two entry points separate
     /// means a layer count that happens to match the batch length can never
     /// silently change what a call computes. Schemes come from this
-    /// pipeline ([`SofaPipeline::at_layer`]).
+    /// pipeline (`SofaPipeline::at_layer`).
     ///
     /// From the results, [`PipelineResult::tile_selection_stats`] and
     /// `sofa_hw::SofaAccelerator::request_descriptors` produce per-request

@@ -27,12 +27,12 @@ use sofa_tensor::Matrix;
 pub struct SadsConfig {
     /// Number of sub-segments `n` a row is divided into (the cross-stage tile
     /// count; `S / n` is the tile width `Bc`).
-    pub segments: usize,
+    pub(crate) segments: usize,
     /// Sphere-search radius as a fraction of the segment's value range:
     /// candidates must lie within `radius_frac · range` of the segment max.
-    pub radius_frac: f64,
+    pub(crate) radius_frac: f64,
     /// Number of adjustive exchange iterations (`DSn` in the paper's Fig. 9).
-    pub refine_iters: usize,
+    pub(crate) refine_iters: usize,
 }
 
 impl SadsConfig {

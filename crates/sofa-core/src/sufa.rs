@@ -33,9 +33,9 @@ pub enum SuFaOrder {
 pub struct SuFaStats {
     /// Number of times the max-ensuring circuit had to correct the running
     /// maximum (i.e. the prediction order was violated).
-    pub max_corrections: u64,
+    pub(crate) max_corrections: u64,
     /// Number of selected Q-K pairs processed.
-    pub pairs_processed: u64,
+    pub(crate) pairs_processed: u64,
 }
 
 /// Computes sparse attention over the keys selected by `mask`, processing them

@@ -19,7 +19,7 @@ pub struct TileSelectionStats {
     /// Context length `S` the tiles partition.
     pub seq_len: usize,
     /// Number of query rows the mask covered.
-    pub queries: usize,
+    pub(crate) queries: usize,
     /// Selected Q-K pairs whose key falls in each tile (summed over queries).
     pub kept_per_tile: Vec<u64>,
     /// Distinct keys in each tile selected by at least one query — the keys

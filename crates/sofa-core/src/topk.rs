@@ -64,13 +64,8 @@ impl TopKMask {
         self.rows.iter().map(|r| r.as_slice())
     }
 
-    /// Predicted argmax index of query `i` (None if the row is empty).
-    pub fn predicted_max(&self, i: usize) -> Option<usize> {
-        self.rows[i].first().copied()
-    }
-
     /// Total number of kept Q-K pairs.
-    pub fn total_kept(&self) -> usize {
+    pub(crate) fn total_kept(&self) -> usize {
         self.rows.iter().map(|r| r.len()).sum()
     }
 
@@ -191,7 +186,6 @@ mod tests {
         assert_eq!(mask.queries(), 2);
         assert_eq!(mask.row(0), &[1, 3]);
         assert_eq!(mask.row(1), &[0, 1]);
-        assert_eq!(mask.predicted_max(0), Some(1));
         assert_eq!(mask.total_kept(), 4);
         assert!((mask.keep_ratio() - 0.5).abs() < 1e-12);
     }

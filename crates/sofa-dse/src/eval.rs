@@ -64,7 +64,7 @@ const AREA_REFERENCE_BC: f64 = 16.0;
 /// Relative-error band within which a cycle simulation counts as agreeing
 /// with the analytic model — the evaluator's fidelity-hit criterion, kept on
 /// one definition with the CI cycle-fidelity gate's tolerance.
-pub const FIDELITY_TOLERANCE: f64 = 0.25;
+pub(crate) const FIDELITY_TOLERANCE: f64 = 0.25;
 
 /// The multi-objective score of one candidate. All four components are
 /// minimised.
@@ -87,12 +87,12 @@ impl MetricVector {
     /// `dse_pareto` table and the CI regression gate: strictly better than
     /// `other` on both cycles and energy at equal-or-better loss (area is
     /// deliberately ignored — a deployment can spend silicon for a win).
-    pub fn beats_on_cycles_energy(&self, other: &MetricVector) -> bool {
+    pub(crate) fn beats_on_cycles_energy(&self, other: &MetricVector) -> bool {
         self.loss <= other.loss && self.cycles < other.cycles && self.energy_pj < other.energy_pj
     }
 
     /// Pareto dominance: no component worse, at least one strictly better.
-    pub fn dominates(&self, other: &MetricVector) -> bool {
+    pub(crate) fn dominates(&self, other: &MetricVector) -> bool {
         let le = self.loss <= other.loss
             && self.cycles <= other.cycles
             && self.energy_pj <= other.energy_pj
@@ -186,7 +186,7 @@ impl EvalConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, value) in [
             ("queries", self.queries),
             ("seq_len", self.seq_len),
@@ -233,7 +233,7 @@ impl HwAwareEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` does not validate ([`EvalConfig::validate`]) or
+    /// Panics if `cfg` does not validate (`EvalConfig::validate`) or
     /// `layers == 0`, before any workload is generated.
     pub fn new(cfg: EvalConfig, layers: usize) -> Self {
         cfg.validate().expect("invalid eval config");
@@ -260,11 +260,6 @@ impl HwAwareEvaluator {
         }
     }
 
-    /// The evaluation setup.
-    pub fn config(&self) -> &EvalConfig {
-        &self.cfg
-    }
-
     /// Per-layer evaluations this evaluator has scored: one per layer of
     /// every candidate scored, whether its layer point was simulated or
     /// answered from the session's memo.
@@ -286,7 +281,7 @@ impl HwAwareEvaluator {
     }
 
     /// How many scored layer evaluations agreed with the analytic model
-    /// within [`FIDELITY_TOLERANCE`] (a memo hit counts its remembered
+    /// within `FIDELITY_TOLERANCE` (a memo hit counts its remembered
     /// verdict).
     pub fn fidelity_hits(&self) -> u64 {
         self.fidelity_hits.load(Ordering::Relaxed)
@@ -527,7 +522,7 @@ impl EvalSession<'_> {
 /// exactly; the SADS sorting network scales with `Bc·log₂Bc` (bitonic
 /// width × depth) and the tile-resident ping-pong banks — modelled as 40 %
 /// of the Memory module — scale linearly with `Bc`.
-pub fn candidate_area_mm2(c: &DseCandidate) -> f64 {
+pub(crate) fn candidate_area_mm2(c: &DseCandidate) -> f64 {
     let area = AreaModel::paper_28nm();
     let bc = c.tile_sizes.iter().copied().max().unwrap_or(16).max(2) as f64;
     let sort_scale = (bc * bc.log2()) / (AREA_REFERENCE_BC * AREA_REFERENCE_BC.log2());

@@ -13,7 +13,7 @@ use sofa_model::OperatingPoint;
 ///   searches may revisit points, and several scalarization profiles share
 ///   probes) collapse to one entry.
 /// * **Dominance** — an entry survives iff no other entry's metric vector
-///   [`dominates`](crate::MetricVector::dominates) it; incomparable ties
+///   `MetricVector::dominates` it; incomparable ties
 ///   (equal vectors on distinct candidates included) all survive.
 /// * **Ordering** — the front is sorted by the total order
 ///   `(loss, cycles, energy, area, keep ratio bits, tile sizes)`, so the
@@ -106,11 +106,6 @@ impl ParetoFront {
     /// API symmetry).
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// The reference (paper-default) metrics the eligibility bar uses.
-    pub fn reference(&self) -> &MetricVector {
-        &self.reference
     }
 
     /// Layer count of the operating points this front routes to.

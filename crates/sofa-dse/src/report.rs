@@ -36,15 +36,15 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalarWeights {
     /// Profile name (used in reports and labels).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Weight of `loss / reference.loss`.
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Weight of `cycles / reference.cycles`.
-    pub cycles: f64,
+    pub(crate) cycles: f64,
     /// Weight of `energy / reference.energy`.
-    pub energy: f64,
+    pub(crate) energy: f64,
     /// Weight of `area / reference.area`.
-    pub area: f64,
+    pub(crate) area: f64,
 }
 
 impl ScalarWeights {
@@ -62,7 +62,7 @@ impl ScalarWeights {
 
     /// The default profile set: balanced plus one profile leaning into each
     /// of accuracy, latency and energy.
-    pub fn profiles() -> Vec<ScalarWeights> {
+    pub(crate) fn profiles() -> Vec<ScalarWeights> {
         vec![
             Self::balanced(),
             ScalarWeights {
@@ -87,7 +87,7 @@ impl ScalarWeights {
     /// (the paper-default evaluation), so the weights act on comparable
     /// magnitudes. The loss reference is floored: near-zero default loss
     /// would otherwise blow the loss term up for every candidate.
-    pub fn scalarize(&self, m: &MetricVector, reference: &MetricVector) -> f64 {
+    pub(crate) fn scalarize(&self, m: &MetricVector, reference: &MetricVector) -> f64 {
         let loss_ref = reference.loss.max(1e-4);
         self.loss * (m.loss / loss_ref)
             + self.cycles * (m.cycles as f64 / reference.cycles.max(1) as f64)

@@ -31,18 +31,6 @@ pub struct DseConfig {
 }
 
 impl DseConfig {
-    /// A small-budget default suitable for tests and examples.
-    pub fn quick(seed: u64) -> Self {
-        DseConfig {
-            alpha: 0.3,
-            beta: 0.3,
-            init_samples: 6,
-            max_iters: 24,
-            acquisition_candidates: 64,
-            seed,
-        }
-    }
-
     /// The per-model α/β settings reported in §V-B.1.
     pub fn paper_weights(model_name: &str, seed: u64) -> Self {
         let (alpha, beta) = match model_name {
@@ -72,13 +60,13 @@ pub struct DseResult {
     /// Objective value of the best candidate.
     pub best_objective: f64,
     /// Best-so-far objective after each evaluation (for convergence plots).
-    pub history: Vec<f64>,
+    pub(crate) history: Vec<f64>,
     /// Number of objective evaluations performed.
     pub evaluations: usize,
 }
 
 /// Combines a measured accuracy-loss term with the analytic penalties.
-pub fn objective(
+pub(crate) fn objective(
     loss: f64,
     candidate: &DseCandidate,
     seq_len: usize,
@@ -174,6 +162,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DseConfig {
+        /// A small search budget for tests.
+        fn quick(seed: u64) -> Self {
+            DseConfig {
+                alpha: 0.3,
+                beta: 0.3,
+                init_samples: 6,
+                max_iters: 24,
+                acquisition_candidates: 64,
+                seed,
+            }
+        }
+    }
 
     /// A synthetic loss surface: prefers keep ratios around 0.25 and tile
     /// sizes around 16.

@@ -16,9 +16,9 @@ pub struct DseSpace {
     pub keep_options: Vec<f64>,
     /// Number of Transformer layers (one tile size and one keep ratio chosen
     /// per layer).
-    pub layers: usize,
+    pub(crate) layers: usize,
     /// Sequence length the penalties are computed against.
-    pub seq_len: usize,
+    pub(crate) seq_len: usize,
 }
 
 impl DseSpace {
@@ -103,7 +103,7 @@ pub struct DseCandidate {
 impl DseCandidate {
     /// A candidate with the same `(keep, Bc)` pair on every layer — the shape
     /// of the paper's layer-shared space, used for probe grids and tests.
-    pub fn uniform(keep_ratio: f64, tile_size: usize, layers: usize) -> Self {
+    pub(crate) fn uniform(keep_ratio: f64, tile_size: usize, layers: usize) -> Self {
         DseCandidate {
             keep_ratios: vec![keep_ratio; layers],
             tile_sizes: vec![tile_size; layers],
@@ -128,7 +128,7 @@ impl DseCandidate {
 
     /// Sorting-cost penalty `L_cmp = Σ (Bcᵢ·kᵢ·S) / Σ (S·kᵢ·S)` — the kept
     /// pairs each layer sorts, weighted by that layer's keep.
-    pub fn penalty_cmp(&self, seq_len: usize) -> f64 {
+    pub(crate) fn penalty_cmp(&self, seq_len: usize) -> f64 {
         if self.tile_sizes.is_empty() {
             return 0.0;
         }
@@ -145,7 +145,7 @@ impl DseCandidate {
     /// Tile-synchronisation penalty `L_exp = Σ (S / Bcᵢ)`, normalised by the
     /// worst case (`layers · S / min_bc = layers · S / 2`) so it is
     /// commensurable with the loss term.
-    pub fn penalty_exp(&self, seq_len: usize) -> f64 {
+    pub(crate) fn penalty_exp(&self, seq_len: usize) -> f64 {
         if self.tile_sizes.is_empty() {
             return 0.0;
         }

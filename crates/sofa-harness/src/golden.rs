@@ -9,7 +9,7 @@ use std::path::Path;
 
 /// The outcome of one golden comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GoldenStatus {
+pub(crate) enum GoldenStatus {
     /// `got` equals the snapshot byte for byte.
     Matches,
     /// Regeneration was requested and the snapshot was rewritten.
@@ -24,13 +24,13 @@ pub enum GoldenStatus {
 
 /// True when the environment requests golden regeneration
 /// (`UPDATE_GOLDEN` set to anything).
-pub fn update_requested() -> bool {
+pub(crate) fn update_requested() -> bool {
     std::env::var_os("UPDATE_GOLDEN").is_some()
 }
 
 /// Compares `got` against the snapshot at `path`; when `update` is true,
 /// rewrites the snapshot (creating parent directories) instead.
-pub fn compare_or_update(path: &Path, got: &str, update: bool) -> GoldenStatus {
+pub(crate) fn compare_or_update(path: &Path, got: &str, update: bool) -> GoldenStatus {
     if update {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {

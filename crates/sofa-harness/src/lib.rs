@@ -26,6 +26,3 @@ pub mod golden;
 pub mod predicate;
 pub mod runner;
 pub mod spec;
-
-pub use runner::{run_specs, RunOptions, RunSummary, SpecResult, SpecStatus};
-pub use spec::{ArtifactSpec, Predicate, Spec, TraceFormat};

@@ -168,7 +168,7 @@ fn run_experiment(
 }
 
 /// Runs one spec.
-pub fn run_spec(spec: &Spec, opts: &RunOptions) -> SpecResult {
+pub(crate) fn run_spec(spec: &Spec, opts: &RunOptions) -> SpecResult {
     let mut result = SpecResult::new(spec);
     let Some(entry) = registry::find(&spec.experiment) else {
         result.artifact_errors.push(format!(
@@ -248,7 +248,7 @@ pub fn run_specs(specs: &[Spec], opts: &RunOptions) -> RunSummary {
 }
 
 /// One spec file as loaded from disk: its path and the parse outcome.
-pub type LoadedSpec = (PathBuf, Result<Spec, String>);
+pub(crate) type LoadedSpec = (PathBuf, Result<Spec, String>);
 
 /// Loads every `*.json` spec in `dir`, sorted by file name (the run
 /// order). Parse failures are returned per file so the caller can report

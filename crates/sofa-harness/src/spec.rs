@@ -34,7 +34,7 @@ pub struct Spec {
     /// Spec name (what `harness run --spec` selects; unique across `specs/`).
     pub name: String,
     /// One-line description for the catalogue and run output.
-    pub about: String,
+    pub(crate) about: String,
     /// Registry key of the experiment to run (`sofa_bench::registry`).
     pub experiment: String,
     /// Gate label used on failure lines (`[gate routing] …`); specs without
@@ -43,16 +43,16 @@ pub struct Spec {
     /// Worker threads the experiment runs under (`sofa_par::with_threads`);
     /// without one it runs at the default `SOFA_THREADS`. Perf specs declare
     /// it so their wall times measure the same work on every host.
-    pub threads: Option<usize>,
+    pub(crate) threads: Option<usize>,
     /// Artifacts to write after the run.
-    pub artifacts: Vec<ArtifactSpec>,
+    pub(crate) artifacts: Vec<ArtifactSpec>,
     /// Gate predicates, evaluated in order.
     pub predicates: Vec<Predicate>,
 }
 
 /// One artifact a spec writes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ArtifactSpec {
+pub(crate) enum ArtifactSpec {
     /// The experiment's tables as one JSON array (the `--json <path>`
     /// convention of the experiment binaries).
     Tables { path: String },
@@ -63,7 +63,7 @@ pub enum ArtifactSpec {
 
 impl ArtifactSpec {
     /// The destination path.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         match self {
             ArtifactSpec::Tables { path } | ArtifactSpec::Text { path, .. } => path,
         }
@@ -131,7 +131,7 @@ pub enum Predicate {
 }
 
 /// Parses one spec file.
-pub fn parse_spec(text: &str) -> Result<Spec, String> {
+pub(crate) fn parse_spec(text: &str) -> Result<Spec, String> {
     let doc = json::parse(text)?;
     spec_from_json(&doc)
 }
@@ -450,7 +450,7 @@ fn predicate_from_json(v: &Json, index: usize) -> Result<Predicate, String> {
 
 impl Predicate {
     /// The spec-file kind string (for run output and the catalogue).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Predicate::Tolerance { .. } => "tolerance",
             Predicate::Dominance { .. } => "dominance",

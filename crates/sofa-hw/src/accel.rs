@@ -173,12 +173,12 @@ impl StageCycles {
     }
 
     /// Sum of all stages (serial execution).
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.prediction + self.sorting + self.kv_generation + self.formal
     }
 
     /// The slowest stage (pipelined steady state).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.prediction
             .max(self.sorting)
             .max(self.kv_generation)
@@ -190,11 +190,11 @@ impl StageCycles {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimReport {
     /// Per-stage compute cycles.
-    pub cycles: StageCycles,
+    pub(crate) cycles: StageCycles,
     /// Total compute cycles after applying (or not) the tiled pipeline.
-    pub total_cycles: f64,
+    pub(crate) total_cycles: f64,
     /// Whether the tiled pipeline was applied.
-    pub pipelined: bool,
+    pub(crate) pipelined: bool,
     /// Off-chip traffic in bytes.
     pub dram_bytes: u64,
     /// Compute-limited time in seconds.
@@ -206,20 +206,10 @@ pub struct SimReport {
     /// Energy breakdown.
     pub energy: EnergyBreakdown,
     /// Dense-equivalent operations of the task.
-    pub effective_ops: f64,
+    pub(crate) effective_ops: f64,
 }
 
 impl SimReport {
-    /// Effective throughput in GOPS (dense-equivalent ops / latency).
-    pub fn throughput_gops(&self) -> f64 {
-        self.effective_ops / self.latency_s / 1e9
-    }
-
-    /// Average power in watts over the run.
-    pub fn average_power_w(&self) -> f64 {
-        self.energy.total_j() / self.latency_s
-    }
-
     /// Effective energy efficiency in GOPS per watt.
     pub fn energy_efficiency_gops_w(&self) -> f64 {
         self.effective_ops / 1e9 / self.energy.total_j()
@@ -560,10 +550,8 @@ mod tests {
         let accel = SofaAccelerator::new(HwConfig::paper_default());
         let r = accel.simulate(&llama_task(128));
         assert!(r.latency_s > 0.0);
-        assert!(r.throughput_gops() > 0.0);
         assert!(r.energy.total_j() > 0.0);
         assert!(r.energy_efficiency_gops_w() > 0.0);
-        assert!(r.average_power_w() > 0.0);
         assert!(r.memory_time_fraction() >= 0.0 && r.memory_time_fraction() <= 1.0);
         assert!(r.pipelined);
         assert!(r.latency_s >= r.compute_time_s.max(r.memory_time_s) - 1e-12);

@@ -48,7 +48,7 @@ impl std::fmt::Display for Module {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Technology node in nm the numbers refer to.
-    pub tech_nm: f64,
+    pub(crate) tech_nm: f64,
 }
 
 impl AreaModel {

@@ -14,23 +14,23 @@ pub struct HwConfig {
     /// Number of queries processed in parallel (PE "lines").
     pub query_parallelism: usize,
     /// DLZS shift-adder array shape: lanes per line.
-    pub dlzs_lanes_per_line: usize,
+    pub(crate) dlzs_lanes_per_line: usize,
     /// Number of SADS sorting cores (one per PE line).
-    pub sort_cores: usize,
+    pub(crate) sort_cores: usize,
     /// New elements each 16→4 bitonic core absorbs per cycle.
-    pub sort_elems_per_cycle: usize,
+    pub(crate) sort_elems_per_cycle: usize,
     /// KV-generation MAC lanes per line (16-bit PEs).
-    pub kvgen_lanes_per_line: usize,
+    pub(crate) kvgen_lanes_per_line: usize,
     /// SU-FA MAC lanes per line across both systolic arrays.
-    pub sufa_lanes_per_line: usize,
+    pub(crate) sufa_lanes_per_line: usize,
     /// Number of EXP units (one per PE line).
     pub exp_units: usize,
     /// Token SRAM capacity in bytes.
     pub token_sram_bytes: usize,
     /// Weight SRAM capacity in bytes.
-    pub weight_sram_bytes: usize,
+    pub(crate) weight_sram_bytes: usize,
     /// Temporary SRAM capacity in bytes.
-    pub temp_sram_bytes: usize,
+    pub(crate) temp_sram_bytes: usize,
     /// Sustained DRAM bandwidth in bytes/second.
     pub dram_bandwidth_bps: f64,
     /// DRAM access energy in pJ per bit. The paper's Table IV implies
@@ -40,7 +40,7 @@ pub struct HwConfig {
     /// Memory-interface (PHY/IO) energy in pJ per bit.
     pub interface_pj_per_bit: f64,
     /// SRAM access energy in pJ per bit.
-    pub sram_pj_per_bit: f64,
+    pub(crate) sram_pj_per_bit: f64,
 }
 
 impl HwConfig {
@@ -83,7 +83,7 @@ impl HwConfig {
     }
 
     /// Total on-chip SRAM in bytes.
-    pub fn total_sram_bytes(&self) -> usize {
+    pub(crate) fn total_sram_bytes(&self) -> usize {
         self.token_sram_bytes + self.weight_sram_bytes + self.temp_sram_bytes
     }
 
@@ -93,7 +93,7 @@ impl HwConfig {
     }
 
     /// Peak MAC throughput of the KV-generation array (MACs per cycle).
-    pub fn kvgen_macs_per_cycle(&self) -> f64 {
+    pub(crate) fn kvgen_macs_per_cycle(&self) -> f64 {
         (self.query_parallelism * self.kvgen_lanes_per_line) as f64
     }
 
@@ -103,7 +103,7 @@ impl HwConfig {
     }
 
     /// Peak sorting throughput (elements absorbed per cycle).
-    pub fn sort_elems_per_cycle_total(&self) -> f64 {
+    pub(crate) fn sort_elems_per_cycle_total(&self) -> f64 {
         (self.sort_cores * self.sort_elems_per_cycle) as f64
     }
 

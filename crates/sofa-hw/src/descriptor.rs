@@ -19,9 +19,9 @@ use sofa_core::tiling::{split_proportional, TileSelectionStats};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileWork {
     /// Tile index along the context dimension.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Keys this tile covers (the last tile may be short).
-    pub keys: usize,
+    pub(crate) keys: usize,
     /// DLZS prediction work for this tile's keys.
     pub dlzs: DlzsWork,
     /// SADS sorting work (scores streamed for this tile).

@@ -25,7 +25,7 @@ pub fn module_power_mw(module: Module) -> f64 {
 }
 
 /// Total core power at full utilisation in watts (Table III: ~0.95 W).
-pub fn total_core_power_w() -> f64 {
+pub(crate) fn total_core_power_w() -> f64 {
     Module::ALL.iter().map(|&m| module_power_mw(m)).sum::<f64>() / 1000.0
 }
 
@@ -39,7 +39,7 @@ pub const DRAM_ACTIVATION_PJ: f64 = 1000.0;
 /// Energy cost in picojoules of one primitive operation at 16-bit precision,
 /// 28 nm (Horowitz-style numbers; shifts and compares are cheap, exp/div are
 /// modelled as multi-cycle LUT+multiply units).
-pub fn op_energy_pj(kind: OpKind) -> f64 {
+pub(crate) fn op_energy_pj(kind: OpKind) -> f64 {
     match kind {
         OpKind::Mul => 1.1,
         OpKind::Add => 0.1,
@@ -64,7 +64,7 @@ pub fn compute_energy_j(ops: &OpCounts) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Datapath (compute) energy in joules.
-    pub compute_j: f64,
+    pub(crate) compute_j: f64,
     /// On-chip SRAM access energy in joules.
     pub sram_j: f64,
     /// Memory-interface (PHY/IO) energy in joules.

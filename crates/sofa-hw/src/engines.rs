@@ -48,7 +48,7 @@ pub struct SuFaWork {
 const FILL_LATENCY: f64 = 64.0;
 
 /// Cycles the DLZS engine needs for the given work.
-pub fn dlzs_cycles(cfg: &HwConfig, work: &DlzsWork) -> f64 {
+pub(crate) fn dlzs_cycles(cfg: &HwConfig, work: &DlzsWork) -> f64 {
     let shift = work.shift_ops as f64 / cfg.dlzs_ops_per_cycle();
     // The LZC array encodes one value per line per cycle.
     let enc = work.lz_encodes as f64 / cfg.query_parallelism as f64;
@@ -56,18 +56,18 @@ pub fn dlzs_cycles(cfg: &HwConfig, work: &DlzsWork) -> f64 {
 }
 
 /// Cycles the SADS engine needs to absorb the given stream of scores.
-pub fn sads_cycles(cfg: &HwConfig, work: &SortWork) -> f64 {
+pub(crate) fn sads_cycles(cfg: &HwConfig, work: &SortWork) -> f64 {
     work.elements as f64 / cfg.sort_elems_per_cycle_total() + FILL_LATENCY
 }
 
 /// Cycles the KV-generation array needs.
-pub fn kvgen_cycles(cfg: &HwConfig, work: &KvGenWork) -> f64 {
+pub(crate) fn kvgen_cycles(cfg: &HwConfig, work: &KvGenWork) -> f64 {
     work.macs as f64 / cfg.kvgen_macs_per_cycle() + FILL_LATENCY
 }
 
 /// Cycles the SU-FA engine needs: the systolic arrays and the EXP/DIV units
 /// operate in parallel, so the slower of the two limits throughput.
-pub fn sufa_cycles(cfg: &HwConfig, work: &SuFaWork) -> f64 {
+pub(crate) fn sufa_cycles(cfg: &HwConfig, work: &SuFaWork) -> f64 {
     let mac_cycles = work.macs as f64 / cfg.sufa_macs_per_cycle();
     let exp_cycles = (work.exps + work.divs) as f64 / cfg.exp_units as f64;
     mac_cycles.max(exp_cycles) + FILL_LATENCY

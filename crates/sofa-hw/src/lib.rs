@@ -39,7 +39,3 @@ pub mod energy;
 pub mod engines;
 pub mod mem;
 pub mod rass;
-
-pub use accel::{AttentionTask, SimReport, SofaAccelerator, WholeRowAccelerator};
-pub use config::HwConfig;
-pub use descriptor::TileWork;

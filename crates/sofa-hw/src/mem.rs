@@ -8,61 +8,54 @@
 
 /// Tracks traffic into/out of an SRAM of fixed capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SramModel {
+pub(crate) struct SramModel {
     /// Capacity in bytes.
-    pub capacity_bytes: usize,
+    pub(crate) capacity_bytes: usize,
     /// Access energy in pJ/bit.
-    pub pj_per_bit: f64,
+    pub(crate) pj_per_bit: f64,
     bytes_read: u64,
-    bytes_written: u64,
 }
 
 impl SramModel {
     /// Creates an SRAM model.
-    pub fn new(capacity_bytes: usize, pj_per_bit: f64) -> Self {
+    pub(crate) fn new(capacity_bytes: usize, pj_per_bit: f64) -> Self {
         SramModel {
             capacity_bytes,
             pj_per_bit,
             bytes_read: 0,
-            bytes_written: 0,
         }
     }
 
     /// Records a read of `bytes`.
-    pub fn read(&mut self, bytes: u64) {
+    pub(crate) fn read(&mut self, bytes: u64) {
         self.bytes_read += bytes;
     }
 
-    /// Records a write of `bytes`.
-    pub fn write(&mut self, bytes: u64) {
-        self.bytes_written += bytes;
-    }
-
     /// Returns `true` if a working set of `bytes` fits on chip.
-    pub fn fits(&self, bytes: u64) -> bool {
+    pub(crate) fn fits(&self, bytes: u64) -> bool {
         bytes <= self.capacity_bytes as u64
     }
 
     /// Total bytes accessed.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.bytes_read
     }
 
     /// Total access energy in joules.
-    pub fn energy_j(&self) -> f64 {
+    pub(crate) fn energy_j(&self) -> f64 {
         self.total_bytes() as f64 * 8.0 * self.pj_per_bit * 1e-12
     }
 }
 
 /// Tracks off-chip DRAM traffic and converts it to time and energy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DramModel {
+pub(crate) struct DramModel {
     /// Sustained bandwidth in bytes per second.
-    pub bandwidth_bps: f64,
+    pub(crate) bandwidth_bps: f64,
     /// Device energy in pJ/bit.
-    pub pj_per_bit: f64,
+    pub(crate) pj_per_bit: f64,
     /// Memory interface (PHY/IO) energy in pJ/bit.
-    pub interface_pj_per_bit: f64,
+    pub(crate) interface_pj_per_bit: f64,
     bytes_read: u64,
     bytes_written: u64,
 }
@@ -73,7 +66,7 @@ impl DramModel {
     /// # Panics
     ///
     /// Panics if `bandwidth_bps` is not positive.
-    pub fn new(bandwidth_bps: f64, pj_per_bit: f64, interface_pj_per_bit: f64) -> Self {
+    pub(crate) fn new(bandwidth_bps: f64, pj_per_bit: f64, interface_pj_per_bit: f64) -> Self {
         assert!(bandwidth_bps > 0.0, "bandwidth must be positive");
         DramModel {
             bandwidth_bps,
@@ -85,42 +78,32 @@ impl DramModel {
     }
 
     /// Records a read of `bytes` from DRAM.
-    pub fn read(&mut self, bytes: u64) {
+    pub(crate) fn read(&mut self, bytes: u64) {
         self.bytes_read += bytes;
     }
 
     /// Records a write of `bytes` to DRAM.
-    pub fn write(&mut self, bytes: u64) {
+    pub(crate) fn write(&mut self, bytes: u64) {
         self.bytes_written += bytes;
     }
 
     /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
 
-    /// Bytes read.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Bytes written.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
     /// Time (seconds) the accumulated traffic occupies the memory channel.
-    pub fn transfer_time_s(&self) -> f64 {
+    pub(crate) fn transfer_time_s(&self) -> f64 {
         self.total_bytes() as f64 / self.bandwidth_bps
     }
 
     /// DRAM device energy in joules.
-    pub fn device_energy_j(&self) -> f64 {
+    pub(crate) fn device_energy_j(&self) -> f64 {
         self.total_bytes() as f64 * 8.0 * self.pj_per_bit * 1e-12
     }
 
     /// Interface energy in joules.
-    pub fn interface_energy_j(&self) -> f64 {
+    pub(crate) fn interface_energy_j(&self) -> f64 {
         self.total_bytes() as f64 * 8.0 * self.interface_pj_per_bit * 1e-12
     }
 }
@@ -135,7 +118,7 @@ mod tests {
         assert!(s.fits(1024));
         assert!(!s.fits(1025));
         s.read(100);
-        s.write(50);
+        s.read(50);
         assert_eq!(s.total_bytes(), 150);
         assert!((s.energy_j() - 150.0 * 8.0 * 0.1e-12).abs() < 1e-18);
     }
@@ -148,7 +131,6 @@ mod tests {
         assert_eq!(d.total_bytes(), 100_000_000_000);
         assert!((d.transfer_time_s() - 1.0).abs() < 1e-9);
         assert!(d.device_energy_j() > d.interface_energy_j());
-        assert_eq!(d.bytes_read(), d.bytes_written());
     }
 
     #[test]

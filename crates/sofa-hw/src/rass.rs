@@ -28,13 +28,6 @@ pub struct Schedule {
     pub vector_fetches: u64,
 }
 
-impl Schedule {
-    /// Number of phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-}
-
 /// Naive execution: every query independently fetches the K and V vectors it
 /// selected, with no cross-query reuse (Fig. 15 left).
 pub fn naive_schedule(mask: &TopKMask, buffer_capacity: usize) -> Schedule {
@@ -108,21 +101,21 @@ pub fn rass_schedule(mask: &TopKMask, buffer_capacity: usize) -> Schedule {
     }
 }
 
-/// Fractional reduction in KV vector fetches RASS achieves over the naive
-/// schedule for a given mask (0 when the naive schedule is already minimal).
-pub fn rass_fetch_reduction(mask: &TopKMask, buffer_capacity: usize) -> f64 {
-    let naive = naive_schedule(mask, buffer_capacity).vector_fetches;
-    let rass = rass_schedule(mask, buffer_capacity).vector_fetches;
-    if naive == 0 {
-        return 0.0;
-    }
-    1.0 - rass as f64 / naive as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sofa_core::sads::{sads_topk, SadsConfig};
+
+    /// Fractional reduction in KV vector fetches RASS achieves over the
+    /// naive schedule (0 when the naive schedule fetches nothing).
+    fn rass_fetch_reduction(mask: &TopKMask, buffer_capacity: usize) -> f64 {
+        let naive = naive_schedule(mask, buffer_capacity).vector_fetches;
+        let rass = rass_schedule(mask, buffer_capacity).vector_fetches;
+        if naive == 0 {
+            return 0.0;
+        }
+        1.0 - rass as f64 / naive as f64
+    }
     use sofa_model::{ScoreDistribution, ScoreWorkload};
 
     /// The worked example of Fig. 15: four queries sharing keys K0..K7.
@@ -231,7 +224,7 @@ mod tests {
         let mask = TopKMask::new(16, vec![vec![], vec![]]);
         let s = rass_schedule(&mask, 8);
         assert_eq!(s.vector_fetches, 0);
-        assert_eq!(s.phase_count(), 0);
+        assert!(s.phases.is_empty());
         assert_eq!(rass_fetch_reduction(&mask, 8), 0.0);
     }
 }

@@ -7,7 +7,7 @@
 
 /// Families of models used in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelFamily {
+pub(crate) enum ModelFamily {
     /// Encoder-only NLP models (BERT-Base / BERT-Large).
     Bert,
     /// Decoder-only language models (GPT-2, Bloom, Llama).
@@ -32,19 +32,19 @@ pub struct ModelConfig {
     /// Human readable name, e.g. `"Llama-7B"`.
     pub name: String,
     /// Model family.
-    pub family: ModelFamily,
+    pub(crate) family: ModelFamily,
     /// Number of Transformer layers.
-    pub layers: usize,
+    pub(crate) layers: usize,
     /// Hidden dimension `H`.
     pub hidden: usize,
     /// Number of attention heads `A`.
     pub heads: usize,
     /// FFN intermediate dimension.
-    pub ffn_dim: usize,
+    pub(crate) ffn_dim: usize,
     /// Sequence length `S` this configuration is evaluated at.
     pub seq_len: usize,
     /// Byte width of activations in the formal computing stage (2 = FP16/INT16).
-    pub act_bytes: usize,
+    pub(crate) act_bytes: usize,
 }
 
 impl ModelConfig {
@@ -53,7 +53,7 @@ impl ModelConfig {
     /// # Panics
     ///
     /// Panics if `hidden` is not divisible by `heads` or any dimension is zero.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         family: ModelFamily,
         layers: usize,
@@ -77,11 +77,6 @@ impl ModelConfig {
             seq_len,
             act_bytes: 2,
         }
-    }
-
-    /// Per-head dimension `H / A`.
-    pub fn head_dim(&self) -> usize {
-        self.hidden / self.heads
     }
 
     /// Returns a copy of this configuration with a different sequence length.
@@ -173,7 +168,7 @@ impl ModelConfig {
 
     /// PVT (Pyramid Vision Transformer) with the 3192-token stage the paper
     /// evaluates for ImageNet classification.
-    pub fn pvt(seq_len: usize) -> Self {
+    pub(crate) fn pvt(seq_len: usize) -> Self {
         Self::new("PVT", ModelFamily::Vision, 16, 512, 8, 2048, seq_len)
     }
 
@@ -211,7 +206,7 @@ mod tests {
     fn presets_have_consistent_head_dims() {
         for cfg in ModelConfig::paper_presets() {
             assert_eq!(cfg.hidden % cfg.heads, 0, "{}", cfg.name);
-            assert!(cfg.head_dim() >= 32, "{}", cfg.name);
+            assert!(cfg.hidden / cfg.heads >= 32, "{}", cfg.name);
         }
     }
 
@@ -220,7 +215,7 @@ mod tests {
         let l7 = ModelConfig::llama_7b(4096);
         assert_eq!(l7.layers, 32);
         assert_eq!(l7.hidden, 4096);
-        assert_eq!(l7.head_dim(), 128);
+        assert_eq!(l7.hidden / l7.heads, 128);
         let l13 = ModelConfig::llama_13b(4096);
         assert_eq!(l13.layers, 40);
         assert_eq!(l13.hidden, 5120);

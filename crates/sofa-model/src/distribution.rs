@@ -42,14 +42,14 @@ impl std::fmt::Display for DistributionType {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreDistribution {
     /// Probability of generating a Type-I row.
-    pub p_type1: f64,
+    pub(crate) p_type1: f64,
     /// Probability of generating a Type-II row.
-    pub p_type2: f64,
+    pub(crate) p_type2: f64,
     /// Probability of generating a Type-III row.
-    pub p_type3: f64,
+    pub(crate) p_type3: f64,
     /// Magnitude gap between dominant and background scores (in score units,
     /// pre-softmax). Larger values mean sparser post-softmax mass.
-    pub dominance: f32,
+    pub(crate) dominance: f32,
 }
 
 impl ScoreDistribution {
@@ -58,7 +58,7 @@ impl ScoreDistribution {
     /// # Panics
     ///
     /// Panics if all probabilities are zero or any is negative.
-    pub fn new(p_type1: f64, p_type2: f64, p_type3: f64, dominance: f32) -> Self {
+    pub(crate) fn new(p_type1: f64, p_type2: f64, p_type3: f64, dominance: f32) -> Self {
         assert!(
             p_type1 >= 0.0 && p_type2 >= 0.0 && p_type3 >= 0.0,
             "probabilities must be non-negative"
@@ -96,7 +96,7 @@ impl ScoreDistribution {
     }
 
     /// Samples the row type for one generated row.
-    pub fn sample_type(&self, rng: &mut ChaCha8Rng) -> DistributionType {
+    pub(crate) fn sample_type(&self, rng: &mut ChaCha8Rng) -> DistributionType {
         let x: f64 = rng.gen();
         if x < self.p_type1 {
             DistributionType::TypeI
@@ -113,7 +113,11 @@ impl ScoreDistribution {
     /// # Panics
     ///
     /// Panics if `s == 0`.
-    pub fn generate_row(&self, s: usize, rng: &mut ChaCha8Rng) -> (Vec<f32>, DistributionType) {
+    pub(crate) fn generate_row(
+        &self,
+        s: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> (Vec<f32>, DistributionType) {
         assert!(s > 0, "row length must be positive");
         let ty = self.sample_type(rng);
         (self.generate_row_of_type(s, ty, rng), ty)
@@ -191,7 +195,7 @@ impl ScoreDistribution {
 /// # Panics
 ///
 /// Panics if `row` is empty or `regions == 0`.
-pub fn classify_row(row: &[f32], regions: usize) -> DistributionType {
+pub(crate) fn classify_row(row: &[f32], regions: usize) -> DistributionType {
     assert!(!row.is_empty(), "row must not be empty");
     assert!(regions > 0, "regions must be positive");
     let probs = softmax_row(row);

@@ -41,10 +41,8 @@ pub mod suite;
 pub mod trace;
 pub mod workload;
 
-pub use config::{ModelConfig, ModelFamily};
 pub use distribution::{DistributionType, ScoreDistribution};
 pub use operating_point::OperatingPoint;
-pub use suite::{benchmark_suite, Benchmark};
 pub use trace::{
     RequestClass, RequestSource, RequestSpec, RequestTrace, TraceConfig, TraceRequests,
 };

@@ -126,16 +126,6 @@ impl OperatingPoint {
         self.keep_ratios.iter().sum::<f64>() / self.keep_ratios.len() as f64
     }
 
-    /// The largest tile size any layer uses (the tile the ping-pong banks
-    /// and the sorting network must be provisioned for).
-    pub fn max_tile(&self) -> usize {
-        *self
-            .tile_sizes
-            .iter()
-            .max()
-            .expect("points have at least one layer")
-    }
-
     /// The same tiling with every layer's keep ratio replaced by `keep` —
     /// how the serving layer honours a trace's native keep ratio while
     /// keeping the deployment's tiling.
@@ -217,7 +207,6 @@ mod tests {
     #[test]
     fn accessors_and_max_tile() {
         let p = OperatingPoint::new(vec![0.1, 0.3], vec![8, 32]).unwrap();
-        assert_eq!(p.max_tile(), 32);
         assert!((p.mean_keep() - 0.2).abs() < 1e-12);
         assert_eq!(p.keep(1), 0.3);
         assert_eq!(p.tile(0), 8);

@@ -18,10 +18,10 @@ pub struct ComponentProfile {
     /// Floating point operations (multiply-accumulate counted as 2 FLOPs).
     pub flops: u64,
     /// Bytes of parameters that must be streamed from memory.
-    pub weight_bytes: u64,
+    pub(crate) weight_bytes: u64,
     /// Bytes of activations read and written (including intermediates that
     /// spill when they exceed on-chip capacity).
-    pub activation_bytes: u64,
+    pub(crate) activation_bytes: u64,
 }
 
 impl ComponentProfile {
@@ -55,9 +55,9 @@ impl ComponentProfile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerProfile {
     /// Query/token parallelism `T` used for this profile.
-    pub token_parallelism: usize,
+    pub(crate) token_parallelism: usize,
     /// Context length `S`.
-    pub seq_len: usize,
+    pub(crate) seq_len: usize,
     /// QKV (and output) projections.
     pub qkv: ComponentProfile,
     /// Multi-head attention (scores, softmax, score × V).
@@ -116,11 +116,6 @@ impl LayerProfile {
             ffn,
         }
     }
-
-    /// Total bytes moved by the layer.
-    pub fn total_bytes(&self) -> u64 {
-        self.qkv.total_bytes() + self.attention.total_bytes() + self.ffn.total_bytes()
-    }
 }
 
 /// Memory footprint (bytes) of the dominant persistent/intermediate tensors of
@@ -129,12 +124,12 @@ impl LayerProfile {
 pub struct MemoryFootprint {
     /// QKV & output projection weights across all layers plus projected QKV
     /// activations for the whole sequence.
-    pub qkv_bytes: u64,
+    pub(crate) qkv_bytes: u64,
     /// Attention score/probability matrices across heads (the S×S
     /// intermediates that dominate at long sequence length) plus KV cache.
-    pub attention_bytes: u64,
+    pub(crate) attention_bytes: u64,
     /// FFN weights plus FFN activations.
-    pub ffn_bytes: u64,
+    pub(crate) ffn_bytes: u64,
 }
 
 impl MemoryFootprint {
@@ -161,7 +156,7 @@ impl MemoryFootprint {
     }
 
     /// Total footprint in bytes.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.qkv_bytes + self.attention_bytes + self.ffn_bytes
     }
 
@@ -181,11 +176,11 @@ impl MemoryFootprint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputeBreakdown {
     /// Total QKV projection FLOPs.
-    pub qkv_flops: u64,
+    pub(crate) qkv_flops: u64,
     /// Total attention FLOPs.
-    pub attention_flops: u64,
+    pub(crate) attention_flops: u64,
     /// Total FFN FLOPs.
-    pub ffn_flops: u64,
+    pub(crate) ffn_flops: u64,
 }
 
 impl ComputeBreakdown {
@@ -201,7 +196,7 @@ impl ComputeBreakdown {
     }
 
     /// Total FLOPs.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.qkv_flops + self.attention_flops + self.ffn_flops
     }
 

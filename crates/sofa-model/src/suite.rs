@@ -13,7 +13,7 @@ use crate::distribution::ScoreDistribution;
 
 /// Task category, which determines the sparsity affinity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskKind {
+pub(crate) enum TaskKind {
     /// Sentence-level classification (high sparsity: a few keywords decide).
     Classification,
     /// Span extraction / QA (moderate sparsity).
@@ -34,12 +34,12 @@ pub struct Benchmark {
     /// Model configuration at the paper's sequence length for this task.
     pub model: ModelConfig,
     /// Task category.
-    pub task: TaskKind,
+    pub(crate) task: TaskKind,
     /// Attention score distribution mixture for this model family.
-    pub distribution: ScoreDistribution,
+    pub(crate) distribution: ScoreDistribution,
     /// Fraction of Q-K pairs that can be pruned at ~1 % accuracy loss
     /// (task-dependent sparsity affinity).
-    pub prunable_fraction: f64,
+    pub(crate) prunable_fraction: f64,
 }
 
 impl Benchmark {

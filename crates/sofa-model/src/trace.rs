@@ -87,7 +87,7 @@ pub struct TraceConfig {
     /// Top-k keep ratio applied to every request.
     pub keep_ratio: f64,
     /// RNG seed; the trace is a pure function of this configuration.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TraceConfig {
@@ -136,8 +136,8 @@ impl TraceConfig {
         if self.num_requests == 0 {
             return Err("num_requests must be positive".into());
         }
-        if self.arrivals_per_mcycle <= 0.0 || self.arrivals_per_mcycle.is_nan() {
-            return Err("arrivals_per_mcycle must be positive".into());
+        if !(self.arrivals_per_mcycle > 0.0 && self.arrivals_per_mcycle.is_finite()) {
+            return Err("arrivals_per_mcycle must be finite and positive".into());
         }
         // Past 2^53 cycles arrival times lose integer precision, and the
         // slowest rates saturate them at `u64::MAX`, where the serving

@@ -22,7 +22,7 @@ pub struct ScoreWorkload {
     /// Raw (pre-softmax) scores, one row per query.
     pub scores: Matrix,
     /// The row type sampled for each query row.
-    pub row_types: Vec<DistributionType>,
+    pub(crate) row_types: Vec<DistributionType>,
 }
 
 impl ScoreWorkload {
@@ -48,11 +48,6 @@ impl ScoreWorkload {
     pub fn queries(&self) -> usize {
         self.scores.rows()
     }
-
-    /// Context length.
-    pub fn seq_len(&self) -> usize {
-        self.scores.cols()
-    }
 }
 
 /// A full single-head attention workload with planted sparsity structure.
@@ -67,7 +62,7 @@ pub struct AttentionWorkload {
     /// Query vectors, shape `(queries, head_dim)`.
     pub q: Matrix,
     /// Indices of the keys planted to dominate each query row.
-    pub planted: Vec<Vec<usize>>,
+    pub(crate) planted: Vec<Vec<usize>>,
 }
 
 impl AttentionWorkload {
@@ -174,11 +169,6 @@ impl AttentionWorkload {
         self.q.rows()
     }
 
-    /// Head dimension `d`.
-    pub fn head_dim(&self) -> usize {
-        self.q.cols()
-    }
-
     /// Computes the full key matrix `K = X · W_k`.
     pub fn keys(&self) -> Matrix {
         self.x.matmul(&self.wk).expect("shapes consistent")
@@ -212,7 +202,6 @@ mod tests {
         let b = ScoreWorkload::generate(&d, 8, 128, 42);
         assert_eq!(a, b, "same seed must give identical workloads");
         assert_eq!(a.queries(), 8);
-        assert_eq!(a.seq_len(), 128);
         assert_eq!(a.row_types.len(), 8);
         let c = ScoreWorkload::generate(&d, 8, 128, 43);
         assert_ne!(a, c, "different seeds should differ");
@@ -222,9 +211,7 @@ mod tests {
     fn attention_workload_shapes() {
         let d = ScoreDistribution::gpt_like();
         let w = AttentionWorkload::generate(&d, 4, 64, 32, 16, 7);
-        assert_eq!(w.seq_len(), 64);
         assert_eq!(w.queries(), 4);
-        assert_eq!(w.head_dim(), 16);
         assert_eq!(w.keys().shape(), (64, 16));
         assert_eq!(w.values().shape(), (64, 16));
         assert_eq!(w.exact_scores().shape(), (4, 64));

@@ -12,7 +12,7 @@
 //!
 //! The counters are process-wide atomics, updated with relaxed ordering. In
 //! a process without the allocator installed they stay 0, so every reading
-//! of [`live_bytes`], [`peak_bytes`] and [`allocations`] is 0 there.
+//! of `live_bytes`, `peak_bytes` and [`allocations`] is 0 there.
 //! [`peak_during`] measures one piece of work: the most heap it held at
 //! once above what was live when it started.
 
@@ -78,13 +78,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Heap bytes allocated and not yet freed.
-pub fn live_bytes() -> u64 {
+pub(crate) fn live_bytes() -> u64 {
     LIVE.load(Relaxed)
 }
 
 /// The most heap bytes live at once since start-up or the last
 /// [`reset_peak`].
-pub fn peak_bytes() -> u64 {
+pub(crate) fn peak_bytes() -> u64 {
     PEAK.load(Relaxed)
 }
 
@@ -94,7 +94,7 @@ pub fn allocations() -> u64 {
 }
 
 /// Restarts the peak at the bytes live now.
-pub fn reset_peak() {
+pub(crate) fn reset_peak() {
     PEAK.store(LIVE.load(Relaxed), Relaxed);
 }
 

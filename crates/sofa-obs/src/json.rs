@@ -66,14 +66,14 @@ impl Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the fault (the first byte of a bad number).
-    pub at: usize,
+    pub(crate) at: usize,
     /// What is wrong there.
-    pub kind: JsonErrorKind,
+    pub(crate) kind: JsonErrorKind,
 }
 
 /// The classes of [`JsonError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JsonErrorKind {
+pub(crate) enum JsonErrorKind {
     /// Malformed syntax outside numbers; the message names what was
     /// expected.
     Syntax(String),

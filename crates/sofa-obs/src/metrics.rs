@@ -66,20 +66,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Per-bucket counts (`bounds.len() + 1` entries, last is overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
     fn to_json(&self) -> String {
         let bounds = self
             .bounds
@@ -255,10 +241,9 @@ mod tests {
             m.observe("h", &[1.0, 10.0], v);
         }
         let h = m.histogram("h").unwrap();
-        assert_eq!(h.buckets(), &[2, 1, 1]);
+        assert_eq!(h.buckets, &[2, 1, 1]);
         assert_eq!(h.count(), 4);
         assert!((h.sum() - 104.5).abs() < 1e-12);
-        assert!((h.mean() - 26.125).abs() < 1e-12);
     }
 
     #[test]
@@ -291,6 +276,5 @@ mod tests {
     fn empty_histogram_min_max_render_null() {
         let h = Histogram::new(&[1.0]);
         assert!(h.to_json().contains("\"min\":null,\"max\":null"));
-        assert_eq!(h.mean(), 0.0);
     }
 }

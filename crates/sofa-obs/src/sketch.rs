@@ -90,54 +90,6 @@ impl QuantileSketch {
         self.sum += v;
     }
 
-    /// Folds another sketch into this one; equivalent to having recorded
-    /// both value streams into one sketch.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Sum of all recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Mean of all recorded values (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -206,9 +158,9 @@ mod tests {
         assert_eq!(s.percentile(95.0), 190);
         assert_eq!(s.percentile(100.0), 200);
         assert_eq!(s.percentile(1.0), 2);
-        assert_eq!(s.count(), 100);
-        assert_eq!(s.min(), 2);
-        assert_eq!(s.max(), 200);
+        assert_eq!(s.count, 100);
+        assert_eq!(s.min, 2);
+        assert_eq!(s.max, 200);
         assert!((s.mean() - 101.0).abs() < 1e-12);
     }
 
@@ -239,17 +191,7 @@ mod tests {
             assert!(v >= last, "p{p} regressed: {v} < {last}");
             last = v;
         }
-        assert_eq!(last, s.max());
-    }
-
-    #[test]
-    fn merge_equals_recording_both_streams() {
-        let a: Vec<u64> = (0..300).map(|i| i * 31).collect();
-        let b: Vec<u64> = (0..200).map(|i| 100_000 + i * 53).collect();
-        let mut merged = QuantileSketch::collect(a.iter().copied());
-        merged.merge(&QuantileSketch::collect(b.iter().copied()));
-        let direct = QuantileSketch::collect(a.into_iter().chain(b));
-        assert_eq!(merged, direct);
+        assert_eq!(last, s.max);
     }
 
     #[test]
@@ -259,7 +201,7 @@ mod tests {
         // above the exact range.
         assert_eq!(s.percentile(0.001), 123_456_789);
         assert_eq!(s.percentile(100.0), 123_456_789);
-        assert_eq!(s.min(), s.max());
+        assert_eq!(s.min, s.max);
     }
 
     #[test]

@@ -349,8 +349,8 @@ pub(crate) struct PointLowering {
 }
 
 /// The `(request shape, operating point)`-keyed memo for [`lower_at`]
-/// results, shared by batch lowering and every adaptive re-lowering path
-/// (decay, feedback, retry). Accessed serially only, so hit/miss statistics
+/// results, shared by the lowering at intake and every adaptive re-lowering
+/// path (decay, feedback, retry). Accessed serially only, so hit/miss statistics
 /// are deterministic at any `SOFA_THREADS`.
 pub(crate) type LowerCache = LoweringCache<ShapeKey, PointLowering>;
 

@@ -72,7 +72,7 @@ pub struct FleetConfig {
     /// timing.
     pub epoch_cycles: u64,
     /// Split the fleet into a prefill node pool (half the nodes, rounded:
-    /// [`FleetConfig::prefill_nodes`]) and a decode node pool of the rest;
+    /// `FleetConfig::prefill_nodes`) and a decode node pool of the rest;
     /// each class spills to the other pool only when its own has no
     /// capacity. Requires at least two nodes.
     pub disaggregate: bool,
@@ -93,7 +93,7 @@ impl FleetConfig {
     }
 
     /// Total instances across the fleet.
-    pub fn total_instances(&self) -> usize {
+    pub(crate) fn total_instances(&self) -> usize {
         self.nodes * self.serve.instances
     }
 
@@ -102,7 +102,7 @@ impl FleetConfig {
     /// split into two non-empty pools; [`FleetConfig::validate`] rejects
     /// them, but this method must stay total for configs inspected before
     /// validation, where `clamp(1, nodes - 1)` would panic or underflow).
-    pub fn prefill_nodes(&self) -> usize {
+    pub(crate) fn prefill_nodes(&self) -> usize {
         if !self.disaggregate || self.nodes < 2 {
             return 0;
         }
@@ -153,10 +153,10 @@ pub struct FleetReport {
     /// Served decodes.
     pub decodes: u64,
     /// End-to-end latency distribution (arrival → completion, cycles).
-    pub latency: QuantileSketch,
+    pub(crate) latency: QuantileSketch,
     /// Queueing-delay distribution (arrival → admission boundary, cycles;
     /// quantized to the epoch).
-    pub queueing: QuantileSketch,
+    pub(crate) queueing: QuantileSketch,
     /// Fleet makespan: the latest cycle any node reached.
     pub total_cycles: u64,
     /// Per-node simulation accounting.
@@ -165,14 +165,14 @@ pub struct FleetReport {
     pub fabric: FabricReport,
     /// Total projected energy of the admitted requests in picojoules (from
     /// the DSE energy model, summed at admission).
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
     /// Requests placed on each node.
-    pub requests_per_node: Vec<u64>,
+    pub(crate) requests_per_node: Vec<u64>,
     /// Highest concurrently-booked bytes observed on any single instance of
     /// each node.
-    pub peak_inflight_bytes: Vec<u64>,
+    pub(crate) peak_inflight_bytes: Vec<u64>,
     /// The effective per-instance admission budget in bytes.
-    pub budget_bytes: u64,
+    pub(crate) budget_bytes: u64,
 }
 
 impl FleetReport {
@@ -181,7 +181,7 @@ impl FleetReport {
     /// # Panics
     ///
     /// Panics if `p` is outside `(0, 100]` or nothing was served.
-    pub fn latency_percentile(&self, p: f64) -> u64 {
+    pub(crate) fn latency_percentile(&self, p: f64) -> u64 {
         assert!(self.served > 0, "no requests were served");
         self.latency.percentile(p)
     }
@@ -224,7 +224,7 @@ impl FleetReport {
 
     /// Mean bottleneck-stage busy fraction of node `n`'s instances over the
     /// makespan.
-    pub fn node_utilization(&self, n: usize) -> f64 {
+    pub(crate) fn node_utilization(&self, n: usize) -> f64 {
         let node = &self.nodes[n];
         let total: f64 = node
             .instances
@@ -260,11 +260,6 @@ impl FleetServeSim {
         FleetServeSim { cfg }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// Serves the requests of `requests` across the fleet under `router`.
     /// `requests` is a [`RequestSource`]: a `&RequestTrace`, or a
     /// [`TraceConfig::requests`](sofa_model::TraceConfig::requests) stream.
@@ -275,7 +270,7 @@ impl FleetServeSim {
     /// # Panics
     ///
     /// Panics if `requests` is empty or a [`OpRouter::Feedback`]
-    /// configuration fails [`crate::FeedbackConfig::validate`].
+    /// configuration fails `crate::FeedbackConfig::validate`.
     pub fn run<'t>(&self, requests: impl Into<RequestSource<'t>>, router: OpRouter) -> FleetReport {
         self.run_inner(requests.into(), router, ADMIT_WINDOW).0
     }
@@ -471,7 +466,7 @@ mod tests {
         // Pool split: node 0 takes prefills, node 1 decodes. Spillover may
         // blur the split under pressure, but both nodes must see work.
         assert!(report.requests_per_node.iter().all(|&r| r > 0));
-        assert_eq!(sim.config().prefill_nodes(), 1);
+        assert_eq!(sim.cfg.prefill_nodes(), 1);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! continuous-batching admission scheduler.
 //!
 //! * `admission` (crate-private) — the admission core both simulators
-//!   share: the deduplicated lowering pass, the request table, the
-//!   arrival/retry intake, per-instance bookings, the aged smallest-first
-//!   pick, the least-booked placement and the adaptive controller (decay,
-//!   feedback pressure, retries).
+//!   share: the arrival/retry intake, which lowers each request serially on
+//!   arrival and shares the first lowering of each shape, the slab of live
+//!   requests, per-instance bookings, the aged smallest-first pick, the
+//!   least-booked placement and the adaptive controller (decay, feedback
+//!   pressure, retries).
 //! * [`scheduler`] — [`ServeSim`]: routes each request to an
 //!   `OperatingPoint` ([`OpRouter`]: trace-native, fixed, or per-class
 //!   Pareto routing through a DSE front), lowers it layer by layer into a

@@ -12,7 +12,7 @@ pub struct RequestRecord {
     /// Prefill or decode.
     pub class: RequestClass,
     /// Instance the request was placed on.
-    pub instance: usize,
+    pub(crate) instance: usize,
     /// When the request arrived at the scheduler.
     pub arrival: u64,
     /// When admission control placed it on its instance.
@@ -28,7 +28,7 @@ pub struct RequestRecord {
     /// re-routed the request to a leaner operating point before admission.
     pub rerouted: bool,
     /// Whether the decay threshold re-lowered the request while it waited.
-    pub decayed: bool,
+    pub(crate) decayed: bool,
     /// Client re-submissions before this request was served (0 for
     /// first-attempt admissions).
     pub retries: u32,
@@ -44,17 +44,17 @@ pub struct ShedRecord {
     pub class: RequestClass,
     /// When the request first arrived at the scheduler (the original
     /// submission, not the last retry).
-    pub arrival: u64,
+    pub(crate) arrival: u64,
     /// The (over-budget) projected energy at the leanest point tried.
-    pub energy_pj: f64,
+    pub(crate) energy_pj: f64,
     /// Client re-submissions attempted before the request was shed for good
     /// (0 when no retry policy is configured).
-    pub retries: u32,
+    pub(crate) retries: u32,
 }
 
 impl RequestRecord {
     /// End-to-end latency: arrival to completion.
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         self.completed - self.arrival
     }
 
@@ -88,20 +88,20 @@ pub struct ServeReport {
     /// Highest concurrently-admitted footprint observed per instance.
     pub peak_inflight_bytes: Vec<u64>,
     /// Projected energy admitted onto each instance in picojoules.
-    pub energy_pj_per_instance: Vec<f64>,
+    pub(crate) energy_pj_per_instance: Vec<f64>,
     /// Retry re-arrivals the scheduler admitted back into the wait queue
     /// (shed requests whose backoff-and-degrade resubmission fit the
     /// budget). Zero without a retry policy.
     pub retried: u64,
     /// Streaming sketch of the end-to-end latencies, built once at report
     /// construction — percentile queries are a bucket walk, not a sort.
-    pub latency: QuantileSketch,
+    pub(crate) latency: QuantileSketch,
 }
 
 impl ServeReport {
     /// The latency sketch of `records`: build it once when constructing a
     /// report instead of sorting per percentile call.
-    pub fn sketch_latencies(records: &[RequestRecord]) -> QuantileSketch {
+    pub(crate) fn sketch_latencies(records: &[RequestRecord]) -> QuantileSketch {
         QuantileSketch::collect(records.iter().map(|r| r.latency()))
     }
 
@@ -162,7 +162,7 @@ impl ServeReport {
     }
 
     /// Requests that ran on instance `i`.
-    pub fn requests_on(&self, i: usize) -> usize {
+    pub(crate) fn requests_on(&self, i: usize) -> usize {
         self.records.iter().filter(|r| r.instance == i).count()
     }
 
@@ -199,7 +199,7 @@ impl ServeReport {
     /// prefix: request counters (total/admitted/shed/rerouted and per
     /// class), latency and queueing-delay histograms, scheduler-level
     /// gauges, and per-instance `serve.inst{i}.*` gauges.
-    pub fn record_metrics(&self, reg: &mut sofa_obs::MetricsRegistry) {
+    pub(crate) fn record_metrics(&self, reg: &mut sofa_obs::MetricsRegistry) {
         // Decade-ish buckets spanning single-tile decodes to saturated
         // multi-layer prefills (cycles).
         const CYCLE_BOUNDS: [f64; 8] = [1e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7];

@@ -43,25 +43,6 @@ pub struct DseServeComparison {
     pub tuned_op: OperatingPoint,
 }
 
-impl DseServeComparison {
-    /// Tail-latency gain of the tuned configuration (`baseline p95 /
-    /// tuned p95`; > 1 means the tuned point is faster).
-    pub fn p95_gain(&self) -> f64 {
-        self.baseline.p95() as f64 / self.tuned.p95().max(1) as f64
-    }
-
-    /// Makespan gain of the tuned configuration (> 1 means faster).
-    pub fn makespan_gain(&self) -> f64 {
-        self.baseline.total_cycles as f64 / self.tuned.total_cycles.max(1) as f64
-    }
-
-    /// Energy-per-request gain of the tuned configuration (> 1 means the
-    /// tuned point spends less energy per served request).
-    pub fn energy_gain(&self) -> f64 {
-        self.baseline.energy_pj_per_request() / self.tuned.energy_pj_per_request().max(1e-12)
-    }
-}
-
 /// The four-way routed serving study: the same trace at the paper-default
 /// point, the single tuned point, Pareto-routed, and Pareto-routed under an
 /// energy budget.
@@ -81,7 +62,7 @@ pub struct RoutedServeStudy {
     /// The point decodes route to.
     pub decode_op: OperatingPoint,
     /// The point prefills route to.
-    pub prefill_op: OperatingPoint,
+    pub(crate) prefill_op: OperatingPoint,
     /// The per-request energy ceiling of the budgeted run (¾ of the
     /// paper-default J/req).
     pub budget_pj: f64,
@@ -128,7 +109,7 @@ impl AdaptiveServeConfig {
 /// closed-loop adaptive controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveServeStudy {
-    /// Static per-class Pareto routing under [`AdaptiveServeStudy::budget_pj`]
+    /// Static per-class Pareto routing under `AdaptiveServeStudy::budget_pj`
     /// — the strongest open-loop deployment (PR 5's budgeted routed serving).
     pub static_routed: ServeReport,
     /// The closed-loop controller on the identical trace, budget and front:
@@ -136,9 +117,9 @@ pub struct AdaptiveServeStudy {
     pub adaptive: ServeReport,
     /// The per-request energy ceiling both arms run under (¾ of the
     /// measured paper-default J/req, as in [`RoutedServeStudy`]).
-    pub budget_pj: f64,
+    pub(crate) budget_pj: f64,
     /// The controller configuration of the adaptive arm.
-    pub controller: AdaptiveServeConfig,
+    pub(crate) controller: AdaptiveServeConfig,
 }
 
 impl AdaptiveServeStudy {
@@ -150,13 +131,6 @@ impl AdaptiveServeStudy {
             && self.adaptive.shed.len() <= self.static_routed.shed.len()
             && self.adaptive.energy_pj_per_request()
                 <= 1.05 * self.static_routed.energy_pj_per_request()
-    }
-
-    /// J/req of the adaptive arm relative to the static arm (< 1 means the
-    /// controller also saves energy).
-    pub fn energy_ratio(&self) -> f64 {
-        self.adaptive.energy_pj_per_request()
-            / self.static_routed.energy_pj_per_request().max(1e-12)
     }
 }
 
@@ -307,9 +281,6 @@ mod tests {
         assert_eq!(a.baseline.records.len(), 10);
         assert_eq!(a.tuned.records.len(), 10);
         assert_eq!(a.tuned_op, dse.tuned_operating_point());
-        assert!(a.p95_gain() > 0.0);
-        assert!(a.makespan_gain() > 0.0);
-        assert!(a.energy_gain() > 0.0);
     }
 
     #[test]
@@ -375,7 +346,6 @@ mod tests {
         let b = sim.run_adaptive_study(&t, &dse, &ctl);
         assert_eq!(a, b);
         assert!(a.budget_pj > 0.0);
-        assert!(a.energy_ratio() > 0.0);
         assert_eq!(
             a.static_routed.records.len() + a.static_routed.shed.len(),
             t.len()

@@ -42,7 +42,7 @@
 //! * **decay** ([`ServeConfig::decay_threshold`]) — a request waiting past
 //!   the threshold is re-lowered to a leaner operating point (decodes to
 //!   the front's cycle-leanest point, prefills to its energy-leanest),
-//!   recorded as [`RequestRecord::decayed`] and traced as an instant;
+//!   recorded as `RequestRecord::decayed` and traced as an instant;
 //! * **feedback** ([`OpRouter::Feedback`]) — EWMAs of completion latency,
 //!   energy and wait-queue depth map measured overload to a pressure level
 //!   ([`FeedbackConfig`]) that shifts the routing bar along the front
@@ -65,13 +65,13 @@ use sofa_sim::tracks::PID_SERVE_BASE;
 use sofa_sim::{MultiPipelineSim, SimParams};
 
 /// Process id of the per-request lifecycle tracks (tid = request id).
-pub const PID_REQUESTS: u64 = PID_SERVE_BASE;
+pub(crate) const PID_REQUESTS: u64 = PID_SERVE_BASE;
 /// Process id of the scheduler-level counter tracks (wait-queue depth).
-pub const PID_SCHEDULER: u64 = PID_SERVE_BASE + 1;
+pub(crate) const PID_SCHEDULER: u64 = PID_SERVE_BASE + 1;
 /// Track id, within an instance process, of the booked-bytes counter.
-pub const TID_SERVE_INFLIGHT: u64 = 8;
+pub(crate) const TID_SERVE_INFLIGHT: u64 = 8;
 /// Track id, within an instance process, of the admitted-energy counter.
-pub const TID_SERVE_ENERGY: u64 = 9;
+pub(crate) const TID_SERVE_ENERGY: u64 = 9;
 
 /// Trace-viewer label of a request class.
 fn class_name(class: RequestClass) -> &'static str {
@@ -142,7 +142,7 @@ pub struct FeedbackConfig {
 impl FeedbackConfig {
     /// A feedback loop targeting `target_latency_cycles` with the defaults:
     /// `alpha = 0.25`, queue-depth bar 8, no energy bar.
-    pub fn new(target_latency_cycles: u64) -> Self {
+    pub(crate) fn new(target_latency_cycles: u64) -> Self {
         FeedbackConfig {
             target_latency_cycles,
             alpha: 0.25,
@@ -156,7 +156,7 @@ impl FeedbackConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.target_latency_cycles == 0 {
             return Err("feedback target latency must be positive".into());
         }
@@ -324,7 +324,7 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.instances == 0 {
             return Err("instances must be positive".into());
         }
@@ -362,14 +362,14 @@ impl ServeSim {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ServeConfig::validate`].
+    /// Panics if the configuration fails `ServeConfig::validate`.
     pub fn new(cfg: ServeConfig) -> Self {
         cfg.validate().expect("invalid serve config");
         ServeSim { cfg }
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &ServeConfig {
+    pub(crate) fn config(&self) -> &ServeConfig {
         &self.cfg
     }
 
@@ -390,7 +390,7 @@ impl ServeSim {
     ///
     /// Panics if `trace` is empty or a [`OpRouter::Feedback`] configuration
     /// fails [`FeedbackConfig::validate`].
-    pub fn run_with(&self, trace: &RequestTrace, router: OpRouter) -> ServeReport {
+    pub(crate) fn run_with(&self, trace: &RequestTrace, router: OpRouter) -> ServeReport {
         self.run_inner(
             trace,
             router,
@@ -399,9 +399,9 @@ impl ServeSim {
         )
     }
 
-    /// [`ServeSim::run_with`] plus the lowering-cache effectiveness counters
+    /// `ServeSim::run_with` plus the lowering-cache effectiveness counters
     /// of the run, which ride outside the report: it is bit-identical to
-    /// [`ServeSim::run_with`]'s.
+    /// `ServeSim::run_with`'s.
     pub fn run_with_cache_stats(
         &self,
         trace: &RequestTrace,
@@ -412,14 +412,14 @@ impl ServeSim {
         (report, stats)
     }
 
-    /// [`ServeSim::run_with`] plus observability: request-lifecycle spans,
+    /// `ServeSim::run_with` plus observability: request-lifecycle spans,
     /// reroute/shed instants and per-instance booking counters land in `obs`
     /// (stamped in simulated cycles — merge it with other recorders and call
     /// [`TraceRecorder::to_chrome_json`] for Perfetto), and the report's
     /// summary statistics land in `metrics`. The report itself is
-    /// bit-identical to the untraced run's at any `SOFA_THREADS`: lowering
-    /// workers fork per-request recorders that are absorbed in arrival
-    /// order, so the trace bytes are thread-count-independent too.
+    /// bit-identical to the untraced run's at any `SOFA_THREADS`: requests
+    /// are lowered serially at intake, in arrival order, so the trace bytes
+    /// are thread-count-independent too.
     ///
     /// # Panics
     ///

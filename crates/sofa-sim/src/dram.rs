@@ -16,7 +16,7 @@
 //! evaluator does.
 //!
 //! On top of plain round-robin the channel supports **priority aging**
-//! ([`DramChannel::with_aging`]): a request whose queueing delay exceeds the
+//! (the `age_threshold` of `DramChannel::with_timing`): a request whose queueing delay exceeds the
 //! aging threshold jumps the rotation and the oldest such request is served
 //! first. Round-robin alone is fair in *turns*, not in *time* — a port behind
 //! a string of large streaming transfers can starve even while being offered
@@ -26,7 +26,7 @@
 //! The aged pick reads an ordered index instead of the port queues:
 //! `order` holds one `(stamp, port)` key per queued request, in
 //! nondecreasing order. Per-port enqueue stamps never decrease (asserted in
-//! [`DramChannel::enqueue`]), because requests arrive in simulated-time
+//! `DramChannel::enqueue`), because requests arrive in simulated-time
 //! order, so each port's oldest request is its queue head. A key is live
 //! while its port's head carries its stamp. The pick drops dead keys off
 //! the front; the front is then the least `(stamp, port)` of any queue
@@ -74,7 +74,7 @@ use std::collections::VecDeque;
 /// At the paper-default timing (64-cycle burst latency, ~60 B/cycle) this
 /// selects **32 cycles** — the value the hardware-aware DSE evaluator used
 /// to hardwire, now derived and shared with the serving simulations.
-pub fn calibrate_dram_command_cycles(burst_latency: u64, bytes_per_cycle: f64) -> u64 {
+pub(crate) fn calibrate_dram_command_cycles(burst_latency: u64, bytes_per_cycle: f64) -> u64 {
     assert!(bytes_per_cycle > 0.0, "bandwidth must be positive");
     let target = burst_latency + burst_latency / 2; // tRC ≈ 1.5 × first-beat latency
     let transfer = (64.0 / bytes_per_cycle).ceil() as u64; // one 64 B burst
@@ -101,29 +101,29 @@ fn memo_slot(bytes: u64) -> usize {
 
 /// One queued DRAM request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DramRequest {
+pub(crate) struct DramRequest {
     /// Requesting port. Single-pipeline simulation uses the stage index;
     /// multi-instance simulation uses `instance * 4 + stage`.
-    pub port: usize,
+    pub(crate) port: usize,
     /// Stage the request belongs to (0 = predict … 3 = formal).
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// Tile the data belongs to.
-    pub tile: usize,
+    pub(crate) tile: usize,
     /// Transfer size.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Whether this is a writeback (completion is not waited on by a stage).
-    pub write: bool,
+    pub(crate) write: bool,
 }
 
 /// Completion handed back by the channel when a request finishes issuing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Issued {
+pub(crate) struct Issued {
     /// The request now occupying the channel.
-    pub request: DramRequest,
+    pub(crate) request: DramRequest,
     /// When the channel becomes free again.
-    pub free_at: u64,
+    pub(crate) free_at: u64,
     /// When the requester has all of the data.
-    pub done_at: u64,
+    pub(crate) done_at: u64,
 }
 
 /// A request waiting in its port queue: the public [`DramRequest`] without
@@ -141,7 +141,7 @@ struct Queued {
 /// The shared channel: per-port queues, round-robin pick with optional
 /// priority aging, busy bookkeeping.
 #[derive(Debug)]
-pub struct DramChannel {
+pub(crate) struct DramChannel {
     /// Sustained bandwidth in bytes per cycle.
     bytes_per_cycle: f64,
     /// Fixed latency from issue to first data beat (cycles).
@@ -178,32 +178,6 @@ pub struct DramChannel {
 }
 
 impl DramChannel {
-    /// Creates a channel with `ports` requester ports and plain round-robin
-    /// arbitration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_cycle` is not positive or `ports` is zero.
-    pub fn new(ports: usize, bytes_per_cycle: f64, burst_latency: u64) -> Self {
-        Self::with_aging(ports, bytes_per_cycle, burst_latency, u64::MAX)
-    }
-
-    /// Creates a channel whose arbitration ages: a queued request that has
-    /// waited at least `age_threshold` cycles is served before the round-robin
-    /// rotation, oldest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_cycle` is not positive or `ports` is zero.
-    pub fn with_aging(
-        ports: usize,
-        bytes_per_cycle: f64,
-        burst_latency: u64,
-        age_threshold: u64,
-    ) -> Self {
-        Self::with_timing(ports, bytes_per_cycle, burst_latency, age_threshold, 0)
-    }
-
     /// Creates a channel with full timing control: aging arbitration plus a
     /// per-request command occupancy of `command_cycles` (the channel is
     /// held for `command_cycles + transfer` per request).
@@ -211,7 +185,7 @@ impl DramChannel {
     /// # Panics
     ///
     /// Panics if `bytes_per_cycle` is not positive or `ports` is zero.
-    pub fn with_timing(
+    pub(crate) fn with_timing(
         ports: usize,
         bytes_per_cycle: f64,
         burst_latency: u64,
@@ -259,7 +233,7 @@ impl DramChannel {
     /// the caller spills the request with 8-byte stores and this reloads
     /// two of its fields with one 16-byte load, which stalls.
     #[inline(always)]
-    pub fn enqueue(&mut self, req: DramRequest, now: u64) {
+    pub(crate) fn enqueue(&mut self, req: DramRequest, now: u64) {
         assert!(req.port < self.queues.len(), "no such DRAM port");
         let queue = &mut self.queues[req.port];
         if let Some(last) = queue.back() {
@@ -350,7 +324,7 @@ impl DramChannel {
     /// `free_at` / `done_at` events and for calling [`DramChannel::release`]
     /// at `free_at`.
     #[inline]
-    pub fn try_issue(&mut self, now: u64) -> Option<Issued> {
+    pub(crate) fn try_issue(&mut self, now: u64) -> Option<Issued> {
         if self.busy || self.queued == 0 {
             return None;
         }
@@ -416,33 +390,28 @@ impl DramChannel {
     }
 
     /// Marks the channel free again (call at the issued request's `free_at`).
-    pub fn release(&mut self) {
+    pub(crate) fn release(&mut self) {
         self.busy = false;
-    }
-
-    /// Whether any request is queued or in flight.
-    pub fn is_active(&self) -> bool {
-        self.busy || self.queued > 0
     }
 
     /// Requests currently waiting across all port queues (excluding the one
     /// in flight) — the queue-depth signal of the trace counter track.
-    pub fn queued_requests(&self) -> usize {
+    pub(crate) fn queued_requests(&self) -> usize {
         self.queued
     }
 
     /// Total bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
     /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
     /// Cycles the channel spent transferring data.
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
 
@@ -452,12 +421,12 @@ impl DramChannel {
     }
 
     /// How many issues were decided by aging rather than round-robin.
-    pub fn aged_issues(&self) -> u64 {
+    pub(crate) fn aged_issues(&self) -> u64 {
         self.aged_issues
     }
 
     /// Mean cycles a request waited in its port queue before issue.
-    pub fn mean_queue_wait(&self) -> f64 {
+    pub(crate) fn mean_queue_wait(&self) -> f64 {
         if self.issued_requests == 0 {
             return 0.0;
         }
@@ -468,6 +437,13 @@ impl DramChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DramChannel {
+        /// Whether any request is queued or in flight.
+        fn is_active(&self) -> bool {
+            self.busy || self.queued > 0
+        }
+    }
 
     fn req(port: usize, tile: usize, bytes: u64) -> DramRequest {
         DramRequest {
@@ -493,7 +469,7 @@ mod tests {
 
     #[test]
     fn transfer_time_is_bandwidth_limited_plus_latency() {
-        let mut ch = DramChannel::new(4, 64.0, 100);
+        let mut ch = DramChannel::with_timing(4, 64.0, 100, u64::MAX, 0);
         ch.enqueue(req(0, 0, 6400), 0);
         let issued = ch.try_issue(0).unwrap();
         assert_eq!(issued.free_at, 100, "6400 B / 64 B-per-cycle");
@@ -511,14 +487,14 @@ mod tests {
         assert_eq!(issued.done_at, 230, "plus one burst latency");
         assert_eq!(ch.busy_cycles(), 130);
         // The default constructors keep the classic bandwidth-only channel.
-        let mut classic = DramChannel::new(2, 64.0, 100);
+        let mut classic = DramChannel::with_timing(2, 64.0, 100, u64::MAX, 0);
         classic.enqueue(req(0, 0, 6400), 0);
         assert_eq!(classic.try_issue(0).unwrap().free_at, 100);
     }
 
     #[test]
     fn channel_serialises_requests() {
-        let mut ch = DramChannel::new(2, 1.0, 0);
+        let mut ch = DramChannel::with_timing(2, 1.0, 0, u64::MAX, 0);
         ch.enqueue(req(0, 0, 10), 0);
         ch.enqueue(req(1, 0, 10), 0);
         let first = ch.try_issue(0).unwrap();
@@ -530,7 +506,7 @@ mod tests {
 
     #[test]
     fn arbitration_is_round_robin_across_ports() {
-        let mut ch = DramChannel::new(3, 1.0, 0);
+        let mut ch = DramChannel::with_timing(3, 1.0, 0, u64::MAX, 0);
         // Port 2 queues two requests, ports 0 and 1 one each.
         ch.enqueue(req(2, 0, 1), 0);
         ch.enqueue(req(2, 1, 1), 0);
@@ -550,7 +526,7 @@ mod tests {
 
     #[test]
     fn aged_request_overrides_round_robin() {
-        let mut ch = DramChannel::with_aging(3, 1.0, 0, 50);
+        let mut ch = DramChannel::with_timing(3, 1.0, 0, 50, 0);
         // Port 2's request has been waiting since cycle 0; ports 0 and 1 just
         // arrived. Plain round-robin would serve port 0 first.
         ch.enqueue(req(2, 0, 1), 0);
@@ -568,7 +544,7 @@ mod tests {
 
     #[test]
     fn oldest_aged_request_wins() {
-        let mut ch = DramChannel::with_aging(4, 1.0, 0, 10);
+        let mut ch = DramChannel::with_timing(4, 1.0, 0, 10, 0);
         ch.enqueue(req(3, 0, 1), 5);
         ch.enqueue(req(1, 0, 1), 0); // oldest
         ch.enqueue(req(2, 0, 1), 5);
@@ -582,7 +558,7 @@ mod tests {
 
     #[test]
     fn queue_wait_is_accounted() {
-        let mut ch = DramChannel::new(1, 1.0, 0);
+        let mut ch = DramChannel::with_timing(1, 1.0, 0, u64::MAX, 0);
         ch.enqueue(req(0, 0, 4), 10);
         let _ = ch.try_issue(30).unwrap();
         assert!((ch.mean_queue_wait() - 20.0).abs() < 1e-12);
@@ -590,7 +566,7 @@ mod tests {
 
     #[test]
     fn writes_and_reads_are_tracked_separately() {
-        let mut ch = DramChannel::new(1, 8.0, 0);
+        let mut ch = DramChannel::with_timing(1, 8.0, 0, u64::MAX, 0);
         ch.enqueue(
             DramRequest {
                 port: 0,
@@ -609,7 +585,7 @@ mod tests {
 
     #[test]
     fn zero_byte_request_frees_immediately() {
-        let mut ch = DramChannel::new(1, 64.0, 5);
+        let mut ch = DramChannel::with_timing(1, 64.0, 5, u64::MAX, 0);
         ch.enqueue(req(0, 0, 0), 7);
         let issued = ch.try_issue(7).unwrap();
         assert_eq!(issued.free_at, 7);
@@ -783,15 +759,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "went backwards")]
     fn decreasing_port_stamps_are_rejected() {
-        let mut ch = DramChannel::with_aging(2, 1.0, 0, 10);
+        let mut ch = DramChannel::with_timing(2, 1.0, 0, 10, 0);
         ch.enqueue(req(0, 0, 1), 20);
         ch.enqueue(req(0, 1, 1), 19);
     }
 
     #[test]
     fn aging_index_drains_with_the_queues_and_stays_empty_without_aging() {
-        let mut aged = DramChannel::with_aging(4, 1.0, 0, 1);
-        let mut plain = DramChannel::new(4, 1.0, 0);
+        let mut aged = DramChannel::with_timing(4, 1.0, 0, 1, 0);
+        let mut plain = DramChannel::with_timing(4, 1.0, 0, u64::MAX, 0);
         for ch in [&mut aged, &mut plain] {
             for (port, at) in [(3, 5), (1, 0), (2, 5), (1, 6), (0, 2)] {
                 ch.enqueue(req(port, 0, 1), at);
@@ -838,7 +814,7 @@ mod tests {
 
     #[test]
     fn idle_channel_issues_nothing() {
-        let mut ch = DramChannel::new(2, 4.0, 1);
+        let mut ch = DramChannel::with_timing(2, 4.0, 1, u64::MAX, 0);
         assert!(ch.try_issue(0).is_none());
         assert!(!ch.is_active());
         assert_eq!(ch.mean_queue_wait(), 0.0);

@@ -32,7 +32,7 @@
 //! repository benchmark's `serve_overload` workload a sampling profile put
 //! 11.8% of all samples on the store right after that reload; inlined, the
 //! event stays in registers and that line takes about 2%.
-//! [`DramChannel::enqueue`](crate::dram::DramChannel::enqueue) is inlined
+//! `DramChannel::enqueue` is inlined
 //! for the same reason.
 //!
 //! The queue is generic over the event payload. It is the crate's one event
@@ -49,7 +49,7 @@ pub(crate) struct Scheduled<K> {
 /// Time-ordered queue of future events with FIFO tie-breaking on equal
 /// timestamps.
 #[derive(Debug)]
-pub struct EventQueue<K> {
+pub(crate) struct EventQueue<K> {
     /// Pending events, latest first: sorted by descending time, and among
     /// equal times newest push first, so the next event is the last element.
     pending: Vec<Scheduled<K>>,
@@ -65,14 +65,14 @@ impl<K> Default for EventQueue<K> {
 
 impl<K> EventQueue<K> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Schedules `kind` to fire at `time`. Always inlined: see the module
     /// docs.
     #[inline(always)]
-    pub fn push(&mut self, time: u64, kind: K)
+    pub(crate) fn push(&mut self, time: u64, kind: K)
     where
         K: Copy,
     {
@@ -93,29 +93,29 @@ impl<K> EventQueue<K> {
 
     /// Pops the earliest event, returning `(time, kind)`. Among events with
     /// equal timestamps the one pushed first is returned first (FIFO).
-    pub fn pop(&mut self) -> Option<(u64, K)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, K)> {
         self.pending.pop().map(|s| (s.time, s.kind))
     }
 
     /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<u64> {
+    pub(crate) fn peek_time(&self) -> Option<u64> {
         self.pending.last().map(|s| s.time)
-    }
-
-    /// Whether no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.pending.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K> EventQueue<K> {
+        fn is_empty(&self) -> bool {
+            self.pending.is_empty()
+        }
+
+        fn len(&self) -> usize {
+            self.pending.len()
+        }
+    }
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 

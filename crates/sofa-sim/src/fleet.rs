@@ -54,20 +54,20 @@ impl Default for FabricParams {
 
 /// Accounting of one node's ingress link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FabricLink {
+pub(crate) struct FabricLink {
     /// Transfers the link carried.
-    pub transfers: u64,
+    pub(crate) transfers: u64,
     /// Payload bytes the link carried.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Cycles the link spent serializing payloads.
-    pub busy_cycles: u64,
+    pub(crate) busy_cycles: u64,
 }
 
 /// Per-link fabric accounting of a fleet run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricReport {
     /// One entry per node ingress link.
-    pub links: Vec<FabricLink>,
+    pub(crate) links: Vec<FabricLink>,
 }
 
 impl FabricReport {
@@ -316,14 +316,6 @@ impl FleetSim {
         &self.completions
     }
 
-    /// Drains all pending events and deliveries on every node.
-    ///
-    /// Like [`FleetSim::run_until`], the returned slice borrows reusable
-    /// scratch and is valid until the next stepping call.
-    pub fn run_to_idle(&mut self) -> &[FleetCompletion] {
-        self.run_until(u64::MAX)
-    }
-
     /// Snapshot of every node's accounting.
     pub fn report(&self) -> FleetSimReport {
         FleetSimReport {
@@ -392,7 +384,7 @@ mod tests {
         for (req, at) in [(0u64, 0u64), (1, 100), (2, 5_000)] {
             fleet.submit(0, 0, req, Arc::clone(&job), at);
         }
-        let fleet_done = fleet.run_to_idle();
+        let fleet_done = fleet.run_until(u64::MAX);
 
         assert_eq!(fleet_done.len(), ref_done.len());
         for (f, (t, c)) in fleet_done.iter().zip(ref_done.iter()) {
@@ -447,7 +439,7 @@ mod tests {
         for r in 0..9u64 {
             fleet.submit((r % 3) as usize, 0, r, Arc::clone(&job), r * 10);
         }
-        let done = fleet.run_to_idle().to_vec();
+        let done = fleet.run_until(u64::MAX).to_vec();
         assert_eq!(done.len(), 9);
         let nodes: Vec<usize> = done.iter().map(|c| c.node).collect();
         assert_eq!(nodes, [0, 0, 0, 1, 1, 1, 2, 2, 2]);

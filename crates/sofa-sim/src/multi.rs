@@ -2,8 +2,8 @@
 //! DRAM channel.
 //!
 //! [`MultiPipelineSim`] steps `N` independent four-stage pipeline instances —
-//! each with its own per-instance [`PingPongBuffer`] pool — whose tile
-//! streams all contend for a single [`DramChannel`]. Each instance carries a
+//! each with its own per-instance `PingPongBuffer` pool — whose tile
+//! streams all contend for a single `DramChannel`. Each instance carries a
 //! *stream* of [`PipelineJob`]s (one per serving request): tiles of
 //! consecutive requests flow back-to-back through the stages without
 //! draining the pipeline in between, which is what makes request-level

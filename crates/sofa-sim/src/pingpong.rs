@@ -33,11 +33,11 @@ struct Slot {
 /// Most banks a [`PingPongBuffer`] can have. The banks are an inline ring
 /// of this many slots, a power of two, so the window neither allocates nor
 /// shifts when its oldest bank is released.
-pub const MAX_BANKS: usize = 4;
+pub(crate) const MAX_BANKS: usize = 4;
 
 /// A ping-pong buffer of `capacity` banks with occupancy accounting.
 #[derive(Debug)]
-pub struct PingPongBuffer {
+pub(crate) struct PingPongBuffer {
     capacity: usize,
     /// Resident banks in stream order, oldest first: `len` slots of the
     /// ring starting at `head`.
@@ -58,7 +58,7 @@ impl PingPongBuffer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or above [`MAX_BANKS`].
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         assert!(capacity <= MAX_BANKS, "at most {MAX_BANKS} banks");
         let empty = Slot {
@@ -88,13 +88,13 @@ impl PingPongBuffer {
     }
 
     /// Whether the producer can start filling a new bank.
-    pub fn has_free_slot(&self) -> bool {
+    pub(crate) fn has_free_slot(&self) -> bool {
         self.len < self.capacity
     }
 
     /// Time the most recent bank was freed — the moment a producer blocked on
     /// back-pressure became unblocked.
-    pub fn last_release_time(&self) -> u64 {
+    pub(crate) fn last_release_time(&self) -> u64 {
         self.last_release
     }
 
@@ -103,7 +103,7 @@ impl PingPongBuffer {
     /// # Panics
     ///
     /// Panics if no bank is free.
-    pub fn reserve(&mut self, tile: usize, now: u64) {
+    pub(crate) fn reserve(&mut self, tile: usize, now: u64) {
         assert!(self.has_free_slot(), "reserve on a full ping-pong buffer");
         self.advance(now);
         self.slots[(self.head + self.len) % MAX_BANKS] = Slot {
@@ -119,7 +119,7 @@ impl PingPongBuffer {
     /// # Panics
     ///
     /// Panics if `tile` is not the bank being filled (the newest resident).
-    pub fn mark_ready(&mut self, tile: usize, now: u64) {
+    pub(crate) fn mark_ready(&mut self, tile: usize, now: u64) {
         let newest = (self.head + self.len.wrapping_sub(1)) % MAX_BANKS;
         let slot = Some(&mut self.slots[newest])
             .filter(|s| self.len > 0 && s.tile == tile && s.state == SlotState::Filling)
@@ -130,7 +130,7 @@ impl PingPongBuffer {
 
     /// When `tile` became ready for the consumer (`None` unless it is the
     /// oldest resident and ready).
-    pub fn ready_time(&self, tile: usize) -> Option<u64> {
+    pub(crate) fn ready_time(&self, tile: usize) -> Option<u64> {
         self.resident(0)
             .filter(|s| s.tile == tile && s.state == SlotState::Ready)
             .map(|s| s.ready_at)
@@ -150,7 +150,7 @@ impl PingPongBuffer {
     /// # Panics
     ///
     /// Panics if `tile` is not the oldest resident or not ready.
-    pub fn release(&mut self, tile: usize, now: u64) {
+    pub(crate) fn release(&mut self, tile: usize, now: u64) {
         assert!(
             self.resident(0)
                 .is_some_and(|s| s.tile == tile && s.state == SlotState::Ready),
@@ -163,12 +163,12 @@ impl PingPongBuffer {
     }
 
     /// Current number of occupied banks (filling or ready).
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.len
     }
 
     /// Mean occupancy in banks over `[0, now]`.
-    pub fn average_occupancy(&self, now: u64) -> f64 {
+    pub(crate) fn average_occupancy(&self, now: u64) -> f64 {
         if now == 0 {
             return self.len as f64;
         }

@@ -102,18 +102,13 @@ pub struct CycleReport {
 }
 
 impl CycleReport {
-    /// Latency in seconds at clock `freq_hz`.
-    pub fn latency_s(&self, freq_hz: f64) -> f64 {
-        self.total_cycles as f64 / freq_hz
-    }
-
     /// Fraction of the run during which the DRAM channel — not any engine —
     /// was the limiting resource: the channel-busy cycles in excess of the
     /// busiest stage's compute, over the whole run. Zero on compute-bound
     /// configurations (where fetch latency hides behind the pipeline) and
     /// grows toward the analytic memory-time share on memory-bound ones. For
     /// per-stage wait diagnosis use [`StageActivity::stall_dram`] instead.
-    pub fn dram_stall_fraction(&self) -> f64 {
+    pub(crate) fn dram_stall_fraction(&self) -> f64 {
         if self.total_cycles == 0 {
             return 0.0;
         }
@@ -173,7 +168,7 @@ pub struct CycleComparison {
     pub relative_error: f64,
     /// Whether the analytic model classified the task memory-bound.
     pub analytic_memory_bound: bool,
-    /// The run's [`CycleReport::dram_stall_fraction`]: the fraction of the
+    /// The run's `CycleReport::dram_stall_fraction`: the fraction of the
     /// run during which the DRAM channel, not any engine, was the limiting
     /// resource (channel-busy cycles in excess of the busiest stage).
     pub dram_stall_fraction: f64,
@@ -218,7 +213,6 @@ mod tests {
         assert!((r.dram.utilization(r.total_cycles) - 1.0).abs() < 1e-12);
         assert!((r.stages[3].utilization(r.total_cycles) - 0.8).abs() < 1e-12);
         assert_eq!(r.dram.total_bytes(), 5000);
-        assert!((r.latency_s(1e9) - 1e-6).abs() < 1e-18);
         assert_eq!(r.stages[3].total_stall(), 200);
     }
 

@@ -40,7 +40,7 @@ pub(crate) const STAGES: usize = 4;
 
 /// Timing knobs of the simulated microarchitecture. Its structure is fixed:
 /// [`SimParams::BUFFER_DEPTH`] banks per stage boundary and a key-stream
-/// prefetch of [`SimParams::PREFETCH_DEPTH`] tiles.
+/// prefetch of `SimParams::PREFETCH_DEPTH` tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimParams {
     /// Fixed DRAM latency from request issue to first data beat (cycles).
@@ -56,7 +56,7 @@ pub struct SimParams {
     /// (row activation / command serialisation). 0 — the default — keeps the
     /// classic bandwidth-only channel; the hardware-aware DSE evaluator sets
     /// it so fine tilings pay for their extra requests.
-    pub dram_command_cycles: u64,
+    pub(crate) dram_command_cycles: u64,
 }
 
 impl SimParams {
@@ -66,11 +66,11 @@ impl SimParams {
 
     /// How many tiles ahead of the prediction stage its key stream is
     /// fetched.
-    pub const PREFETCH_DEPTH: usize = 2;
+    pub(crate) const PREFETCH_DEPTH: usize = 2;
 
     /// Returns these parameters with `dram_command_cycles` calibrated
     /// against the burst-latency model for `cfg`'s bandwidth
-    /// ([`crate::dram::calibrate_dram_command_cycles`]). At the
+    /// (`crate::dram::calibrate_dram_command_cycles`). At the
     /// paper-default timing the calibration lands on 32 cycles. The DSE
     /// evaluator and the serving simulations both run with this enabled, so
     /// request-granularity DRAM effects (many small scattered fetches under
@@ -171,7 +171,7 @@ impl CycleSim {
     }
 
     /// [`CycleSim::run_job`] with a trace sink (see [`CycleSim::run_traced`]).
-    pub fn run_job_traced(&self, job: &PipelineJob, obs: &mut TraceRecorder) -> CycleReport {
+    pub(crate) fn run_job_traced(&self, job: &PipelineJob, obs: &mut TraceRecorder) -> CycleReport {
         let mut multi = MultiPipelineSim::new(self.accel.config(), 1, self.params);
         multi.timeline = Some(Vec::with_capacity(job.num_tiles() * STAGES));
         if obs.is_enabled() {
@@ -302,7 +302,7 @@ pub struct PipelineJob {
 
 impl PipelineJob {
     /// Number of context tiles.
-    pub fn num_tiles(&self) -> usize {
+    pub(crate) fn num_tiles(&self) -> usize {
         self.work.len()
     }
 

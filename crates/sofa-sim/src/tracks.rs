@@ -12,7 +12,7 @@
 //!   not traced.
 //! * **tid** — within a pipeline process: tids `0..=3` carry the per-stage
 //!   busy/stall spans (in [`crate::report::STAGE_NAMES`] order) and
-//!   [`TID_BANK_BASE`]`+b` the ping-pong occupancy counter of stage
+//!   `TID_BANK_BASE``+b` the ping-pong occupancy counter of stage
 //!   boundary `b` (0–2).
 
 use crate::report::STAGE_NAMES;
@@ -24,11 +24,11 @@ pub const PID_SHARED_DRAM: u64 = 99;
 /// First process id available to layers above the simulator (serving).
 pub const PID_SERVE_BASE: u64 = 100;
 /// First track id of the three ping-pong bank-occupancy counters.
-pub const TID_BANK_BASE: u64 = 5;
+pub(crate) const TID_BANK_BASE: u64 = 5;
 
 /// Names the stage and counter tracks of pipeline process `pid` in the
 /// trace viewer. A disabled recorder drops everything.
-pub fn announce_pipeline(obs: &mut TraceRecorder, pid: u64, process: &str) {
+pub(crate) fn announce_pipeline(obs: &mut TraceRecorder, pid: u64, process: &str) {
     if !obs.is_enabled() {
         return;
     }
@@ -42,7 +42,7 @@ pub fn announce_pipeline(obs: &mut TraceRecorder, pid: u64, process: &str) {
 }
 
 /// Counter-track name of ping-pong stage boundary `b` (0–2).
-pub fn bank_track(b: usize) -> String {
+pub(crate) fn bank_track(b: usize) -> String {
     format!("banks.{}-{}", STAGE_NAMES[b], STAGE_NAMES[b + 1])
 }
 

@@ -2,10 +2,9 @@
 //!
 //! The paper's pre-compute stage operates on low-precision operands (4/8-bit
 //! tokens, leading-zero-encoded weights) while the formal computing stage uses
-//! 16-bit values. This module provides symmetric linear quantisation to an
-//! arbitrary bit-width plus helpers to round-trip whole matrices, so that the
-//! algorithm crates can reason about prediction error in exactly the same way
-//! the hardware would.
+//! 16-bit values. This module provides symmetric linear quantisation of whole
+//! matrices to an arbitrary bit-width, so that the algorithm crates can reason
+//! about prediction error in exactly the same way the hardware would.
 
 use crate::matrix::Matrix;
 
@@ -13,7 +12,7 @@ use crate::matrix::Matrix;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Bit-width of the signed integer representation (2..=16).
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Scale factor mapping reals to integers.
     pub scale: f32,
 }
@@ -25,7 +24,7 @@ impl QuantParams {
     /// # Panics
     ///
     /// Panics if `bits` is outside `2..=16`.
-    pub fn from_max_abs(bits: u32, max_abs: f32) -> Self {
+    pub(crate) fn from_max_abs(bits: u32, max_abs: f32) -> Self {
         assert!((2..=16).contains(&bits), "bits must be within 2..=16");
         let qmax = ((1i32 << (bits - 1)) - 1) as f32;
         let max_abs = if max_abs <= f32::EPSILON {
@@ -40,30 +39,25 @@ impl QuantParams {
     }
 
     /// Derives parameters from the observed dynamic range of a matrix.
-    pub fn fit(bits: u32, m: &Matrix) -> Self {
+    pub(crate) fn fit(bits: u32, m: &Matrix) -> Self {
         let max_abs = m.as_slice().iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
         Self::from_max_abs(bits, max_abs)
     }
 
     /// Largest representable positive integer value.
-    pub fn qmax(&self) -> i32 {
+    pub(crate) fn qmax(&self) -> i32 {
         (1i32 << (self.bits - 1)) - 1
     }
 
     /// Smallest representable (negative) integer value.
-    pub fn qmin(&self) -> i32 {
+    pub(crate) fn qmin(&self) -> i32 {
         -(1i32 << (self.bits - 1))
     }
 
     /// Quantises a single value to the integer grid.
-    pub fn quantize(&self, x: f32) -> i32 {
+    pub(crate) fn quantize(&self, x: f32) -> i32 {
         let q = (x / self.scale).round() as i32;
         q.clamp(self.qmin(), self.qmax())
-    }
-
-    /// Dequantises a single integer value.
-    pub fn dequantize(&self, q: i32) -> f32 {
-        q as f32 * self.scale
     }
 }
 
@@ -85,7 +79,7 @@ impl Quantized {
     }
 
     /// Quantises `m` with explicit parameters.
-    pub fn from_matrix_with(params: QuantParams, m: &Matrix) -> Self {
+    pub(crate) fn from_matrix_with(params: QuantParams, m: &Matrix) -> Self {
         let codes = m.as_slice().iter().map(|&x| params.quantize(x)).collect();
         Quantized {
             params,
@@ -98,11 +92,6 @@ impl Quantized {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Integer code at `(i, j)`.
@@ -129,37 +118,6 @@ impl Quantized {
         assert!(i < self.rows, "row index out of bounds");
         &self.codes[i * self.cols..(i + 1) * self.cols]
     }
-
-    /// Reconstructs the (lossy) floating point matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.codes
-                .iter()
-                .map(|&q| self.params.dequantize(q))
-                .collect(),
-        )
-        .expect("shape is consistent by construction")
-    }
-
-    /// Mean absolute quantisation error against the original matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `original` has a different shape.
-    pub fn mean_abs_error(&self, original: &Matrix) -> f32 {
-        assert_eq!(original.shape(), (self.rows, self.cols), "shape mismatch");
-        let rec = self.to_matrix();
-        let n = (self.rows * self.cols) as f32;
-        original
-            .as_slice()
-            .iter()
-            .zip(rec.as_slice().iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f32>()
-            / n
-    }
 }
 
 /// Number of bytes needed to store `elements` values at `bits` precision,
@@ -171,6 +129,18 @@ pub fn packed_bytes(elements: usize, bits: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean absolute error of the dequantised codes against `original`.
+    fn mean_abs_error(q: &Quantized, original: &Matrix) -> f32 {
+        let n = original.as_slice().len() as f32;
+        original
+            .as_slice()
+            .iter()
+            .zip(q.codes())
+            .map(|(a, &c)| (a - c as f32 * q.params.scale).abs())
+            .sum::<f32>()
+            / n
+    }
 
     #[test]
     fn quant_params_round_trip_extremes() {
@@ -188,7 +158,6 @@ mod tests {
         for bits in [4, 8, 16] {
             let p = QuantParams::from_max_abs(bits, 3.7);
             assert_eq!(p.quantize(0.0), 0);
-            assert_eq!(p.dequantize(0), 0.0);
         }
     }
 
@@ -208,9 +177,9 @@ mod tests {
     #[test]
     fn round_trip_error_shrinks_with_bits() {
         let m = Matrix::from_fn(16, 16, |i, j| ((i * 31 + j * 17) % 97) as f32 / 97.0 - 0.5);
-        let e4 = Quantized::from_matrix(4, &m).mean_abs_error(&m);
-        let e8 = Quantized::from_matrix(8, &m).mean_abs_error(&m);
-        let e16 = Quantized::from_matrix(16, &m).mean_abs_error(&m);
+        let e4 = mean_abs_error(&Quantized::from_matrix(4, &m), &m);
+        let e8 = mean_abs_error(&Quantized::from_matrix(8, &m), &m);
+        let e16 = mean_abs_error(&Quantized::from_matrix(16, &m), &m);
         assert!(e4 > e8, "4-bit error {e4} should exceed 8-bit error {e8}");
         assert!(
             e8 > e16,
@@ -224,7 +193,6 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.25]]).unwrap();
         let q = Quantized::from_matrix(8, &m);
         assert_eq!(q.rows(), 2);
-        assert_eq!(q.cols(), 2);
         assert_eq!(q.codes().len(), 4);
         assert_eq!(q.row(0).len(), 2);
         assert_eq!(q.code(0, 0), 127);

@@ -11,7 +11,7 @@
 //! * [`softmax`] — numerically stable reference softmax.
 //! * [`attention`] — dense reference attention (`softmax(QKᵀ/√d)·V`) used as
 //!   the ground truth for every sparse/approximate scheme in the workspace.
-//! * [`stats`] — error metrics (cosine similarity, relative error, …) used by
+//! * [`stats`] — error metrics (cosine similarity, recall, …) used by
 //!   the accuracy-proxy evaluation.
 //! * [`rng`] — deterministic RNG construction so experiments are reproducible.
 //!
@@ -35,7 +35,6 @@ pub mod rng;
 pub mod softmax;
 pub mod stats;
 
-pub use fixed::{QuantParams, Quantized};
 pub use matrix::Matrix;
 pub use rng::seeded_rng;
 

@@ -15,7 +15,7 @@ use crate::TensorError;
 /// use sofa_tensor::Matrix;
 ///
 /// let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c.get(1, 0), 3.0);
 /// ```
@@ -111,11 +111,6 @@ impl Matrix {
         })
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -129,16 +124,6 @@ impl Matrix {
     /// Shape as `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if the matrix has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Returns the element at `(i, j)`.
@@ -268,62 +253,12 @@ impl Matrix {
     }
 
     /// Multiplies every element by `scale`, returning a new matrix.
-    pub fn scaled(&self, scale: f32) -> Matrix {
+    pub(crate) fn scaled(&self, scale: f32) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|x| x * scale).collect(),
         }
-    }
-
-    /// Element-wise addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
-        if self.shape() != rhs.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
-        })
-    }
-
-    /// Element-wise subtraction (`self - rhs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, TensorError> {
-        if self.shape() != rhs.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "sub",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
-        })
     }
 
     /// Returns a sub-matrix made of the given rows (in the given order).
@@ -396,15 +331,13 @@ mod tests {
         m.reset_zeros(4, 6);
         assert_eq!(m, Matrix::zeros(4, 6), "grow must zero every entry");
         m.reset_zeros(0, 0);
-        assert!(m.is_empty());
+        assert!(m.as_slice().is_empty());
     }
 
     #[test]
     fn zeros_and_shape() {
         let m = Matrix::zeros(3, 5);
         assert_eq!(m.shape(), (3, 5));
-        assert_eq!(m.len(), 15);
-        assert!(!m.is_empty());
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -425,7 +358,7 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f32);
-        let i = Matrix::identity(3);
+        let i = Matrix::from_fn(3, 3, |i, j| if i == j { 1.0 } else { 0.0 });
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
     }
@@ -499,12 +432,7 @@ mod tests {
     #[test]
     fn add_sub_scaled() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![3.0, 5.0]]).unwrap();
-        assert_eq!(a.add(&b).unwrap().row(0), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).unwrap().row(0), &[2.0, 3.0]);
         assert_eq!(a.scaled(2.0).row(0), &[2.0, 4.0]);
-        assert!(a.add(&Matrix::zeros(2, 2)).is_err());
-        assert!(a.sub(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn softmax_row(row: &[f32]) -> Vec<f32> {
 }
 
 /// Applies [`softmax_row`] to every row of `m`.
-pub fn softmax_rows(m: &Matrix) -> Matrix {
+pub(crate) fn softmax_rows(m: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(m.rows(), m.cols());
     for i in 0..m.rows() {
         let p = softmax_row(m.row(i));
@@ -54,7 +54,7 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
 /// # Panics
 ///
 /// Panics if `row.len() != mask.len()`.
-pub fn masked_softmax_row(row: &[f32], mask: &[bool]) -> Vec<f32> {
+pub(crate) fn masked_softmax_row(row: &[f32], mask: &[bool]) -> Vec<f32> {
     assert_eq!(row.len(), mask.len(), "mask length must match row length");
     let max = row
         .iter()

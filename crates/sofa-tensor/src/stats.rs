@@ -8,7 +8,7 @@ use crate::matrix::Matrix;
 
 /// Cosine similarity between two vectors. Returns 1.0 for two zero vectors
 /// and 0.0 if exactly one is zero.
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "vectors must have the same length");
     let dot: f32 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
     let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
@@ -40,26 +40,6 @@ pub fn mean_row_cosine(a: &Matrix, b: &Matrix) -> f32 {
     acc / a.rows() as f32
 }
 
-/// Relative Frobenius error `‖a − b‖ / ‖a‖` (0 if both are zero).
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn relative_error(a: &Matrix, b: &Matrix) -> f32 {
-    assert_eq!(a.shape(), b.shape(), "matrices must have the same shape");
-    let diff = a.sub(b).expect("shapes checked").frobenius_norm();
-    let norm = a.frobenius_norm();
-    if norm == 0.0 {
-        if diff == 0.0 {
-            0.0
-        } else {
-            f32::INFINITY
-        }
-    } else {
-        diff / norm
-    }
-}
-
 /// Maximum absolute element-wise difference.
 ///
 /// # Panics
@@ -72,53 +52,6 @@ pub fn max_abs_diff(a: &Matrix, b: &Matrix) -> f32 {
         .zip(b.as_slice().iter())
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f32::max)
-}
-
-/// Mean of a slice (0.0 for an empty slice).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Geometric mean of a slice of positive values (0.0 for an empty slice).
-///
-/// # Panics
-///
-/// Panics if any value is not strictly positive.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    assert!(
-        xs.iter().all(|&x| x > 0.0),
-        "geometric mean requires positive values"
-    );
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Population standard deviation of a slice (0.0 for fewer than two values).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Jaccard overlap between two index sets: `|A ∩ B| / |A ∪ B|`.
-/// Returns 1.0 when both sets are empty.
-pub fn jaccard(a: &[usize], b: &[usize]) -> f64 {
-    use std::collections::HashSet;
-    let sa: HashSet<usize> = a.iter().copied().collect();
-    let sb: HashSet<usize> = b.iter().copied().collect();
-    let union = sa.union(&sb).count();
-    if union == 0 {
-        return 1.0;
-    }
-    sa.intersection(&sb).count() as f64 / union as f64
 }
 
 /// Recall of `predicted` against `reference`: `|P ∩ R| / |R|`.
@@ -153,16 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_error_cases() {
-        let a = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::zeros(1, 2);
-        assert!((relative_error(&a, &a)).abs() < 1e-9);
-        assert!((relative_error(&a, &b) - 1.0).abs() < 1e-6);
-        assert_eq!(relative_error(&b, &b), 0.0);
-        assert!(relative_error(&b, &a).is_infinite());
-    }
-
-    #[test]
     fn max_abs_diff_finds_largest() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![1.0, 2.5], vec![0.0, 4.0]]).unwrap();
@@ -170,25 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_stats() {
-        assert_eq!(mean(&[]), 0.0);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((std_dev(&[2.0, 2.0, 2.0])).abs() < 1e-12);
-        assert!(std_dev(&[1.0, 3.0]) > 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geometric_mean_rejects_nonpositive() {
-        let _ = geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
     fn set_metrics() {
-        assert_eq!(jaccard(&[], &[]), 1.0);
-        assert!((jaccard(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-12);
         assert_eq!(recall(&[1, 2], &[]), 1.0);
         assert!((recall(&[1, 2, 5], &[1, 2, 3, 4]) - 0.5).abs() < 1e-12);
     }

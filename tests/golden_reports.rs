@@ -19,6 +19,14 @@
 
 use std::path::PathBuf;
 
+/// The first table of registry experiment `name`, as JSON — read through
+/// the registry, the path `sofa-bench` and the harness take.
+fn first_table_json(name: &str) -> String {
+    let entry = sofa_bench::registry::find(name)
+        .unwrap_or_else(|| panic!("no registry experiment named {name}"));
+    (entry.run)().tables[0].to_json()
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -38,14 +46,18 @@ fn assert_matches_golden(name: &str, got: &str) {
 
 #[test]
 fn sim_cycle_vs_analytic_json_is_byte_stable() {
-    let table = sofa_bench::experiments::sim_cycle_vs_analytic();
-    assert_matches_golden("sim_cycle_vs_analytic.json", &table.to_json());
+    assert_matches_golden(
+        "sim_cycle_vs_analytic.json",
+        &first_table_json("sim_cycle_vs_analytic"),
+    );
 }
 
 #[test]
 fn serve_throughput_latency_json_is_byte_stable() {
-    let table = sofa_bench::experiments::serve_throughput_latency();
-    assert_matches_golden("serve_throughput_latency.json", &table.to_json());
+    assert_matches_golden(
+        "serve_throughput_latency.json",
+        &first_table_json("serve_sweep"),
+    );
 }
 
 #[test]
@@ -54,8 +66,7 @@ fn dse_pareto_json_is_byte_stable() {
     // search seed (bit-identical at any SOFA_THREADS), so its Pareto table —
     // the input of the CI dse gate and the serving A/B — must never drift
     // silently.
-    let table = sofa_bench::experiments::dse_pareto();
-    assert_matches_golden("dse_pareto.json", &table.to_json());
+    assert_matches_golden("dse_pareto.json", &first_table_json("dse_pareto"));
 }
 
 #[test]
@@ -63,8 +74,7 @@ fn serve_routed_json_is_byte_stable() {
     // The routed-serving study (paper default vs tuned vs Pareto-routed vs
     // budgeted routing) feeds CI regression gate 4; its table is a pure
     // function of the pinned DSE report and trace.
-    let table = sofa_bench::experiments::serve_routed();
-    assert_matches_golden("serve_routed.json", &table.to_json());
+    assert_matches_golden("serve_routed.json", &first_table_json("serve_routed"));
 }
 
 #[test]
@@ -73,8 +83,7 @@ fn serve_fleet_json_is_byte_stable() {
     // CI regression gate 6 and the bench-smoke artifact; the fleet
     // simulation is bit-identical at any SOFA_THREADS, so its table must
     // never drift silently.
-    let table = sofa_bench::experiments::serve_fleet();
-    assert_matches_golden("serve_fleet.json", &table.to_json());
+    assert_matches_golden("serve_fleet.json", &first_table_json("serve_fleet"));
 }
 
 #[test]
@@ -83,8 +92,7 @@ fn serve_adaptive_json_is_byte_stable() {
     // closed-loop controller on the overload trace) feeds CI regression
     // gate 7; its table is a pure function of the pinned DSE report, trace
     // and controller configuration.
-    let table = sofa_bench::experiments::serve_adaptive();
-    assert_matches_golden("serve_adaptive.json", &table.to_json());
+    assert_matches_golden("serve_adaptive.json", &first_table_json("serve_adaptive"));
 }
 
 #[test]

@@ -270,3 +270,33 @@ fn the_fleet_heap_gate_fails_on_zero_readings() {
         "a 1M run may hold at most 1.1x the 100k run"
     );
 }
+
+#[test]
+fn the_allocation_pins_fail_without_the_counting_allocator() {
+    // A test binary runs on the system allocator, so `perf_lowering`'s
+    // allocation counts read 0 here; the pinned counts must then fail, or
+    // they would gate nothing.
+    let out = (registry::find("perf_lowering").expect("registered").run)();
+    let spec = spec("perf_lowering");
+    let pins: Vec<&Predicate> = spec
+        .predicates
+        .iter()
+        .filter(|p| matches!(p, Predicate::CountEquality { left, .. } if left.ends_with("_allocations")))
+        .collect();
+    assert_eq!(pins.len(), 2, "routed and adaptive allocations are pinned");
+    let rerun = |_: Option<usize>| -> Result<sofa_bench::ExperimentOutput, String> {
+        panic!("the allocation pins read scalars only")
+    };
+    let ctx = EvalContext {
+        output: &out,
+        rerun: &rerun,
+        golden_root: &root(),
+        update_golden: false,
+    };
+    for pin in pins {
+        assert!(
+            matches!(evaluate(pin, &ctx), Verdict::GateFail(_)),
+            "{pin:?} must fail on a zero reading"
+        );
+    }
+}
