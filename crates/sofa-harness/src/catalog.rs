@@ -36,6 +36,7 @@ fn predicate_summary(pred: &Predicate) -> String {
             format!("`thread_byte_identity({})`", t.join(","))
         }
         Predicate::GoldenMatch { .. } => "`golden_match`".to_string(),
+        Predicate::GoldenHash { text, .. } => format!("`golden_hash({text})`"),
         Predicate::TraceValid { text, .. } => format!("`trace_valid({text})`"),
         Predicate::CountEquality { left, right } => format!("`count_equality({left} == {right})`"),
         Predicate::WallTimeBudget {
@@ -46,14 +47,7 @@ fn predicate_summary(pred: &Predicate) -> String {
 }
 
 fn golden_of(spec: &Spec) -> String {
-    let goldens: Vec<&str> = spec
-        .predicates
-        .iter()
-        .filter_map(|p| match p {
-            Predicate::GoldenMatch { golden, .. } => Some(golden.as_str()),
-            _ => None,
-        })
-        .collect();
+    let goldens: Vec<&str> = spec.predicates.iter().filter_map(Predicate::golden).collect();
     if goldens.is_empty() {
         "-".to_string()
     } else {

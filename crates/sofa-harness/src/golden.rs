@@ -51,6 +51,15 @@ pub(crate) fn compare_or_update(path: &Path, got: &str, update: bool) -> GoldenS
     }
 }
 
+/// The line a `golden_hash` file holds for `text`: its 64-bit FNV-1a hash
+/// in hex, tagged with the hash's name.
+pub(crate) fn fnv1a64_line(text: &str) -> String {
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("fnv1a64 {hash:016x}\n")
+}
+
 /// Test-harness entry point: compares (or regenerates under
 /// `UPDATE_GOLDEN=1`) and panics with a regeneration hint on mismatch —
 /// the behaviour the workspace golden tests share.
@@ -98,5 +107,12 @@ mod tests {
         assert_eq!(compare_or_update(&path, "x", true), GoldenStatus::Updated);
         assert_eq!(compare_or_update(&path, "x", false), GoldenStatus::Matches);
         assert_eq!(compare_or_update(&path, "y", false), GoldenStatus::Differs);
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64_line(""), "fnv1a64 cbf29ce484222325\n");
+        assert_eq!(fnv1a64_line("a"), "fnv1a64 af63dc4c8601ec8c\n");
+        assert_eq!(fnv1a64_line("foobar"), "fnv1a64 85944171f73967e8\n");
     }
 }

@@ -5,8 +5,8 @@
 //! writes, the golden snapshot it must match, and a list of gate
 //! *predicates* drawn from a small algebra ([`spec::Predicate`]):
 //! `tolerance`, `dominance`, `non_empty`, `two_run_determinism`,
-//! `thread_byte_identity`, `golden_match`, `trace_valid` and
-//! `count_equality`. One binary (`harness`) executes them:
+//! `thread_byte_identity`, `golden_match`, `golden_hash`, `trace_valid`,
+//! `count_equality` and `wall_time_budget`. One binary (`harness`) executes them:
 //!
 //! ```text
 //! harness run  (--all | --spec NAME...) [--json PATH] [--update-golden] [--specs DIR]

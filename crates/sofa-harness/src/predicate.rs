@@ -81,6 +81,12 @@ pub fn evaluate(pred: &Predicate, ctx: &EvalContext) -> Verdict {
             table,
             text,
         } => golden_match(ctx, golden, *table, text.as_deref()),
+        Predicate::GoldenHash { golden, text } => match ctx.output.texts.get(text) {
+            Some(t) => compare_golden(ctx, golden, golden::fnv1a64_line(t)),
+            None => Verdict::ArtifactError(format!(
+                "golden_hash references text {text:?}, which the experiment did not export"
+            )),
+        },
         Predicate::TraceValid { text, format } => trace_valid(ctx.output, text, *format),
         Predicate::WallTimeBudget {
             metric,
@@ -256,6 +262,12 @@ fn golden_match(
         },
         _ => unreachable!("the parser enforces exactly one selector"),
     };
+    compare_golden(ctx, golden, got)
+}
+
+/// Compares `got` against the golden file `golden` (or rewrites it), the
+/// shared tail of `golden_match` and `golden_hash`.
+fn compare_golden(ctx: &EvalContext, golden: &str, got: String) -> Verdict {
     let path = ctx.golden_root.join(golden);
     let update = ctx.update_golden || golden::update_requested();
     match golden::compare_or_update(&path, &got, update) {
@@ -558,6 +570,40 @@ mod tests {
             text: None,
         };
         assert!(matches!(evaluate(&oob, &c), Verdict::ArtifactError(_)));
+    }
+
+    #[test]
+    fn golden_hash_pins_a_text_by_its_hash() {
+        let dir = std::env::temp_dir().join("sofa-harness-predicate-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = ExperimentOutput::default().with_text("trace", "abc".to_string());
+        let rerun = no_rerun;
+        let mut c = ctx(&out, &rerun);
+        c.golden_root = &dir;
+        let pred = |text: &str| Predicate::GoldenHash {
+            golden: "pred_golden.fnv1a64".into(),
+            text: text.into(),
+        };
+        let _ = std::fs::remove_file(dir.join("pred_golden.fnv1a64"));
+        assert!(matches!(
+            evaluate(&pred("trace"), &c),
+            Verdict::ArtifactError(_)
+        ));
+        c.update_golden = true;
+        assert!(matches!(evaluate(&pred("trace"), &c), Verdict::Pass(_)));
+        let stored = std::fs::read_to_string(dir.join("pred_golden.fnv1a64")).unwrap();
+        assert_eq!(stored, "fnv1a64 e71fa2190541574b\n");
+        c.update_golden = false;
+        assert!(matches!(evaluate(&pred("trace"), &c), Verdict::Pass(_)));
+        // One changed byte of the text trips the gate.
+        let drifted = ExperimentOutput::default().with_text("trace", "abd".to_string());
+        c.output = &drifted;
+        assert!(matches!(evaluate(&pred("trace"), &c), Verdict::GateFail(_)));
+        // A text the experiment never exported is an artifact problem.
+        assert!(matches!(
+            evaluate(&pred("ghost"), &c),
+            Verdict::ArtifactError(_)
+        ));
     }
 
     #[test]

@@ -303,7 +303,7 @@ pub fn check_specs(dir: &Path, root: &Path) -> Vec<String> {
             ));
         }
         for pred in &spec.predicates {
-            if let crate::spec::Predicate::GoldenMatch { golden, .. } = pred {
+            if let Some(golden) = pred.golden() {
                 if !root.join(golden).is_file() {
                     problems.push(format!(
                         "{file}: golden snapshot {golden:?} does not exist \

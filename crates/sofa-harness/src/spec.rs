@@ -113,6 +113,10 @@ pub enum Predicate {
         table: Option<usize>,
         text: Option<String>,
     },
+    /// The 64-bit FNV-1a hash of the named text matches the one stored in
+    /// `golden`, a one-line file; `--update-golden` / `UPDATE_GOLDEN=1`
+    /// rewrites it. For texts too large to commit as snapshots.
+    GoldenHash { golden: String, text: String },
     /// The named text parses and passes the format's validity checker.
     TraceValid { text: String, format: TraceFormat },
     /// Two scalar metrics are exactly equal (served-request counts).
@@ -402,6 +406,13 @@ fn predicate_from_json(v: &Json, index: usize) -> Result<Predicate, String> {
                 text,
             })
         }
+        "golden_hash" => {
+            let o = obj(v, &what, &["kind", "golden", "text"])?;
+            Ok(Predicate::GoldenHash {
+                golden: str_field(o, &what, "golden")?,
+                text: str_field(o, &what, "text")?,
+            })
+        }
         "trace_valid" => {
             let o = obj(v, &what, &["kind", "text", "format"])?;
             let format = match str_field(o, &what, "format")?.as_str() {
@@ -458,9 +469,20 @@ impl Predicate {
             Predicate::TwoRunDeterminism => "two_run_determinism",
             Predicate::ThreadByteIdentity { .. } => "thread_byte_identity",
             Predicate::GoldenMatch { .. } => "golden_match",
+            Predicate::GoldenHash { .. } => "golden_hash",
             Predicate::TraceValid { .. } => "trace_valid",
             Predicate::CountEquality { .. } => "count_equality",
             Predicate::WallTimeBudget { .. } => "wall_time_budget",
+        }
+    }
+
+    /// The golden file a `golden_match` or `golden_hash` compares against.
+    pub(crate) fn golden(&self) -> Option<&str> {
+        match self {
+            Predicate::GoldenMatch { golden, .. } | Predicate::GoldenHash { golden, .. } => {
+                Some(golden)
+            }
+            _ => None,
         }
     }
 }
@@ -487,7 +509,8 @@ mod tests {
                 {"kind": "thread_byte_identity", "threads": [1, 2, 8]},
                 {"kind": "golden_match", "golden": "tests/golden/demo.json", "table": 0},
                 {"kind": "trace_valid", "text": "trace", "format": "chrome_trace"},
-                {"kind": "count_equality", "left": "x", "right": "y"}
+                {"kind": "count_equality", "left": "x", "right": "y"},
+                {"kind": "golden_hash", "golden": "tests/golden/t.fnv1a64", "text": "trace"}
               ]
             }"#,
         )
@@ -496,7 +519,7 @@ mod tests {
         assert_eq!(spec.gate.as_deref(), Some("routing"));
         assert_eq!(spec.threads, None);
         assert_eq!(spec.artifacts.len(), 2);
-        assert_eq!(spec.predicates.len(), 9);
+        assert_eq!(spec.predicates.len(), 10);
         assert_eq!(
             spec.predicates[1],
             Predicate::Dominance {
@@ -510,6 +533,13 @@ mod tests {
             spec.predicates[5],
             Predicate::ThreadByteIdentity {
                 threads: vec![1, 2, 8]
+            }
+        );
+        assert_eq!(
+            spec.predicates[9],
+            Predicate::GoldenHash {
+                golden: "tests/golden/t.fnv1a64".into(),
+                text: "trace".into(),
             }
         );
     }
