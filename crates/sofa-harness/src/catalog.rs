@@ -47,7 +47,11 @@ fn predicate_summary(pred: &Predicate) -> String {
 }
 
 fn golden_of(spec: &Spec) -> String {
-    let goldens: Vec<&str> = spec.predicates.iter().filter_map(Predicate::golden).collect();
+    let goldens: Vec<&str> = spec
+        .predicates
+        .iter()
+        .filter_map(Predicate::golden)
+        .collect();
     if goldens.is_empty() {
         "-".to_string()
     } else {

@@ -9,12 +9,13 @@
 //!
 //! * [`event`] — the deterministic time-ordered event queue (a sorted
 //!   pending window with FIFO ties), the crate's one event core.
-//! * [`pingpong`] — double-buffered SRAM banks with fill/drain occupancy.
 //! * [`dram`] — shared DRAM channel: per-port queues, round-robin
 //!   arbitration, bandwidth-limited transfers, per-burst latency.
 //! * [`multi`] — [`MultiPipelineSim`]: the pipeline engine. Several
-//!   instances, each with its own ping-pong buffer pool, share one DRAM
-//!   channel; request streams are submitted reactively so a serving
+//!   instances share one DRAM channel; each double-buffers its stage
+//!   boundaries, with every boundary's bank occupancy derived from the
+//!   stage counters (the tiles its producer started and its consumer has
+//!   not finished). Request streams are submitted reactively so a serving
 //!   scheduler (`sofa-serve`) can feed admission decisions back into
 //!   simulated time.
 //! * [`sim`] — [`CycleSim`]: lowers one task into per-tile work descriptors
@@ -52,7 +53,6 @@ pub mod dram;
 pub mod event;
 pub mod fleet;
 pub mod multi;
-pub mod pingpong;
 pub mod report;
 pub mod sim;
 pub mod tracks;

@@ -2,8 +2,8 @@
 //! DRAM channel.
 //!
 //! [`MultiPipelineSim`] steps `N` independent four-stage pipeline instances —
-//! each with its own per-instance `PingPongBuffer` pool — whose tile
-//! streams all contend for a single `DramChannel`. Each instance carries a
+//! each with its own double-buffered stage boundaries — whose tile streams
+//! all contend for a single `DramChannel`. Each instance carries a
 //! *stream* of [`PipelineJob`]s (one per serving request): tiles of
 //! consecutive requests flow back-to-back through the stages without
 //! draining the pipeline in between, which is what makes request-level
@@ -34,8 +34,10 @@
 //! * a submission gives work to the stages that had run out of it.
 //!
 //! A start opens the constraints of the stage's following tile. The bank
-//! constraints come from the stage counters alone: a boundary's bank holds
-//! the tiles its producer started and its consumer has not finished. The
+//! state is the stage counters: a boundary's banks hold the tiles its
+//! producer started and its consumer has not finished, so an instance keeps
+//! per boundary only what the counters cannot give — the ready stamps of
+//! the banked tiles, the last release and the occupancy integral. The
 //! stages an event wakes are woken in ascending stage order. Every start
 //! pushes a `StageDone`, and equal-time events pop in push order, so this
 //! order is part of the output.
@@ -44,7 +46,7 @@
 //! vain; [`MultiPipelineSim::work`] counts both beside the report
 //! ([`CoreWork`]). A test-only polling core — the sweep this design
 //! replaced, which tried every stage an event might have freed — is the
-//! differential reference.
+//! differential reference, with its own ping-pong bank model.
 //!
 //! Determinism: the event queue breaks timestamp ties FIFO, instances are
 //! scanned in index order, and the channel arbitrates deterministically —
@@ -52,7 +54,6 @@
 
 use crate::dram::{DramChannel, DramRequest};
 use crate::event::EventQueue;
-use crate::pingpong::PingPongBuffer;
 use crate::report::{DramActivity, StageActivity, TimelineEntry};
 use crate::sim::{PipelineJob, SimParams, STAGES};
 use crate::tracks::{announce_pipeline, bank_track, PID_SHARED_DRAM, TID_BANK_BASE};
@@ -144,17 +145,17 @@ const OPERAND: u8 = 1 << 3;
 /// or the stage's output bank is full (never set on the formal stage).
 const OUTPUT: u8 = 1 << 4;
 
-/// Per-instance pipeline state: stream of tiles, buffer pool, stage status.
+/// Per-instance pipeline state: stream of tiles, bank stamps, stage status.
 ///
 /// Tile indices are *stream positions* — monotonically increasing over the
-/// instance's lifetime and used as identifiers in events and ping-pong
-/// bookkeeping. Storage is a ring of the in-flight tiles: a submission
-/// pushes its tiles at the back, the formal stage's `StageDone` pops the
-/// tile from the front ([`Instance::retire`]) and `base` counts the popped,
-/// so a stream holds only its admitted-but-unretired window however many
-/// requests pass through it (the fleet simulator feeds millions through one
-/// instance). Retiring never changes timing — it frees only a tile no
-/// pending event or bank can reference any more.
+/// instance's lifetime and used as identifiers in events and bank slots.
+/// Storage is a ring of the in-flight tiles: a submission pushes its tiles
+/// at the back, the formal stage's `StageDone` pops the tile from the front
+/// ([`Instance::retire`]) and `base` counts the popped, so a stream holds
+/// only its admitted-but-unretired window however many requests pass
+/// through it (the fleet simulator feeds millions through one instance).
+/// Retiring never changes timing — it frees only a tile no pending event or
+/// bank can reference any more.
 #[derive(Debug)]
 struct Instance {
     /// Stream positions `base..base + tiles.len()`; index with
@@ -162,9 +163,17 @@ struct Instance {
     tiles: VecDeque<Row>,
     /// Stream position of `tiles[0]`: the tiles retired so far.
     base: usize,
-    buffers: [PingPongBuffer; STAGES - 1],
     busy: [bool; STAGES],
     next_tile: [usize; STAGES],
+    /// Per boundary `b` (stage `b` to `b + 1`), when the producer finished
+    /// each banked tile, in slot `tile % BUFFER_DEPTH`: a boundary holds at
+    /// most that many consecutive tiles, so no slot is overwritten unread.
+    ready_at: [[u64; SimParams::BUFFER_DEPTH]; STAGES - 1],
+    /// Per boundary, when the consumer last finished a tile (freeing a bank).
+    released_at: [u64; STAGES - 1],
+    /// Per boundary, Σ occupancy · dt less the resident tiles' share: each
+    /// consumer finish adds its time, each producer start subtracts its.
+    occupancy_integral: [i64; STAGES - 1],
     /// Per stage, the constraints of `next_tile` still open (see [`BUSY`]).
     /// Kept exact: every event that resolves one clears its bit, and a
     /// start recomputes the set for the stage's following tile.
@@ -180,9 +189,11 @@ impl Instance {
         Instance {
             tiles: VecDeque::new(),
             base: 0,
-            buffers: std::array::from_fn(|_| PingPongBuffer::new(SimParams::BUFFER_DEPTH)),
             busy: [false; STAGES],
             next_tile: [0; STAGES],
+            ready_at: [[0; SimParams::BUFFER_DEPTH]; STAGES - 1],
+            released_at: [0; STAGES - 1],
+            occupancy_integral: [0; STAGES - 1],
             open: [NO_WORK; STAGES],
             idle_since: [0; STAGES],
             pred_issued: 0,
@@ -206,35 +217,40 @@ impl Instance {
         self.next_tile[stage] - usize::from(self.busy[stage])
     }
 
+    /// Banks occupied at boundary `b`: the tiles its producer started and
+    /// its consumer has not finished.
+    fn occupancy(&self, b: usize) -> usize {
+        self.next_tile[b] - self.finished(b + 1)
+    }
+
+    /// Mean occupancy in banks of boundary `b` over `[0, now]`.
+    fn average_occupancy(&self, b: usize, now: u64) -> f64 {
+        let occupied = self.occupancy(b) as u64;
+        if now == 0 {
+            return occupied as f64;
+        }
+        (self.occupancy_integral[b] + (occupied * now) as i64) as f64 / now as f64
+    }
+
     /// The constraints of `stage`'s next tile that are still open. The
-    /// banks need no lookup: a boundary's bank holds the tiles its producer
-    /// started and its consumer has not finished, and the next tile's input
-    /// bank is ready once the producer finished the tile (while the stage
-    /// still drains the tile ahead, that bank is the second oldest; the
-    /// stage's own `StageDone` makes it the oldest).
+    /// next tile's input bank is ready once the producer finished the tile
+    /// (while the stage still drains the tile ahead, that bank is the second
+    /// oldest; the stage's own `StageDone` makes it the oldest).
     fn open_constraints(&self, stage: usize) -> u8 {
         let tile = self.next_tile[stage];
         let mut open = 0;
         if self.busy[stage] {
             open |= BUSY;
         }
-        if stage < STAGES - 1 && tile - self.finished(stage + 1) >= SimParams::BUFFER_DEPTH {
+        if stage < STAGES - 1 && self.occupancy(stage) >= SimParams::BUFFER_DEPTH {
             open |= OUTPUT;
         }
-        debug_assert_eq!(
-            open & OUTPUT != 0,
-            stage < STAGES - 1 && !self.buffers[stage].has_free_slot()
-        );
         if tile >= self.stream_len() {
             return open | NO_WORK;
         }
         if stage > 0 && self.finished(stage - 1) <= tile {
             open |= INPUT;
         }
-        debug_assert_eq!(
-            open & INPUT != 0,
-            stage > 0 && !self.buffers[stage - 1].is_ready(tile)
-        );
         if self.tiles[tile - self.base].read_done[stage] == NOT_ARRIVED {
             open |= OPERAND;
         }
@@ -248,19 +264,6 @@ impl Instance {
         if self.next_tile[stage] == tile {
             self.open[stage] &= !bit;
         }
-    }
-
-    /// Whether `stage` can start its next tile, checked the way the polling
-    /// core checked it before every start attempt: idle, work present,
-    /// input bank ready (the oldest bank, holding the tile), operand
-    /// arrived, output bank free.
-    fn startable(&self, stage: usize) -> bool {
-        let tile = self.next_tile[stage];
-        !self.busy[stage]
-            && tile < self.stream_len()
-            && (stage == 0 || self.buffers[stage - 1].ready_time(tile).is_some())
-            && self.tiles[tile - self.base].read_done[stage] != NOT_ARRIVED
-            && (stage == STAGES - 1 || self.buffers[stage].has_free_slot())
     }
 
     /// Pops tile `tile`, the oldest in flight, once the formal stage has
@@ -365,6 +368,9 @@ pub struct MultiPipelineSim {
     dram: DramChannel,
     end_time: u64,
     requests_completed: Vec<usize>,
+    /// DRAM bytes the appended tiles read and write: what a drained run
+    /// must have moved (checked by [`Self::report`]).
+    appended_bytes: (u64, u64),
     obs: TraceRecorder,
     /// Every stage start in start order, when recording is on (`None` by
     /// default). `CycleSim` turns it on to build `CycleReport::timeline`.
@@ -397,6 +403,7 @@ impl MultiPipelineSim {
             ),
             end_time: 0,
             requests_completed: vec![0; instances],
+            appended_bytes: (0, 0),
             obs: TraceRecorder::disabled(),
             timeline: None,
             wakeups: 0,
@@ -456,10 +463,7 @@ impl MultiPipelineSim {
             TID_BANK_BASE + b as u64,
             &bank_track(b),
             now,
-            &[(
-                "occupied",
-                self.instances[inst].buffers[b].occupancy() as f64,
-            )],
+            &[("occupied", self.instances[inst].occupancy(b) as f64)],
         );
     }
 
@@ -502,23 +506,23 @@ impl MultiPipelineSim {
     fn append(&mut self, inst: usize, request: u64, job: &PipelineJob, now: u64) {
         assert!(inst < self.instances.len(), "no such instance");
         assert!(!job.work.is_empty(), "cannot submit an empty job");
-        let stage_was_drained: [bool; STAGES] = {
-            let ins = &self.instances[inst];
-            std::array::from_fn(|s| !ins.busy[s] && ins.next_tile[s] == ins.stream_len())
-        };
-        let n = job.work.len();
         let ins = &mut self.instances[inst];
+        // A stage that had drained its stream was idle for lack of work, not
+        // stalled on a resource — restart its idle clock at the submission.
+        for s in 0..STAGES {
+            if !ins.busy[s] && ins.next_tile[s] == ins.stream_len() {
+                ins.idle_since[s] = now;
+            }
+        }
+        let n = job.work.len();
         let rows = job.work.iter().zip(&job.cycles).enumerate();
         ins.tiles.extend(rows.map(|(i, (work, &cycles))| Row {
             slot: TileSlot::new(request, i + 1 == n, work, cycles),
             read_done: std::array::from_fn(|s| if s == 1 { now } else { NOT_ARRIVED }),
         }));
-        // A stage that had drained its stream was idle for lack of work, not
-        // stalled on a resource — restart its idle clock at the submission.
-        for (s, drained) in stage_was_drained.iter().enumerate() {
-            if *drained {
-                ins.idle_since[s] = now;
-            }
+        for row in ins.tiles.range(ins.tiles.len() - n..) {
+            self.appended_bytes.0 += row.slot.read_bytes.iter().sum::<u64>();
+            self.appended_bytes.1 += row.slot.write_bytes;
         }
         self.pump_prefetch(inst, now);
     }
@@ -587,8 +591,18 @@ impl MultiPipelineSim {
         }
     }
 
-    /// Snapshot of the run's accounting.
+    /// Snapshot of the run's accounting. Panics if the run is drained but
+    /// the channel moved other DRAM bytes than its tiles read and write.
     pub fn report(&self) -> MultiReport {
+        let dram = DramActivity {
+            bytes_read: self.dram.bytes_read(),
+            bytes_written: self.dram.bytes_written(),
+            busy_cycles: self.dram.busy_cycles(),
+        };
+        if self.queue.peek_time().is_none() {
+            let moved = (dram.bytes_read, dram.bytes_written);
+            assert_eq!(moved, self.appended_bytes, "drained run lost DRAM bytes");
+        }
         MultiReport {
             total_cycles: self.end_time,
             instances: self
@@ -599,16 +613,12 @@ impl MultiPipelineSim {
                     stages: ins.acts,
                     tiles: ins.acts[STAGES - 1].tiles,
                     requests: reqs,
-                    buffer_occupancy: std::array::from_fn(|i| {
-                        ins.buffers[i].average_occupancy(self.end_time)
+                    buffer_occupancy: std::array::from_fn(|b| {
+                        ins.average_occupancy(b, self.end_time)
                     }),
                 })
                 .collect(),
-            dram: DramActivity {
-                bytes_read: self.dram.bytes_read(),
-                bytes_written: self.dram.bytes_written(),
-                busy_cycles: self.dram.busy_cycles(),
-            },
+            dram,
             dram_aged_issues: self.dram.aged_issues(),
             dram_mean_queue_wait: self.dram.mean_queue_wait(),
         }
@@ -690,12 +700,14 @@ impl MultiPipelineSim {
             ins.open[stage] &= !BUSY;
             ins.idle_since[stage] = now;
             if stage > 0 {
-                ins.buffers[stage - 1].release(tile, now);
-                // The upstream stage's output bank has a free slot again.
+                // The tile's input bank is freed: the upstream stage's
+                // output bank has a free slot again.
+                ins.released_at[stage - 1] = now;
+                ins.occupancy_integral[stage - 1] += now as i64;
                 ins.open[stage - 1] &= !OUTPUT;
             }
             if stage < STAGES - 1 {
-                ins.buffers[stage].mark_ready(tile, now);
+                ins.ready_at[stage][tile % SimParams::BUFFER_DEPTH] = now;
                 ins.resolve(stage + 1, tile, INPUT);
             }
         }
@@ -766,31 +778,19 @@ impl MultiPipelineSim {
     fn start(&mut self, inst: usize, stage: usize, now: u64) {
         let ins = &mut self.instances[inst];
         let tile = ins.next_tile[stage];
-        debug_assert!(
-            ins.startable(stage),
-            "woke stage {stage} of instance {inst} in vain"
-        );
         // When the input bank became ready (the prediction stage reads the
         // raw key stream), when the operand arrived and when the output bank
         // last freed a slot: the three stamps the stall attribution reads.
-        let input_at = if stage == 0 {
-            0
-        } else {
-            ins.buffers[stage - 1]
-                .ready_time(tile)
-                .expect("an empty open set has a ready input bank")
-        };
+        let input_at = stage
+            .checked_sub(1)
+            .map_or(0, |b| ins.ready_at[b][tile % SimParams::BUFFER_DEPTH]);
         let row = ins.row(tile);
         let (read_at, dur, request) = (
             row.read_done[stage],
             row.slot.cycles[stage],
             row.slot.request,
         );
-        let out_at = if stage == STAGES - 1 {
-            0
-        } else {
-            ins.buffers[stage].last_release_time()
-        };
+        let out_at = ins.released_at.get(stage).copied().unwrap_or(0);
 
         // Attribute the idle gap to the constraint that resolved last.
         let idle_since = ins.idle_since[stage];
@@ -815,7 +815,7 @@ impl MultiPipelineSim {
         ins.acts[stage].busy += dur;
         ins.acts[stage].tiles += 1;
         if stage < STAGES - 1 {
-            ins.buffers[stage].reserve(tile, now);
+            ins.occupancy_integral[stage] -= now as i64;
         }
         ins.open[stage] = ins.open_constraints(stage);
         self.starts += 1;
@@ -868,6 +868,7 @@ impl MultiPipelineSim {
 mod tests {
     use super::*;
     use crate::sim::CycleSim;
+    use pingpong::PingPongBuffer;
     use sofa_hw::accel::AttentionTask;
 
     fn small_task() -> AttentionTask {
@@ -1171,7 +1172,28 @@ mod tests {
                         ins.open_constraints(s),
                         "instance {i} stage {s}"
                     );
-                    assert!(!ins.startable(s), "instance {i} stage {s} left startable");
+                    assert_ne!(ins.open[s], 0, "instance {i} stage {s} left startable");
+                }
+            }
+        }
+
+        /// Asserts that every boundary's counter-derived bank state equals
+        /// the polling core's bank model: the occupancy, the ready stamp of
+        /// the consumer's next tile (and whether it is ready at all) and
+        /// the last release.
+        fn assert_banks_match(&self, polling: &PollingCore) {
+            for (i, (ins, banks)) in self.instances.iter().zip(&polling.banks).enumerate() {
+                for (b, bank) in banks.iter().enumerate() {
+                    let tile = ins.next_tile[b + 1];
+                    let ready = (ins.finished(b) > tile)
+                        .then(|| ins.ready_at[b][tile % SimParams::BUFFER_DEPTH]);
+                    let counters = (ins.occupancy(b), ready, ins.released_at[b]);
+                    let model = (
+                        bank.occupancy(),
+                        bank.ready_at(tile),
+                        bank.last_release_time(),
+                    );
+                    assert_eq!(counters, model, "instance {i} boundary {b}");
                 }
             }
         }
@@ -1181,19 +1203,36 @@ mod tests {
     /// differential reference: every event polls the stages it might have
     /// freed (`try_start` on `s − 1`, `s` and `s + 1` after a `StageDone`,
     /// on the receiving stage after a `DramDone`, on all four after a
-    /// submission) and `try_start` checks every constraint itself. It
-    /// drives the state of an inner [`MultiPipelineSim`] (whose open sets
-    /// it never reads), shares its tile appends, DRAM pumping and operand
-    /// fetches, and always records the timeline. Untraced.
+    /// submission) and `try_start` checks every constraint itself, the
+    /// bank constraints and stall stamps on its own [`PingPongBuffer`]
+    /// banks. It drives the state of an inner [`MultiPipelineSim`] (whose
+    /// open sets and bank stamps it never reads), shares its tile appends,
+    /// DRAM pumping and operand fetches, and always records the timeline.
+    /// Untraced.
     struct PollingCore {
         sim: MultiPipelineSim,
+        /// Per instance, the banks of the three stage boundaries.
+        banks: Vec<[PingPongBuffer; STAGES - 1]>,
     }
 
     impl PollingCore {
         fn new(cfg: &HwConfig, instances: usize, params: SimParams) -> Self {
             let mut sim = MultiPipelineSim::new(cfg, instances, params);
             sim.timeline = Some(Vec::new());
-            PollingCore { sim }
+            let banks = (0..instances)
+                .map(|_| std::array::from_fn(|_| PingPongBuffer::new(SimParams::BUFFER_DEPTH)))
+                .collect();
+            PollingCore { sim, banks }
+        }
+
+        /// The inner sim's report with the bank occupancies of the model.
+        fn report(&self) -> MultiReport {
+            let mut report = self.sim.report();
+            for (activity, banks) in report.instances.iter_mut().zip(&self.banks) {
+                activity.buffer_occupancy =
+                    std::array::from_fn(|b| banks[b].average_occupancy(report.total_cycles));
+            }
+            report
         }
 
         fn submit(&mut self, inst: usize, request: u64, job: &PipelineJob, now: u64) {
@@ -1245,11 +1284,12 @@ mod tests {
             let ins = &mut self.sim.instances[inst];
             ins.busy[stage] = false;
             ins.idle_since[stage] = now;
+            let banks = &mut self.banks[inst];
             if stage > 0 {
-                ins.buffers[stage - 1].release(tile, now);
+                banks[stage - 1].release(tile, now);
             }
             if stage < STAGES - 1 {
-                ins.buffers[stage].mark_ready(tile, now);
+                banks[stage].mark_ready(tile, now);
             }
             let mut completed = None;
             match stage {
@@ -1285,6 +1325,7 @@ mod tests {
 
         fn try_start(&mut self, inst: usize, stage: usize, now: u64) {
             let ins = &mut self.sim.instances[inst];
+            let banks = &mut self.banks[inst];
             if ins.busy[stage] {
                 return;
             }
@@ -1295,7 +1336,7 @@ mod tests {
             let input_at = if stage == 0 {
                 0
             } else {
-                match ins.buffers[stage - 1].ready_time(tile) {
+                match banks[stage - 1].ready_time(tile) {
                     Some(t) => t,
                     None => return,
                 }
@@ -1308,10 +1349,10 @@ mod tests {
             let out_at = if stage == STAGES - 1 {
                 0
             } else {
-                if !ins.buffers[stage].has_free_slot() {
+                if !banks[stage].has_free_slot() {
                     return;
                 }
-                ins.buffers[stage].last_release_time()
+                banks[stage].last_release_time()
             };
             let waited = now - ins.idle_since[stage];
             if waited > 0 {
@@ -1328,7 +1369,7 @@ mod tests {
             ins.acts[stage].busy += dur;
             ins.acts[stage].tiles += 1;
             if stage < STAGES - 1 {
-                ins.buffers[stage].reserve(tile, now);
+                banks[stage].reserve(tile, now);
             }
             self.sim.starts += 1;
             let end = now + dur;
@@ -1385,8 +1426,9 @@ mod tests {
         /// stage times, aging off, on every cycle and at the serving
         /// threshold, and zero or calibrated command cycles: the
         /// readiness-driven core steps, completes, reports and starts
-        /// exactly like the polling core, and after every event and
-        /// submission no stage is left startable.
+        /// exactly like the polling core; after every event and submission
+        /// no stage is left startable, and every boundary's counter-derived
+        /// bank state equals the polling core's bank model.
         #[test]
         fn readiness_core_matches_the_polling_core(
             shape in (1usize..9, 0usize..3, 0usize..3, 0usize..2),
@@ -1417,28 +1459,25 @@ mod tests {
                     let step = ready.step();
                     proptest::prop_assert_eq!(step, polling.step());
                     steps.extend(step);
-                    if cfg!(debug_assertions) {
-                        ready.assert_settled();
-                    }
+                    ready.assert_settled();
+                    ready.assert_banks_match(&polling);
                 }
                 let job = redrawn_job(&base, tiles, bits);
                 ready.submit(inst % instances, r as u64, &job, at);
                 polling.submit(inst % instances, r as u64, &job, at);
-                if cfg!(debug_assertions) {
-                    ready.assert_settled();
-                }
+                ready.assert_settled();
+                ready.assert_banks_match(&polling);
             }
             loop {
                 let step = ready.step();
                 proptest::prop_assert_eq!(step, polling.step());
                 let Some(step) = step else { break };
                 steps.push(step);
-                if cfg!(debug_assertions) {
-                    ready.assert_settled();
-                }
+                ready.assert_settled();
+                ready.assert_banks_match(&polling);
             }
             proptest::prop_assert!(steps.windows(2).all(|w| w[0].time <= w[1].time));
-            proptest::prop_assert_eq!(ready.report(), polling.sim.report());
+            proptest::prop_assert_eq!(ready.report(), polling.report());
             proptest::prop_assert_eq!(&ready.timeline, &polling.sim.timeline);
             let work = ready.work();
             proptest::prop_assert_eq!(work.starts, polling.sim.starts);
@@ -1459,7 +1498,10 @@ mod tests {
             polling.submit(0, 0, &job, 0);
             while polling.step().is_some() {}
             assert_eq!(Some(report.timeline), polling.sim.timeline);
-            assert_eq!(report.total_cycles, polling.sim.report().total_cycles);
+            let polled = polling.report();
+            assert_eq!(report.total_cycles, polled.total_cycles);
+            let occupancy = report.buffers.map(|b| b.average_occupancy);
+            assert_eq!(occupancy, polled.instances[0].buffer_occupancy);
         }
     }
 
@@ -1477,5 +1519,397 @@ mod tests {
             },
             0,
         );
+    }
+
+    /// Double-buffered (ping-pong) SRAM banks as explicit slots: the polling
+    /// core's bank model, kept apart from the stage counters the event core
+    /// derives its banks from.
+    ///
+    /// A bank is *reserved* when the producer starts a tile, becomes *ready*
+    /// when the producer finishes it, and is *released* when the consumer
+    /// finishes draining it. Producers reserve and consumers release tiles in
+    /// stream order, so the resident banks always hold consecutive tiles: the
+    /// oldest (next to drain) first and the one being filled last. Every
+    /// operation therefore touches only one end of the window, and asserts
+    /// that its tile is there.
+    mod pingpong {
+        /// Lifecycle of one bank.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum SlotState {
+            /// Producer is writing the tile into the bank.
+            Filling,
+            /// Tile is complete and waiting for (or being drained by) the consumer.
+            Ready,
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        struct Slot {
+            tile: usize,
+            state: SlotState,
+            /// When the slot became `Ready` (for stall attribution).
+            ready_at: u64,
+        }
+
+        /// Most banks a [`PingPongBuffer`] can have. The banks are an inline ring
+        /// of this many slots, a power of two, so the window neither allocates nor
+        /// shifts when its oldest bank is released.
+        const MAX_BANKS: usize = 4;
+
+        /// A ping-pong buffer of `capacity` banks with occupancy accounting.
+        #[derive(Debug)]
+        pub(super) struct PingPongBuffer {
+            capacity: usize,
+            /// Resident banks in stream order, oldest first: `len` slots of the
+            /// ring starting at `head`.
+            slots: [Slot; MAX_BANKS],
+            head: usize,
+            len: usize,
+            /// Last time the occupancy changed, for the occupancy integral.
+            last_change: u64,
+            /// Σ occupancy · dt, for average-occupancy reporting.
+            occupancy_integral: u64,
+            /// When a bank was last freed (for back-pressure stall attribution).
+            last_release: u64,
+        }
+
+        impl PingPongBuffer {
+            /// Creates a buffer of `capacity` banks (the paper's design uses 2).
+            ///
+            /// # Panics
+            ///
+            /// Panics if `capacity` is zero or above [`MAX_BANKS`].
+            pub(super) fn new(capacity: usize) -> Self {
+                assert!(capacity > 0, "buffer capacity must be positive");
+                assert!(capacity <= MAX_BANKS, "at most {MAX_BANKS} banks");
+                let empty = Slot {
+                    tile: 0,
+                    state: SlotState::Filling,
+                    ready_at: u64::MAX,
+                };
+                PingPongBuffer {
+                    capacity,
+                    slots: [empty; MAX_BANKS],
+                    head: 0,
+                    len: 0,
+                    last_change: 0,
+                    occupancy_integral: 0,
+                    last_release: 0,
+                }
+            }
+
+            fn advance(&mut self, now: u64) {
+                self.occupancy_integral += self.len as u64 * (now - self.last_change);
+                self.last_change = now;
+            }
+
+            /// The `i`-th resident bank, oldest first.
+            fn resident(&self, i: usize) -> Option<&Slot> {
+                (i < self.len).then(|| &self.slots[(self.head + i) % MAX_BANKS])
+            }
+
+            /// Whether the producer can start filling a new bank.
+            pub(super) fn has_free_slot(&self) -> bool {
+                self.len < self.capacity
+            }
+
+            /// Time the most recent bank was freed — the moment a producer blocked on
+            /// back-pressure became unblocked.
+            pub(super) fn last_release_time(&self) -> u64 {
+                self.last_release
+            }
+
+            /// Producer starts filling a bank with `tile`.
+            ///
+            /// # Panics
+            ///
+            /// Panics if no bank is free.
+            pub(super) fn reserve(&mut self, tile: usize, now: u64) {
+                assert!(self.has_free_slot(), "reserve on a full ping-pong buffer");
+                self.advance(now);
+                self.slots[(self.head + self.len) % MAX_BANKS] = Slot {
+                    tile,
+                    state: SlotState::Filling,
+                    ready_at: u64::MAX,
+                };
+                self.len += 1;
+            }
+
+            /// Producer finished `tile`; the bank becomes consumable.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `tile` is not the bank being filled (the newest resident).
+            pub(super) fn mark_ready(&mut self, tile: usize, now: u64) {
+                let newest = (self.head + self.len.wrapping_sub(1)) % MAX_BANKS;
+                let slot = Some(&mut self.slots[newest])
+                    .filter(|s| self.len > 0 && s.tile == tile && s.state == SlotState::Filling)
+                    .expect("mark_ready on unreserved tile");
+                slot.state = SlotState::Ready;
+                slot.ready_at = now;
+            }
+
+            /// When `tile` became ready for the consumer (`None` unless it is the
+            /// oldest resident and ready).
+            pub(super) fn ready_time(&self, tile: usize) -> Option<u64> {
+                self.resident(0)
+                    .filter(|s| s.tile == tile && s.state == SlotState::Ready)
+                    .map(|s| s.ready_at)
+            }
+
+            /// When `tile` became ready, wherever it sits in the window (unlike
+            /// [`Self::ready_time`], not only as the oldest bank): `None` unless it
+            /// is resident and ready. A consumer still draining the tile ahead
+            /// finds its next tile here.
+            pub(super) fn ready_at(&self, tile: usize) -> Option<u64> {
+                self.resident(0)
+                    .and_then(|oldest| self.resident(tile.wrapping_sub(oldest.tile)))
+                    .filter(|s| s.state == SlotState::Ready)
+                    .map(|s| s.ready_at)
+            }
+
+            /// Consumer finished draining `tile`; the bank is freed.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `tile` is not the oldest resident or not ready.
+            pub(super) fn release(&mut self, tile: usize, now: u64) {
+                assert!(
+                    self.resident(0)
+                        .is_some_and(|s| s.tile == tile && s.state == SlotState::Ready),
+                    "release of a tile that is not resident"
+                );
+                self.advance(now);
+                self.head = (self.head + 1) % MAX_BANKS;
+                self.len -= 1;
+                self.last_release = now;
+            }
+
+            /// Current number of occupied banks (filling or ready).
+            pub(super) fn occupancy(&self) -> usize {
+                self.len
+            }
+
+            /// Mean occupancy in banks over `[0, now]`.
+            pub(super) fn average_occupancy(&self, now: u64) -> f64 {
+                if now == 0 {
+                    return self.len as f64;
+                }
+                let integral = self.occupancy_integral + self.len as u64 * (now - self.last_change);
+                integral as f64 / now as f64
+            }
+        }
+
+        /// The buffer before the FIFO window: every operation searched the
+        /// resident banks for its tile. Kept as the reference.
+        struct SearchBuffer {
+            capacity: usize,
+            slots: Vec<Slot>,
+            last_change: u64,
+            occupancy_integral: u64,
+            last_release: u64,
+        }
+
+        impl SearchBuffer {
+            fn new(capacity: usize) -> Self {
+                SearchBuffer {
+                    capacity,
+                    slots: Vec::new(),
+                    last_change: 0,
+                    occupancy_integral: 0,
+                    last_release: 0,
+                }
+            }
+
+            fn advance(&mut self, now: u64) {
+                self.occupancy_integral += self.slots.len() as u64 * (now - self.last_change);
+                self.last_change = now;
+            }
+
+            fn has_free_slot(&self) -> bool {
+                self.slots.len() < self.capacity
+            }
+
+            fn reserve(&mut self, tile: usize, now: u64) {
+                assert!(self.has_free_slot());
+                self.advance(now);
+                self.slots.push(Slot {
+                    tile,
+                    state: SlotState::Filling,
+                    ready_at: u64::MAX,
+                });
+            }
+
+            fn mark_ready(&mut self, tile: usize, now: u64) {
+                let slot = self
+                    .slots
+                    .iter_mut()
+                    .find(|s| s.tile == tile && s.state == SlotState::Filling)
+                    .expect("reserved");
+                slot.state = SlotState::Ready;
+                slot.ready_at = now;
+            }
+
+            fn ready_time(&self, tile: usize) -> Option<u64> {
+                self.slots
+                    .iter()
+                    .find(|s| s.tile == tile && s.state == SlotState::Ready)
+                    .map(|s| s.ready_at)
+            }
+
+            fn release(&mut self, tile: usize, now: u64) {
+                let idx = self
+                    .slots
+                    .iter()
+                    .position(|s| s.tile == tile && s.state == SlotState::Ready)
+                    .expect("resident");
+                self.advance(now);
+                self.slots.remove(idx);
+                self.last_release = now;
+            }
+
+            fn average_occupancy(&self, now: u64) -> f64 {
+                if now == 0 {
+                    return self.slots.len() as f64;
+                }
+                let integral =
+                    self.occupancy_integral + self.slots.len() as u64 * (now - self.last_change);
+                integral as f64 / now as f64
+            }
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+            /// Random producer/consumer lifecycles in stream order (the only
+            /// order the pipeline uses): the window answers every query exactly
+            /// as the search-based buffer does, at depths 1 to 4, including
+            /// the ready stamps of the banks behind the oldest.
+            #[test]
+            fn fifo_window_matches_the_search(
+                depth in 1usize..5,
+                ops in proptest::collection::vec((0u8..4, 0u64..4), 1..300),
+            ) {
+                let mut window = PingPongBuffer::new(depth);
+                let mut reference = SearchBuffer::new(depth);
+                // Next tile to reserve, the tile being filled, next to release.
+                let (mut now, mut next, mut filling, mut oldest) = (0u64, 0usize, None, 0usize);
+                for (op, dt) in ops {
+                    now += [0, 1, 7, 300][dt as usize];
+                    match op {
+                        0 if filling.is_none() && window.has_free_slot() => {
+                            window.reserve(next, now);
+                            reference.reserve(next, now);
+                            filling = Some(next);
+                            next += 1;
+                        }
+                        1 => {
+                            if let Some(tile) = filling.take() {
+                                window.mark_ready(tile, now);
+                                reference.mark_ready(tile, now);
+                            }
+                        }
+                        2 if window.ready_time(oldest).is_some() => {
+                            window.release(oldest, now);
+                            reference.release(oldest, now);
+                            oldest += 1;
+                        }
+                        _ => {}
+                    }
+                    proptest::prop_assert_eq!(
+                        window.ready_time(oldest),
+                        reference.ready_time(oldest)
+                    );
+                    for tile in oldest..oldest + 5 {
+                        let reference_at = reference.ready_time(tile);
+                        proptest::prop_assert_eq!(window.ready_at(tile), reference_at);
+                    }
+                    proptest::prop_assert_eq!(window.has_free_slot(), reference.has_free_slot());
+                    proptest::prop_assert_eq!(window.last_release_time(), reference.last_release);
+                    proptest::prop_assert_eq!(
+                        window.average_occupancy(now).to_bits(),
+                        reference.average_occupancy(now).to_bits()
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn fill_drain_lifecycle() {
+            let mut b = PingPongBuffer::new(2);
+            assert!(b.has_free_slot());
+            b.reserve(0, 0);
+            assert_eq!(b.ready_time(0), None, "filling bank is not consumable");
+            b.mark_ready(0, 10);
+            assert_eq!(b.ready_time(0), Some(10));
+            b.reserve(1, 10);
+            assert!(!b.has_free_slot(), "both banks occupied");
+            b.release(0, 25);
+            assert!(b.has_free_slot());
+            assert_eq!(b.last_release_time(), 25);
+        }
+
+        #[test]
+        fn producer_blocks_when_both_banks_held() {
+            let mut b = PingPongBuffer::new(2);
+            b.reserve(0, 0);
+            b.mark_ready(0, 5);
+            b.reserve(1, 5);
+            b.mark_ready(1, 9);
+            // Tiles 0 and 1 both ready, none drained: a third reserve must wait.
+            assert!(!b.has_free_slot());
+            b.release(0, 12);
+            b.reserve(2, 12);
+            assert_eq!(b.occupancy(), 2);
+        }
+
+        #[test]
+        fn average_occupancy_integrates_over_time() {
+            let mut b = PingPongBuffer::new(2);
+            b.reserve(0, 0); // occupancy 1 over [0, 10)
+            b.mark_ready(0, 4);
+            b.reserve(1, 10); // occupancy 2 over [10, 20)
+            b.mark_ready(1, 15);
+            b.release(0, 20); // occupancy 1 over [20, 40)
+                              // Integral = 1·10 + 2·10 + 1·20 = 50 over 40 cycles.
+            assert!((b.average_occupancy(40) - 1.25).abs() < 1e-12);
+        }
+
+        #[test]
+        #[should_panic(expected = "full ping-pong buffer")]
+        fn overfull_reserve_panics() {
+            let mut b = PingPongBuffer::new(1);
+            b.reserve(0, 0);
+            b.reserve(1, 0);
+        }
+
+        #[test]
+        #[should_panic(expected = "not resident")]
+        fn releasing_a_tile_behind_the_oldest_panics() {
+            let mut b = PingPongBuffer::new(2);
+            b.reserve(0, 0);
+            b.mark_ready(0, 1);
+            b.reserve(1, 1);
+            b.mark_ready(1, 2);
+            b.release(1, 3);
+        }
+
+        #[test]
+        #[should_panic(expected = "unreserved tile")]
+        fn marking_a_tile_other_than_the_filling_one_panics() {
+            // Tile 0 is resident and still filling, but the producer has moved
+            // on to tile 1: only the newest bank can complete.
+            let mut b = PingPongBuffer::new(2);
+            b.reserve(0, 0);
+            b.reserve(1, 1);
+            b.mark_ready(0, 2);
+        }
+
+        #[test]
+        #[should_panic(expected = "not resident")]
+        fn releasing_unknown_tile_panics() {
+            let mut b = PingPongBuffer::new(2);
+            b.reserve(0, 0);
+            b.release(3, 1);
+        }
     }
 }
