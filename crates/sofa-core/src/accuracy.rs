@@ -78,18 +78,13 @@ pub fn smallest_keep_ratio_within_budget(
     last.expect("candidates is non-empty")
 }
 
-/// The default candidate grid of keep ratios used by the experiments
-/// (5 % to 50 % in 5 % steps, then dense).
-pub fn default_keep_grid() -> Vec<f64> {
-    let mut v: Vec<f64> = (1..=10).map(|i| i as f64 * 0.05).collect();
-    v.push(1.0);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sofa_model::ScoreDistribution;
+
+    /// Keep ratios from 5 % to 50 % in 5 % steps, then dense.
+    const GRID: [f64; 11] = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 1.0];
 
     fn workload() -> AttentionWorkload {
         AttentionWorkload::generate(&ScoreDistribution::bert_like(), 8, 128, 48, 32, 77)
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn budget_search_returns_feasible_point_when_possible() {
         let w = workload();
-        let point = smallest_keep_ratio_within_budget(&w, 0.02, &default_keep_grid(), 16);
+        let point = smallest_keep_ratio_within_budget(&w, 0.02, &GRID, 16);
         assert!(point.loss <= 0.02 || (point.keep_ratio - 1.0).abs() < 1e-9);
         assert!(point.keep_ratio > 0.0 && point.keep_ratio <= 1.0);
     }
@@ -139,17 +134,9 @@ mod tests {
     #[test]
     fn tighter_budget_keeps_more() {
         let w = workload();
-        let strict = smallest_keep_ratio_within_budget(&w, 0.0005, &default_keep_grid(), 16);
-        let loose = smallest_keep_ratio_within_budget(&w, 0.05, &default_keep_grid(), 16);
+        let strict = smallest_keep_ratio_within_budget(&w, 0.0005, &GRID, 16);
+        let loose = smallest_keep_ratio_within_budget(&w, 0.05, &GRID, 16);
         assert!(strict.keep_ratio >= loose.keep_ratio);
-    }
-
-    #[test]
-    fn default_grid_is_ascending_and_bounded() {
-        let g = default_keep_grid();
-        assert!(g.windows(2).all(|w| w[0] < w[1]));
-        assert!(*g.first().unwrap() > 0.0);
-        assert_eq!(*g.last().unwrap(), 1.0);
     }
 
     #[test]

@@ -180,8 +180,10 @@ pub struct PipelineResult {
     pub kv_generation_ops: OpCounts,
     /// Operation counts of the formal compute stage.
     pub formal_ops: OpCounts,
-    /// SU-FA statistics (zero if the formal stage was FlashAttention).
-    pub sufa_stats: SuFaStats,
+    /// SU-FA statistics (zero if the formal stage was FlashAttention): kept
+    /// only as the oracle of the split-versus-whole pipeline tests.
+    #[cfg(test)]
+    pub(crate) sufa_stats: SuFaStats,
     /// Number of distinct keys that had to be generated on demand.
     pub keys_generated: usize,
 }
@@ -256,11 +258,10 @@ impl SofaPipeline {
 
     /// Runs the pipeline on a batch of independent workloads — one serving
     /// request each — at a **single-layer** operating point, returning one
-    /// result per workload in input order. For multi-layer points use
-    /// [`SofaPipeline::run_layers`]; keeping the two entry points separate
-    /// means a layer count that happens to match the batch length can never
-    /// silently change what a call computes. Schemes come from this
-    /// pipeline (`SofaPipeline::at_layer`).
+    /// result per workload in input order. A multi-layer point is refused,
+    /// so a layer count that happens to match the batch length can never
+    /// silently turn the batch into per-layer lowering. Schemes come from
+    /// this pipeline (`SofaPipeline::at_layer`).
     ///
     /// From the results, [`PipelineResult::tile_selection_stats`] and
     /// `sofa_hw::SofaAccelerator::request_descriptors` produce per-request
@@ -285,45 +286,11 @@ impl SofaPipeline {
         assert_eq!(
             op.layers(),
             1,
-            "run_batch broadcasts a single-layer point; use run_layers for \
-             per-layer lowering"
+            "run_batch broadcasts a single-layer point; build each layer's \
+             pipeline with PipelineConfig::for_layer"
         );
-        self.run_mapped(op, workloads, |_| 0)
-    }
-
-    /// Runs one workload per layer of `op`, workload `i` at layer `i`'s
-    /// keep ratio and tile size — the per-layer lowering path of a
-    /// multi-layer request, switching the operating point between layer
-    /// invocations. Same parallelism and determinism guarantees as
-    /// [`SofaPipeline::run_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload count differs from `op`'s layer count.
-    pub fn run_layers(
-        &self,
-        op: &OperatingPoint,
-        layer_workloads: &[AttentionWorkload],
-    ) -> Vec<PipelineResult> {
-        assert_eq!(
-            layer_workloads.len(),
-            op.layers(),
-            "run_layers needs exactly one workload per layer"
-        );
-        self.run_mapped(op, layer_workloads, |i| i)
-    }
-
-    /// Shared fan-out of `run_batch`/`run_layers`: workload `i` runs at
-    /// layer `layer_of(i)` of `op`.
-    fn run_mapped(
-        &self,
-        op: &OperatingPoint,
-        workloads: &[AttentionWorkload],
-        layer_of: impl Fn(usize) -> usize + Sync,
-    ) -> Vec<PipelineResult> {
-        sofa_par::par_map_index(workloads.len(), |i| {
-            self.at_layer(op, layer_of(i)).run(&workloads[i])
-        })
+        let pipeline = self.at_layer(op, 0);
+        sofa_par::par_map_index(workloads.len(), |i| pipeline.run(&workloads[i]))
     }
 
     /// Runs the full pipeline on one workload.
@@ -389,7 +356,7 @@ impl SofaPipeline {
 
         // Stage 4: formal compute.
         let mut formal_ops = OpCounts::new();
-        let (output, sufa_stats) = match self.cfg.formal {
+        let (output, _sufa_stats) = match self.cfg.formal {
             FormalScheme::SuFa(order) => {
                 sorted_updating_attention(&w.q, keys, values, &mask, order, &mut formal_ops)
             }
@@ -413,7 +380,8 @@ impl SofaPipeline {
             sorting_ops,
             kv_generation_ops,
             formal_ops,
-            sufa_stats,
+            #[cfg(test)]
+            sufa_stats: _sufa_stats,
             keys_generated,
         }
     }
@@ -530,31 +498,6 @@ mod tests {
         // Each entry exports its own per-tile selection stats.
         let stats = batch[1].tile_selection_stats(16);
         assert_eq!(stats.num_tiles(), 64 / 16);
-    }
-
-    #[test]
-    fn multi_layer_points_switch_keep_and_tile_between_layers() {
-        // A two-layer point must run workload i at layer i's configuration —
-        // identical to building that layer's pipeline by hand.
-        let workloads = [workload(), workload()];
-        let op = OperatingPoint::new(vec![0.1, 0.4], vec![8, 32]).unwrap();
-        let pipeline = SofaPipeline::new(PipelineConfig::new(0.25, 16).unwrap());
-        let batch = pipeline.run_layers(&op, &workloads);
-        for (layer, r) in batch.iter().enumerate() {
-            let solo =
-                SofaPipeline::new(PipelineConfig::for_layer(&op, layer)).run(&workloads[layer]);
-            assert_eq!(r.output, solo.output, "layer {layer}");
-            assert_eq!(r.mask, solo.mask, "layer {layer}");
-        }
-        // Distinct layers really saw distinct operating points.
-        assert_ne!(batch[0].mask, batch[1].mask);
-    }
-
-    #[test]
-    #[should_panic(expected = "one workload per layer")]
-    fn run_layers_rejects_mismatched_batches() {
-        let pipeline = SofaPipeline::new(PipelineConfig::new(0.25, 16).unwrap());
-        let _ = pipeline.run_layers(&OperatingPoint::paper_default(3), &[workload()]);
     }
 
     #[test]

@@ -148,16 +148,6 @@ pub fn topk_exact(scores: &Matrix, k: usize, ops: &mut OpCounts) -> TopKMask {
     TopKMask::new(scores.cols(), rows)
 }
 
-/// Analytical comparison count of a full-row merge sort (`S·log2(S)`), used
-/// when extrapolating the baseline cost to sequence lengths too large to run.
-pub fn full_sort_comparisons(seq_len: usize) -> u64 {
-    if seq_len <= 1 {
-        return 0;
-    }
-    let s = seq_len as f64;
-    (s * s.log2()).ceil() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,14 +208,6 @@ mod tests {
     #[should_panic(expected = "keep ratio")]
     fn resolve_k_rejects_zero() {
         let _ = resolve_k(10, 0.0);
-    }
-
-    #[test]
-    fn full_sort_comparisons_grows_superlinearly() {
-        assert_eq!(full_sort_comparisons(1), 0);
-        let c1 = full_sort_comparisons(1024);
-        let c2 = full_sort_comparisons(2048);
-        assert!(c2 > 2 * c1);
     }
 
     #[test]

@@ -76,13 +76,6 @@ impl AreaModel {
     pub fn total_area_mm2(&self) -> f64 {
         Module::ALL.iter().map(|&m| self.module_area_mm2(m)).sum()
     }
-
-    /// Fraction of the total area occupied by the low-complexity prediction
-    /// logic (DLZS + SADS), reported as ~18 % in the paper.
-    pub fn prediction_area_fraction(&self) -> f64 {
-        (self.module_area_mm2(Module::DlzsPrediction) + self.module_area_mm2(Module::SadsSort))
-            / self.total_area_mm2()
-    }
 }
 
 /// Scales a competitor accelerator's area from its native technology node to
@@ -126,14 +119,6 @@ mod tests {
         for m in Module::ALL {
             assert!(a.module_area_mm2(Module::SuFa) >= a.module_area_mm2(m));
         }
-    }
-
-    #[test]
-    fn prediction_logic_is_under_a_fifth_of_area() {
-        let a = AreaModel::paper_28nm();
-        let frac = a.prediction_area_fraction();
-        assert!(frac < 0.20, "LP area fraction {frac} should be ~18 %");
-        assert!(frac > 0.10);
     }
 
     #[test]

@@ -78,31 +78,6 @@ impl EnergyBreakdown {
     pub fn total_j(&self) -> f64 {
         self.compute_j + self.sram_j + self.interface_j + self.dram_j
     }
-
-    /// Core-only energy (compute + SRAM) in joules.
-    pub fn core_j(&self) -> f64 {
-        self.compute_j + self.sram_j
-    }
-
-    /// Adds another breakdown.
-    pub fn combine(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
-        EnergyBreakdown {
-            compute_j: self.compute_j + other.compute_j,
-            sram_j: self.sram_j + other.sram_j,
-            interface_j: self.interface_j + other.interface_j,
-            dram_j: self.dram_j + other.dram_j,
-        }
-    }
-
-    /// Average power in watts given a runtime in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is not positive.
-    pub fn average_power_w(&self, seconds: f64) -> f64 {
-        assert!(seconds > 0.0, "runtime must be positive");
-        self.total_j() / seconds
-    }
 }
 
 /// System power breakdown in watts at a sustained DRAM bandwidth, reproducing
@@ -179,26 +154,6 @@ mod tests {
         b.record(OpKind::Mul, 2000);
         assert!(compute_energy_j(&b) > compute_energy_j(&a));
         assert!((compute_energy_j(&a) - 1000.0 * 1.1e-12).abs() < 1e-15);
-    }
-
-    #[test]
-    fn breakdown_combines_and_averages() {
-        let a = EnergyBreakdown {
-            compute_j: 1.0,
-            sram_j: 2.0,
-            interface_j: 3.0,
-            dram_j: 4.0,
-        };
-        let b = a.combine(&a);
-        assert_eq!(b.total_j(), 20.0);
-        assert_eq!(a.core_j(), 3.0);
-        assert_eq!(a.average_power_w(2.0), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_runtime_panics() {
-        let _ = EnergyBreakdown::default().average_power_w(0.0);
     }
 
     #[test]

@@ -137,24 +137,12 @@ impl OperatingPoint {
         Self::new(vec![keep; self.layers()], self.tile_sizes.clone())
             .expect("invalid keep override")
     }
-
-    /// Total-order comparison with another point
-    /// ([`cmp_point_key`]) for deterministic tie-breaking.
-    pub fn cmp_key(&self, other: &Self) -> std::cmp::Ordering {
-        cmp_point_key(
-            &self.keep_ratios,
-            &self.tile_sizes,
-            &other.keep_ratios,
-            &other.tile_sizes,
-        )
-    }
 }
 
 /// Lexicographic total-order comparison of two `(keep ratios, tile sizes)`
 /// pairs: keep ratios by IEEE bit pattern (all keeps are positive, so the
 /// bit pattern sorts in value order), then the tile-size vectors.
-/// Allocation-free, shared by [`OperatingPoint`] and the DSE candidate type
-/// so the deterministic tie-breaking rule exists exactly once.
+/// Allocation-free; the DSE candidate type breaks its ties with it.
 pub fn cmp_point_key(
     a_keeps: &[f64],
     a_tiles: &[usize],
@@ -218,18 +206,6 @@ mod tests {
         let q = p.with_uniform_keep(0.5);
         assert_eq!(q.tiles(), p.tiles());
         assert_eq!(q.keeps(), &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn cmp_key_is_a_total_order() {
-        let a = OperatingPoint::new(vec![0.1, 0.2], vec![8, 16]).unwrap();
-        let b = OperatingPoint::new(vec![0.1, 0.3], vec![8, 16]).unwrap();
-        let c = OperatingPoint::new(vec![0.1, 0.2], vec![8, 32]).unwrap();
-        assert_eq!(a.cmp_key(&b), std::cmp::Ordering::Less);
-        assert_eq!(b.cmp_key(&a), std::cmp::Ordering::Greater);
-        assert_eq!(a.cmp_key(&a.clone()), std::cmp::Ordering::Equal);
-        // Equal keeps fall through to the tile vector.
-        assert_eq!(a.cmp_key(&c), std::cmp::Ordering::Less);
     }
 
     #[test]

@@ -39,15 +39,6 @@ impl ComponentProfile {
             self.flops as f64 / b as f64
         }
     }
-
-    /// Sums two component profiles.
-    pub fn combine(&self, other: &ComponentProfile) -> ComponentProfile {
-        ComponentProfile {
-            flops: self.flops + other.flops,
-            weight_bytes: self.weight_bytes + other.weight_bytes,
-            activation_bytes: self.activation_bytes + other.activation_bytes,
-        }
-    }
 }
 
 /// Profile of one Transformer layer processing `token_parallelism` query
@@ -297,23 +288,6 @@ mod tests {
             (ratio - 4.0).abs() < 0.1,
             "doubling S should ~4x attention FLOPs (got {ratio})"
         );
-    }
-
-    #[test]
-    fn combine_adds_fields() {
-        let a = ComponentProfile {
-            flops: 1,
-            weight_bytes: 2,
-            activation_bytes: 3,
-        };
-        let b = ComponentProfile {
-            flops: 10,
-            weight_bytes: 20,
-            activation_bytes: 30,
-        };
-        let c = a.combine(&b);
-        assert_eq!(c.flops, 11);
-        assert_eq!(c.total_bytes(), 55);
     }
 
     #[test]

@@ -10,12 +10,7 @@
 //! [`RequestSpec`]s a scheduler (the `sofa-serve` crate) admits onto
 //! simulated accelerator instances, and [`RequestTrace::generate`]
 //! materialises the same stream. A [`RequestSource`] is either of the two.
-//!
-//! Request shapes can be taken from the paper's benchmark suite via
-//! [`TraceConfig::from_benchmark`], inheriting the model's hidden width,
-//! head count, sequence length and task-dependent keep ratio.
 
-use crate::suite::Benchmark;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use sofa_tensor::seeded_rng;
@@ -106,25 +101,6 @@ impl TraceConfig {
             keep_ratio: 0.25,
             seed,
         }
-    }
-
-    /// Derives the request shape from one of the paper's benchmarks: model
-    /// width/heads/sequence length, and the keep ratio the benchmark
-    /// tolerates at `loss_budget` accuracy loss.
-    pub fn from_benchmark(
-        bench: &Benchmark,
-        loss_budget: f64,
-        num_requests: usize,
-        arrivals_per_mcycle: f64,
-        seed: u64,
-    ) -> Self {
-        let mut cfg = Self::new(num_requests, arrivals_per_mcycle, seed);
-        cfg.seq_len = bench.model.seq_len;
-        cfg.hidden = bench.model.hidden;
-        cfg.heads = bench.model.heads;
-        cfg.keep_ratio = bench.keep_ratio(loss_budget);
-        cfg.prefill_queries = (bench.model.seq_len / 8).clamp(16, 128);
-        cfg
     }
 
     /// Validates the configuration.
@@ -352,7 +328,6 @@ impl RequestTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::benchmark_suite;
 
     #[test]
     fn traces_are_deterministic() {
@@ -515,19 +490,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn benchmark_shapes_flow_into_the_trace() {
-        let suite = benchmark_suite();
-        let bert = suite.iter().find(|b| b.name == "BERT-B/SQuAD").unwrap();
-        let cfg = TraceConfig::from_benchmark(bert, 0.01, 10, 25.0, 3);
-        assert_eq!(cfg.seq_len, 384);
-        assert_eq!(cfg.hidden, bert.model.hidden);
-        assert_eq!(cfg.heads, bert.model.heads);
-        assert!((cfg.keep_ratio - bert.keep_ratio(0.01)).abs() < 1e-12);
-        let trace = RequestTrace::generate(&cfg);
-        assert!(trace.requests.iter().all(|r| r.seq_len == 384));
     }
 
     #[test]

@@ -183,8 +183,8 @@ where
 }
 
 /// Domain-separation constant folded into [`item_seed`]'s base seed, so a
-/// per-item seed can never collide with the seed `sofa_tensor::derive_seed`
-/// gives the same `(base, index)` pair.
+/// per-item seed never equals the plain SplitMix64 derivation of the same
+/// `(base, index)` pair.
 const ITEM_SEED_DOMAIN: u64 = 0x5047_5F50_4152_5F31; // "PG_PAR_1"
 
 /// Derives the RNG seed of item `index` under `base_seed` (SplitMix64-style
@@ -284,9 +284,9 @@ mod tests {
 
     #[test]
     fn item_seed_is_domain_separated_from_tensor_derive_seed() {
-        // sofa_tensor::derive_seed uses the same SplitMix64 mixing without
-        // the domain constant; the two families must never hand the same
-        // seed to the same (base, index) pair.
+        // The plain SplitMix64 derivation (the same mixing without the
+        // domain constant) and item_seed must never hand the same seed to
+        // the same (base, index) pair.
         let tensor_derive = |base: u64, stream: u64| {
             let mut z =
                 base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));

@@ -74,13 +74,6 @@ pub fn masked_attention(q: &Matrix, k: &Matrix, v: &Matrix, mask: &[Vec<bool>]) 
     out
 }
 
-/// FLOP count of one dense attention over `t` queries, `s` keys, head dim `d`
-/// (two matmuls; softmax ignored as in roofline practice).
-pub fn dense_attention_flops(t: usize, s: usize, d: usize) -> u64 {
-    // Q·Kᵀ: 2*t*s*d, P·V: 2*t*s*d
-    4 * (t as u64) * (s as u64) * (d as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,11 +149,5 @@ mod tests {
         let mask = vec![vec![false; 6]];
         let o = masked_attention(&q, &k, &v, &mask);
         assert!(o.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn flop_count_formula() {
-        assert_eq!(dense_attention_flops(2, 3, 4), 4 * 2 * 3 * 4);
-        assert_eq!(dense_attention_flops(0, 3, 4), 0);
     }
 }

@@ -40,20 +40,6 @@ impl Matrix {
         }
     }
 
-    /// Reshapes this matrix in place to `rows × cols` with every entry reset
-    /// to zero, reusing the existing allocation when it is large enough.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows * cols` overflows `usize`.
-    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
-        let len = rows.checked_mul(cols).expect("matrix size overflow");
-        self.data.clear();
-        self.data.resize(len, 0.0);
-        self.rows = rows;
-        self.cols = cols;
-    }
-
     /// Creates a matrix whose `(i, j)` entry is `f(i, j)`.
     pub fn from_fn<F: FnMut(usize, usize) -> f32>(rows: usize, cols: usize, mut f: F) -> Self {
         let mut m = Matrix::zeros(rows, cols);
@@ -175,11 +161,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Iterates over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols)
-    }
-
     /// Returns a new matrix that is the transpose of `self`.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -273,29 +254,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Returns the maximum element, or `f32::NEG_INFINITY` for an empty matrix.
-    pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Returns the minimum element, or `f32::INFINITY` for an empty matrix.
-    pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Returns the mean of all elements (0.0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
-
-    /// Returns the Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 impl std::fmt::Display for Matrix {
@@ -321,18 +279,6 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reset_zeros_matches_fresh_allocation_across_reshapes() {
-        let mut m = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f32 + 1.0);
-        m.reset_zeros(2, 5);
-        assert_eq!(m, Matrix::zeros(2, 5), "shrink must zero every entry");
-        m.set(1, 4, 7.0);
-        m.reset_zeros(4, 6);
-        assert_eq!(m, Matrix::zeros(4, 6), "grow must zero every entry");
-        m.reset_zeros(0, 0);
-        assert!(m.as_slice().is_empty());
-    }
 
     #[test]
     fn zeros_and_shape() {
@@ -421,15 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn reductions() {
-        let m = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 0.0]]).unwrap();
-        assert_eq!(m.max(), 3.0);
-        assert_eq!(m.min(), -2.0);
-        assert!((m.mean() - 0.5).abs() < 1e-6);
-        assert!((m.frobenius_norm() - (14.0f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
     fn add_sub_scaled() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         assert_eq!(a.scaled(2.0).row(0), &[2.0, 4.0]);
@@ -440,14 +377,5 @@ mod tests {
         let m = Matrix::zeros(20, 20);
         let s = format!("{m}");
         assert!(s.contains("Matrix 20x20"));
-    }
-
-    #[test]
-    fn iter_rows_yields_all_rows() {
-        let m = Matrix::from_fn(5, 3, |i, j| (i + j) as f32);
-        assert_eq!(m.iter_rows().count(), 5);
-        for (i, r) in m.iter_rows().enumerate() {
-            assert_eq!(r, m.row(i));
-        }
     }
 }

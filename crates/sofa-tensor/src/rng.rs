@@ -21,16 +21,6 @@ pub fn seeded_rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// Derives a sub-seed from a base seed and a stream index, so independent
-/// components of one experiment do not share random streams.
-pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    // SplitMix64-style mixing.
-    let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,12 +42,5 @@ mod tests {
         let xs: Vec<u32> = (0..8).map(|_| a.gen()).collect();
         let ys: Vec<u32> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn derive_seed_is_deterministic_and_spread() {
-        assert_eq!(derive_seed(10, 0), derive_seed(10, 0));
-        assert_ne!(derive_seed(10, 0), derive_seed(10, 1));
-        assert_ne!(derive_seed(10, 1), derive_seed(11, 1));
     }
 }
