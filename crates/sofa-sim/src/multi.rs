@@ -778,9 +778,9 @@ impl MultiPipelineSim {
     fn start(&mut self, inst: usize, stage: usize, now: u64) {
         let ins = &mut self.instances[inst];
         let tile = ins.next_tile[stage];
-        // When the input bank became ready (the prediction stage reads the
-        // raw key stream), when the operand arrived and when the output bank
-        // last freed a slot: the three stamps the stall attribution reads.
+        // Stall stamps: the input bank's ready time (0 at the prediction stage,
+        // which reads the raw key stream), the operand's arrival and the output
+        // bank's last release (0 at the formal stage, which has no output bank).
         let input_at = stage
             .checked_sub(1)
             .map_or(0, |b| ins.ready_at[b][tile % SimParams::BUFFER_DEPTH]);
